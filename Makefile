@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench-smoke bench-kernels bench-attack vet fmt-check lint cache-gate e2e-remote e2e-chaos e2e-resultplane e2e-ha ci
+.PHONY: build test race bench-check fuzz-smoke bench-smoke bench-kernels bench-attack vet fmt-check lint cache-gate e2e-remote e2e-chaos e2e-resultplane e2e-ha ci
 
 build:
 	$(GO) build ./...
@@ -13,15 +13,29 @@ test:
 
 # Race smoke on the concurrent packages: the engine scheduler/executor,
 # sharded state and disk cache, the remote worker server/client, the job
-# broker and its wire types, the worker-budget semaphore and the
-# parallel tensor/nn kernels it feeds, the goroutine-parallel BFA
-# candidate scoring and the rowhammer engine it drives, plus the trace
-# replay layer.
+# broker and its wire types, the record log under the journal, cache
+# and plane (appends racing atomic replaces), the result-plane store,
+# the worker-budget semaphore and the parallel tensor/nn kernels it
+# feeds, the goroutine-parallel BFA candidate scoring and the rowhammer
+# engine it drives, plus the trace replay layer.
 race:
 	$(GO) test -race ./internal/engine/... ./internal/remote/ \
 		./internal/queue/ ./internal/api/ ./internal/trace/ \
+		./internal/wal/ ./internal/resultplane/ \
 		./internal/par/ ./internal/tensor/ ./internal/nn/ \
 		./internal/attack/ ./internal/rowhammer/
+
+# The benchmark (bench/, dlbench) is a module of its own, so the root
+# `go test ./...` never builds it. Vet and test it here, so a change to
+# an API it imports fails the gate instead of the next benchmark run.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Ten seconds of native fuzzing over internal/wal's replay and atomic
+# replace (FuzzReplay): never panics, strict fails exactly where lenient
+# skips, and a rewritten record list replays unchanged.
+fuzz-smoke:
+	$(GO) test ./internal/wal/ -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
 
 # Loopback end-to-end gate for the remote executors: boots dramlockerd
 # on 127.0.0.1 in both topologies — push worker (-remote) and job-queue
@@ -140,4 +154,4 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-ci: vet fmt-check lint build test race e2e-remote e2e-chaos e2e-resultplane e2e-ha cache-gate
+ci: vet fmt-check lint build test race bench-check fuzz-smoke e2e-remote e2e-chaos e2e-resultplane e2e-ha cache-gate

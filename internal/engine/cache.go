@@ -38,8 +38,8 @@ type Cache struct {
 	m        map[string]Result
 	inflight map[string]chan struct{}
 	// store, when non-nil, receives every newly cached success (the
-	// persistent backend). Appends happen outside mu: the store has its
-	// own lock, and a slow disk must not stall in-memory lookups.
+	// persistent backend). Appends happen outside mu: the store's log has
+	// its own lock, and a slow disk must not stall in-memory lookups.
 	store *diskStore
 	// remote, when non-nil, is the fleet-wide tier. All remote calls
 	// happen outside mu — they block on the network.
@@ -85,7 +85,7 @@ func (c *Cache) Close() error {
 	if s == nil {
 		return nil
 	}
-	return s.close()
+	return s.log.Close()
 }
 
 // peek returns the cached result for key without claiming the key for

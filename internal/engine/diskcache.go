@@ -1,32 +1,33 @@
 package engine
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/wal"
 )
 
-// The persistent cache is one append-only JSON-lines file,
+// The persistent cache is one internal/wal record file,
 // <dir>/results.jsonl. Each line is an api.CacheEntry: a version stamp,
 // the cache key (already embedding experiment id, preset hash and base
 // seed), and the result. The same entry shape travels to the result
 // plane (internal/resultplane), so a plane object and a disk-cache line
 // are interchangeable records. Invalidation is by construction, never
 // by mutation: a changed preset hashes to a new key, and a bumped code
-// version makes the loader skip every older line. Corrupt lines —
-// truncated tails from a killed process, editor damage, garbage — are
-// skipped on load, so damage degrades to cache misses, never to errors.
+// version makes the loader skip every older line. The file is replayed
+// wal.Lenient: corrupt lines — truncated tails from a killed process,
+// editor damage, garbage — are skipped, so damage degrades to cache
+// misses, never to errors.
 //
-// Appends are serialised per process by diskStore.mu and written with
-// O_APPEND, so concurrent processes sharing one cache dir interleave
-// whole lines rather than corrupting each other.
+// wal writes each entry with one O_APPEND write, so concurrent
+// processes sharing one cache dir interleave whole lines rather than
+// corrupting each other. Appends are never fsynced: a lost entry is a
+// recompute.
 
 // diskFormatVersion stamps the file layout itself; bump on any change to
 // api.CacheEntry. Callers compose their own code-version on top via the
@@ -80,8 +81,7 @@ func FromCachedResult(cr api.CachedResult) Result {
 
 // diskStore is the append side of the persistent backend.
 type diskStore struct {
-	mu      sync.Mutex
-	f       *os.File
+	log     *wal.Log
 	version string
 }
 
@@ -96,28 +96,16 @@ func (s *diskStore) append(key string, r Result) {
 	if err != nil {
 		return
 	}
-	line, err := json.Marshal(api.CacheEntry{Version: s.version, Key: key, Result: cr})
+	rec, err := json.Marshal(api.CacheEntry{Version: s.version, Key: key, Result: cr})
 	if err != nil {
 		return
 	}
-	line = append(line, '\n')
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f != nil {
-		s.f.Write(line)
-	}
+	s.log.Append(rec)
 }
 
-func (s *diskStore) close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f = nil
-	return err
-}
+// errUnusableEntry marks a cache line that decodes but cannot be served:
+// another code version, no key, or a recorded failure.
+var errUnusableEntry = errors.New("engine: stale, keyless or failed cache entry")
 
 // OpenDiskCache returns a Cache preloaded from dir (created if missing)
 // that persists every new success to <dir>/results.jsonl. version is the
@@ -137,43 +125,25 @@ func OpenDiskCache(dir, version string) (*Cache, error) {
 	path := filepath.Join(dir, diskCacheFile)
 
 	c := NewCache()
-	loadDiskCache(c, path, full)
+	// Best effort: a missing or unreadable file, a garbage line, a
+	// truncated tail or a stale version all simply shrink the warm set.
+	// Later lines win, matching append order.
+	wal.Replay(path, wal.Lenient, func(rec []byte) error {
+		var e api.CacheEntry
+		if err := json.Unmarshal(rec, &e); err != nil {
+			return err
+		}
+		if e.Version != full || e.Key == "" || e.Result.Err != "" {
+			return errUnusableEntry
+		}
+		c.m[e.Key] = FromCachedResult(e.Result)
+		return nil
+	})
 
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	log, err := wal.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("engine: open cache file: %w", err)
 	}
-	c.store = &diskStore{f: f, version: full}
+	c.store = &diskStore{log: log, version: full}
 	return c, nil
-}
-
-// loadDiskCache best-effort loads path into c. Every malformed, stale or
-// failed entry is treated as a miss: a missing file, a garbage file, a
-// truncated final line or a mid-file corruption all simply shrink the
-// warm set. Later lines win, matching append order.
-func loadDiskCache(c *Cache, path, version string) {
-	f, err := os.Open(path)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var e api.CacheEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			continue
-		}
-		if e.Version != version || e.Key == "" || e.Result.Err != "" {
-			continue
-		}
-		c.m[e.Key] = FromCachedResult(e.Result)
-	}
-	// A scanner error (e.g. an over-long corrupt line) abandons the rest
-	// of the file; everything loaded so far stays usable.
 }

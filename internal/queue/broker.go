@@ -449,25 +449,14 @@ func (b *Broker) Submit(s api.JobSubmit) (api.SubmitReply, error) {
 	if err := s.Validate(); err != nil {
 		return api.SubmitReply{}, err
 	}
-	if err := b.roleGate(); err != nil {
-		return api.SubmitReply{}, err
-	}
-	hits := b.prefetchPlane(s)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	// Re-check under the lock: the role may have flipped (a fence
-	// landing) between the fast-path gate and here.
-	if err := b.roleGateLocked(); err != nil {
-		return api.SubmitReply{}, err
-	}
-	b.sweep()
-	id, err := b.submitLocked(s, hits)
+	items, err := b.submitWave([]api.JobSubmit{s})
 	if err != nil {
 		return api.SubmitReply{}, err
 	}
-	b.journalSyncLocked()
-	b.wakeAll()
-	return api.SubmitReply{Proto: api.Version, ID: id}, nil
+	if items[0].Err != nil {
+		return api.SubmitReply{}, items[0].Err
+	}
+	return api.SubmitReply{Proto: api.Version, ID: items[0].ID}, nil
 }
 
 // prefetchPlane consults the result plane for every cache-keyed task of
@@ -516,39 +505,53 @@ func (b *Broker) SubmitBatch(bt api.JobSubmitBatch) (api.SubmitBatchReply, error
 	if err := bt.Validate(); err != nil {
 		return api.SubmitBatchReply{}, err
 	}
-	if err := b.roleGate(); err != nil {
+	items, err := b.submitWave(bt.Jobs)
+	if err != nil {
 		return api.SubmitBatchReply{}, err
 	}
-	hits := make([]map[int]api.CachedResult, len(bt.Jobs))
-	for i, s := range bt.Jobs {
+	return api.SubmitBatchReply{Proto: api.Version, Jobs: items}, nil
+}
+
+// submitWave admits validated submissions one by one, then fsyncs and
+// wakes pollers once if any was accepted. Plane lookups run first,
+// outside the lock. The returned error is for the whole wave (a
+// non-primary broker); per-job refusals are in the items.
+func (b *Broker) submitWave(subs []api.JobSubmit) ([]api.SubmitItem, error) {
+	if err := b.roleGate(); err != nil {
+		return nil, err
+	}
+	hits := make([]map[int]api.CachedResult, len(subs))
+	for i, s := range subs {
 		hits[i] = b.prefetchPlane(s)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	// Re-check under the lock: the role may have flipped (a fence
+	// landing) between the fast-path gate and here.
 	if err := b.roleGateLocked(); err != nil {
-		return api.SubmitBatchReply{}, err
+		return nil, err
 	}
 	b.sweep()
-	rep := api.SubmitBatchReply{Proto: api.Version, Jobs: make([]api.SubmitItem, len(bt.Jobs))}
+	items := make([]api.SubmitItem, len(subs))
 	accepted := false
-	for i, s := range bt.Jobs {
+	for i, s := range subs {
 		id, err := b.submitLocked(s, hits[i])
 		if err != nil {
 			ae, ok := api.AsError(err)
 			if !ok {
 				ae = api.Errf(api.CodeInternal, "%v", err)
 			}
-			rep.Jobs[i] = api.SubmitItem{Err: ae}
+			items[i] = api.SubmitItem{Err: ae}
 			continue
 		}
-		rep.Jobs[i] = api.SubmitItem{ID: id}
+		items[i] = api.SubmitItem{ID: id}
 		accepted = true
 	}
 	if accepted {
 		b.journalSyncLocked()
 		b.wakeAll()
 	}
-	return rep, nil
+	return items, nil
 }
 
 // submitLocked admits one validated submission against its tenant's
@@ -580,16 +583,44 @@ func (b *Broker) submitLocked(s api.JobSubmit, hits map[int]api.CachedResult) (s
 			return "", ae
 		}
 	}
-	j := &job{
-		id:       b.nextID("j"),
-		tenant:   tenant,
-		priority: s.Priority,
-		finished: make(chan struct{}),
+	j := b.addJobLocked(b.nextID("j"), tenant, s.Priority, s.Tasks)
+	for _, t := range j.tasks {
+		if cr, ok := hits[t.idx]; ok {
+			b.completeTaskLocked(t, planeResult(t.spec, cr))
+			b.stats.PlaneHits++
+		}
 	}
+	b.journalAppendLocked(journalEntry{
+		Kind: entrySubmit, Job: j.id,
+		Tenant: tenant, Priority: s.Priority, Tasks: s.Tasks,
+	}, false)
+	// Plane completions are journaled like worker results, so a replay
+	// restores them done instead of re-queueing the tasks. The caller's
+	// single fsync covers the whole wave. A job whose every task was
+	// plane-resident is born finished: zero leases, zero workers.
+	for _, t := range j.tasks {
+		if t.state == taskDone {
+			b.journalAppendLocked(journalEntry{
+				Kind: entryDone, Job: j.id, Task: t.idx, Result: t.result,
+			}, false)
+		}
+	}
+	return j.id, nil
+}
+
+// addJobLocked builds job id over specs and queues every task. It is
+// the one job constructor, shared by live submission, startup replay
+// and replication, so their state cannot drift. Tasks take fresh
+// sequence numbers in submission order (the FIFO tie-breaker), and the
+// id sequence is kept ahead of id so later minted ids never collide
+// with a journaled one.
+func (b *Broker) addJobLocked(id, tenant string, priority int, specs []api.TaskSpec) *job {
+	j := &job{id: id, tenant: tenant, priority: priority, finished: make(chan struct{})}
+	tq := b.tenantFor(tenant)
 	now := b.now()
-	for i, spec := range s.Tasks {
+	for i, spec := range specs {
 		t := &task{
-			id:       fmt.Sprintf("%s/%d", j.id, i),
+			id:       fmt.Sprintf("%s/%d", id, i),
 			job:      j,
 			idx:      i,
 			spec:     spec,
@@ -598,41 +629,62 @@ func (b *Broker) submitLocked(s api.JobSubmit, hits map[int]api.CachedResult) (s
 			leases:   make(map[string]*lease),
 		}
 		j.tasks = append(j.tasks, t)
-		if cr, ok := hits[i]; ok {
-			res := planeResult(spec, cr)
-			t.result = &res
-			t.state = taskDone
-			j.done++
-			b.stats.Completed++
-			b.stats.PlaneHits++
-			continue
-		}
 		tq.insert(t)
 	}
-	b.seq += uint64(len(s.Tasks))
-	b.jobs[j.id] = j
-	b.stats.Submitted += len(j.tasks)
-	b.journalAppendLocked(journalEntry{
-		Kind: entrySubmit, Job: j.id,
-		Tenant: tenant, Priority: s.Priority, Tasks: s.Tasks,
-	}, false)
-	// Plane completions are journaled like worker results, so a replay
-	// restores them done instead of re-queueing the tasks. The caller's
-	// single fsync covers the whole wave.
-	for _, t := range j.tasks {
-		if t.state == taskDone {
-			b.journalAppendLocked(journalEntry{
-				Kind: entryDone, Job: j.id, Task: t.idx, Result: t.result,
-			}, false)
-		}
+	b.seq += uint64(len(specs))
+	if n, ok := numericID(id, "j"); ok && n > b.seq {
+		b.seq = n
 	}
-	if j.complete() {
-		// Every task was plane-resident: the job is born finished —
-		// zero leases, zero workers.
-		j.finishedAt = now
+	b.jobs[id] = j
+	b.stats.Submitted += len(j.tasks)
+	return j
+}
+
+// completeTaskLocked records res as t's result. It is the one
+// result-recording transition, shared by live Done, submit-time plane
+// hits, startup replay and replication. t must be pending or leased: a
+// pending task leaves its queue, and a leased one's remaining leases
+// are released (their holders' late results come back as duplicates).
+func (b *Broker) completeTaskLocked(t *task, res api.TaskResult) {
+	if t.state == taskPending {
+		b.tenantFor(t.job.tenant).remove(t)
+	}
+	b.releaseLeases(t)
+	t.result = &res
+	t.state = taskDone
+	j := t.job
+	j.done++
+	b.stats.Completed++
+	if res.Err != "" {
+		j.failed++
+		b.stats.Failed++
+	}
+	if j.done == len(j.tasks) {
+		j.finishedAt = b.now()
 		close(j.finished)
 	}
-	return j.id, nil
+}
+
+// cancelJobLocked cancels a job that is not yet complete. It is the one
+// cancel transition, shared by live Cancel, startup replay and
+// replication: pending tasks leave the queue at once, leased ones keep
+// running on their workers but lose their leases, so their results are
+// discarded on arrival.
+func (b *Broker) cancelJobLocked(j *job) {
+	j.canceled = true
+	j.finishedAt = b.now()
+	tq := b.tenantFor(j.tenant)
+	for _, t := range j.tasks {
+		switch t.state {
+		case taskPending:
+			tq.remove(t)
+			t.state = taskCanceled
+		case taskLeased:
+			t.state = taskCanceled
+			b.releaseLeases(t)
+		}
+	}
+	close(j.finished)
 }
 
 // journalSyncLocked makes everything appended so far durable (no-op
@@ -652,13 +704,19 @@ func (b *Broker) journalSyncLocked() {
 // segments' effect (the fresh active segment is empty) — folding the
 // snapshot over them neither loses nor double-counts an entry.
 func (b *Broker) journalAppendLocked(e journalEntry, sync bool) {
+	if jl := b.cfg.Journal; jl != nil {
+		b.compactIfRotatedLocked(jl.append(e, sync))
+	}
+}
+
+// compactIfRotatedLocked starts a background fold of the sealed
+// segments after an append rolled the active one over (see
+// journalAppendLocked for why the snapshot is taken here).
+func (b *Broker) compactIfRotatedLocked(rotated bool) {
+	if !rotated {
+		return
+	}
 	jl := b.cfg.Journal
-	if jl == nil {
-		return
-	}
-	if !jl.append(e, sync) {
-		return
-	}
 	if claimed := jl.claimSealed(); claimed != nil {
 		jl.compactAsync(claimed, b.liveEntriesLocked())
 	}
@@ -750,20 +808,7 @@ func (b *Broker) Cancel(req api.CancelRequest) error {
 		}
 		return api.Errf(api.CodeCanceled, "job %s already finished; cancel has no effect", j.id)
 	}
-	j.canceled = true
-	j.finishedAt = b.now()
-	tq := b.tenants[j.tenant]
-	for _, t := range j.tasks {
-		switch t.state {
-		case taskPending:
-			tq.remove(t)
-			t.state = taskCanceled
-		case taskLeased:
-			t.state = taskCanceled
-			b.releaseLeases(t)
-		}
-	}
-	close(j.finished)
+	b.cancelJobLocked(j)
 	b.journalAppendLocked(journalEntry{Kind: entryCancel, Job: j.id}, true)
 	return nil
 }
@@ -1163,32 +1208,16 @@ func (b *Broker) Done(req api.TaskDone) (api.DoneReply, error) {
 		return api.DoneReply{Proto: api.Version, Duplicate: true, CacheHit: hit}, nil
 	case taskCanceled:
 		return api.DoneReply{Proto: api.Version}, nil
-	case taskPending:
-		// The lease expired and the task requeued, but the original
-		// holder finished anyway — first result wins, so pull the task
-		// back out of the queue before recording it.
-		b.tenantFor(t.job.tenant).remove(t)
 	}
-	res := req.Result
-	t.result = &res
-	t.state = taskDone
-	b.releaseLeases(t)
-	j := t.job
-	j.done++
-	b.stats.Completed++
-	if res.Err != "" {
-		j.failed++
-		b.stats.Failed++
-	}
-	if j.done == len(j.tasks) {
-		j.finishedAt = b.now()
-		close(j.finished)
-	}
+	// A pending task here had its lease expire and requeue, but the
+	// original holder finished anyway — first result wins, so it leaves
+	// the queue as it is recorded.
+	b.completeTaskLocked(t, req.Result)
 	// Synced before the reply: once the worker hears Accepted it
 	// will never re-run this task, so the result must outlive a
 	// crash.
 	b.journalAppendLocked(journalEntry{
-		Kind: entryDone, Job: j.id, Task: t.idx, Result: &res,
+		Kind: entryDone, Job: t.job.id, Task: t.idx, Result: t.result,
 	}, true)
 	return api.DoneReply{Proto: api.Version, Accepted: true}, nil
 }
@@ -1218,12 +1247,8 @@ func (b *Broker) dropLease(l *lease) {
 // computing — their TaskDone will be answered as duplicate/discarded.
 func (b *Broker) releaseLeases(t *task) {
 	for _, l := range t.leases {
-		l.active = false
-		if w := b.workers[l.worker]; w != nil {
-			delete(w.leases, l.id)
-		}
+		b.dropLease(l)
 	}
-	clear(t.leases)
 }
 
 // sweep (callers hold mu) applies the clock: expired leases requeue
@@ -1236,8 +1261,7 @@ func (b *Broker) sweep() {
 	for id, w := range b.workers {
 		if now.Sub(w.lastSeen) > b.cfg.WorkerExpiry {
 			for _, l := range w.leases {
-				l.active = false
-				delete(l.t.leases, l.id)
+				b.dropLease(l)
 				b.requeue(l.t)
 			}
 			delete(b.workers, id)
@@ -1487,33 +1511,7 @@ func (b *Broker) applyEntryLocked(e journalEntry) applyResult {
 		if b.jobs[e.Job] != nil {
 			return applyDuplicate
 		}
-		j := &job{
-			id: e.Job, tenant: e.Tenant, priority: e.Priority,
-			finished: make(chan struct{}),
-		}
-		tq := b.tenantFor(j.tenant)
-		now := b.now()
-		for i, spec := range e.Tasks {
-			t := &task{
-				id:       fmt.Sprintf("%s/%d", e.Job, i),
-				job:      j,
-				idx:      i,
-				spec:     spec,
-				seq:      b.seq + uint64(i) + 1,
-				enqueued: now,
-				leases:   make(map[string]*lease),
-			}
-			j.tasks = append(j.tasks, t)
-			tq.insert(t)
-		}
-		b.seq += uint64(len(e.Tasks))
-		// Keep the id sequence ahead of every applied job id so new ids
-		// never collide with journaled ones.
-		if n, ok := numericID(e.Job, "j"); ok && n > b.seq {
-			b.seq = n
-		}
-		b.jobs[e.Job] = j
-		b.stats.Submitted += len(j.tasks)
+		b.addJobLocked(e.Job, e.Tenant, e.Priority, e.Tasks)
 		return applyApplied
 	case entryGrant:
 		j := b.jobs[e.Job]
@@ -1535,24 +1533,7 @@ func (b *Broker) applyEntryLocked(e journalEntry) applyResult {
 		if t.state == taskDone || t.state == taskCanceled {
 			return applyDuplicate
 		}
-		if t.state == taskPending {
-			b.tenantFor(j.tenant).remove(t)
-		} else {
-			b.releaseLeases(t)
-		}
-		res := *e.Result
-		t.result = &res
-		t.state = taskDone
-		j.done++
-		b.stats.Completed++
-		if res.Err != "" {
-			j.failed++
-			b.stats.Failed++
-		}
-		if j.done == len(j.tasks) && !j.canceled {
-			j.finishedAt = b.now()
-			close(j.finished)
-		}
+		b.completeTaskLocked(t, *e.Result)
 		return applyApplied
 	case entryCancel:
 		j := b.jobs[e.Job]
@@ -1562,20 +1543,7 @@ func (b *Broker) applyEntryLocked(e journalEntry) applyResult {
 		if j.complete() {
 			return applyDuplicate
 		}
-		j.canceled = true
-		j.finishedAt = b.now()
-		tq := b.tenantFor(j.tenant)
-		for _, t := range j.tasks {
-			switch t.state {
-			case taskPending:
-				tq.remove(t)
-				t.state = taskCanceled
-			case taskLeased:
-				t.state = taskCanceled
-				b.releaseLeases(t)
-			}
-		}
-		close(j.finished)
+		b.cancelJobLocked(j)
 		return applyApplied
 	case entryEpoch:
 		if e.Epoch <= 0 {

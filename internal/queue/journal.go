@@ -1,9 +1,9 @@
 package queue
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -16,37 +16,39 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/faultinject"
+	"repro/internal/wal"
 )
 
 // The journal makes the broker's backlog survive a crash. It is a
-// sequence of append-only JSON-lines segments, <dir>/journal-NNNNNN.jsonl,
-// in the same versioned cache-entry style as the engine's disk result
-// cache: every line is a journalEntry stamped with journalFormatVersion.
+// sequence of segments, <dir>/journal-NNNNNN.jsonl, each an
+// internal/wal record file of journalEntry lines stamped with
+// journalFormatVersion. wal moves the bytes (one write per record,
+// fsync, replay, atomic replace); this file decides what the segments
+// mean.
 //
 // Segmentation bounds the damage radius and the disk footprint. Appends
 // go to the highest-numbered (active) segment; when it exceeds the
 // byte budget the journal seals it and rolls to a fresh one, and the
 // broker folds the sealed segments into a single state snapshot in the
-// background — compaction now runs under load, not just at startup.
-// Replay walks the segments in number order, so a snapshot (always the
-// lowest segment) is applied first and later segments layer deltas on
-// top.
+// background — compaction runs under load, not just at startup. Replay
+// walks the segments in number order, so a snapshot (always the lowest
+// segment) is applied first and later segments layer deltas on top.
 //
 // Corruption policy follows position. The active segment's tail is
-// where SIGKILL mid-write tears a record, so damage there is expected
-// and degrades to skip-with-warning, costing at most the last record.
-// A sealed (non-final) segment was written, fsynced and rolled past —
-// damage there means the disk lied or an operator edited history, and
-// OpenJournal fails loudly rather than silently serving a backlog with
-// a hole in the middle.
+// where SIGKILL mid-write tears a record, so it replays wal.Lenient:
+// damage costs at most the last record and is skipped with a warning. A
+// sealed (non-final) segment was written, fsynced and rolled past, so
+// it replays wal.Strict: damage there means the disk lied or an
+// operator edited history, and OpenJournal fails loudly rather than
+// silently serving a backlog with a hole in the middle.
 //
 // Background compaction is crash-safe without a manifest because
-// replay is idempotent: the snapshot is written to a temp file,
-// fsynced, renamed over the lowest folded segment, and only then are
-// the other folded segments deleted. A crash between the rename and
-// the deletes leaves stale segments whose entries are a subset of the
-// snapshot; replaying them again skips duplicate submits and rewrites
-// byte-identical results.
+// replay is idempotent: the snapshot atomically replaces the lowest
+// folded segment (wal.WriteFile), and only then are the other folded
+// segments deleted. A crash between the replace and the deletes leaves
+// stale segments whose entries are a subset of the snapshot; replaying
+// them again skips duplicate submits and rewrites byte-identical
+// results.
 //
 // What is written, and how durably, follows from what a loss costs:
 //
@@ -104,36 +106,13 @@ func readJournalMeta(dir string) (int, error) {
 	return m.Gen, nil
 }
 
-// writeJournalMeta durably records gen: temp file, fsync, rename — the
-// same crash-safe dance as compaction snapshots.
+// writeJournalMeta durably records gen with an atomic replace.
 func writeJournalMeta(dir string, gen int) error {
-	path := filepath.Join(dir, journalMetaFile)
-	tmp := path + ".tmp"
 	raw, err := json.Marshal(journalMeta{V: journalFormatVersion, Gen: gen})
 	if err != nil {
 		return err
 	}
-	raw = append(raw, '\n')
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(raw)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return wal.WriteFile(filepath.Join(dir, journalMetaFile), [][]byte{raw})
 }
 
 // segmentName renders the on-disk name of segment n.
@@ -207,6 +186,19 @@ type journalEntry struct {
 	Gen int   `json:"gen,omitempty"`
 }
 
+// decodeJournalEntry parses one journal record, refusing other format
+// versions.
+func decodeJournalEntry(rec []byte) (journalEntry, error) {
+	var e journalEntry
+	if err := json.Unmarshal(rec, &e); err != nil {
+		return e, err
+	}
+	if e.V != journalFormatVersion {
+		return e, fmt.Errorf("version %q (want %q)", e.V, journalFormatVersion)
+	}
+	return e, nil
+}
+
 // Journal is the broker's write-ahead record. All methods are safe for
 // concurrent use; append failures are logged once per cause and
 // otherwise swallowed — persistence degrades, the queue keeps serving
@@ -216,26 +208,27 @@ type Journal struct {
 	dir      string
 	maxBytes int64
 
-	f           *os.File // active segment append handle
-	activeSeg   int
-	activeBytes int64
-	sealed      []int // rolled-past segments awaiting compaction, ascending
-	claimed     []int // segments a running compaction owns
-	loaded      []journalEntry
-	compactWG   sync.WaitGroup // in-flight compactAsync goroutines
+	// active is the active segment's append handle; its Size and Synced
+	// are the segment's byte count and fsync watermark. Streaming never
+	// serves bytes past the watermark, so a follower only ever sees
+	// records the primary already made durable.
+	active    *wal.Log
+	activeSeg int
+	closed    bool
+	sealed    []int // rolled-past segments awaiting compaction, ascending
+	claimed   []int // segments a running compaction owns
+	loaded    []journalEntry
+	compactWG sync.WaitGroup // in-flight compactAsync goroutines
 
-	// Replication read side. syncedBytes is the active segment's fsync
-	// watermark: streaming never serves bytes past it, so a follower
-	// only ever sees records the primary already made durable. syncWake
-	// is closed (and replaced) whenever the watermark moves, waking
-	// parked long-poll readers. generation counts compaction folds —
-	// each fold rewrites history, invalidating cursors into any segment
-	// ≤ foldedThrough that were minted under an older generation.
-	// Generations are persisted (journalMetaFile) before they are
-	// exposed and never repeat across restarts; baseGen is this
-	// incarnation's first generation, so any cursor below it was minted
-	// against history a previous incarnation may have rewritten.
-	syncedBytes   int64
+	// Replication read side. syncWake is closed (and replaced) whenever
+	// the fsync watermark moves, waking parked long-poll readers.
+	// generation counts compaction folds — each fold rewrites history,
+	// invalidating cursors into any segment ≤ foldedThrough that were
+	// minted under an older generation. Generations are persisted
+	// (journalMetaFile) before they are exposed and never repeat across
+	// restarts; baseGen is this incarnation's first generation, so any
+	// cursor below it was minted against history a previous incarnation
+	// may have rewritten.
 	syncWake      chan struct{}
 	generation    int
 	baseGen       int
@@ -280,10 +273,10 @@ func OpenJournal(dir string, maxBytes int64) (*Journal, error) {
 		return nil, fmt.Errorf("queue: persist journal generation: %w", err)
 	}
 
-	// A .tmp file is a compaction that died between Create and Rename;
-	// its content is still fully covered by the claimed segments it was
+	// A temp file is a compaction that died before its rename; its
+	// content is still fully covered by the claimed segments it was
 	// folding, so it is pure garbage here.
-	tmps, _ := filepath.Glob(filepath.Join(dir, "journal-*.jsonl.tmp"))
+	tmps, _ := filepath.Glob(filepath.Join(dir, "journal-*.jsonl"+wal.TempSuffix))
 	for _, tmp := range tmps {
 		if err := os.Remove(tmp); err != nil {
 			log.Printf("queue: journal: drop stale %s: %v", filepath.Base(tmp), err)
@@ -320,8 +313,11 @@ func OpenJournal(dir string, maxBytes int64) (*Journal, error) {
 	}
 
 	for i, n := range segs {
-		strict := i < len(segs)-1
-		entries, err := jl.readSegment(n, strict)
+		mode := wal.Strict
+		if i == len(segs)-1 {
+			mode = wal.Lenient
+		}
+		entries, err := jl.readSegment(n, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -333,9 +329,7 @@ func OpenJournal(dir string, maxBytes int64) (*Journal, error) {
 	if len(segs) > 0 {
 		jl.activeSeg = segs[len(segs)-1] + 1
 	}
-	jl.f, err = os.OpenFile(jl.segmentPath(jl.activeSeg),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if jl.active, err = wal.Open(jl.segmentPath(jl.activeSeg)); err != nil {
 		return nil, fmt.Errorf("queue: open journal segment: %w", err)
 	}
 	return jl, nil
@@ -362,13 +356,12 @@ func (jl *Journal) Close() error {
 	jl.compactWG.Wait()
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	if jl.f == nil {
+	if jl.closed {
 		return nil
 	}
-	err := jl.f.Close()
-	jl.f = nil
+	jl.closed = true
 	jl.wakeStreamLocked() // unpark long-poll readers so they observe the close
-	return err
+	return jl.active.Close()
 }
 
 // wakeStreamLocked signals streaming readers that the durable frontier
@@ -385,15 +378,14 @@ func (jl *Journal) wakeStreamLocked() {
 // background compaction while its state still exactly matches them.
 func (jl *Journal) append(e journalEntry, sync bool) (rotated bool) {
 	e.V = journalFormatVersion
-	line, err := json.Marshal(e)
+	rec, err := json.Marshal(e)
 	if err != nil {
 		log.Printf("queue: journal: marshal %s entry: %v", e.Kind, err)
 		return false
 	}
-	line = append(line, '\n')
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	if jl.f == nil {
+	if jl.closed {
 		return false
 	}
 	if act, ok := jl.faults.Eval("journal.append." + e.Kind); ok {
@@ -401,62 +393,51 @@ func (jl *Journal) append(e journalEntry, sync bool) (rotated bool) {
 		case faultinject.KindTorn:
 			// Half the record and a newline: exactly the wound a power
 			// cut leaves — one corrupt line at the tail.
-			torn := append(append([]byte(nil), line[:len(line)/2]...), '\n')
-			if _, err := jl.f.Write(torn); err != nil {
+			if err := jl.active.Append(rec[:len(rec)/2]); err != nil {
 				log.Printf("queue: journal: append: %v", err)
 			}
-			jl.activeBytes += int64(len(torn))
 			return false
 		case faultinject.KindDelay:
 			jl.mu.Unlock()
 			time.Sleep(act.Delay)
 			jl.mu.Lock()
-			if jl.f == nil {
+			if jl.closed {
 				return false
 			}
 		default: // drop, error, disconnect: the record is lost
 			return false
 		}
 	}
-	if _, err := jl.f.Write(line); err != nil {
-		log.Printf("queue: journal: append: %v", err)
-		return false
-	}
-	jl.appends++
-	jl.activeBytes += int64(len(line))
-	if sync {
-		if err := jl.f.Sync(); err != nil {
-			log.Printf("queue: journal: fsync: %v", err)
-			return false
-		}
-		jl.fsyncs++
-		jl.syncedBytes = jl.activeBytes
-		jl.wakeStreamLocked()
-	}
-	if jl.maxBytes > 0 && jl.activeBytes >= jl.maxBytes {
-		return jl.rotateLocked()
-	}
-	return false
+	return jl.writeLocked(rec, sync)
 }
 
-// appendRaw appends one already-serialized journal line (newline
-// included) verbatim — the follower's write path, which must keep the
-// replicated bytes identical to the primary's so the two journals stay
-// comparable. The caller vets the line (parsable, current version) and
-// fsyncs per batch via sync(). Returns whether the segment rolled over.
-func (jl *Journal) appendRaw(line []byte) (rotated bool) {
+// appendRaw appends one already-serialized journal record verbatim —
+// the follower's write path, which must keep the replicated bytes
+// identical to the primary's so the two journals stay comparable. The
+// caller vets the record (parsable, current version) and fsyncs per
+// batch via sync(). Returns whether the segment rolled over.
+func (jl *Journal) appendRaw(rec []byte) (rotated bool) {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	if jl.f == nil {
+	if jl.closed {
 		return false
 	}
-	if _, err := jl.f.Write(line); err != nil {
+	return jl.writeLocked(rec, false)
+}
+
+// writeLocked appends one record to the active segment, fsyncing it
+// when sync is set, and rotates once the segment reaches the byte
+// budget. Callers hold jl.mu.
+func (jl *Journal) writeLocked(rec []byte, sync bool) (rotated bool) {
+	if err := jl.active.Append(rec); err != nil {
 		log.Printf("queue: journal: append: %v", err)
 		return false
 	}
 	jl.appends++
-	jl.activeBytes += int64(len(line))
-	if jl.maxBytes > 0 && jl.activeBytes >= jl.maxBytes {
+	if sync && !jl.syncLocked() {
+		return false
+	}
+	if jl.maxBytes > 0 && jl.active.Size() >= jl.maxBytes {
 		return jl.rotateLocked()
 	}
 	return false
@@ -468,39 +449,28 @@ func (jl *Journal) appendRaw(line []byte) (rotated bool) {
 // unsynced submit entries still in the page cache, and once a segment
 // is sealed replay reads it in strict mode — every record in it must
 // be durable, or a power cut would both lose acked submissions and
-// leave a torn tail that makes OpenJournal refuse to start.
+// leave a torn tail that makes OpenJournal refuse to start. If the
+// next segment cannot be opened the current one stays active:
+// durability beats the byte budget, and the next append over budget
+// retries.
 func (jl *Journal) rotateLocked() bool {
-	if err := jl.f.Sync(); err != nil {
-		// Can't prove the segment is durable, so don't seal it. Keep
-		// appending; the next append over budget retries the rotation.
+	if err := jl.active.Sync(); err != nil {
+		// Can't prove the segment is durable, so don't seal it.
 		log.Printf("queue: journal: fsync before sealing segment %d: %v", jl.activeSeg, err)
 		return false
 	}
 	jl.fsyncs++
-	if err := jl.f.Close(); err != nil {
+	next, err := wal.Open(jl.segmentPath(jl.activeSeg + 1))
+	if err != nil {
+		log.Printf("queue: journal: open segment %d: %v", jl.activeSeg+1, err)
+		return false
+	}
+	if err := jl.active.Close(); err != nil {
 		log.Printf("queue: journal: seal segment %d: %v", jl.activeSeg, err)
 	}
 	jl.sealed = append(jl.sealed, jl.activeSeg)
-	next := jl.activeSeg + 1
-	f, err := os.OpenFile(jl.segmentPath(next),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		// Rotation failed: reopen the old segment and keep appending to
-		// it — durability beats the byte budget.
-		log.Printf("queue: journal: open segment %d: %v", next, err)
-		jl.sealed = jl.sealed[:len(jl.sealed)-1]
-		jl.f, err = os.OpenFile(jl.segmentPath(jl.activeSeg),
-			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Printf("queue: journal: reopen segment %d: %v", jl.activeSeg, err)
-			jl.f = nil
-		}
-		return false
-	}
-	jl.f = f
-	jl.activeSeg = next
-	jl.activeBytes = 0
-	jl.syncedBytes = 0
+	jl.active = next
+	jl.activeSeg++
 	jl.rotations++
 	// The sealed segment is now fully durable and readable end to end;
 	// wake streamers parked at the old watermark.
@@ -513,16 +483,21 @@ func (jl *Journal) rotateLocked() bool {
 func (jl *Journal) sync() {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	if jl.f == nil {
-		return
+	if !jl.closed {
+		jl.syncLocked()
 	}
-	if err := jl.f.Sync(); err != nil {
+}
+
+// syncLocked fsyncs the active segment and wakes streamers parked at
+// the old watermark. Callers hold jl.mu.
+func (jl *Journal) syncLocked() bool {
+	if err := jl.active.Sync(); err != nil {
 		log.Printf("queue: journal: fsync: %v", err)
-		return
+		return false
 	}
 	jl.fsyncs++
-	jl.syncedBytes = jl.activeBytes
 	jl.wakeStreamLocked()
+	return true
 }
 
 // load hands over the entries OpenJournal read, in segment order, and
@@ -536,53 +511,29 @@ func (jl *Journal) load() []journalEntry {
 }
 
 // readSegment reads every well-formed current-version entry of segment
-// n in file order. In strict mode (sealed segments) any unusable line
-// is a hard error; otherwise (the final segment, whose tail a SIGKILL
-// may have torn) damage is counted as a skip and logged.
-func (jl *Journal) readSegment(n int, strict bool) ([]journalEntry, error) {
-	f, err := os.Open(jl.segmentPath(n))
+// n in file order. Sealed segments are read wal.Strict, where any
+// unusable line is a hard error; the final segment, whose tail a
+// SIGKILL may have torn, is read wal.Lenient and each skipped line is
+// counted and logged.
+func (jl *Journal) readSegment(n int, mode wal.Mode) ([]journalEntry, error) {
+	var entries []journalEntry
+	skipped, err := wal.Replay(jl.segmentPath(n), mode, func(rec []byte) error {
+		e, err := decodeJournalEntry(rec)
+		if err == nil {
+			entries = append(entries, e)
+		}
+		return err
+	})
+	var bad *wal.RecordError
+	if errors.As(err, &bad) {
+		return nil, fmt.Errorf("queue: journal segment %d corrupt: %v (sealed segments must replay cleanly; refusing to serve a backlog with a hole in it)",
+			n, bad)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("queue: journal segment %d: %w", n, err)
 	}
-	defer f.Close()
-
-	var entries []journalEntry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	lineNo := 0
-	bad := func(format string, args ...any) error {
-		if strict {
-			return fmt.Errorf("queue: journal segment %d corrupt: %s (sealed segments must replay cleanly; refusing to serve a backlog with a hole in it)",
-				n, fmt.Sprintf(format, args...))
-		}
-		jl.noteSkip("segment %d "+format, append([]any{n}, args...)...)
-		return nil
-	}
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			if err := bad("line %d: %v", lineNo, err); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if e.V != journalFormatVersion {
-			if err := bad("line %d: version %q (want %q)", lineNo, e.V, journalFormatVersion); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		entries = append(entries, e)
-	}
-	if err := sc.Err(); err != nil {
-		if err := bad("after line %d: %v", lineNo, err); err != nil {
-			return nil, err
-		}
+	for _, s := range skipped {
+		jl.noteSkip("segment %d %v", n, s)
 	}
 	return entries, nil
 }
@@ -623,81 +574,32 @@ func (jl *Journal) compactAsync(claimed []int, live []journalEntry) {
 }
 
 // compactSegments folds the claimed segments into one snapshot
-// segment: live is written to a temp file, fsynced, renamed over the
-// lowest claimed segment, and the rest are deleted. Safe to run
-// concurrently with appends (they target the active segment, which is
-// never claimed). On failure the claimed segments return to the sealed
-// list untouched — still fully replayable, retried on the next claim.
+// segment: live atomically replaces the lowest claimed segment, and the
+// rest are deleted. Safe to run concurrently with appends (they target
+// the active segment, which is never claimed). On failure the claimed
+// segments return to the sealed list untouched — still fully
+// replayable, retried on the next claim.
 func (jl *Journal) compactSegments(claimed []int, live []journalEntry) {
-	release := func(ok bool) {
-		jl.mu.Lock()
-		defer jl.mu.Unlock()
-		if ok {
-			// The snapshot now lives in the lowest claimed slot; it is a
-			// sealed segment like any other and folds again next time.
-			jl.sealed = append(jl.sealed, claimed[0])
-			jl.compactions++
-			// History below foldedThrough was rewritten: replication
-			// cursors minted before this fold no longer resolve there.
-			// Persist the new generation before exposing it, so it can
-			// never be re-minted by a restart (see journalMetaFile).
-			if err := writeJournalMeta(jl.dir, jl.generation+1); err != nil {
-				log.Printf("queue: journal: persist generation %d: %v (a crash before the next successful write may let a restarted primary serve stale replication cursors)",
-					jl.generation+1, err)
-			}
-			jl.generation++
-			if last := claimed[len(claimed)-1]; last > jl.foldedThrough {
-				jl.foldedThrough = last
-			}
-		} else {
-			jl.sealed = append(jl.sealed, claimed...)
-		}
-		sort.Ints(jl.sealed)
-		jl.claimed = nil
-	}
-
-	dst := jl.segmentPath(claimed[0])
-	tmp := dst + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		log.Printf("queue: journal: compact: %v", err)
-		release(false)
-		return
-	}
-	w := bufio.NewWriter(f)
+	records := make([][]byte, 0, len(live))
+	var err error
 	for _, e := range live {
 		e.V = journalFormatVersion
-		line, err := json.Marshal(e)
-		if err != nil {
-			log.Printf("queue: journal: compact: marshal: %v", err)
-			f.Close()
-			os.Remove(tmp)
-			release(false)
-			return
+		var rec []byte
+		if rec, err = json.Marshal(e); err != nil {
+			break
 		}
-		w.Write(line)
-		w.WriteByte('\n')
+		records = append(records, rec)
 	}
-	if err := w.Flush(); err == nil {
-		err = f.Sync()
+	if err == nil {
+		err = wal.WriteFile(jl.segmentPath(claimed[0]), records)
 	}
 	if err != nil {
 		log.Printf("queue: journal: compact: %v", err)
-		f.Close()
-		os.Remove(tmp)
-		release(false)
-		return
-	}
-	if err := f.Close(); err != nil {
-		log.Printf("queue: journal: compact: %v", err)
-		os.Remove(tmp)
-		release(false)
-		return
-	}
-	if err := os.Rename(tmp, dst); err != nil {
-		log.Printf("queue: journal: compact: %v", err)
-		os.Remove(tmp)
-		release(false)
+		jl.mu.Lock()
+		jl.sealed = append(jl.sealed, claimed...)
+		sort.Ints(jl.sealed)
+		jl.claimed = nil
+		jl.mu.Unlock()
 		return
 	}
 	// The snapshot is durable; stale copies of its content can go. A
@@ -707,7 +609,26 @@ func (jl *Journal) compactSegments(claimed []int, live []journalEntry) {
 			log.Printf("queue: journal: compact: drop segment %d: %v", n, err)
 		}
 	}
-	release(true)
+	jl.mu.Lock()
+	defer jl.mu.Unlock()
+	// The snapshot now lives in the lowest claimed slot; it is a sealed
+	// segment like any other and folds again next time.
+	jl.sealed = append(jl.sealed, claimed[0])
+	sort.Ints(jl.sealed)
+	jl.claimed = nil
+	jl.compactions++
+	// History below foldedThrough was rewritten: replication cursors
+	// minted before this fold no longer resolve there. Persist the new
+	// generation before exposing it, so it can never be re-minted by a
+	// restart (see journalMetaFile).
+	if err := writeJournalMeta(jl.dir, jl.generation+1); err != nil {
+		log.Printf("queue: journal: persist generation %d: %v (a crash before the next successful write may let a restarted primary serve stale replication cursors)",
+			jl.generation+1, err)
+	}
+	jl.generation++
+	if last := claimed[len(claimed)-1]; last > jl.foldedThrough {
+		jl.foldedThrough = last
+	}
 }
 
 // metrics snapshots the journal's counters.
@@ -724,7 +645,7 @@ func (jl *Journal) metrics() api.JournalMetrics {
 		Compactions:   jl.compactions,
 		Rotations:     jl.rotations,
 		Segments:      len(jl.sealed) + len(jl.claimed) + 1,
-		ActiveBytes:   jl.activeBytes,
+		ActiveBytes:   jl.active.Size(),
 		StreamReads:   jl.streamReads,
 		StreamBytes:   jl.streamBytes,
 	}

@@ -3,13 +3,14 @@ package queue
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/wal"
 )
 
 // Broker high availability: primary/standby journal streaming.
@@ -124,26 +125,18 @@ func (jl *Journal) ReadStream(gen, seg int, off, maxBytes int64) StreamChunk {
 		maxBytes = defaultStreamChunk
 	}
 	jl.mu.Lock()
+	synced := jl.active.Synced()
 	ck := StreamChunk{
 		Gen: jl.generation, Seg: seg, Off: off,
-		PrimarySeg: jl.activeSeg, PrimaryOff: jl.syncedBytes,
+		PrimarySeg: jl.activeSeg, PrimaryOff: synced,
 	}
-	if jl.f == nil {
+	if jl.closed {
 		jl.mu.Unlock()
 		return ck
 	}
-	segs := make([]int, 0, len(jl.claimed)+len(jl.sealed)+1)
-	segs = append(segs, jl.claimed...)
-	segs = append(segs, jl.sealed...)
-	segs = append(segs, jl.activeSeg)
+	segs := append(append(append([]int(nil), jl.claimed...), jl.sealed...), jl.activeSeg)
 	sort.Ints(segs)
-	found := false
-	for _, n := range segs {
-		if n == seg {
-			found = true
-			break
-		}
-	}
+	found := slices.Contains(segs, seg)
 	// A cursor is stale if its segment is gone, if it predates a fold
 	// that rewrote that segment's content (same number, new bytes), or
 	// if it was minted by another incarnation of this journal (below
@@ -164,7 +157,7 @@ func (jl *Journal) ReadStream(gen, seg int, off, maxBytes int64) StreamChunk {
 	var limit int64
 	for {
 		if seg == jl.activeSeg {
-			limit = jl.syncedBytes
+			limit = synced
 		} else if st, err := os.Stat(jl.segmentPath(seg)); err == nil {
 			limit = st.Size()
 		} else {
@@ -174,20 +167,14 @@ func (jl *Journal) ReadStream(gen, seg int, off, maxBytes int64) StreamChunk {
 		if off < limit {
 			break
 		}
-		next, ok := 0, false
-		for _, n := range segs {
-			if n > seg {
-				next, ok = n, true
-				break
-			}
-		}
-		if !ok {
+		next := sort.SearchInts(segs, seg+1)
+		if next == len(segs) {
 			// Caught up.
 			ck.Seg, ck.Off = seg, off
 			jl.mu.Unlock()
 			return ck
 		}
-		seg, off = next, 0
+		seg, off = segs[next], 0
 	}
 	// Open under the lock: a concurrent compaction rename cannot swap
 	// the inode between the limit decision and the read, and an open fd
@@ -258,7 +245,7 @@ func (jl *Journal) WaitStream(ctx context.Context, gen, seg int, off, maxBytes i
 			return ck
 		}
 		jl.mu.Lock()
-		closed := jl.f == nil
+		closed := jl.closed
 		jl.mu.Unlock()
 		if closed || wait <= 0 || !time.Now().Before(deadline) || ctx.Err() != nil {
 			return ck
@@ -324,12 +311,13 @@ func (b *Broker) roleGate() error {
 }
 
 // ApplyReplicated folds one replicate reply into the follower: every
-// well-formed record is applied through applyEntryLocked and appended
-// verbatim to the follower's own journal, then the cursor is journaled
-// and the batch fsynced once. Undecodable records are counted and
-// dropped — never re-journaled, where they would poison a future
-// strict sealed-segment replay. Duplicate records (resume overlap,
-// compaction leftovers) are idempotently skipped.
+// well-formed record (read with the journal's own lenient replay) is
+// applied through applyEntryLocked and appended verbatim to the
+// follower's own journal, then the cursor is journaled and the batch
+// fsynced once. Undecodable records are counted and dropped — never
+// re-journaled, where they would poison a future strict sealed-segment
+// replay. Duplicate records (resume overlap, compaction leftovers) are
+// idempotently skipped.
 func (b *Broker) ApplyReplicated(ck StreamChunk) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -339,38 +327,28 @@ func (b *Broker) ApplyReplicated(ck StreamChunk) error {
 	if ck.Restart && b.repl.batches > 0 {
 		b.repl.restarts++
 	}
-	data := ck.Data
-	for len(data) > 0 {
-		var line []byte
-		if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
-			line, data = data[:nl+1], data[nl+1:]
-		} else {
-			line, data = data, nil
-		}
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) == 0 {
-			continue
-		}
-		var e journalEntry
-		if err := json.Unmarshal(trimmed, &e); err != nil || e.V != journalFormatVersion {
-			b.repl.skipped++
-			continue
-		}
-		if e.Kind == entryCursor {
-			// The upstream's own resume bookkeeping (it followed someone
-			// once); meaningless here and never re-journaled.
-			continue
+	skipped, _ := wal.ReplayReader(bytes.NewReader(ck.Data), wal.Lenient, func(rec []byte) error {
+		e, err := decodeJournalEntry(rec)
+		if err != nil || e.Kind == entryCursor {
+			// A cursor is the upstream's own resume bookkeeping (it
+			// followed someone once); meaningless here and never
+			// re-journaled.
+			return err
 		}
 		switch b.applyEntryLocked(e) {
 		case applyApplied:
 			b.repl.applied++
-			b.journalAppendRawLocked(line)
+			if jl := b.cfg.Journal; jl != nil {
+				b.compactIfRotatedLocked(jl.appendRaw(rec))
+			}
 		case applyDuplicate:
 			b.repl.duplicates++
 		default:
 			b.repl.skipped++
 		}
-	}
+		return nil
+	})
+	b.repl.skipped += len(skipped)
 	moved := ck.Gen != b.repl.cursorGen || ck.Seg != b.repl.cursorSeg || ck.Off != b.repl.cursorOff
 	b.repl.cursorGen, b.repl.cursorSeg, b.repl.cursorOff = ck.Gen, ck.Seg, ck.Off
 	b.repl.primarySeg, b.repl.primaryOff = ck.PrimarySeg, ck.PrimaryOff
@@ -386,26 +364,6 @@ func (b *Broker) ApplyReplicated(ck StreamChunk) error {
 		b.journalSyncLocked()
 	}
 	return nil
-}
-
-// journalAppendRawLocked writes one verbatim replicated line to the
-// follower's journal, claiming sealed segments for compaction when the
-// append rolls the active segment over (same contract as
-// journalAppendLocked).
-func (b *Broker) journalAppendRawLocked(line []byte) {
-	jl := b.cfg.Journal
-	if jl == nil {
-		return
-	}
-	if line[len(line)-1] != '\n' {
-		line = append(append([]byte(nil), line...), '\n')
-	}
-	if !jl.appendRaw(line) {
-		return
-	}
-	if claimed := jl.claimSealed(); claimed != nil {
-		jl.compactAsync(claimed, b.liveEntriesLocked())
-	}
 }
 
 // Promote turns a follower into the primary: the fencing epoch is

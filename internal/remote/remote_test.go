@@ -220,14 +220,29 @@ func TestDownWorkerReprobedAfterBackoff(t *testing.T) {
 		return rep
 	}
 
-	// Run 1: the flaky worker fails its way to down-marked.
-	run()
+	// The flaky worker fails its way to down-marked. Least-loaded
+	// selection would route most tasks to good, so for these downAfter
+	// tasks the flaky worker is the whole fleet: each one fails there,
+	// with nowhere else to go.
+	fleet := re.workers
+	for _, w := range fleet {
+		if w.name == "flaky" {
+			re.workers = []*worker{w}
+		}
+	}
+	spec := api.TaskSpec{Proto: api.Version, Job: "mono0", Shard: api.MonolithShard, Key: "mono0@hash"}
+	for i := 0; i < downAfter; i++ {
+		if _, err := re.Execute(context.Background(), spec); err == nil {
+			t.Fatal("task succeeded on the failing worker")
+		}
+	}
+	re.workers = fleet
 	downHits := execHits.Load()
 	if downHits < downAfter {
 		t.Fatalf("flaky worker hit %d times, want >= %d to trip down-marking", downHits, downAfter)
 	}
 
-	// Run 2, inside the backoff: the worker must not be probed.
+	// A run inside the backoff: the worker must not be probed.
 	run()
 	if got := execHits.Load(); got != downHits {
 		t.Fatalf("down worker probed %d times during backoff", got-downHits)

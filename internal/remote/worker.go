@@ -17,10 +17,9 @@ import (
 // fresh, long enough that an idle worker costs ~one request per window.
 const pollWait = 10 * time.Second
 
-// defaultGrace is the shutdown budget for the final courtesies — the
-// drain announcement and the last TaskDone reports — when WorkerOptions
-// leaves them zero.
-const defaultGrace = 10 * time.Second
+// shutdownGrace is the shutdown budget for the final courtesies — the
+// drain announcement and the last TaskDone reports.
+const shutdownGrace = 10 * time.Second
 
 // pollRetry is the backoff shape for a worker that cannot reach (or is
 // unknown to) its broker: start quick — a broker restart is over in
@@ -38,8 +37,7 @@ var pollRetry = backoff.Policy{
 // (positive); everything else has a default.
 type WorkerOptions struct {
 	// Name is the worker's advertised identity; it also seeds the
-	// worker's jitter stream (same name, same delay sequence) unless
-	// Seed overrides it.
+	// worker's jitter stream (same name, same delay sequence).
 	Name string
 	// Capacity is the maximum concurrent tasks; <= 0 panics — resolve
 	// the default (NumCPU) at the call site.
@@ -47,15 +45,6 @@ type WorkerOptions struct {
 	// Client is the HTTP client; nil uses a default with no overall
 	// timeout (long polls and long tasks are the normal case).
 	Client *http.Client
-	// DrainGrace bounds the shutdown drain announcement to the broker;
-	// 0 means 10s.
-	DrainGrace time.Duration
-	// DoneGrace bounds the final TaskDone report when shutdown lands
-	// mid-task; 0 means 10s.
-	DoneGrace time.Duration
-	// Seed, when non-zero, overrides the jitter seed derived from Name.
-	// Chaos harnesses set it to replay a worker's exact retry timing.
-	Seed int64
 	// Executor overrides the execution stack; nil uses a named local
 	// executor over the registry. The daemon sets it to stack a
 	// result-plane cache (engine.CachingExecutor) under the lease loop.
@@ -73,13 +62,11 @@ type WorkerOptions struct {
 // refusal is retryable, so the worker abandons the lease (no TaskDone)
 // and the broker requeues the task for a compatible worker.
 type PullWorker struct {
-	name       string
-	exec       engine.Executor
-	capacity   int
-	client     *http.Client
-	drainGrace time.Duration
-	doneGrace  time.Duration
-	seed       int64
+	name     string
+	exec     engine.Executor
+	capacity int
+	client   *http.Client
+	seed     int64 // jitter seed, derived from name
 
 	mu       sync.Mutex
 	targets  []string // failover list; targets[cur] is the current broker
@@ -100,32 +87,18 @@ func NewPullWorker(addr string, reg *engine.Registry, opts WorkerOptions) *PullW
 	if len(targets) == 0 {
 		panic("remote: pull worker needs a broker address")
 	}
-	drain := opts.DrainGrace
-	if drain == 0 {
-		drain = defaultGrace
-	}
-	done := opts.DoneGrace
-	if done == 0 {
-		done = defaultGrace
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = backoff.SeedString(opts.Name)
-	}
 	exec := opts.Executor
 	if exec == nil {
 		exec = engine.NewNamedLocalExecutor(reg, opts.Name)
 	}
 	return &PullWorker{
-		targets:    targets,
-		name:       opts.Name,
-		exec:       exec,
-		capacity:   opts.Capacity,
-		client:     orDefaultClient(opts.Client),
-		drainGrace: drain,
-		doneGrace:  done,
-		seed:       seed,
-		progress:   make(map[string]*api.TaskProgress),
+		targets:  targets,
+		name:     opts.Name,
+		exec:     exec,
+		capacity: opts.Capacity,
+		client:   orDefaultClient(opts.Client),
+		seed:     backoff.SeedString(opts.Name),
+		progress: make(map[string]*api.TaskProgress),
 	}
 }
 
@@ -215,7 +188,7 @@ func (p *PullWorker) Run(ctx context.Context) error {
 	}
 	// Best-effort drain on a fresh context (ctx is already cancelled);
 	// in-flight runLease calls report on their own grace context.
-	grace, cancel := context.WithTimeout(context.Background(), p.drainGrace)
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
 	p.postBroker(grace, DrainPath, api.DrainRequest{Proto: api.Version, WorkerID: p.id()}, nil)
 	wg.Wait()
@@ -362,7 +335,7 @@ func (p *PullWorker) runLease(ctx context.Context, l api.Lease) {
 	rctx := ctx
 	if ctx.Err() != nil {
 		var cancel context.CancelFunc
-		rctx, cancel = context.WithTimeout(context.Background(), p.doneGrace)
+		rctx, cancel = context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
 	}
 	p.postBroker(rctx, DonePath, api.TaskDone{

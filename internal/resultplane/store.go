@@ -17,15 +17,20 @@
 // payload genuinely differs is an equivalence violation: the plane
 // counts it as a conflict and lets the last write win, so a fixed
 // producer can repair a poisoned key by re-putting.
+//
+// Persistence (Open) is an internal/wal log, plane.jsonl, plus this
+// package's decode step: records are replayed leniently (damage
+// degrades to misses), and an eviction batch compacts the file with
+// wal's atomic replace so evicted entries do not resurrect.
 package resultplane
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -34,9 +39,12 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/wal"
 )
 
-// planeFile is the JSON-lines persistence file inside the plane dir.
+// planeFile is the persistence file inside the plane dir: one planeLine
+// record per accepted PUT, never fsynced (a lost entry is a
+// recompute); on reload later lines win.
 const planeFile = "plane.jsonl"
 
 // Claim TTL clamps: a claimant that asks for nothing gets DefaultClaimTTL,
@@ -72,7 +80,7 @@ type planeLine struct {
 }
 
 // Store is the plane's in-memory object store, optionally backed by an
-// append-only JSON-lines file. All methods are safe for concurrent use.
+// append-only record file. All methods are safe for concurrent use.
 type Store struct {
 	mu      sync.Mutex
 	entries map[string]entry
@@ -80,15 +88,12 @@ type Store struct {
 	// waiters holds one broadcast channel per key with parked long-poll
 	// GETs; Put closes it. Created lazily, recreated after each close.
 	waiters map[string]chan struct{}
-	f       *os.File
-	path    string // persistence file path ("" when memory-only)
-	// rewriteMu serializes plane.jsonl compactions. It is separate from
-	// mu so the full-file write+fsync never runs inside the critical
-	// section — at the byte budget most PUTs evict, and holding mu for
-	// the rewrite would stall every Get/Wait/Put for a write
-	// proportional to the plane size.
-	rewriteMu sync.Mutex
-	m         api.PlaneMetrics
+	// log persists entries (nil when memory-only). It has its own lock,
+	// and mu is never held across its I/O: appends and compactions run
+	// outside the critical section, so a rewrite-heavy plane never
+	// stalls Get/Wait/Put behind a full-file write and fsync.
+	log *wal.Log
+	m   api.PlaneMetrics
 	// Eviction limits (SetLimits): maxBytes caps BytesStored via LRU
 	// eviction, ttl drops entries idle longer than ttl. Zero disables.
 	maxBytes int64
@@ -121,12 +126,11 @@ func Open(dir string) (*Store, error) {
 	}
 	path := filepath.Join(dir, planeFile)
 	s.load(path)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	log, err := wal.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("resultplane: open plane file: %w", err)
 	}
-	s.f = f
-	s.path = path
+	s.log = log
 	return s, nil
 }
 
@@ -147,30 +151,26 @@ func (s *Store) SetLimits(maxBytes int64, ttl time.Duration) {
 	}
 }
 
+// errUnusableLine marks a plane record without a key or data.
+var errUnusableLine = errors.New("resultplane: record lacks key or data")
+
 // load best-effort replays path into the store.
 func (s *Store) load(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	wal.Replay(path, wal.Lenient, func(rec []byte) error {
 		var pl planeLine
-		if err := json.Unmarshal(line, &pl); err != nil || pl.Key == "" || len(pl.Data) == 0 {
-			continue
+		if err := json.Unmarshal(rec, &pl); err != nil {
+			return err
+		}
+		if pl.Key == "" || len(pl.Data) == 0 {
+			return errUnusableLine
 		}
 		data := append([]byte(nil), pl.Data...)
 		// Reloaded entries start their idle clock now — mtimes are not
 		// persisted, and nuking the whole store at boot would be worse
 		// than letting survivors age out over the next TTL window.
 		s.entries[pl.Key] = entry{data: data, etag: etagOf(data), lastUsed: s.now()}
-	}
+		return nil
+	})
 	s.m.Entries = int64(len(s.entries))
 	for _, e := range s.entries {
 		s.m.BytesStored += int64(len(e.data))
@@ -184,16 +184,13 @@ func (s *Store) SetNow(now func() time.Time) {
 	s.mu.Unlock()
 }
 
-// Close releases the persistence file, if any.
+// Close releases the persistence file, if any, after any in-flight
+// compaction lands.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	f := s.f
-	s.f = nil
-	s.mu.Unlock()
-	if f == nil {
+	if s.log == nil {
 		return nil
 	}
-	return f.Close()
+	return s.log.Close()
 }
 
 // etagOf is the entry tag: hex sha256 of the stored bytes.
@@ -275,14 +272,10 @@ func (s *Store) Put(key string, data []byte) (string, bool) {
 	old, exists := s.entries[key]
 	conflict := false
 	switch {
-	case exists && bytes.Equal(old.data, data):
-		s.m.DupPuts++
-		s.releaseLocked(key)
-		s.mu.Unlock()
-		return old.etag, false
-	case exists && samePayload(old.data, data):
-		// Equivalent result from a different producer (durations and
-		// diagnostic names differ): keep the original bytes.
+	case exists && (bytes.Equal(old.data, data) || samePayload(old.data, data)):
+		// The same bytes, or an equivalent result from a different
+		// producer (durations and diagnostic names differ): keep the
+		// original bytes.
 		s.m.DupPuts++
 		s.releaseLocked(key)
 		s.mu.Unlock()
@@ -304,19 +297,15 @@ func (s *Store) Put(key string, data []byte) (string, bool) {
 	// and with the new entry included (it is in s.entries before the
 	// rewrite snapshots), making the append below redundant.
 	evicted := s.maybeEvictLocked(key)
-	f := s.f
-	var line []byte
-	if f != nil && !evicted {
-		line, _ = json.Marshal(planeLine{Key: key, Data: data})
-		line = append(line, '\n')
-	}
 	s.mu.Unlock()
 	if evicted {
 		s.rewrite()
-	} else if line != nil {
+	} else if s.log != nil {
 		// Swallow write errors like the disk cache: persistence is an
 		// optimisation; the entry is live in memory regardless.
-		f.Write(line)
+		if rec, err := json.Marshal(planeLine{Key: key, Data: data}); err == nil {
+			s.log.Append(rec)
+		}
 	}
 	return e.etag, conflict
 }
@@ -377,72 +366,39 @@ func (s *Store) dropLocked(key string, e entry) {
 	s.m.EvictedBytes += int64(len(e.data))
 }
 
-// rewrite compacts the persistence file to the live entries — snapshot
-// the map under mu, then (outside mu, serialized by rewriteMu) write a
-// temp file, fsync, rename over plane.jsonl, and swap the append handle
-// to the new inode. Entry data slices are immutable once stored, so the
-// snapshot is a map copy, not a deep copy. A PUT that appends to the
-// old handle while the rename lands loses that one line on disk (the
-// entry stays live in memory and the next rewrite re-captures it);
-// errors leave the old file in place — in both cases the worst case is
-// entries resurrecting or missing on the next restart, which the plane
-// already tolerates as recomputes. Both are strictly better than
-// stalling every Get/Wait/Put behind a full-file fsync.
+// rewrite compacts the persistence file to the live entries. The
+// snapshot is taken inside wal.Log.Replace, where appends are held off
+// until the handle has moved to the new file: a PUT whose entry missed
+// the snapshot appends to the new file, never to the renamed-over one,
+// so every entry live in memory once its PUT returns survives a
+// restart. mu is held only to copy the map (entry data slices are
+// immutable once stored); the write and fsync run outside it. An error
+// leaves the old file in place, and the worst case is evicted entries
+// resurrecting on the next restart — a plane already tolerates that.
 func (s *Store) rewrite() {
-	s.rewriteMu.Lock()
-	defer s.rewriteMu.Unlock()
-	s.mu.Lock()
-	if s.f == nil || s.path == "" {
-		s.mu.Unlock()
+	if s.log == nil {
 		return
 	}
-	snap := make(map[string][]byte, len(s.entries))
-	for key, e := range s.entries {
-		snap[key] = e.data
-	}
-	path := s.path
-	s.mu.Unlock()
-
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return
-	}
-	w := bufio.NewWriter(f)
-	for key, data := range snap {
-		line, err := json.Marshal(planeLine{Key: key, Data: data})
-		if err != nil {
-			continue
+	err := s.log.Replace(func() [][]byte {
+		s.mu.Lock()
+		snap := make(map[string][]byte, len(s.entries))
+		for key, e := range s.entries {
+			snap[key] = e.data
 		}
-		w.Write(line)
-		w.WriteByte('\n')
-	}
-	if w.Flush() != nil || f.Sync() != nil || f.Close() != nil || os.Rename(tmp, path) != nil {
-		f.Close()
-		os.Remove(tmp)
-		return
-	}
-	nf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-
-	s.mu.Lock()
-	s.m.Rewrites++
-	if err != nil {
-		// The compact landed but we lost the append handle; keep the old
-		// one — its appends vanish with the renamed-over inode, degrading
-		// to cache misses after restart.
 		s.mu.Unlock()
-		return
-	}
-	if s.f == nil {
-		// Closed mid-rewrite: the compacted file is on disk, but the
-		// store is sealed — do not resurrect an append handle.
+		records := make([][]byte, 0, len(snap))
+		for key, data := range snap {
+			if rec, err := json.Marshal(planeLine{Key: key, Data: data}); err == nil {
+				records = append(records, rec)
+			}
+		}
+		return records
+	})
+	if err == nil {
+		s.mu.Lock()
+		s.m.Rewrites++
 		s.mu.Unlock()
-		nf.Close()
-		return
 	}
-	s.f.Close()
-	s.f = nf
-	s.mu.Unlock()
 }
 
 // releaseLocked drops key's claim and wakes its waiters (mu held).

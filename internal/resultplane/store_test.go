@@ -3,6 +3,9 @@ package resultplane
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -310,5 +313,74 @@ func TestStoreEvictionRewriteSurvivesReload(t *testing.T) {
 		if _, _, ok := s2.Get(key); !ok {
 			t.Fatalf("live entry %q lost across the rewrite", key)
 		}
+	}
+}
+
+// TestStoreRewriteLosesNoConcurrentPut: a PUT racing an eviction
+// rewrite must never append to the file the rewrite is about to rename
+// over. Each round fills a store to its byte budget with two large
+// entries, then races ten small PUTs: the first to land evicts a large
+// entry and compacts the file, and the other nine fit in the room it
+// freed, so they append while that compaction is in flight. Every entry
+// live in memory when the store closes must reload with its bytes and
+// ETag.
+func TestStoreRewriteLosesNoConcurrentPut(t *testing.T) {
+	small := func(key string) []byte { return entryBytes(t, "v1", key, "x", 1) }
+	large := func(key string) []byte {
+		return entryBytes(t, "v1", key, strings.Repeat("x", 10*len(small("s0-0"))), 1)
+	}
+	for round := 0; round < 30; round++ {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := time.Unix(1_700_000_000, 0)
+		s.SetNow(func() time.Time { return now })
+		s.SetLimits(int64(2*len(large("big0"))), 0) // a large entry holds ten small ones
+		s.Put("big0", large("big0"))
+		now = now.Add(time.Second)
+		s.Put("big1", large("big1"))
+		now = now.Add(time.Second)
+
+		var wg sync.WaitGroup
+		for w := 0; w < 5; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 2; i++ {
+					key := fmt.Sprintf("s%d-%d", w, i)
+					s.Put(key, small(key))
+				}
+			}(w)
+		}
+		wg.Wait()
+		if m := s.Metrics(); m.Rewrites != 1 || m.Evictions != 1 {
+			t.Fatalf("round %d: want exactly one evicting rewrite, got %+v", round, m)
+		}
+		s.mu.Lock()
+		live := make(map[string]entry, len(s.entries))
+		for key, e := range s.entries {
+			live[key] = e
+		}
+		s.mu.Unlock()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s2, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key, e := range live {
+			data, etag, ok := s2.Get(key)
+			if !ok {
+				t.Fatalf("round %d: entry %q live at close did not reload", round, key)
+			}
+			if etag != e.etag || string(data) != string(e.data) {
+				t.Fatalf("round %d: entry %q reloaded with different bytes", round, key)
+			}
+		}
+		s2.Close()
 	}
 }
