@@ -31,11 +31,16 @@ race:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Ten seconds of native fuzzing over internal/wal's replay and atomic
-# replace (FuzzReplay): never panics, strict fails exactly where lenient
-# skips, and a rewritten record list replays unchanged.
+# Ten seconds of native fuzzing per decoder. FuzzReplay covers
+# internal/wal's replay and atomic replace: never panics, strict fails
+# exactly where lenient skips, and a rewritten record list replays
+# unchanged. FuzzDecodeError covers the network error decoder every
+# remote and plane client failure goes through: never panics, typed
+# exactly when the body holds a coded api.Error, and WriteError's
+# output decodes back unchanged.
 fuzz-smoke:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
+	$(GO) test ./internal/remote/ -run '^$$' -fuzz '^FuzzDecodeError$$' -fuzztime 10s
 
 # Loopback end-to-end gate for the remote executors: boots dramlockerd
 # on 127.0.0.1 in both topologies — push worker (-remote) and job-queue

@@ -1,7 +1,8 @@
 package repro
 
-// One benchmark per paper table/figure (DESIGN.md §4) plus ablation
-// benches for the design choices of DESIGN.md §5. Each benchmark prints
+// One benchmark per paper table/figure (the experiment ids of README.md,
+// "Running experiments") plus ablation benches for DRAM-Locker's design
+// choices. Each benchmark prints
 // the paper-style rows once (so `go test -bench=.` regenerates the
 // evaluation) and then times the underlying computation.
 
@@ -253,7 +254,7 @@ func BenchmarkQuantizedInferenceResNet20(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) --------------------------------------------------
+// --- Ablations -----------------------------------------------------------------
 
 // ablationSetup builds a defended system with the given controller tweaks
 // and measures how many attack iterations are denied and the victim-side

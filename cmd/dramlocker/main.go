@@ -273,9 +273,10 @@ func run(ctx context.Context, cfg config) error {
 		if cache == nil {
 			return fmt.Errorf("-plane needs caching (-no-cache and -plane are mutually exclusive)")
 		}
-		cache.SetRemote(&resultplane.EngineCache{C: resultplane.NewClient(httpBase(cfg.plane), experiments.CacheVersion)})
+		pc := resultplane.NewClient(cfg.plane, experiments.CacheVersion)
+		cache.SetRemote(&resultplane.EngineCache{C: pc})
 		if !cfg.quiet {
-			fmt.Fprintf(os.Stderr, "plane     %s (version %s)\n", httpBase(cfg.plane), experiments.CacheVersion)
+			fmt.Fprintf(os.Stderr, "plane     %s (version %s)\n", pc.Base, experiments.CacheVersion)
 		}
 	}
 
@@ -394,7 +395,7 @@ func listJobs(reg *engine.Registry, jsonOut bool) error {
 // api.BrokerMetrics JSON with jsonOut, otherwise a one-screen
 // operational summary.
 func showStats(ctx context.Context, addr string, jsonOut bool) error {
-	base := httpBase(addr)
+	base := remote.NormalizeAddr(addr)
 	var m api.BrokerMetrics
 	if err := fetchJSON(ctx, addr, base+remote.MetricsPath, &m); err != nil {
 		return err
@@ -480,7 +481,7 @@ func showStats(ctx context.Context, addr string, jsonOut bool) error {
 // worker/lease view; watch > 0 re-renders on that interval until the
 // context cancels (a minimal fleet top).
 func showFleet(ctx context.Context, addr string, jsonOut bool, watch time.Duration) error {
-	base := httpBase(addr)
+	base := remote.NormalizeAddr(addr)
 	for {
 		var fs api.FleetStatus
 		if err := fetchJSON(ctx, addr, base+remote.FleetPath, &fs); err != nil {
@@ -555,7 +556,7 @@ func promoteBroker(ctx context.Context, addr, token string) error {
 	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	var rep api.PromoteReply
-	if err := remote.PostJSON(ctx, http.DefaultClient, httpBase(addr)+remote.PromotePath,
+	if err := remote.PostJSON(ctx, http.DefaultClient, remote.NormalizeAddr(addr)+remote.PromotePath,
 		api.PromoteRequest{Proto: api.Version, Token: token}, &rep); err != nil {
 		return fmt.Errorf("broker %s: %w", addr, err)
 	}
@@ -571,15 +572,6 @@ func promoteBroker(ctx context.Context, addr, token string) error {
 // broker list: the introspection and promote verbs target one broker.
 func firstAddr(addr string) string {
 	return strings.TrimSpace(strings.Split(addr, ",")[0])
-}
-
-// httpBase normalizes a daemon address flag into a base URL.
-func httpBase(addr string) string {
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	return strings.TrimRight(base, "/")
 }
 
 // fetchJSON GETs one introspection endpoint and decodes the reply.

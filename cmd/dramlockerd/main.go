@@ -379,7 +379,7 @@ func runBroker(ctx context.Context, stop context.CancelFunc, addr, name string, 
 	// at submit — zero leases for warm work.
 	var store *resultplane.Store
 	if pf.serve {
-		if store, err = openPlaneStore(pf.dir); err != nil {
+		if store, err = resultplane.Open(pf.dir); err != nil {
 			return err
 		}
 		defer store.Close()
@@ -408,10 +408,6 @@ func runBroker(ctx context.Context, stop context.CancelFunc, addr, name string, 
 	// arm the promotion paths (/v2/promote, SIGUSR1, silence timeout)
 	// before the listener opens, so a promote cannot race the mux.
 	if bf.follow != "" {
-		followBase := bf.follow
-		if !strings.Contains(followBase, "://") {
-			followBase = "http://" + followBase
-		}
 		adv := bf.advertise
 		if adv == "" {
 			adv = ln.Addr().String()
@@ -420,7 +416,7 @@ func runBroker(ctx context.Context, stop context.CancelFunc, addr, name string, 
 		if faults != nil {
 			fclient = &http.Client{Transport: &faultinject.Transport{Inj: faults}}
 		}
-		fol := remote.NewFollower(b, followBase, remote.FollowerOptions{
+		fol := remote.NewFollower(b, bf.follow, remote.FollowerOptions{
 			Client:        fclient,
 			TakeoverAfter: bf.takeoverAfter,
 			Name:          name,
@@ -444,7 +440,7 @@ func runBroker(ctx context.Context, stop context.CancelFunc, addr, name string, 
 			}
 		}()
 		log.Printf("dramlockerd %q standby following %s (takeover-after %v, advertise %s)",
-			name, followBase, bf.takeoverAfter, adv)
+			name, bf.follow, bf.takeoverAfter, adv)
 	}
 	srv := &http.Server{Handler: faultinject.Middleware(handler, faults)}
 
@@ -474,7 +470,7 @@ func runBroker(ctx context.Context, stop context.CancelFunc, addr, name string, 
 // client degrades to local compute when it vanishes — so shutdown just
 // stops the listener and seals the store.
 func runPlane(ctx context.Context, stop context.CancelFunc, addr, name string, pf planeFlags, faults *faultinject.Injector) error {
-	store, err := openPlaneStore(pf.dir)
+	store, err := resultplane.Open(pf.dir)
 	if err != nil {
 		return err
 	}
@@ -507,24 +503,12 @@ func runPlane(ctx context.Context, stop context.CancelFunc, addr, name string, p
 	return nil
 }
 
-// openPlaneStore opens the plane store, persistent when dir is set.
-func openPlaneStore(dir string) (*resultplane.Store, error) {
-	if dir == "" {
-		return resultplane.NewStore(), nil
-	}
-	return resultplane.Open(dir)
-}
-
 // planeExecutor stacks the plane-attached cache over the local
 // executor: plane first, in-process cache second, compute last, with
 // computed results written through and the plane's claim API keeping
 // each key's computation single-flighted across the whole fleet.
 func planeExecutor(reg *engine.Registry, name, addr string, faults *faultinject.Injector) engine.Executor {
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	c := resultplane.NewClient(base, experiments.CacheVersion)
+	c := resultplane.NewClient(addr, experiments.CacheVersion)
 	if faults != nil {
 		c.HTTPClient = &http.Client{Transport: &faultinject.Transport{Inj: faults}}
 	}

@@ -6,8 +6,8 @@
 // fault injection, RowClone/SWAP, the DRAM-Locker ISA and controller, the
 // lock-table, baseline defenses, a pure-Go quantized-DNN substrate, the
 // BFA/PTA attacks, and the experiment harness that regenerates every table
-// and figure of the paper. See README.md for a guided tour, DESIGN.md for
-// the system inventory, and EXPERIMENTS.md for paper-vs-measured results.
+// and figure of the paper. See README.md for a guided tour; its Layout
+// section maps the packages.
 //
 // Experiments execute through internal/engine: each (preset, experiment)
 // pair is a named, self-contained job ("tiny/fig8a") in a registry, run
@@ -26,6 +26,7 @@
 // worker daemon.
 //
 // The root package holds the benchmark harness (bench_test.go): one
-// testing.B benchmark per paper table/figure plus ablation benches for the
-// design choices called out in DESIGN.md §5.
+// testing.B benchmark per paper table/figure plus ablation benches for
+// DRAM-Locker's design choices (lock granularity, relock interval, SWAP
+// destination, lock-table size, lock distance).
 package repro

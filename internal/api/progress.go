@@ -1,11 +1,9 @@
 package api
 
-// Streaming progress and fleet-view messages. A worker executing a
-// task over the streaming execute path emits ExecuteEvent lines
-// (NDJSON: one JSON object per line) — progress heartbeats while the
-// task runs, then exactly one terminal line carrying the result or a
-// typed error. Pull workers piggyback their latest per-lease progress
-// on lease renewals, and the broker aggregates it into the /v2/fleet
+// Progress and fleet-view messages. A task's heartbeats (today: victim
+// training reporting each epoch) reach a pull worker's executor; the
+// worker piggybacks the latest one per lease on the lease renewals it
+// already sends, and the broker aggregates them into the /v2/fleet
 // snapshot that `dramlocker -fleet` renders.
 
 // TaskProgress is one progress heartbeat for a running task.
@@ -23,15 +21,6 @@ type TaskProgress struct {
 	Total int `json:"total,omitempty"`
 	// ElapsedNS is time since the task started on the worker.
 	ElapsedNS int64 `json:"elapsed_ns,omitempty"`
-}
-
-// ExecuteEvent is one NDJSON line of a streaming execute response.
-// Exactly one field is set: Progress for heartbeats, Result or Err for
-// the single terminal line.
-type ExecuteEvent struct {
-	Progress *TaskProgress `json:"progress,omitempty"`
-	Result   *TaskResult   `json:"result,omitempty"`
-	Err      *Error        `json:"error,omitempty"`
 }
 
 // FleetStatus is the broker's live per-worker view (GET /v2/fleet).

@@ -105,7 +105,7 @@ type Stats struct {
 // SwapDestPolicy selects the destination row for SWAPs.
 type SwapDestPolicy uint8
 
-// Swap destination policies (ablation: DESIGN.md §5.3).
+// Swap destination policies (ablated by BenchmarkAblationSwapDest).
 const (
 	// DestRoundRobin cycles deterministically through the free pool.
 	DestRoundRobin SwapDestPolicy = iota

@@ -1,6 +1,6 @@
 // Package dataset generates the synthetic CIFAR-like data that replaces
 // the real CIFAR-10/100 images (which cannot be downloaded in this offline
-// reproduction; see DESIGN.md §2).
+// reproduction).
 //
 // Each class has a smooth random prototype image (low-resolution Gaussian
 // noise bilinearly upsampled, which gives conv-friendly spatial structure).

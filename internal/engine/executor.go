@@ -26,15 +26,17 @@ type Executor interface {
 	Execute(ctx context.Context, spec api.TaskSpec) (api.TaskResult, error)
 }
 
-// ProgressFunc receives progress heartbeats during a streaming execute.
+// ProgressFunc receives progress heartbeats while a task runs.
 // Implementations are called from the task's goroutine and must be
 // cheap; heartbeats are advisory and may be dropped.
 type ProgressFunc func(api.TaskProgress)
 
 // StreamExecutor is an Executor that can additionally report progress
-// while a task runs — the seam the streaming execute transport and the
-// fleet view build on. Transports probe for it with a type assertion,
-// so plain Executors keep working unchanged.
+// while a task runs. The pull worker probes for it with a type
+// assertion and piggybacks the heartbeats on its lease renewals, which
+// the broker serves as the /v2/fleet view; plain Executors keep working
+// unchanged. The heartbeats come from jobs that report through
+// ProgressFromContext (victim training, once per epoch).
 type StreamExecutor interface {
 	Executor
 	ExecuteStream(ctx context.Context, spec api.TaskSpec, onProgress ProgressFunc) (api.TaskResult, error)
@@ -73,7 +75,7 @@ func (e *LocalExecutor) Execute(ctx context.Context, spec api.TaskSpec) (api.Tas
 
 // progressInterval floors the gap between forwarded heartbeats so a
 // tight training loop reporting every iteration does not flood the
-// stream. Terminal heartbeats (done == total) always pass.
+// listener. Terminal heartbeats (done == total) always pass.
 const progressInterval = 100 * time.Millisecond
 
 // ExecuteStream is Execute with progress: heartbeats the job emits via

@@ -3,8 +3,8 @@
 // tests), Small (benchmarks and the default CLI) and Paper (closest to the
 // paper's parameters; minutes of CPU).
 //
-// DESIGN.md §4 maps each experiment id to the modules involved;
-// EXPERIMENTS.md records paper-reported vs measured values.
+// README.md ("Running experiments") lists the experiment ids and what
+// each preset costs.
 package experiments
 
 import (
@@ -75,8 +75,7 @@ func Small() Preset {
 
 // PaperScale returns the configuration closest to the paper (32x32 images,
 // 100 attack iterations, 128-sample attack batches, 10k Monte-Carlo
-// trials). Width stays below 1.0 to keep pure-Go training tractable; the
-// substitution is recorded in DESIGN.md §2.
+// trials). Width stays below 1.0 to keep pure-Go training tractable.
 func PaperScale() Preset {
 	return Preset{
 		Name:      "paper",

@@ -17,7 +17,7 @@ type Table2Row struct {
 	CleanAcc      float64
 	PostAttackAcc float64
 	BitFlips      int
-	// Note flags emulation details (see EXPERIMENTS.md).
+	// Note flags emulation details.
 	Note string
 }
 

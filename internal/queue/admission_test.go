@@ -29,7 +29,7 @@ func TestAdmissionQueueDepthLimit(t *testing.T) {
 	submit(t, b, "", 0, spec("a", 0), spec("a", 1))
 	_, err := b.Submit(api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec("b", 0)}})
 	wantQueueFull(t, err)
-	if got := b.Stats().Rejected; got != 1 {
+	if got := b.Metrics().Rejected; got != 1 {
 		t.Fatalf("Rejected = %d, want 1", got)
 	}
 
@@ -43,7 +43,7 @@ func TestAdmissionQueueDepthLimit(t *testing.T) {
 	// Expiry requeues the two leased tasks: pending is now 4, over the
 	// limit — requeued work was already admitted and must never bounce.
 	clk.advance(DefaultLeaseTTL + 1)
-	if st := b.Stats(); st.Pending != 4 {
+	if st := b.Metrics(); st.Pending != 4 {
 		t.Fatalf("pending after requeue = %d, want 4", st.Pending)
 	}
 	// But new submissions see the full queue.
@@ -101,7 +101,7 @@ func TestSubmitBatchPerJobOutcomes(t *testing.T) {
 			t.Fatalf("accepted batch job %s: %v %v", id, st, err)
 		}
 	}
-	if got := b.Stats().Rejected; got != 1 {
+	if got := b.Metrics().Rejected; got != 1 {
 		t.Fatalf("Rejected = %d, want 1", got)
 	}
 }
@@ -125,7 +125,7 @@ func TestSubmitBatchValidatesEnvelope(t *testing.T) {
 	if !ok || ae.Code != api.CodeBadRequest {
 		t.Fatalf("malformed job must fail the envelope typed: %v", err)
 	}
-	if st := b.Stats(); st.Pending != 0 {
+	if st := b.Metrics(); st.Pending != 0 {
 		t.Fatalf("a rejected envelope must admit nothing, pending = %d", st.Pending)
 	}
 }

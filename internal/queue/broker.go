@@ -26,7 +26,7 @@
 //     hedge threshold is dispatched a second time. This is safe — not
 //     merely tolerable — because tasks are deterministic and
 //     cache-keyed: the first result wins and the loser is verified to
-//     be a byte-identical duplicate (observable in Stats and DoneReply
+//     be a byte-identical duplicate (observable in Metrics and DoneReply
 //     as a cache hit).
 //
 // Every public method is safe for concurrent use. Time is injectable
@@ -52,14 +52,15 @@ import (
 // Defaults for Config zero values.
 const (
 	DefaultLeaseTTL = 30 * time.Second
-	// defaultWorkerExpiryTTLs scales LeaseTTL into how long a worker may
-	// stay completely silent (no poll, heartbeat, renew or done) before
-	// its registration and leases are dropped.
-	defaultWorkerExpiryTTLs = 3
 	// defaultJobRetention is how long a finished job's status (and its
 	// leases, for duplicate detection) stay queryable.
 	defaultJobRetention = 10 * time.Minute
 )
+
+// workerExpiryTTLs scales LeaseTTL into how long a worker may stay
+// completely silent (no poll, heartbeat, renew or done) before its
+// registration and leases are dropped.
+const workerExpiryTTLs = 3
 
 // ResultPlane is the broker's read-side view of the fleet result store
 // (internal/resultplane): Lookup answers a task's fully seeded cache
@@ -85,9 +86,6 @@ type Config struct {
 	// the map (and the map being nil) weigh 1. Weights below 1 read
 	// as 1.
 	Weights map[string]int
-	// WorkerExpiry is how long a silent worker stays registered;
-	// 0 means 3×LeaseTTL.
-	WorkerExpiry time.Duration
 	// JobRetention is how long finished/canceled jobs stay queryable;
 	// 0 means 10 minutes.
 	JobRetention time.Duration
@@ -128,38 +126,6 @@ type Config struct {
 	PrimaryAddr string
 	// Now is the clock; nil means time.Now. Tests inject a fake.
 	Now func() time.Time
-}
-
-// Stats is a point-in-time broker census.
-type Stats struct {
-	// Pending tasks are queued, waiting for a poller.
-	Pending int
-	// Leased tasks are out on at least one active lease.
-	Leased int
-	// Workers counts live registrations.
-	Workers int
-	// Jobs counts retained jobs (queued, running and recently done).
-	Jobs int
-	// Submitted / Completed / Failed count tasks over the broker's
-	// lifetime; Failed is the subset of Completed with a task error.
-	Submitted, Completed, Failed int
-	// Requeues counts lease expiries that put a task back in the queue.
-	Requeues int
-	// Hedges counts duplicate leases granted for stragglers.
-	Hedges int
-	// Duplicates counts results that arrived after the task was already
-	// done; DupCacheHits is the subset whose bytes matched the recorded
-	// winner (all of them, when tasks are deterministic).
-	Duplicates, DupCacheHits int
-	// Rejected counts job submissions refused by admission control
-	// (queue_full).
-	Rejected int
-	// RateLimited counts job submissions refused by the token-bucket
-	// rate limiter (rate_limited).
-	RateLimited int
-	// PlaneHits counts tasks completed straight from the result plane at
-	// submit time (no lease ever granted).
-	PlaneHits int
 }
 
 type taskState uint8
@@ -349,16 +315,14 @@ type Broker struct {
 	primaryAddr string
 	repl        replState
 
-	stats Stats
+	// stats holds the lifetime counters; Metrics adds the gauges.
+	stats api.BrokerMetrics
 }
 
 // New builds a Broker from cfg (zero value fine).
 func New(cfg Config) *Broker {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
-	}
-	if cfg.WorkerExpiry <= 0 {
-		cfg.WorkerExpiry = defaultWorkerExpiryTTLs * cfg.LeaseTTL
 	}
 	if cfg.JobRetention <= 0 {
 		cfg.JobRetention = defaultJobRetention
@@ -1259,7 +1223,7 @@ func (b *Broker) sweep() {
 	now := b.now()
 	// Silent workers first: dropping one releases all its leases.
 	for id, w := range b.workers {
-		if now.Sub(w.lastSeen) > b.cfg.WorkerExpiry {
+		if now.Sub(w.lastSeen) > workerExpiryTTLs*b.cfg.LeaseTTL {
 			for _, l := range w.leases {
 				b.dropLease(l)
 				b.requeue(l.t)
@@ -1299,21 +1263,6 @@ func (b *Broker) requeue(t *task) {
 	b.wakeAll()
 }
 
-// Stats snapshots the broker.
-func (b *Broker) Stats() Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.sweep()
-	s := b.stats
-	for _, tq := range b.tenants {
-		s.Pending += len(tq.q)
-	}
-	s.Leased = b.leasedLocked()
-	s.Workers = len(b.workers)
-	s.Jobs = len(b.jobs)
-	return s
-}
-
 // leasedLocked counts tasks out on at least one active lease.
 func (b *Broker) leasedLocked() int {
 	n := 0
@@ -1327,33 +1276,22 @@ func (b *Broker) leasedLocked() int {
 	return n
 }
 
-// Metrics snapshots the broker as the /v2/metrics payload: the Stats
-// counters plus per-tenant depth/age gauges and, on a journaled
-// broker, the journal's counters.
+// Metrics snapshots the broker as the /v2/metrics payload: the queue
+// census and lifetime counters plus per-tenant depth/age gauges and, on
+// a journaled broker, the journal's counters.
 func (b *Broker) Metrics() api.BrokerMetrics {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.sweep()
 	now := b.now()
-	m := api.BrokerMetrics{
-		Proto:        api.Version,
-		Leased:       b.leasedLocked(),
-		Workers:      len(b.workers),
-		Jobs:         len(b.jobs),
-		Submitted:    b.stats.Submitted,
-		Completed:    b.stats.Completed,
-		Failed:       b.stats.Failed,
-		Requeues:     b.stats.Requeues,
-		Hedges:       b.stats.Hedges,
-		Duplicates:   b.stats.Duplicates,
-		DupCacheHits: b.stats.DupCacheHits,
-		Rejected:     b.stats.Rejected,
-		RateLimited:  b.stats.RateLimited,
-		PlaneHits:    b.stats.PlaneHits,
-		Goroutines:   runtime.NumGoroutine(),
-		Role:         b.role.String(),
-		Epoch:        b.epoch,
-	}
+	m := b.stats
+	m.Proto = api.Version
+	m.Leased = b.leasedLocked()
+	m.Workers = len(b.workers)
+	m.Jobs = len(b.jobs)
+	m.Goroutines = runtime.NumGoroutine()
+	m.Role = b.role.String()
+	m.Epoch = b.epoch
 	if b.role == RoleFollower || b.repl.batches > 0 {
 		rm := api.ReplicationMetrics{
 			Segment: b.repl.cursorSeg, Offset: b.repl.cursorOff,

@@ -219,7 +219,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	if len(l2) != 1 || l2[0].Task.Job != "tiny/mc" {
 		t.Fatalf("expired lease did not requeue: %+v", l2)
 	}
-	if s := b.Stats(); s.Requeues != 1 {
+	if s := b.Metrics(); s.Requeues != 1 {
 		t.Fatalf("requeues = %d, want 1", s.Requeues)
 	}
 
@@ -351,7 +351,7 @@ func TestHedgedDispatchDeterminism(t *testing.T) {
 	if st.State != api.JobDone || st.Done != 1 || st.Failed != 0 {
 		t.Fatalf("status after hedge: %+v", st)
 	}
-	s := b.Stats()
+	s := b.Metrics()
 	if s.Hedges != 1 || s.Duplicates != 1 || s.DupCacheHits != 1 {
 		t.Fatalf("hedge stats: %+v", s)
 	}
@@ -375,7 +375,7 @@ func TestHedgeDivergenceDetected(t *testing.T) {
 	if !rep.Duplicate || rep.CacheHit {
 		t.Fatalf("divergent duplicate must not read as a cache hit: %+v", rep)
 	}
-	if s := b.Stats(); s.DupCacheHits != 0 || s.Duplicates != 1 {
+	if s := b.Metrics(); s.DupCacheHits != 0 || s.Duplicates != 1 {
 		t.Fatalf("divergence stats: %+v", s)
 	}
 }
@@ -447,7 +447,7 @@ func TestSilentWorkerExpiresAndTasksRequeue(t *testing.T) {
 	if !ok || ae.Code != api.CodeNotFound {
 		t.Fatalf("expired worker must be told to re-register: %v", err)
 	}
-	if s := b.Stats(); s.Workers != 1 {
+	if s := b.Metrics(); s.Workers != 1 {
 		t.Fatalf("workers = %d, want 1", s.Workers)
 	}
 }

@@ -65,7 +65,7 @@ func TestPlaneHitCompletesWithoutLease(t *testing.T) {
 	if st.Results[0].Text != "row-0" || st.Results[1].Text != "row-1" {
 		t.Fatalf("result text %q / %q", st.Results[0].Text, st.Results[1].Text)
 	}
-	stats := b.Stats()
+	stats := b.Metrics()
 	if stats.PlaneHits != 2 || stats.Pending != 0 || stats.Leased != 0 {
 		t.Fatalf("stats after cached submit: %+v", stats)
 	}
@@ -118,7 +118,7 @@ func TestPlanePartialHitQueuesOnlyMisses(t *testing.T) {
 	if st.Results[0].Worker != "result-plane" || st.Results[1].Worker == "result-plane" {
 		t.Fatalf("worker stamps: %q / %q", st.Results[0].Worker, st.Results[1].Worker)
 	}
-	if s := b.Stats(); s.PlaneHits != 1 {
+	if s := b.Metrics(); s.PlaneHits != 1 {
 		t.Fatalf("plane hits %d, want 1", s.PlaneHits)
 	}
 }
@@ -175,7 +175,7 @@ func TestDeadPlaneDegradesToQueue(t *testing.T) {
 	if plane.lookups != 1 {
 		t.Fatalf("lookups %d, want 1", plane.lookups)
 	}
-	if s := b.Stats(); s.PlaneHits != 0 || s.Pending != 1 {
+	if s := b.Metrics(); s.PlaneHits != 0 || s.Pending != 1 {
 		t.Fatalf("stats %+v", s)
 	}
 }

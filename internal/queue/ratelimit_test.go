@@ -41,10 +41,10 @@ func TestRateLimitTokenBucket(t *testing.T) {
 	if wait != 500*time.Millisecond {
 		t.Fatalf("Retry-After = %v, want 500ms (2 tokens at 4/s)", wait)
 	}
-	if got := b.Stats().RateLimited; got != 1 {
+	if got := b.Metrics().RateLimited; got != 1 {
 		t.Fatalf("RateLimited = %d, want 1", got)
 	}
-	if got := b.Stats().Rejected; got != 0 {
+	if got := b.Metrics().Rejected; got != 0 {
 		t.Fatalf("rate limiting must not count as queue_full rejection, Rejected = %d", got)
 	}
 

@@ -190,7 +190,7 @@ func TestFollowerReplayTornLiveTail(t *testing.T) {
 			t.Fatalf("job %s lost across torn-tail restart: %v", id, err)
 		}
 	}
-	if st := f2.Stats(); st.Jobs != 3 || st.Submitted != 3 {
+	if st := f2.Metrics(); st.Jobs != 3 || st.Submitted != 3 {
 		t.Fatalf("follower census after resume: jobs %d submitted %d, want 3/3", st.Jobs, st.Submitted)
 	}
 	rm := f2.Metrics().Replication
@@ -433,7 +433,7 @@ func TestReplicationRestartAfterCompaction(t *testing.T) {
 			t.Fatalf("follower diverged after fold:\nprimary  %+v\nfollower %+v", stP, stF)
 		}
 	}
-	if st := f.Stats(); st.Jobs != len(ids) {
+	if st := f.Metrics(); st.Jobs != len(ids) {
 		t.Fatalf("follower jobs after fold = %d, want %d", st.Jobs, len(ids))
 	}
 	rm := f.Metrics().Replication

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"crypto/subtle"
-	"encoding/json"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -115,7 +114,7 @@ func (s *BrokerServer) checkHAToken(w http.ResponseWriter, token string) bool {
 		return true
 	}
 	if subtle.ConstantTimeCompare([]byte(s.haToken), []byte(token)) != 1 {
-		writeError(w, api.Errf(api.CodeBadRequest,
+		WriteError(w, api.Errf(api.CodeBadRequest,
 			"broker %s requires a matching -ha-token for promote/fence", s.name))
 		return false
 	}
@@ -127,28 +126,12 @@ func (s *BrokerServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Broker exposes the wrapped queue (stats, direct driving in tests).
+// Broker exposes the wrapped queue (metrics, direct driving in tests).
 func (s *BrokerServer) Broker() *queue.Broker { return s.b }
 
 // Drain refuses new submissions and registrations; queued and leased
 // work keeps flowing so the backlog empties.
 func (s *BrokerServer) Drain() { s.draining.Store(true) }
-
-// decodeInto parses the request body into msg, answering malformed
-// bodies with a typed bad_request.
-func decodeInto(w http.ResponseWriter, r *http.Request, msg any) bool {
-	if err := json.NewDecoder(r.Body).Decode(msg); err != nil {
-		writeError(w, api.Errf(api.CodeBadRequest, "bad message: %v", err))
-		return false
-	}
-	return true
-}
-
-// reply writes a 200 JSON body.
-func reply(w http.ResponseWriter, msg any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(msg)
-}
 
 // drainingErr builds the draining refusal with its Retry-After floor.
 func (s *BrokerServer) drainingErr() *api.Error {
@@ -159,7 +142,7 @@ func (s *BrokerServer) drainingErr() *api.Error {
 
 func (s *BrokerServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, s.drainingErr())
+		WriteError(w, s.drainingErr())
 		return
 	}
 	var sub api.JobSubmit
@@ -168,7 +151,7 @@ func (s *BrokerServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	rep, err := s.b.Submit(sub)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	reply(w, rep)
@@ -176,7 +159,7 @@ func (s *BrokerServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *BrokerServer) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, s.drainingErr())
+		WriteError(w, s.drainingErr())
 		return
 	}
 	var bt api.JobSubmitBatch
@@ -185,7 +168,7 @@ func (s *BrokerServer) handleSubmitBatch(w http.ResponseWriter, r *http.Request)
 	}
 	rep, err := s.b.SubmitBatch(bt)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	reply(w, rep)
@@ -203,7 +186,7 @@ func (s *BrokerServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("format") == "prometheus" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		writePrometheus(w, m)
+		WritePrometheus(w, m)
 		return
 	}
 	reply(w, m)
@@ -215,14 +198,14 @@ func (s *BrokerServer) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("wait"); v != "" {
 		d, err := time.ParseDuration(v + "s")
 		if err != nil {
-			writeError(w, api.Errf(api.CodeBadRequest, "bad wait %q: %v", v, err))
+			WriteError(w, api.Errf(api.CodeBadRequest, "bad wait %q: %v", v, err))
 			return
 		}
 		wait = min(d, maxStatusWait)
 	}
 	st, err := s.b.WaitStatus(r.Context(), id, wait)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	reply(w, st)
@@ -234,7 +217,7 @@ func (s *BrokerServer) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.b.Cancel(req); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	reply(w, struct{}{})
@@ -242,7 +225,7 @@ func (s *BrokerServer) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 func (s *BrokerServer) handleHello(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, s.drainingErr())
+		WriteError(w, s.drainingErr())
 		return
 	}
 	var h api.WorkerHello
@@ -251,7 +234,7 @@ func (s *BrokerServer) handleHello(w http.ResponseWriter, r *http.Request) {
 	}
 	rep, err := s.b.Hello(h)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	reply(w, rep)
@@ -263,7 +246,7 @@ func (s *BrokerServer) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.b.Heartbeat(hb); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	reply(w, struct{}{})
@@ -275,7 +258,7 @@ func (s *BrokerServer) handleDrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.b.Drain(d); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	reply(w, struct{}{})
@@ -288,7 +271,7 @@ func (s *BrokerServer) handlePoll(w http.ResponseWriter, r *http.Request) {
 	}
 	rep, err := s.b.Poll(r.Context(), req)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	reply(w, rep)
@@ -301,7 +284,7 @@ func (s *BrokerServer) handleRenew(w http.ResponseWriter, r *http.Request) {
 	}
 	rep, err := s.b.Renew(req)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	reply(w, rep)
@@ -314,14 +297,14 @@ func (s *BrokerServer) handleDone(w http.ResponseWriter, r *http.Request) {
 	}
 	rep, err := s.b.Done(req)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	reply(w, rep)
 }
 
 func (s *BrokerServer) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st := s.b.Stats()
+	m := s.b.Metrics()
 	// Role "broker" (a mutation-accepting primary) is the historical
 	// value clients key off; a follower shows as "standby" and a fenced
 	// ex-primary as "fenced", so DialQueue can prefer the leader.
@@ -337,9 +320,9 @@ func (s *BrokerServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Name:     s.name,
 		Role:     role,
 		Draining: s.draining.Load(),
-		Capacity: st.Workers,
-		Inflight: st.Leased,
-		Jobs:     st.Jobs,
+		Capacity: m.Workers,
+		Inflight: m.Leased,
+		Jobs:     m.Jobs,
 	})
 }
 
@@ -349,12 +332,12 @@ func (s *BrokerServer) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := api.CheckProto(req.Proto); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	jl := s.b.Journal()
 	if jl == nil {
-		writeError(w, api.Errf(api.CodeUnavailable,
+		WriteError(w, api.Errf(api.CodeUnavailable,
 			"broker %s has no journal; nothing to replicate", s.name))
 		return
 	}
@@ -382,7 +365,7 @@ func (s *BrokerServer) handlePromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := api.CheckProto(req.Proto); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if !s.checkHAToken(w, req.Token) {
@@ -391,7 +374,7 @@ func (s *BrokerServer) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if s.promote != nil {
 		rep, err := s.promote("operator request (/v2/promote)")
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
 		reply(w, rep)
@@ -399,7 +382,7 @@ func (s *BrokerServer) handlePromote(w http.ResponseWriter, r *http.Request) {
 	}
 	epoch, requeued, err := s.b.Promote()
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	reply(w, api.PromoteReply{
@@ -413,14 +396,14 @@ func (s *BrokerServer) handleFence(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := api.CheckProto(req.Proto); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if !s.checkHAToken(w, req.Token) {
 		return
 	}
 	if err := s.b.Fence(req.Epoch, req.Primary); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	role := "fenced"

@@ -1,14 +1,10 @@
 package remote
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,15 +19,14 @@ import (
 // out of each of those tasks via exclusion). A success resets the count.
 const downAfter = 3
 
-// defaultReprobeAfter is how long a down-marked worker sits out before it
-// is offered one probe task (Options.ReprobeAfter = 0).
-const defaultReprobeAfter = 15 * time.Second
+// reprobeAfter is how long a down-marked worker sits out before it is
+// offered one probe task. On success the worker rejoins least-loaded
+// selection (its failure count resets); on failure it sits out another
+// (jittered) window.
+const reprobeAfter = 15 * time.Second
 
 // Options configures a RemoteExecutor.
 type Options struct {
-	// InflightPerWorker caps the tasks outstanding on one worker; 0 uses
-	// the capacity the worker advertises in its status.
-	InflightPerWorker int
 	// Fallback, when non-nil, executes tasks every remote worker failed
 	// (typically a LocalExecutor over the same registry, so a dead fleet
 	// degrades to the in-process pool instead of failing the run).
@@ -40,12 +35,6 @@ type Options struct {
 	// request timeout (tasks legitimately run for minutes — cancellation
 	// comes from the scheduler's context instead).
 	Client *http.Client
-	// ReprobeAfter is the backoff before a down-marked worker is offered
-	// one probe task. On success the worker rejoins least-loaded
-	// selection (its failure count resets); on failure it sits out
-	// another full backoff. 0 uses the 15s default; negative disables
-	// re-probation (a down worker stays out for the whole run).
-	ReprobeAfter time.Duration
 }
 
 // worker is one remote daemon the executor can dispatch to.
@@ -68,11 +57,11 @@ type worker struct {
 }
 
 // probeDelay returns the next jittered re-probation window.
-func (w *worker) probeDelay(base time.Duration) time.Duration {
+func (w *worker) probeDelay() time.Duration {
 	w.probeMu.Lock()
 	defer w.probeMu.Unlock()
 	if w.probe == nil {
-		w.probe = backoff.Policy{Base: base, Factor: 1, Jitter: 0.5}.New(backoff.SeedString(w.name + "@" + w.addr))
+		w.probe = backoff.Policy{Base: reprobeAfter, Factor: 1, Jitter: 0.5}.New(backoff.SeedString(w.name + "@" + w.addr))
 	}
 	return w.probe.Next()
 }
@@ -80,91 +69,46 @@ func (w *worker) probeDelay(base time.Duration) time.Duration {
 func (w *worker) down() bool { return w.fails.Load() >= downAfter }
 
 // RemoteExecutor is an engine.Executor that ships tasks to worker
-// daemons over HTTP. Dispatch picks the least-loaded live worker under a
-// per-worker inflight limit; a transport failure retries the task on the
-// remaining workers (the failed one excluded), and when every worker has
-// failed it, the task falls back to Options.Fallback. Task-level errors
-// (the job itself failed) are never retried — they are deterministic.
+// daemons over HTTP. Dispatch picks the least-loaded live worker under
+// the inflight limit each worker advertises (its capacity); a transport
+// failure retries the task on the remaining workers (the failed one
+// excluded), and when every worker has failed it, the task falls back
+// to Options.Fallback. Task-level errors (the job itself failed) are
+// never retried — they are deterministic.
 type RemoteExecutor struct {
-	workers      []*worker
-	fallback     engine.Executor
-	client       *http.Client
-	reprobeAfter time.Duration
-	now          func() time.Time // injectable clock for tests
+	workers  []*worker
+	fallback engine.Executor
+	client   *http.Client
+	now      func() time.Time // injectable clock for tests
 }
 
 // Dial connects to the given worker addresses ("host:port" or full
 // http:// URLs), verifies each speaks the current protocol version, and
-// returns an executor over them. Startup is strict — an unreachable or
-// version-mismatched worker is a configuration error — while failures
-// after Dial degrade via retry, exclusion and fallback.
+// returns an executor over them. Startup is strict — an unreachable,
+// refusing or version-mismatched worker is a configuration error —
+// while failures after Dial degrade via retry, exclusion and fallback.
 func Dial(ctx context.Context, addrs []string, opts Options) (*RemoteExecutor, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("remote: no worker addresses")
 	}
 	e := &RemoteExecutor{
-		fallback:     opts.Fallback,
-		client:       opts.Client,
-		reprobeAfter: opts.ReprobeAfter,
-		now:          time.Now,
-	}
-	if e.client == nil {
-		e.client = &http.Client{}
-	}
-	if e.reprobeAfter == 0 {
-		e.reprobeAfter = defaultReprobeAfter
+		fallback: opts.Fallback,
+		client:   orDefaultClient(opts.Client),
+		now:      time.Now,
 	}
 	for _, addr := range addrs {
-		base := addr
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		base = strings.TrimRight(base, "/")
-		st, err := e.status(ctx, base)
+		base := NormalizeAddr(addr)
+		st, err := probeStatus(ctx, e.client, base)
 		if err != nil {
 			return nil, fmt.Errorf("remote: worker %s: %w", addr, err)
-		}
-		limit := opts.InflightPerWorker
-		if limit <= 0 {
-			limit = st.Capacity
-		}
-		if limit <= 0 {
-			limit = 1
 		}
 		e.workers = append(e.workers, &worker{
 			addr:  base,
 			name:  st.Name,
-			slots: make(chan struct{}, limit),
+			slots: make(chan struct{}, max(st.Capacity, 1)),
 		})
 	}
 	return e, nil
-}
-
-// status fetches and validates a worker's /v1/status.
-func (e *RemoteExecutor) status(ctx context.Context, base string) (api.WorkerStatus, error) {
-	// Status must answer promptly even though task executions may not.
-	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+StatusPath, nil)
-	if err != nil {
-		return api.WorkerStatus{}, err
-	}
-	resp, err := e.client.Do(req)
-	if err != nil {
-		return api.WorkerStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return api.WorkerStatus{}, fmt.Errorf("status: %s", resp.Status)
-	}
-	var st api.WorkerStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return api.WorkerStatus{}, fmt.Errorf("status: %w", err)
-	}
-	if err := api.CheckProto(st.Proto); err != nil {
-		return api.WorkerStatus{}, err
-	}
-	return st, nil
 }
 
 // Workers lists the dialled workers as "name@addr" (for CLI logging).
@@ -185,19 +129,6 @@ func (e *RemoteExecutor) Workers() []string {
 // non-retryable failure (the request itself is bad) fails the task
 // immediately, because every worker would refuse it the same way.
 func (e *RemoteExecutor) Execute(ctx context.Context, spec api.TaskSpec) (api.TaskResult, error) {
-	return e.execute(ctx, spec, nil)
-}
-
-// ExecuteStream implements engine.StreamExecutor: the task is dispatched
-// over the streaming execute path (?stream=1) and the worker's progress
-// heartbeats are relayed to onProgress as they arrive. Retry, exclusion
-// and fallback behave exactly as Execute — a retried task simply starts
-// a fresh stream on the next worker.
-func (e *RemoteExecutor) ExecuteStream(ctx context.Context, spec api.TaskSpec, onProgress engine.ProgressFunc) (api.TaskResult, error) {
-	return e.execute(ctx, spec, onProgress)
-}
-
-func (e *RemoteExecutor) execute(ctx context.Context, spec api.TaskSpec, onProgress engine.ProgressFunc) (api.TaskResult, error) {
 	excluded := make(map[*worker]bool)
 	var lastErr error
 	for {
@@ -208,7 +139,7 @@ func (e *RemoteExecutor) execute(ctx context.Context, spec api.TaskSpec, onProgr
 		if w == nil {
 			break
 		}
-		res, err := e.post(ctx, w, spec, onProgress)
+		res, err := e.post(ctx, w, spec)
 		if err == nil {
 			if verr := res.Validate(spec); verr != nil {
 				// Answered, but with a mismatched echo (foreign build or
@@ -241,9 +172,6 @@ func (e *RemoteExecutor) execute(ctx context.Context, spec api.TaskSpec, onProgr
 		excluded[w] = true
 	}
 	if e.fallback != nil {
-		if se, ok := e.fallback.(engine.StreamExecutor); ok && onProgress != nil {
-			return se.ExecuteStream(ctx, spec, onProgress)
-		}
 		return e.fallback.Execute(ctx, spec)
 	}
 	if lastErr == nil {
@@ -255,8 +183,8 @@ func (e *RemoteExecutor) execute(ctx context.Context, spec api.TaskSpec, onProgr
 // markFailure records one transport failure against a worker; crossing
 // the down threshold starts (or extends) its re-probation backoff.
 func (e *RemoteExecutor) markFailure(w *worker) {
-	if w.fails.Add(1) >= downAfter && e.reprobeAfter > 0 {
-		w.retryAt.Store(e.now().Add(w.probeDelay(e.reprobeAfter)).UnixNano())
+	if w.fails.Add(1) >= downAfter {
+		w.retryAt.Store(e.now().Add(w.probeDelay()).UnixNano())
 	}
 }
 
@@ -288,14 +216,11 @@ func (e *RemoteExecutor) acquire(ctx context.Context, excluded map[*worker]bool)
 				continue
 			}
 			if w.down() {
-				if e.reprobeAfter <= 0 {
-					continue
-				}
 				at := w.retryAt.Load()
 				// at == 0: the worker just crossed the down threshold and
 				// markFailure has not stored its backoff yet — not probe
 				// time, a full backoff must elapse first.
-				if at == 0 || now < at || !w.retryAt.CompareAndSwap(at, now+int64(w.probeDelay(e.reprobeAfter))) {
+				if at == 0 || now < at || !w.retryAt.CompareAndSwap(at, now+int64(w.probeDelay())) {
 					continue
 				}
 				select {
@@ -338,66 +263,11 @@ func (e *RemoteExecutor) acquire(ctx context.Context, excluded map[*worker]bool)
 
 // post ships spec to w, whose inflight slot the caller has already
 // reserved via acquire; the slot is released when the call returns.
-// With onProgress set the request asks for the streaming execute path,
-// but a plain-JSON answer (a server predating ?stream=1) is still
-// accepted — streaming is an upgrade, never a compatibility cliff.
-func (e *RemoteExecutor) post(ctx context.Context, w *worker, spec api.TaskSpec, onProgress engine.ProgressFunc) (api.TaskResult, error) {
+// Non-200 bodies are typed api.Error JSON (see WriteError); the caller
+// keys its retry/exclusion decision off the decoded code.
+func (e *RemoteExecutor) post(ctx context.Context, w *worker, spec api.TaskSpec) (api.TaskResult, error) {
 	defer func() { <-w.slots }()
-
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return api.TaskResult{}, err
-	}
-	url := w.addr + ExecutePath
-	if onProgress != nil {
-		url += "?stream=1"
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return api.TaskResult{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := e.client.Do(req)
-	if err != nil {
-		return api.TaskResult{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// Non-200 bodies are typed api.Error JSON (see writeError); the
-		// caller keys its retry/exclusion decision off the decoded code.
-		return api.TaskResult{}, decodeError(resp)
-	}
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), "application/x-ndjson") {
-		return decodeStream(resp.Body, onProgress)
-	}
 	var res api.TaskResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return api.TaskResult{}, fmt.Errorf("decode result: %w", err)
-	}
-	return res, nil
-}
-
-// decodeStream consumes a streaming execute response: ExecuteEvent
-// lines until the single terminal line. A connection that drops before
-// the terminal line is a transport failure (retryable — the task is
-// retried on another worker); a typed error line carries the worker's
-// own retry decision through unchanged.
-func decodeStream(r io.Reader, onProgress engine.ProgressFunc) (api.TaskResult, error) {
-	dec := json.NewDecoder(r)
-	for {
-		var ev api.ExecuteEvent
-		if err := dec.Decode(&ev); err != nil {
-			return api.TaskResult{}, fmt.Errorf("execute stream truncated: %w", err)
-		}
-		switch {
-		case ev.Progress != nil:
-			if onProgress != nil {
-				onProgress(*ev.Progress)
-			}
-		case ev.Err != nil:
-			return api.TaskResult{}, ev.Err
-		case ev.Result != nil:
-			return *ev.Result, nil
-		}
-	}
+	err := PostJSON(ctx, e.client, w.addr+ExecutePath, spec, &res)
+	return res, err
 }

@@ -24,9 +24,10 @@ type haPair struct {
 }
 
 // startHAPair boots the pair: the standby follows the primary via
-// /v2/replicate exactly as `dramlockerd -broker -follow` would, with
-// automatic takeover disabled (tests promote explicitly).
-func startHAPair(t *testing.T) *haPair {
+// /v2/replicate exactly as `dramlockerd -broker -follow` would, given
+// the primary's URL plus followSuffix, with automatic takeover disabled
+// (tests promote explicitly).
+func startHAPair(t *testing.T, followSuffix string) *haPair {
 	t.Helper()
 	openJournal := func() *queue.Journal {
 		jl, err := queue.OpenJournal(t.TempDir(), 0)
@@ -45,7 +46,7 @@ func startHAPair(t *testing.T) *haPair {
 	tsS := httptest.NewServer(bsS)
 	t.Cleanup(tsS.Close)
 
-	fol := NewFollower(s, tsP.URL, FollowerOptions{Name: "qb-standby", Advertise: tsS.URL,
+	fol := NewFollower(s, tsP.URL+followSuffix, FollowerOptions{Name: "qb-standby", Advertise: tsS.URL,
 		Logf: func(string, ...any) {}})
 	bsS.SetPromote(fol.Promote)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -61,7 +62,7 @@ func startHAPair(t *testing.T) *haPair {
 // both sides fail over on their own — the final report is byte-exact
 // with the local run.
 func TestFailoverAfterPromotion(t *testing.T) {
-	ha := startHAPair(t)
+	ha := startHAPair(t, "")
 	local, err := engine.Run(testRegistry(t), engine.Options{Workers: 1, BaseSeed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +85,7 @@ func TestFailoverAfterPromotion(t *testing.T) {
 	// Wait for replication to carry some of it to the standby, then
 	// kill the primary and promote.
 	deadline := time.Now().Add(5 * time.Second)
-	for ha.standby.Stats().Submitted == 0 {
+	for ha.standby.Metrics().Submitted == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("standby never replicated the backlog")
 		}
@@ -117,13 +118,39 @@ func TestFailoverAfterPromotion(t *testing.T) {
 	}
 }
 
+// TestFollowerReplicatesFromSlashTerminatedAddress: a standby whose
+// -follow address ends in "/" still replicates. Unnormalized, that
+// address put the replicate route at "//v2/replicate", which ServeMux
+// redirects; the client re-sent the redirect as a GET the route
+// refuses, so every poll failed and -takeover-after would promote the
+// standby beside a live primary.
+func TestFollowerReplicatesFromSlashTerminatedAddress(t *testing.T) {
+	ha := startHAPair(t, "/")
+	sub, err := ha.primary.Submit(api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{
+		{Proto: api.Version, Job: "j", Shard: 0, Seed: 7, Key: "j@hash"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		if _, err := ha.standby.Status(sub.ID); err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("standby following %s/ never replicated job %s", ha.tsP.URL, sub.ID)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestStandbyRejectsMutationsOverHTTP pins the wire shape clients
 // depend on for failover: a standby answers mutations with 503, a
 // Retry-After floor, and a typed not_leader error naming the primary.
 func TestStandbyRejectsMutationsOverHTTP(t *testing.T) {
-	ha := startHAPair(t)
+	ha := startHAPair(t, "")
 	var rep api.SubmitReply
-	err := postJSON(context.Background(), http.DefaultClient, ha.tsS.URL+SubmitPath,
+	err := PostJSON(context.Background(), http.DefaultClient, ha.tsS.URL+SubmitPath,
 		api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{
 			{Proto: api.Version, Job: "j", Shard: 0, Seed: 7, Key: "j@hash"},
 		}}, &rep)
@@ -175,7 +202,7 @@ func TestPromoteFenceRequireHAToken(t *testing.T) {
 
 	var prep api.PromoteReply
 	for _, token := range []string{"", "wrong"} {
-		err := postJSON(ctx, http.DefaultClient, ts.URL+PromotePath,
+		err := PostJSON(ctx, http.DefaultClient, ts.URL+PromotePath,
 			api.PromoteRequest{Proto: api.Version, Token: token}, &prep)
 		if ae, ok := api.AsError(err); !ok || ae.Code != api.CodeBadRequest {
 			t.Fatalf("promote with token %q = %v, want %s", token, err, api.CodeBadRequest)
@@ -185,7 +212,7 @@ func TestPromoteFenceRequireHAToken(t *testing.T) {
 		t.Fatalf("role after refused promotes = %s, want follower", s.Role())
 	}
 	var frep api.FenceReply
-	err = postJSON(ctx, http.DefaultClient, ts.URL+FencePath,
+	err = PostJSON(ctx, http.DefaultClient, ts.URL+FencePath,
 		api.FenceRequest{Proto: api.Version, Epoch: 5, Primary: "np:1"}, &frep)
 	if ae, ok := api.AsError(err); !ok || ae.Code != api.CodeBadRequest {
 		t.Fatalf("tokenless fence = %v, want %s", err, api.CodeBadRequest)
@@ -197,7 +224,7 @@ func TestPromoteFenceRequireHAToken(t *testing.T) {
 	// The matching token opens both verbs: the configured follower
 	// adopts the fence epoch (and keeps following), and a promote flips
 	// it to primary past that epoch.
-	err = postJSON(ctx, http.DefaultClient, ts.URL+FencePath,
+	err = PostJSON(ctx, http.DefaultClient, ts.URL+FencePath,
 		api.FenceRequest{Proto: api.Version, Epoch: 2, Primary: "np:1", Token: "sesame"}, &frep)
 	if err != nil {
 		t.Fatalf("tokened fence: %v", err)
@@ -205,7 +232,7 @@ func TestPromoteFenceRequireHAToken(t *testing.T) {
 	if frep.Epoch != 2 || s.Role() != queue.RoleFollower {
 		t.Fatalf("after tokened fence: epoch %d role %s, want 2/follower", frep.Epoch, s.Role())
 	}
-	err = postJSON(ctx, http.DefaultClient, ts.URL+PromotePath,
+	err = PostJSON(ctx, http.DefaultClient, ts.URL+PromotePath,
 		api.PromoteRequest{Proto: api.Version, Token: "sesame"}, &prep)
 	if err != nil {
 		t.Fatalf("tokened promote: %v", err)

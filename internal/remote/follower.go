@@ -41,7 +41,7 @@ type Follower struct {
 // FollowerOptions tunes a Follower; the zero value is usable.
 type FollowerOptions struct {
 	// Client is the HTTP client for replication and fencing calls;
-	// nil means http.DefaultClient.
+	// nil means a default client.
 	Client *http.Client
 	// TakeoverAfter is how long the primary may be unreachable before
 	// the follower promotes itself; 0 disables automatic takeover
@@ -74,21 +74,19 @@ const replicateMaxBytes int64 = 1 << 20
 // host refuses connections instantly, a rebooting one needs time.
 const fenceWindow = 2 * time.Minute
 
-// NewFollower builds a follower replaying primaryAddr into b.
+// NewFollower builds a follower replaying primaryAddr ("host:port" or
+// a full URL) into b.
 func NewFollower(b *queue.Broker, primaryAddr string, opts FollowerOptions) *Follower {
 	f := &Follower{
 		b:           b,
-		primary:     primaryAddr,
-		client:      opts.Client,
+		primary:     NormalizeAddr(primaryAddr),
+		client:      orDefaultClient(opts.Client),
 		takeover:    opts.TakeoverAfter,
 		name:        opts.Name,
 		advertise:   opts.Advertise,
 		token:       opts.Token,
 		logf:        opts.Logf,
 		interruptCh: make(chan struct{}),
-	}
-	if f.client == nil {
-		f.client = http.DefaultClient
 	}
 	if f.logf == nil {
 		f.logf = log.Printf
@@ -142,7 +140,7 @@ func (f *Follower) Run(ctx context.Context) error {
 			Follower: f.name,
 		}
 		var rep api.ReplicateReply
-		err := postJSON(pollCtx, f.client, f.primary+ReplicatePath, req, &rep)
+		err := PostJSON(pollCtx, f.client, f.primary+ReplicatePath, req, &rep)
 		if err == nil {
 			lastContact = time.Now()
 			bo.Reset()
@@ -199,7 +197,7 @@ func (f *Follower) fencePrimary(ctx context.Context) {
 	deadline := time.Now().Add(fenceWindow)
 	for time.Now().Before(deadline) {
 		var rep api.FenceReply
-		err := postJSON(ctx, f.client, f.primary+FencePath, req, &rep)
+		err := PostJSON(ctx, f.client, f.primary+FencePath, req, &rep)
 		if err == nil {
 			f.logf("dramlockerd %q fenced ex-primary %s at epoch %d", f.name, f.primary, rep.Epoch)
 			return

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -36,10 +35,12 @@ func httpStatus(code api.Code) int {
 	}
 }
 
-// writeError renders err as the dlexec2 error body: a JSON api.Error
+// WriteError renders err as the dlexec2 error body: a JSON api.Error
 // with a matching HTTP status. Untyped errors are wrapped as
-// CodeInternal so every non-200 response has the same shape.
-func writeError(w http.ResponseWriter, err error) {
+// CodeInternal so every non-200 response has the same shape. Sibling
+// HTTP layers (the result plane) answer through it too, so every
+// endpoint in the repo speaks the identical typed-error shape.
+func WriteError(w http.ResponseWriter, err error) {
 	ae, ok := api.AsError(err)
 	if !ok {
 		ae = api.Errf(api.CodeInternal, "%v", err)
@@ -54,12 +55,15 @@ func writeError(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(ae)
 }
 
-// decodeError reconstructs the typed error from a non-200 response.
+// errorBodyLimit bounds how much of a non-200 body DecodeError reads.
+const errorBodyLimit = 4096
+
+// DecodeError reconstructs the typed error from a non-200 response.
 // Bodies that are not an api.Error (a proxy's HTML error page, a
 // pre-dlexec2 daemon's plain text) degrade to an untyped error, which
 // clients treat as a retryable transport failure.
-func decodeError(resp *http.Response) error {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+func DecodeError(resp *http.Response) error {
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, errorBodyLimit))
 	var ae api.Error
 	if err := json.Unmarshal(body, &ae); err == nil && ae.Code != "" {
 		return &ae
@@ -67,45 +71,18 @@ func decodeError(resp *http.Response) error {
 	return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
 }
 
-// WriteError, DecodeError and PostJSON export the transport helpers for
-// sibling HTTP layers (the result plane), so every endpoint in the repo
-// speaks the identical typed-error shape.
-func WriteError(w http.ResponseWriter, err error) { writeError(w, err) }
-
-// DecodeError reconstructs the typed error from a non-200 response.
-func DecodeError(resp *http.Response) error { return decodeError(resp) }
-
-// PostJSON ships req as JSON to url and decodes a 200 into out.
-func PostJSON(ctx context.Context, client *http.Client, url string, req, out any) error {
-	return postJSON(ctx, client, url, req, out)
+// decodeInto parses the request body into msg, answering malformed
+// bodies with a typed bad_request.
+func decodeInto(w http.ResponseWriter, r *http.Request, msg any) bool {
+	if err := json.NewDecoder(r.Body).Decode(msg); err != nil {
+		WriteError(w, api.Errf(api.CodeBadRequest, "bad message: %v", err))
+		return false
+	}
+	return true
 }
 
-// postJSON is the shared request helper: ship req as JSON to url and
-// decode a 200 into out; non-200s come back as decodeError's typed (or
-// transport) error.
-func postJSON(ctx context.Context, client *http.Client, url string, req, out any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(string(body)))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("decode reply: %w", err)
-	}
-	return nil
+// reply writes a 200 JSON body.
+func reply(w http.ResponseWriter, msg any) {
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(msg)
 }

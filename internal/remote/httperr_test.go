@@ -1,32 +1,37 @@
 package remote
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/api"
 )
 
-// roundTrip pushes err through the real wire path — writeError renders
-// the HTTP response, decodeError reconstructs the client-side error.
+// roundTrip pushes err through the real wire path — WriteError renders
+// the HTTP response, DecodeError reconstructs the client-side error.
 func roundTrip(t *testing.T, err error) (*api.Error, int) {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	writeError(rec, err)
+	WriteError(rec, err)
 	resp := rec.Result()
 	defer resp.Body.Close()
-	got := decodeError(resp)
+	got := DecodeError(resp)
 	ae, ok := api.AsError(got)
 	if !ok {
-		t.Fatalf("decodeError lost the type: %v", got)
+		t.Fatalf("DecodeError lost the type: %v", got)
 	}
 	return ae, resp.StatusCode
 }
 
 // TestErrorRoundTripAllCodes is the wire contract for every defined
-// code: Code, Msg and Retryable survive writeError -> HTTP ->
-// decodeError unchanged, and no code falls through to a 200 status.
+// code: Code, Msg and Retryable survive WriteError -> HTTP ->
+// DecodeError unchanged, and no code falls through to a 200 status.
 func TestErrorRoundTripAllCodes(t *testing.T) {
 	for _, code := range api.Codes() {
 		in := api.Errf(code, "probe %s with %q and spaces", code, "quoted")
@@ -71,7 +76,7 @@ func TestErrorRoundTripUntyped(t *testing.T) {
 	rec.WriteString("<html>bad gateway</html>")
 	resp := rec.Result()
 	defer resp.Body.Close()
-	err := decodeError(resp)
+	err := DecodeError(resp)
 	if _, typed := api.AsError(err); typed {
 		t.Fatalf("HTML body must decode untyped, got %v", err)
 	}
@@ -87,4 +92,64 @@ func TestQueueFullMapsTo429(t *testing.T) {
 	if _, status := roundTrip(t, api.Errf(api.CodeQueueFull, "full")); status != 429 {
 		t.Fatalf("queue_full status %d, want 429", status)
 	}
+}
+
+// FuzzDecodeError feeds DecodeError arbitrary statuses and bodies. It
+// never panics; it returns a typed *api.Error exactly when the first
+// errorBodyLimit bytes of the body unmarshal into an api.Error with a
+// code (and then that error); and an error WriteError rendered within
+// the bound decodes back to the same code, retryable flag, message,
+// RetryAfterNS and Primary.
+func FuzzDecodeError(f *testing.F) {
+	seed := func(ae *api.Error) {
+		rec := httptest.NewRecorder()
+		WriteError(rec, ae)
+		f.Add(rec.Code, rec.Body.Bytes(), string(ae.Code), ae.Msg, ae.Retryable, ae.RetryAfterNS, ae.Primary)
+	}
+	for _, code := range api.Codes() {
+		ae := api.Errf(code, "probe %s with %q and spaces", code, "quoted")
+		seed(ae)
+		ae.Retryable = !ae.Retryable
+		seed(ae)
+	}
+	seed(api.Errf(api.CodeInternal, "disk on fire"))
+	seed(&api.Error{Code: api.CodeNotLeader, Msg: "standby", Retryable: true,
+		RetryAfterNS: 1500000000, Primary: "http://10.0.0.9:9741"})
+	f.Add(502, []byte("<html>bad gateway</html>"), "", "", false, int64(0), "")
+	f.Add(429, []byte(`{"code":"queue_full","message":"full"}`), "queue_full", "full", true, int64(-1), "")
+
+	f.Fuzz(func(t *testing.T, status int, body []byte, code, msg string, retryable bool, retryAfterNS int64, primary string) {
+		resp := &http.Response{
+			StatusCode: status,
+			Status:     fmt.Sprintf("%d fuzz", status),
+			Body:       io.NopCloser(bytes.NewReader(body)),
+		}
+		err := DecodeError(resp)
+		if err == nil {
+			t.Fatal("DecodeError returned nil")
+		}
+		var want api.Error
+		typed := json.Unmarshal(body[:min(len(body), errorBodyLimit)], &want) == nil && want.Code != ""
+		ae, ok := api.AsError(err)
+		if ok != typed {
+			t.Fatalf("typed = %v, want %v for body %q (error %v)", ok, typed, body, err)
+		}
+		if typed && *ae != want {
+			t.Fatalf("decoded %+v, want %+v", *ae, want)
+		}
+
+		// Round trip. JSON replaces invalid UTF-8, so only valid
+		// strings can come back unchanged.
+		in := &api.Error{Code: api.Code(code), Msg: msg, Retryable: retryable, RetryAfterNS: retryAfterNS, Primary: primary}
+		rec := httptest.NewRecorder()
+		WriteError(rec, in)
+		if code == "" || rec.Body.Len() > errorBodyLimit ||
+			!utf8.ValidString(code) || !utf8.ValidString(msg) || !utf8.ValidString(primary) {
+			return
+		}
+		out, ok := api.AsError(DecodeError(rec.Result()))
+		if !ok || *out != *in {
+			t.Fatalf("WriteError(%+v) decoded to %+v", *in, out)
+		}
+	})
 }

@@ -7,17 +7,14 @@ import (
 	"repro/internal/api"
 )
 
-// WritePrometheus exports the text-exposition renderer for sibling
-// servers (the standalone result-plane daemon serves the same schema).
-func WritePrometheus(w io.Writer, m api.BrokerMetrics) { writePrometheus(w, m) }
-
-// writePrometheus renders broker metrics in the Prometheus text
+// WritePrometheus renders broker metrics in the Prometheus text
 // exposition format (version 0.0.4): the JSON schema's gauges and
 // counters as dramlocker_broker_* series, tenants as labelled series.
-// Hand-rolled on purpose — the format is lines of "name{labels} value"
-// and a client dependency would be the only third-party import in the
-// repo.
-func writePrometheus(w io.Writer, m api.BrokerMetrics) {
+// The standalone result-plane daemon serves the same schema through
+// it. Hand-rolled on purpose — the format is lines of "name{labels}
+// value" and a client dependency would be the only third-party import
+// in the repo.
+func WritePrometheus(w io.Writer, m api.BrokerMetrics) {
 	g := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -51,42 +50,12 @@ var statusRetry = backoff.Policy{
 	Jitter: 0.5,
 }
 
-// transportFailoverAfter is how many consecutive transport-level
-// failures against one broker a client tolerates before rotating to the
-// next target in its failover list. Low enough that a SIGKILLed primary
-// costs a couple of seconds, high enough that one dropped packet does
-// not bounce the fleet between brokers.
-const transportFailoverAfter = 3
-
 // maxResubmits caps how many times one task is resubmitted after its
 // job vanished in a failover (admitted by a primary that died before
 // the standby replicated the entry). Resubmission is safe — the
 // scheduler owns seeding and dedup — but an unbounded loop would mask a
 // broker that keeps losing jobs.
 const maxResubmits = 5
-
-// normalizeBase canonicalizes one broker address ("host:port" or a full
-// URL) so failover-list entries and not_leader hints compare equal.
-func normalizeBase(addr string) string {
-	base := strings.TrimSpace(addr)
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	return strings.TrimRight(base, "/")
-}
-
-// splitTargets parses a comma-separated broker list into normalized
-// bases, dropping empty elements.
-func splitTargets(addr string) []string {
-	var out []string
-	for _, a := range strings.Split(addr, ",") {
-		if strings.TrimSpace(a) == "" {
-			continue
-		}
-		out = append(out, normalizeBase(a))
-	}
-	return out
-}
 
 // QueueOptions configures a QueueExecutor.
 type QueueOptions struct {
@@ -120,12 +89,10 @@ type QueueExecutor struct {
 	seed     int64        // jitter seed root (broker addrs + tenant)
 	seedCtr  atomic.Int64 // decorrelates concurrent retry loops
 
-	// Failover list: targets[cur] is where traffic goes now; failover
-	// advances cur when the current target refuses leadership
-	// (not_leader), announces a drain, or stops answering.
-	tmu     sync.Mutex
-	targets []string
-	cur     int
+	// targets is the broker failover list; traffic moves on when the
+	// current broker refuses leadership (not_leader), announces a
+	// drain, or stops answering.
+	targets *targets
 
 	// Submission batcher: concurrent Executes enqueue waiters here; the
 	// first one to find the batcher idle becomes responsible for
@@ -162,8 +129,8 @@ type submitOutcome struct {
 // against a standby and follows the not_leader hints to the new
 // primary once it exists.
 func DialQueue(ctx context.Context, addr string, opts QueueOptions) (*QueueExecutor, error) {
-	targets := splitTargets(addr)
-	if len(targets) == 0 {
+	tg := newTargets(addr)
+	if tg == nil {
 		return nil, fmt.Errorf("remote: no broker address in %q", addr)
 	}
 	linger := opts.BatchLinger
@@ -171,18 +138,19 @@ func DialQueue(ctx context.Context, addr string, opts QueueOptions) (*QueueExecu
 		linger = defaultBatchLinger
 	}
 	e := &QueueExecutor{
-		targets:  targets,
+		targets:  tg,
 		tenant:   opts.Tenant,
 		priority: opts.Priority,
 		client:   orDefaultClient(opts.Client),
 		linger:   linger,
-		seed:     backoff.SeedString(strings.Join(targets, ",") + "|" + opts.Tenant),
+		seed:     backoff.SeedString(strings.Join(tg.list, ",") + "|" + opts.Tenant),
 	}
+	// The executor is not shared yet, so picking the start target needs
+	// no lock.
 	var firstErr error
-	fallback := -1
-	var fallbackSt api.WorkerStatus
-	for i, t := range targets {
-		st, err := e.statusOf(ctx, t)
+	fallback, fallbackName := -1, ""
+	for i, t := range tg.list {
+		st, err := probeStatus(ctx, e.client, t)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("remote: broker %s: %w", t, err)
@@ -196,90 +164,22 @@ func DialQueue(ctx context.Context, addr string, opts QueueOptions) (*QueueExecu
 			continue
 		}
 		if st.Role == "broker" {
-			e.cur = i
-			e.name = st.Name
+			tg.cur, e.name = i, st.Name
 			return e, nil
 		}
 		if fallback < 0 {
-			fallback = i
-			fallbackSt = st
+			fallback, fallbackName = i, st.Name
 		}
 	}
 	if fallback >= 0 {
-		e.cur = fallback
-		e.name = fallbackSt.Name
+		tg.cur, e.name = fallback, fallbackName
 		return e, nil
 	}
 	return nil, firstErr
 }
 
-// baseNow is the broker traffic currently targets.
-func (e *QueueExecutor) baseNow() string {
-	e.tmu.Lock()
-	defer e.tmu.Unlock()
-	return e.targets[e.cur]
-}
-
-func (e *QueueExecutor) numTargets() int {
-	e.tmu.Lock()
-	defer e.tmu.Unlock()
-	return len(e.targets)
-}
-
-// failover moves traffic off the broker at from — but only if it is
-// still the current target, so concurrent retry loops racing to fail
-// over move the fleet exactly one hop. A non-empty hint (the primary
-// address a not_leader error names) is adopted directly, joining the
-// list if new; without one the list is tried round-robin.
-func (e *QueueExecutor) failover(from, hint string) {
-	e.tmu.Lock()
-	defer e.tmu.Unlock()
-	if e.targets[e.cur] != from {
-		return
-	}
-	if hint != "" {
-		h := normalizeBase(hint)
-		for i, t := range e.targets {
-			if t == h {
-				e.cur = i
-				return
-			}
-		}
-		e.targets = append(e.targets, h)
-		e.cur = len(e.targets) - 1
-		return
-	}
-	e.cur = (e.cur + 1) % len(e.targets)
-}
-
-// statusOf fetches and validates one broker's /v1/status.
-func (e *QueueExecutor) statusOf(ctx context.Context, base string) (api.WorkerStatus, error) {
-	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+StatusPath, nil)
-	if err != nil {
-		return api.WorkerStatus{}, err
-	}
-	resp, err := e.client.Do(req)
-	if err != nil {
-		return api.WorkerStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return api.WorkerStatus{}, decodeError(resp)
-	}
-	var st api.WorkerStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return api.WorkerStatus{}, fmt.Errorf("status: %w", err)
-	}
-	if err := api.CheckProto(st.Proto); err != nil {
-		return api.WorkerStatus{}, err
-	}
-	return st, nil
-}
-
 // Broker describes the dialled broker as "name@addr" (for CLI logging).
-func (e *QueueExecutor) Broker() string { return e.name + "@" + e.baseNow() }
+func (e *QueueExecutor) Broker() string { return e.name + "@" + e.targets.now() }
 
 // Execute implements engine.Executor: submit the task as a one-task
 // job, long-poll its status until done, and hand back the result. The
@@ -301,7 +201,7 @@ func (e *QueueExecutor) Execute(ctx context.Context, spec api.TaskSpec) (api.Tas
 	retry := e.newRetry(statusRetry)
 	misses, resubmits := 0, 0
 	for {
-		base := e.baseNow()
+		base := e.targets.now()
 		st, err := e.jobStatus(ctx, base, id)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -314,10 +214,7 @@ func (e *QueueExecutor) Execute(ctx context.Context, spec api.TaskSpec) (api.Tas
 				// Transient broker trouble: the job is already queued; keep
 				// polling, rotating to the next target once the current one
 				// looks dead rather than lose the job.
-				if misses++; misses >= transportFailoverAfter && e.numTargets() > 1 {
-					e.failover(base, "")
-					misses = 0
-				}
+				e.targets.missed(&misses, base)
 				retry.Sleep(ctx)
 				continue
 			case ae.Code == api.CodeNotFound && resubmits < maxResubmits:
@@ -402,22 +299,19 @@ func (e *QueueExecutor) submit(ctx context.Context, sub api.JobSubmit) (string, 
 		}
 		switch {
 		case !typed:
-			if misses++; misses >= transportFailoverAfter && e.numTargets() > 1 {
-				e.failover(out.base, "")
-				misses = 0
-			}
+			e.targets.missed(&misses, out.base)
 			retry.Sleep(ctx)
 		case ae.Code == api.CodeNotLeader:
 			// A standby (or fenced ex-primary) answered: go where it
 			// points.
-			e.failover(out.base, ae.Primary)
+			e.targets.failover(out.base, ae.Primary)
 			retry.SleepAtLeast(ctx, time.Duration(ae.RetryAfterNS))
 		case ae.Code == api.CodeQueueFull, ae.Code == api.CodeRateLimited:
 			retry.SleepAtLeast(ctx, time.Duration(ae.RetryAfterNS))
-		case ae.Code == api.CodeDraining && e.numTargets() > 1:
+		case ae.Code == api.CodeDraining && e.targets.size() > 1:
 			// With a failover list, a draining broker is a hop, not a
 			// fatal config error (which it stays for single-target runs).
-			e.failover(out.base, "")
+			e.targets.failover(out.base, "")
 			retry.SleepAtLeast(ctx, time.Duration(ae.RetryAfterNS))
 		default:
 			return "", out.err
@@ -465,9 +359,9 @@ func (e *QueueExecutor) ship(batch []*submitWaiter) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), submitShipTimeout)
 	defer cancel()
-	base := e.baseNow()
+	base := e.targets.now()
 	var rep api.SubmitBatchReply
-	err := postJSON(ctx, e.client, base+SubmitBatchPath, req, &rep)
+	err := PostJSON(ctx, e.client, base+SubmitBatchPath, req, &rep)
 	if err == nil && len(rep.Jobs) != len(batch) {
 		err = fmt.Errorf("batch submit answered %d of %d jobs", len(rep.Jobs), len(batch))
 	}
@@ -485,29 +379,15 @@ func (e *QueueExecutor) ship(batch []*submitWaiter) {
 
 // jobStatus long-polls one job's status against base.
 func (e *QueueExecutor) jobStatus(ctx context.Context, base, id string) (api.JobStatus, error) {
-	url := fmt.Sprintf("%s%s?id=%s&wait=%d", base, JobStatusPath, id, int(statusPollWait.Seconds()))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return api.JobStatus{}, err
-	}
-	resp, err := e.client.Do(req)
-	if err != nil {
-		return api.JobStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return api.JobStatus{}, decodeError(resp)
-	}
 	var st api.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return api.JobStatus{}, fmt.Errorf("decode status: %w", err)
-	}
-	return st, nil
+	url := fmt.Sprintf("%s%s?id=%s&wait=%d", base, JobStatusPath, id, int(statusPollWait.Seconds()))
+	err := getJSON(ctx, e.client, url, &st)
+	return st, err
 }
 
 // cancel best-effort cancels an abandoned job.
 func (e *QueueExecutor) cancel(id string) {
 	ctx, done := context.WithTimeout(context.Background(), 5*time.Second)
 	defer done()
-	postJSON(ctx, e.client, e.baseNow()+CancelPath, api.CancelRequest{Proto: api.Version, ID: id}, nil)
+	PostJSON(ctx, e.client, e.targets.now()+CancelPath, api.CancelRequest{Proto: api.Version, ID: id}, nil)
 }

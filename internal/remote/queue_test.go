@@ -96,7 +96,7 @@ func newRawWorker(t *testing.T, base, name string) *rawWorker {
 
 func (w *rawWorker) post(path string, req, out any) {
 	w.t.Helper()
-	if err := postJSON(context.Background(), http.DefaultClient, w.base+path, req, out); err != nil {
+	if err := PostJSON(context.Background(), http.DefaultClient, w.base+path, req, out); err != nil {
 		w.t.Fatal(err)
 	}
 }
@@ -160,7 +160,7 @@ func TestQueueLeaseExpiryRecoversTask(t *testing.T) {
 	if got.res.Text != want.Text || string(got.res.Data) != string(want.Data) || got.res.Err != want.Err {
 		t.Fatalf("recovered result diverged from local: %+v vs %+v", got.res, want)
 	}
-	if st := bs.Broker().Stats(); st.Requeues == 0 {
+	if st := bs.Broker().Metrics(); st.Requeues == 0 {
 		t.Fatalf("no requeue recorded: %+v", st)
 	}
 }
@@ -214,7 +214,7 @@ func TestQueueHedgedDuplicateIsCacheHit(t *testing.T) {
 	if rep.Accepted || !rep.Duplicate || !rep.CacheHit {
 		t.Fatalf("straggler's reply %+v, want duplicate cache hit", rep)
 	}
-	st := bs.Broker().Stats()
+	st := bs.Broker().Metrics()
 	if st.Hedges != 1 || st.Duplicates != 1 || st.DupCacheHits != 1 {
 		t.Fatalf("stats %+v, want exactly one hedge and one byte-identical duplicate", st)
 	}
@@ -291,7 +291,7 @@ func TestBrokerStatusAndDrain(t *testing.T) {
 		t.Fatalf("dial of draining broker: %v", err)
 	}
 	// Submissions and registrations are refused with the typed code.
-	err := postJSON(context.Background(), http.DefaultClient, ts.URL+SubmitPath, api.JobSubmit{
+	err := PostJSON(context.Background(), http.DefaultClient, ts.URL+SubmitPath, api.JobSubmit{
 		Proto: api.Version,
 		Tasks: []api.TaskSpec{{Proto: api.Version, Job: "mono0", Shard: api.MonolithShard}},
 	}, nil)
@@ -299,7 +299,7 @@ func TestBrokerStatusAndDrain(t *testing.T) {
 	if !ok || ae.Code != api.CodeDraining || !ae.Retryable {
 		t.Fatalf("submit to draining broker: %v", err)
 	}
-	err = postJSON(context.Background(), http.DefaultClient, ts.URL+HelloPath,
+	err = PostJSON(context.Background(), http.DefaultClient, ts.URL+HelloPath,
 		api.WorkerHello{Proto: api.Version, Name: "late", Capacity: 1}, nil)
 	if ae, ok := api.AsError(err); !ok || ae.Code != api.CodeDraining {
 		t.Fatalf("hello to draining broker: %v", err)
@@ -313,14 +313,14 @@ func TestQueueTypedErrorsEndToEnd(t *testing.T) {
 	_, ts := startBroker(t, queue.Config{})
 
 	// An empty submission is a non-retryable bad request.
-	err := postJSON(context.Background(), http.DefaultClient, ts.URL+SubmitPath,
+	err := PostJSON(context.Background(), http.DefaultClient, ts.URL+SubmitPath,
 		api.JobSubmit{Proto: api.Version}, nil)
 	if ae, ok := api.AsError(err); !ok || ae.Code != api.CodeBadRequest || ae.Retryable {
 		t.Fatalf("empty submit: %v", err)
 	}
 
 	// A worker from a different protocol revision is rejected at hello.
-	err = postJSON(context.Background(), http.DefaultClient, ts.URL+HelloPath,
+	err = PostJSON(context.Background(), http.DefaultClient, ts.URL+HelloPath,
 		api.WorkerHello{Proto: "dlexec1", Name: "old", Capacity: 1}, nil)
 	ae, ok := api.AsError(err)
 	if !ok || ae.Code != api.CodeProtoMismatch {
@@ -331,7 +331,7 @@ func TestQueueTypedErrorsEndToEnd(t *testing.T) {
 	}
 
 	// Unknown ids come back as typed not-found.
-	err = postJSON(context.Background(), http.DefaultClient, ts.URL+CancelPath,
+	err = PostJSON(context.Background(), http.DefaultClient, ts.URL+CancelPath,
 		api.CancelRequest{Proto: api.Version, ID: "j999"}, nil)
 	if ae, ok := api.AsError(err); !ok || ae.Code != api.CodeNotFound {
 		t.Fatalf("cancel unknown job: %v", err)

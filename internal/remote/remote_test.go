@@ -123,6 +123,20 @@ func TestDialRejectsProtocolMismatch(t *testing.T) {
 	}
 }
 
+// TestDialSurfacesTypedStatusRefusal: a worker whose /v1/status
+// refuses with a typed error (here: draining) fails Dial with that
+// *api.Error, not an untyped status line.
+func TestDialSurfacesTypedStatusRefusal(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		WriteError(w, api.Errf(api.CodeDraining, "worker w is draining"))
+	}))
+	defer ts.Close()
+	_, err := Dial(context.Background(), []string{ts.URL}, Options{})
+	if ae, ok := api.AsError(err); !ok || ae.Code != api.CodeDraining || ae.Msg != "worker w is draining" {
+		t.Fatalf("dial error = %v, want the worker's typed draining error", err)
+	}
+}
+
 func TestDialRejectsUnreachableWorker(t *testing.T) {
 	if _, err := Dial(context.Background(), []string{"127.0.0.1:1"}, Options{}); err == nil {
 		t.Fatal("dial must fail when a worker is unreachable")
@@ -204,7 +218,7 @@ func TestDownWorkerReprobedAfterBackoff(t *testing.T) {
 	// least-loaded sort prefers it, so this order proves the elapsed
 	// probe is dispatched ahead of the live fleet instead of starving
 	// behind it.
-	re := dial(t, Options{ReprobeAfter: time.Minute}, good.URL, flaky.URL)
+	re := dial(t, Options{}, good.URL, flaky.URL)
 	clock := time.Now()
 	re.now = func() time.Time { return clock }
 
@@ -248,10 +262,11 @@ func TestDownWorkerReprobedAfterBackoff(t *testing.T) {
 		t.Fatalf("down worker probed %d times during backoff", got-downHits)
 	}
 
-	// Heal the worker and advance past the backoff: the next run probes
-	// it, the probe succeeds, and it serves tasks again.
+	// Heal the worker and advance past the backoff (jitter keeps every
+	// window under 1.25×reprobeAfter): the next run probes it, the probe
+	// succeeds, and it serves tasks again.
 	failing.Store(false)
-	clock = clock.Add(2 * time.Minute)
+	clock = clock.Add(2 * reprobeAfter)
 	rep := run()
 	if got := execHits.Load(); got <= downHits {
 		t.Fatal("down worker never re-probed after the backoff elapsed")
@@ -344,9 +359,9 @@ func TestWorkerRefusesForeignCacheKey(t *testing.T) {
 	}
 }
 
-// TestPerWorkerInflightLimit: the client never holds more than
-// InflightPerWorker requests open against one worker, even when the
-// scheduler offers more parallelism.
+// TestPerWorkerInflightLimit: the client never holds more requests
+// open against one worker than the capacity it advertises, even when
+// the scheduler offers more parallelism.
 func TestPerWorkerInflightLimit(t *testing.T) {
 	const limit = 2
 	reg := engine.NewRegistry()
@@ -361,7 +376,7 @@ func TestPerWorkerInflightLimit(t *testing.T) {
 
 	var mu sync.Mutex
 	cur, peak := 0, 0
-	inner := NewServer(reg, "w", 8)
+	inner := NewServer(reg, "w", limit)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == ExecutePath {
 			mu.Lock()
@@ -376,7 +391,7 @@ func TestPerWorkerInflightLimit(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	re := dial(t, Options{InflightPerWorker: limit}, ts.URL)
+	re := dial(t, Options{}, ts.URL)
 	rep, err := engine.Run(reg, engine.Options{Workers: 8, Executor: re})
 	if err != nil {
 		t.Fatal(err)
@@ -395,8 +410,7 @@ func TestPerWorkerInflightLimit(t *testing.T) {
 func TestServerStatus(t *testing.T) {
 	reg := testRegistry(t)
 	ts := startWorker(t, reg, "rack7", 3)
-	re := dial(t, Options{}, ts.URL)
-	st, err := re.status(context.Background(), strings.TrimRight(ts.URL, "/"))
+	st, err := probeStatus(context.Background(), http.DefaultClient, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,13 @@
 //     (submit/poll/cancel plus the worker lease API), PullWorker
 //     attaches a registry to a broker and pulls leases, and
 //     QueueExecutor submits the scheduler's tasks through the broker.
+//     A Follower keeps a standby broker replicating a primary.
+//
+// Every client shares one core (core.go): NormalizeAddr turns a
+// "host:port" or URL flag into a base URL, a failover list carries the
+// broker list and the current target for QueueExecutor and PullWorker,
+// PostJSON and getJSON are the only request paths, and one GET
+// /v1/status probe vets a daemon before Dial or DialQueue use it.
 //
 // The wire contract is internal/api: a task ships as (job name, shard
 // index, seed, cache-key stem) — never code — and the executing worker
@@ -18,26 +25,24 @@
 // merging, seeding and caching local (see internal/engine), a report
 // produced over either transport is byte-identical to a local run.
 //
-// Failures travel as typed api.Error JSON bodies: a stable code plus a
-// Retryable flag. Clients never guess from HTTP status codes — a
-// non-retryable error fails the task immediately, a retryable one
-// excludes the failing worker and tries the rest of the fleet.
+// Failures travel as typed api.Error JSON bodies (WriteError on the
+// server, DecodeError on the client): a stable code plus a Retryable
+// flag. Clients never guess from HTTP status codes — a non-retryable
+// error fails the task immediately, a retryable one excludes the
+// failing worker and tries the rest of the fleet.
 //
 // Push endpoints (all JSON):
 //
-//	POST /v1/execute           api.TaskSpec -> api.TaskResult
-//	POST /v1/execute?stream=1  api.TaskSpec -> NDJSON api.ExecuteEvent
-//	                           (progress heartbeats, then one terminal
-//	                           result or error line)
-//	GET  /v1/status            -> api.WorkerStatus (proto, role, drain state)
+//	POST /v1/execute  api.TaskSpec -> api.TaskResult
+//	GET  /v1/status   -> api.WorkerStatus (proto, role, drain state)
 //
-// Queue endpoints are listed on BrokerServer.
+// Live progress travels on the queue side only: pull workers piggyback
+// heartbeats on lease renewals and the broker serves them at
+// /v2/fleet. Queue endpoints are listed on BrokerServer.
 package remote
 
 import (
-	"encoding/json"
 	"net/http"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/api"
@@ -114,16 +119,15 @@ func (s *Server) Drain() { s.draining.Store(true) }
 // serve the task.
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, api.Errf(api.CodeDraining, "worker %s is draining", s.name))
+		WriteError(w, api.Errf(api.CodeDraining, "worker %s is draining", s.name))
 		return
 	}
 	var spec api.TaskSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, api.Errf(api.CodeBadRequest, "bad task spec: %v", err))
+	if !decodeInto(w, r, &spec) {
 		return
 	}
 	if err := spec.Validate(); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 
@@ -142,64 +146,19 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 
 	// r.Context() cancels the execution when the client disconnects, so
 	// an aborted scheduler does not leave orphaned work running.
-	if r.URL.Query().Get("stream") == "1" {
-		s.executeStream(w, r, spec)
-		return
-	}
 	res, err := s.exec.Execute(r.Context(), spec)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(res)
-}
-
-// executeStream runs one task with live progress: an NDJSON stream of
-// api.ExecuteEvent lines — heartbeats while the task computes, then
-// exactly one terminal line. Because the 200 header is committed before
-// the task finishes, failures after that point travel in-band as a
-// typed error event rather than an HTTP status.
-func (s *Server) executeStream(w http.ResponseWriter, r *http.Request, spec api.TaskSpec) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	var mu sync.Mutex // progress and the terminal event race otherwise
-	emit := func(ev api.ExecuteEvent) {
-		mu.Lock()
-		defer mu.Unlock()
-		enc.Encode(ev)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	var res api.TaskResult
-	var err error
-	if se, ok := s.exec.(engine.StreamExecutor); ok {
-		res, err = se.ExecuteStream(r.Context(), spec, func(p api.TaskProgress) {
-			emit(api.ExecuteEvent{Progress: &p})
-		})
-	} else {
-		res, err = s.exec.Execute(r.Context(), spec)
-	}
-	if err != nil {
-		ae, ok := api.AsError(err)
-		if !ok {
-			ae = api.Errf(api.CodeInternal, "%v", err)
-		}
-		emit(api.ExecuteEvent{Err: ae})
-		return
-	}
-	emit(api.ExecuteEvent{Result: &res})
+	reply(w, res)
 }
 
 // handleStatus reports the worker's identity, registry, load, protocol
 // and drain state, so schedulers and operators see compatibility and
 // availability before dispatching anything.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st := api.WorkerStatus{
+	reply(w, api.WorkerStatus{
 		Proto:     api.Version,
 		Name:      s.name,
 		Role:      "worker",
@@ -209,7 +168,5 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Capacity:  s.capacity,
 		Inflight:  int(s.inflight.Load()),
 		Completed: s.completed.Load(),
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(st)
+	})
 }

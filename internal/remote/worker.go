@@ -66,11 +66,10 @@ type PullWorker struct {
 	exec     engine.Executor
 	capacity int
 	client   *http.Client
-	seed     int64 // jitter seed, derived from name
+	seed     int64    // jitter seed, derived from name
+	targets  *targets // broker failover list
 
 	mu       sync.Mutex
-	targets  []string // failover list; targets[cur] is the current broker
-	cur      int
 	workerID string
 	ttl      time.Duration
 	progress map[string]*api.TaskProgress // latest heartbeat per active lease
@@ -83,8 +82,8 @@ func NewPullWorker(addr string, reg *engine.Registry, opts WorkerOptions) *PullW
 	if opts.Capacity <= 0 {
 		panic("remote: pull worker capacity must be positive")
 	}
-	targets := splitTargets(addr)
-	if len(targets) == 0 {
+	tg := newTargets(addr)
+	if tg == nil {
 		panic("remote: pull worker needs a broker address")
 	}
 	exec := opts.Executor
@@ -92,7 +91,7 @@ func NewPullWorker(addr string, reg *engine.Registry, opts WorkerOptions) *PullW
 		exec = engine.NewNamedLocalExecutor(reg, opts.Name)
 	}
 	return &PullWorker{
-		targets:  targets,
+		targets:  tg,
 		name:     opts.Name,
 		exec:     exec,
 		capacity: opts.Capacity,
@@ -100,13 +99,6 @@ func NewPullWorker(addr string, reg *engine.Registry, opts WorkerOptions) *PullW
 		seed:     backoff.SeedString(opts.Name),
 		progress: make(map[string]*api.TaskProgress),
 	}
-}
-
-func orDefaultClient(c *http.Client) *http.Client {
-	if c == nil {
-		return &http.Client{}
-	}
-	return c
 }
 
 // Run registers with the broker and works leases until ctx cancels,
@@ -121,7 +113,7 @@ func orDefaultClient(c *http.Client) *http.Client {
 // as expiry followed by requeue.
 func (p *PullWorker) Run(ctx context.Context) error {
 	if err := p.helloAnywhere(ctx); err != nil {
-		return fmt.Errorf("remote: broker %s: %w", p.baseNow(), err)
+		return fmt.Errorf("remote: broker %s: %w", p.targets.now(), err)
 	}
 	retry := pollRetry.New(p.seed)
 	slots := make(chan struct{}, p.capacity)
@@ -138,7 +130,7 @@ func (p *PullWorker) Run(ctx context.Context) error {
 		if ctx.Err() != nil {
 			break
 		}
-		base := p.baseNow()
+		base := p.targets.now()
 		lease, err := p.pollOne(ctx)
 		if err != nil {
 			<-slots
@@ -157,15 +149,13 @@ func (p *PullWorker) Run(ctx context.Context) error {
 				case api.CodeNotLeader:
 					// A standby (or fenced ex-primary) answered: adopt the
 					// primary it names and register there.
-					p.failover(base, ae.Primary)
+					p.targets.failover(base, ae.Primary)
 					if herr := p.hello(ctx); herr == nil {
 						retry.Reset()
 						continue
 					}
 				}
-			} else if misses++; misses >= transportFailoverAfter && p.numTargets() > 1 {
-				p.failover(base, "")
-				misses = 0
+			} else if p.targets.missed(&misses, base) {
 				if herr := p.hello(ctx); herr == nil {
 					retry.Reset()
 					continue
@@ -201,61 +191,24 @@ func (p *PullWorker) id() string {
 	return p.workerID
 }
 
-// baseNow is the broker this worker currently talks to.
-func (p *PullWorker) baseNow() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.targets[p.cur]
-}
-
-func (p *PullWorker) numTargets() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.targets)
-}
-
-// failover moves off the broker at from if it is still current,
-// adopting a not_leader hint directly (joining the list if new) or
-// rotating round-robin without one.
-func (p *PullWorker) failover(from, hint string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.targets[p.cur] != from {
-		return
-	}
-	if hint != "" {
-		h := normalizeBase(hint)
-		for i, t := range p.targets {
-			if t == h {
-				p.cur = i
-				return
-			}
-		}
-		p.targets = append(p.targets, h)
-		p.cur = len(p.targets) - 1
-		return
-	}
-	p.cur = (p.cur + 1) % len(p.targets)
-}
-
 // helloAnywhere registers with the first broker in the list that
 // accepts, following not_leader hints and rotating past dead entries.
 // Startup stays strict overall: if no target accepts a registration,
 // the last error comes back.
 func (p *PullWorker) helloAnywhere(ctx context.Context) error {
 	var lastErr error
-	for i := 0; i <= p.numTargets(); i++ {
-		base := p.baseNow()
+	for i := 0; i <= p.targets.size(); i++ {
+		base := p.targets.now()
 		err := p.hello(ctx)
 		if err == nil {
 			return nil
 		}
 		lastErr = err
 		if ae, ok := api.AsError(err); ok && ae.Code == api.CodeNotLeader {
-			p.failover(base, ae.Primary)
+			p.targets.failover(base, ae.Primary)
 			continue
 		}
-		p.failover(base, "")
+		p.targets.failover(base, "")
 	}
 	return lastErr
 }
@@ -263,7 +216,7 @@ func (p *PullWorker) helloAnywhere(ctx context.Context) error {
 // hello (re-)registers with the current broker, adopting its lease TTL.
 func (p *PullWorker) hello(ctx context.Context) error {
 	var rep api.HelloReply
-	err := postJSON(ctx, p.client, p.baseNow()+HelloPath,
+	err := PostJSON(ctx, p.client, p.targets.now()+HelloPath,
 		api.WorkerHello{Proto: api.Version, Name: p.name, Capacity: p.capacity}, &rep)
 	if err != nil {
 		return err
@@ -406,5 +359,5 @@ func (p *PullWorker) clearProgress(id string) {
 // postBroker ships one broker message, resolving the path off the
 // current base so renews and done-reports follow a failover.
 func (p *PullWorker) postBroker(ctx context.Context, path string, req, out any) error {
-	return postJSON(ctx, p.client, p.baseNow()+path, req, out)
+	return PostJSON(ctx, p.client, p.targets.now()+path, req, out)
 }

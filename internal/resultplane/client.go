@@ -25,10 +25,10 @@ func WireKey(version, key string) string {
 	return engine.CacheVersionTag(version) + "|" + key
 }
 
-// Client talks to a result plane over HTTP. The zero OpTimeout and
-// ClaimTTL default sensibly; every method degrades on transport
-// failure (miss or no-op), never blocking a computation on plane
-// health.
+// Client talks to a result plane over HTTP. The zero OpTimeout
+// defaults sensibly and claims run for the plane's default TTL; every
+// method degrades on transport failure (miss or no-op), never blocking
+// a computation on plane health.
 type Client struct {
 	// Base is the plane address, e.g. "http://host:9321".
 	Base string
@@ -39,21 +39,20 @@ type Client struct {
 	// HTTPClient, when non-nil, overrides http.DefaultClient (the seam
 	// fault-injection transports hook into).
 	HTTPClient *http.Client
-	// ClaimTTL is requested on Claim (0 → server default).
-	ClaimTTL time.Duration
 	// OpTimeout bounds one plane round-trip (0 → 10s). Long-poll waits
 	// get their own window on top.
 	OpTimeout time.Duration
 }
 
-// NewClient returns a plane client with a host-and-pid claim owner.
-func NewClient(base, version string) *Client {
+// NewClient returns a client for the plane at addr ("host:port" or a
+// full URL) with a host-and-pid claim owner.
+func NewClient(addr, version string) *Client {
 	host, _ := os.Hostname()
 	if host == "" {
 		host = "anon"
 	}
 	return &Client{
-		Base:    strings.TrimRight(base, "/"),
+		Base:    remote.NormalizeAddr(addr),
 		Version: version,
 		Owner:   fmt.Sprintf("%s/%d", host, os.Getpid()),
 	}
@@ -166,10 +165,7 @@ func (c *Client) Put(ctx context.Context, e api.CacheEntry) error {
 
 // Claim asks the plane who computes key.
 func (c *Client) Claim(ctx context.Context, key string) (api.ClaimReply, error) {
-	req := api.ClaimRequest{
-		Proto: api.Version, Key: WireKey(c.Version, key),
-		Owner: c.Owner, TTLNS: c.ClaimTTL.Nanoseconds(),
-	}
+	req := api.ClaimRequest{Proto: api.Version, Key: WireKey(c.Version, key), Owner: c.Owner}
 	ctx, cancel := context.WithTimeout(ctx, c.opTimeout())
 	defer cancel()
 	var rep api.ClaimReply
@@ -187,29 +183,6 @@ func (c *Client) Lookup(ctx context.Context, key string) (api.CachedResult, bool
 		return api.CachedResult{}, false
 	}
 	return e.Result, true
-}
-
-// Status probes the plane daemon's identity endpoint.
-func (c *Client) Status(ctx context.Context) (api.WorkerStatus, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.opTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v1/status", nil)
-	if err != nil {
-		return api.WorkerStatus{}, err
-	}
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return api.WorkerStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return api.WorkerStatus{}, remote.DecodeError(resp)
-	}
-	var ws api.WorkerStatus
-	if err := json.NewDecoder(resp.Body).Decode(&ws); err != nil {
-		return api.WorkerStatus{}, err
-	}
-	return ws, nil
 }
 
 // EngineCache adapts a plane Client to the engine's RemoteCache seam:

@@ -6,7 +6,7 @@
 // The latency model is command-level (replacing the paper's gem5+CACTI
 // stack): every quantity is derived from DDR4 timing parameters and the
 // mitigation mechanics, with the calibration constants documented next to
-// each formula and recorded in EXPERIMENTS.md.
+// each formula.
 package sim
 
 import (

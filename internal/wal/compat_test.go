@@ -72,13 +72,21 @@ func copyDir(t *testing.T, src, dst string) {
 // state, the disk cache's contents and the plane's ETags.
 type storeDump struct {
 	Jobs         map[string]string `json:"jobs"`
-	Stats        queue.Stats       `json:"stats"`
+	Stats        brokerCensus      `json:"stats"`
 	Replay       [4]int            `json:"replay"`
 	Snapshot     string            `json:"snapshot"`
 	CacheLen     int               `json:"cache_len"`
 	Cache        map[string]string `json:"cache"`
 	PlaneEntries int64             `json:"plane_entries"`
 	Plane        map[string]string `json:"plane"`
+}
+
+// brokerCensus is the queue census and lifetime counters of
+// api.BrokerMetrics under the field names want.json recorded them with.
+type brokerCensus struct {
+	Pending, Leased, Workers, Jobs                             int
+	Submitted, Completed, Failed, Requeues, Hedges             int
+	Duplicates, DupCacheHits, Rejected, RateLimited, PlaneHits int
 }
 
 // missExecutor fails every task, so a cache miss surfaces as an error.
@@ -124,8 +132,15 @@ func dumpStores(dir string) (storeDump, error) {
 			d.Jobs[id] = string(raw)
 		}
 	}
-	d.Stats = b.Stats()
-	jm := b.Metrics().Journal
+	m := b.Metrics()
+	d.Stats = brokerCensus{
+		Pending: m.Pending, Leased: m.Leased, Workers: m.Workers, Jobs: m.Jobs,
+		Submitted: m.Submitted, Completed: m.Completed, Failed: m.Failed,
+		Requeues: m.Requeues, Hedges: m.Hedges, Duplicates: m.Duplicates,
+		DupCacheHits: m.DupCacheHits, Rejected: m.Rejected,
+		RateLimited: m.RateLimited, PlaneHits: m.PlaneHits,
+	}
+	jm := m.Journal
 	d.Replay = [4]int{jm.ReplayedJobs, jm.ReplayedTasks, jm.Requeued, jm.Skipped}
 	snap, err := os.ReadFile(filepath.Join(jdir, "journal-000001.jsonl"))
 	if err != nil {
