@@ -37,10 +37,14 @@ bench-check:
 # unchanged. FuzzDecodeError covers the network error decoder every
 # remote and plane client failure goes through: never panics, typed
 # exactly when the body holds a coded api.Error, and WriteError's
-# output decodes back unchanged.
+# output decodes back unchanged. FuzzFetch covers the result-plane
+# client's entry decode: never panics, a hit only for a 200 entry with
+# the client's version, the requested key and no error, a typed
+# not_found a clean miss, any other refusal an error.
 fuzz-smoke:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
 	$(GO) test ./internal/remote/ -run '^$$' -fuzz '^FuzzDecodeError$$' -fuzztime 10s
+	$(GO) test ./internal/resultplane/ -run '^$$' -fuzz '^FuzzFetch$$' -fuzztime 10s
 
 # Loopback end-to-end gate for the remote executors: boots dramlockerd
 # on 127.0.0.1 in both topologies — push worker (-remote) and job-queue

@@ -258,49 +258,23 @@ func run(addr, preset, name string, capacity int, broker bool, pull string, bf b
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if broker {
-		w, err := parseTenantInts("-weights", bf.weights, 1)
-		if err != nil {
-			return err
-		}
-		limits, err := parseTenantInts("-max-queued-tenant", bf.maxQueuedTenant, 0)
-		if err != nil {
-			return err
-		}
-		rates, err := parseTenantInts("-max-submit-rate-tenant", bf.maxSubmitRateTenant, 0)
-		if err != nil {
-			return err
-		}
-		return runBroker(ctx, stop, addr, name, bf, pf, queue.Config{
-			LeaseTTL:            bf.leaseTTL,
-			HedgeAfter:          bf.hedgeAfter,
-			Weights:             w,
-			MaxQueued:           bf.maxQueued,
-			MaxQueuedTenant:     limits,
-			MaxSubmitRate:       bf.maxSubmitRate,
-			MaxSubmitRateTenant: rates,
-			Follower:            bf.follow != "",
-			PrimaryAddr:         bf.follow,
-		}, faults)
+	var cfg queue.Config
+	var reg *engine.Registry
+	switch {
+	case broker:
+		cfg, err = bf.config()
+	case !pf.serve:
+		reg, err = experiments.BuildRegistry(experiments.SplitList(preset))
 	}
-	if pf.serve {
-		return runPlane(ctx, stop, addr, name, pf, faults)
-	}
-
-	reg, err := experiments.BuildRegistry(experiments.SplitList(preset))
 	if err != nil {
 		return err
 	}
 
 	if pull != "" {
-		var client *http.Client
-		if faults != nil {
-			client = &http.Client{Transport: &faultinject.Transport{Inj: faults}}
-		}
 		opts := remote.WorkerOptions{
 			Name:     name,
 			Capacity: capacity,
-			Client:   client,
+			Client:   faultClient(faults),
 		}
 		if pf.attach != "" {
 			opts.Executor = planeExecutor(reg, name, pf.attach, faults)
@@ -316,37 +290,53 @@ func run(addr, preset, name string, capacity int, broker bool, pull string, bf b
 		return nil
 	}
 
-	// Push worker: bind before announcing, so ":0" resolves to a concrete
-	// port and the log line doubles as a readiness signal (the e2e gate
-	// relies on it).
+	// Server modes bind before announcing, so ":0" resolves to a
+	// concrete port and the ready line doubles as a readiness signal
+	// (the e2e gates rely on it).
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
+	}
+	defer ln.Close()
+	switch {
+	case broker:
+		return runBroker(ctx, stop, ln, name, bf, pf, cfg, faults)
+	case pf.serve:
+		return runPlane(ctx, stop, ln, name, pf, faults)
 	}
 	ws := remote.NewServer(reg, name, capacity)
 	if pf.attach != "" {
 		ws.SetExecutor(planeExecutor(reg, name, pf.attach, faults))
 		log.Printf("dramlockerd %q attached to result plane %s", name, pf.attach)
 	}
-	srv := &http.Server{Handler: faultinject.Middleware(ws, faults)}
+	// A draining push worker advertises it (schedulers route around it)
+	// and lets in-flight tasks finish.
+	return serve(ctx, stop, ln, ws, faults, ws.Drain,
+		fmt.Sprintf("dramlockerd %q serving %d jobs on %s (capacity %d, proto %s)",
+			name, reg.Len(), ln.Addr(), capacity, remote.ProtoVersion),
+		"dramlockerd: shutting down (draining in-flight tasks)")
+}
 
+// serve is every server mode's loop: it answers h behind the fault plan
+// on ln and logs ready. When ctx ends it releases the signal handler (a
+// second Ctrl-C hard-exits), calls drain (if any), logs shutdown and
+// gives in-flight requests 30 s to finish.
+func serve(ctx context.Context, stop context.CancelFunc, ln net.Listener, h http.Handler, faults *faultinject.Injector, drain func(), ready, shutdown string) error {
+	srv := &http.Server{Handler: faultinject.Middleware(h, faults)}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
-	log.Printf("dramlockerd %q serving %d jobs on %s (capacity %d, proto %s)",
-		name, reg.Len(), ln.Addr(), capacity, remote.ProtoVersion)
+	log.Print(ready)
 
 	select {
 	case err := <-errCh:
 		return err
 	case <-ctx.Done():
 	}
-
-	// Drain: advertise it (schedulers route around a draining worker),
-	// let in-flight tasks finish, bound the wait; releasing the signal
-	// handler here means a second Ctrl-C hard-exits immediately.
 	stop()
-	ws.Drain()
-	log.Printf("dramlockerd: shutting down (draining in-flight tasks)")
+	if drain != nil {
+		drain()
+	}
+	log.Print(shutdown)
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -355,18 +345,41 @@ func run(addr, preset, name string, capacity int, broker bool, pull string, bf b
 	return nil
 }
 
-// runBroker serves the job queue until a signal, then drains. With a
-// journal dir the backlog is crash-safe: submissions, completions and
-// cancels are journaled (fsynced before the reply) and replayed on the
-// next startup.
-func runBroker(ctx context.Context, stop context.CancelFunc, addr, name string, bf brokerFlags, pf planeFlags, cfg queue.Config, faults *faultinject.Injector) error {
-	journalDir := bf.journalDir
-	ln, err := net.Listen("tcp", addr)
+// config builds the broker's queue configuration from its flags.
+func (bf brokerFlags) config() (queue.Config, error) {
+	w, err := parseTenantInts("-weights", bf.weights, 1)
 	if err != nil {
-		return err
+		return queue.Config{}, err
 	}
-	if journalDir != "" {
-		jl, err := queue.OpenJournal(journalDir, bf.journalMaxBytes)
+	limits, err := parseTenantInts("-max-queued-tenant", bf.maxQueuedTenant, 0)
+	if err != nil {
+		return queue.Config{}, err
+	}
+	rates, err := parseTenantInts("-max-submit-rate-tenant", bf.maxSubmitRateTenant, 0)
+	if err != nil {
+		return queue.Config{}, err
+	}
+	return queue.Config{
+		LeaseTTL:            bf.leaseTTL,
+		HedgeAfter:          bf.hedgeAfter,
+		Weights:             w,
+		MaxQueued:           bf.maxQueued,
+		MaxQueuedTenant:     limits,
+		MaxSubmitRate:       bf.maxSubmitRate,
+		MaxSubmitRateTenant: rates,
+		Follower:            bf.follow != "",
+		PrimaryAddr:         bf.follow,
+	}, nil
+}
+
+// runBroker serves the job queue on ln until a signal, then drains:
+// new submissions and registrations are refused while the backlog keeps
+// flowing. With a journal dir the backlog is crash-safe: submissions,
+// completions and cancels are journaled (fsynced before the reply) and
+// replayed on the next startup.
+func runBroker(ctx context.Context, stop context.CancelFunc, ln net.Listener, name string, bf brokerFlags, pf planeFlags, cfg queue.Config, faults *faultinject.Injector) error {
+	if bf.journalDir != "" {
+		jl, err := queue.OpenJournal(bf.journalDir, bf.journalMaxBytes)
 		if err != nil {
 			return err
 		}
@@ -379,6 +392,7 @@ func runBroker(ctx context.Context, stop context.CancelFunc, addr, name string, 
 	// at submit — zero leases for warm work.
 	var store *resultplane.Store
 	if pf.serve {
+		var err error
 		if store, err = resultplane.Open(pf.dir); err != nil {
 			return err
 		}
@@ -389,7 +403,7 @@ func runBroker(ctx context.Context, stop context.CancelFunc, addr, name string, 
 	b := queue.New(cfg)
 	if m := b.Metrics(); m.Journal != nil {
 		log.Printf("dramlockerd: journal %s: replayed %d jobs / %d tasks (%d requeued, %d completed, %d lines skipped)",
-			journalDir, m.Journal.ReplayedJobs, m.Journal.ReplayedTasks,
+			bf.journalDir, m.Journal.ReplayedJobs, m.Journal.ReplayedTasks,
 			m.Journal.Requeued, m.Completed, m.Journal.Skipped)
 	}
 	bs := remote.NewBrokerServer(b, name)
@@ -406,18 +420,14 @@ func runBroker(ctx context.Context, stop context.CancelFunc, addr, name string, 
 	}
 	// Hot standby: replicate the primary's journal into this broker and
 	// arm the promotion paths (/v2/promote, SIGUSR1, silence timeout)
-	// before the listener opens, so a promote cannot race the mux.
+	// before the listener serves, so a promote cannot race the mux.
 	if bf.follow != "" {
 		adv := bf.advertise
 		if adv == "" {
 			adv = ln.Addr().String()
 		}
-		var fclient *http.Client
-		if faults != nil {
-			fclient = &http.Client{Transport: &faultinject.Transport{Inj: faults}}
-		}
 		fol := remote.NewFollower(b, bf.follow, remote.FollowerOptions{
-			Client:        fclient,
+			Client:        faultClient(faults),
 			TakeoverAfter: bf.takeoverAfter,
 			Name:          name,
 			Advertise:     adv,
@@ -442,65 +452,38 @@ func runBroker(ctx context.Context, stop context.CancelFunc, addr, name string, 
 		log.Printf("dramlockerd %q standby following %s (takeover-after %v, advertise %s)",
 			name, bf.follow, bf.takeoverAfter, adv)
 	}
-	srv := &http.Server{Handler: faultinject.Middleware(handler, faults)}
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	log.Printf("dramlockerd %q brokering on %s (lease %v, hedge %v, proto %s)",
-		name, ln.Addr(), cfg.LeaseTTL, cfg.HedgeAfter, remote.ProtoVersion)
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	bs.Drain()
-	log.Printf("dramlockerd: broker draining (no new submissions)")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return serve(ctx, stop, ln, handler, faults, bs.Drain,
+		fmt.Sprintf("dramlockerd %q brokering on %s (lease %v, hedge %v, proto %s)",
+			name, ln.Addr(), cfg.LeaseTTL, cfg.HedgeAfter, remote.ProtoVersion),
+		"dramlockerd: broker draining (no new submissions)")
 }
 
-// runPlane serves a standalone result plane until a signal. The plane
-// has no drain protocol — entries are immutable objects and every
+// runPlane serves a standalone result plane on ln until a signal. The
+// plane has no drain protocol — entries are immutable objects and every
 // client degrades to local compute when it vanishes — so shutdown just
 // stops the listener and seals the store.
-func runPlane(ctx context.Context, stop context.CancelFunc, addr, name string, pf planeFlags, faults *faultinject.Injector) error {
+func runPlane(ctx context.Context, stop context.CancelFunc, ln net.Listener, name string, pf planeFlags, faults *faultinject.Injector) error {
 	store, err := resultplane.Open(pf.dir)
 	if err != nil {
 		return err
 	}
 	defer store.Close()
 	store.SetLimits(pf.maxBytes, pf.ttl)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	ps := resultplane.NewServer(store, name)
-	srv := &http.Server{Handler: faultinject.Middleware(ps.Handler(), faults)}
+	return serve(ctx, stop, ln, resultplane.NewServer(store, name).Handler(), faults, nil,
+		fmt.Sprintf("dramlockerd %q result plane on %s (%d entries, version %s, proto %s)",
+			name, ln.Addr(), store.Metrics().Entries, experiments.CacheVersion, remote.ProtoVersion),
+		"dramlockerd: result plane shutting down")
+}
 
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	log.Printf("dramlockerd %q result plane on %s (%d entries, version %s, proto %s)",
-		name, ln.Addr(), store.Metrics().Entries, experiments.CacheVersion, remote.ProtoVersion)
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
+// faultClient is the HTTP client of every outbound caller — the pull
+// worker, the follower and the plane client: nil (the caller's default)
+// without a fault plan, else one that injects the plan's client.*
+// faults.
+func faultClient(faults *faultinject.Injector) *http.Client {
+	if faults == nil {
+		return nil
 	}
-	stop()
-	log.Printf("dramlockerd: result plane shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return &http.Client{Transport: &faultinject.Transport{Inj: faults}}
 }
 
 // planeExecutor stacks the plane-attached cache over the local
@@ -509,9 +492,7 @@ func runPlane(ctx context.Context, stop context.CancelFunc, addr, name string, p
 // each key's computation single-flighted across the whole fleet.
 func planeExecutor(reg *engine.Registry, name, addr string, faults *faultinject.Injector) engine.Executor {
 	c := resultplane.NewClient(addr, experiments.CacheVersion)
-	if faults != nil {
-		c.HTTPClient = &http.Client{Transport: &faultinject.Transport{Inj: faults}}
-	}
+	c.HTTPClient = faultClient(faults)
 	cache := engine.NewCache()
 	cache.SetRemote(&resultplane.EngineCache{C: c})
 	return &engine.CachingExecutor{Exec: engine.NewNamedLocalExecutor(reg, name), Cache: cache}

@@ -4,7 +4,7 @@ package api
 // (task lists) to a broker; workers register, pull leases, and report
 // results. All dispatch is pull-based — the broker never connects to a
 // worker — so membership is dynamic: a worker exists exactly as long as
-// it keeps polling or heartbeating.
+// it keeps polling, renewing its leases or reporting results.
 
 // DefaultTenant is the fairness bucket of submissions that name none.
 const DefaultTenant = "default"
@@ -158,14 +158,6 @@ type HelloReply struct {
 	// LeaseTTLNS is the lease duration: a worker must renew (or finish)
 	// a lease within this window or the broker requeues the task.
 	LeaseTTLNS int64 `json:"lease_ttl_ns"`
-}
-
-// Heartbeat keeps a worker's membership alive between polls (polling
-// itself also counts). A worker silent for several TTLs is expired: its
-// leases requeue and its registration is dropped.
-type Heartbeat struct {
-	Proto    string `json:"proto"`
-	WorkerID string `json:"worker_id"`
 }
 
 // DrainRequest announces a worker is shutting down: the broker stops

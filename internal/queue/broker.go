@@ -18,8 +18,9 @@
 //     death needs no failure detector beyond the clock.
 //
 //   - Dynamic membership. Workers register (Hello), stay alive by
-//     polling or heartbeating, and leave by draining. A silent worker
-//     expires after a few TTLs and its leases requeue.
+//     polling, renewing leases and reporting results, and leave by
+//     draining. A silent worker expires after a few TTLs and its
+//     leases requeue.
 //
 //   - Hedged re-dispatch. When a poller has capacity and the queue is
 //     empty, a task whose lease has been outstanding longer than the
@@ -58,7 +59,7 @@ const (
 )
 
 // workerExpiryTTLs scales LeaseTTL into how long a worker may stay
-// completely silent (no poll, heartbeat, renew or done) before its
+// completely silent (no poll, renew or done) before its
 // registration and leases are dropped.
 const workerExpiryTTLs = 3
 
@@ -813,25 +814,6 @@ func (b *Broker) Hello(h api.WorkerHello) (api.HelloReply, error) {
 		WorkerID:   w.id,
 		LeaseTTLNS: int64(b.cfg.LeaseTTL),
 	}, nil
-}
-
-// Heartbeat refreshes a worker's liveness.
-func (b *Broker) Heartbeat(hb api.Heartbeat) error {
-	if err := api.CheckProto(hb.Proto); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.roleGateLocked(); err != nil {
-		return err
-	}
-	b.sweep()
-	w := b.workers[hb.WorkerID]
-	if w == nil {
-		return api.WorkerNotFound(hb.WorkerID)
-	}
-	w.lastSeen = b.now()
-	return nil
 }
 
 // Drain marks a worker as leaving: no new leases are offered to it; its

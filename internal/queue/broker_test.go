@@ -418,9 +418,9 @@ func TestDrainStopsDispatch(t *testing.T) {
 	}
 }
 
-// TestSilentWorkerExpiresAndTasksRequeue: a worker that stops polling,
-// heartbeating and renewing is dropped after the membership timeout and
-// its leases requeue to the live fleet.
+// TestSilentWorkerExpiresAndTasksRequeue: a worker that stops polling
+// and renewing is dropped after the membership timeout and its leases
+// requeue to the live fleet.
 func TestSilentWorkerExpiresAndTasksRequeue(t *testing.T) {
 	clk := newClock()
 	b := newBroker(t, Config{LeaseTTL: time.Minute}, clk) // worker expiry 3m
@@ -430,10 +430,11 @@ func TestSilentWorkerExpiresAndTasksRequeue(t *testing.T) {
 	if ls := poll(t, b, dead, 1); len(ls) != 1 {
 		t.Fatalf("lease: %+v", ls)
 	}
-	// The live worker heartbeats; the dead one goes silent.
+	// The live worker renews (holding no lease, so a poll cannot take
+	// the requeued task early); the dead one goes silent.
 	for i := 0; i < 4; i++ {
 		clk.advance(time.Minute)
-		if err := b.Heartbeat(api.Heartbeat{Proto: api.Version, WorkerID: live}); err != nil {
+		if _, err := b.Renew(api.LeaseRenew{Proto: api.Version, WorkerID: live}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -513,8 +514,8 @@ func TestUnknownIDsAreTypedNotFound(t *testing.T) {
 	if _, err := b.Status("j999"); !isCode(err, api.CodeNotFound) {
 		t.Fatalf("status: %v", err)
 	}
-	if err := b.Heartbeat(api.Heartbeat{Proto: api.Version, WorkerID: "w999"}); !isCode(err, api.CodeNotFound) {
-		t.Fatalf("heartbeat: %v", err)
+	if _, err := b.Renew(api.LeaseRenew{Proto: api.Version, WorkerID: "w999"}); !isCode(err, api.CodeNotFound) {
+		t.Fatalf("renew: %v", err)
 	}
 	w := hello(t, b, "w1")
 	_, err := b.Done(api.TaskDone{Proto: api.Version, WorkerID: w, LeaseID: "l999",

@@ -19,7 +19,6 @@ const (
 	JobStatusPath   = "/v2/job"         // GET ?id=...[&wait=seconds] -> api.JobStatus
 	CancelPath      = "/v2/cancel"      // POST api.CancelRequest -> {}
 	HelloPath       = "/v2/hello"       // POST api.WorkerHello -> api.HelloReply
-	HeartbeatPath   = "/v2/heartbeat"   // POST api.Heartbeat -> {}
 	DrainPath       = "/v2/drain"       // POST api.DrainRequest -> {}
 	PollPath        = "/v2/poll"        // POST api.PollRequest -> api.PollReply (long poll)
 	RenewPath       = "/v2/renew"       // POST api.LeaseRenew -> api.RenewReply
@@ -79,7 +78,6 @@ func NewBrokerServer(b *queue.Broker, name string) *BrokerServer {
 	s.mux.HandleFunc("GET "+JobStatusPath, s.handleJobStatus)
 	s.mux.HandleFunc("POST "+CancelPath, s.handleCancel)
 	s.mux.HandleFunc("POST "+HelloPath, s.handleHello)
-	s.mux.HandleFunc("POST "+HeartbeatPath, s.handleHeartbeat)
 	s.mux.HandleFunc("POST "+DrainPath, s.handleDrain)
 	s.mux.HandleFunc("POST "+PollPath, s.handlePoll)
 	s.mux.HandleFunc("POST "+RenewPath, s.handleRenew)
@@ -146,7 +144,7 @@ func (s *BrokerServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sub api.JobSubmit
-	if !decodeInto(w, r, &sub) {
+	if !DecodeInto(w, r, &sub) {
 		return
 	}
 	rep, err := s.b.Submit(sub)
@@ -154,7 +152,7 @@ func (s *BrokerServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, err)
 		return
 	}
-	reply(w, rep)
+	Reply(w, rep)
 }
 
 func (s *BrokerServer) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
@@ -163,7 +161,7 @@ func (s *BrokerServer) handleSubmitBatch(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	var bt api.JobSubmitBatch
-	if !decodeInto(w, r, &bt) {
+	if !DecodeInto(w, r, &bt) {
 		return
 	}
 	rep, err := s.b.SubmitBatch(bt)
@@ -171,11 +169,11 @@ func (s *BrokerServer) handleSubmitBatch(w http.ResponseWriter, r *http.Request)
 		WriteError(w, err)
 		return
 	}
-	reply(w, rep)
+	Reply(w, rep)
 }
 
 func (s *BrokerServer) handleFleet(w http.ResponseWriter, r *http.Request) {
-	reply(w, s.b.Fleet())
+	Reply(w, s.b.Fleet())
 }
 
 func (s *BrokerServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -184,12 +182,7 @@ func (s *BrokerServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pm := s.planeMetrics()
 		m.Plane = &pm
 	}
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WritePrometheus(w, m)
-		return
-	}
-	reply(w, m)
+	ServeMetrics(w, r, m)
 }
 
 func (s *BrokerServer) handleJobStatus(w http.ResponseWriter, r *http.Request) {
@@ -208,19 +201,19 @@ func (s *BrokerServer) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, err)
 		return
 	}
-	reply(w, st)
+	Reply(w, st)
 }
 
 func (s *BrokerServer) handleCancel(w http.ResponseWriter, r *http.Request) {
 	var req api.CancelRequest
-	if !decodeInto(w, r, &req) {
+	if !DecodeInto(w, r, &req) {
 		return
 	}
 	if err := s.b.Cancel(req); err != nil {
 		WriteError(w, err)
 		return
 	}
-	reply(w, struct{}{})
+	Reply(w, struct{}{})
 }
 
 func (s *BrokerServer) handleHello(w http.ResponseWriter, r *http.Request) {
@@ -229,7 +222,7 @@ func (s *BrokerServer) handleHello(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var h api.WorkerHello
-	if !decodeInto(w, r, &h) {
+	if !DecodeInto(w, r, &h) {
 		return
 	}
 	rep, err := s.b.Hello(h)
@@ -237,36 +230,24 @@ func (s *BrokerServer) handleHello(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, err)
 		return
 	}
-	reply(w, rep)
-}
-
-func (s *BrokerServer) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var hb api.Heartbeat
-	if !decodeInto(w, r, &hb) {
-		return
-	}
-	if err := s.b.Heartbeat(hb); err != nil {
-		WriteError(w, err)
-		return
-	}
-	reply(w, struct{}{})
+	Reply(w, rep)
 }
 
 func (s *BrokerServer) handleDrain(w http.ResponseWriter, r *http.Request) {
 	var d api.DrainRequest
-	if !decodeInto(w, r, &d) {
+	if !DecodeInto(w, r, &d) {
 		return
 	}
 	if err := s.b.Drain(d); err != nil {
 		WriteError(w, err)
 		return
 	}
-	reply(w, struct{}{})
+	Reply(w, struct{}{})
 }
 
 func (s *BrokerServer) handlePoll(w http.ResponseWriter, r *http.Request) {
 	var req api.PollRequest
-	if !decodeInto(w, r, &req) {
+	if !DecodeInto(w, r, &req) {
 		return
 	}
 	rep, err := s.b.Poll(r.Context(), req)
@@ -274,12 +255,12 @@ func (s *BrokerServer) handlePoll(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, err)
 		return
 	}
-	reply(w, rep)
+	Reply(w, rep)
 }
 
 func (s *BrokerServer) handleRenew(w http.ResponseWriter, r *http.Request) {
 	var req api.LeaseRenew
-	if !decodeInto(w, r, &req) {
+	if !DecodeInto(w, r, &req) {
 		return
 	}
 	rep, err := s.b.Renew(req)
@@ -287,12 +268,12 @@ func (s *BrokerServer) handleRenew(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, err)
 		return
 	}
-	reply(w, rep)
+	Reply(w, rep)
 }
 
 func (s *BrokerServer) handleDone(w http.ResponseWriter, r *http.Request) {
 	var req api.TaskDone
-	if !decodeInto(w, r, &req) {
+	if !DecodeInto(w, r, &req) {
 		return
 	}
 	rep, err := s.b.Done(req)
@@ -300,7 +281,7 @@ func (s *BrokerServer) handleDone(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, err)
 		return
 	}
-	reply(w, rep)
+	Reply(w, rep)
 }
 
 func (s *BrokerServer) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -315,7 +296,7 @@ func (s *BrokerServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 	case queue.RoleFenced:
 		role = "fenced"
 	}
-	reply(w, api.WorkerStatus{
+	Reply(w, api.WorkerStatus{
 		Proto:    api.Version,
 		Name:     s.name,
 		Role:     role,
@@ -328,7 +309,7 @@ func (s *BrokerServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *BrokerServer) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	var req api.ReplicateRequest
-	if !decodeInto(w, r, &req) {
+	if !DecodeInto(w, r, &req) {
 		return
 	}
 	if err := api.CheckProto(req.Proto); err != nil {
@@ -350,7 +331,7 @@ func (s *BrokerServer) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	case queue.RoleFenced:
 		role = "fenced"
 	}
-	reply(w, api.ReplicateReply{
+	Reply(w, api.ReplicateReply{
 		Proto: api.Version, Data: ck.Data,
 		Generation: ck.Gen, Segment: ck.Seg, Offset: ck.Off,
 		Restart:        ck.Restart,
@@ -361,7 +342,7 @@ func (s *BrokerServer) handleReplicate(w http.ResponseWriter, r *http.Request) {
 
 func (s *BrokerServer) handlePromote(w http.ResponseWriter, r *http.Request) {
 	var req api.PromoteRequest
-	if !decodeInto(w, r, &req) {
+	if !DecodeInto(w, r, &req) {
 		return
 	}
 	if err := api.CheckProto(req.Proto); err != nil {
@@ -377,7 +358,7 @@ func (s *BrokerServer) handlePromote(w http.ResponseWriter, r *http.Request) {
 			WriteError(w, err)
 			return
 		}
-		reply(w, rep)
+		Reply(w, rep)
 		return
 	}
 	epoch, requeued, err := s.b.Promote()
@@ -385,14 +366,14 @@ func (s *BrokerServer) handlePromote(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, err)
 		return
 	}
-	reply(w, api.PromoteReply{
+	Reply(w, api.PromoteReply{
 		Proto: api.Version, Epoch: epoch, Requeued: requeued, Role: "primary",
 	})
 }
 
 func (s *BrokerServer) handleFence(w http.ResponseWriter, r *http.Request) {
 	var req api.FenceRequest
-	if !decodeInto(w, r, &req) {
+	if !DecodeInto(w, r, &req) {
 		return
 	}
 	if err := api.CheckProto(req.Proto); err != nil {
@@ -410,5 +391,5 @@ func (s *BrokerServer) handleFence(w http.ResponseWriter, r *http.Request) {
 	if s.b.Role() == queue.RoleFollower {
 		role = "follower"
 	}
-	reply(w, api.FenceReply{Proto: api.Version, Epoch: s.b.Epoch(), Role: role})
+	Reply(w, api.FenceReply{Proto: api.Version, Epoch: s.b.Epoch(), Role: role})
 }

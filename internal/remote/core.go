@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -13,9 +14,17 @@ import (
 	"repro/internal/api"
 )
 
-// The client core every caller of a dlexec2 daemon shares: one address
+// The HTTP core every dlexec2 daemon and client shares: one address
 // normalizer, one broker failover list, one JSON request path (PostJSON
-// and getJSON) and one GET /v1/status probe.
+// and GetJSON), one GET /v1/status probe, and on the server side one
+// request decode and one JSON reply (httperr.go). Every body either
+// side reads is bounded at MaxBodyBytes.
+
+// MaxBodyBytes bounds every request body a daemon decodes and every
+// reply body a client decodes. A cache entry (a rendered table plus a
+// JSON payload) is the largest message and sits far below it; the
+// bound only keeps one peer from making another buffer without limit.
+const MaxBodyBytes = 64 << 20
 
 // statusTimeout bounds a /v1/status probe: a daemon must answer it
 // promptly even though its task executions may not.
@@ -143,9 +152,9 @@ func PostJSON(ctx context.Context, client *http.Client, url string, req, out any
 	return doJSON(client, hreq, out)
 }
 
-// getJSON is PostJSON's read-side twin: GET url and decode a 200 reply
+// GetJSON is PostJSON's read-side twin: GET url and decode a 200 reply
 // into out.
-func getJSON(ctx context.Context, client *http.Client, url string, out any) error {
+func GetJSON(ctx context.Context, client *http.Client, url string, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return err
@@ -153,7 +162,8 @@ func getJSON(ctx context.Context, client *http.Client, url string, out any) erro
 	return doJSON(client, req, out)
 }
 
-// doJSON sends req and decodes a 200 reply into out.
+// doJSON sends req and decodes a 200 reply of at most MaxBodyBytes
+// into out.
 func doJSON(client *http.Client, req *http.Request, out any) error {
 	resp, err := client.Do(req)
 	if err != nil {
@@ -166,10 +176,21 @@ func doJSON(client *http.Client, req *http.Request, out any) error {
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := readJSON(nil, resp.Body, out); err != nil {
 		return fmt.Errorf("decode reply: %w", err)
 	}
 	return nil
+}
+
+// readJSON decodes body into msg. A body over MaxBodyBytes fails before
+// any of it is parsed; on a server (w non-nil) the connection then
+// closes after the reply instead of draining the rest.
+func readJSON(w http.ResponseWriter, body io.ReadCloser, msg any) error {
+	data, err := io.ReadAll(http.MaxBytesReader(w, body, MaxBodyBytes))
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(data, msg)
 }
 
 // probeStatus fetches a daemon's GET /v1/status within statusTimeout.
@@ -179,7 +200,7 @@ func probeStatus(ctx context.Context, client *http.Client, base string) (api.Wor
 	ctx, cancel := context.WithTimeout(ctx, statusTimeout)
 	defer cancel()
 	var st api.WorkerStatus
-	if err := getJSON(ctx, client, base+StatusPath, &st); err != nil {
+	if err := GetJSON(ctx, client, base+StatusPath, &st); err != nil {
 		return api.WorkerStatus{}, err
 	}
 	if err := api.CheckProto(st.Proto); err != nil {

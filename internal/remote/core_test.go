@@ -1,8 +1,15 @@
 package remote
 
 import (
+	"bytes"
+	"context"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/api"
+	"repro/internal/queue"
 )
 
 // TestNormalizeAddr: every address form a flag may carry becomes one
@@ -77,5 +84,46 @@ func TestTargetsFailover(t *testing.T) {
 		if one.missed(&misses, "http://a:1") {
 			t.Fatal("a single-target list rotated")
 		}
+	}
+}
+
+// overBound is prefix + x... + suffix, MaxBodyBytes+1 bytes long: one
+// byte more than any daemon or client reads.
+func overBound(prefix, suffix string) []byte {
+	b := bytes.Repeat([]byte("x"), MaxBodyBytes+1)
+	copy(b, prefix)
+	copy(b[len(b)-len(suffix):], suffix)
+	return b
+}
+
+// TestOversizedRequestIsBadRequest: a request body one byte over
+// MaxBodyBytes is refused with a typed bad_request instead of being
+// buffered and served. The body is a /v2/done report from a registered
+// worker for an unknown lease, which would otherwise answer not_found.
+func TestOversizedRequestIsBadRequest(t *testing.T) {
+	_, ts := startBroker(t, queue.Config{})
+	w := newRawWorker(t, ts.URL, "w1")
+	body := overBound(`{"proto":"`+api.Version+`","worker_id":"`+w.id+
+		`","lease_id":"l999","result":{"proto":"`+api.Version+`","text":"`, `"}}`)
+	resp, err := http.Post(ts.URL+DonePath, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ae, ok := api.AsError(DecodeError(resp)); !ok || ae.Code != api.CodeBadRequest {
+		t.Fatalf("oversized done report: status %d, error %v", resp.StatusCode, ae)
+	}
+}
+
+// TestOversizedReplyIsAnError: a 200 reply one byte over MaxBodyBytes
+// makes the client core fail instead of buffering it.
+func TestOversizedReplyIsAnError(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(overBound(`"`, `"`))
+	}))
+	defer ts.Close()
+	var out string
+	if err := PostJSON(context.Background(), ts.Client(), ts.URL, struct{}{}, &out); err == nil {
+		t.Fatalf("decoded a %d-byte string from an oversized reply", len(out))
 	}
 }

@@ -71,18 +71,18 @@ func DecodeError(resp *http.Response) error {
 	return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
 }
 
-// decodeInto parses the request body into msg, answering malformed
-// bodies with a typed bad_request.
-func decodeInto(w http.ResponseWriter, r *http.Request, msg any) bool {
-	if err := json.NewDecoder(r.Body).Decode(msg); err != nil {
+// DecodeInto parses a request body of at most MaxBodyBytes into msg,
+// answering malformed or oversized bodies with a typed bad_request.
+func DecodeInto(w http.ResponseWriter, r *http.Request, msg any) bool {
+	if err := readJSON(w, r.Body, msg); err != nil {
 		WriteError(w, api.Errf(api.CodeBadRequest, "bad message: %v", err))
 		return false
 	}
 	return true
 }
 
-// reply writes a 200 JSON body.
-func reply(w http.ResponseWriter, msg any) {
+// Reply writes a 200 JSON body.
+func Reply(w http.ResponseWriter, msg any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(msg)
 }

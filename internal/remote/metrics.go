@@ -3,18 +3,32 @@ package remote
 import (
 	"fmt"
 	"io"
+	"net/http"
 
 	"repro/internal/api"
 )
 
-// WritePrometheus renders broker metrics in the Prometheus text
+// ServeMetrics answers GET /v2/metrics with m: the JSON schema, or
+// Prometheus text with ?format=prometheus. The broker and the
+// standalone result plane both answer through it, so scrapers see one
+// shape and one Content-Type from either daemon.
+func ServeMetrics(w http.ResponseWriter, r *http.Request, m api.BrokerMetrics) {
+	if r.URL.Query().Get("format") == "prometheus" {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		writePrometheus(w, m)
+		return
+	}
+	Reply(w, m)
+}
+
+// writePrometheus renders broker metrics in the Prometheus text
 // exposition format (version 0.0.4): the JSON schema's gauges and
 // counters as dramlocker_broker_* series, tenants as labelled series.
-// The standalone result-plane daemon serves the same schema through
-// it. Hand-rolled on purpose — the format is lines of "name{labels}
-// value" and a client dependency would be the only third-party import
-// in the repo.
-func WritePrometheus(w io.Writer, m api.BrokerMetrics) {
+// ServeMetrics renders it for the broker and the standalone result
+// plane alike. Hand-rolled on purpose — the format is lines of
+// "name{labels} value" and a client dependency would be the only
+// third-party import in the repo.
+func writePrometheus(w io.Writer, m api.BrokerMetrics) {
 	g := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}

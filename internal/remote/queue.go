@@ -381,7 +381,7 @@ func (e *QueueExecutor) ship(batch []*submitWaiter) {
 func (e *QueueExecutor) jobStatus(ctx context.Context, base, id string) (api.JobStatus, error) {
 	var st api.JobStatus
 	url := fmt.Sprintf("%s%s?id=%s&wait=%d", base, JobStatusPath, id, int(statusPollWait.Seconds()))
-	err := getJSON(ctx, e.client, url, &st)
+	err := GetJSON(ctx, e.client, url, &st)
 	return st, err
 }
 

@@ -12,11 +12,16 @@
 //     QueueExecutor submits the scheduler's tasks through the broker.
 //     A Follower keeps a standby broker replicating a primary.
 //
-// Every client shares one core (core.go): NormalizeAddr turns a
-// "host:port" or URL flag into a base URL, a failover list carries the
-// broker list and the current target for QueueExecutor and PullWorker,
-// PostJSON and getJSON are the only request paths, and one GET
-// /v1/status probe vets a daemon before Dial or DialQueue use it.
+// Clients and servers share one HTTP core (core.go, httperr.go), and so
+// does the result plane in internal/resultplane. On the client side,
+// NormalizeAddr turns a "host:port" or URL flag into a base URL, a
+// failover list carries the broker list and the current target for
+// QueueExecutor and PullWorker, PostJSON and GetJSON are the only
+// request paths, and one GET /v1/status probe vets a daemon before Dial
+// or DialQueue use it. On the server side, DecodeInto reads every JSON
+// request, Reply writes every JSON answer, WriteError every typed
+// failure and ServeMetrics every /v2/metrics scrape. Request and reply
+// bodies are bounded at MaxBodyBytes either way.
 //
 // The wire contract is internal/api: a task ships as (job name, shard
 // index, seed, cache-key stem) — never code — and the executing worker
@@ -123,7 +128,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec api.TaskSpec
-	if !decodeInto(w, r, &spec) {
+	if !DecodeInto(w, r, &spec) {
 		return
 	}
 	if err := spec.Validate(); err != nil {
@@ -151,14 +156,14 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, err)
 		return
 	}
-	reply(w, res)
+	Reply(w, res)
 }
 
 // handleStatus reports the worker's identity, registry, load, protocol
 // and drain state, so schedulers and operators see compatibility and
 // availability before dispatching anything.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	reply(w, api.WorkerStatus{
+	Reply(w, api.WorkerStatus{
 		Proto:     api.Version,
 		Name:      s.name,
 		Role:      "worker",

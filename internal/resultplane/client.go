@@ -4,11 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/api"
@@ -25,10 +23,13 @@ func WireKey(version, key string) string {
 	return engine.CacheVersionTag(version) + "|" + key
 }
 
-// Client talks to a result plane over HTTP. The zero OpTimeout
-// defaults sensibly and claims run for the plane's default TTL; every
-// method degrades on transport failure (miss or no-op), never blocking
-// a computation on plane health.
+// opTimeout bounds one plane round-trip; a long-poll wait gets its own
+// window on top.
+const opTimeout = 10 * time.Second
+
+// Client talks to a result plane over HTTP. Claims run for the plane's
+// default TTL; every method degrades on transport failure (miss or
+// no-op), never blocking a computation on plane health.
 type Client struct {
 	// Base is the plane address, e.g. "http://host:9321".
 	Base string
@@ -39,9 +40,6 @@ type Client struct {
 	// HTTPClient, when non-nil, overrides http.DefaultClient (the seam
 	// fault-injection transports hook into).
 	HTTPClient *http.Client
-	// OpTimeout bounds one plane round-trip (0 → 10s). Long-poll waits
-	// get their own window on top.
-	OpTimeout time.Duration
 }
 
 // NewClient returns a client for the plane at addr ("host:port" or a
@@ -65,21 +63,13 @@ func (c *Client) client() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *Client) opTimeout() time.Duration {
-	if c.OpTimeout > 0 {
-		return c.OpTimeout
-	}
-	return 10 * time.Second
-}
-
 // get runs one GET against the plane and returns the decoded entry.
 // ok=false with a nil error is a clean miss; an error is a transport
 // or protocol failure (callers treat both as misses, but claim loops
 // use the distinction to stop talking to a sick plane).
 func (c *Client) get(ctx context.Context, key string, wait time.Duration) (api.CacheEntry, bool, error) {
-	wire := WireKey(c.Version, key)
-	u := c.Base + GetPath + "?key=" + url.QueryEscape(wire)
-	window := c.opTimeout()
+	u := c.Base + GetPath + "?key=" + url.QueryEscape(WireKey(c.Version, key))
+	window := opTimeout
 	if wait > 0 {
 		secs := int(wait / time.Second)
 		if secs < 1 {
@@ -90,37 +80,25 @@ func (c *Client) get(ctx context.Context, key string, wait time.Duration) (api.C
 	}
 	ctx, cancel := context.WithTimeout(ctx, window)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return api.CacheEntry{}, false, err
-	}
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return api.CacheEntry{}, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		err := remote.DecodeError(resp)
+	var e api.CacheEntry
+	if err := remote.GetJSON(ctx, c.client(), u, &e); err != nil {
 		if ae, ok := api.AsError(err); ok && ae.Code == api.CodeNotFound {
 			return api.CacheEntry{}, false, nil
 		}
 		return api.CacheEntry{}, false, err
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxEntryBytes+1))
-	if err != nil {
-		return api.CacheEntry{}, false, err
-	}
-	var e api.CacheEntry
-	if err := json.Unmarshal(body, &e); err != nil {
-		return api.CacheEntry{}, false, fmt.Errorf("resultplane: decode entry: %w", err)
-	}
-	// Entries are validated client-side: a plane answering the wrong
-	// version or key (a proxy mixup, a poisoned store) is a miss, not a
-	// wrong result.
-	if e.Version != engine.CacheVersionTag(c.Version) || e.Key != key || e.Result.Err != "" {
+	if !validEntry(e, c.Version, key) {
 		return api.CacheEntry{}, false, nil
 	}
 	return e, true, nil
+}
+
+// validEntry reports whether e is a successful result stored under key
+// by code version version. Entries are validated on the reading side: a
+// plane answering the wrong version or key (a proxy mixup, a poisoned
+// store) is a miss, not a wrong result.
+func validEntry(e api.CacheEntry, version, key string) bool {
+	return e.Version == engine.CacheVersionTag(version) && e.Key == key && e.Result.Err == ""
 }
 
 // Fetch returns key's entry if the plane has it now.
@@ -133,56 +111,25 @@ func (c *Client) WaitFetch(ctx context.Context, key string, wait time.Duration) 
 	return c.get(ctx, key, wait)
 }
 
-// Put stores entry under its key.
+// Put stores entry under its key. The body is json.Marshal(entry),
+// which the plane keeps verbatim, so equal entries get equal ETags.
 func (c *Client) Put(ctx context.Context, e api.CacheEntry) error {
-	body, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	wire := WireKey(c.Version, e.Key)
-	u := c.Base + PutPath + "?key=" + url.QueryEscape(wire)
-	ctx, cancel := context.WithTimeout(ctx, c.opTimeout())
+	u := c.Base + PutPath + "?key=" + url.QueryEscape(WireKey(c.Version, e.Key))
+	ctx, cancel := context.WithTimeout(ctx, opTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, strings.NewReader(string(body)))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return remote.DecodeError(resp)
-	}
-	var rep api.PutReply
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		return fmt.Errorf("resultplane: decode put reply: %w", err)
-	}
-	return nil
+	return remote.PostJSON(ctx, c.client(), u, e, &api.PutReply{})
 }
 
 // Claim asks the plane who computes key.
 func (c *Client) Claim(ctx context.Context, key string) (api.ClaimReply, error) {
 	req := api.ClaimRequest{Proto: api.Version, Key: WireKey(c.Version, key), Owner: c.Owner}
-	ctx, cancel := context.WithTimeout(ctx, c.opTimeout())
+	ctx, cancel := context.WithTimeout(ctx, opTimeout)
 	defer cancel()
 	var rep api.ClaimReply
 	if err := remote.PostJSON(ctx, c.client(), c.Base+ClaimPath, req, &rep); err != nil {
 		return api.ClaimReply{}, err
 	}
 	return rep, nil
-}
-
-// Lookup implements the broker's result-plane seam: a plain fetch
-// returning the persisted result form. Any failure is a miss.
-func (c *Client) Lookup(ctx context.Context, key string) (api.CachedResult, bool) {
-	e, ok, err := c.Fetch(ctx, key)
-	if err != nil || !ok {
-		return api.CachedResult{}, false
-	}
-	return e.Result, true
 }
 
 // EngineCache adapts a plane Client to the engine's RemoteCache seam:
@@ -286,10 +233,7 @@ func (sp *StorePlane) Lookup(ctx context.Context, key string) (api.CachedResult,
 		return api.CachedResult{}, false
 	}
 	var e api.CacheEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return api.CachedResult{}, false
-	}
-	if e.Version != engine.CacheVersionTag(sp.Version) || e.Key != key || e.Result.Err != "" {
+	if err := json.Unmarshal(data, &e); err != nil || !validEntry(e, sp.Version, key) {
 		return api.CachedResult{}, false
 	}
 	return e.Result, true

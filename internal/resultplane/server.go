@@ -1,7 +1,6 @@
 package resultplane
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
@@ -12,19 +11,17 @@ import (
 	"repro/internal/remote"
 )
 
-// HTTP routes of the result plane. Flat paths with the key as a query
-// parameter, so the fault-injection point names derived from the last
-// path segment (server.get / server.put / server.claim and their
-// client.* mirrors) stay clean.
+// HTTP routes of the result plane, registered method-qualified like
+// the broker's, so a wrong method gets the mux's 405. Flat paths with
+// the key as a query parameter, so the fault-injection point names
+// derived from the last path segment (server.get / server.put /
+// server.claim and their client.* mirrors) stay clean. Bodies are
+// bounded at remote.MaxBodyBytes, as on every daemon route.
 const (
 	GetPath   = "/v3/get"   // GET  ?key=K[&wait=seconds]; ETag / If-None-Match
 	PutPath   = "/v3/put"   // POST ?key=K, body = api.CacheEntry JSON
 	ClaimPath = "/v3/claim" // POST api.ClaimRequest
 )
-
-// maxEntryBytes bounds one PUT body (a cache entry is a rendered table
-// plus a JSON payload — far below this; the bound is a hygiene limit).
-const maxEntryBytes = 64 << 20
 
 // maxWait clamps a long-poll GET's park time, mirroring the broker's
 // status long-poll window.
@@ -47,9 +44,9 @@ func NewServer(store *Store, name string) *Server {
 // Routes registers only the /v3 object routes on mux — the co-hosting
 // shape, where a broker already serves /v1/status and /v2/metrics.
 func (s *Server) Routes(mux *http.ServeMux) {
-	mux.HandleFunc(GetPath, s.handleGet)
-	mux.HandleFunc(PutPath, s.handlePut)
-	mux.HandleFunc(ClaimPath, s.handleClaim)
+	mux.HandleFunc("GET "+GetPath, s.handleGet)
+	mux.HandleFunc("POST "+PutPath, s.handlePut)
+	mux.HandleFunc("POST "+ClaimPath, s.handleClaim)
 }
 
 // Handler returns the standalone plane daemon's full handler: the /v3
@@ -57,17 +54,13 @@ func (s *Server) Routes(mux *http.ServeMux) {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	s.Routes(mux)
-	mux.HandleFunc("/v1/status", s.handleStatus)
-	mux.HandleFunc("/v2/metrics", s.handleMetrics)
+	mux.HandleFunc("GET "+remote.StatusPath, s.handleStatus)
+	mux.HandleFunc("GET "+remote.MetricsPath, s.handleMetrics)
 	return mux
 }
 
 // handleGet answers a conditional, optionally long-polling fetch.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		remote.WriteError(w, api.Errf(api.CodeBadRequest, "%s needs GET", GetPath))
-		return
-	}
 	key := r.URL.Query().Get("key")
 	if key == "" {
 		remote.WriteError(w, api.Errf(api.CodeBadRequest, "get needs a key"))
@@ -123,40 +116,32 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// handlePut stores one entry.
+// handlePut stores one entry. It reads the raw bytes rather than
+// decoding them: the store keeps a PUT's bytes verbatim, which is what
+// keeps an entry's ETag stable.
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		remote.WriteError(w, api.Errf(api.CodeBadRequest, "%s needs POST", PutPath))
-		return
-	}
 	key := r.URL.Query().Get("key")
 	if key == "" {
 		remote.WriteError(w, api.Errf(api.CodeBadRequest, "put needs a key"))
 		return
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxEntryBytes+1))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, remote.MaxBodyBytes))
 	if err != nil {
 		remote.WriteError(w, api.Errf(api.CodeBadRequest, "read entry: %v", err))
 		return
 	}
-	if len(data) == 0 || len(data) > maxEntryBytes {
-		remote.WriteError(w, api.Errf(api.CodeBadRequest, "entry must be 1..%d bytes, got %d", maxEntryBytes, len(data)))
+	if len(data) == 0 {
+		remote.WriteError(w, api.Errf(api.CodeBadRequest, "put needs an entry"))
 		return
 	}
 	etag, conflict := s.store.Put(key, data)
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, api.PutReply{Proto: api.Version, ETag: etag, Conflict: conflict})
+	remote.Reply(w, api.PutReply{Proto: api.Version, ETag: etag, Conflict: conflict})
 }
 
 // handleClaim arbitrates single-flight.
 func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		remote.WriteError(w, api.Errf(api.CodeBadRequest, "%s needs POST", ClaimPath))
-		return
-	}
 	var req api.ClaimRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		remote.WriteError(w, api.Errf(api.CodeBadRequest, "decode claim: %v", err))
+	if !remote.DecodeInto(w, r, &req) {
 		return
 	}
 	if err := api.CheckProto(req.Proto); err != nil {
@@ -167,34 +152,18 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		remote.WriteError(w, api.Errf(api.CodeBadRequest, "claim needs a key"))
 		return
 	}
-	rep := s.store.Claim(req.Key, req.Owner, time.Duration(req.TTLNS))
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, rep)
+	remote.Reply(w, s.store.Claim(req.Key, req.Owner, time.Duration(req.TTLNS)))
 }
 
 // handleStatus answers the standard daemon introspection probe.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, api.WorkerStatus{Proto: api.Version, Name: s.name, Role: "result-plane"})
+	remote.Reply(w, api.WorkerStatus{Proto: api.Version, Name: s.name, Role: "result-plane"})
 }
 
 // handleMetrics serves the plane's counters in the broker metrics
-// schema (Plane populated, queue fields zero) as JSON or Prometheus
-// text, so -stats and scrapers treat plane and broker uniformly.
+// schema (Plane populated, queue fields zero), so -stats and scrapers
+// treat plane and broker uniformly.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pm := s.store.Metrics()
-	m := api.BrokerMetrics{Proto: api.Version, Plane: &pm}
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		remote.WritePrometheus(w, m)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, m)
-}
-
-// writeJSON encodes v; by this point headers are committed, so encode
-// errors (a dying connection) have nowhere useful to go.
-func writeJSON(w http.ResponseWriter, v any) {
-	json.NewEncoder(w).Encode(v)
+	remote.ServeMetrics(w, r, api.BrokerMetrics{Proto: api.Version, Plane: &pm})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,8 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/engine"
+	"repro/internal/queue"
+	"repro/internal/remote"
 )
 
 func newTestPlane(t *testing.T) (*Store, *httptest.Server) {
@@ -141,6 +144,71 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsMatchBroker: a standalone plane and a broker co-hosting
+// the same store answer /v2/metrics through one responder — the same
+// Content-Type in either format, the same JSON schema and the same
+// plane series.
+func TestMetricsMatchBroker(t *testing.T) {
+	store, plane := newTestPlane(t)
+	store.Put("k", []byte(`{"x":1}`))
+	bs := remote.NewBrokerServer(queue.New(queue.Config{}), "test-broker")
+	bs.SetPlaneMetrics(store.Metrics)
+	broker := httptest.NewServer(bs)
+	t.Cleanup(broker.Close)
+
+	scrape := func(base, query string) (string, []byte) {
+		t.Helper()
+		resp, err := http.Get(base + remote.MetricsPath + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("scrape %s%s: status %d, err %v", base, query, resp.StatusCode, err)
+		}
+		return resp.Header.Get("Content-Type"), body
+	}
+	planeSeries := func(text []byte) []string {
+		var lines []string
+		for _, l := range strings.Split(string(text), "\n") {
+			if strings.Contains(l, "dramlocker_plane_") {
+				lines = append(lines, l)
+			}
+		}
+		return lines
+	}
+	strict := func(body []byte) api.BrokerMetrics {
+		t.Helper()
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var m api.BrokerMetrics
+		if err := dec.Decode(&m); err != nil {
+			t.Fatalf("metrics body outside the schema: %v\n%s", err, body)
+		}
+		return m
+	}
+
+	pType, pText := scrape(plane.URL, "?format=prometheus")
+	bType, bText := scrape(broker.URL, "?format=prometheus")
+	if pType != bType {
+		t.Errorf("prometheus Content-Type: plane %q, broker %q", pType, bType)
+	}
+	if p, b := planeSeries(pText), planeSeries(bText); len(p) == 0 || strings.Join(p, "\n") != strings.Join(b, "\n") {
+		t.Errorf("plane series differ:\nplane:\n%s\nbroker:\n%s", strings.Join(p, "\n"), strings.Join(b, "\n"))
+	}
+
+	pType, pJSON := scrape(plane.URL, "")
+	bType, bJSON := scrape(broker.URL, "")
+	if pType != bType {
+		t.Errorf("JSON Content-Type: plane %q, broker %q", pType, bType)
+	}
+	pm, bm := strict(pJSON), strict(bJSON)
+	if pm.Proto != api.Version || bm.Proto != api.Version || pm.Plane == nil || bm.Plane == nil || *pm.Plane != *bm.Plane {
+		t.Errorf("JSON metrics differ: plane %s, broker %s", pJSON, bJSON)
+	}
+}
+
 // TestCrossProcessSingleFlight races two engine caches — two
 // "machines" — on one key through a shared plane: exactly one may
 // compute; the other must observe the claim, park, and receive the
@@ -204,7 +272,6 @@ func TestCrossProcessSingleFlight(t *testing.T) {
 func TestAcquireFallsBackOnDeadPlane(t *testing.T) {
 	_, srv := newTestPlane(t)
 	c := NewClient(srv.URL, "v1")
-	c.OpTimeout = time.Second
 	srv.Close()
 
 	ec := &EngineCache{C: c}
