@@ -27,18 +27,17 @@ func Perf(p Preset) (*PerfResult, error) {
 }
 
 // PerfCtx is Perf under a cancellation context (polled through the
-// victim training, the dominant cost).
+// victim training, the dominant cost). One victim serves both systems:
+// BuildSystem only reads its weights into DRAM, and a trace replay never
+// writes DRAM back into the model.
 func PerfCtx(ctx context.Context, p Preset) (*PerfResult, error) {
-	build := func(protect bool) (*DefendedSystem, error) {
-		v, err := NewVictimCtx(ctx, p, ArchResNet20, 10)
-		if err != nil {
-			return nil, err
-		}
-		return BuildSystem(p, v, protect, 0)
+	v, err := NewVictimCtx(ctx, p, ArchResNet20, 10)
+	if err != nil {
+		return nil, err
 	}
 
 	run := func(protect bool) (trace.ReplayStats, int64, error) {
-		sysb, err := build(protect)
+		sysb, err := BuildSystem(p, v, protect, 0)
 		if err != nil {
 			return trace.ReplayStats{}, 0, err
 		}
@@ -64,7 +63,6 @@ func PerfCtx(ctx context.Context, p Preset) (*PerfResult, error) {
 	}
 
 	var res PerfResult
-	var err error
 	if res.Undefended, res.UndefendedFlips, err = run(false); err != nil {
 		return nil, err
 	}

@@ -43,7 +43,9 @@ type Preset struct {
 	Seed uint64
 }
 
-// Tiny returns the unit-test scale (sub-second experiments).
+// Tiny returns the unit-test scale: model-free experiments take
+// milliseconds, and each model-bearing one trains its victims in
+// seconds. README.md ("Running experiments") gives measured times.
 func Tiny() Preset {
 	return Preset{
 		Name:      "tiny",

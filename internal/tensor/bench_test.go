@@ -2,29 +2,36 @@ package tensor
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/par"
 	"repro/internal/stats"
 )
 
+// benchKernel times run under a fixed worker budget and reports its
+// throughput as GFLOP/s, counting a multiply-add as two FLOPs.
+func benchKernel(b *testing.B, budget int, flops float64, run func()) {
+	old := par.Budget()
+	par.SetBudget(budget)
+	defer par.SetBudget(old)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
 // benchGEMM runs one C = A·B shape under a fixed worker budget. The
 // serial/parallel pair for the same shape is the ≥2x multi-core
 // throughput gate tracked by `make bench-kernels` in BENCH_<sha>.json.
 func benchGEMM(b *testing.B, m, k, n, budget int) {
-	old := par.Budget()
-	par.SetBudget(budget)
-	defer par.SetBudget(old)
 	rng := stats.NewRNG(1)
 	a := randTensor(rng, m, k)
 	bb := randTensor(rng, k, n)
 	c := New(m, n)
-	b.SetBytes(int64(2 * m * k * n * 4))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulInto(c, a, bb)
-	}
+	benchKernel(b, budget, 2*float64(m*k*n), func() { MatMulInto(c, a, bb) })
 }
 
 func BenchmarkMatMul256Serial(b *testing.B)   { benchGEMM(b, 256, 256, 256, 1) }
@@ -32,31 +39,35 @@ func BenchmarkMatMul256Parallel(b *testing.B) { benchGEMM(b, 256, 256, 256, par.
 func BenchmarkMatMul512Serial(b *testing.B)   { benchGEMM(b, 512, 512, 512, 1) }
 func BenchmarkMatMul512Parallel(b *testing.B) { benchGEMM(b, 512, 512, 512, par.Budget()) }
 
-// Conv-shaped GEMMs: tall-skinny column matrices against small weight
-// matrices, the shapes the DNN substrate actually runs.
-func BenchmarkMatMulTransBConvShape(b *testing.B) {
+// BenchmarkConvGEMM runs the three GEMMs of one convolution's training
+// step at the tall-skinny shapes the DNN substrate hands them: forward
+// (cols·Wᵀ, MatMulTransB), input gradient (dOut·W, MatMul) and weight
+// gradient (dOutᵀ·cols, MatMulTransAAcc), each on one core and on every
+// core.
+func BenchmarkConvGEMM(b *testing.B) {
+	const rows, inner, outC = 4096, 144, 32 // N*oh*ow, inC*k*k, out channels
 	rng := stats.NewRNG(2)
-	cols := randTensor(rng, 4096, 144) // (N*oh*ow, inC*k*k)
-	w := randTensor(rng, 32, 144)      // (outC, inC*k*k)
-	out := New(4096, 32)
-	b.SetBytes(int64(2 * 4096 * 144 * 32 * 4))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulTransBInto(out, cols, w)
+	cols := randTensor(rng, rows, inner)
+	w := randTensor(rng, outC, inner)
+	g := randTensor(rng, rows, outC)
+	out, dcols, grad := New(rows, outC), New(rows, inner), New(outC, inner)
+	budgets := []int{1}
+	if n := runtime.NumCPU(); n > 1 {
+		budgets = append(budgets, n)
 	}
-}
-
-func BenchmarkMatMulTransAGradShape(b *testing.B) {
-	rng := stats.NewRNG(3)
-	g := randTensor(rng, 4096, 32)
-	cols := randTensor(rng, 4096, 144)
-	grad := New(32, 144)
-	b.SetBytes(int64(2 * 4096 * 32 * 144 * 4))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulTransAAcc(grad, g, cols)
+	for _, kern := range []struct {
+		name string
+		run  func()
+	}{
+		{"forward", func() { MatMulTransBInto(out, cols, w) }},
+		{"input-grad", func() { MatMulInto(dcols, g, w) }},
+		{"weight-grad", func() { MatMulTransAAcc(grad, g, cols) }},
+	} {
+		for _, budget := range budgets {
+			b.Run(fmt.Sprintf("%s/budget%d", kern.name, budget), func(b *testing.B) {
+				benchKernel(b, budget, 2*rows*inner*outC, kern.run)
+			})
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -28,8 +29,13 @@ func serialMatMul(a, b *Tensor) *Tensor {
 }
 
 func serialMatMulTransA(a, b *Tensor) *Tensor {
+	return serialMatMulTransAAcc(New(a.Shape[1], b.Shape[1]), a, b)
+}
+
+// serialMatMulTransAAcc accumulates c += Aᵀ·B onto c's contents and
+// returns c.
+func serialMatMulTransAAcc(c, a, b *Tensor) *Tensor {
 	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	c := New(m, n)
 	for p := 0; p < k; p++ {
 		for i := 0; i < m; i++ {
 			av := a.Data[p*m+i]
@@ -74,16 +80,21 @@ func requireBitIdentical(t *testing.T, tag string, got, want *Tensor) {
 
 // kernelShapes covers small, rectangular and deliberately awkward sizes:
 // dimensions straddling the k-block boundary (gemmBlockK±1) and sizes not
-// divisible by any block or chunk width.
+// divisible by any block or chunk width. Between them every tile tail
+// runs: m odd and even (the lone last row beside the row pairs), n and
+// k at every residue mod 4 (column and k remainders), and k tails inside
+// the last k-panel.
 var kernelShapes = [][3]int{
 	{1, 1, 1},
 	{2, 3, 4},
 	{5, 7, 3},
+	{6, 10, 6},
 	{17, 13, 19},
 	{64, 64, 64},
 	{3, gemmBlockK - 1, 5},
 	{3, gemmBlockK, 5},
 	{3, gemmBlockK + 1, 5},
+	{7, gemmBlockK + 6, 10},
 	{33, 2*gemmBlockK + 7, 9},
 	{129, 65, 31},
 }
@@ -105,14 +116,22 @@ func TestGEMMBitIdenticalAcrossBudgets(t *testing.T) {
 		b := randTensor(rng, k, n)
 		at := transpose(a) // (k, m) for TransA
 		bt := transpose(b) // (n, k) for TransB
+		bias := randTensor(rng, n)
 		wantMM := serialMatMul(a, b)
 		wantTA := serialMatMulTransA(at, b)
 		wantTB := serialMatMulTransB(a, bt)
+		wantBias := wantTB.Clone()
+		for i := range wantBias.Data {
+			wantBias.Data[i] += bias.Data[i%n]
+		}
+		gotBias := New(m, n)
 		for _, budget := range []int{1, 2, 3, 8} {
 			withBudget(t, budget, func() {
 				requireBitIdentical(t, "MatMul", MatMul(a, b), wantMM)
 				requireBitIdentical(t, "MatMulTransA", MatMulTransA(at, b), wantTA)
 				requireBitIdentical(t, "MatMulTransB", MatMulTransB(a, bt), wantTB)
+				MatMulTransBBiasInto(gotBias, a, bt, bias.Data)
+				requireBitIdentical(t, "MatMulTransBBias", gotBias, wantBias)
 			})
 		}
 	}
@@ -144,51 +163,60 @@ func TestIntoVariantsMatchAndReusePooledScratch(t *testing.T) {
 	}
 }
 
+// TestMatMulTransAAccAccumulates pins the weight-gradient kernel's
+// starting point: each element's accumulator starts at c's old value and
+// adds every k in order, bit for bit, so a reordered or separately summed
+// Aᵀ·B fails.
 func TestMatMulTransAAccAccumulates(t *testing.T) {
 	rng := stats.NewRNG(44)
-	at := randTensor(rng, 6, 4)
-	b := randTensor(rng, 6, 5)
-	base := randTensor(rng, 4, 5)
-
-	// Reference: base + Aᵀ·B via the allocating kernel and elementwise add,
-	// evaluated at budget 1.
-	var want *Tensor
-	withBudget(t, 1, func() {
-		want = base.Clone()
-		got := New(4, 5)
-		matMulTransAAcc(got.Data, at.Data, b.Data, 4, 6, 5)
-		for i := range want.Data {
-			want.Data[i] += got.Data[i]
-		}
-	})
-
-	got := base.Clone()
-	MatMulTransAAcc(got, at, b)
-	for i := range want.Data {
-		if math.Abs(float64(got.Data[i]-want.Data[i])) > 1e-5 {
-			t.Fatalf("element %d = %g, want %g", i, got.Data[i], want.Data[i])
+	for _, dims := range kernelShapes {
+		m, k, n := dims[0], dims[1], dims[2]
+		at := randTensor(rng, k, m)
+		b := randTensor(rng, k, n)
+		base := randTensor(rng, m, n)
+		want := serialMatMulTransAAcc(base.Clone(), at, b)
+		for _, budget := range []int{1, 3} {
+			withBudget(t, budget, func() {
+				got := base.Clone()
+				MatMulTransAAcc(got, at, b)
+				requireBitIdentical(t, fmt.Sprintf("MatMulTransAAcc %v budget %d", dims, budget), got, want)
+			})
 		}
 	}
 }
 
 // TestGEMMPropagatesNaN pins the semantics fix for the old
 // `if av == 0 { continue }` zero-skip: a zero in A times a NaN in B must
-// produce NaN, not silently skip the column.
+// produce NaN, not silently skip the column. The NaN visits every
+// position of B, and the second shape is large enough for the tiled
+// loops, so each slot of every tile and every tail is checked.
 func TestGEMMPropagatesNaN(t *testing.T) {
-	a := FromData([]float32{0, 0}, 1, 2)
-	b := FromData([]float32{float32(math.NaN()), 1, 2, 3}, 2, 2)
-	c := MatMul(a, b)
-	if !math.IsNaN(float64(c.Data[0])) {
-		t.Fatalf("0 * NaN column must be NaN, got %g", c.Data[0])
-	}
-	if c.Data[1] != 0 {
-		t.Fatalf("finite column must stay 0, got %g", c.Data[1])
-	}
-
-	at := FromData([]float32{0, 0}, 2, 1)
-	c2 := MatMulTransA(at, b)
-	if !math.IsNaN(float64(c2.Data[0])) {
-		t.Fatalf("TransA: 0 * NaN must be NaN, got %g", c2.Data[0])
+	for _, dims := range [][3]int{{1, 2, 2}, {3, 6, 5}} {
+		m, k, n := dims[0], dims[1], dims[2]
+		a, at := New(m, k), New(k, m) // all zeros
+		for p := 0; p < k; p++ {
+			for j := 0; j < n; j++ {
+				b, bt := New(k, n), New(n, k)
+				b.Data[p*n+j] = float32(math.NaN())
+				bt.Data[j*k+p] = float32(math.NaN())
+				for _, kern := range []struct {
+					name string
+					c    *Tensor
+				}{
+					{"MatMul", MatMul(a, b)},
+					{"MatMulTransA", MatMulTransA(at, b)},
+					{"MatMulTransB", MatMulTransB(a, bt)},
+				} {
+					for i, v := range kern.c.Data {
+						if i%n == j && !math.IsNaN(float64(v)) {
+							t.Fatalf("%s %v, NaN at B(%d,%d): element %d = %g, want NaN", kern.name, dims, p, j, i, v)
+						} else if i%n != j && v != 0 {
+							t.Fatalf("%s %v, NaN at B(%d,%d): element %d = %g, want 0", kern.name, dims, p, j, i, v)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

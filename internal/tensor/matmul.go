@@ -15,6 +15,18 @@ import (
 // per-element order exactly. So neither the budget nor the block size can
 // change a single bit of the result.
 //
+// Inside a worker the kernels are register-tiled micro-kernels that
+// keep every output element's single float32 accumulator and its
+// ascending-k order. The forward kernel (A·Bᵀ) computes four output
+// columns per pass over a row of A (dot4: four independent add chains
+// instead of one). The input and weight gradients (A·B and Aᵀ·B) share
+// one driver that folds four consecutive k into one load and one store
+// of each C element and updates two C rows at a time, sharing each load
+// of the four B rows (axpy4x2). Every step is still `s += a*b` on the
+// same accumulator in the same order, so the tiles change how many
+// loads, stores and independent chains the inner loops carry, never a
+// result bit. dot, axpy4 and axpy are the column, row and k remainders.
+//
 // Zero weights are NOT skipped in the inner loops (the seed kernel had an
 // `if av == 0 { continue }` fast path): the skip broke NaN/Inf
 // propagation (0*NaN must stay NaN) and cost a branch per element on
@@ -41,18 +53,20 @@ const (
 func MatMulInto(c, a, b *Tensor) {
 	m, k, n := mmShapes("MatMul", a, b, false, false)
 	checkOut("MatMul", c, m, n)
-	matMulInto(c.Data, a.Data, b.Data, m, k, n)
+	clear(c.Data[:m*n])
+	axpyGEMM(c.Data, a.Data, b.Data, m, k, n, k, 1)
 }
 
-func matMulInto(c, a, b []float32, m, k, n int) {
-	clear(c[:m*n])
+// axpyGEMM accumulates C(m x n) += Â·B (see axpyRows for Â, rs and ps),
+// fanning row blocks out over the worker budget when the work is worth it.
+func axpyGEMM(c, a, b []float32, m, k, n, rs, ps int) {
 	if grain := par.Grain(k*n, gemmMinWork); parallelWorthIt(m, grain) {
 		par.For(m, grain, func(lo, hi int) {
-			matMulRows(c, a, b, lo, hi, k, n)
+			axpyRows(c, a, b, lo, hi, k, n, rs, ps)
 		})
 		return
 	}
-	matMulRows(c, a, b, 0, m, k, n)
+	axpyRows(c, a, b, 0, m, k, n, rs, ps)
 }
 
 // parallelWorthIt reports whether a row-partitioned kernel should go
@@ -61,20 +75,39 @@ func matMulInto(c, a, b []float32, m, k, n int) {
 // the small GEMMs that dominate a training step stay allocation-free.
 func parallelWorthIt(rows, grain int) bool { return par.WorthIt(rows, grain) }
 
-// matMulRows computes rows [i0,i1) of C with ikj order blocked over k:
-// each B panel of gemmBlockK rows is reused across every row of the
-// block. Per-element accumulation stays ascending in k.
-func matMulRows(c, a, b []float32, i0, i1, k, n int) {
+// axpyRows accumulates rows [i0,i1) of C += Â·B, where the coefficient
+// Â(i,p) = a[i*rs+p*ps] lets one driver serve A (rs = k, ps = 1) and Aᵀ
+// (rs = 1, ps = m). k is visited in ascending panels of gemmBlockK B
+// rows, each reused across every row of the block: two C rows at a time
+// take four B rows per pass (axpy4x2), an odd last row takes them alone
+// (axpy4), and the k%4 tail of a panel goes one B row at a time (axpy).
+// Per-element accumulation stays ascending in k.
+func axpyRows(c, a, b []float32, i0, i1, k, n, rs, ps int) {
 	for kb := 0; kb < k; kb += gemmBlockK {
-		kEnd := kb + gemmBlockK
-		if kEnd > k {
-			kEnd = k
-		}
-		for i := i0; i < i1; i++ {
-			ci := c[i*n : i*n+n]
-			ai := a[i*k+kb : i*k+kEnd]
-			for p, av := range ai {
-				axpy(ci, b[(kb+p)*n:(kb+p)*n+n], av)
+		kEnd := min(kb+gemmBlockK, k)
+		for i := i0; i < i1; i += 2 {
+			c0, a0 := c[i*n:i*n+n], a[i*rs:]
+			if i+1 == i1 {
+				p := kb
+				for ; p+4 <= kEnd; p += 4 {
+					axpy4(c0, b[p*n:p*n+n], b[(p+1)*n:(p+1)*n+n], b[(p+2)*n:(p+2)*n+n], b[(p+3)*n:(p+3)*n+n],
+						a0[p*ps], a0[(p+1)*ps], a0[(p+2)*ps], a0[(p+3)*ps])
+				}
+				for ; p < kEnd; p++ {
+					axpy(c0, b[p*n:p*n+n], a0[p*ps])
+				}
+				break
+			}
+			c1, a1 := c[(i+1)*n:(i+1)*n+n], a[(i+1)*rs:]
+			p := kb
+			for ; p+4 <= kEnd; p += 4 {
+				axpy4x2(c0, c1, b[p*n:p*n+n], b[(p+1)*n:(p+1)*n+n], b[(p+2)*n:(p+2)*n+n], b[(p+3)*n:(p+3)*n+n],
+					a0[p*ps], a0[(p+1)*ps], a0[(p+2)*ps], a0[(p+3)*ps],
+					a1[p*ps], a1[(p+1)*ps], a1[(p+2)*ps], a1[(p+3)*ps])
+			}
+			for ; p < kEnd; p++ {
+				axpy(c0, b[p*n:p*n+n], a0[p*ps])
+				axpy(c1, b[p*n:p*n+n], a1[p*ps])
 			}
 		}
 	}
@@ -86,7 +119,7 @@ func MatMulTransAInto(c, a, b *Tensor) {
 	m, k, n := mmShapes("MatMulTransA", a, b, true, false)
 	checkOut("MatMulTransA", c, m, n)
 	clear(c.Data[:m*n])
-	matMulTransAAcc(c.Data, a.Data, b.Data, m, k, n)
+	axpyGEMM(c.Data, a.Data, b.Data, m, k, n, 1, m)
 }
 
 // MatMulTransAAcc accumulates C += Aᵀ·B into c without clearing it — the
@@ -96,30 +129,7 @@ func MatMulTransAInto(c, a, b *Tensor) {
 func MatMulTransAAcc(c, a, b *Tensor) {
 	m, k, n := mmShapes("MatMulTransA", a, b, true, false)
 	checkOut("MatMulTransA", c, m, n)
-	matMulTransAAcc(c.Data, a.Data, b.Data, m, k, n)
-}
-
-func matMulTransAAcc(c, a, b []float32, m, k, n int) {
-	if grain := par.Grain(k*n, gemmMinWork); parallelWorthIt(m, grain) {
-		par.For(m, grain, func(lo, hi int) {
-			matMulTransARows(c, a, b, lo, hi, k, m, n)
-		})
-		return
-	}
-	matMulTransARows(c, a, b, 0, m, k, m, n)
-}
-
-// matMulTransARows accumulates rows [i0,i1) of C += Aᵀ·B with the k loop
-// outermost, exactly like the serial kernel: per-element accumulation is
-// ascending in k, and each B row is reused across the whole row block.
-func matMulTransARows(c, a, b []float32, i0, i1, k, m, n int) {
-	for p := 0; p < k; p++ {
-		ap := a[p*m+i0 : p*m+i1]
-		bp := b[p*n : p*n+n]
-		for i, av := range ap {
-			axpy(c[(i0+i)*n:(i0+i)*n+n], bp, av)
-		}
-	}
+	axpyGEMM(c.Data, a.Data, b.Data, m, k, n, 1, m)
 }
 
 // MatMulTransBInto computes C = A·Bᵀ into c: A is (m x k), B is (n x k),
@@ -150,46 +160,91 @@ func matMulTransBInto(c, a, b, bias []float32, m, k, n int) {
 }
 
 // matMulTransBRows computes rows [i0,i1) of C = A·Bᵀ (+ bias) as row-row
-// dot products; both operands stream contiguously.
+// dot products, four columns per pass over a row of A; both operands
+// stream contiguously. The bias is added once, after the last k, as in
+// the untiled kernel.
 func matMulTransBRows(c, a, b, bias []float32, i0, i1, k, n int) {
 	for i := i0; i < i1; i++ {
 		ai := a[i*k : i*k+k]
 		ci := c[i*n : i*n+n]
-		if bias != nil {
-			for j := 0; j < n; j++ {
-				ci[j] = dot(ai, b[j*k:j*k+k]) + bias[j]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			s0, s1, s2, s3 := dot4(ai, b[j*k:j*k+k], b[(j+1)*k:(j+1)*k+k], b[(j+2)*k:(j+2)*k+k], b[(j+3)*k:(j+3)*k+k])
+			if bias != nil {
+				s0, s1, s2, s3 = s0+bias[j], s1+bias[j+1], s2+bias[j+2], s3+bias[j+3]
 			}
-			continue
+			ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
 		}
-		for j := 0; j < n; j++ {
-			ci[j] = dot(ai, b[j*k:j*k+k])
+		for ; j < n; j++ {
+			s := dot(ai, b[j*k:j*k+k])
+			if bias != nil {
+				s += bias[j]
+			}
+			ci[j] = s
 		}
 	}
 }
 
-// axpy computes ci += av * bp elementwise. The slice-length hint lets the
-// compiler drop per-iteration bounds checks in the unrolled body.
+// axpy4 computes ci += a0*b0 + a1*b1 + a2*b2 + a3*b3 elementwise, adding
+// the four products one at a time in that order: each element takes the
+// same four rounded steps as four axpy calls, with one load and one
+// store of ci instead of four. The slice-length hints let the compiler
+// drop per-iteration bounds checks.
+func axpy4(ci, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
+	b0, b1, b2, b3 = b0[:len(ci)], b1[:len(ci)], b2[:len(ci)], b3[:len(ci)]
+	for j, s := range ci {
+		s += a0 * b0[j]
+		s += a1 * b1[j]
+		s += a2 * b2[j]
+		s += a3 * b3[j]
+		ci[j] = s
+	}
+}
+
+// axpy4x2 is axpy4 on two C rows at once, sharing each load of the four
+// B rows: c0 takes the coefficients x00..x03 and c1 takes x10..x13. They
+// are scalar arguments rather than arrays so that they stay in registers
+// across the loop.
+func axpy4x2(c0, c1, b0, b1, b2, b3 []float32, x00, x01, x02, x03, x10, x11, x12, x13 float32) {
+	c1 = c1[:len(c0)]
+	b0, b1, b2, b3 = b0[:len(c0)], b1[:len(c0)], b2[:len(c0)], b3[:len(c0)]
+	for j, s := range c0 {
+		t := c1[j]
+		s += x00 * b0[j]
+		t += x10 * b0[j]
+		s += x01 * b1[j]
+		t += x11 * b1[j]
+		s += x02 * b2[j]
+		t += x12 * b2[j]
+		s += x03 * b3[j]
+		t += x13 * b3[j]
+		c0[j], c1[j] = s, t
+	}
+}
+
+// axpy computes ci += av * bp elementwise: the remainder tail of axpy4.
 func axpy(ci, bp []float32, av float32) {
-	n := len(bp)
-	if n == 0 {
-		return
-	}
-	ci = ci[:n]
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		ci[j] += av * bp[j]
-		ci[j+1] += av * bp[j+1]
-		ci[j+2] += av * bp[j+2]
-		ci[j+3] += av * bp[j+3]
-	}
-	for ; j < n; j++ {
+	bp = bp[:len(ci)]
+	for j := range ci {
 		ci[j] += av * bp[j]
 	}
+}
+
+// dot4 computes the inner products of x with y0..y3: four independent
+// accumulators, each summed in ascending index order exactly like dot.
+func dot4(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
+	y0, y1, y2, y3 = y0[:len(x)], y1[:len(x)], y2[:len(x)], y3[:len(x)]
+	for i, xv := range x {
+		s0 += xv * y0[i]
+		s1 += xv * y1[i]
+		s2 += xv * y2[i]
+		s3 += xv * y3[i]
+	}
+	return s0, s1, s2, s3
 }
 
 // dot computes the inner product with a single accumulator in ascending
-// index order — deliberately not multi-accumulator, so the result is
-// bit-identical to the naive serial loop.
+// index order: the remainder tail of dot4.
 func dot(x, y []float32) float32 {
 	y = y[:len(x)]
 	var s float32
