@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench-check fuzz-smoke bench-smoke bench-kernels bench-attack vet fmt-check lint cache-gate e2e-remote e2e-chaos e2e-resultplane e2e-ha ci
+.PHONY: build test race bench-check fuzz-smoke bench-smoke bench-kernels bench-attack vet cross fmt-check lint cache-gate e2e-remote e2e-chaos e2e-resultplane e2e-ha ci
 
 build:
 	$(GO) build ./...
@@ -159,8 +159,16 @@ endif
 vet:
 	$(GO) vet ./...
 
+# Vet for arm64 as well. internal/tensor's GEMMs run AVX2 tile kernels
+# from assembly on amd64 and the scalar kernels everywhere else, behind a
+# stub the amd64 build never compiles; this keeps that stub building on
+# amd64-only CI runners. The amd64 `vet` checks the assembly's frame
+# offsets against its Go declarations (asmdecl).
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-ci: vet fmt-check lint build test race bench-check fuzz-smoke e2e-remote e2e-chaos e2e-resultplane e2e-ha cache-gate
+ci: vet cross fmt-check lint build test race bench-check fuzz-smoke e2e-remote e2e-chaos e2e-resultplane e2e-ha cache-gate

@@ -42,8 +42,9 @@ func BenchmarkMatMul512Parallel(b *testing.B) { benchGEMM(b, 512, 512, 512, par.
 // BenchmarkConvGEMM runs the three GEMMs of one convolution's training
 // step at the tall-skinny shapes the DNN substrate hands them: forward
 // (cols·Wᵀ, MatMulTransB), input gradient (dOut·W, MatMul) and weight
-// gradient (dOutᵀ·cols, MatMulTransAAcc), each on one core and on every
-// core.
+// gradient (dOutᵀ·cols, MatMulTransAAcc), each on the vector tiles and
+// on the scalar kernels, on one core and on every core. The vector level
+// is left out on a CPU without AVX2.
 func BenchmarkConvGEMM(b *testing.B) {
 	const rows, inner, outC = 4096, 144, 32 // N*oh*ow, inC*k*k, out channels
 	rng := stats.NewRNG(2)
@@ -55,6 +56,8 @@ func BenchmarkConvGEMM(b *testing.B) {
 	if n := runtime.NumCPU(); n > 1 {
 		budgets = append(budgets, n)
 	}
+	detected := useAVX2
+	defer func() { useAVX2 = detected }()
 	for _, kern := range []struct {
 		name string
 		run  func()
@@ -63,14 +66,26 @@ func BenchmarkConvGEMM(b *testing.B) {
 		{"input-grad", func() { MatMulInto(dcols, g, w) }},
 		{"weight-grad", func() { MatMulTransAAcc(grad, g, cols) }},
 	} {
-		for _, budget := range budgets {
-			b.Run(fmt.Sprintf("%s/budget%d", kern.name, budget), func(b *testing.B) {
-				benchKernel(b, budget, 2*rows*inner*outC, kern.run)
-			})
+		for _, path := range []struct {
+			name   string
+			vector bool
+		}{{"vector", true}, {"scalar", false}} {
+			if path.vector && !detected {
+				continue
+			}
+			for _, budget := range budgets {
+				b.Run(fmt.Sprintf("%s/%s/budget%d", kern.name, path.name, budget), func(b *testing.B) {
+					useAVX2 = path.vector
+					benchKernel(b, budget, 2*rows*inner*outC, kern.run)
+				})
+			}
 		}
 	}
 }
 
+// The im2col benchmarks lower a 32×16×16×16 batch with a 3×3 kernel,
+// stride 1 and padding 1 into an 8192×144 column matrix, and scatter one
+// back.
 func BenchmarkIm2Col(b *testing.B) {
 	rng := stats.NewRNG(4)
 	x := randTensor(rng, 32, 16, 16, 16)
@@ -79,6 +94,17 @@ func BenchmarkIm2Col(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Im2ColInto(cols, x, 3, 3, 1, 1)
+	}
+}
+
+func BenchmarkCol2Im(b *testing.B) {
+	rng := stats.NewRNG(5)
+	cols := randTensor(rng, 32*16*16, 16*9)
+	x := Ensure(nil, 32, 16, 16, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Col2ImInto(x, cols, 3, 3, 1, 1)
 	}
 }
 

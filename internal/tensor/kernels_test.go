@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/par"
@@ -83,7 +84,10 @@ func requireBitIdentical(t *testing.T, tag string, got, want *Tensor) {
 // divisible by any block or chunk width. Between them every tile tail
 // runs: m odd and even (the lone last row beside the row pairs), n and
 // k at every residue mod 4 (column and k remainders), and k tails inside
-// the last k-panel.
+// the last k-panel. The n ≥ 8 entries cover the vector path: the 2×32
+// tile (n ∈ {32, 33, 71}), the 2×8 remainder tile (n ∈ {8, 31, 47}),
+// the scalar n%8 columns beside them, the odd row with n ≥ 32, and
+// panels shorter than the kernel's four-k unroll (k < 4).
 var kernelShapes = [][3]int{
 	{1, 1, 1},
 	{2, 3, 4},
@@ -97,6 +101,33 @@ var kernelShapes = [][3]int{
 	{7, gemmBlockK + 6, 10},
 	{33, 2*gemmBlockK + 7, 9},
 	{129, 65, 31},
+	{4, 9, 8},
+	{6, 5, 32},
+	{8, 14, 33},
+	{10, 13, 71},
+	{7, 6, 40},
+	{2, 3, 64},
+	{5, 2, 33},
+	{9, gemmBlockK + 5, 47},
+}
+
+// onBothPaths runs f as two subtests: "vector", on the kernels the CPU
+// selected at init (skipped without AVX2), and "scalar", with the vector
+// tiles switched off, so the scalar fallback stays tested on AVX2 hosts.
+func onBothPaths(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	detected := useAVX2
+	t.Run("vector", func(t *testing.T) {
+		if !detected {
+			t.Skip("CPU has no AVX2: the scalar kernels are the only path")
+		}
+		f(t)
+	})
+	t.Run("scalar", func(t *testing.T) {
+		useAVX2 = false
+		defer func() { useAVX2 = detected }()
+		f(t)
+	})
 }
 
 // withBudget runs f under a temporary worker budget.
@@ -109,58 +140,62 @@ func withBudget(t *testing.T, n int, f func()) {
 }
 
 func TestGEMMBitIdenticalAcrossBudgets(t *testing.T) {
-	rng := stats.NewRNG(42)
-	for _, dims := range kernelShapes {
-		m, k, n := dims[0], dims[1], dims[2]
-		a := randTensor(rng, m, k)
-		b := randTensor(rng, k, n)
-		at := transpose(a) // (k, m) for TransA
-		bt := transpose(b) // (n, k) for TransB
-		bias := randTensor(rng, n)
-		wantMM := serialMatMul(a, b)
-		wantTA := serialMatMulTransA(at, b)
-		wantTB := serialMatMulTransB(a, bt)
-		wantBias := wantTB.Clone()
-		for i := range wantBias.Data {
-			wantBias.Data[i] += bias.Data[i%n]
+	onBothPaths(t, func(t *testing.T) {
+		rng := stats.NewRNG(42)
+		for _, dims := range kernelShapes {
+			m, k, n := dims[0], dims[1], dims[2]
+			a := randTensor(rng, m, k)
+			b := randTensor(rng, k, n)
+			at := transpose(a) // (k, m) for TransA
+			bt := transpose(b) // (n, k) for TransB
+			bias := randTensor(rng, n)
+			wantMM := serialMatMul(a, b)
+			wantTA := serialMatMulTransA(at, b)
+			wantTB := serialMatMulTransB(a, bt)
+			wantBias := wantTB.Clone()
+			for i := range wantBias.Data {
+				wantBias.Data[i] += bias.Data[i%n]
+			}
+			gotBias := New(m, n)
+			for _, budget := range []int{1, 2, 3, 8} {
+				withBudget(t, budget, func() {
+					requireBitIdentical(t, "MatMul", MatMul(a, b), wantMM)
+					requireBitIdentical(t, "MatMulTransA", MatMulTransA(at, b), wantTA)
+					requireBitIdentical(t, "MatMulTransB", MatMulTransB(a, bt), wantTB)
+					MatMulTransBBiasInto(gotBias, a, bt, bias.Data)
+					requireBitIdentical(t, "MatMulTransBBias", gotBias, wantBias)
+				})
+			}
 		}
-		gotBias := New(m, n)
-		for _, budget := range []int{1, 2, 3, 8} {
-			withBudget(t, budget, func() {
-				requireBitIdentical(t, "MatMul", MatMul(a, b), wantMM)
-				requireBitIdentical(t, "MatMulTransA", MatMulTransA(at, b), wantTA)
-				requireBitIdentical(t, "MatMulTransB", MatMulTransB(a, bt), wantTB)
-				MatMulTransBBiasInto(gotBias, a, bt, bias.Data)
-				requireBitIdentical(t, "MatMulTransBBias", gotBias, wantBias)
-			})
-		}
-	}
+	})
 }
 
 func TestIntoVariantsMatchAndReusePooledScratch(t *testing.T) {
-	rng := stats.NewRNG(43)
-	for _, dims := range [][3]int{{4, 5, 6}, {31, gemmBlockK + 3, 17}} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a := randTensor(rng, m, k)
-		b := randTensor(rng, k, n)
-		at := transpose(a)
-		bt := transpose(b)
+	onBothPaths(t, func(t *testing.T) {
+		rng := stats.NewRNG(43)
+		for _, dims := range [][3]int{{4, 5, 6}, {31, gemmBlockK + 3, 17}, {6, 7, 45}} {
+			m, k, n := dims[0], dims[1], dims[2]
+			a := randTensor(rng, m, k)
+			b := randTensor(rng, k, n)
+			at := transpose(a)
+			bt := transpose(b)
 
-		c := GetScratch(m, n)
-		c.Fill(999) // Into must fully overwrite stale scratch contents
-		MatMulInto(c, a, b)
-		requireBitIdentical(t, "MatMulInto", c, serialMatMul(a, b))
+			c := GetScratch(m, n)
+			c.Fill(999) // Into must fully overwrite stale scratch contents
+			MatMulInto(c, a, b)
+			requireBitIdentical(t, "MatMulInto", c, serialMatMul(a, b))
 
-		c = ensureInto(c, []int{m, n})
-		c.Fill(999)
-		MatMulTransAInto(c, at, b)
-		requireBitIdentical(t, "MatMulTransAInto", c, serialMatMulTransA(at, b))
+			c = ensureInto(c, []int{m, n})
+			c.Fill(999)
+			MatMulTransAInto(c, at, b)
+			requireBitIdentical(t, "MatMulTransAInto", c, serialMatMulTransA(at, b))
 
-		c.Fill(999)
-		MatMulTransBInto(c, a, bt)
-		requireBitIdentical(t, "MatMulTransBInto", c, serialMatMulTransB(a, bt))
-		PutScratch(c)
-	}
+			c.Fill(999)
+			MatMulTransBInto(c, a, bt)
+			requireBitIdentical(t, "MatMulTransBInto", c, serialMatMulTransB(a, bt))
+			PutScratch(c)
+		}
+	})
 }
 
 // TestMatMulTransAAccAccumulates pins the weight-gradient kernel's
@@ -168,54 +203,114 @@ func TestIntoVariantsMatchAndReusePooledScratch(t *testing.T) {
 // adds every k in order, bit for bit, so a reordered or separately summed
 // Aᵀ·B fails.
 func TestMatMulTransAAccAccumulates(t *testing.T) {
-	rng := stats.NewRNG(44)
-	for _, dims := range kernelShapes {
-		m, k, n := dims[0], dims[1], dims[2]
-		at := randTensor(rng, k, m)
-		b := randTensor(rng, k, n)
-		base := randTensor(rng, m, n)
-		want := serialMatMulTransAAcc(base.Clone(), at, b)
-		for _, budget := range []int{1, 3} {
-			withBudget(t, budget, func() {
-				got := base.Clone()
-				MatMulTransAAcc(got, at, b)
-				requireBitIdentical(t, fmt.Sprintf("MatMulTransAAcc %v budget %d", dims, budget), got, want)
-			})
+	onBothPaths(t, func(t *testing.T) {
+		rng := stats.NewRNG(44)
+		for _, dims := range kernelShapes {
+			m, k, n := dims[0], dims[1], dims[2]
+			at := randTensor(rng, k, m)
+			b := randTensor(rng, k, n)
+			base := randTensor(rng, m, n)
+			want := serialMatMulTransAAcc(base.Clone(), at, b)
+			for _, budget := range []int{1, 3} {
+				withBudget(t, budget, func() {
+					got := base.Clone()
+					MatMulTransAAcc(got, at, b)
+					requireBitIdentical(t, fmt.Sprintf("MatMulTransAAcc %v budget %d", dims, budget), got, want)
+				})
+			}
 		}
-	}
+	})
 }
 
 // TestGEMMPropagatesNaN pins the semantics fix for the old
 // `if av == 0 { continue }` zero-skip: a zero in A times a NaN in B must
-// produce NaN, not silently skip the column. The NaN visits every
-// position of B, and the second shape is large enough for the tiled
-// loops, so each slot of every tile and every tail is checked.
+// produce NaN, not silently skip the column, and a NaN in A times zeros
+// in B must make its whole output row NaN. The NaN visits every position
+// of B and of A. The second shape is large enough for the scalar tiles,
+// and the third (n = 43: a 2×32 tile, a 2×8 tile and three scalar
+// columns, beside an odd row) for every vector tile and tail, so each
+// slot of every tile is checked, and a NaN in A is broadcast into every
+// lane of the vector tiles.
 func TestGEMMPropagatesNaN(t *testing.T) {
-	for _, dims := range [][3]int{{1, 2, 2}, {3, 6, 5}} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a, at := New(m, k), New(k, m) // all zeros
-		for p := 0; p < k; p++ {
-			for j := 0; j < n; j++ {
-				b, bt := New(k, n), New(n, k)
-				b.Data[p*n+j] = float32(math.NaN())
-				bt.Data[j*k+p] = float32(math.NaN())
-				for _, kern := range []struct {
-					name string
-					c    *Tensor
-				}{
-					{"MatMul", MatMul(a, b)},
-					{"MatMulTransA", MatMulTransA(at, b)},
-					{"MatMulTransB", MatMulTransB(a, bt)},
-				} {
-					for i, v := range kern.c.Data {
-						if i%n == j && !math.IsNaN(float64(v)) {
-							t.Fatalf("%s %v, NaN at B(%d,%d): element %d = %g, want NaN", kern.name, dims, p, j, i, v)
-						} else if i%n != j && v != 0 {
-							t.Fatalf("%s %v, NaN at B(%d,%d): element %d = %g, want 0", kern.name, dims, p, j, i, v)
-						}
-					}
+	nan := float32(math.NaN())
+	onBothPaths(t, func(t *testing.T) {
+		for _, dims := range [][3]int{{1, 2, 2}, {3, 6, 5}, {3, 5, 43}} {
+			m, k, n := dims[0], dims[1], dims[2]
+			a, at := New(m, k), New(k, m) // all zeros
+			for p := 0; p < k; p++ {
+				for j := 0; j < n; j++ {
+					b, bt := New(k, n), New(n, k)
+					b.Data[p*n+j], bt.Data[j*k+p] = nan, nan
+					tag := fmt.Sprintf("%v, NaN at B(%d,%d)", dims, p, j)
+					requireNaNExactly(t, tag, a, at, b, bt, func(_, col int) bool { return col == j })
 				}
 			}
+			b, bt := New(k, n), New(n, k) // all zeros
+			for i := 0; i < m; i++ {
+				for p := 0; p < k; p++ {
+					a, at := New(m, k), New(k, m)
+					a.Data[i*k+p], at.Data[p*m+i] = nan, nan
+					tag := fmt.Sprintf("%v, NaN at A(%d,%d)", dims, i, p)
+					requireNaNExactly(t, tag, a, at, b, bt, func(row, _ int) bool { return row == i })
+				}
+			}
+		}
+	})
+}
+
+// requireNaNExactly runs the three GEMMs on A·B (a, b and their
+// transposes at, bt) and fails unless the elements where want(row, col)
+// holds are NaN and every other element is zero.
+func requireNaNExactly(t *testing.T, tag string, a, at, b, bt *Tensor, want func(row, col int) bool) {
+	t.Helper()
+	n := b.Shape[1]
+	for _, kern := range []struct {
+		name string
+		c    *Tensor
+	}{
+		{"MatMul", MatMul(a, b)},
+		{"MatMulTransA", MatMulTransA(at, b)},
+		{"MatMulTransB", MatMulTransB(a, bt)},
+	} {
+		for i, v := range kern.c.Data {
+			if want(i/n, i%n) {
+				if !math.IsNaN(float64(v)) {
+					t.Fatalf("%s %s: element %d = %g, want NaN", kern.name, tag, i, v)
+				}
+			} else if v != 0 {
+				t.Fatalf("%s %s: element %d = %g, want 0", kern.name, tag, i, v)
+			}
+		}
+	}
+}
+
+// TestGEMMRejectsShortData pins the up-front length checks: an operand
+// whose data is shorter than its shape panics, naming the op, before any
+// kernel (the vector tiles check no bounds) reads or writes it.
+func TestGEMMRejectsShortData(t *testing.T) {
+	short := func(x *Tensor) *Tensor { return &Tensor{Shape: x.Shape, Data: x.Data[:len(x.Data)-1]} }
+	a, at, b, bt, c := New(4, 3), New(3, 4), New(3, 40), New(40, 3), New(4, 40)
+	for _, tc := range []struct {
+		op      string
+		run     func(c, x, y *Tensor)
+		c, x, y *Tensor
+	}{
+		{"MatMul", MatMulInto, c, a, b},
+		{"MatMulTransA", MatMulTransAAcc, c, at, b},
+		{"MatMulTransB", MatMulTransBInto, c, a, bt},
+	} {
+		for bad, name := range []string{"destination", "A", "B"} {
+			ops := []*Tensor{tc.c, tc.x, tc.y}
+			ops[bad] = short(ops[bad])
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, tc.op+" "+name) {
+						t.Fatalf("%s with a short %s: panic %q, want one naming %q", tc.op, name, msg, tc.op+" "+name)
+					}
+				}()
+				tc.run(ops[0], ops[1], ops[2])
+			}()
 		}
 	}
 }

@@ -17,15 +17,24 @@ import (
 //
 // Inside a worker the kernels are register-tiled micro-kernels that
 // keep every output element's single float32 accumulator and its
-// ascending-k order. The forward kernel (A·Bᵀ) computes four output
-// columns per pass over a row of A (dot4: four independent add chains
-// instead of one). The input and weight gradients (A·B and Aᵀ·B) share
-// one driver that folds four consecutive k into one load and one store
-// of each C element and updates two C rows at a time, sharing each load
-// of the four B rows (axpy4x2). Every step is still `s += a*b` on the
-// same accumulator in the same order, so the tiles change how many
-// loads, stores and independent chains the inner loops carry, never a
-// result bit. dot, axpy4 and axpy are the column, row and k remainders.
+// ascending-k order. The input and weight gradients (A·B and Aᵀ·B) share
+// one driver, axpyRows, that updates two C rows at a time. On a CPU with
+// AVX2 it hands each row pair's columns to the assembly tiles of
+// matmul_amd64.s: a 2×32 tile of C held in eight YMM registers across a
+// whole k-panel, and a 2×8 tile for the remaining multiples of 8. Each
+// lane takes a rounded VMULPS and then a rounded VADDPS per k, the same
+// two steps as the scalar `s += a*b` (Go never fuses them into an FMA on
+// amd64), so the vector tiles are bit-identical to the scalar kernels.
+// The scalar tile folds four consecutive k into one load and one store
+// of each C element and shares each load of the four B rows between the
+// two C rows (axpy4x2); it takes the n%8 columns beside the vector
+// tiles, and every column without AVX2. On AVX2 the forward (A·Bᵀ,
+// n ≥ 8) goes through the same driver over a transposed copy of B;
+// otherwise it computes four output columns per pass over a row of A
+// (dot4: four independent add chains instead of one). The tiles change
+// how many loads, stores and independent chains the inner loops carry,
+// never a result bit. dot, axpy4 and axpy are the column, row and k
+// remainders.
 //
 // Zero weights are NOT skipped in the inner loops (the seed kernel had an
 // `if av == 0 { continue }` fast path): the skip broke NaN/Inf
@@ -53,20 +62,21 @@ const (
 func MatMulInto(c, a, b *Tensor) {
 	m, k, n := mmShapes("MatMul", a, b, false, false)
 	checkOut("MatMul", c, m, n)
-	clear(c.Data[:m*n])
-	axpyGEMM(c.Data, a.Data, b.Data, m, k, n, k, 1)
+	clear(c.Data)
+	axpyGEMM(c.Data, a.Data, b.Data, nil, m, k, n, k, 1)
 }
 
-// axpyGEMM accumulates C(m x n) += Â·B (see axpyRows for Â, rs and ps),
-// fanning row blocks out over the worker budget when the work is worth it.
-func axpyGEMM(c, a, b []float32, m, k, n, rs, ps int) {
+// axpyGEMM accumulates C(m x n) += Â·B (+ bias; see axpyRows for Â, rs
+// and ps), fanning row blocks out over the worker budget when the work
+// is worth it.
+func axpyGEMM(c, a, b, bias []float32, m, k, n, rs, ps int) {
 	if grain := par.Grain(k*n, gemmMinWork); parallelWorthIt(m, grain) {
 		par.For(m, grain, func(lo, hi int) {
-			axpyRows(c, a, b, lo, hi, k, n, rs, ps)
+			axpyRows(c, a, b, bias, lo, hi, k, n, rs, ps)
 		})
 		return
 	}
-	axpyRows(c, a, b, 0, m, k, n, rs, ps)
+	axpyRows(c, a, b, bias, 0, m, k, n, rs, ps)
 }
 
 // parallelWorthIt reports whether a row-partitioned kernel should go
@@ -78,11 +88,17 @@ func parallelWorthIt(rows, grain int) bool { return par.WorthIt(rows, grain) }
 // axpyRows accumulates rows [i0,i1) of C += Â·B, where the coefficient
 // Â(i,p) = a[i*rs+p*ps] lets one driver serve A (rs = k, ps = 1) and Aᵀ
 // (rs = 1, ps = m). k is visited in ascending panels of gemmBlockK B
-// rows, each reused across every row of the block: two C rows at a time
-// take four B rows per pass (axpy4x2), an odd last row takes them alone
-// (axpy4), and the k%4 tail of a panel goes one B row at a time (axpy).
-// Per-element accumulation stays ascending in k.
-func axpyRows(c, a, b []float32, i0, i1, k, n, rs, ps int) {
+// rows, each reused across every row of the block. Two C rows at a time
+// go through the vector tiles (axpyTiles) on their first n &^ 7 columns
+// when the CPU has AVX2, and through axpy4x2 on the rest; an odd last
+// row takes axpy4 alone, and the k%4 tail of a panel goes one B row at a
+// time (axpy). Per-element accumulation stays ascending in k. A non-nil
+// bias is added to every row after the last k, as matMulTransBRows does.
+func axpyRows(c, a, b, bias []float32, i0, i1, k, n, rs, ps int) {
+	nv := 0 // columns [0, nv) of a row pair take the vector tiles
+	if useAVX2 {
+		nv = n &^ 7
+	}
 	for kb := 0; kb < k; kb += gemmBlockK {
 		kEnd := min(kb+gemmBlockK, k)
 		for i := i0; i < i1; i += 2 {
@@ -99,17 +115,52 @@ func axpyRows(c, a, b []float32, i0, i1, k, n, rs, ps int) {
 				break
 			}
 			c1, a1 := c[(i+1)*n:(i+1)*n+n], a[(i+1)*rs:]
+			if nv > 0 {
+				axpyTiles(c0[:nv], c1[:nv], a0, a1, b, kb, kEnd, n, ps)
+				if nv == n {
+					continue
+				}
+				c0, c1 = c0[nv:], c1[nv:]
+			}
 			p := kb
 			for ; p+4 <= kEnd; p += 4 {
-				axpy4x2(c0, c1, b[p*n:p*n+n], b[(p+1)*n:(p+1)*n+n], b[(p+2)*n:(p+2)*n+n], b[(p+3)*n:(p+3)*n+n],
+				axpy4x2(c0, c1, b[p*n+nv:p*n+n], b[(p+1)*n+nv:(p+1)*n+n], b[(p+2)*n+nv:(p+2)*n+n], b[(p+3)*n+nv:(p+3)*n+n],
 					a0[p*ps], a0[(p+1)*ps], a0[(p+2)*ps], a0[(p+3)*ps],
 					a1[p*ps], a1[(p+1)*ps], a1[(p+2)*ps], a1[(p+3)*ps])
 			}
 			for ; p < kEnd; p++ {
-				axpy(c0, b[p*n:p*n+n], a0[p*ps])
-				axpy(c1, b[p*n:p*n+n], a1[p*ps])
+				axpy(c0, b[p*n+nv:p*n+n], a0[p*ps])
+				axpy(c1, b[p*n+nv:p*n+n], a1[p*ps])
 			}
 		}
+	}
+	if bias != nil {
+		for i := i0; i < i1; i++ {
+			ci := c[i*n : i*n+n]
+			for j := range ci {
+				ci[j] += bias[j]
+			}
+		}
+	}
+}
+
+// axpyTiles adds the k-panel [kb, kEnd) of one row pair's Â·B into the
+// rows' columns [0, len(c0)), a multiple of 8: 2×32 tiles first, then
+// 2×8 tiles. The index expressions before each call name the last
+// element of every operand the assembly touches, so they are its bounds
+// checks.
+func axpyTiles(c0, c1, a0, a1, b []float32, kb, kEnd, n, ps int) {
+	x0, x1 := &a0[kb*ps], &a1[kb*ps]
+	_, _ = a0[(kEnd-1)*ps], a1[(kEnd-1)*ps]
+	last := (kEnd - 1) * n // B row of the panel's last k
+	j := 0
+	for ; j+32 <= len(c0); j += 32 {
+		_, _, _ = c0[j+31], c1[j+31], b[last+j+31]
+		axpyTile2x32(&c0[j], &c1[j], &b[kb*n+j], x0, x1, n, ps, kEnd-kb)
+	}
+	for ; j < len(c0); j += 8 {
+		_, _, _ = c0[j+7], c1[j+7], b[last+j+7]
+		axpyTile2x8(&c0[j], &c1[j], &b[kb*n+j], x0, x1, n, ps, kEnd-kb)
 	}
 }
 
@@ -118,8 +169,8 @@ func axpyRows(c, a, b []float32, i0, i1, k, n, rs, ps int) {
 func MatMulTransAInto(c, a, b *Tensor) {
 	m, k, n := mmShapes("MatMulTransA", a, b, true, false)
 	checkOut("MatMulTransA", c, m, n)
-	clear(c.Data[:m*n])
-	axpyGEMM(c.Data, a.Data, b.Data, m, k, n, 1, m)
+	clear(c.Data)
+	axpyGEMM(c.Data, a.Data, b.Data, nil, m, k, n, 1, m)
 }
 
 // MatMulTransAAcc accumulates C += Aᵀ·B into c without clearing it — the
@@ -129,7 +180,7 @@ func MatMulTransAInto(c, a, b *Tensor) {
 func MatMulTransAAcc(c, a, b *Tensor) {
 	m, k, n := mmShapes("MatMulTransA", a, b, true, false)
 	checkOut("MatMulTransA", c, m, n)
-	axpyGEMM(c.Data, a.Data, b.Data, m, k, n, 1, m)
+	axpyGEMM(c.Data, a.Data, b.Data, nil, m, k, n, 1, m)
 }
 
 // MatMulTransBInto computes C = A·Bᵀ into c: A is (m x k), B is (n x k),
@@ -150,6 +201,17 @@ func MatMulTransBBiasInto(c, a, b *Tensor, bias []float32) {
 }
 
 func matMulTransBInto(c, a, b, bias []float32, m, k, n int) {
+	if useAVX2 && n >= 8 {
+		// The vector tiles stream rows of a (k x n) B: transpose the
+		// (n x k) operand into scratch, then start every element at zero
+		// and add the bias after its last k, as dot4 does.
+		bt := GetScratch(k, n)
+		transposeInto(bt.Data, b, n, k)
+		clear(c)
+		axpyGEMM(c, a, bt.Data, bias, m, k, n, k, 1)
+		PutScratch(bt)
+		return
+	}
 	if grain := par.Grain(k*n, gemmMinWork); parallelWorthIt(m, grain) {
 		par.For(m, grain, func(lo, hi int) {
 			matMulTransBRows(c, a, b, bias, lo, hi, k, n)
@@ -157,6 +219,33 @@ func matMulTransBInto(c, a, b, bias []float32, m, k, n int) {
 		return
 	}
 	matMulTransBRows(c, a, b, bias, 0, m, k, n)
+}
+
+// transposeInto writes bt (k x n) = bᵀ for b (n x k), eight rows of b
+// at a time: each k stores eight contiguous elements of bt while the
+// loads advance along eight rows of b, where a column-strided loop
+// touches a new cache line of bt with every element.
+func transposeInto(bt, b []float32, n, k int) {
+	j := 0
+	for ; j+8 <= n; j += 8 {
+		r0 := b[j*k : j*k+k]
+		r1 := b[(j+1)*k:][:len(r0)]
+		r2 := b[(j+2)*k:][:len(r0)]
+		r3 := b[(j+3)*k:][:len(r0)]
+		r4 := b[(j+4)*k:][:len(r0)]
+		r5 := b[(j+5)*k:][:len(r0)]
+		r6 := b[(j+6)*k:][:len(r0)]
+		r7 := b[(j+7)*k:][:len(r0)]
+		for p, v := range r0 {
+			o := bt[p*n+j : p*n+j+8]
+			o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = v, r1[p], r2[p], r3[p], r4[p], r5[p], r6[p], r7[p]
+		}
+	}
+	for ; j < n; j++ {
+		for p, v := range b[j*k : j*k+k] {
+			bt[p*n+j] = v
+		}
+	}
 }
 
 // matMulTransBRows computes rows [i0,i1) of C = A·Bᵀ (+ bias) as row-row
@@ -255,11 +344,15 @@ func dot(x, y []float32) float32 {
 }
 
 // mmShapes validates a 2-D matmul pair and returns (m, k, n). ta/tb mark
-// which operand is transposed.
+// which operand is transposed. Each operand's data must hold exactly its
+// shape: the kernels index by shape alone, and the vector tiles check no
+// bounds of their own.
 func mmShapes(op string, a, b *Tensor, ta, tb bool) (m, k, n int) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: %s needs 2-D operands, got %v x %v", op, a.Shape, b.Shape))
 	}
+	checkData(op, "A", a)
+	checkData(op, "B", b)
 	m, k = a.Shape[0], a.Shape[1]
 	if ta {
 		m, k = k, m
@@ -274,9 +367,17 @@ func mmShapes(op string, a, b *Tensor, ta, tb bool) (m, k, n int) {
 	return m, k, bn
 }
 
-// checkOut validates a destination shape.
+// checkOut validates a destination's shape and data length.
 func checkOut(op string, c *Tensor, m, n int) {
 	if len(c.Shape) != 2 || c.Shape[0] != m || c.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: %s destination %v, want (%d, %d)", op, c.Shape, m, n))
+	}
+	checkData(op, "destination", c)
+}
+
+// checkData panics unless t's data length matches its 2-D shape.
+func checkData(op, name string, t *Tensor) {
+	if want := t.Shape[0] * t.Shape[1]; len(t.Data) != want {
+		panic(fmt.Sprintf("tensor: %s %s %v holds %d elements, want %d", op, name, t.Shape, len(t.Data), want))
 	}
 }

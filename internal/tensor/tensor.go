@@ -1,7 +1,9 @@
 // Package tensor provides the dense float32 tensors and kernels that the
 // DNN substrate (internal/nn) is built on: matrix multiplication, im2col
-// convolution lowering, pooling, and elementwise operations, all in pure Go
-// with deterministic results.
+// convolution lowering, pooling, and elementwise operations, with
+// deterministic results. Everything is Go except the GEMMs' AVX2 tile
+// kernels on amd64 (matmul_amd64.s), which are selected from the CPU at
+// init and are bit-identical to the Go kernels they stand in for.
 package tensor
 
 import (
