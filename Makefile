@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench-check fuzz-smoke bench-smoke bench-kernels bench-attack vet cross fmt-check lint cache-gate e2e-remote e2e-chaos e2e-resultplane e2e-ha ci
+.PHONY: build test race bench-check fuzz-smoke bench-smoke bench-kernels bench-attack vet cross fmt-check lint loc cache-gate e2e-remote e2e-chaos e2e-resultplane e2e-ha ci
 
 build:
 	$(GO) build ./...
@@ -40,11 +40,15 @@ bench-check:
 # output decodes back unchanged. FuzzFetch covers the result-plane
 # client's entry decode: never panics, a hit only for a 200 entry with
 # the client's version, the requested key and no error, a typed
-# not_found a clean miss, any other refusal an error.
+# not_found a clean miss, any other refusal an error. FuzzAssemble
+# covers internal/isa's assembler behind dlasm: never panics, and an
+# accepted program re-assembles from its disassembly and survives
+# encode/decode unchanged.
 fuzz-smoke:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
 	$(GO) test ./internal/remote/ -run '^$$' -fuzz '^FuzzDecodeError$$' -fuzztime 10s
 	$(GO) test ./internal/resultplane/ -run '^$$' -fuzz '^FuzzFetch$$' -fuzztime 10s
+	$(GO) test ./internal/isa/ -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s
 
 # Loopback end-to-end gate for the remote executors: boots dramlockerd
 # on 127.0.0.1 in both topologies — push worker (-remote) and job-queue
@@ -170,5 +174,18 @@ cross:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# Non-test Go line counts, the figure every PR states its net delta in:
+# per package under internal/ and cmd/, their total, and the distributed
+# substrate's share. It reports only; nothing fails on the numbers.
+LOC_SUBSTRATE = queue remote resultplane api faultinject backoff wal
+loc:
+	@for d in internal/* cmd/*; do \
+		printf '%6d %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; done
+	@printf '%6d total under internal/ and cmd/\n' \
+		$$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+	@printf '%6d substrate (%s)\n' \
+		$$(for p in $(LOC_SUBSTRATE); do find internal/$$p -name '*.go' ! -name '*_test.go'; done | xargs cat | wc -l) \
+		"$(LOC_SUBSTRATE)"
 
 ci: vet cross fmt-check lint build test race bench-check fuzz-smoke e2e-remote e2e-chaos e2e-resultplane e2e-ha cache-gate

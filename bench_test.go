@@ -2,11 +2,12 @@ package repro
 
 // One benchmark per paper table/figure (the experiment ids of README.md,
 // "Running experiments") plus ablation benches for DRAM-Locker's design
-// choices. Each benchmark prints
-// the paper-style rows once (so `go test -bench=.` regenerates the
-// evaluation) and then times the underlying computation.
+// choices. Each per-experiment benchmark runs its registry job — the
+// path every report takes — prints the paper-style rows once (so
+// `go test -bench=.` regenerates the evaluation) and times the job.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/memmap"
 	"repro/internal/nn"
@@ -35,39 +37,36 @@ func once(b *testing.B, key, out string) {
 	}
 }
 
+// benchJob times the registry job of one experiment at benchPreset,
+// uncached, and prints its table once.
+func benchJob(b *testing.B, exp string) {
+	b.Helper()
+	reg := engine.NewRegistry()
+	if err := experiments.RegisterJobs(reg, benchPreset); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := engine.Run(reg, engine.Options{Filter: []string{benchPreset.Name + "/" + exp}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := rep.Err(); err != nil {
+			b.Fatal(err)
+		}
+		once(b, exp, rep.Results[0].Text)
+	}
+}
+
 // --- Fig. 1 -------------------------------------------------------------------
 
-func BenchmarkFig1aTargetedVsRandom(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig1a(benchPreset)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once(b, "fig1a", experiments.FormatFig1a(r))
-	}
-}
+func BenchmarkFig1aTargetedVsRandom(b *testing.B) { benchJob(b, "fig1a") }
 
-func BenchmarkFig1bThresholds(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig1b()
-		if err != nil {
-			b.Fatal(err)
-		}
-		once(b, "fig1b", experiments.FormatFig1b(rows))
-	}
-}
+func BenchmarkFig1bThresholds(b *testing.B) { benchJob(b, "fig1b") }
 
 // --- §IV.D Monte-Carlo ---------------------------------------------------------
 
-func BenchmarkMonteCarloSwap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.MonteCarlo(benchPreset)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once(b, "mc", experiments.FormatMonteCarlo(rows))
-	}
-}
+func BenchmarkMonteCarloSwap(b *testing.B) { benchJob(b, "mc") }
 
 func BenchmarkMonteCarloSingleTrial(b *testing.B) {
 	p := circuit.Default45nm()
@@ -81,90 +80,29 @@ func BenchmarkMonteCarloSingleTrial(b *testing.B) {
 
 // --- Table I -------------------------------------------------------------------
 
-func BenchmarkTable1Overhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reports := experiments.Table1()
-		once(b, "table1", experiments.FormatTable1(reports))
-	}
-}
+func BenchmarkTable1Overhead(b *testing.B) { benchJob(b, "table1") }
 
 // --- Fig. 7 -------------------------------------------------------------------
 
-func BenchmarkFig7aLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		curves, err := experiments.Fig7aData()
-		if err != nil {
-			b.Fatal(err)
-		}
-		once(b, "fig7a", experiments.FormatFig7a(curves))
-	}
-}
+func BenchmarkFig7aLatency(b *testing.B) { benchJob(b, "fig7a") }
 
-func BenchmarkFig7bDefenseTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bars, err := experiments.Fig7bData()
-		if err != nil {
-			b.Fatal(err)
-		}
-		once(b, "fig7b", experiments.FormatFig7b(bars))
-	}
-}
+func BenchmarkFig7bDefenseTime(b *testing.B) { benchJob(b, "fig7b") }
 
 // --- Fig. 8 -------------------------------------------------------------------
 
-func BenchmarkFig8aResNet(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8(benchPreset, experiments.ArchResNet20, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once(b, "fig8a", experiments.FormatFig8(r))
-	}
-}
+func BenchmarkFig8aResNet(b *testing.B) { benchJob(b, "fig8a") }
 
-func BenchmarkFig8bVGG(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8(benchPreset, experiments.ArchVGG11, 100)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once(b, "fig8b", experiments.FormatFig8(r))
-	}
-}
+func BenchmarkFig8bVGG(b *testing.B) { benchJob(b, "fig8b") }
 
-func BenchmarkFig8PTA(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8PTA(benchPreset)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once(b, "fig8pta", experiments.FormatFig8PTA(r))
-	}
-}
+func BenchmarkFig8PTA(b *testing.B) { benchJob(b, "fig8pta") }
 
 // --- Table II -----------------------------------------------------------------
 
-func BenchmarkTable2Defenses(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2(benchPreset, experiments.DefaultTable2Config(benchPreset))
-		if err != nil {
-			b.Fatal(err)
-		}
-		once(b, "table2", experiments.FormatTable2(rows))
-	}
-}
+func BenchmarkTable2Defenses(b *testing.B) { benchJob(b, "table2") }
 
 // --- Workload overhead ----------------------------------------------------------
 
-func BenchmarkPerfUnderAttack(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Perf(benchPreset)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once(b, "perf", experiments.FormatPerf(r))
-	}
-}
+func BenchmarkPerfUnderAttack(b *testing.B) { benchJob(b, "perf") }
 
 // --- Micro-benchmarks of the hot primitives -------------------------------------
 
@@ -243,7 +181,7 @@ func BenchmarkRowHammerActivationTracking(b *testing.B) {
 }
 
 func BenchmarkQuantizedInferenceResNet20(b *testing.B) {
-	v, err := experiments.NewVictim(benchPreset, experiments.ArchResNet20, 10)
+	v, err := experiments.NewVictim(context.Background(), benchPreset, experiments.ArchResNet20, 10)
 	if err != nil {
 		b.Fatal(err)
 	}

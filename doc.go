@@ -26,7 +26,8 @@
 // worker daemon.
 //
 // The root package holds the benchmark harness (bench_test.go): one
-// testing.B benchmark per paper table/figure plus ablation benches for
-// DRAM-Locker's design choices (lock granularity, relock interval, SWAP
-// destination, lock-table size, lock distance).
+// testing.B benchmark per paper table/figure, each timing its registry
+// job, plus ablation benches for DRAM-Locker's design choices (lock
+// granularity, relock interval, SWAP destination, lock-table size, lock
+// distance).
 package repro

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,7 +17,7 @@ func main() {
 	p.AttackIters = 12
 
 	fmt.Println("training victim ResNet-20 (synthetic CIFAR-10-like)...")
-	r, err := experiments.Fig8(p, experiments.ArchResNet20, 10)
+	r, err := experiments.Fig8(context.Background(), p, experiments.ArchResNet20, 10)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,9 +2,9 @@
 // against every implemented mitigation — no defense, PARA, counter-per-row,
 // Graphene, Hydra, CounterTree, TWiCE, RRS, SHADOW, and DRAM-Locker — as
 // an engine job and reports whether the victim bit flipped and what each
-// mechanism spent. The campaign itself lives in
-// experiments.DefenseComparison; this example consumes it through the
-// job registry like any other experiment.
+// mechanism spent. Each mechanism's campaign is one shard
+// (experiments.DefenseRowFor) of the defense grid job; this example runs
+// that job through the registry like any other experiment.
 package main
 
 import (

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,7 +16,7 @@ func main() {
 	p := experiments.Tiny()
 
 	fmt.Println("training victim and building page tables in DRAM...")
-	r, err := experiments.Fig8PTA(p)
+	r, err := experiments.Fig8PTA(context.Background(), p)
 	if err != nil {
 		log.Fatal(err)
 	}

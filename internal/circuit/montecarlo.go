@@ -90,9 +90,6 @@ func (p Params) Margin(cc, cb, vth, vwlScale float64) float64 {
 	return (p.VDD / 2) * cc / (cc + cb) * eta
 }
 
-// NominalMargin returns the margin with every parameter at nominal.
-func (p Params) NominalMargin() float64 { return p.Margin(p.Cc, p.Cb, p.Vth, 1.0) }
-
 // Result reports one Monte-Carlo run.
 type Result struct {
 	Variation  float64 // the +-X variation fraction (0.0, 0.1, 0.2)
@@ -164,30 +161,17 @@ func PaperVariations() []float64 {
 	return []float64{0.0, 0.10, 0.20}
 }
 
-// PaperPoint runs the i-th variation of the §IV.D sweep under the exact
-// seed PaperSweep would hand it, so computing points independently (e.g.
-// as shards) reproduces the sweep bit-for-bit.
+// PaperPoint runs the i-th variation of the §IV.D experiment: trials
+// SWAPs at ±0%, ±10% or ±20% variation, for which the paper reports
+// erroneous-SWAP rates of 0%, 0.14% and 9.6% (10,000 trials each). The
+// point's seed depends only on seed and i, so points computed
+// independently (as the mc grid's shards are) never depend on each other.
 func PaperPoint(p Params, i, trials int, seed uint64) (Result, error) {
 	vs := PaperVariations()
 	if i < 0 || i >= len(vs) {
 		return Result{}, fmt.Errorf("circuit: sweep point %d out of range [0,%d)", i, len(vs))
 	}
 	return MonteCarlo(p, vs[i], trials, seed+uint64(i)*7919)
-}
-
-// PaperSweep reproduces the §IV.D experiment: 10,000 trials at +-0%, +-10%
-// and +-20% variation. The paper reports erroneous SWAP percentages of
-// 0%, 0.14% and 9.6% respectively.
-func PaperSweep(p Params, trials int, seed uint64) ([]Result, error) {
-	var out []Result
-	for i := range PaperVariations() {
-		r, err := PaperPoint(p, i, trials, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // PaperReportedSwapRates returns the paper's §IV.D numbers for comparison.

@@ -32,9 +32,13 @@ func TestErrorRateGrowsWithVariation(t *testing.T) {
 }
 
 func TestMatchesPaperBands(t *testing.T) {
-	rs, err := PaperSweep(Default45nm(), 10000, 42)
-	if err != nil {
-		t.Fatal(err)
+	var rs []Result
+	for i := range PaperVariations() {
+		r, err := PaperPoint(Default45nm(), i, 10000, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs = append(rs, r)
 	}
 	if len(rs) != 3 {
 		t.Fatalf("sweep length %d", len(rs))

@@ -162,7 +162,6 @@ func (c Config) Validate() error {
 
 // Errors returned by the controller.
 var (
-	ErrDenied      = errors.New("controller: access to locked row denied")
 	ErrNoFreeRow   = errors.New("controller: no free swap destination in subarray")
 	ErrReservedRow = errors.New("controller: address falls in a reserved row")
 	ErrOutOfRange  = errors.New("controller: request outside a single row")
@@ -302,9 +301,6 @@ func (c *Controller) LockNeighborsOf(phys int64, distance int) ([]dram.RowAddr, 
 	}
 	return locked, nil
 }
-
-// UnlockRow removes a row from the lock-table entirely.
-func (c *Controller) UnlockRow(a dram.RowAddr) error { return c.table.Remove(a) }
 
 // --- Request path -----------------------------------------------------------
 

@@ -130,11 +130,6 @@ func (t Timing) ReadLatency() Picoseconds { return t.TCL + t.TBL }
 // WriteLatency returns the latency of a WR on an already-open row.
 func (t Timing) WriteLatency() Picoseconds { return t.TCWL + t.TBL }
 
-// RowMissLatency returns the latency of a full PRE+ACT+RD row-buffer miss.
-func (t Timing) RowMissLatency() Picoseconds {
-	return t.TRP + t.TRCD + t.ReadLatency()
-}
-
 // SwapLatency returns the latency of a DRAM-Locker SWAP: three RowClone
 // copies through the buffer row (locked->buffer, unlocked->locked,
 // buffer->unlocked).

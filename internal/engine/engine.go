@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path"
-	"sort"
 	"sync"
 )
 
@@ -56,33 +55,24 @@ type Context struct {
 	// every job the same seed no matter how many workers execute.
 	Seed uint64
 	// Ctx is the run's cancellation context. The engine always populates
-	// it (falling back to context.Background() when Options.Ctx is nil);
-	// a Context built by hand in tests may leave it nil, so poll via
-	// Canceled rather than Ctx directly.
+	// it (falling back to context.Background() when Options.Ctx is nil),
+	// and when someone listens for progress it also carries the task's
+	// reporter (see ProgressFromContext). A Context built by hand in
+	// tests may leave it nil, so poll via Canceled rather than Ctx
+	// directly.
 	Ctx context.Context
-	// Progress, when non-nil, receives coarse heartbeats from long
-	// phases (epochs, search iterations). Jobs report via Report, which
-	// tolerates a nil callback, so instrumented code costs nothing when
-	// nobody is listening. Callbacks must be cheap and non-blocking —
-	// they run on the job's goroutine.
-	Progress func(stage string, done, total int)
-}
-
-// Report emits one progress heartbeat, if anyone is listening. done of
-// total units of the named stage are complete (total 0 = unknown).
-func (c Context) Report(stage string, done, total int) {
-	if c.Progress != nil {
-		c.Progress(stage, done, total)
-	}
 }
 
 // progressKey keys the progress reporter in a context.Context.
 type progressKey struct{}
 
 // WithProgress returns a context carrying a progress reporter. The
-// executor attaches the job's reporter to Context.Ctx with it, so
-// library code that only receives the cancellation context (e.g. a
-// training loop behind several call layers) can still heartbeat.
+// context is the only progress channel: the executor attaches the
+// task's reporter to Context.Ctx with it, so library code that only
+// receives the cancellation context (e.g. a training loop behind several
+// call layers) can heartbeat. A reporter is called on the job's
+// goroutine with done of total units of the named stage complete (total
+// 0 = unknown), so it must be cheap and non-blocking.
 func WithProgress(ctx context.Context, f func(stage string, done, total int)) context.Context {
 	if ctx == nil || f == nil {
 		return ctx
@@ -310,14 +300,4 @@ func JobSeed(base uint64, name string) uint64 {
 	h.Write(b[:])
 	h.Write([]byte(name))
 	return h.Sum64()
-}
-
-// SortedNames returns job names sorted lexically (for stable listings).
-func SortedNames(jobs []Job) []string {
-	names := make([]string, len(jobs))
-	for i, j := range jobs {
-		names[i] = j.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -78,9 +78,10 @@ func (e *LocalExecutor) Execute(ctx context.Context, spec api.TaskSpec) (api.Tas
 // listener. Terminal heartbeats (done == total) always pass.
 const progressInterval = 100 * time.Millisecond
 
-// ExecuteStream is Execute with progress: heartbeats the job emits via
-// Context.Report are throttled and forwarded to onProgress (nil
-// disables forwarding, making this identical to Execute).
+// ExecuteStream is Execute with progress: heartbeats the job emits
+// through ProgressFromContext(Context.Ctx) are throttled and forwarded
+// to onProgress (nil disables forwarding, making this identical to
+// Execute).
 func (e *LocalExecutor) ExecuteStream(ctx context.Context, spec api.TaskSpec, onProgress ProgressFunc) (api.TaskResult, error) {
 	if err := spec.Validate(); err != nil {
 		return api.TaskResult{}, err
@@ -113,7 +114,7 @@ func (e *LocalExecutor) ExecuteStream(ctx context.Context, spec api.TaskSpec, on
 	if onProgress != nil {
 		var mu sync.Mutex
 		var last time.Time
-		jctx.Progress = func(stage string, done, total int) {
+		jctx.Ctx = WithProgress(ctx, func(stage string, done, total int) {
 			now := time.Now()
 			mu.Lock()
 			if now.Sub(last) < progressInterval && !(total > 0 && done >= total) {
@@ -126,10 +127,7 @@ func (e *LocalExecutor) ExecuteStream(ctx context.Context, spec api.TaskSpec, on
 				Job: spec.Job, Shard: spec.Shard, Stage: stage,
 				Done: done, Total: total, ElapsedNS: time.Since(start).Nanoseconds(),
 			})
-		}
-		// Library code below the job (training loops) sees only the
-		// cancellation context, so carry the reporter on it too.
-		jctx.Ctx = WithProgress(ctx, jctx.Progress)
+		})
 	}
 	out, err := runProtected(run, jctx)
 	res.DurationNS = time.Since(start).Nanoseconds()

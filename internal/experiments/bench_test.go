@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -39,7 +40,7 @@ func BenchmarkVictimTrain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewVictim(p, ArchResNet20, 10); err != nil {
+		if _, err := NewVictim(context.Background(), p, ArchResNet20, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,8 +20,8 @@ type DefenseRow struct {
 	Denied       int64
 }
 
-// DefenseNames lists the compared mechanisms in report order; the
-// lock-table row ("DRAM-Locker") is appended by DefenseComparison.
+// DefenseNames lists the compared baseline mechanisms in report order;
+// DefenseGridNames appends the lock-table row ("DRAM-Locker").
 func DefenseNames() []string {
 	return []string{
 		"None", "PARA", "CounterPerRow", "Graphene", "Hydra",
@@ -36,10 +36,11 @@ func DefenseGridNames() []string {
 	return append(DefenseNames(), "DRAM-Locker")
 }
 
-// DefenseRowFor runs the single-sided campaign against one mechanism on a
-// fresh device (one shard of the defense grid). Rows are independent, so
-// any subset may run concurrently; assembling DefenseGridNames rows in
-// order reproduces DefenseComparison exactly.
+// DefenseRowFor runs the single-sided RowHammer campaign — 10*TRH
+// activations on one aggressor at the preset's device threshold —
+// against one mechanism on a fresh device: one shard of the defense
+// grid. Rows are independent, so any subset may run concurrently; the
+// grid assembles them in DefenseGridNames order.
 func DefenseRowFor(p Preset, name string) (DefenseRow, error) {
 	trh := p.TRH
 	activations := 10 * trh
@@ -62,22 +63,6 @@ func DefenseRowFor(p Preset, name string) (DefenseRow, error) {
 		Mitigations: st.Mitigations, ExtraLatency: st.ExtraLatency,
 		Denied: st.Denials,
 	}, nil
-}
-
-// DefenseComparison runs the same single-sided RowHammer campaign —
-// 10*TRH activations on one aggressor at the preset's device threshold —
-// against every implemented mitigation plus the DRAM-Locker controller,
-// each on a fresh device.
-func DefenseComparison(p Preset) ([]DefenseRow, error) {
-	var rows []DefenseRow
-	for _, name := range DefenseGridNames() {
-		row, err := DefenseRowFor(p, name)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // defenseRig builds a fresh device + fault engine with a registered

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/overhead"
+	"repro/internal/sim"
 )
 
 func TestPresetByName(t *testing.T) {
@@ -63,11 +67,8 @@ func TestFig1bThresholdValidation(t *testing.T) {
 }
 
 func TestMonteCarloExperiment(t *testing.T) {
-	p := Tiny()
-	rows, err := MonteCarlo(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var rows []MonteCarloRow
+	runTiny(t, "mc", &rows)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -80,11 +81,11 @@ func TestMonteCarloExperiment(t *testing.T) {
 }
 
 func TestTable1Experiment(t *testing.T) {
-	reports := Table1()
+	var reports []overhead.Report
+	out := runTiny(t, "table1", &reports).Text
 	if len(reports) != 10 {
 		t.Fatalf("rows = %d", len(reports))
 	}
-	out := FormatTable1(reports)
 	for _, frag := range []string{"DRAM-Locker", "SHADOW", "Graphene", "56KB", "0.02%"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("Table I output missing %q:\n%s", frag, out)
@@ -93,17 +94,13 @@ func TestTable1Experiment(t *testing.T) {
 }
 
 func TestFig7Data(t *testing.T) {
-	curves, err := Fig7aData()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var curves []sim.Fig7aCurve
+	runTiny(t, "fig7a", &curves)
 	if len(curves) != 5 {
 		t.Fatalf("curves = %d", len(curves))
 	}
-	bars, err := Fig7bData()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var bars []sim.Fig7bBar
+	runTiny(t, "fig7b", &bars)
 	for _, b := range bars {
 		if b.LockerDays <= b.ShadowDays {
 			t.Fatalf("trh=%d: DL %f <= SHADOW %f", b.Threshold, b.LockerDays, b.ShadowDays)
@@ -129,7 +126,7 @@ var (
 func fig8Tiny(t *testing.T) *Fig8Result {
 	t.Helper()
 	fig8Once.Do(func() {
-		fig8Res, fig8Err = Fig8(Tiny(), ArchResNet20, 10)
+		fig8Res, fig8Err = Fig8(context.Background(), Tiny(), ArchResNet20, 10)
 	})
 	if fig8Err != nil {
 		t.Fatal(fig8Err)
@@ -173,7 +170,7 @@ func TestFig8Formatting(t *testing.T) {
 }
 
 func TestFig8PTAShape(t *testing.T) {
-	r, err := Fig8PTA(Tiny())
+	r, err := Fig8PTA(context.Background(), Tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +190,7 @@ func TestFig8PTAShape(t *testing.T) {
 
 func TestTrainVictimProducesUsableModel(t *testing.T) {
 	p := Tiny()
-	v, err := NewVictim(p, ArchResNet20, 10)
+	v, err := NewVictim(context.Background(), p, ArchResNet20, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +203,7 @@ func TestTrainVictimProducesUsableModel(t *testing.T) {
 	if v.AttackBatch.X.Shape[0] != p.AttackBatch {
 		t.Fatalf("attack batch size %d", v.AttackBatch.X.Shape[0])
 	}
-	if _, err := NewVictim(p, Arch("mlp"), 10); err == nil {
+	if _, err := NewVictim(context.Background(), p, Arch("mlp"), 10); err == nil {
 		t.Fatal("unknown arch must fail")
 	}
 }

@@ -19,18 +19,10 @@ type Fig1aResult struct {
 
 // Fig1a runs both attacks with direct (undefended) flip execution — the
 // figure's point is that *targeted* flips collapse the model while the
-// same number of random flips barely moves it.
-func Fig1a(p Preset) (*Fig1aResult, error) {
-	return Fig1aCtx(context.Background(), p)
-}
-
-// Fig1aCtx is Fig1a under a cancellation context, polled per training
-// epoch and per BFA iteration.
-func Fig1aCtx(ctx context.Context, p Preset) (*Fig1aResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	v, err := NewVictimCtx(ctx, p, ArchVGG11, 100)
+// same number of random flips barely moves it. ctx is polled per
+// training epoch and per BFA iteration.
+func Fig1a(ctx context.Context, p Preset) (*Fig1aResult, error) {
+	v, err := NewVictim(ctx, p, ArchVGG11, 100)
 	if err != nil {
 		return nil, err
 	}

@@ -76,18 +76,10 @@ type Fig8Result struct {
 
 // Fig8 runs the full-stack BFA twice: on an unprotected system (every
 // hammer lands) and on a DRAM-Locker system at the ±20% corner (denials
-// except the 9.6% erroneous-SWAP leak).
-func Fig8(p Preset, arch Arch, classes int) (*Fig8Result, error) {
-	return Fig8Ctx(context.Background(), p, arch, classes)
-}
-
-// Fig8Ctx is Fig8 under a cancellation context, polled per training
-// epoch and per attack iteration.
-func Fig8Ctx(ctx context.Context, p Preset, arch Arch, classes int) (*Fig8Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	v, err := NewVictimCtx(ctx, p, arch, classes)
+// except the 9.6% erroneous-SWAP leak). ctx is polled per training epoch
+// and per attack iteration.
+func Fig8(ctx context.Context, p Preset, arch Arch, classes int) (*Fig8Result, error) {
+	v, err := NewVictim(ctx, p, arch, classes)
 	if err != nil {
 		return nil, err
 	}
@@ -134,15 +126,10 @@ type Fig8PTAResult struct {
 }
 
 // Fig8PTA runs the page-table attack against ResNet-20/CIFAR-10-like with
-// and without DRAM-Locker protecting the page-table rows.
-func Fig8PTA(p Preset) (*Fig8PTAResult, error) {
-	return Fig8PTACtx(context.Background(), p)
-}
-
-// Fig8PTACtx is Fig8PTA under a cancellation context (polled through the
-// victim training, the dominant cost).
-func Fig8PTACtx(ctx context.Context, p Preset) (*Fig8PTAResult, error) {
-	v, err := NewVictimCtx(ctx, p, ArchResNet20, 10)
+// and without DRAM-Locker protecting the page-table rows. ctx is polled
+// through the victim training, the dominant cost.
+func Fig8PTA(ctx context.Context, p Preset) (*Fig8PTAResult, error) {
+	v, err := NewVictim(ctx, p, ArchResNet20, 10)
 	if err != nil {
 		return nil, err
 	}

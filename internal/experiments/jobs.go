@@ -120,10 +120,10 @@ func SplitList(s string) []string {
 	return out
 }
 
-// monolith wraps a serial experiment into a single-unit engine.Job. The
-// closures use the preset's own seeds (so engine output matches direct
-// serial calls exactly); the engine.Context is forwarded so the
-// model-bearing experiments can poll cancellation (Ctx) — ec.Seed remains
+// monolith wraps one experiment function into a single-unit engine.Job.
+// The closures use the preset's own seeds; the engine.Context is
+// forwarded so the model-bearing experiments can poll cancellation and
+// report training progress (both ride on Ctx) — ec.Seed remains
 // available for engine-level features.
 func monolith[T any](run func(engine.Context) (T, error), format func(T) string) engine.Job {
 	return engine.Job{Run: func(ec engine.Context) (engine.Output, error) {
@@ -140,7 +140,7 @@ func monolith[T any](run func(engine.Context) (T, error), format func(T) string)
 func jobSpec(exp string, p Preset) (engine.Job, error) {
 	switch exp {
 	case "fig1a":
-		return monolith(func(ec engine.Context) (*Fig1aResult, error) { return Fig1aCtx(ec.Ctx, p) }, FormatFig1a), nil
+		return monolith(func(ec engine.Context) (*Fig1aResult, error) { return Fig1a(ec.Ctx, p) }, FormatFig1a), nil
 	case "fig1b":
 		return monolith(func(engine.Context) ([]Fig1bRow, error) { return Fig1b() }, FormatFig1b), nil
 	case "mc":
@@ -154,15 +154,15 @@ func jobSpec(exp string, p Preset) (engine.Job, error) {
 	case "defense":
 		return defenseJob(p), nil
 	case "fig8a":
-		return monolith(func(ec engine.Context) (*Fig8Result, error) { return Fig8Ctx(ec.Ctx, p, ArchResNet20, 10) }, FormatFig8), nil
+		return monolith(func(ec engine.Context) (*Fig8Result, error) { return Fig8(ec.Ctx, p, ArchResNet20, 10) }, FormatFig8), nil
 	case "fig8b":
-		return monolith(func(ec engine.Context) (*Fig8Result, error) { return Fig8Ctx(ec.Ctx, p, ArchVGG11, 100) }, FormatFig8), nil
+		return monolith(func(ec engine.Context) (*Fig8Result, error) { return Fig8(ec.Ctx, p, ArchVGG11, 100) }, FormatFig8), nil
 	case "fig8pta":
-		return monolith(func(ec engine.Context) (*Fig8PTAResult, error) { return Fig8PTACtx(ec.Ctx, p) }, FormatFig8PTA), nil
+		return monolith(func(ec engine.Context) (*Fig8PTAResult, error) { return Fig8PTA(ec.Ctx, p) }, FormatFig8PTA), nil
 	case "table2":
 		return table2Job(p), nil
 	case "perf":
-		return monolith(func(ec engine.Context) (*PerfResult, error) { return PerfCtx(ec.Ctx, p) }, FormatPerf), nil
+		return monolith(func(ec engine.Context) (*PerfResult, error) { return Perf(ec.Ctx, p) }, FormatPerf), nil
 	default:
 		return engine.Job{}, fmt.Errorf("experiments: unknown experiment %q", exp)
 	}

@@ -5,8 +5,71 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/engine"
+	"repro/internal/overhead"
+	"repro/internal/sim"
 )
+
+// runTiny runs one experiment at the tiny preset through the engine
+// registry, the path every report takes, and decodes its payload into
+// out.
+func runTiny(t *testing.T, exp string, out any) engine.Result {
+	t.Helper()
+	reg := engine.NewRegistry()
+	if err := RegisterJobs(reg, Tiny()); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := engine.Run(reg, engine.Options{Filter: []string{"tiny/" + exp}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	r := rep.Results[0]
+	if err := engine.DecodeData(r.Data, out); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// serialRows computes a grid's n points one after another, in grid
+// order, with the per-point function its shards call.
+func serialRows[T any](t *testing.T, n int, point func(i int) (T, error)) []T {
+	t.Helper()
+	rows := make([]T, 0, n)
+	for i := 0; i < n; i++ {
+		row, err := point(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// fig7aCurves computes the Fig. 7(a) curves in the fig7a grid's shard
+// order: SHADOW at every paper threshold, then DRAM-Locker.
+func fig7aCurves(t *testing.T, maxBFA, step int) []sim.Fig7aCurve {
+	t.Helper()
+	cfg, trhs := sim.DefaultLatencyConfig(), sim.PaperThresholds()
+	return serialRows(t, len(trhs)+1, func(i int) (sim.Fig7aCurve, error) {
+		if i == len(trhs) {
+			return sim.LockerCurve(cfg, maxBFA, step)
+		}
+		return sim.ShadowCurve(cfg, trhs[i], maxBFA, step)
+	})
+}
+
+// fig7bBars computes the Fig. 7(b) bars in the fig7b grid's shard order.
+func fig7bBars(t *testing.T) []sim.Fig7bBar {
+	t.Helper()
+	trhs := sim.PaperThresholds()
+	return serialRows(t, len(trhs), func(i int) (sim.Fig7bBar, error) {
+		return sim.Fig7bBarAt(sim.DefaultDefenseTimeConfig(), trhs[i])
+	})
+}
 
 func TestRegisterJobsPopulatesRegistry(t *testing.T) {
 	reg := engine.NewRegistry()
@@ -105,11 +168,8 @@ func TestPresetHash(t *testing.T) {
 }
 
 func TestDefenseComparisonTiny(t *testing.T) {
-	p := Tiny()
-	rows, err := DefenseComparison(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var rows []DefenseRow
+	out := runTiny(t, "defense", &rows).Text
 	if len(rows) != len(DefenseNames())+1 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -123,7 +183,6 @@ func TestDefenseComparisonTiny(t *testing.T) {
 	if last.Denied == 0 {
 		t.Fatal("DRAM-Locker denied nothing")
 	}
-	out := FormatDefenseComparison(p, rows)
 	for _, frag := range []string{"DRAM-Locker", "SHADOW", "flipped", "denied"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("output missing %q:\n%s", frag, out)
@@ -208,32 +267,27 @@ func TestPresetFreeJobsShareCache(t *testing.T) {
 
 // TestShardedGridsMatchSerialMonoliths is the sharding acceptance check:
 // every grid experiment run through the engine must render byte-identical
-// to the pre-shard serial code path (the direct monolithic calls), at a
-// parallel worker count.
+// to its per-point functions called serially in grid order and formatted
+// directly, at a parallel worker count.
 func TestShardedGridsMatchSerialMonoliths(t *testing.T) {
 	p := Tiny()
 
-	mc, err := MonteCarlo(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig7a, err := Fig7aData()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig7b, err := Fig7bData()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defense, err := DefenseComparison(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mc := serialRows(t, len(circuit.PaperVariations()), func(i int) (MonteCarloRow, error) {
+		return MonteCarloRowFor(p, i)
+	})
+	frameworks := overhead.Table1Frameworks()
+	table1 := serialRows(t, len(frameworks), func(i int) (overhead.Report, error) {
+		return overhead.Table1Report(overhead.DefaultConfig(), frameworks[i])
+	})
+	names := DefenseGridNames()
+	defense := serialRows(t, len(names), func(i int) (DefenseRow, error) {
+		return DefenseRowFor(p, names[i])
+	})
 	want := map[string]string{
 		"tiny/mc":      FormatMonteCarlo(mc),
-		"tiny/table1":  FormatTable1(Table1()),
-		"tiny/fig7a":   FormatFig7a(fig7a),
-		"tiny/fig7b":   FormatFig7b(fig7b),
+		"tiny/table1":  FormatTable1(table1),
+		"tiny/fig7a":   FormatFig7a(fig7aCurves(t, fig7aMaxBFA, fig7aStep)),
+		"tiny/fig7b":   FormatFig7b(fig7bBars(t)),
 		"tiny/defense": FormatDefenseComparison(p, defense),
 	}
 
@@ -256,7 +310,7 @@ func TestShardedGridsMatchSerialMonoliths(t *testing.T) {
 			t.Fatalf("unexpected result %s", r.Name)
 		}
 		if r.Text != want[r.Name] {
-			t.Errorf("%s: sharded output diverged from serial monolith:\n--- sharded ---\n%s\n--- serial ---\n%s",
+			t.Errorf("%s: sharded output diverged from the serial per-point assembly:\n--- sharded ---\n%s\n--- serial ---\n%s",
 				r.Name, r.Text, want[r.Name])
 		}
 	}

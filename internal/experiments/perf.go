@@ -21,17 +21,12 @@ type PerfResult struct {
 	UndefendedFlips, DefendedFlips int64
 }
 
-// Perf builds the mixed workload and replays it on both systems.
-func Perf(p Preset) (*PerfResult, error) {
-	return PerfCtx(context.Background(), p)
-}
-
-// PerfCtx is Perf under a cancellation context (polled through the
-// victim training, the dominant cost). One victim serves both systems:
-// BuildSystem only reads its weights into DRAM, and a trace replay never
-// writes DRAM back into the model.
-func PerfCtx(ctx context.Context, p Preset) (*PerfResult, error) {
-	v, err := NewVictimCtx(ctx, p, ArchResNet20, 10)
+// Perf builds the mixed workload and replays it on both systems. ctx is
+// polled through the victim training, the dominant cost. One victim
+// serves both systems: BuildSystem only reads its weights into DRAM, and
+// a trace replay never writes DRAM back into the model.
+func Perf(ctx context.Context, p Preset) (*PerfResult, error) {
+	v, err := NewVictim(ctx, p, ArchResNet20, 10)
 	if err != nil {
 		return nil, err
 	}

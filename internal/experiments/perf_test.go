@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestPerfMatchesPaperClaims(t *testing.T) {
-	r, err := Perf(Tiny())
+	r, err := Perf(context.Background(), Tiny())
 	if err != nil {
 		t.Fatal(err)
 	}

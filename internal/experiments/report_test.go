@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/attack"
-	"repro/internal/sim"
 )
 
 func sampleResult(iters int, flipsEvery int, acc float64) attack.Result {
@@ -40,11 +39,7 @@ func TestFormatFig1aSubsamplesRows(t *testing.T) {
 }
 
 func TestFormatFig7aMarksCompromise(t *testing.T) {
-	curves, err := sim.Fig7a(sim.DefaultLatencyConfig(), 80000, 40000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := FormatFig7a(curves)
+	out := FormatFig7a(fig7aCurves(t, 80000, 40000))
 	if !strings.Contains(out, "*") {
 		t.Fatalf("SHADOW1000 at 8e4 BFA must be marked compromised:\n%s", out)
 	}
@@ -54,11 +49,7 @@ func TestFormatFig7aMarksCompromise(t *testing.T) {
 }
 
 func TestFormatFig7bColumns(t *testing.T) {
-	bars, err := sim.Fig7b(sim.DefaultDefenseTimeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := FormatFig7b(bars)
+	out := FormatFig7b(fig7bBars(t))
 	for _, frag := range []string{"1000", "8000", "SHADOW", "DRAM-Locker"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("missing %q:\n%s", frag, out)

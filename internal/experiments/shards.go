@@ -1,12 +1,13 @@
 // Sharded parameter grids: the Fig. 7 threshold sweep, the defense
 // comparison and the table generators run as engine.ShardedJobs — one
-// shard per curve / grid point / table row — instead of monoliths. Shards
-// schedule independently on the engine worker pool and cache
-// individually, so a warm run replays per point and a parameter change
-// recomputes only the affected shards. Every merge assembles shard
-// payloads in shard order through one JSON round-trip (engine.DecodeData),
-// which keeps the report byte-identical to the serial monolith at any
-// worker count and across cold/warm runs.
+// shard per curve / grid point / table row, each computed by the
+// per-point function of its model package. These grids are the only
+// code that assembles those results. Shards schedule independently on
+// the engine worker pool and cache individually, so a warm run replays
+// per point and a parameter change recomputes only the affected shards.
+// Every merge assembles shard payloads in shard order through one JSON
+// round-trip (engine.DecodeData), which keeps the report byte-identical
+// at any worker count and across cold/warm runs.
 package experiments
 
 import (

@@ -91,7 +91,11 @@ type Table2Model struct {
 }
 
 // Table2Models lists the compared defenses in paper order — the shard
-// axis of the table2 grid job.
+// axis of the table2 grid job. Every row attacks ResNet-20 on
+// CIFAR-10-like data: the training-based defenses under direct flip
+// execution (they do not change the memory system), DRAM-Locker on the
+// full DRAM stack with an ideal (error-free) SWAP, the paper's Table II
+// setting.
 func Table2Models() []Table2Model {
 	return []Table2Model{
 		{"baseline", table2Baseline},
@@ -107,9 +111,6 @@ func Table2Models() []Table2Model {
 // table2AttackToCollapse drives the BFA until the model collapses or the
 // flip budget runs out.
 func table2AttackToCollapse(ctx context.Context, p Preset, cfg Table2Config, v *Victim, exec attack.FlipExecutor) (int, float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	bcfg := attack.DefaultBFAConfig()
 	bcfg.CandidatesPerIter = p.Candidates
 	bcfg.Stop = ctx.Err
@@ -118,7 +119,7 @@ func table2AttackToCollapse(ctx context.Context, p Preset, cfg Table2Config, v *
 
 // table2Baseline: undefended ResNet-20 (8-bit).
 func table2Baseline(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, error) {
-	base, err := TrainVictimCtx(ctx, p, ArchResNet20, 10, 8, 1.0, nil)
+	base, err := TrainVictim(ctx, p, ArchResNet20, 10, 8, 1.0, nil)
 	if err != nil {
 		return Table2Row{}, err
 	}
@@ -134,7 +135,7 @@ func table2Baseline(ctx context.Context, p Preset, cfg Table2Config) (Table2Row,
 
 // table2Clustering: piece-wise clustering (He et al. CVPR'20).
 func table2Clustering(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, error) {
-	pwc, err := TrainVictimCtx(ctx, p, ArchResNet20, 10, 8, 1.0,
+	pwc, err := TrainVictim(ctx, p, ArchResNet20, 10, 8, 1.0,
 		nn.PiecewiseClusteringReg(cfg.ClusteringLambda))
 	if err != nil {
 		return Table2Row{}, err
@@ -152,7 +153,7 @@ func table2Clustering(ctx context.Context, p Preset, cfg Table2Config) (Table2Ro
 
 // table2Binary: binary weights (He et al. CVPR'20).
 func table2Binary(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, error) {
-	bin, err := TrainVictimCtx(ctx, p, ArchResNet20, 10, 1, 1.0, nil)
+	bin, err := TrainVictim(ctx, p, ArchResNet20, 10, 1, 1.0, nil)
 	if err != nil {
 		return Table2Row{}, err
 	}
@@ -170,7 +171,7 @@ func table2Binary(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, e
 // table2Capacity: model capacity x16 (Rakin et al.): 16x parameters = 4x
 // width.
 func table2Capacity(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, error) {
-	wide, err := TrainVictimCtx(ctx, p, ArchResNet20, 10, 8, 4.0, nil)
+	wide, err := TrainVictim(ctx, p, ArchResNet20, 10, 8, 4.0, nil)
 	if err != nil {
 		return Table2Row{}, err
 	}
@@ -188,7 +189,7 @@ func table2Capacity(ctx context.Context, p Preset, cfg Table2Config) (Table2Row,
 // table2Reconstruction: weight reconstruction (Li et al. DAC'20):
 // redundancy + repair.
 func table2Reconstruction(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, error) {
-	rec, err := TrainVictimCtx(ctx, p, ArchResNet20, 10, 8, 1.0, nil)
+	rec, err := TrainVictim(ctx, p, ArchResNet20, 10, 8, 1.0, nil)
 	if err != nil {
 		return Table2Row{}, err
 	}
@@ -209,7 +210,7 @@ func table2Reconstruction(ctx context.Context, p Preset, cfg Table2Config) (Tabl
 
 // table2RABNN: RA-BNN (Rakin et al.): binary weights at doubled width.
 func table2RABNN(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, error) {
-	rabnn, err := TrainVictimCtx(ctx, p, ArchResNet20, 10, 1, 2.0, nil)
+	rabnn, err := TrainVictim(ctx, p, ArchResNet20, 10, 1, 2.0, nil)
 	if err != nil {
 		return Table2Row{}, err
 	}
@@ -226,10 +227,7 @@ func table2RABNN(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, er
 
 // table2DRAMLocker: full stack, ideal SWAP (no process-variation errors).
 func table2DRAMLocker(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	dl, err := TrainVictimCtx(ctx, p, ArchResNet20, 10, 8, 1.0, nil)
+	dl, err := TrainVictim(ctx, p, ArchResNet20, 10, 8, 1.0, nil)
 	if err != nil {
 		return Table2Row{}, err
 	}
@@ -252,20 +250,4 @@ func table2DRAMLocker(ctx context.Context, p Preset, cfg Table2Config) (Table2Ro
 		PostAttackAcc: res.FinalAccuracy(), BitFlips: res.TotalDenied + res.TotalFlips,
 		Note: fmt.Sprintf("all %d attempts denied, %d landed", res.TotalDenied, res.TotalFlips),
 	}, nil
-}
-
-// Table2 measures every defense row on ResNet-20 / CIFAR-10-like data.
-// Training-based defenses run under direct flip execution (they do not
-// change the memory system); DRAM-Locker runs on the full DRAM stack with
-// an ideal (error-free) SWAP, the paper's Table II setting.
-func Table2(p Preset, cfg Table2Config) ([]Table2Row, error) {
-	var rows []Table2Row
-	for _, m := range Table2Models() {
-		row, err := m.Run(context.Background(), p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }

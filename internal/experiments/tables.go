@@ -1,21 +1,19 @@
 package experiments
 
-import (
-	"repro/internal/circuit"
-	"repro/internal/overhead"
-	"repro/internal/sim"
-)
+import "repro/internal/circuit"
 
-// MonteCarlo reproduces §IV.D: the erroneous-SWAP rate at ±0/10/20%
-// process variation, next to the paper's reported numbers.
+// MonteCarloRow is one process-variation point of the §IV.D experiment:
+// the measured erroneous-SWAP rate next to the paper's reported number.
 type MonteCarloRow struct {
 	Variation float64
 	Measured  float64
 	Paper     float64
 }
 
-// MonteCarloRowFor computes one variation point of the §IV.D sweep (one
-// shard of the mc grid) under the exact seed the full sweep uses.
+// MonteCarloRowFor computes the i-th variation point of the §IV.D sweep,
+// one shard of the mc grid, with the calibrated charge-sharing model.
+// circuit.PaperPoint derives each point's seed from the preset seed and
+// i alone, so every point is the same whichever shards run.
 func MonteCarloRowFor(p Preset, i int) (MonteCarloRow, error) {
 	r, err := circuit.PaperPoint(circuit.Default45nm(), i, p.MCTrials, p.Seed+5)
 	if err != nil {
@@ -28,39 +26,9 @@ func MonteCarloRowFor(p Preset, i int) (MonteCarloRow, error) {
 	}, nil
 }
 
-// MonteCarlo runs the calibrated charge-sharing model.
-func MonteCarlo(p Preset) ([]MonteCarloRow, error) {
-	var rows []MonteCarloRow
-	for i := range circuit.PaperVariations() {
-		row, err := MonteCarloRowFor(p, i)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// Table1 reproduces the hardware-overhead comparison on the paper's
-// 32GB 16-bank DDR4 configuration.
-func Table1() []overhead.Report {
-	return overhead.Table1(overhead.DefaultConfig())
-}
-
 // fig7aMaxBFA/fig7aStep are the paper's Fig. 7(a) x-axis (0..8e4 BFA in
-// 1e4 steps), shared by the monolithic helper and the sharded grid.
+// 1e4 steps), shared by every curve shard of the fig7a grid.
 const (
 	fig7aMaxBFA = 80000
 	fig7aStep   = 10000
 )
-
-// Fig7aData computes the latency-per-Tref curves (SHADOW at four
-// thresholds + DRAM-Locker) over the paper's 0..8e4 BFA range.
-func Fig7aData() ([]sim.Fig7aCurve, error) {
-	return sim.Fig7a(sim.DefaultLatencyConfig(), fig7aMaxBFA, fig7aStep)
-}
-
-// Fig7bData computes the defense-time bars at thresholds 1k..8k.
-func Fig7bData() ([]sim.Fig7bBar, error) {
-	return sim.Fig7b(sim.DefaultDefenseTimeConfig())
-}

@@ -63,19 +63,12 @@ func (p Preset) buildNet(arch Arch, classes int, widthMul float64) (*nn.Model, e
 // TrainVictim trains and quantizes a victim model. bits is the weight
 // width (8 normally, 1 for the binary-weight defense); widthMul scales
 // the architecture relative to the preset (Table II's capacity rows);
-// reg optionally adds a training regularizer.
-func TrainVictim(p Preset, arch Arch, classes, bits int, widthMul float64, reg func([]*nn.Param)) (*Victim, error) {
-	return TrainVictimCtx(context.Background(), p, arch, classes, bits, widthMul, reg)
-}
-
-// TrainVictimCtx is TrainVictim under a cancellation context: training is
-// the dominant cost of the model-bearing experiments, so the per-epoch
-// poll is what lets Ctrl-C (or a disconnected remote scheduler) stop an
-// in-flight job instead of only the queued tail.
-func TrainVictimCtx(ctx context.Context, p Preset, arch Arch, classes, bits int, widthMul float64, reg func([]*nn.Param)) (*Victim, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// reg optionally adds a training regularizer. Training is the dominant
+// cost of the model-bearing experiments, so ctx is polled per epoch:
+// that is what lets Ctrl-C (or a disconnected remote scheduler) stop an
+// in-flight job instead of only the queued tail. A progress reporter
+// installed with engine.WithProgress hears every finished epoch.
+func TrainVictim(ctx context.Context, p Preset, arch Arch, classes, bits int, widthMul float64, reg func([]*nn.Param)) (*Victim, error) {
 	ds, err := dataset.Generate(p.datasetConfig(classes))
 	if err != nil {
 		return nil, err
@@ -124,11 +117,6 @@ func TrainVictimCtx(ctx context.Context, p Preset, arch Arch, classes, bits int,
 }
 
 // NewVictim trains the standard 8-bit victim for an experiment.
-func NewVictim(p Preset, arch Arch, classes int) (*Victim, error) {
-	return TrainVictim(p, arch, classes, 8, 1.0, nil)
-}
-
-// NewVictimCtx is NewVictim under a cancellation context.
-func NewVictimCtx(ctx context.Context, p Preset, arch Arch, classes int) (*Victim, error) {
-	return TrainVictimCtx(ctx, p, arch, classes, 8, 1.0, nil)
+func NewVictim(ctx context.Context, p Preset, arch Arch, classes int) (*Victim, error) {
+	return TrainVictim(ctx, p, arch, classes, 8, 1.0, nil)
 }

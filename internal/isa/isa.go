@@ -283,16 +283,3 @@ func SwapProgram() []Instruction {
 		Done(),
 	}
 }
-
-// RepeatedSwapProgram returns a SWAP wrapped in a BNEZ loop. The sequencer
-// must preload RegCounter with the desired iteration count; the loop body
-// runs once per count (used for stress and ablation benches).
-func RepeatedSwapProgram() []Instruction {
-	return []Instruction{
-		Copy(RegBuffer, RegLocked),
-		Copy(RegLocked, RegUnlocked),
-		Copy(RegUnlocked, RegBuffer),
-		Bnez(RegCounter, -4),
-		Done(),
-	}
-}

@@ -78,8 +78,24 @@ func TestOpcodeBitsMatchFig5(t *testing.T) {
 	}
 }
 
+// The assembler vectors, shared by the TestAssemble* tests and
+// FuzzAssemble's seed corpus.
+const (
+	assembleRoundTripSrc = "AAP R2 R0\nAAP R0 R1\nBNEZ R3 -2\nNOP\nDONE"
+	assembleCommentsSrc  = "; full comment line\n\n  AAP R1 R2  ; inline\n\nDONE\n"
+)
+
+var assembleErrorCases = []string{
+	"FROB R1 R2",
+	"AAP R1",
+	"AAP R1 R200",
+	"BNEZ R1 99",
+	"DONE R1",
+	"AAP X1 R2",
+}
+
 func TestAssembleDisassembleRoundTrip(t *testing.T) {
-	src := "AAP R2 R0\nAAP R0 R1\nBNEZ R3 -2\nNOP\nDONE"
+	src := assembleRoundTripSrc
 	prog, err := Assemble(src)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +106,7 @@ func TestAssembleDisassembleRoundTrip(t *testing.T) {
 }
 
 func TestAssembleCommentsAndBlankLines(t *testing.T) {
-	prog, err := Assemble("; full comment line\n\n  AAP R1 R2  ; inline\n\nDONE\n")
+	prog, err := Assemble(assembleCommentsSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,15 +116,7 @@ func TestAssembleCommentsAndBlankLines(t *testing.T) {
 }
 
 func TestAssembleErrors(t *testing.T) {
-	cases := []string{
-		"FROB R1 R2",
-		"AAP R1",
-		"AAP R1 R200",
-		"BNEZ R1 99",
-		"DONE R1",
-		"AAP X1 R2",
-	}
-	for _, src := range cases {
+	for _, src := range assembleErrorCases {
 		if _, err := Assemble(src); err == nil {
 			t.Errorf("Assemble(%q) should fail", src)
 		}

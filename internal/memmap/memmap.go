@@ -221,6 +221,3 @@ func (l *Layout) SyncFromDRAM() (int, error) {
 	}
 	return changed, nil
 }
-
-// FootprintBytes returns the weight storage size.
-func (l *Layout) FootprintBytes() int64 { return int64(l.QM.TotalWeights()) }

@@ -74,6 +74,48 @@ func TestTrainingBitIdenticalAcrossBudgets(t *testing.T) {
 	}
 }
 
+// TestFitProjectedIdentityMatchesFit pins the one training loop behind
+// Fit and FitProjected: under a projection that changes nothing,
+// FitProjected must take exactly Fit's steps, so every parameter's bits
+// and the returned loss are equal.
+func TestFitProjectedIdentityMatchesFit(t *testing.T) {
+	train := func(fit func(*Model, BatchSource, TrainConfig) float64) (float64, []float32) {
+		m := NewResNet20(4, 0.25, 21)
+		src := newSyntheticSource(24, 4, 8, 31)
+		cfg := TrainConfig{Epochs: 3, BatchSize: 8, LR: 0.05, Momentum: 0.9, WeightDecay: 5e-4,
+			LRDropEvery: 2, Seed: 5, Regularizer: PiecewiseClusteringReg(1e-3)}
+		loss := fit(m, src, cfg)
+		var w []float32
+		for _, p := range m.Params() {
+			w = append(w, p.W.Data...)
+		}
+		return loss, w
+	}
+	plainLoss, plain := train(Fit)
+	projections := 0
+	projLoss, proj := train(func(m *Model, src BatchSource, cfg TrainConfig) float64 {
+		return FitProjected(m, src, cfg, func([]*Param) func() {
+			projections++
+			return func() {}
+		})
+	})
+	if projections != 9 {
+		t.Fatalf("projection ran %d times, want 9 (3 epochs of 3 batches)", projections)
+	}
+	if math.Float64bits(plainLoss) != math.Float64bits(projLoss) {
+		t.Fatalf("loss differs: Fit %v, FitProjected %v", plainLoss, projLoss)
+	}
+	if len(plain) != len(proj) {
+		t.Fatalf("weight count mismatch: %d vs %d", len(plain), len(proj))
+	}
+	for i := range plain {
+		if math.Float32bits(plain[i]) != math.Float32bits(proj[i]) {
+			t.Fatalf("weight %d differs: Fit %g (0x%08x), FitProjected %g (0x%08x)",
+				i, plain[i], math.Float32bits(plain[i]), proj[i], math.Float32bits(proj[i]))
+		}
+	}
+}
+
 // TestEvaluateBitIdenticalAcrossBudgets pins the inference path the
 // attack loops hammer: accuracy and batch loss must not move with the
 // budget.

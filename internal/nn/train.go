@@ -137,8 +137,6 @@ type TrainConfig struct {
 	// backward pass (e.g. PiecewiseClusteringReg for the Table II
 	// defense).
 	Regularizer func(params []*Param)
-	// Verbose prints per-epoch progress via the Logf callback.
-	Logf func(format string, args ...any)
 	// Stop, if non-nil, is polled before every epoch; a non-nil return
 	// aborts training early (the model keeps the weights learned so
 	// far). The experiment harness wires it to the run's cancellation
@@ -222,6 +220,26 @@ type BatchSource interface {
 // Fit trains the model on train data with SGD, returning the final
 // training loss.
 func Fit(m *Model, train BatchSource, cfg TrainConfig) float64 {
+	return fit(m, train, cfg, nil)
+}
+
+// FitProjected trains with projected forward passes (straight-through
+// estimator): before each forward+backward, project replaces quantizable
+// weights with their projected image (e.g. binarized values) and returns a
+// restore closure; gradients computed against the projected weights are
+// then applied to the float master weights. This is how binary-weight
+// networks (and RA-BNN) are actually trained — post-hoc binarization of a
+// float model destroys it.
+func FitProjected(m *Model, train BatchSource, cfg TrainConfig, project func(params []*Param) (restore func())) float64 {
+	if project == nil {
+		panic("nn: FitProjected needs a projection")
+	}
+	return fit(m, train, cfg, project)
+}
+
+// fit is the one training loop behind Fit and FitProjected. A nil
+// project trains the weights as they are.
+func fit(m *Model, train BatchSource, cfg TrainConfig, project func(params []*Param) (restore func())) float64 {
 	if cfg.BatchSize <= 0 || cfg.Epochs <= 0 {
 		panic("nn: TrainConfig needs positive Epochs and BatchSize")
 	}
@@ -254,10 +272,17 @@ func Fit(m *Model, train BatchSource, cfg TrainConfig) float64 {
 			}
 			b := train.Slice(st, end)
 			m.ZeroGrad()
+			var restore func()
+			if project != nil {
+				restore = project(params)
+			}
 			logits := m.Forward(b.X, true)
 			grad = tensor.Ensure(grad, logits.Shape...)
 			loss := SoftmaxCrossEntropyInto(grad, logits, b.Y)
 			m.Backward(grad)
+			if restore != nil {
+				restore()
+			}
 			if cfg.Regularizer != nil {
 				cfg.Regularizer(params)
 			}
@@ -265,73 +290,6 @@ func Fit(m *Model, train BatchSource, cfg TrainConfig) float64 {
 			epochLoss += loss * float64(end-st)
 		}
 		lastLoss = epochLoss / float64(n)
-		if cfg.Logf != nil {
-			cfg.Logf("epoch %d/%d loss %.4f lr %.4f", epoch+1, cfg.Epochs, lastLoss, opt.LR)
-		}
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch+1, cfg.Epochs)
-		}
-	}
-	return lastLoss
-}
-
-// FitProjected trains with projected forward passes (straight-through
-// estimator): before each forward+backward, project replaces quantizable
-// weights with their projected image (e.g. binarized values) and returns a
-// restore closure; gradients computed against the projected weights are
-// then applied to the float master weights. This is how binary-weight
-// networks (and RA-BNN) are actually trained — post-hoc binarization of a
-// float model destroys it.
-func FitProjected(m *Model, train BatchSource, cfg TrainConfig, project func(params []*Param) (restore func())) float64 {
-	if cfg.BatchSize <= 0 || cfg.Epochs <= 0 {
-		panic("nn: TrainConfig needs positive Epochs and BatchSize")
-	}
-	if project == nil {
-		panic("nn: FitProjected needs a projection")
-	}
-	opt := NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
-	rng := stats.NewRNG(cfg.Seed)
-	n := train.NumExamples()
-	params := m.Params()
-	var grad *tensor.Tensor
-	var starts []int
-	var lastLoss float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if cfg.Stop != nil && cfg.Stop() != nil {
-			break
-		}
-		if cfg.LRDropEvery > 0 && epoch > 0 && epoch%cfg.LRDropEvery == 0 {
-			opt.LR /= 2
-		}
-		starts = starts[:0]
-		for i := 0; i < n; i += cfg.BatchSize {
-			starts = append(starts, i)
-		}
-		rng.Shuffle(len(starts), func(i, j int) { starts[i], starts[j] = starts[j], starts[i] })
-		var epochLoss float64
-		for _, st := range starts {
-			end := st + cfg.BatchSize
-			if end > n {
-				end = n
-			}
-			b := train.Slice(st, end)
-			m.ZeroGrad()
-			restore := project(params)
-			logits := m.Forward(b.X, true)
-			grad = tensor.Ensure(grad, logits.Shape...)
-			loss := SoftmaxCrossEntropyInto(grad, logits, b.Y)
-			m.Backward(grad)
-			restore()
-			if cfg.Regularizer != nil {
-				cfg.Regularizer(params)
-			}
-			opt.Step(params)
-			epochLoss += loss * float64(end-st)
-		}
-		lastLoss = epochLoss / float64(n)
-		if cfg.Logf != nil {
-			cfg.Logf("epoch %d/%d loss %.4f lr %.4f", epoch+1, cfg.Epochs, lastLoss, opt.LR)
-		}
 		if cfg.OnEpoch != nil {
 			cfg.OnEpoch(epoch+1, cfg.Epochs)
 		}

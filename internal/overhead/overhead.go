@@ -267,20 +267,6 @@ func DRAMLocker(cfg Config) Report {
 	}
 }
 
-// Table1 returns every framework's report in the paper's row order.
-func Table1(cfg Config) []Report {
-	out := make([]Report, 0, len(Table1Frameworks()))
-	for _, name := range Table1Frameworks() {
-		r, err := Table1Report(cfg, name)
-		if err != nil {
-			// The fixed framework list cannot miss; keep the signature.
-			panic(err)
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
 // Table1Frameworks lists the Table I rows in paper order — the shard axis
 // of the table1 grid job.
 func Table1Frameworks() []string {

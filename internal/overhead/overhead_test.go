@@ -7,8 +7,23 @@ import (
 	"repro/internal/dram"
 )
 
+// table1 computes every Table I row in paper order, as the table1 job's
+// shards do.
+func table1(t *testing.T) []Report {
+	t.Helper()
+	var reports []Report
+	for _, name := range Table1Frameworks() {
+		r, err := Table1Report(DefaultConfig(), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, r)
+	}
+	return reports
+}
+
 func TestTable1HasAllPaperRows(t *testing.T) {
-	reports := Table1(DefaultConfig())
+	reports := table1(t)
 	want := []string{
 		"Graphene", "Hydra", "TWiCE", "Counter per Row", "Counter Tree",
 		"RRS", "SRS", "SHADOW", "P-PIM", "DRAM-Locker",
@@ -42,7 +57,7 @@ func TestDRAMLockerRowMatchesPaper(t *testing.T) {
 }
 
 func TestDRAMLockerHasSmallestArea(t *testing.T) {
-	for _, r := range Table1(DefaultConfig()) {
+	for _, r := range table1(t) {
 		if r.AreaKnown && r.Framework != "DRAM-Locker" {
 			if r.AreaPercent <= 0.02 {
 				t.Fatalf("%s area %.3f%% undercuts DRAM-Locker", r.Framework, r.AreaPercent)

@@ -62,7 +62,9 @@ func TestPullWorkerPiggybacksProgressOnRenew(t *testing.T) {
 	reg := engine.NewRegistry()
 	err := reg.Register(engine.Job{Name: "slow", Key: "slow@hash",
 		Run: func(c engine.Context) (engine.Output, error) {
-			c.Report("train", 4, 8)
+			if report := engine.ProgressFromContext(c.Ctx); report != nil {
+				report("train", 4, 8)
+			}
 			<-release
 			return engine.Output{Text: "slow done"}, nil
 		}})

@@ -240,6 +240,10 @@ func (e *QueueExecutor) Execute(ctx context.Context, spec api.TaskSpec) (api.Tas
 		retry.Reset()
 		switch st.State {
 		case api.JobDone:
+			if len(st.Results) != 1 {
+				return api.TaskResult{}, fmt.Errorf("remote: task %s[%d]: broker %s: done job %s carries %d results, want 1",
+					spec.Job, spec.Shard, base, id, len(st.Results))
+			}
 			res := st.Results[0]
 			if verr := res.Validate(spec); verr != nil {
 				return api.TaskResult{}, fmt.Errorf("remote: task %s[%d]: broker %s: %w", spec.Job, spec.Shard, base, verr)

@@ -50,6 +50,34 @@ func dialQueue(t *testing.T, url string, opts QueueOptions) *QueueExecutor {
 	return qe
 }
 
+// TestDoneStatusWithoutResultIsAnError: a broker whose status reply
+// says "done" but carries no result must fail the task with an error
+// that names the job and the broker, not panic the scheduler.
+func TestDoneStatusWithoutResultIsAnError(t *testing.T) {
+	bs := NewBrokerServer(queue.New(queue.Config{}), "qb")
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == JobStatusPath {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write([]byte(`{"state":"done"}`))
+			return
+		}
+		bs.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	qe := dialQueue(t, ts.URL, QueueOptions{BatchLinger: -1})
+
+	spec := api.TaskSpec{Proto: api.Version, Job: "mono0", Shard: api.MonolithShard, Seed: 7, Key: "mono0@hash"}
+	_, err := qe.Execute(context.Background(), spec)
+	if err == nil {
+		t.Fatal("a done status without its result must fail the task")
+	}
+	for _, frag := range []string{"mono0", strings.TrimPrefix(ts.URL, "http://"), "0 results"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Fatalf("error %q does not name %q", err, frag)
+		}
+	}
+}
+
 // TestQueueReportMatchesLocal is the queue-transport half of the
 // determinism guarantee: the same registry scheduled through a broker
 // and a pull worker renders a report byte-identical to the in-process

@@ -318,9 +318,6 @@ func (e *Engine) ResetWindow(now dram.Picoseconds) {
 	e.history.Windows++
 }
 
-// WindowStart returns the start time of the current refresh window.
-func (e *Engine) WindowStart() dram.Picoseconds { return e.windowStart }
-
 // Count returns the current-window activation count of a row.
 func (e *Engine) Count(a dram.RowAddr) int {
 	idx := e.geom.LinearIndex(a)

@@ -31,10 +31,6 @@ type LatencyConfig struct {
 	// ShadowCeilingFactor bounds SHADOW: its shuffle throughput is
 	// exceeded once one row sees CeilingFactor*TRH activations per window.
 	ShadowCeilingFactor int
-	// Thresholds are the device TRH values swept for the SHADOW curves;
-	// DRAM-Locker's single curve is evaluated at the smallest (its worst
-	// case). Empty means PaperThresholds() (1k/2k/4k/8k).
-	Thresholds []int
 }
 
 // DefaultLatencyConfig returns the Fig. 7(a) operating point.
@@ -45,11 +41,12 @@ func DefaultLatencyConfig() LatencyConfig {
 		RelockInterval:      1000,
 		PendingRows:         64,
 		ShadowCeilingFactor: 40,
-		Thresholds:          PaperThresholds(),
 	}
 }
 
-// PaperThresholds returns the TRH sweep of Fig. 7 (1k, 2k, 4k, 8k).
+// PaperThresholds returns the TRH sweep of Fig. 7 (1k, 2k, 4k, 8k): the
+// SHADOW curves of Fig. 7(a) and the bars of Fig. 7(b), one grid shard
+// per threshold.
 func PaperThresholds() []int {
 	return []int{1000, 2000, 4000, 8000}
 }
@@ -61,28 +58,6 @@ func (c LatencyConfig) Validate() error {
 	}
 	if c.ProtectedRows <= 0 || c.RelockInterval <= 0 || c.PendingRows <= 0 || c.ShadowCeilingFactor <= 0 {
 		return fmt.Errorf("sim: LatencyConfig fields must be positive: %+v", c)
-	}
-	return validateThresholds(c.Thresholds)
-}
-
-// thresholdsOrDefault substitutes the paper sweep for an unset field, so
-// configs built as literals keep the pre-Thresholds behavior.
-func thresholdsOrDefault(trhs []int) []int {
-	if len(trhs) == 0 {
-		return PaperThresholds()
-	}
-	return trhs
-}
-
-// validateThresholds requires a positive, strictly increasing TRH sweep
-// (empty is allowed — it means the default).
-func validateThresholds(trhs []int) error {
-	prev := 0
-	for _, trh := range trhs {
-		if trh <= prev {
-			return fmt.Errorf("sim: Thresholds must be positive and strictly increasing, got %v", trhs)
-		}
-		prev = trh
 	}
 	return nil
 }
@@ -170,7 +145,7 @@ func ShadowCurve(cfg LatencyConfig, trh, maxBFA, step int) (Fig7aCurve, error) {
 }
 
 // LockerCurve computes DRAM-Locker's latency curve (labelled with its
-// worst case, the smallest configured threshold) — the final shard of the
+// worst case, the smallest paper threshold) — the final shard of the
 // Fig. 7(a) grid.
 func LockerCurve(cfg LatencyConfig, maxBFA, step int) (Fig7aCurve, error) {
 	if err := cfg.Validate(); err != nil {
@@ -179,33 +154,11 @@ func LockerCurve(cfg LatencyConfig, maxBFA, step int) (Fig7aCurve, error) {
 	if maxBFA <= 0 || step <= 0 {
 		return Fig7aCurve{}, fmt.Errorf("sim: maxBFA and step must be positive")
 	}
-	dl := Fig7aCurve{Label: "DL", TRH: thresholdsOrDefault(cfg.Thresholds)[0]}
+	dl := Fig7aCurve{Label: "DL", TRH: PaperThresholds()[0]}
 	for n := 0; n <= maxBFA; n += step {
 		dl.Points = append(dl.Points, LockerLatency(cfg, n))
 	}
 	return dl, nil
-}
-
-// Fig7a computes the full figure: SHADOW at each configured threshold and
-// DRAM-Locker at its worst case (the smallest threshold), for
-// nBFA = 0..maxBFA in steps.
-func Fig7a(cfg LatencyConfig, maxBFA, step int) ([]Fig7aCurve, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	var curves []Fig7aCurve
-	for _, trh := range thresholdsOrDefault(cfg.Thresholds) {
-		c, err := ShadowCurve(cfg, trh, maxBFA, step)
-		if err != nil {
-			return nil, err
-		}
-		curves = append(curves, c)
-	}
-	dl, err := LockerCurve(cfg, maxBFA, step)
-	if err != nil {
-		return nil, err
-	}
-	return append(curves, dl), nil
 }
 
 // --- Fig. 7(b): defense time -------------------------------------------------
@@ -235,9 +188,6 @@ type DefenseTimeConfig struct {
 	// destination and completes the hammer inside the window) at TRH=1k.
 	// Calibrated so SHADOW at TRH=1k holds for tens of days.
 	ShadowEvadePerWindow float64
-	// Thresholds are the device TRH values the bars are computed at.
-	// Empty means PaperThresholds() (1k/2k/4k/8k).
-	Thresholds []int
 }
 
 // DefaultDefenseTimeConfig returns the calibrated Fig. 7(b) model.
@@ -249,7 +199,6 @@ func DefaultDefenseTimeConfig() DefenseTimeConfig {
 		UnlockRatePerDay:     24,     // one legitimate unlock per hour
 		ExposureAlignProb:    2.7e-5, // see field comment
 		ShadowEvadePerWindow: 1.23e-10,
-		Thresholds:           PaperThresholds(),
 	}
 }
 
@@ -263,9 +212,6 @@ func (c DefenseTimeConfig) Validate() error {
 	}
 	if c.UnlockRatePerDay <= 0 || c.ExposureAlignProb <= 0 || c.ShadowEvadePerWindow <= 0 {
 		return fmt.Errorf("sim: rates must be positive")
-	}
-	if err := validateThresholds(c.Thresholds); err != nil {
-		return err
 	}
 	return c.Timing.Validate()
 }
@@ -342,22 +288,6 @@ func Fig7bBarAt(cfg DefenseTimeConfig, trh int) (Fig7bBar, error) {
 		ShadowDays: ShadowDefenseDays(cfg, trh),
 		LockerDays: LockerDefenseDays(cfg, trh),
 	}, nil
-}
-
-// Fig7b computes the defense-time comparison at the configured thresholds.
-func Fig7b(cfg DefenseTimeConfig) ([]Fig7bBar, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	var out []Fig7bBar
-	for _, trh := range thresholdsOrDefault(cfg.Thresholds) {
-		bar, err := Fig7bBarAt(cfg, trh)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, bar)
-	}
-	return out, nil
 }
 
 // SwapErrorProbability re-exports the three-copy SWAP failure law so the

@@ -67,10 +67,21 @@ func TestLockerLatencyBelowShadowAndUnbounded(t *testing.T) {
 }
 
 func TestFig7aCurveSet(t *testing.T) {
-	curves, err := Fig7a(DefaultLatencyConfig(), 80000, 20000)
+	// The fig7a job's shards: SHADOW at every paper threshold, then DL.
+	cfg := DefaultLatencyConfig()
+	var curves []Fig7aCurve
+	for _, trh := range PaperThresholds() {
+		c, err := ShadowCurve(cfg, trh, 80000, 20000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curves = append(curves, c)
+	}
+	dl, err := LockerCurve(cfg, 80000, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	curves = append(curves, dl)
 	if len(curves) != 5 {
 		t.Fatalf("curves = %d, want 4 SHADOW + 1 DL", len(curves))
 	}
@@ -89,58 +100,24 @@ func TestFig7aCurveSet(t *testing.T) {
 			t.Fatalf("missing curve %s", want)
 		}
 	}
-}
-
-func TestFig7ThresholdsConfigurable(t *testing.T) {
-	cfg := DefaultLatencyConfig()
-	cfg.Thresholds = []int{500, 3000}
-	curves, err := Fig7a(cfg, 80000, 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curves) != 3 {
-		t.Fatalf("curves = %d, want 2 SHADOW + 1 DL", len(curves))
-	}
-	if curves[0].Label != "SHADOW500" || curves[2].Label != "DL" {
-		t.Fatalf("labels: %s, %s", curves[0].Label, curves[2].Label)
-	}
-	if curves[2].TRH != 500 {
-		t.Fatalf("DL must use the smallest threshold, got %d", curves[2].TRH)
-	}
-
-	// An unset field keeps the pre-Thresholds behavior (paper sweep).
-	cfg.Thresholds = nil
-	curves, err = Fig7a(cfg, 80000, 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curves) != 5 {
-		t.Fatalf("default sweep gave %d curves", len(curves))
-	}
-
-	cfg.Thresholds = []int{2000, 1000} // not increasing
-	if _, err := Fig7a(cfg, 80000, 20000); err == nil {
-		t.Fatal("decreasing thresholds must fail")
-	}
-
-	dcfg := DefaultDefenseTimeConfig()
-	dcfg.Thresholds = []int{4000}
-	bars, err := Fig7b(dcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bars) != 1 || bars[0].Threshold != 4000 {
-		t.Fatalf("bars: %+v", bars)
+	if dl := curves[4]; dl.TRH != 1000 {
+		t.Fatalf("DL must be labelled at the smallest threshold, got %d", dl.TRH)
 	}
 }
 
 func TestFig7aValidation(t *testing.T) {
-	if _, err := Fig7a(DefaultLatencyConfig(), 0, 10); err == nil {
+	if _, err := ShadowCurve(DefaultLatencyConfig(), 1000, 0, 10); err == nil {
+		t.Fatal("zero max must fail")
+	}
+	if _, err := LockerCurve(DefaultLatencyConfig(), 0, 10); err == nil {
 		t.Fatal("zero max must fail")
 	}
 	bad := DefaultLatencyConfig()
 	bad.ProtectedRows = 0
-	if _, err := Fig7a(bad, 100, 10); err == nil {
+	if _, err := ShadowCurve(bad, 1000, 100, 10); err == nil {
+		t.Fatal("bad config must fail")
+	}
+	if _, err := LockerCurve(bad, 100, 10); err == nil {
 		t.Fatal("bad config must fail")
 	}
 }
@@ -173,9 +150,14 @@ func TestDefenseDaysGrowWithThreshold(t *testing.T) {
 }
 
 func TestFig7bBars(t *testing.T) {
-	bars, err := Fig7b(DefaultDefenseTimeConfig())
-	if err != nil {
-		t.Fatal(err)
+	cfg := DefaultDefenseTimeConfig()
+	var bars []Fig7bBar
+	for _, trh := range PaperThresholds() {
+		bar, err := Fig7bBarAt(cfg, trh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bars = append(bars, bar)
 	}
 	if len(bars) != 4 {
 		t.Fatalf("bars = %d", len(bars))
@@ -184,6 +166,12 @@ func TestFig7bBars(t *testing.T) {
 		if bars[i].Threshold != trh {
 			t.Fatalf("bar %d threshold %d", i, bars[i].Threshold)
 		}
+		if bars[i].LockerDays != LockerDefenseDays(cfg, trh) || bars[i].ShadowDays != ShadowDefenseDays(cfg, trh) {
+			t.Fatalf("bar %d: %+v", i, bars[i])
+		}
+	}
+	if _, err := Fig7bBarAt(cfg, 0); err == nil {
+		t.Fatal("zero threshold must fail")
 	}
 }
 
@@ -209,12 +197,12 @@ func TestSwapErrorProbabilityReExport(t *testing.T) {
 func TestDefenseTimeValidation(t *testing.T) {
 	bad := DefaultDefenseTimeConfig()
 	bad.TargetProb = 0
-	if _, err := Fig7b(bad); err == nil {
+	if _, err := Fig7bBarAt(bad, 1000); err == nil {
 		t.Fatal("zero target probability must fail")
 	}
 	bad = DefaultDefenseTimeConfig()
 	bad.CopyErrorProb = 2
-	if _, err := Fig7b(bad); err == nil {
+	if _, err := Fig7bBarAt(bad, 1000); err == nil {
 		t.Fatal("invalid copy error probability must fail")
 	}
 }
