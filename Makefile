@@ -168,8 +168,21 @@ vet:
 # stub the amd64 build never compiles; this keeps that stub building on
 # amd64-only CI runners. The amd64 `vet` checks the assembly's frame
 # offsets against its Go declarations (asmdecl).
+#
+# Then fail on any fused multiply-add in the arm64 build. The Go spec
+# lets a compiler fuse x*y + z into one instruction that rounds once,
+# and arm64's does, where amd64 rounds the product and the sum apart;
+# payloads computed on the two would then differ under the same cache
+# key. Every such product is written float32(x*y) (float64 for
+# doubles), whose explicit rounding forbids the fusion. The compiler's
+# -S listing is replayed from the build cache, so a warm build still
+# checks.
+FUSED_OPS = '\s(FMADD|FMSUB|FNMADD|FNMSUB)[SD]\s'
 cross:
 	GOARCH=arm64 $(GO) vet ./...
+	@GOARCH=arm64 $(GO) build ./...
+	@if GOARCH=arm64 $(GO) build -gcflags=-S ./... 2>&1 | grep -E $(FUSED_OPS); then \
+		echo "cross: fused multiply-add in the arm64 build (above); round the product explicitly"; exit 1; fi
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -102,7 +102,7 @@ func (b *Backoff) Next() time.Duration {
 	b.attempt++
 	total.Add(1)
 	if j := b.p.Jitter; j > 0 {
-		d += d * j * (b.rng.Float64() - 0.5)
+		d += float64(d * j * (float64(b.rng.Float64()) - 0.5))
 	}
 	if d < 1 {
 		d = 1

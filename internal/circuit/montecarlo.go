@@ -64,7 +64,7 @@ func (p Params) Validate() error {
 	if p.VDD <= 0 || p.Cc <= 0 || p.Cb <= 0 || p.R0 <= 0 || p.Tsh <= 0 {
 		return fmt.Errorf("circuit: non-positive electrical parameter: %+v", p)
 	}
-	if p.Vpp <= p.Vth+p.VDD/2 {
+	if p.Vpp <= p.Vth+float64(p.VDD/2) {
 		return fmt.Errorf("circuit: word-line boost too low: Vpp=%g Vth=%g", p.Vpp, p.Vth)
 	}
 	if p.CopiesPerSwap <= 0 {
@@ -74,12 +74,12 @@ func (p Params) Validate() error {
 }
 
 // overdrive returns the access transistor gate overdrive for a threshold.
-func (p Params) overdrive(vth float64) float64 { return p.Vpp - vth - p.VDD/2 }
+func (p Params) overdrive(vth float64) float64 { return p.Vpp - vth - float64(p.VDD/2) }
 
 // Margin computes the bit-line sense margin for one sampled cell instance.
 func (p Params) Margin(cc, cb, vth, vwlScale float64) float64 {
 	vov0 := p.overdrive(p.Vth)
-	vov := p.Vpp*vwlScale - vth - p.VDD/2
+	vov := float64(p.Vpp*vwlScale) - vth - float64(p.VDD/2)
 	if vov <= 0.02 {
 		// Transistor effectively off within the sharing window.
 		return 0

@@ -127,7 +127,7 @@ func drawPrototype(dst []float32, cfg Config, rng *stats.RNG) {
 	for ch := 0; ch < 3; ch++ {
 		lp := low[ch*lowPer : (ch+1)*lowPer]
 		for y := 0; y < cfg.Size; y++ {
-			fy := float64(y) * scale
+			fy := float64(float64(y) * scale)
 			y0 := int(fy)
 			y1 := y0 + 1
 			if y1 >= cfg.ProtoRes {
@@ -135,17 +135,17 @@ func drawPrototype(dst []float32, cfg Config, rng *stats.RNG) {
 			}
 			wy := fy - float64(y0)
 			for x := 0; x < cfg.Size; x++ {
-				fx := float64(x) * scale
+				fx := float64(float64(x) * scale)
 				x0 := int(fx)
 				x1 := x0 + 1
 				if x1 >= cfg.ProtoRes {
 					x1 = cfg.ProtoRes - 1
 				}
 				wx := fx - float64(x0)
-				v := lp[y0*cfg.ProtoRes+x0]*(1-wy)*(1-wx) +
-					lp[y0*cfg.ProtoRes+x1]*(1-wy)*wx +
-					lp[y1*cfg.ProtoRes+x0]*wy*(1-wx) +
-					lp[y1*cfg.ProtoRes+x1]*wy*wx
+				v := float64(lp[y0*cfg.ProtoRes+x0]*(1-wy)*(1-wx)) +
+					float64(lp[y0*cfg.ProtoRes+x1]*(1-wy)*wx) +
+					float64(lp[y1*cfg.ProtoRes+x0]*wy*(1-wx)) +
+					float64(lp[y1*cfg.ProtoRes+x1]*wy*wx)
 				dst[(ch*cfg.Size+y)*cfg.Size+x] = float32(v)
 			}
 		}

@@ -4,15 +4,20 @@
 // with respect to weights — required by the progressive bit search of the
 // Bit-Flip Attack — come out of the same backward pass used for training.
 //
+// Convolutions lower channel-major: Conv2D builds colsᵀ, one row per
+// kernel tap, and computes W·colsᵀ (forward), Wᵀ·g (input gradient) and
+// g·(colsᵀ)ᵀ (weight gradient), so every layout move between the GEMMs
+// and the (N, C, H, W) activations is a block copy of one image plane.
+//
 // Memory discipline: the attack/defense loops re-evaluate the same
 // networks thousands of times, so the hot path must not allocate. Every
 // layer owns its activation and gradient buffers and reuses them across
 // steps (tensor.Ensure), transient GEMM outputs come from the shared
 // scratch pool (tensor.GetScratch/PutScratch), and conv layers keep their
-// im2col/col2im matrices alive between steps. The contract this buys is:
-// a tensor returned by Forward or Backward is owned by the layer and
-// valid only until that layer's next Forward/Backward call — callers that
-// need persistence must Clone.
+// colsᵀ matrix alive between steps. The contract this buys is: a tensor
+// returned by Forward or Backward is owned by the layer and valid only
+// until that layer's next Forward/Backward call — callers that need
+// persistence must Clone.
 package nn
 
 import (
@@ -64,9 +69,11 @@ type Layer interface {
 
 // --- Conv2D -------------------------------------------------------------------
 
-// Conv2D is a 2-D convolution with square kernels, implemented by im2col
-// lowering to matrix multiplication. The im2col matrix and the output /
-// input-gradient buffers persist across steps.
+// Conv2D is a 2-D convolution with square kernels, implemented by a
+// channel-major im2col lowering to matrix multiplication: the input is
+// lowered to colsᵀ (InC*K*K, N*oh*ow) and the output is W·colsᵀ, one row
+// per output channel. The colsᵀ matrix and the output / input-gradient
+// buffers persist across steps.
 type Conv2D struct {
 	LayerName           string
 	InC, OutC           int
@@ -120,28 +127,26 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	outH, outW := tensor.ConvOutDims(x.Shape[2], x.Shape[3], c.Kernel, c.Kernel, c.Stride, c.Pad)
 	c.inShape = append(c.inShape[:0], x.Shape...)
 	c.outH, c.outW = outH, outW
-	rows := n * outH * outW
-	c.cols = tensor.Ensure(c.cols, rows, c.InC*c.Kernel*c.Kernel)
+	hw := outH * outW
+	nhw := n * hw
+	c.cols = tensor.Ensure(c.cols, c.InC*c.Kernel*c.Kernel, nhw)
 	tensor.Im2ColInto(c.cols, x, c.Kernel, c.Kernel, c.Stride, c.Pad)
 
-	// (N*oh*ow, inC*k*k) x (inC*k*k, outC) = cols * Wᵀ, with the bias add
-	// fused into the GEMM epilogue.
-	var bias []float32
-	if c.B != nil {
-		bias = c.B.W.Data
-	}
-	out2 := tensor.GetScratch(rows, c.OutC) // (N*oh*ow, outC)
-	tensor.MatMulTransBBiasInto(out2, c.cols, c.Weight.W, bias)
-
-	// Rearrange to (N, outC, oh, ow).
+	// (outC, inC*k*k) x (inC*k*k, N*oh*ow) = W·colsᵀ, one row per output
+	// channel; each image's plane of a row is then one block copy into
+	// (N, outC, oh, ow), with the bias added after the last k.
+	out2 := tensor.GetScratch(c.OutC, nhw)
+	tensor.MatMulInto(out2, c.Weight.W, c.cols)
 	c.out = tensor.Ensure(c.out, n, c.OutC, outH, outW)
-	hw := outH * outW
-	for img := 0; img < n; img++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			dst := c.out.Data[(img*c.OutC+oc)*hw : (img*c.OutC+oc)*hw+hw]
-			src := out2.Data[img*hw*c.OutC+oc:]
-			for p := range dst {
-				dst[p] = src[p*c.OutC]
+	for oc := 0; oc < c.OutC; oc++ {
+		for img := 0; img < n; img++ {
+			dst := c.out.Data[(img*c.OutC+oc)*hw : (img*c.OutC+oc+1)*hw]
+			copy(dst, out2.Data[oc*nhw+img*hw:])
+			if c.B != nil {
+				b := c.B.W.Data[oc]
+				for p := range dst {
+					dst[p] += b
+				}
 			}
 		}
 	}
@@ -153,31 +158,27 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n := grad.Shape[0]
 	hw := c.outH * c.outW
-	rows := n * hw
-	// Rearrange grad (N, outC, oh, ow) to (N*oh*ow, outC).
-	g2 := tensor.GetScratch(rows, c.OutC)
-	for img := 0; img < n; img++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			src := grad.Data[(img*c.OutC+oc)*hw : (img*c.OutC+oc)*hw+hw]
-			dst := g2.Data[img*hw*c.OutC+oc:]
-			for p, v := range src {
-				dst[p*c.OutC] = v
-			}
+	nhw := n * hw
+	// Rearrange grad (N, outC, oh, ow) to (outC, N*oh*ow), one block copy
+	// per image plane.
+	g2 := tensor.GetScratch(c.OutC, nhw)
+	for oc := 0; oc < c.OutC; oc++ {
+		for img := 0; img < n; img++ {
+			copy(g2.Data[oc*nhw+img*hw:][:hw], grad.Data[(img*c.OutC+oc)*hw:])
 		}
 	}
-	// dW += g2ᵀ * cols -> (outC, inC*k*k), accumulated straight into the
+	// dW += g2·(colsᵀ)ᵀ -> (outC, inC*k*k), accumulated straight into the
 	// gradient tensor with no intermediate.
-	tensor.MatMulTransAAcc(c.Weight.Grad, g2, c.cols)
-	// dCols = g2 * W -> (N*oh*ow, inC*k*k), scattered back to image space.
-	dcols := tensor.GetScratch(rows, c.InC*c.Kernel*c.Kernel)
-	tensor.MatMulInto(dcols, g2, c.Weight.W)
+	tensor.MatMulTransBAcc(c.Weight.Grad, g2, c.cols)
+	// dColsᵀ = Wᵀ·g2 -> (inC*k*k, N*oh*ow), scattered back to image space.
+	dcols := tensor.GetScratch(c.InC*c.Kernel*c.Kernel, nhw)
+	tensor.MatMulTransAInto(dcols, c.Weight.W, g2)
 	c.dx = tensor.Ensure(c.dx, c.inShape...)
 	tensor.Col2ImInto(c.dx, dcols, c.Kernel, c.Kernel, c.Stride, c.Pad)
 	tensor.PutScratch(dcols)
 	if c.B != nil {
-		for r := 0; r < rows; r++ {
-			row := g2.Data[r*c.OutC : (r+1)*c.OutC]
-			for oc, v := range row {
+		for oc := range c.B.Grad.Data {
+			for _, v := range g2.Data[oc*nhw : (oc+1)*nhw] {
 				c.B.Grad.Data[oc] += v
 			}
 		}
@@ -404,13 +405,13 @@ func (bn *BatchNorm2D) forwardTrain(x *tensor.Tensor, c0, c1 int) {
 			row := x.Data[base : base+hw]
 			for _, v := range row {
 				d := float64(v) - mean
-				variance += d * d
+				variance += float64(d * d)
 			}
 		}
 		variance /= cnt
 		if !bn.FreezeStats {
-			bn.RunningMean[ch] = (1-bn.Momentum)*bn.RunningMean[ch] + bn.Momentum*mean
-			bn.RunningVar[ch] = (1-bn.Momentum)*bn.RunningVar[ch] + bn.Momentum*variance
+			bn.RunningMean[ch] = float64((1-bn.Momentum)*bn.RunningMean[ch]) + float64(bn.Momentum*mean)
+			bn.RunningVar[ch] = float64((1-bn.Momentum)*bn.RunningVar[ch]) + float64(bn.Momentum*variance)
 		}
 		inv := 1 / math.Sqrt(variance+bn.Eps)
 		bn.invStd[ch] = inv
@@ -421,7 +422,7 @@ func (bn *BatchNorm2D) forwardTrain(x *tensor.Tensor, c0, c1 int) {
 			for p := 0; p < hw; p++ {
 				xh := (float64(x.Data[base+p]) - mean) * inv
 				bn.xhat.Data[base+p] = float32(xh)
-				bn.out.Data[base+p] = float32(g*xh + b)
+				bn.out.Data[base+p] = float32(float64(g*xh) + b)
 			}
 		}
 	}
@@ -439,7 +440,7 @@ func (bn *BatchNorm2D) forwardEval(x *tensor.Tensor, c0, c1 int) {
 		for img := 0; img < n; img++ {
 			base := (img*c + ch) * hw
 			for p := 0; p < hw; p++ {
-				bn.out.Data[base+p] = float32(g*(float64(x.Data[base+p])-mean)*inv + b)
+				bn.out.Data[base+p] = float32(float64(g*(float64(x.Data[base+p])-mean)*inv) + b)
 			}
 		}
 	}
@@ -473,7 +474,7 @@ func (bn *BatchNorm2D) backwardChannels(grad *tensor.Tensor, c0, c1 int) {
 			for p := 0; p < hw; p++ {
 				g := float64(grad.Data[base+p])
 				sumG += g
-				sumGX += g * float64(bn.xhat.Data[base+p])
+				sumGX += float64(g * float64(bn.xhat.Data[base+p]))
 			}
 		}
 		bn.Beta.Grad.Data[ch] += float32(sumG)

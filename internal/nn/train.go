@@ -37,7 +37,7 @@ func SoftmaxCrossEntropyInto(grad, logits *tensor.Tensor, labels []int) float64 
 		if y < 0 || y >= c {
 			panic(fmt.Sprintf("nn: label %d out of range %d", y, c))
 		}
-		loss += (logSum - float64(row[y]-maxv)) * inv
+		loss += float64((logSum - float64(row[y]-maxv)) * inv)
 		grow := grad.Data[i*c : (i+1)*c]
 		for j := range grow {
 			p := math.Exp(float64(row[j]-maxv)) / sum
@@ -65,7 +65,7 @@ func SoftmaxLoss(logits *tensor.Tensor, labels []int) float64 {
 		if y < 0 || y >= c {
 			panic(fmt.Sprintf("nn: label %d out of range %d", y, c))
 		}
-		loss += (math.Log(sum) - float64(row[y]-maxv)) * inv
+		loss += float64((math.Log(sum) - float64(row[y]-maxv)) * inv)
 	}
 	return loss
 }
@@ -115,9 +115,9 @@ func (s *SGD) Step(params []*Param) {
 		mu := float32(s.Momentum)
 		lr := float32(s.LR)
 		for i := range p.W.Data {
-			g := p.Grad.Data[i] + wd*p.W.Data[i]
-			v[i] = mu*v[i] + g
-			p.W.Data[i] -= lr * v[i]
+			g := p.Grad.Data[i] + float32(wd*p.W.Data[i])
+			v[i] = float32(mu*v[i]) + g
+			p.W.Data[i] -= float32(lr * v[i])
 		}
 	}
 }
@@ -180,9 +180,9 @@ func PiecewiseClusteringReg(lambda float64) func(params []*Param) {
 			l := float32(2 * lambda)
 			for i, w := range p.W.Data {
 				if w >= 0 {
-					p.Grad.Data[i] += l * (w - posMean)
+					p.Grad.Data[i] += float32(l * (w - posMean))
 				} else {
-					p.Grad.Data[i] += l * (w - negMean)
+					p.Grad.Data[i] += float32(l * (w - negMean))
 				}
 			}
 		}
@@ -287,7 +287,7 @@ func fit(m *Model, train BatchSource, cfg TrainConfig, project func(params []*Pa
 				cfg.Regularizer(params)
 			}
 			opt.Step(params)
-			epochLoss += loss * float64(end-st)
+			epochLoss += float64(loss * float64(end-st))
 		}
 		lastLoss = epochLoss / float64(n)
 		if cfg.OnEpoch != nil {

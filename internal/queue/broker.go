@@ -253,7 +253,7 @@ type tenantQ struct {
 func (tq *tenantQ) takeTokens(need int, now time.Time) time.Duration {
 	burst := float64(tq.rate)
 	if el := now.Sub(tq.refilled).Seconds(); el > 0 {
-		tq.tokens += el * float64(tq.rate)
+		tq.tokens += float64(el * float64(tq.rate))
 		if tq.tokens > burst {
 			tq.tokens = burst
 		}

@@ -164,5 +164,5 @@ func (e *Engine) Swap(a, b, buffer dram.RowAddr) (SwapResult, error) {
 // least one erroneous copy under per-copy error probability p.
 func SwapErrorProb(p float64) float64 {
 	q := 1 - p
-	return 1 - q*q*q
+	return 1 - float64(q*q*q)
 }

@@ -228,7 +228,7 @@ func (c DefenseTimeConfig) WindowsPerDay() float64 {
 // moved; a single-copy error corrupts data but does not expose the row).
 func SilentExposureProb(perCopy float64) float64 {
 	e := perCopy
-	return 3*e*e*(1-e) + e*e*e
+	return float64(3*e*e*(1-e)) + float64(e*e*e)
 }
 
 // LockerDefenseDays returns how many days DRAM-Locker sustains the attack

@@ -72,7 +72,7 @@ func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / float64(1<<53)
+	return float64(float64(r.Uint64()>>11) / float64(1<<53))
 }
 
 // Bernoulli returns true with probability p.
@@ -91,13 +91,13 @@ func (r *RNG) Bernoulli(p float64) bool {
 func (r *RNG) Normal(mean, stddev float64) float64 {
 	if r.hasSpare {
 		r.hasSpare = false
-		return mean + stddev*r.spare
+		return mean + float64(stddev*r.spare)
 	}
 	var u, v, s float64
 	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
+		u = float64(2*r.Float64()) - 1
+		v = float64(2*r.Float64()) - 1
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}
@@ -105,7 +105,7 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 	m := math.Sqrt(-2 * math.Log(s) / s)
 	r.spare = v * m
 	r.hasSpare = true
-	return mean + stddev*u*m
+	return mean + float64(stddev*u*m)
 }
 
 // Perm returns a pseudo-random permutation of [0, n).
@@ -157,7 +157,7 @@ func Variance(xs []float64) (float64, error) {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(xs)), nil
 }
@@ -185,14 +185,14 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	if len(sorted) == 1 {
 		return sorted[0], nil
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := float64(p / 100 * float64(len(sorted)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return sorted[lo], nil
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac), nil
 }
 
 // Max returns the maximum of xs.
@@ -242,7 +242,7 @@ func BinomialTail(n int, p float64, k int) float64 {
 	logQ := math.Log(1 - p)
 	var tail float64
 	for i := k; i <= n; i++ {
-		lg := logChoose(n, i) + float64(i)*logP + float64(n-i)*logQ
+		lg := logChoose(n, i) + float64(float64(i)*logP) + float64(float64(n-i)*logQ)
 		tail += math.Exp(lg)
 	}
 	if tail > 1 {
@@ -268,7 +268,7 @@ func logFactorial(n int) float64 {
 		return s
 	}
 	x := float64(n)
-	return x*math.Log(x) - x + 0.5*math.Log(2*math.Pi*x) + 1/(12*x)
+	return float64(x*math.Log(x)) - x + float64(0.5*math.Log(2*math.Pi*x)) + 1/(12*x)
 }
 
 // Histogram bins xs into nbins equal-width bins over [lo, hi] and returns

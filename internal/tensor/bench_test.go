@@ -40,56 +40,63 @@ func BenchmarkMatMul512Serial(b *testing.B)   { benchGEMM(b, 512, 512, 512, 1) }
 func BenchmarkMatMul512Parallel(b *testing.B) { benchGEMM(b, 512, 512, 512, par.Budget()) }
 
 // BenchmarkConvGEMM runs the three GEMMs of one convolution's training
-// step at the tall-skinny shapes the DNN substrate hands them: forward
-// (cols·Wᵀ, MatMulTransB), input gradient (dOut·W, MatMul) and weight
-// gradient (dOutᵀ·cols, MatMulTransAAcc), each on the vector tiles and
-// on the scalar kernels, on one core and on every core. The vector level
-// is left out on a CPU without AVX2.
+// step at the shapes the DNN substrate hands them, over the
+// channel-major colsᵀ (C·k·k rows, N·oh·ow columns): forward (W·colsᵀ,
+// MatMul), input gradient (Wᵀ·g, MatMulTransA) and weight gradient
+// (g·(colsᵀ)ᵀ, MatMulTransBAcc), each on the vector tiles and on the
+// scalar kernels, on one core and on every core. The vector level is
+// left out on a CPU without AVX2. The base shape has 32 output channels,
+// C·k·k = 144 and 4096 columns; the "-stage1" shape is the first stage
+// of the tiny ResNet-20 (4 output channels, C·k·k = 36, 8192 columns).
 func BenchmarkConvGEMM(b *testing.B) {
-	const rows, inner, outC = 4096, 144, 32 // N*oh*ow, inC*k*k, out channels
-	rng := stats.NewRNG(2)
-	cols := randTensor(rng, rows, inner)
-	w := randTensor(rng, outC, inner)
-	g := randTensor(rng, rows, outC)
-	out, dcols, grad := New(rows, outC), New(rows, inner), New(outC, inner)
 	budgets := []int{1}
 	if n := runtime.NumCPU(); n > 1 {
 		budgets = append(budgets, n)
 	}
 	detected := useAVX2
 	defer func() { useAVX2 = detected }()
-	for _, kern := range []struct {
-		name string
-		run  func()
-	}{
-		{"forward", func() { MatMulTransBInto(out, cols, w) }},
-		{"input-grad", func() { MatMulInto(dcols, g, w) }},
-		{"weight-grad", func() { MatMulTransAAcc(grad, g, cols) }},
-	} {
-		for _, path := range []struct {
-			name   string
-			vector bool
-		}{{"vector", true}, {"scalar", false}} {
-			if path.vector && !detected {
-				continue
-			}
-			for _, budget := range budgets {
-				b.Run(fmt.Sprintf("%s/%s/budget%d", kern.name, path.name, budget), func(b *testing.B) {
-					useAVX2 = path.vector
-					benchKernel(b, budget, 2*rows*inner*outC, kern.run)
-				})
+	for _, shape := range []struct {
+		suffix            string
+		outC, inner, cols int
+	}{{"", 32, 144, 4096}, {"-stage1", 4, 36, 8192}} {
+		rng := stats.NewRNG(2)
+		colsT := randTensor(rng, shape.inner, shape.cols)
+		w := randTensor(rng, shape.outC, shape.inner)
+		g := randTensor(rng, shape.outC, shape.cols)
+		out, dcols, grad := New(shape.outC, shape.cols), New(shape.inner, shape.cols), New(shape.outC, shape.inner)
+		for _, kern := range []struct {
+			name string
+			run  func()
+		}{
+			{"forward", func() { MatMulInto(out, w, colsT) }},
+			{"input-grad", func() { MatMulTransAInto(dcols, w, g) }},
+			{"weight-grad", func() { MatMulTransBAcc(grad, g, colsT) }},
+		} {
+			for _, path := range []struct {
+				name   string
+				vector bool
+			}{{"vector", true}, {"scalar", false}} {
+				if path.vector && !detected {
+					continue
+				}
+				for _, budget := range budgets {
+					b.Run(fmt.Sprintf("%s%s/%s/budget%d", kern.name, shape.suffix, path.name, budget), func(b *testing.B) {
+						useAVX2 = path.vector
+						benchKernel(b, budget, 2*float64(shape.outC*shape.inner*shape.cols), kern.run)
+					})
+				}
 			}
 		}
 	}
 }
 
 // The im2col benchmarks lower a 32×16×16×16 batch with a 3×3 kernel,
-// stride 1 and padding 1 into an 8192×144 column matrix, and scatter one
+// stride 1 and padding 1 into a 144×8192 colsᵀ matrix, and scatter one
 // back.
 func BenchmarkIm2Col(b *testing.B) {
 	rng := stats.NewRNG(4)
 	x := randTensor(rng, 32, 16, 16, 16)
-	cols := Ensure(nil, 32*16*16, 16*9)
+	cols := Ensure(nil, 16*9, 32*16*16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -99,7 +106,7 @@ func BenchmarkIm2Col(b *testing.B) {
 
 func BenchmarkCol2Im(b *testing.B) {
 	rng := stats.NewRNG(5)
-	cols := randTensor(rng, 32*16*16, 16*9)
+	cols := randTensor(rng, 16*9, 32*16*16)
 	x := Ensure(nil, 32, 16, 16, 16)
 	b.ReportAllocs()
 	b.ResetTimer()

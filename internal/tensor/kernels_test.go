@@ -22,7 +22,7 @@ func serialMatMul(a, b *Tensor) *Tensor {
 		for p := 0; p < k; p++ {
 			av := a.Data[i*k+p]
 			for j := 0; j < n; j++ {
-				c.Data[i*n+j] += av * b.Data[p*n+j]
+				c.Data[i*n+j] += float32(av * b.Data[p*n+j])
 			}
 		}
 	}
@@ -41,7 +41,7 @@ func serialMatMulTransAAcc(c, a, b *Tensor) *Tensor {
 		for i := 0; i < m; i++ {
 			av := a.Data[p*m+i]
 			for j := 0; j < n; j++ {
-				c.Data[i*n+j] += av * b.Data[p*n+j]
+				c.Data[i*n+j] += float32(av * b.Data[p*n+j])
 			}
 		}
 	}
@@ -49,13 +49,18 @@ func serialMatMulTransAAcc(c, a, b *Tensor) *Tensor {
 }
 
 func serialMatMulTransB(a, b *Tensor) *Tensor {
+	return serialMatMulTransBAcc(New(a.Shape[0], b.Shape[0]), a, b)
+}
+
+// serialMatMulTransBAcc accumulates c += A·Bᵀ onto c's contents and
+// returns c.
+func serialMatMulTransBAcc(c, a, b *Tensor) *Tensor {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
-	c := New(m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			var s float32
+			s := c.Data[i*n+j]
 			for p := 0; p < k; p++ {
-				s += a.Data[i*k+p] * b.Data[j*k+p]
+				s += float32(a.Data[i*k+p] * b.Data[j*k+p])
 			}
 			c.Data[i*n+j] = s
 		}
@@ -80,14 +85,18 @@ func requireBitIdentical(t *testing.T, tag string, got, want *Tensor) {
 }
 
 // kernelShapes covers small, rectangular and deliberately awkward sizes:
-// dimensions straddling the k-block boundary (gemmBlockK±1) and sizes not
-// divisible by any block or chunk width. Between them every tile tail
-// runs: m odd and even (the lone last row beside the row pairs), n and
-// k at every residue mod 4 (column and k remainders), and k tails inside
-// the last k-panel. The n ≥ 8 entries cover the vector path: the 2×32
-// tile (n ∈ {32, 33, 71}), the 2×8 remainder tile (n ∈ {8, 31, 47}),
-// the scalar n%8 columns beside them, the odd row with n ≥ 32, and
-// panels shorter than the kernel's four-k unroll (k < 4).
+// dimensions straddling the k-block and column-block boundaries
+// (gemmBlockK±1, gemmBlockN±1) and sizes not divisible by any block or
+// chunk width. Between them every tile tail runs: m odd and even (the
+// lone last row beside the row pairs), n and k at every residue mod 4
+// (column and k remainders), and k tails inside the last k-panel. The
+// n ≥ 8 entries cover the vector path: the 2×32 tile (n ∈ {32, 33,
+// 71}), the 2×8 remainder tile (n ∈ {8, 31, 47}), the scalar n%8
+// columns beside them, the odd row with n ≥ 32, and panels shorter than
+// the kernel's four-k unroll (k < 4). Past one column block, the last
+// block holds a lone scalar column (gemmBlockN+1), or a 2×32 tile, a
+// 2×8 tile and a scalar column after two full blocks, beside an odd row
+// (2*gemmBlockN+41).
 var kernelShapes = [][3]int{
 	{1, 1, 1},
 	{2, 3, 4},
@@ -109,6 +118,10 @@ var kernelShapes = [][3]int{
 	{2, 3, 64},
 	{5, 2, 33},
 	{9, gemmBlockK + 5, 47},
+	{3, 5, gemmBlockN - 1},
+	{4, 7, gemmBlockN},
+	{5, 9, gemmBlockN + 1},
+	{7, gemmBlockK + 2, 2*gemmBlockN + 41},
 }
 
 // onBothPaths runs f as two subtests: "vector", on the kernels the CPU
@@ -198,10 +211,10 @@ func TestIntoVariantsMatchAndReusePooledScratch(t *testing.T) {
 	})
 }
 
-// TestMatMulTransAAccAccumulates pins the weight-gradient kernel's
-// starting point: each element's accumulator starts at c's old value and
-// adds every k in order, bit for bit, so a reordered or separately summed
-// Aᵀ·B fails.
+// TestMatMulTransAAccAccumulates pins the weight-gradient kernels'
+// starting point, for Linear's Aᵀ·B and the convolution's A·Bᵀ: each
+// element's accumulator starts at c's old value and adds every k in
+// order, bit for bit, so a reordered or separately summed product fails.
 func TestMatMulTransAAccAccumulates(t *testing.T) {
 	onBothPaths(t, func(t *testing.T) {
 		rng := stats.NewRNG(44)
@@ -209,13 +222,18 @@ func TestMatMulTransAAccAccumulates(t *testing.T) {
 			m, k, n := dims[0], dims[1], dims[2]
 			at := randTensor(rng, k, m)
 			b := randTensor(rng, k, n)
+			a, bt := transpose(at), transpose(b)
 			base := randTensor(rng, m, n)
-			want := serialMatMulTransAAcc(base.Clone(), at, b)
+			wantA := serialMatMulTransAAcc(base.Clone(), at, b)
+			wantB := serialMatMulTransBAcc(base.Clone(), a, bt)
 			for _, budget := range []int{1, 3} {
 				withBudget(t, budget, func() {
 					got := base.Clone()
 					MatMulTransAAcc(got, at, b)
-					requireBitIdentical(t, fmt.Sprintf("MatMulTransAAcc %v budget %d", dims, budget), got, want)
+					requireBitIdentical(t, fmt.Sprintf("MatMulTransAAcc %v budget %d", dims, budget), got, wantA)
+					got = base.Clone()
+					MatMulTransBAcc(got, a, bt)
+					requireBitIdentical(t, fmt.Sprintf("MatMulTransBAcc %v budget %d", dims, budget), got, wantB)
 				})
 			}
 		}
@@ -298,6 +316,7 @@ func TestGEMMRejectsShortData(t *testing.T) {
 		{"MatMul", MatMulInto, c, a, b},
 		{"MatMulTransA", MatMulTransAAcc, c, at, b},
 		{"MatMulTransB", MatMulTransBInto, c, a, bt},
+		{"MatMulTransB", MatMulTransBAcc, c, a, bt},
 	} {
 		for bad, name := range []string{"destination", "A", "B"} {
 			ops := []*Tensor{tc.c, tc.x, tc.y}
@@ -315,33 +334,99 @@ func TestGEMMRejectsShortData(t *testing.T) {
 	}
 }
 
+// naiveIm2Col is the reference channel-major lowering: colsᵀ element
+// (tap, column) set one at a time.
+func naiveIm2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
+	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	oh, ow := ConvOutDims(h, w, kh, kw, stride, pad)
+	cols := New(c*kh*kw, n*oh*ow)
+	for r := range cols.Shape[0] {
+		ch, ky, kx := r/(kh*kw), r/kw%kh, r%kw
+		for img := range n {
+			for oy := range oh {
+				for ox := range ow {
+					iy, ix := oy*stride-pad+ky, ox*stride-pad+kx
+					if iy >= 0 && iy < h && ix >= 0 && ix < w {
+						cols.Data[(r*n+img)*oh*ow+oy*ow+ox] = x.Data[((img*c+ch)*h+iy)*w+ix]
+					}
+				}
+			}
+		}
+	}
+	return cols
+}
+
+// naiveCol2Im is the reference scatter of colsᵀ: image, then output
+// position (oy, ox), then channel and tap, so every x element adds its
+// terms in ascending (oy, ox) order, the order of the pinned results.
+func naiveCol2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
+	oh, ow := ConvOutDims(h, w, kh, kw, stride, pad)
+	x := New(n, c, h, w)
+	for img := range n {
+		for oy := range oh {
+			for ox := range ow {
+				for ch := range c {
+					for ky := range kh {
+						for kx := range kw {
+							iy, ix := oy*stride-pad+ky, ox*stride-pad+kx
+							if iy >= 0 && iy < h && ix >= 0 && ix < w {
+								r := (ch*kh+ky)*kw + kx
+								x.Data[((img*c+ch)*h+iy)*w+ix] += cols.Data[(r*n+img)*oh*ow+oy*ow+ox]
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return x
+}
+
+// TestIm2ColIntoMatchesAndParallel checks the channel-major lowering and
+// its scatter against the naive references, bit for bit, at budgets 1
+// to 8, over stale destinations. The sweep covers kernels 1–5, strides
+// 1–3 and pads 0–2 on non-square planes, 1×1 planes and planes smaller
+// than the kernel; the larger cases split rows and planes across
+// workers.
 func TestIm2ColIntoMatchesAndParallel(t *testing.T) {
+	type conv struct{ n, c, h, w, k, stride, pad int }
+	cases := []conv{
+		{4, 8, 24, 24, 3, 1, 1},
+		{3, 5, 17, 13, 3, 2, 1},
+		{4, 6, 16, 16, 1, 2, 0},
+		{2, 4, 12, 20, 5, 1, 2},
+		{5, 3, 9, 30, 2, 3, 2},
+	}
+	for _, hw := range [][2]int{{1, 1}, {2, 3}, {5, 7}, {8, 8}} {
+		for k := 1; k <= 5; k++ {
+			for stride := 1; stride <= 3; stride++ {
+				for pad := 0; pad <= 2; pad++ {
+					if hw[0]+2*pad >= k && hw[1]+2*pad >= k {
+						cases = append(cases, conv{2, 3, hw[0], hw[1], k, stride, pad})
+					}
+				}
+			}
+		}
+	}
 	rng := stats.NewRNG(45)
-	for _, tc := range []struct{ n, c, h, w, k, stride, pad int }{
-		{1, 1, 4, 4, 3, 1, 1},
-		{5, 3, 7, 5, 3, 2, 1},
-		{9, 2, 6, 6, 2, 2, 0},
-	} {
+	for _, tc := range cases {
 		x := randTensor(rng, tc.n, tc.c, tc.h, tc.w)
-		var want *Tensor
-		withBudget(t, 1, func() { want, _, _ = Im2Col(x, tc.k, tc.k, tc.stride, tc.pad) })
-
-		withBudget(t, 8, func() {
-			got := Ensure(nil, want.Shape[0], want.Shape[1])
-			got.Fill(42) // stale contents must be fully cleared
-			Im2ColInto(got, x, tc.k, tc.k, tc.stride, tc.pad)
-			requireBitIdentical(t, "Im2ColInto", got, want)
-
-			cols := randTensor(rng, want.Shape[0], want.Shape[1])
-			var wantIm *Tensor
-			withBudget(t, 1, func() {
-				wantIm = Col2Im(cols, tc.n, tc.c, tc.h, tc.w, tc.k, tc.k, tc.stride, tc.pad)
+		want := naiveIm2Col(x, tc.k, tc.k, tc.stride, tc.pad)
+		cols := randTensor(rng, want.Shape[0], want.Shape[1])
+		wantIm := naiveCol2Im(cols, tc.n, tc.c, tc.h, tc.w, tc.k, tc.k, tc.stride, tc.pad)
+		got := Ensure(nil, want.Shape...)
+		gotIm := Ensure(nil, tc.n, tc.c, tc.h, tc.w)
+		for budget := 1; budget <= 8; budget++ {
+			withBudget(t, budget, func() {
+				tag := fmt.Sprintf("%+v budget %d", tc, budget)
+				got.Fill(42) // stale contents must be fully overwritten
+				Im2ColInto(got, x, tc.k, tc.k, tc.stride, tc.pad)
+				requireBitIdentical(t, "Im2ColInto "+tag, got, want)
+				gotIm.Fill(-7)
+				Col2ImInto(gotIm, cols, tc.k, tc.k, tc.stride, tc.pad)
+				requireBitIdentical(t, "Col2ImInto "+tag, gotIm, wantIm)
 			})
-			gotIm := Ensure(nil, tc.n, tc.c, tc.h, tc.w)
-			gotIm.Fill(-7)
-			Col2ImInto(gotIm, cols, tc.k, tc.k, tc.stride, tc.pad)
-			requireBitIdentical(t, "Col2ImInto", gotIm, wantIm)
-		})
+		}
 	}
 }
 

@@ -17,24 +17,24 @@ import (
 //
 // Inside a worker the kernels are register-tiled micro-kernels that
 // keep every output element's single float32 accumulator and its
-// ascending-k order. The input and weight gradients (A·B and Aᵀ·B) share
-// one driver, axpyRows, that updates two C rows at a time. On a CPU with
-// AVX2 it hands each row pair's columns to the assembly tiles of
+// ascending-k order. A·B and Aᵀ·B share one driver, axpyRows, that
+// updates two C rows at a time, one column block after another. On a CPU
+// with AVX2 it hands each row pair's columns to the assembly tiles of
 // matmul_amd64.s: a 2×32 tile of C held in eight YMM registers across a
 // whole k-panel, and a 2×8 tile for the remaining multiples of 8. Each
 // lane takes a rounded VMULPS and then a rounded VADDPS per k, the same
-// two steps as the scalar `s += a*b` (Go never fuses them into an FMA on
-// amd64), so the vector tiles are bit-identical to the scalar kernels.
-// The scalar tile folds four consecutive k into one load and one store
-// of each C element and shares each load of the four B rows between the
-// two C rows (axpy4x2); it takes the n%8 columns beside the vector
-// tiles, and every column without AVX2. On AVX2 the forward (A·Bᵀ,
-// n ≥ 8) goes through the same driver over a transposed copy of B;
-// otherwise it computes four output columns per pass over a row of A
-// (dot4: four independent add chains instead of one). The tiles change
-// how many loads, stores and independent chains the inner loops carry,
-// never a result bit. dot, axpy4 and axpy are the column, row and k
-// remainders.
+// two steps as the scalar `s += float32(a*b)` (the conversion keeps any
+// compiler from fusing them into an FMA), so the vector tiles are
+// bit-identical to the scalar kernels. The scalar tile folds four
+// consecutive k into one load and one store of each C element and shares
+// each load of the four B rows between the two C rows (axpy4x2); it
+// takes the n%8 columns beside the vector tiles, and every column
+// without AVX2. On AVX2, A·Bᵀ (n ≥ 8) goes through the same driver over
+// a transposed copy of B; otherwise it computes four output columns per
+// pass over a row of A (dot4: four independent add chains instead of
+// one). The tiles change how many loads, stores and independent chains
+// the inner loops carry, never a result bit. dot, axpy4 and axpy are the
+// column, row and k remainders.
 //
 // Zero weights are NOT skipped in the inner loops (the seed kernel had an
 // `if av == 0 { continue }` fast path): the skip broke NaN/Inf
@@ -46,6 +46,14 @@ const (
 	// float32 rows) is streamed against a row block of A so B stays in
 	// cache across the rows of the block.
 	gemmBlockK = 240
+
+	// gemmBlockN is the column-block width, a multiple of the 32-column
+	// vector tile. axpyRows visits C's columns in blocks this wide,
+	// outside the k-panels, so a panel of B stays in cache across every
+	// row pair: a convolution's W·colsᵀ has N·outH·outW columns, and a
+	// full-width panel of them would be streamed from memory once per
+	// row pair.
+	gemmBlockN = 256
 
 	// gemmMinWork is the minimum number of multiply-adds a chunk must
 	// amortise before For fans out another goroutine; below this the
@@ -67,12 +75,14 @@ func MatMulInto(c, a, b *Tensor) {
 }
 
 // axpyGEMM accumulates C(m x n) += Â·B (+ bias; see axpyRows for Â, rs
-// and ps), fanning row blocks out over the worker budget when the work
-// is worth it.
+// and ps), fanning row pairs out over the worker budget when the work is
+// worth it. Workers take whole pairs: the tiles update two rows at a
+// time, and a chunk of odd size would run its last row alone.
 func axpyGEMM(c, a, b, bias []float32, m, k, n, rs, ps int) {
-	if grain := par.Grain(k*n, gemmMinWork); parallelWorthIt(m, grain) {
-		par.For(m, grain, func(lo, hi int) {
-			axpyRows(c, a, b, bias, lo, hi, k, n, rs, ps)
+	pairs := (m + 1) / 2
+	if grain := par.Grain(2*k*n, gemmMinWork); parallelWorthIt(pairs, grain) {
+		par.For(pairs, grain, func(lo, hi int) {
+			axpyRows(c, a, b, bias, 2*lo, min(2*hi, m), k, n, rs, ps)
 		})
 		return
 	}
@@ -87,50 +97,55 @@ func parallelWorthIt(rows, grain int) bool { return par.WorthIt(rows, grain) }
 
 // axpyRows accumulates rows [i0,i1) of C += Â·B, where the coefficient
 // Â(i,p) = a[i*rs+p*ps] lets one driver serve A (rs = k, ps = 1) and Aᵀ
-// (rs = 1, ps = m). k is visited in ascending panels of gemmBlockK B
-// rows, each reused across every row of the block. Two C rows at a time
-// go through the vector tiles (axpyTiles) on their first n &^ 7 columns
-// when the CPU has AVX2, and through axpy4x2 on the rest; an odd last
-// row takes axpy4 alone, and the k%4 tail of a panel goes one B row at a
-// time (axpy). Per-element accumulation stays ascending in k. A non-nil
-// bias is added to every row after the last k, as matMulTransBRows does.
+// (rs = 1, ps = m). Columns go in blocks of gemmBlockN, and within a
+// block k goes in ascending panels of gemmBlockK B rows, each reused
+// across every row of the block. Two C rows at a time go through the
+// vector tiles (axpyTiles) on their first n &^ 7 columns when the CPU
+// has AVX2, and through axpy4x2 on the rest; an odd last row takes
+// axpy4 alone, and the k%4 tail of a panel goes one B row at a time
+// (axpy). Per-element accumulation stays ascending in k. A non-nil bias
+// is added to every row after the last k, as matMulTransBRows does.
 func axpyRows(c, a, b, bias []float32, i0, i1, k, n, rs, ps int) {
 	nv := 0 // columns [0, nv) of a row pair take the vector tiles
 	if useAVX2 {
 		nv = n &^ 7
 	}
-	for kb := 0; kb < k; kb += gemmBlockK {
-		kEnd := min(kb+gemmBlockK, k)
-		for i := i0; i < i1; i += 2 {
-			c0, a0 := c[i*n:i*n+n], a[i*rs:]
-			if i+1 == i1 {
+	for j0 := 0; j0 < n; j0 += gemmBlockN {
+		j1 := min(j0+gemmBlockN, n)
+		v1 := max(j0, min(j1, nv)) // the block's vector columns are [j0, v1)
+		for kb := 0; kb < k; kb += gemmBlockK {
+			kEnd := min(kb+gemmBlockK, k)
+			for i := i0; i < i1; i += 2 {
+				c0, a0 := c[i*n+j0:i*n+j1], a[i*rs:]
+				if i+1 == i1 {
+					p := kb
+					for ; p+4 <= kEnd; p += 4 {
+						axpy4(c0, b[p*n+j0:p*n+j1], b[(p+1)*n+j0:(p+1)*n+j1], b[(p+2)*n+j0:(p+2)*n+j1], b[(p+3)*n+j0:(p+3)*n+j1],
+							a0[p*ps], a0[(p+1)*ps], a0[(p+2)*ps], a0[(p+3)*ps])
+					}
+					for ; p < kEnd; p++ {
+						axpy(c0, b[p*n+j0:p*n+j1], a0[p*ps])
+					}
+					break
+				}
+				c1, a1 := c[(i+1)*n+j0:(i+1)*n+j1], a[(i+1)*rs:]
+				if v1 > j0 {
+					axpyTiles(c0[:v1-j0], c1[:v1-j0], a0, a1, b[j0:], kb, kEnd, n, ps)
+					if v1 == j1 {
+						continue
+					}
+					c0, c1 = c0[v1-j0:], c1[v1-j0:]
+				}
 				p := kb
 				for ; p+4 <= kEnd; p += 4 {
-					axpy4(c0, b[p*n:p*n+n], b[(p+1)*n:(p+1)*n+n], b[(p+2)*n:(p+2)*n+n], b[(p+3)*n:(p+3)*n+n],
-						a0[p*ps], a0[(p+1)*ps], a0[(p+2)*ps], a0[(p+3)*ps])
+					axpy4x2(c0, c1, b[p*n+v1:p*n+j1], b[(p+1)*n+v1:(p+1)*n+j1], b[(p+2)*n+v1:(p+2)*n+j1], b[(p+3)*n+v1:(p+3)*n+j1],
+						a0[p*ps], a0[(p+1)*ps], a0[(p+2)*ps], a0[(p+3)*ps],
+						a1[p*ps], a1[(p+1)*ps], a1[(p+2)*ps], a1[(p+3)*ps])
 				}
 				for ; p < kEnd; p++ {
-					axpy(c0, b[p*n:p*n+n], a0[p*ps])
+					axpy(c0, b[p*n+v1:p*n+j1], a0[p*ps])
+					axpy(c1, b[p*n+v1:p*n+j1], a1[p*ps])
 				}
-				break
-			}
-			c1, a1 := c[(i+1)*n:(i+1)*n+n], a[(i+1)*rs:]
-			if nv > 0 {
-				axpyTiles(c0[:nv], c1[:nv], a0, a1, b, kb, kEnd, n, ps)
-				if nv == n {
-					continue
-				}
-				c0, c1 = c0[nv:], c1[nv:]
-			}
-			p := kb
-			for ; p+4 <= kEnd; p += 4 {
-				axpy4x2(c0, c1, b[p*n+nv:p*n+n], b[(p+1)*n+nv:(p+1)*n+n], b[(p+2)*n+nv:(p+2)*n+n], b[(p+3)*n+nv:(p+3)*n+n],
-					a0[p*ps], a0[(p+1)*ps], a0[(p+2)*ps], a0[(p+3)*ps],
-					a1[p*ps], a1[(p+1)*ps], a1[(p+2)*ps], a1[(p+3)*ps])
-			}
-			for ; p < kEnd; p++ {
-				axpy(c0, b[p*n+nv:p*n+n], a0[p*ps])
-				axpy(c1, b[p*n+nv:p*n+n], a1[p*ps])
 			}
 		}
 	}
@@ -145,10 +160,10 @@ func axpyRows(c, a, b, bias []float32, i0, i1, k, n, rs, ps int) {
 }
 
 // axpyTiles adds the k-panel [kb, kEnd) of one row pair's Â·B into the
-// rows' columns [0, len(c0)), a multiple of 8: 2×32 tiles first, then
-// 2×8 tiles. The index expressions before each call name the last
-// element of every operand the assembly touches, so they are its bounds
-// checks.
+// rows' columns [0, len(c0)), a multiple of 8, where b starts at the
+// first of those columns: 2×32 tiles first, then 2×8 tiles. The index
+// expressions before each call name the last element of every operand
+// the assembly touches, so they are its bounds checks.
 func axpyTiles(c0, c1, a0, a1, b []float32, kb, kEnd, n, ps int) {
 	x0, x1 := &a0[kb*ps], &a1[kb*ps]
 	_, _ = a0[(kEnd-1)*ps], a1[(kEnd-1)*ps]
@@ -174,9 +189,10 @@ func MatMulTransAInto(c, a, b *Tensor) {
 }
 
 // MatMulTransAAcc accumulates C += Aᵀ·B into c without clearing it — the
-// weight-gradient kernel, writing straight into the gradient tensor with
-// no intermediate allocation. When c starts at zero the result is
-// bit-identical to computing Aᵀ·B separately and adding it once.
+// weight-gradient kernel of Linear, writing straight into the gradient
+// tensor with no intermediate allocation. When c starts at zero the
+// result is bit-identical to computing Aᵀ·B separately and adding it
+// once.
 func MatMulTransAAcc(c, a, b *Tensor) {
 	m, k, n := mmShapes("MatMulTransA", a, b, true, false)
 	checkOut("MatMulTransA", c, m, n)
@@ -189,25 +205,35 @@ func MatMulTransBInto(c, a, b *Tensor) { MatMulTransBBiasInto(c, a, b, nil) }
 
 // MatMulTransBBiasInto computes C = A·Bᵀ + bias into c, with bias (one
 // value per output column, i.e. per row of B) fused into the GEMM
-// epilogue; nil bias gives the plain product. This is the forward kernel
-// of both Linear (x·Wᵀ + b) and Conv2D (cols·Wᵀ, bias per out-channel).
+// epilogue; nil bias gives the plain product. This is Linear's forward
+// kernel (x·Wᵀ + b).
 func MatMulTransBBiasInto(c, a, b *Tensor, bias []float32) {
 	m, k, n := mmShapes("MatMulTransB", a, b, false, true)
 	checkOut("MatMulTransB", c, m, n)
 	if bias != nil && len(bias) != n {
 		panic(fmt.Sprintf("tensor: MatMulTransB bias length %d, want %d", len(bias), n))
 	}
-	matMulTransBInto(c.Data, a.Data, b.Data, bias, m, k, n)
+	clear(c.Data)
+	matMulTransBAcc(c.Data, a.Data, b.Data, bias, m, k, n)
 }
 
-func matMulTransBInto(c, a, b, bias []float32, m, k, n int) {
+// MatMulTransBAcc accumulates C += A·Bᵀ into c without clearing it: A is
+// (m x k), B is (n x k), c has shape (m x n). It is the convolution
+// weight-gradient kernel, dW += g·(colsᵀ)ᵀ. Each element's accumulator
+// starts at c's old value and adds every k in ascending order.
+func MatMulTransBAcc(c, a, b *Tensor) {
+	m, k, n := mmShapes("MatMulTransB", a, b, false, true)
+	checkOut("MatMulTransB", c, m, n)
+	matMulTransBAcc(c.Data, a.Data, b.Data, nil, m, k, n)
+}
+
+// matMulTransBAcc accumulates C += A·Bᵀ (+ bias after the last k).
+func matMulTransBAcc(c, a, b, bias []float32, m, k, n int) {
 	if useAVX2 && n >= 8 {
 		// The vector tiles stream rows of a (k x n) B: transpose the
-		// (n x k) operand into scratch, then start every element at zero
-		// and add the bias after its last k, as dot4 does.
+		// (n x k) operand into scratch first.
 		bt := GetScratch(k, n)
 		transposeInto(bt.Data, b, n, k)
-		clear(c)
 		axpyGEMM(c, a, bt.Data, bias, m, k, n, k, 1)
 		PutScratch(bt)
 		return
@@ -248,24 +274,25 @@ func transposeInto(bt, b []float32, n, k int) {
 	}
 }
 
-// matMulTransBRows computes rows [i0,i1) of C = A·Bᵀ (+ bias) as row-row
-// dot products, four columns per pass over a row of A; both operands
-// stream contiguously. The bias is added once, after the last k, as in
-// the untiled kernel.
+// matMulTransBRows accumulates rows [i0,i1) of C += A·Bᵀ (+ bias) as
+// row-row dot products that start from C, four columns per pass over a
+// row of A; both operands stream contiguously. The bias is added once,
+// after the last k, as in the untiled kernel.
 func matMulTransBRows(c, a, b, bias []float32, i0, i1, k, n int) {
 	for i := i0; i < i1; i++ {
 		ai := a[i*k : i*k+k]
 		ci := c[i*n : i*n+n]
 		j := 0
 		for ; j+4 <= n; j += 4 {
-			s0, s1, s2, s3 := dot4(ai, b[j*k:j*k+k], b[(j+1)*k:(j+1)*k+k], b[(j+2)*k:(j+2)*k+k], b[(j+3)*k:(j+3)*k+k])
+			s0, s1, s2, s3 := dot4(ai, b[j*k:j*k+k], b[(j+1)*k:(j+1)*k+k], b[(j+2)*k:(j+2)*k+k], b[(j+3)*k:(j+3)*k+k],
+				ci[j], ci[j+1], ci[j+2], ci[j+3])
 			if bias != nil {
 				s0, s1, s2, s3 = s0+bias[j], s1+bias[j+1], s2+bias[j+2], s3+bias[j+3]
 			}
 			ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
 		}
 		for ; j < n; j++ {
-			s := dot(ai, b[j*k:j*k+k])
+			s := dot(ai, b[j*k:j*k+k], ci[j])
 			if bias != nil {
 				s += bias[j]
 			}
@@ -278,14 +305,16 @@ func matMulTransBRows(c, a, b, bias []float32, i0, i1, k, n int) {
 // the four products one at a time in that order: each element takes the
 // same four rounded steps as four axpy calls, with one load and one
 // store of ci instead of four. The slice-length hints let the compiler
-// drop per-iteration bounds checks.
+// drop per-iteration bounds checks. Here and in every kernel below, the
+// float32 conversion rounds each product before it is added, which
+// keeps compilers for FMA-capable architectures from fusing the two.
 func axpy4(ci, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	b0, b1, b2, b3 = b0[:len(ci)], b1[:len(ci)], b2[:len(ci)], b3[:len(ci)]
 	for j, s := range ci {
-		s += a0 * b0[j]
-		s += a1 * b1[j]
-		s += a2 * b2[j]
-		s += a3 * b3[j]
+		s += float32(a0 * b0[j])
+		s += float32(a1 * b1[j])
+		s += float32(a2 * b2[j])
+		s += float32(a3 * b3[j])
 		ci[j] = s
 	}
 }
@@ -299,14 +328,14 @@ func axpy4x2(c0, c1, b0, b1, b2, b3 []float32, x00, x01, x02, x03, x10, x11, x12
 	b0, b1, b2, b3 = b0[:len(c0)], b1[:len(c0)], b2[:len(c0)], b3[:len(c0)]
 	for j, s := range c0 {
 		t := c1[j]
-		s += x00 * b0[j]
-		t += x10 * b0[j]
-		s += x01 * b1[j]
-		t += x11 * b1[j]
-		s += x02 * b2[j]
-		t += x12 * b2[j]
-		s += x03 * b3[j]
-		t += x13 * b3[j]
+		s += float32(x00 * b0[j])
+		t += float32(x10 * b0[j])
+		s += float32(x01 * b1[j])
+		t += float32(x11 * b1[j])
+		s += float32(x02 * b2[j])
+		t += float32(x12 * b2[j])
+		s += float32(x03 * b3[j])
+		t += float32(x13 * b3[j])
 		c0[j], c1[j] = s, t
 	}
 }
@@ -315,30 +344,30 @@ func axpy4x2(c0, c1, b0, b1, b2, b3 []float32, x00, x01, x02, x03, x10, x11, x12
 func axpy(ci, bp []float32, av float32) {
 	bp = bp[:len(ci)]
 	for j := range ci {
-		ci[j] += av * bp[j]
+		ci[j] += float32(av * bp[j])
 	}
 }
 
-// dot4 computes the inner products of x with y0..y3: four independent
-// accumulators, each summed in ascending index order exactly like dot.
-func dot4(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
+// dot4 adds the inner products of x with y0..y3 to s0..s3: four
+// independent accumulators, each summed in ascending index order exactly
+// like dot.
+func dot4(x, y0, y1, y2, y3 []float32, s0, s1, s2, s3 float32) (float32, float32, float32, float32) {
 	y0, y1, y2, y3 = y0[:len(x)], y1[:len(x)], y2[:len(x)], y3[:len(x)]
 	for i, xv := range x {
-		s0 += xv * y0[i]
-		s1 += xv * y1[i]
-		s2 += xv * y2[i]
-		s3 += xv * y3[i]
+		s0 += float32(xv * y0[i])
+		s1 += float32(xv * y1[i])
+		s2 += float32(xv * y2[i])
+		s3 += float32(xv * y3[i])
 	}
 	return s0, s1, s2, s3
 }
 
-// dot computes the inner product with a single accumulator in ascending
-// index order: the remainder tail of dot4.
-func dot(x, y []float32) float32 {
+// dot adds the inner product of x and y to s with a single accumulator
+// in ascending index order: the remainder tail of dot4.
+func dot(x, y []float32, s float32) float32 {
 	y = y[:len(x)]
-	var s float32
 	for i, xv := range x {
-		s += xv * y[i]
+		s += float32(xv * y[i])
 	}
 	return s
 }

@@ -1,9 +1,10 @@
 // Package tensor provides the dense float32 tensors and kernels that the
-// DNN substrate (internal/nn) is built on: matrix multiplication, im2col
-// convolution lowering, pooling, and elementwise operations, with
-// deterministic results. Everything is Go except the GEMMs' AVX2 tile
-// kernels on amd64 (matmul_amd64.s), which are selected from the CPU at
-// init and are bit-identical to the Go kernels they stand in for.
+// DNN substrate (internal/nn) is built on: matrix multiplication, the
+// channel-major im2col convolution lowering and its adjoint (colsᵀ rows
+// built and scattered as contiguous strips), and elementwise operations,
+// with deterministic results. Everything is Go except the GEMMs' AVX2
+// tile kernels on amd64 (matmul_amd64.s), which are selected from the
+// CPU at init and are bit-identical to the Go kernels they stand in for.
 package tensor
 
 import (
@@ -192,73 +193,115 @@ func ConvOutDims(h, w, kh, kw, stride, pad int) (int, int) {
 	return (h+2*pad-kh)/stride + 1, (w+2*pad-kw)/stride + 1
 }
 
-// Im2Col lowers an input image batch (N, C, H, W) into a matrix of shape
-// (N*outH*outW, C*kh*kw) for convolution by matmul. Padding is zero-fill.
+// Im2Col lowers an input batch (N, C, H, W) channel-major into a new
+// colsᵀ matrix of shape (C*kh*kw, N*outH*outW), returned with the output
+// size; see Im2ColInto.
 func Im2Col(x *Tensor, kh, kw, stride, pad int) (*Tensor, int, int) {
 	n, c := x.Shape[0], x.Shape[1]
 	outH, outW := ConvOutDims(x.Shape[2], x.Shape[3], kh, kw, stride, pad)
-	cols := New(n*outH*outW, c*kh*kw)
+	cols := New(c*kh*kw, n*outH*outW)
 	Im2ColInto(cols, x, kh, kw, stride, pad)
 	return cols, outH, outW
 }
 
-// Im2ColInto lowers x into cols, which must have shape
-// (N*outH*outW, C*kh*kw); previous contents are overwritten. Images are
-// lowered in parallel — each output row belongs to exactly one image, so
-// the result is identical at any worker budget.
+// Im2ColInto lowers x (N, C, H, W) into colsᵀ, which must have shape
+// (C*kh*kw, N*outH*outW): row (ch*kh+ky)*kw+kx holds, for each image in
+// turn, the outH×outW plane of channel ch under kernel tap (ky, kx),
+// with zeros where the tap falls in the padding. A convolution is then
+// W·colsᵀ. Previous contents are overwritten. Rows are lowered in
+// parallel; each is a pure copy, so the result is identical at any
+// worker budget.
 func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outH, outW := ConvOutDims(h, w, kh, kw, stride, pad)
-	colStride := c * kh * kw
-	checkOut("Im2Col", cols, n*outH*outW, colStride)
-	if pad > 0 {
-		// Padded positions are skipped by the fill and must read as zero;
-		// with no padding every element is overwritten, so the (possibly
-		// stale) destination needs no clearing.
-		clear(cols.Data)
-	}
-	if grain := par.Grain(outH*outW*colStride, copyMinWork); parallelWorthIt(n, grain) {
-		par.For(n, grain, func(lo, hi int) {
-			for img := lo; img < hi; img++ {
-				im2colImage(cols.Data, x.Data, img, c, h, w, outH, outW, kh, kw, stride, pad)
-			}
+	rows := c * kh * kw
+	checkOut("Im2Col", cols, rows, n*outH*outW)
+	if grain := par.Grain(n*outH*outW, copyMinWork); parallelWorthIt(rows, grain) {
+		par.For(rows, grain, func(lo, hi int) {
+			im2colRows(cols.Data, x.Data, lo, hi, n, c, h, w, kh, kw, stride, pad)
 		})
 		return
 	}
-	for img := 0; img < n; img++ {
-		im2colImage(cols.Data, x.Data, img, c, h, w, outH, outW, kh, kw, stride, pad)
-	}
+	im2colRows(cols.Data, x.Data, 0, rows, n, c, h, w, kh, kw, stride, pad)
 }
 
-func im2colImage(cols, x []float32, img, c, h, w, outH, outW, kh, kw, stride, pad int) {
-	colStride := c * kh * kw
-	xoff := img * c * h * w
-	for oy := 0; oy < outH; oy++ {
-		for ox := 0; ox < outW; ox++ {
-			row := ((img*outH+oy)*outW + ox) * colStride
-			for ch := 0; ch < c; ch++ {
-				choff := xoff + ch*h*w
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride - pad + ky
-					dst := row + (ch*kh+ky)*kw
-					if iy < 0 || iy >= h {
-						continue // zeros already
+// im2colRows fills rows [r0, r1) of colsᵀ.
+func im2colRows(cols, x []float32, r0, r1, n, c, h, w, kh, kw, stride, pad int) {
+	outH, outW := ConvOutDims(h, w, kh, kw, stride, pad)
+	hw := outH * outW
+	for r := r0; r < r1; r++ {
+		ch, ky, kx := r/(kh*kw), r/kw%kh, r%kw
+		yLo, yHi := tapRange(ky, h, outH, stride, pad)
+		xLo, xHi := tapRange(kx, w, outW, stride, pad)
+		for img := 0; img < n; img++ {
+			dst := cols[(r*n+img)*hw : (r*n+img+1)*hw]
+			src := x[(img*c+ch)*h*w : (img*c+ch+1)*h*w]
+			clear(dst[:yLo*outW])
+			clear(dst[yHi*outW:])
+			if stride == 1 && outW == w {
+				// Output (oy, ox) reads input element oy*w+ox+shift, so the
+				// rows [yLo, yHi) are one shifted block copy, clipped to the
+				// plane. The copy wraps each row's border columns around from
+				// the neighbouring input rows; they are padding and are
+				// zeroed after.
+				shift := (ky-pad)*w + kx - pad
+				if lo, hi := max(yLo*w, -shift), min(yHi*w, h*w-shift); lo < hi {
+					copy(dst[lo:hi], src[lo+shift:hi+shift])
+				}
+				for oy := yLo; oy < yHi; oy++ {
+					row := dst[oy*w : oy*w+w]
+					for ox := 0; ox < xLo; ox++ {
+						row[ox] = 0
 					}
-					srcRow := choff + iy*w
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*stride - pad + kx
-						if ix < 0 || ix >= w {
-							continue
-						}
-						cols[dst+kx] = x[srcRow+ix]
+					for ox := xHi; ox < w; ox++ {
+						row[ox] = 0
 					}
+				}
+				continue
+			}
+			for oy := yLo; oy < yHi; oy++ {
+				row := dst[oy*outW : oy*outW+outW]
+				in := src[(oy*stride-pad+ky)*w:][:w]
+				clear(row[:xLo])
+				clear(row[xHi:])
+				if stride == 1 && xLo < xHi {
+					copy(row[xLo:xHi], in[xLo-pad+kx:])
+					continue
+				}
+				for ox := xLo; ox < xHi; ox++ {
+					row[ox] = in[ox*stride-pad+kx]
 				}
 			}
 		}
 	}
 }
 
-// Col2Im scatters a column matrix (as produced by Im2Col) back into an
+// tapRange returns the output positions [lo, hi) along one axis whose
+// input position o*stride-pad+t, for kernel offset t, lies in [0, size),
+// that is pad-t <= o*stride < size+pad-t; outSize is the axis's output
+// length. It returns 0, 0 when there is none.
+func tapRange(t, size, outSize, stride, pad int) (lo, hi int) {
+	lo, hi = pad-t, size+pad-t
+	if stride > 1 {
+		lo, hi = ceilDiv(lo, stride), ceilDiv(hi, stride)
+	}
+	lo, hi = max(lo, 0), min(hi, outSize)
+	if lo >= hi {
+		return 0, 0
+	}
+	return lo, hi
+}
+
+// ceilDiv returns ⌈a/b⌉ for b > 0 and any sign of a; Go's division
+// truncates toward zero, which rounds up only for negative quotients.
+func ceilDiv(a, b int) int {
+	if a <= 0 {
+		return a / b
+	}
+	return (a + b - 1) / b
+}
+
+// Col2Im scatters a colsᵀ matrix (as produced by Im2Col) back into a new
 // image batch of shape (N, C, H, W), accumulating overlaps. It is the
 // adjoint of Im2Col and is used for convolution input gradients.
 func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
@@ -267,50 +310,59 @@ func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
 	return x
 }
 
-// Col2ImInto scatters cols into x (shape (N, C, H, W)), overwriting its
-// previous contents. Images scatter in parallel: overlapping patch writes
-// only ever land within one image, so per-element accumulation order is
-// fixed and the result is identical at any worker budget.
+// Col2ImInto scatters colsᵀ (shape (C*kh*kw, N*outH*outW)) into x
+// (shape (N, C, H, W)), overwriting its previous contents. Every x
+// element adds its terms in ascending (oy, ox) order, starting from
+// zero: the order that the training bits pinned in internal/nn's tests
+// and bench/golden.json were computed in. The (image, channel) planes
+// scatter in parallel: each belongs to one worker, so the result is
+// identical at any worker budget.
 func Col2ImInto(x, cols *Tensor, kh, kw, stride, pad int) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outH, outW := ConvOutDims(h, w, kh, kw, stride, pad)
-	colStride := c * kh * kw
-	checkOut("Col2Im", cols, n*outH*outW, colStride)
-	clear(x.Data)
-	if grain := par.Grain(outH*outW*colStride, copyMinWork); parallelWorthIt(n, grain) {
-		par.For(n, grain, func(lo, hi int) {
-			for img := lo; img < hi; img++ {
-				col2imImage(x.Data, cols.Data, img, c, h, w, outH, outW, kh, kw, stride, pad)
-			}
+	checkOut("Col2Im", cols, c*kh*kw, n*outH*outW)
+	planes := n * c
+	if grain := par.Grain(kh*kw*outH*outW, copyMinWork); parallelWorthIt(planes, grain) {
+		par.For(planes, grain, func(lo, hi int) {
+			col2imPlanes(x.Data, cols.Data, lo, hi, n, c, h, w, kh, kw, stride, pad)
 		})
 		return
 	}
-	for img := 0; img < n; img++ {
-		col2imImage(x.Data, cols.Data, img, c, h, w, outH, outW, kh, kw, stride, pad)
-	}
+	col2imPlanes(x.Data, cols.Data, 0, planes, n, c, h, w, kh, kw, stride, pad)
 }
 
-func col2imImage(x, cols []float32, img, c, h, w, outH, outW, kh, kw, stride, pad int) {
-	colStride := c * kh * kw
-	xoff := img * c * h * w
-	for oy := 0; oy < outH; oy++ {
-		for ox := 0; ox < outW; ox++ {
-			row := ((img*outH+oy)*outW + ox) * colStride
-			for ch := 0; ch < c; ch++ {
-				choff := xoff + ch*h*w
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= h {
+// col2imPlanes clears and scatters the planes [p0, p1) of x, plane
+// img*c+ch, one tap row of colsᵀ at a time, one strip over ox per output
+// row. The taps go in descending (ky, kx) order: the terms an x element
+// receives come from oy = (iy+pad-ky)/stride and ox = (ix+pad-kx)/stride,
+// so that is ascending (oy, ox) order for every element.
+func col2imPlanes(x, cols []float32, p0, p1, n, c, h, w, kh, kw, stride, pad int) {
+	outH, outW := ConvOutDims(h, w, kh, kw, stride, pad)
+	hw := outH * outW
+	for p := p0; p < p1; p++ {
+		img, ch := p/c, p%c
+		plane := x[p*h*w : (p+1)*h*w]
+		clear(plane)
+		for ky := kh - 1; ky >= 0; ky-- {
+			yLo, yHi := tapRange(ky, h, outH, stride, pad)
+			for kx := kw - 1; kx >= 0; kx-- {
+				xLo, xHi := tapRange(kx, w, outW, stride, pad)
+				if xLo == xHi {
+					continue
+				}
+				src := cols[(((ch*kh+ky)*kw+kx)*n+img)*hw:][:hw]
+				for oy := yLo; oy < yHi; oy++ {
+					in := src[oy*outW+xLo : oy*outW+xHi]
+					out := plane[(oy*stride-pad+ky)*w:][:w]
+					if stride == 1 {
+						out = out[xLo-pad+kx:][:len(in)]
+						for i, v := range in {
+							out[i] += v
+						}
 						continue
 					}
-					src := row + (ch*kh+ky)*kw
-					dstRow := choff + iy*w
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*stride - pad + kx
-						if ix < 0 || ix >= w {
-							continue
-						}
-						x[dstRow+ix] += cols[src+kx]
+					for i, v := range in {
+						out[(xLo+i)*stride-pad+kx] += v
 					}
 				}
 			}

@@ -183,7 +183,7 @@ func TestMatMulTransBEqualsExplicitTranspose(t *testing.T) {
 }
 
 func TestIm2ColKnownValues(t *testing.T) {
-	// 1x1x3x3 input, 2x2 kernel, stride 1, no pad -> 4 patches of 4.
+	// 1x1x3x3 input, 2x2 kernel, stride 1, no pad -> 4 taps of 4 patches.
 	x := FromData([]float32{
 		1, 2, 3,
 		4, 5, 6,
@@ -193,6 +193,7 @@ func TestIm2ColKnownValues(t *testing.T) {
 	if oh != 2 || ow != 2 {
 		t.Fatalf("out dims %dx%d, want 2x2", oh, ow)
 	}
+	// Row r of colsᵀ is kernel tap r over the patches in output order.
 	want := [][]float32{
 		{1, 2, 4, 5},
 		{2, 3, 5, 6},
@@ -214,12 +215,12 @@ func TestIm2ColPaddingZeros(t *testing.T) {
 	if oh != 2 || ow != 2 {
 		t.Fatalf("out dims %dx%d, want 2x2", oh, ow)
 	}
-	// First patch centered at (0,0): top row and left column are padding.
-	first := cols.Data[:9]
+	// First patch centered at (0,0), column 0 of colsᵀ: top row and left
+	// column are padding.
 	wantFirst := []float32{0, 0, 0, 0, 1, 2, 0, 3, 4}
-	for i, v := range wantFirst {
-		if first[i] != v {
-			t.Fatalf("padded patch[%d] = %g, want %g", i, first[i], v)
+	for tap, v := range wantFirst {
+		if got := cols.Data[tap*oh*ow]; got != v {
+			t.Fatalf("padded patch[%d] = %g, want %g", tap, got, v)
 		}
 	}
 }
