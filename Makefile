@@ -17,13 +17,19 @@ test:
 # and plane (appends racing atomic replaces), the result-plane store,
 # the worker-budget semaphore and the parallel tensor/nn kernels it
 # feeds, the goroutine-parallel BFA candidate scoring and the rowhammer
-# engine it drives, plus the trace replay layer.
+# engine it drives, plus the trace replay layer. The second line adds
+# the experiments' victim memo, which concurrent jobs of a registration
+# share: its single-flight, cancellation, copy and per-registration
+# tests at a shrunk preset (the whole experiments package would train
+# for minutes under the race detector).
 race:
 	$(GO) test -race ./internal/engine/... ./internal/remote/ \
 		./internal/queue/ ./internal/api/ ./internal/trace/ \
 		./internal/wal/ ./internal/resultplane/ \
 		./internal/par/ ./internal/tensor/ ./internal/nn/ \
 		./internal/attack/ ./internal/rowhammer/
+	$(GO) test -race ./internal/experiments/ \
+		-run '^TestVictimMemo(TrainsOnce|SurvivesCancelledOwner|CopiesAreIndependent|PerRegistration)$$'
 
 # The benchmark (bench/, dlbench) is a module of its own, so the root
 # `go test ./...` never builds it. Vet and test it here, so a change to
@@ -43,12 +49,15 @@ bench-check:
 # not_found a clean miss, any other refusal an error. FuzzAssemble
 # covers internal/isa's assembler behind dlasm: never panics, and an
 # accepted program re-assembles from its disassembly and survives
-# encode/decode unchanged.
+# encode/decode unchanged. FuzzParse covers internal/trace's text
+# reader behind tracegen: never panics, and an accepted trace re-parses
+# unchanged from its written form.
 fuzz-smoke:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
 	$(GO) test ./internal/remote/ -run '^$$' -fuzz '^FuzzDecodeError$$' -fuzztime 10s
 	$(GO) test ./internal/resultplane/ -run '^$$' -fuzz '^FuzzFetch$$' -fuzztime 10s
 	$(GO) test ./internal/isa/ -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 
 # Loopback end-to-end gate for the remote executors: boots dramlockerd
 # on 127.0.0.1 in both topologies — push worker (-remote) and job-queue

@@ -6,9 +6,15 @@
 // Job. Run executes the selected jobs concurrently with up to
 // runtime.NumCPU() workers, captures per-job timing and errors, and
 // collects everything into a Report that renders as text or JSON. Jobs
-// must be self-contained — each builds its own victim model and
-// DefendedSystem — so any subset can run in parallel without shared
-// mutable state.
+// must be independent: any subset may run in parallel, and no job may
+// see another's writes. (The experiments layer shares trained weights
+// between the jobs of one registration, but hands each job its own copy
+// of the model it attacks.)
+//
+// Dispatch order: units start in descending Shard.Cost (a monolith
+// costs zero), ties in registration order, so the heaviest shard is not
+// the last to start. Order affects only when a unit runs; seeds, cache
+// keys, merges and reports never depend on it.
 //
 // Scheduling vs execution: Run owns selection, seeding, caching, shard
 // fan-out and the deterministic merge; the Executor interface owns only
@@ -150,6 +156,9 @@ type Shard struct {
 	// Run computes the shard. Output.Data is the payload handed to the
 	// job's Merge; it must be JSON-marshalable so it can persist.
 	Run func(Context) (Output, error)
+	// Cost is the shard's relative cost, which orders dispatch (see the
+	// package comment). Zero for cheap shards.
+	Cost float64
 }
 
 // ShardedJob assembles a sharded Job (the grid-experiment constructor).

@@ -454,3 +454,65 @@ func TestReportRendering(t *testing.T) {
 		}
 	}
 }
+
+// TestRunDispatchesHeaviestFirst pins the dispatch order: with one
+// worker, units start in descending Shard.Cost (a monolith costs zero),
+// ties in registration order, while the report and every merge keep
+// registration and shard order.
+func TestRunDispatchesHeaviestFirst(t *testing.T) {
+	var started []string
+	run := func(ec Context) (Output, error) {
+		started = append(started, ec.Name)
+		return Output{Text: ec.Name + "\n", Data: ec.Name}, nil
+	}
+	merge := func(_ Context, outs []Output) (Output, error) {
+		var b strings.Builder
+		for _, o := range outs {
+			b.WriteString(o.Text)
+		}
+		return Output{Text: b.String()}, nil
+	}
+	reg := NewRegistry()
+	for _, j := range []Job{
+		{Name: "a", Run: run},
+		{Name: "b", Merge: merge, Shards: []Shard{
+			{Name: "s0", Run: run, Cost: 1},
+			{Name: "s1", Run: run, Cost: 16},
+			{Name: "s2", Run: run, Cost: 4},
+			{Name: "s3", Run: run},
+		}},
+		{Name: "c", Run: run},
+		{Name: "d", Merge: merge, Shards: []Shard{
+			{Name: "t0", Run: run, Cost: 4},
+			{Name: "t1", Run: run, Cost: 1},
+		}},
+	} {
+		if err := reg.Register(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := Run(reg, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"b/s1", "b/s2", "d/t0", "b/s0", "d/t1", "a", "b/s3", "c"}
+	if fmt.Sprint(started) != fmt.Sprint(want) {
+		t.Fatalf("start order %v, want %v", started, want)
+	}
+	var names []string
+	for _, r := range rep.Results {
+		names = append(names, r.Name)
+	}
+	if fmt.Sprint(names) != "[a b c d]" {
+		t.Fatalf("report order %v, want registration order", names)
+	}
+	if got := rep.Results[1].Text; got != "b/s0\nb/s1\nb/s2\nb/s3\n" {
+		t.Fatalf("merge saw shards out of order:\n%s", got)
+	}
+	if got := rep.Results[3].Text; got != "d/t0\nd/t1\n" {
+		t.Fatalf("merge saw shards out of order:\n%s", got)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -44,7 +45,9 @@ type Options struct {
 // Run executes the selected jobs from reg on a bounded worker pool and
 // returns the Report. Monolithic jobs are one schedulable unit each;
 // sharded jobs contribute one unit per shard, all interleaved on the same
-// pool, with the last shard to finish running the job's merge. Each unit
+// pool, with the last shard to finish running the job's merge. Units
+// start in descending Shard.Cost (a monolith costs zero), ties in
+// registration order. Each unit
 // is dispatched through the Executor; job errors (including panics, which
 // the executor converts) do not abort the pass — every selected job runs,
 // and the failures surface in the Report and via Report.Err. The returned
@@ -78,15 +81,19 @@ func Run(reg *Registry, opts Options) (*Report, error) {
 	// Expand the selection into schedulable units. Whole sharded jobs
 	// already present in the cache replay here, before any unit is
 	// enqueued, so a fully warm run schedules nothing for them.
-	var units []func()
+	type unit struct {
+		cost float64
+		run  func()
+	}
+	var units []unit
 	for i := range jobs {
 		i := i
 		j := jobs[i]
 		if len(j.Shards) == 0 {
-			units = append(units, func() {
+			units = append(units, unit{0, func() {
 				rep.Results[i] = runOne(ctx, exec, j, opts)
 				done(rep.Results[i])
-			})
+			}})
 			continue
 		}
 		if cached, hit := opts.Cache.peek(ctx, seededKey(j.Key, opts.BaseSeed)); hit {
@@ -99,14 +106,17 @@ func Run(reg *Registry, opts Options) (*Report, error) {
 		st := newShardState(len(j.Shards))
 		for si := range j.Shards {
 			si := si
-			units = append(units, func() {
+			units = append(units, unit{j.Shards[si].Cost, func() {
 				if runShard(ctx, exec, j, si, st, opts) {
 					rep.Results[i] = mergeShards(ctx, j, st, opts)
 					done(rep.Results[i])
 				}
-			})
+			}})
 		}
 	}
+	// Heaviest first, so the longest shard does not start last and
+	// become the pass's tail.
+	sort.SliceStable(units, func(a, b int) bool { return units[a].cost > units[b].cost })
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -146,7 +156,7 @@ func Run(reg *Registry, opts Options) (*Report, error) {
 		}()
 	}
 	for _, u := range units {
-		unitCh <- u
+		unitCh <- u.run
 	}
 	close(unitCh)
 	wg.Wait()

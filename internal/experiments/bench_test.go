@@ -33,8 +33,9 @@ func BenchmarkShardedGridsCold(b *testing.B) {
 // BenchmarkVictimTrain measures the end-to-end victim build — dataset
 // generation, training on the zero-alloc path, quantization, clean-accuracy
 // eval — the cost that dominates every model-bearing experiment
-// (table2, defense, fig1, fig8, perf). allocs/op tracks how much of the
-// training loop still hits the allocator.
+// (table2, fig1a, fig8a, fig8b, fig8pta, perf). NewVictim bypasses the
+// registration's victim memo, so every iteration trains. allocs/op
+// tracks how much of the training loop still hits the allocator.
 func BenchmarkVictimTrain(b *testing.B) {
 	p := Tiny()
 	b.ReportAllocs()

@@ -22,7 +22,7 @@ type Fig1aResult struct {
 // same number of random flips barely moves it. ctx is polled per
 // training epoch and per BFA iteration.
 func Fig1a(ctx context.Context, p Preset) (*Fig1aResult, error) {
-	v, err := NewVictim(ctx, p, ArchVGG11, 100)
+	v, err := victimFor(ctx, p, standardVictim(ArchVGG11, 100))
 	if err != nil {
 		return nil, err
 	}

@@ -79,7 +79,7 @@ type Fig8Result struct {
 // except the 9.6% erroneous-SWAP leak). ctx is polled per training epoch
 // and per attack iteration.
 func Fig8(ctx context.Context, p Preset, arch Arch, classes int) (*Fig8Result, error) {
-	v, err := NewVictim(ctx, p, arch, classes)
+	v, err := victimFor(ctx, p, standardVictim(arch, classes))
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +129,7 @@ type Fig8PTAResult struct {
 // and without DRAM-Locker protecting the page-table rows. ctx is polled
 // through the victim training, the dominant cost.
 func Fig8PTA(ctx context.Context, p Preset) (*Fig8PTAResult, error) {
-	v, err := NewVictim(ctx, p, ArchResNet20, 10)
+	v, err := victimFor(ctx, p, standardVictim(ArchResNet20, 10))
 	if err != nil {
 		return nil, err
 	}

@@ -54,17 +54,29 @@ var presetFree = map[string]bool{
 // "<preset>/<experiment>" (e.g. "small/fig8a"). The parameter-grid
 // experiments (mc, table1, fig7a, fig7b, defense, table2) register as
 // sharded jobs — per variation point, framework, curve, threshold,
-// mechanism or defended model — and the rest as monoliths. Every job (and
-// shard) trains its own victim and builds its own DefendedSystem, so any
-// subset may execute concurrently. Cache keys embed the preset hash
-// (except for the preset-free experiments), so a preset change
-// invalidates prior results.
+// mechanism or defended model — and the rest as monoliths. Cache keys
+// embed the preset hash (except for the preset-free experiments), so a
+// preset change invalidates prior results.
+//
+// The registration owns one victim memo, reached through every job's
+// context: each distinct victim is trained once, by the first job (or
+// shard) to ask for it, and every job gets its own copy of the trained
+// weights and builds its own DefendedSystem, so any subset may execute
+// concurrently. Each table2 shard carries its victim's dispatch cost, so
+// the widest trainings start first.
 func RegisterJobs(reg *engine.Registry, p Preset) error {
 	hash := p.Hash()
+	memo := newVictimMemo(p)
 	for _, exp := range JobNames() {
 		j, err := jobSpec(exp, p)
 		if err != nil {
 			return err
+		}
+		if j.Run != nil {
+			j.Run = memo.attach(j.Run)
+		}
+		for i := range j.Shards {
+			j.Shards[i].Run = memo.attach(j.Shards[i].Run)
 		}
 		j.Name = p.Name + "/" + exp
 		j.Title = jobTitles[exp]
@@ -122,9 +134,9 @@ func SplitList(s string) []string {
 
 // monolith wraps one experiment function into a single-unit engine.Job.
 // The closures use the preset's own seeds; the engine.Context is
-// forwarded so the model-bearing experiments can poll cancellation and
-// report training progress (both ride on Ctx) — ec.Seed remains
-// available for engine-level features.
+// forwarded so the model-bearing experiments can poll cancellation,
+// report training progress and reach the victim memo (all ride on Ctx)
+// — ec.Seed remains available for engine-level features.
 func monolith[T any](run func(engine.Context) (T, error), format func(T) string) engine.Job {
 	return engine.Job{Run: func(ec engine.Context) (engine.Output, error) {
 		v, err := run(ec)

@@ -26,7 +26,7 @@ type PerfResult struct {
 // serves both systems: BuildSystem only reads its weights into DRAM, and
 // a trace replay never writes DRAM back into the model.
 func Perf(ctx context.Context, p Preset) (*PerfResult, error) {
-	v, err := NewVictim(ctx, p, ArchResNet20, 10)
+	v, err := victimFor(ctx, p, standardVictim(ArchResNet20, 10))
 	if err != nil {
 		return nil, err
 	}

@@ -123,18 +123,22 @@ func defenseJob(p Preset) engine.Job {
 	return engine.Job{Shards: shards, Merge: mergeRows(merge)}
 }
 
-// table2Job shards the software-defense comparison per defended model.
-// Each shard trains its own victim, so the heavy Table II rows spread
-// across the pool instead of serialising in one job.
+// table2Job shards the software-defense comparison per defended model,
+// so the heavy Table II rows spread across the pool instead of
+// serialising in one job. Rows that defend the same victim share its
+// training through the registration's memo, and each shard's dispatch
+// cost is its victim's, so the 4x-width capacity row starts first.
 func table2Job(p Preset) engine.Job {
 	cfg := DefaultTable2Config(p)
 	var shards []engine.Shard
-	for _, m := range Table2Models() {
+	for _, m := range Table2Models(cfg) {
 		m := m
-		shards = append(shards, payloadShard(
+		sh := payloadShard(
 			m.ID,
 			func(ec engine.Context) (Table2Row, error) { return m.Run(ec.Ctx, p, cfg) },
-		))
+		)
+		sh.Cost = m.Victim.cost()
+		shards = append(shards, sh)
 	}
 	return engine.Job{Shards: shards, Merge: mergeRows(FormatTable2)}
 }

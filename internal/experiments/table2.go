@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
-	"repro/internal/nn"
 	"repro/internal/quant"
 )
 
@@ -81,161 +80,93 @@ func (r *reconstructionExecutor) TryFlip(globalW, k int) (attack.FlipOutcome, er
 	return attack.FlipOutcome{Succeeded: true}, nil
 }
 
-// Table2Model is one row of the Table II grid: a stable shard id plus the
-// builder that trains the defended model and attacks it to collapse.
-// Every builder trains its own victim, so rows are independent and any
-// subset may run concurrently.
+// Table2Model is one row of the Table II grid: a stable shard id, the
+// row's label and note, the victim it defends and the attack run on it.
+// The victim is data, so the row's training is shared through the
+// registration's memo with every job that names the same spec, and the
+// spec sets the shard's dispatch cost. Each row attacks a private copy
+// of its victim, so rows are independent and any subset may run
+// concurrently.
 type Table2Model struct {
-	ID  string
-	Run func(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, error)
+	ID     string
+	Label  string
+	Note   string
+	Victim VictimSpec
+	// Attack attacks the trained victim and reports the post-attack
+	// accuracy and the flips spent, plus a note when the row computes
+	// its own.
+	Attack func(ctx context.Context, p Preset, cfg Table2Config, v *Victim) (Table2Row, error)
 }
 
 // Table2Models lists the compared defenses in paper order — the shard
 // axis of the table2 grid job. Every row attacks ResNet-20 on
 // CIFAR-10-like data: the training-based defenses under direct flip
-// execution (they do not change the memory system), DRAM-Locker on the
+// execution (they do not change the memory system), weight
+// reconstruction under its repairing executor, and DRAM-Locker on the
 // full DRAM stack with an ideal (error-free) SWAP, the paper's Table II
 // setting.
-func Table2Models() []Table2Model {
-	return []Table2Model{
-		{"baseline", table2Baseline},
-		{"clustering", table2Clustering},
-		{"binary", table2Binary},
-		{"capacity", table2Capacity},
-		{"reconstruction", table2Reconstruction},
-		{"rabnn", table2RABNN},
-		{"dramlocker", table2DRAMLocker},
-	}
-}
-
-// table2AttackToCollapse drives the BFA until the model collapses or the
-// flip budget runs out.
-func table2AttackToCollapse(ctx context.Context, p Preset, cfg Table2Config, v *Victim, exec attack.FlipExecutor) (int, float64, error) {
-	bcfg := attack.DefaultBFAConfig()
-	bcfg.CandidatesPerIter = p.Candidates
-	bcfg.Stop = ctx.Err
-	return attack.BFAUntilCollapse(v.QM, v.AttackBatch, v.Eval, exec, bcfg, cfg.CollapseAcc, cfg.MaxFlips)
-}
-
-// table2Baseline: undefended ResNet-20 (8-bit).
-func table2Baseline(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, error) {
-	base, err := TrainVictim(ctx, p, ArchResNet20, 10, 8, 1.0, nil)
-	if err != nil {
-		return Table2Row{}, err
-	}
-	flips, post, err := table2AttackToCollapse(ctx, p, cfg, base, &attack.DirectExecutor{QM: base.QM})
-	if err != nil {
-		return Table2Row{}, err
-	}
-	return Table2Row{
-		Model: "Baseline ResNet-20", CleanAcc: base.CleanAcc,
-		PostAttackAcc: post, BitFlips: flips,
-	}, nil
-}
-
-// table2Clustering: piece-wise clustering (He et al. CVPR'20).
-func table2Clustering(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, error) {
-	pwc, err := TrainVictim(ctx, p, ArchResNet20, 10, 8, 1.0,
-		nn.PiecewiseClusteringReg(cfg.ClusteringLambda))
-	if err != nil {
-		return Table2Row{}, err
-	}
-	flips, post, err := table2AttackToCollapse(ctx, p, cfg, pwc, &attack.DirectExecutor{QM: pwc.QM})
-	if err != nil {
-		return Table2Row{}, err
-	}
-	return Table2Row{
-		Model: "Piece-wise Clustering", CleanAcc: pwc.CleanAcc,
-		PostAttackAcc: post, BitFlips: flips,
-		Note: "clustering regularizer during training",
-	}, nil
-}
-
-// table2Binary: binary weights (He et al. CVPR'20).
-func table2Binary(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, error) {
-	bin, err := TrainVictim(ctx, p, ArchResNet20, 10, 1, 1.0, nil)
-	if err != nil {
-		return Table2Row{}, err
-	}
-	flips, post, err := table2AttackToCollapse(ctx, p, cfg, bin, &attack.DirectExecutor{QM: bin.QM})
-	if err != nil {
-		return Table2Row{}, err
-	}
-	return Table2Row{
-		Model: "Binary weight", CleanAcc: bin.CleanAcc,
-		PostAttackAcc: post, BitFlips: flips,
-		Note: "1-bit sign weights",
-	}, nil
-}
-
-// table2Capacity: model capacity x16 (Rakin et al.): 16x parameters = 4x
-// width.
-func table2Capacity(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, error) {
-	wide, err := TrainVictim(ctx, p, ArchResNet20, 10, 8, 4.0, nil)
-	if err != nil {
-		return Table2Row{}, err
-	}
-	flips, post, err := table2AttackToCollapse(ctx, p, cfg, wide, &attack.DirectExecutor{QM: wide.QM})
-	if err != nil {
-		return Table2Row{}, err
-	}
-	return Table2Row{
-		Model: "Model Capacity x16", CleanAcc: wide.CleanAcc,
-		PostAttackAcc: post, BitFlips: flips,
-		Note: "4x channel width",
-	}, nil
-}
-
-// table2Reconstruction: weight reconstruction (Li et al. DAC'20):
-// redundancy + repair.
-func table2Reconstruction(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, error) {
-	rec, err := TrainVictim(ctx, p, ArchResNet20, 10, 8, 1.0, nil)
-	if err != nil {
-		return Table2Row{}, err
-	}
-	flips, post, err := table2AttackToCollapse(ctx, p, cfg, rec, &reconstructionExecutor{
-		qm:              rec.QM,
-		repairThreshold: 64,
-		residual:        8,
+func Table2Models(cfg Table2Config) []Table2Model {
+	base := standardVictim(ArchResNet20, 10)
+	clustered, binary, wide, rabnn := base, base, base, base
+	clustered.ClusteringLambda = cfg.ClusteringLambda // piece-wise clustering (He et al. CVPR'20)
+	binary.Bits = 1                                   // binary weights (He et al. CVPR'20)
+	wide.Width = 4                                    // model capacity x16 (Rakin et al.): 16x parameters = 4x width
+	rabnn.Bits, rabnn.Width = 1, 2                    // RA-BNN (Rakin et al.): binary weights at doubled width
+	direct := attackToCollapse(func(v *Victim) attack.FlipExecutor { return &attack.DirectExecutor{QM: v.QM} })
+	// Weight reconstruction (Li et al. DAC'20): redundancy + repair.
+	repaired := attackToCollapse(func(v *Victim) attack.FlipExecutor {
+		return &reconstructionExecutor{qm: v.QM, repairThreshold: 64, residual: 8}
 	})
-	if err != nil {
-		return Table2Row{}, err
+	return []Table2Model{
+		{"baseline", "Baseline ResNet-20", "", base, direct},
+		{"clustering", "Piece-wise Clustering", "clustering regularizer during training", clustered, direct},
+		{"binary", "Binary weight", "1-bit sign weights", binary, direct},
+		{"capacity", "Model Capacity x16", "4x channel width", wide, direct},
+		{"reconstruction", "Weight Reconstruction", "emulated as outlier repair with residual error", base, repaired},
+		{"rabnn", "RA-BNN", "binary weights, 2x width", rabnn, direct},
+		{"dramlocker", "DRAM-Locker", "", base, table2DRAMLocker},
 	}
-	return Table2Row{
-		Model: "Weight Reconstruction", CleanAcc: rec.CleanAcc,
-		PostAttackAcc: post, BitFlips: flips,
-		Note: "emulated as outlier repair with residual error",
-	}, nil
 }
 
-// table2RABNN: RA-BNN (Rakin et al.): binary weights at doubled width.
-func table2RABNN(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, error) {
-	rabnn, err := TrainVictim(ctx, p, ArchResNet20, 10, 1, 2.0, nil)
+// Run takes the row's victim — from the memo that ctx carries, or
+// freshly trained — attacks it and fills in the row.
+func (m Table2Model) Run(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, error) {
+	v, err := victimFor(ctx, p, m.Victim)
 	if err != nil {
 		return Table2Row{}, err
 	}
-	flips, post, err := table2AttackToCollapse(ctx, p, cfg, rabnn, &attack.DirectExecutor{QM: rabnn.QM})
+	row, err := m.Attack(ctx, p, cfg, v)
 	if err != nil {
 		return Table2Row{}, err
 	}
-	return Table2Row{
-		Model: "RA-BNN", CleanAcc: rabnn.CleanAcc,
-		PostAttackAcc: post, BitFlips: flips,
-		Note: "binary weights, 2x width",
-	}, nil
+	row.Model, row.CleanAcc = m.Label, v.CleanAcc
+	if row.Note == "" {
+		row.Note = m.Note
+	}
+	return row, nil
 }
 
-// table2DRAMLocker: full stack, ideal SWAP (no process-variation errors).
-func table2DRAMLocker(ctx context.Context, p Preset, cfg Table2Config) (Table2Row, error) {
-	dl, err := TrainVictim(ctx, p, ArchResNet20, 10, 8, 1.0, nil)
+// attackToCollapse returns the attack that drives the BFA through the
+// executor newExec builds until the model collapses or the flip budget
+// runs out.
+func attackToCollapse(newExec func(*Victim) attack.FlipExecutor) func(context.Context, Preset, Table2Config, *Victim) (Table2Row, error) {
+	return func(ctx context.Context, p Preset, cfg Table2Config, v *Victim) (Table2Row, error) {
+		bcfg := attack.DefaultBFAConfig()
+		bcfg.CandidatesPerIter = p.Candidates
+		bcfg.Stop = ctx.Err
+		flips, post, err := attack.BFAUntilCollapse(v.QM, v.AttackBatch, v.Eval, newExec(v), bcfg, cfg.CollapseAcc, cfg.MaxFlips)
+		return Table2Row{PostAttackAcc: post, BitFlips: flips}, err
+	}
+}
+
+// table2DRAMLocker attacks the full stack with an ideal SWAP (no
+// process-variation errors) for the whole flip budget.
+func table2DRAMLocker(ctx context.Context, p Preset, cfg Table2Config, v *Victim) (Table2Row, error) {
+	sys, err := BuildSystem(p, v, true, 0)
 	if err != nil {
 		return Table2Row{}, err
 	}
-	sys, err := BuildSystem(p, dl, true, 0)
-	if err != nil {
-		return Table2Row{}, err
-	}
-	res, err := attack.BFA(dl.QM, dl.AttackBatch, dl.Eval, sys.Exec, attack.BFAConfig{
+	res, err := attack.BFA(v.QM, v.AttackBatch, v.Eval, sys.Exec, attack.BFAConfig{
 		Iterations:        cfg.MaxFlips,
 		CandidatesPerIter: p.Candidates,
 		AttackBatch:       p.AttackBatch,
@@ -246,7 +177,6 @@ func table2DRAMLocker(ctx context.Context, p Preset, cfg Table2Config) (Table2Ro
 		return Table2Row{}, err
 	}
 	return Table2Row{
-		Model: "DRAM-Locker", CleanAcc: dl.CleanAcc,
 		PostAttackAcc: res.FinalAccuracy(), BitFlips: res.TotalDenied + res.TotalFlips,
 		Note: fmt.Sprintf("all %d attempts denied, %d landed", res.TotalDenied, res.TotalFlips),
 	}, nil

@@ -203,6 +203,9 @@ func parseFields(fields []string) (Entry, error) {
 		if err != nil {
 			return Entry{}, err
 		}
+		if phys < 0 || n <= 0 {
+			return Entry{}, fmt.Errorf("want a non-negative address and a positive length, got %v", fields)
+		}
 		var priv bool
 		switch fields[3] {
 		case "P":
@@ -227,6 +230,9 @@ func parseFields(fields []string) (Entry, error) {
 		row, err := strconv.Atoi(fields[2])
 		if err != nil {
 			return Entry{}, err
+		}
+		if bank < 0 || row < 0 {
+			return Entry{}, fmt.Errorf("want a non-negative bank and row, got %v", fields)
 		}
 		return Entry{Kind: Hammer, Row: dram.RowAddr{Bank: bank, Row: row}}, nil
 	default:
@@ -261,11 +267,12 @@ func (s ReplayStats) RowHitRate() float64 {
 }
 
 // Replay drives the trace through the controller and aggregates statistics.
+// A read or write must fit in one DRAM row; a longer or non-positive
+// length fails its entry.
 //
-// The per-entry dispatch is allocation-free in steady state: one write
-// payload and one read destination are reused across every entry (grown
-// only when an entry is larger than anything seen before), and read
-// results land in the reused destination via Request.Buf instead of a
+// The per-entry dispatch is allocation-free: one row-sized write payload
+// and one row-sized read destination serve every entry, and read results
+// land in the reused destination via Request.Buf instead of a
 // per-request buffer.
 func Replay(t *Trace, ctl *controller.Controller) (ReplayStats, error) {
 	var rs ReplayStats
@@ -273,11 +280,15 @@ func Replay(t *Trace, ctl *controller.Controller) (ReplayStats, error) {
 	startHits := ctl.Stats().RowHits
 	startMisses := ctl.Stats().RowMisses
 	startEnergy := ctl.Device().Stats().EnergyPJ
-	payload := make([]byte, 256)
-	readBuf := make([]byte, 256)
+	rowBytes := ctl.Device().Geometry().RowBytes
+	payload := make([]byte, rowBytes)
+	readBuf := make([]byte, rowBytes)
 	for i := range t.Entries {
 		e := &t.Entries[i]
 		rs.Requests++
+		if e.Kind != Hammer && (e.Len <= 0 || e.Len > rowBytes) {
+			return rs, fmt.Errorf("trace: entry %d: length %d outside a %d-byte DRAM row", i, e.Len, rowBytes)
+		}
 		switch e.Kind {
 		case Hammer:
 			activated, lat, err := ctl.HammerAttempt(e.Row)
@@ -290,9 +301,6 @@ func Replay(t *Trace, ctl *controller.Controller) (ReplayStats, error) {
 				rs.DeniedLatency += lat
 			}
 		case Read:
-			if e.Len > len(readBuf) {
-				readBuf = make([]byte, e.Len)
-			}
 			resp, err := ctl.Submit(controller.Request{
 				Kind: controller.ReqRead, Phys: e.Phys, Len: e.Len, Privileged: e.Privileged,
 				Buf: readBuf,
@@ -302,9 +310,6 @@ func Replay(t *Trace, ctl *controller.Controller) (ReplayStats, error) {
 			}
 			rs.accumulate(resp, e.Privileged)
 		case Write:
-			if e.Len > len(payload) {
-				payload = make([]byte, e.Len)
-			}
 			resp, err := ctl.Submit(controller.Request{
 				Kind: controller.ReqWrite, Phys: e.Phys, Data: payload[:e.Len], Privileged: e.Privileged,
 			})

@@ -47,13 +47,29 @@ func TestInferencePassCoversAllWeights(t *testing.T) {
 	}
 }
 
-func TestSerializationRoundTrip(t *testing.T) {
+// roundTripTrace holds one entry of each kind.
+func roundTripTrace() *Trace {
 	tr := &Trace{}
 	tr.Append(
 		Entry{Kind: Read, Phys: 4096, Len: 64, Privileged: true},
 		Entry{Kind: Write, Phys: 128, Len: 8, Privileged: false},
 		Entry{Kind: Hammer, Row: dram.RowAddr{Bank: 1, Row: 17}},
 	)
+	return tr
+}
+
+// parseCommentsSrc is a valid trace with a comment and a blank line.
+const parseCommentsSrc = "# header\n\nR 100 4 P\nH 0 3\n"
+
+// parseErrorCases are traces Parse must reject: malformed lines, then
+// lengths that are not positive and negative addresses, banks and rows.
+var parseErrorCases = []string{
+	"X 1 2\n", "R 1\n", "R a 4 P\n", "R 1 4 Z\n", "H 1\n",
+	"W 0 -1 U\n", "R 0 -1 P\n", "W 0 0 U\n", "R -1 4 P\n", "H -1 3\n", "H 0 -3\n",
+}
+
+func TestSerializationRoundTrip(t *testing.T) {
+	tr := roundTripTrace()
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -73,17 +89,39 @@ func TestSerializationRoundTrip(t *testing.T) {
 }
 
 func TestParseCommentsAndErrors(t *testing.T) {
-	ok := "# header\n\nR 100 4 P\nH 0 3\n"
-	tr, err := Parse(strings.NewReader(ok))
+	tr, err := Parse(strings.NewReader(parseCommentsSrc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Len() != 2 {
 		t.Fatalf("entries = %d", tr.Len())
 	}
-	for _, bad := range []string{"X 1 2\n", "R 1\n", "R a 4 P\n", "R 1 4 Z\n", "H 1\n"} {
-		if _, err := Parse(strings.NewReader(bad)); err == nil {
-			t.Errorf("Parse(%q) should fail", bad)
+	for _, bad := range parseErrorCases {
+		_, err := Parse(strings.NewReader("R 0 4 U\n" + bad))
+		if err == nil || !strings.Contains(err.Error(), "line 2:") {
+			t.Errorf("Parse(%q) = %v, want a line 2 error", bad, err)
+		}
+	}
+}
+
+// TestReplayRejectsLengthsOutsideARow: a read or write that is empty,
+// negative (a write used to panic slicing its payload) or longer than a
+// DRAM row (which used to size the replay buffers first) fails its entry.
+func TestReplayRejectsLengthsOutsideARow(t *testing.T) {
+	sys, _ := newSystem(t)
+	rowBytes := sys.Device().Geometry().RowBytes
+	for _, e := range []Entry{
+		{Kind: Write, Len: -1},
+		{Kind: Read, Len: -1},
+		{Kind: Write},
+		{Kind: Write, Len: rowBytes + 1},
+		{Kind: Read, Len: 1 << 20},
+	} {
+		tr := &Trace{}
+		tr.Append(Entry{Kind: Read, Len: 4}, e)
+		_, err := Replay(tr, sys.Controller())
+		if err == nil || !strings.Contains(err.Error(), "entry 1: length") {
+			t.Errorf("Replay of %+v = %v, want an entry 1 length error", e, err)
 		}
 	}
 }
