@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench-check fuzz-smoke bench-smoke bench-kernels bench-attack vet cross fmt-check lint loc cache-gate e2e-remote e2e-chaos e2e-resultplane e2e-ha ci
+.PHONY: build test race bench-check fuzz-smoke bench-smoke bench-kernels bench-attack vet cross fmt-check lint loc deadcode cache-gate e2e-remote e2e-chaos e2e-resultplane e2e-ha ci
 
 build:
 	$(GO) build ./...
@@ -209,5 +209,11 @@ loc:
 	@printf '%6d substrate (%s)\n' \
 		$$(for p in $(LOC_SUBSTRATE); do find internal/$$p -name '*.go' ! -name '*_test.go'; done | xargs cat | wc -l) \
 		"$(LOC_SUBSTRATE)"
+
+# Functions declared under internal/ that no main package links (cmd/*,
+# examples/* and bench/'s dlbench, built with inlining off). It reports
+# only, like loc, and stays out of ci.
+deadcode:
+	@bash scripts/deadcode.sh
 
 ci: vet cross fmt-check lint build test race bench-check fuzz-smoke e2e-remote e2e-chaos e2e-resultplane e2e-ha cache-gate

@@ -181,7 +181,8 @@ func BenchmarkRowHammerActivationTracking(b *testing.B) {
 }
 
 func BenchmarkQuantizedInferenceResNet20(b *testing.B) {
-	v, err := experiments.NewVictim(context.Background(), benchPreset, experiments.ArchResNet20, 10)
+	v, err := experiments.TrainVictim(context.Background(), benchPreset,
+		experiments.VictimSpec{Arch: experiments.ArchResNet20, Classes: 10, Bits: 8, Width: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

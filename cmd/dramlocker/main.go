@@ -105,7 +105,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -574,28 +573,14 @@ func firstAddr(addr string) string {
 	return strings.TrimSpace(strings.Split(addr, ",")[0])
 }
 
-// fetchJSON GETs one introspection endpoint and decodes the reply.
+// fetchJSON GETs one introspection endpoint and decodes the reply
+// through remote.GetJSON: bounded at remote.MaxBodyBytes, refusals
+// decoded as typed api errors.
 func fetchJSON(ctx context.Context, addr, url string, out any) error {
 	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
+	if err := remote.GetJSON(ctx, http.DefaultClient, url, out); err != nil {
 		return fmt.Errorf("broker %s: %w", addr, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return fmt.Errorf("broker %s: %w", addr, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("broker %s: %s: %s", addr, resp.Status, strings.TrimSpace(string(body)))
-	}
-	if err := json.Unmarshal(body, out); err != nil {
-		return fmt.Errorf("broker %s: decode: %w", addr, err)
 	}
 	return nil
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/memmap"
 	"repro/internal/nn"
 	"repro/internal/quant"
-	"repro/internal/stats"
 )
 
 // The victim is trained once and restored from a pristine snapshot for
@@ -95,28 +94,6 @@ func TestBFABeatsRandomAttack(t *testing.T) {
 	if bfa.FinalAccuracy() >= rnd.FinalAccuracy() {
 		t.Fatalf("targeted BFA (%.3f) must beat random (%.3f)",
 			bfa.FinalAccuracy(), rnd.FinalAccuracy())
-	}
-}
-
-func TestLeakyExecutorStatistics(t *testing.T) {
-	qm, _, _ := trainedVictim(t)
-	exec := &LeakyExecutor{QM: qm, Leak: 0.25, RNG: stats.NewRNG(9)}
-	succ := 0
-	const n = 2000
-	for i := 0; i < n; i++ {
-		out, err := exec.TryFlip(i%qm.TotalWeights(), i%8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Succeeded {
-			succ++
-		} else if !out.Denied {
-			t.Fatal("must be succeeded or denied")
-		}
-	}
-	rate := float64(succ) / n
-	if rate < 0.2 || rate > 0.3 {
-		t.Fatalf("leak rate %.3f, want ~0.25", rate)
 	}
 }
 

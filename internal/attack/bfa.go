@@ -51,24 +51,6 @@ func (e *DirectExecutor) TryFlip(globalW, k int) (FlipOutcome, error) {
 	return FlipOutcome{Succeeded: true}, nil
 }
 
-// LeakyExecutor models a defense that blocks flips except with a leak
-// probability (the paper's Fig. 8 accounting: under ±20% process variation
-// the SWAP-based defense fails 9.6% of the time, letting the BFA through).
-type LeakyExecutor struct {
-	QM   *quant.Model
-	Leak float64
-	RNG  *stats.RNG
-}
-
-// TryFlip implements FlipExecutor.
-func (e *LeakyExecutor) TryFlip(globalW, k int) (FlipOutcome, error) {
-	if e.RNG.Bernoulli(e.Leak) {
-		e.QM.FlipGlobal(globalW, k)
-		return FlipOutcome{Succeeded: true}, nil
-	}
-	return FlipOutcome{Denied: true}, nil
-}
-
 // Candidate is one ranked flip option.
 type Candidate struct {
 	GlobalW int

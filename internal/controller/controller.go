@@ -179,7 +179,6 @@ type Controller struct {
 	dev    *dram.Device
 	mapper dram.AddrMapper
 	table  *locktable.Table
-	clone  *rowclone.Engine
 	seq    *isa.Sequencer
 	cfg    Config
 	rng    *stats.RNG
@@ -218,7 +217,6 @@ func New(dev *dram.Device, cfg Config) (*Controller, error) {
 		dev:       dev,
 		mapper:    dram.NewAddrMapper(geom),
 		table:     table,
-		clone:     clone,
 		seq:       isa.NewSequencer(clone),
 		cfg:       cfg,
 		rng:       stats.NewRNG(cfg.Seed),
@@ -235,14 +233,8 @@ func (c *Controller) Device() *dram.Device { return c.dev }
 // Table returns the lock-table (for inspection and direct policy control).
 func (c *Controller) Table() *locktable.Table { return c.table }
 
-// CloneEngine returns the RowClone engine (to adjust the process corner).
-func (c *Controller) CloneEngine() *rowclone.Engine { return c.clone }
-
 // Mapper returns the address mapper.
 func (c *Controller) Mapper() dram.AddrMapper { return c.mapper }
-
-// Config returns the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // Stats returns a copy of the activity counters.
 func (c *Controller) Stats() Stats { return c.stats }
@@ -290,7 +282,7 @@ func (c *Controller) LockNeighborsOf(phys int64, distance int) ([]dram.RowAddr, 
 	var locked []dram.RowAddr
 	for d := 1; d <= distance; d++ {
 		for _, n := range geom.Neighbors(row, d) {
-			if c.IsReserved(n) || c.table.Contains(n) {
+			if c.IsReserved(n) || c.table.IsLocked(n) {
 				continue
 			}
 			if err := c.table.Lock(n); err != nil {

@@ -117,7 +117,7 @@ func (s *System) Config() Config { return s.cfg }
 func (s *System) ProtectWeights(layout *memmap.Layout) (int, error) {
 	locked := 0
 	for _, row := range layout.AggressorRows(s.cfg.LockDistance) {
-		if s.ctl.IsReserved(row) || s.ctl.Table().Contains(row) {
+		if s.ctl.IsReserved(row) || s.ctl.Table().IsLocked(row) {
 			continue
 		}
 		if err := s.ctl.LockRow(row); err != nil {
@@ -136,7 +136,7 @@ func (s *System) ProtectPageTable(t *pagetable.Table) (int, error) {
 	for _, ptr := range t.PTRows() {
 		for d := 1; d <= s.cfg.LockDistance; d++ {
 			for _, n := range geom.Neighbors(ptr, d) {
-				if s.ctl.IsReserved(n) || s.ctl.Table().Contains(n) {
+				if s.ctl.IsReserved(n) || s.ctl.Table().IsLocked(n) {
 					continue
 				}
 				if err := s.ctl.LockRow(n); err != nil {
@@ -153,10 +153,3 @@ func (s *System) ProtectPageTable(t *pagetable.Table) (int, error) {
 // can manually add any row that has a high probability of becoming an
 // aggressor row").
 func (s *System) ProtectRow(row dram.RowAddr) error { return s.ctl.LockRow(row) }
-
-// SetProcessCorner adjusts the per-copy SWAP error probability to a
-// process-variation corner (use circuit.MonteCarlo results: 0 at nominal,
-// 0.0014/3 per copy at ±10%, ~0.033 at ±20%).
-func (s *System) SetProcessCorner(perCopyError float64) error {
-	return s.ctl.CloneEngine().SetCopyErrorProb(perCopyError)
-}

@@ -150,7 +150,7 @@ func TestProtectPageTable(t *testing.T) {
 	}
 }
 
-func TestProtectRowAndProcessCorner(t *testing.T) {
+func TestProtectRow(t *testing.T) {
 	sys := newSystem(t)
 	row := dram.RowAddr{Bank: 0, Row: 20}
 	if err := sys.ProtectRow(row); err != nil {
@@ -158,15 +158,6 @@ func TestProtectRowAndProcessCorner(t *testing.T) {
 	}
 	if !sys.Table().IsLocked(row) {
 		t.Fatal("manual lock missing")
-	}
-	if err := sys.SetProcessCorner(0.033); err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.Controller().CloneEngine().Config().CopyErrorProb; got != 0.033 {
-		t.Fatalf("corner = %g", got)
-	}
-	if err := sys.SetProcessCorner(2); err == nil {
-		t.Fatal("invalid corner must fail")
 	}
 }
 

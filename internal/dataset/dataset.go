@@ -35,18 +35,6 @@ type Config struct {
 	Seed     uint64
 }
 
-// CIFAR10Like returns a 10-class, 32x32 configuration.
-func CIFAR10Like() Config {
-	return Config{Classes: 10, Size: 32, Train: 2000, Test: 512,
-		NoiseStd: 0.45, MaxShift: 2, ProtoRes: 8, Seed: 0xC1FA10}
-}
-
-// CIFAR100Like returns a 100-class, 32x32 configuration.
-func CIFAR100Like() Config {
-	return Config{Classes: 100, Size: 32, Train: 4000, Test: 1000,
-		NoiseStd: 0.35, MaxShift: 2, ProtoRes: 8, Seed: 0xC1FA100}
-}
-
 // Tiny returns a fast configuration for unit tests.
 func Tiny(classes int) Config {
 	return Config{Classes: classes, Size: 16, Train: 160, Test: 80,

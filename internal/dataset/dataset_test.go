@@ -163,12 +163,3 @@ func TestValidation(t *testing.T) {
 		}
 	}
 }
-
-func TestStandardConfigs(t *testing.T) {
-	if c := CIFAR10Like(); c.Classes != 10 || c.Size != 32 {
-		t.Fatalf("CIFAR10Like = %+v", c)
-	}
-	if c := CIFAR100Like(); c.Classes != 100 || c.Size != 32 {
-		t.Fatalf("CIFAR100Like = %+v", c)
-	}
-}

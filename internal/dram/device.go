@@ -83,7 +83,6 @@ type DeviceStats struct {
 	Precharges int64
 	Reads      int64
 	Writes     int64
-	Refreshes  int64
 	RowClones  int64
 	EnergyPJ   float64
 }
@@ -242,14 +241,6 @@ func (d *Device) checkOpen(a RowAddr, col, n int) error {
 		return fmt.Errorf("%w: open %d want %d", ErrWrongOpenRow, b.openRow, a.Row)
 	}
 	return nil
-}
-
-// Refresh models one REF command. Observers interested in refresh-window
-// boundaries track the device clock themselves.
-func (d *Device) Refresh() Picoseconds {
-	d.now += d.timing.TRFC
-	d.stats.Refreshes++
-	return d.timing.TRFC
 }
 
 // --- Direct (out-of-band) row access -------------------------------------

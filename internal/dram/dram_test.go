@@ -311,9 +311,8 @@ func TestDeviceStatsAndEnergy(t *testing.T) {
 	d.Activate(a)
 	d.Write(a, 0, []byte{1})
 	d.Precharge(0)
-	d.Refresh()
 	st := d.Stats()
-	if st.Activates != 1 || st.Writes != 1 || st.Precharges != 1 || st.Refreshes != 1 {
+	if st.Activates != 1 || st.Writes != 1 || st.Precharges != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.EnergyPJ <= 0 {

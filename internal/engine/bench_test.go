@@ -21,19 +21,17 @@ func benchRegistry(b *testing.B) *Registry {
 				},
 			})
 		}
-		err := reg.Register(ShardedJob(
-			fmt.Sprintf("job%d", j), "", fmt.Sprintf("job%d@bench", j), shards,
-			func(_ Context, outs []Output) (Output, error) {
-				var sum uint64
-				for _, o := range outs {
-					var v uint64
-					if err := DecodeData(o.Data, &v); err != nil {
-						return Output{}, err
-					}
-					sum += v
+		err := reg.Register(Job{Name: fmt.Sprintf("job%d", j), Key: fmt.Sprintf("job%d@bench", j), Shards: shards, Merge: func(_ Context, outs []Output) (Output, error) {
+			var sum uint64
+			for _, o := range outs {
+				var v uint64
+				if err := DecodeData(o.Data, &v); err != nil {
+					return Output{}, err
 				}
-				return Output{Text: fmt.Sprint(sum)}, nil
-			}))
+				sum += v
+			}
+			return Output{Text: fmt.Sprint(sum)}, nil
+		}})
 		if err != nil {
 			b.Fatal(err)
 		}

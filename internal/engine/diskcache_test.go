@@ -269,18 +269,17 @@ func TestDiskCacheShardedWarmRun(t *testing.T) {
 				},
 			})
 		}
-		err := reg.Register(ShardedJob("grid", "", "grid@hash", shards,
-			func(_ Context, outs []Output) (Output, error) {
-				var b strings.Builder
-				for _, o := range outs {
-					var v []int
-					if err := DecodeData(o.Data, &v); err != nil {
-						return Output{}, err
-					}
-					fmt.Fprintf(&b, "%v\n", v)
+		err := reg.Register(Job{Name: "grid", Key: "grid@hash", Shards: shards, Merge: func(_ Context, outs []Output) (Output, error) {
+			var b strings.Builder
+			for _, o := range outs {
+				var v []int
+				if err := DecodeData(o.Data, &v); err != nil {
+					return Output{}, err
 				}
-				return Output{Text: b.String()}, nil
-			}))
+				fmt.Fprintf(&b, "%v\n", v)
+			}
+			return Output{Text: b.String()}, nil
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}

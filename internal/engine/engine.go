@@ -63,9 +63,9 @@ type Context struct {
 	// Ctx is the run's cancellation context. The engine always populates
 	// it (falling back to context.Background() when Options.Ctx is nil),
 	// and when someone listens for progress it also carries the task's
-	// reporter (see ProgressFromContext). A Context built by hand in
-	// tests may leave it nil, so poll via Canceled rather than Ctx
-	// directly.
+	// reporter (see ProgressFromContext). Long-running jobs poll
+	// Ctx.Err() between iterations so Ctrl-C on the CLI stops in-flight
+	// work instead of only the not-yet-started tail.
 	Ctx context.Context
 }
 
@@ -94,16 +94,6 @@ func ProgressFromContext(ctx context.Context) func(stage string, done, total int
 	}
 	f, _ := ctx.Value(progressKey{}).(func(stage string, done, total int))
 	return f
-}
-
-// Canceled reports the run's cancellation error, if any. Long-running
-// jobs should poll it between iterations so Ctrl-C on the CLI stops
-// in-flight work instead of only the not-yet-started tail.
-func (c Context) Canceled() error {
-	if c.Ctx == nil {
-		return nil
-	}
-	return c.Ctx.Err()
 }
 
 // Output is what a job produces: a human-readable rendering and an
@@ -159,11 +149,6 @@ type Shard struct {
 	// Cost is the shard's relative cost, which orders dispatch (see the
 	// package comment). Zero for cheap shards.
 	Cost float64
-}
-
-// ShardedJob assembles a sharded Job (the grid-experiment constructor).
-func ShardedJob(name, title, key string, shards []Shard, merge func(Context, []Output) (Output, error)) Job {
-	return Job{Name: name, Title: title, Key: key, Shards: shards, Merge: merge}
 }
 
 // Registry holds an ordered set of uniquely named jobs.

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -23,12 +22,12 @@ func execRegistry(t *testing.T) *Registry {
 		return Output{Text: fmt.Sprintf("seed=%d", ctx.Seed), Data: map[string]uint64{"seed": ctx.Seed}}, nil
 	}})
 	must(Job{Name: "panics", Run: func(Context) (Output, error) { panic("kaboom") }})
-	must(ShardedJob("grid", "", "grid@hash", []Shard{
+	must(Job{Name: "grid", Key: "grid@hash", Shards: []Shard{
 		{Name: "s0", Run: func(ctx Context) (Output, error) { return Output{Data: ctx.Seed}, nil }},
 		{Name: "s1", Run: func(ctx Context) (Output, error) { return Output{Data: ctx.Seed}, nil }},
-	}, func(_ Context, outs []Output) (Output, error) {
+	}, Merge: func(_ Context, outs []Output) (Output, error) {
 		return Output{Text: fmt.Sprintf("%d shards", len(outs))}, nil
-	}))
+	}})
 	return reg
 }
 
@@ -200,7 +199,7 @@ func TestRunCancellation(t *testing.T) {
 		close(started)
 		cancel()
 		<-c.Ctx.Done()
-		return Output{}, c.Canceled()
+		return Output{}, c.Ctx.Err()
 	}})
 	for i := 0; i < 3; i++ {
 		must(Job{Name: fmt.Sprintf("queued%d", i), Run: func(Context) (Output, error) {
@@ -223,21 +222,6 @@ func TestRunCancellation(t *testing.T) {
 		if !strings.Contains(r.Err, context.Canceled.Error()) {
 			t.Fatalf("%s: %q", r.Name, r.Err)
 		}
-	}
-}
-
-func TestContextCanceledHelper(t *testing.T) {
-	if err := (Context{}).Canceled(); err != nil {
-		t.Fatalf("nil Ctx must read as not cancelled: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	c := Context{Ctx: ctx}
-	if err := c.Canceled(); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	if !errors.Is(c.Canceled(), context.Canceled) {
-		t.Fatal("cancellation must surface through Canceled")
 	}
 }
 

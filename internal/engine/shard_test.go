@@ -38,7 +38,7 @@ func gridJob(name string, n int, key string) Job {
 		}
 		return Output{Text: b.String(), Data: b.String()}, nil
 	}
-	return ShardedJob(name, "grid", key, shards, merge)
+	return Job{Name: name, Title: "grid", Key: key, Shards: shards, Merge: merge}
 }
 
 func TestRegistryValidatesShardedJobs(t *testing.T) {
@@ -109,10 +109,9 @@ func TestShardedJobShardsRunInParallel(t *testing.T) {
 		})
 	}
 	reg := NewRegistry()
-	err := reg.Register(ShardedJob("wide", "", "", shards,
-		func(_ Context, outs []Output) (Output, error) {
-			return Output{Text: fmt.Sprintf("%d shards", len(outs))}, nil
-		}))
+	err := reg.Register(Job{Name: "wide", Shards: shards, Merge: func(_ Context, outs []Output) (Output, error) {
+		return Output{Text: fmt.Sprintf("%d shards", len(outs))}, nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +134,10 @@ func TestShardErrorsAndPanicsFailTheJob(t *testing.T) {
 		{Name: "bad", Run: func(Context) (Output, error) { return Output{}, errors.New("boom") }},
 		{Name: "panics", Run: func(Context) (Output, error) { panic("kaboom") }},
 	}
-	err := reg.Register(ShardedJob("mixed", "", "", shards,
-		func(Context, []Output) (Output, error) {
-			t.Error("merge must not run when a shard failed")
-			return Output{}, nil
-		}))
+	err := reg.Register(Job{Name: "mixed", Shards: shards, Merge: func(Context, []Output) (Output, error) {
+		t.Error("merge must not run when a shard failed")
+		return Output{}, nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +172,12 @@ func TestMergeErrorAndPanicAreCaptured(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(ShardedJob("mergeerr", "", "", one, func(Context, []Output) (Output, error) {
+	must(Job{Name: "mergeerr", Shards: one, Merge: func(Context, []Output) (Output, error) {
 		return Output{}, errors.New("cannot assemble")
-	}))
-	must(ShardedJob("mergepanic", "", "", one, func(Context, []Output) (Output, error) {
+	}})
+	must(Job{Name: "mergepanic", Shards: one, Merge: func(Context, []Output) (Output, error) {
 		panic("merge kaboom")
-	}))
+	}})
 	rep, err := Run(reg, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -211,10 +209,9 @@ func TestShardedJobCaching(t *testing.T) {
 				},
 			})
 		}
-		if err := reg.Register(ShardedJob("grid", "", "grid@hash", shards,
-			func(_ Context, outs []Output) (Output, error) {
-				return Output{Text: fmt.Sprintf("merged %d", len(outs))}, nil
-			})); err != nil {
+		if err := reg.Register(Job{Name: "grid", Key: "grid@hash", Shards: shards, Merge: func(_ Context, outs []Output) (Output, error) {
+			return Output{Text: fmt.Sprintf("merged %d", len(outs))}, nil
+		}}); err != nil {
 			t.Fatal(err)
 		}
 		return reg
@@ -261,18 +258,17 @@ func TestShardLevelCacheReuse(t *testing.T) {
 				},
 			})
 		}
-		if err := reg.Register(ShardedJob(jobName, "", "shared@key", shards,
-			func(_ Context, outs []Output) (Output, error) {
-				var vals []string
-				for _, o := range outs {
-					var v int
-					if err := DecodeData(o.Data, &v); err != nil {
-						return Output{}, err
-					}
-					vals = append(vals, fmt.Sprint(v))
+		if err := reg.Register(Job{Name: jobName, Key: "shared@key", Shards: shards, Merge: func(_ Context, outs []Output) (Output, error) {
+			var vals []string
+			for _, o := range outs {
+				var v int
+				if err := DecodeData(o.Data, &v); err != nil {
+					return Output{}, err
 				}
-				return Output{Text: strings.Join(vals, ",")}, nil
-			})); err != nil {
+				vals = append(vals, fmt.Sprint(v))
+			}
+			return Output{Text: strings.Join(vals, ",")}, nil
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}

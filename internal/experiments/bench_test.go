@@ -33,7 +33,7 @@ func BenchmarkShardedGridsCold(b *testing.B) {
 // BenchmarkVictimTrain measures the end-to-end victim build — dataset
 // generation, training on the zero-alloc path, quantization, clean-accuracy
 // eval — the cost that dominates every model-bearing experiment
-// (table2, fig1a, fig8a, fig8b, fig8pta, perf). NewVictim bypasses the
+// (table2, fig1a, fig8a, fig8b, fig8pta, perf). TrainVictim bypasses the
 // registration's victim memo, so every iteration trains. allocs/op
 // tracks how much of the training loop still hits the allocator.
 func BenchmarkVictimTrain(b *testing.B) {
@@ -41,7 +41,7 @@ func BenchmarkVictimTrain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewVictim(context.Background(), p, ArchResNet20, 10); err != nil {
+		if _, err := TrainVictim(context.Background(), p, standardVictim(ArchResNet20, 10)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -190,7 +190,7 @@ func TestFig8PTAShape(t *testing.T) {
 
 func TestTrainVictimProducesUsableModel(t *testing.T) {
 	p := Tiny()
-	v, err := NewVictim(context.Background(), p, ArchResNet20, 10)
+	v, err := TrainVictim(context.Background(), p, standardVictim(ArchResNet20, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestTrainVictimProducesUsableModel(t *testing.T) {
 	if v.AttackBatch.X.Shape[0] != p.AttackBatch {
 		t.Fatalf("attack batch size %d", v.AttackBatch.X.Shape[0])
 	}
-	if _, err := NewVictim(context.Background(), p, Arch("mlp"), 10); err == nil {
+	if _, err := TrainVictim(context.Background(), p, standardVictim(Arch("mlp"), 10)); err == nil {
 		t.Fatal("unknown arch must fail")
 	}
 }

@@ -1,5 +1,5 @@
 // Sharded parameter grids: the Fig. 7 threshold sweep, the defense
-// comparison and the table generators run as engine.ShardedJobs — one
+// comparison and the table generators run as sharded engine.Jobs — one
 // shard per curve / grid point / table row, each computed by the
 // per-point function of its model package. These grids are the only
 // code that assembles those results. Shards schedule independently on

@@ -106,11 +106,6 @@ func TrainVictim(ctx context.Context, p Preset, s VictimSpec) (*Victim, error) {
 	return v, nil
 }
 
-// NewVictim trains the standard 8-bit victim for an experiment.
-func NewVictim(ctx context.Context, p Preset, arch Arch, classes int) (*Victim, error) {
-	return TrainVictim(ctx, p, standardVictim(arch, classes))
-}
-
 // untrained generates the victim's dataset and its freshly initialised
 // network.
 func (p Preset) untrained(s VictimSpec) (*dataset.Dataset, *nn.Model, error) {

@@ -178,6 +178,37 @@ func TestSequencerRunsSwap(t *testing.T) {
 	}
 }
 
+// TestSwapProgramIsInvolution: running the SWAP program twice on the
+// same bindings restores both rows, for arbitrary row data
+// (property-based). This is the controller's swap-out then swap-back.
+func TestSwapProgramIsInvolution(t *testing.T) {
+	f := func(dataA, dataB []byte) bool {
+		dev, seq := newSeq(t)
+		a := dram.RowAddr{Bank: 1, Row: 5}
+		b := dram.RowAddr{Bank: 1, Row: 9}
+		buf := dram.RowAddr{Bank: 1, Row: 60}
+		rowBytes := dev.Geometry().RowBytes
+		dev.PokeRow(a, dataA[:min(len(dataA), rowBytes)])
+		dev.PokeRow(b, dataB[:min(len(dataB), rowBytes)])
+		origA, _ := dev.PeekRow(a)
+		origB, _ := dev.PeekRow(b)
+		seq.BindRow(RegLocked, a)
+		seq.BindRow(RegUnlocked, b)
+		seq.BindRow(RegBuffer, buf)
+		for range 2 {
+			if _, err := seq.Run(SwapProgram()); err != nil {
+				return false
+			}
+		}
+		nowA, _ := dev.PeekRow(a)
+		nowB, _ := dev.PeekRow(b)
+		return string(nowA) == string(origA) && string(nowB) == string(origB)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSequencerBnezLoopCount(t *testing.T) {
 	dev, seq := newSeq(t)
 	src := dram.RowAddr{Bank: 0, Row: 2}

@@ -28,18 +28,6 @@ type Sequencer struct {
 
 	// MaxSteps bounds execution to catch runaway loops; 0 means default.
 	MaxSteps int
-
-	stats SequencerStats
-}
-
-// SequencerStats counts executed micro-operations.
-type SequencerStats struct {
-	Programs   int64
-	Steps      int64
-	Copies     int64
-	CopyErrors int64
-	Branches   int64
-	Latency    dram.Picoseconds
 }
 
 // DefaultMaxSteps bounds one program run.
@@ -69,14 +57,6 @@ func (s *Sequencer) BindCounter(reg uint8, v int64) error {
 	return nil
 }
 
-// Row returns the row address bound to a register.
-func (s *Sequencer) Row(reg uint8) (dram.RowAddr, bool) {
-	if reg >= NumMicroRegs || !s.bound[reg] {
-		return dram.RowAddr{}, false
-	}
-	return s.rows[reg], true
-}
-
 // Counter returns the scalar value of a register.
 func (s *Sequencer) Counter(reg uint8) int64 {
 	if reg >= NumMicroRegs {
@@ -84,9 +64,6 @@ func (s *Sequencer) Counter(reg uint8) int64 {
 	}
 	return s.counter[reg]
 }
-
-// Stats returns accumulated execution statistics.
-func (s *Sequencer) Stats() SequencerStats { return s.stats }
 
 // RunResult reports one program execution.
 type RunResult struct {
@@ -115,13 +92,8 @@ func (s *Sequencer) Run(prog []Instruction) (RunResult, error) {
 		}
 		in := prog[pc]
 		res.Steps++
-		s.stats.Steps++
 		switch in.Op {
 		case OpDONE:
-			s.stats.Programs++
-			s.stats.Copies += int64(res.Copies)
-			s.stats.CopyErrors += int64(res.CopyErrors)
-			s.stats.Latency += res.Latency
 			return res, nil
 		case OpNOP:
 			pc++
@@ -144,7 +116,6 @@ func (s *Sequencer) Run(prog []Instruction) (RunResult, error) {
 			}
 			pc++
 		case OpBNEZ:
-			s.stats.Branches++
 			if s.counter[in.A] > 0 {
 				s.counter[in.A]--
 			}

@@ -7,42 +7,31 @@
 // small re-lock countdown — which is where the paper's 56KB SRAM / 0.02%
 // area overhead comes from (Table I).
 //
-// The simulator keeps the occupied entries in a compact slice plus a
-// dense per-row slot index (Geometry.LinearIndex -> entry), so the lookup
-// on every memory request is one array access instead of a map probe and
-// countdown ticks touch only occupied entries. The slot index costs 4
-// bytes per geometry row, allocated once at construction.
+// A locked row stays locked: a SWAP moves the protected data, not the
+// lock entry (Fig. 4(b)). The one place a row is re-secured is the
+// controller's redirect countdown, which swaps the data back after
+// RelockInterval R/W instructions (Fig. 4(d)); that countdown is what the
+// entry's 16-bit field prices. The simulator keeps one flag per geometry
+// row (Geometry.LinearIndex -> locked), so the lookup on every memory
+// request is one slice index.
 package locktable
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/dram"
 )
 
-// Errors returned by table operations.
+// Errors returned by Lock.
 var (
-	ErrFull      = errors.New("locktable: table full")
-	ErrNotLocked = errors.New("locktable: row is not locked")
-	ErrLocked    = errors.New("locktable: row already locked")
+	ErrFull   = errors.New("locktable: table full")
+	ErrLocked = errors.New("locktable: row already locked")
 )
 
 // EntryBytes is the SRAM cost of one lock-table entry: a 32-bit physical
 // row address, a 16-bit re-lock countdown and a valid/state byte.
 const EntryBytes = 7
-
-// Entry is one lock-table record.
-type Entry struct {
-	Row dram.RowAddr
-	// Pending indicates the row was unlocked by a SWAP and will re-lock
-	// when Countdown reaches zero.
-	Pending bool
-	// Countdown is the number of R/W instructions remaining until re-lock
-	// when Pending.
-	Countdown int
-}
 
 // Config sizes the table.
 type Config struct {
@@ -62,28 +51,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats aggregates table activity.
-type Stats struct {
-	Lookups     int64
-	Hits        int64
-	Locks       int64
-	Unlocks     int64
-	Relocks     int64
-	MaxOccupied int
-}
-
 // Table is the lock-table. Lookup semantics are identical to the paper's
 // set-associative SRAM; occupancy is bounded by the configured capacity.
 type Table struct {
 	cfg  Config
 	geom dram.Geometry
-	// slot maps a geometry linear row index to its position in entries,
-	// -1 when the row has no entry.
-	slot []int32
-	// entries holds the occupied records compactly (swap-removal keeps it
-	// gap-free; order is not meaningful).
-	entries []Entry
-	stats   Stats
+	// locked is indexed by the geometry's linear row index.
+	locked []bool
+	n      int
 }
 
 // New creates an empty table for rows of the given geometry.
@@ -91,191 +66,31 @@ func New(geom dram.Geometry, cfg Config) (*Table, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Table{cfg: cfg, geom: geom, slot: make([]int32, geom.TotalRows())}
-	for i := range t.slot {
-		t.slot[i] = -1
-	}
-	return t, nil
+	return &Table{cfg: cfg, geom: geom, locked: make([]bool, geom.TotalRows())}, nil
 }
 
-// Capacity returns the configured entry capacity.
-func (t *Table) Capacity() int { return t.cfg.CapacityEntries }
+// Len returns the number of locked rows.
+func (t *Table) Len() int { return t.n }
 
-// Len returns the number of occupied entries.
-func (t *Table) Len() int { return len(t.entries) }
-
-// SRAMBytes returns the SRAM footprint of the configured capacity.
-func (t *Table) SRAMBytes() int { return t.cfg.CapacityEntries * EntryBytes }
-
-// Stats returns a copy of the activity counters.
-func (t *Table) Stats() Stats { return t.stats }
-
-// entryOf returns the entry for a row, or nil. Rows outside the geometry
-// have no entry by definition.
-func (t *Table) entryOf(row dram.RowAddr) *Entry {
-	if !t.geom.Valid(row) {
-		return nil
-	}
-	si := t.slot[t.geom.LinearIndex(row)]
-	if si < 0 {
-		return nil
-	}
-	return &t.entries[si]
-}
-
-// Lock inserts a row into the table in the locked state.
+// Lock adds a row to the table.
 func (t *Table) Lock(row dram.RowAddr) error {
 	if !t.geom.Valid(row) {
 		return fmt.Errorf("locktable: invalid row %v", row)
 	}
 	idx := t.geom.LinearIndex(row)
-	if si := t.slot[idx]; si >= 0 {
-		e := &t.entries[si]
-		if !e.Pending {
-			return fmt.Errorf("%w: %v", ErrLocked, row)
-		}
-		// Re-arming a pending entry locks it immediately.
-		e.Pending = false
-		e.Countdown = 0
-		t.stats.Locks++
-		return nil
+	if t.locked[idx] {
+		return fmt.Errorf("%w: %v", ErrLocked, row)
 	}
-	if len(t.entries) >= t.cfg.CapacityEntries {
+	if t.n >= t.cfg.CapacityEntries {
 		return fmt.Errorf("%w: capacity %d", ErrFull, t.cfg.CapacityEntries)
 	}
-	t.entries = append(t.entries, Entry{Row: row})
-	t.slot[idx] = int32(len(t.entries) - 1)
-	t.stats.Locks++
-	if len(t.entries) > t.stats.MaxOccupied {
-		t.stats.MaxOccupied = len(t.entries)
-	}
+	t.locked[idx] = true
+	t.n++
 	return nil
 }
 
-// IsLocked reports whether a row is currently locked (present and not
-// pending re-lock). Every call models one SRAM lookup.
+// IsLocked reports whether a row is locked. Rows outside the geometry
+// never are.
 func (t *Table) IsLocked(row dram.RowAddr) bool {
-	t.stats.Lookups++
-	if e := t.entryOf(row); e != nil && !e.Pending {
-		t.stats.Hits++
-		return true
-	}
-	return false
-}
-
-// Contains reports whether the row has any entry, locked or pending.
-func (t *Table) Contains(row dram.RowAddr) bool {
-	return t.entryOf(row) != nil
-}
-
-// Unlock transitions a locked row to the pending state with the given
-// re-lock countdown (the paper re-locks after 1k R/W instructions).
-func (t *Table) Unlock(row dram.RowAddr, countdown int) error {
-	e := t.entryOf(row)
-	if e == nil || e.Pending {
-		return fmt.Errorf("%w: %v", ErrNotLocked, row)
-	}
-	e.Pending = true
-	e.Countdown = countdown
-	t.stats.Unlocks++
-	return nil
-}
-
-// Remove deletes a row's entry entirely.
-func (t *Table) Remove(row dram.RowAddr) error {
-	if !t.geom.Valid(row) {
-		return fmt.Errorf("%w: %v", ErrNotLocked, row)
-	}
-	idx := t.geom.LinearIndex(row)
-	si := t.slot[idx]
-	if si < 0 {
-		return fmt.Errorf("%w: %v", ErrNotLocked, row)
-	}
-	last := len(t.entries) - 1
-	if int(si) != last {
-		t.entries[si] = t.entries[last]
-		t.slot[t.geom.LinearIndex(t.entries[si].Row)] = si
-	}
-	t.entries = t.entries[:last]
-	t.slot[idx] = -1
-	return nil
-}
-
-// Retarget atomically moves an entry from one row to another, preserving
-// state. Used after a SWAP when the protected data now lives elsewhere
-// (paper Fig. 4(d): the lock-table is updated to the row that holds the
-// data).
-func (t *Table) Retarget(from, to dram.RowAddr) error {
-	if !t.geom.Valid(to) {
-		return fmt.Errorf("locktable: invalid row %v", to)
-	}
-	if !t.geom.Valid(from) {
-		return fmt.Errorf("%w: %v", ErrNotLocked, from)
-	}
-	fromIdx := t.geom.LinearIndex(from)
-	si := t.slot[fromIdx]
-	if si < 0 {
-		return fmt.Errorf("%w: %v", ErrNotLocked, from)
-	}
-	toIdx := t.geom.LinearIndex(to)
-	if t.slot[toIdx] >= 0 {
-		return fmt.Errorf("%w: %v", ErrLocked, to)
-	}
-	t.slot[fromIdx] = -1
-	t.entries[si].Row = to
-	t.slot[toIdx] = si
-	return nil
-}
-
-// TickRW advances every pending countdown by one R/W instruction and
-// re-locks entries whose countdown expires. It returns the rows that
-// re-locked on this tick.
-func (t *Table) TickRW() []dram.RowAddr {
-	var relocked []dram.RowAddr
-	for i := range t.entries {
-		e := &t.entries[i]
-		if !e.Pending {
-			continue
-		}
-		e.Countdown--
-		if e.Countdown <= 0 {
-			e.Pending = false
-			e.Countdown = 0
-			t.stats.Relocks++
-			relocked = append(relocked, e.Row)
-		}
-	}
-	sort.Slice(relocked, func(i, j int) bool {
-		return t.geom.LinearIndex(relocked[i]) < t.geom.LinearIndex(relocked[j])
-	})
-	return relocked
-}
-
-// LockedRows returns all currently locked (non-pending) rows in
-// deterministic order.
-func (t *Table) LockedRows() []dram.RowAddr {
-	var out []dram.RowAddr
-	for i := range t.entries {
-		if !t.entries[i].Pending {
-			out = append(out, t.entries[i].Row)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return t.geom.LinearIndex(out[i]) < t.geom.LinearIndex(out[j])
-	})
-	return out
-}
-
-// PendingRows returns all pending (unlocked awaiting re-lock) rows.
-func (t *Table) PendingRows() []dram.RowAddr {
-	var out []dram.RowAddr
-	for i := range t.entries {
-		if t.entries[i].Pending {
-			out = append(out, t.entries[i].Row)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return t.geom.LinearIndex(out[i]) < t.geom.LinearIndex(out[j])
-	})
-	return out
+	return t.geom.Valid(row) && t.locked[t.geom.LinearIndex(row)]
 }

@@ -18,67 +18,6 @@ func newTable(t *testing.T, capacity int) *Table {
 	return tab
 }
 
-func TestLockLookupUnlockLifecycle(t *testing.T) {
-	tab := newTable(t, 16)
-	row := dram.RowAddr{Bank: 0, Row: 5}
-	if tab.IsLocked(row) {
-		t.Fatal("row locked before Lock")
-	}
-	if err := tab.Lock(row); err != nil {
-		t.Fatal(err)
-	}
-	if !tab.IsLocked(row) {
-		t.Fatal("row not locked after Lock")
-	}
-	if err := tab.Lock(row); !errors.Is(err, ErrLocked) {
-		t.Fatalf("double lock err = %v", err)
-	}
-	if err := tab.Unlock(row, 3); err != nil {
-		t.Fatal(err)
-	}
-	if tab.IsLocked(row) {
-		t.Fatal("pending row must not report locked")
-	}
-	if !tab.Contains(row) {
-		t.Fatal("pending row must still have an entry")
-	}
-}
-
-func TestRelockAfterCountdown(t *testing.T) {
-	tab := newTable(t, 16)
-	row := dram.RowAddr{Bank: 0, Row: 5}
-	tab.Lock(row)
-	tab.Unlock(row, 3)
-	for i := 0; i < 2; i++ {
-		if relocked := tab.TickRW(); len(relocked) != 0 {
-			t.Fatalf("tick %d relocked %v too early", i, relocked)
-		}
-	}
-	relocked := tab.TickRW()
-	if len(relocked) != 1 || relocked[0] != row {
-		t.Fatalf("relocked = %v, want [%v]", relocked, row)
-	}
-	if !tab.IsLocked(row) {
-		t.Fatal("row must be locked after countdown expiry")
-	}
-	if tab.Stats().Relocks != 1 {
-		t.Fatalf("relock stat = %d", tab.Stats().Relocks)
-	}
-}
-
-func TestLockWhilePendingReArmsImmediately(t *testing.T) {
-	tab := newTable(t, 16)
-	row := dram.RowAddr{Bank: 0, Row: 5}
-	tab.Lock(row)
-	tab.Unlock(row, 100)
-	if err := tab.Lock(row); err != nil {
-		t.Fatal(err)
-	}
-	if !tab.IsLocked(row) {
-		t.Fatal("re-armed entry must be locked")
-	}
-}
-
 func TestCapacityEnforced(t *testing.T) {
 	tab := newTable(t, 2)
 	tab.Lock(dram.RowAddr{Bank: 0, Row: 1})
@@ -91,160 +30,56 @@ func TestCapacityEnforced(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	tab := newTable(t, 4)
-	row := dram.RowAddr{Bank: 1, Row: 9}
-	tab.Lock(row)
-	if err := tab.Remove(row); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Contains(row) {
-		t.Fatal("removed row still present")
-	}
-	if err := tab.Remove(row); !errors.Is(err, ErrNotLocked) {
-		t.Fatalf("err = %v, want ErrNotLocked", err)
-	}
-}
-
-func TestRetargetMovesEntry(t *testing.T) {
-	tab := newTable(t, 4)
-	from := dram.RowAddr{Bank: 0, Row: 1}
-	to := dram.RowAddr{Bank: 0, Row: 2}
-	tab.Lock(from)
-	if err := tab.Retarget(from, to); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Contains(from) || !tab.IsLocked(to) {
-		t.Fatal("retarget did not move the entry")
-	}
-	// Retarget onto an occupied row fails.
-	other := dram.RowAddr{Bank: 0, Row: 3}
-	tab.Lock(other)
-	if err := tab.Retarget(other, to); !errors.Is(err, ErrLocked) {
-		t.Fatalf("err = %v, want ErrLocked", err)
-	}
-}
-
-func TestLockedAndPendingRowsSorted(t *testing.T) {
-	tab := newTable(t, 8)
-	rows := []dram.RowAddr{{Bank: 1, Row: 3}, {Bank: 0, Row: 7}, {Bank: 0, Row: 1}}
-	for _, r := range rows {
-		tab.Lock(r)
-	}
-	locked := tab.LockedRows()
-	g := dram.SmallGeometry()
-	for i := 1; i < len(locked); i++ {
-		if g.LinearIndex(locked[i-1]) >= g.LinearIndex(locked[i]) {
-			t.Fatalf("LockedRows not sorted: %v", locked)
-		}
-	}
-	tab.Unlock(rows[0], 5)
-	if len(tab.PendingRows()) != 1 || len(tab.LockedRows()) != 2 {
-		t.Fatal("pending/locked partition wrong")
-	}
-}
-
 func TestSRAMBudgetMatchesPaper(t *testing.T) {
-	cfg := DefaultConfig()
-	tab, err := New(dram.DefaultGeometry(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The paper's Table I row: 56KB of SRAM.
-	if got := tab.SRAMBytes(); got > 56*1024 || got < 50*1024 {
+	if got := DefaultConfig().CapacityEntries * EntryBytes; got > 56*1024 || got < 50*1024 {
 		t.Fatalf("SRAM = %d bytes, want ~56KB", got)
 	}
 }
 
-func TestStatsCounters(t *testing.T) {
-	tab := newTable(t, 8)
-	row := dram.RowAddr{Bank: 0, Row: 5}
-	tab.Lock(row)
-	tab.IsLocked(row)                           // hit
-	tab.IsLocked(dram.RowAddr{Bank: 0, Row: 6}) // miss
-	st := tab.Stats()
-	if st.Lookups != 2 || st.Hits != 1 || st.Locks != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.MaxOccupied != 1 {
-		t.Fatalf("MaxOccupied = %d", st.MaxOccupied)
-	}
-}
-
 // TestModelConformance drives the table with random operations and checks
-// it against a plain map reference model.
+// it against a plain map reference model: duplicate locks fail with
+// ErrLocked, a full table with ErrFull, and rows outside the geometry are
+// rejected and never locked.
 func TestModelConformance(t *testing.T) {
-	type ref struct {
-		locked  bool
-		pending bool
-	}
+	const capacity = 8
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		geom := dram.SmallGeometry()
-		tab, err := New(geom, Config{CapacityEntries: 8})
+		tab, err := New(geom, Config{CapacityEntries: capacity})
 		if err != nil {
 			return false
 		}
-		model := make(map[int]*ref)
-		countPresent := func() int { return len(model) }
+		model := make(map[dram.RowAddr]bool)
 		for op := 0; op < 200; op++ {
-			row := dram.RowAddr{Bank: rng.Intn(geom.Banks()), Row: rng.Intn(16)}
-			idx := geom.LinearIndex(row)
-			switch rng.Intn(4) {
-			case 0: // Lock
+			// One bank past the last is outside the geometry.
+			row := dram.RowAddr{Bank: rng.Intn(geom.Banks() + 1), Row: rng.Intn(16)}
+			valid := geom.Valid(row)
+			if rng.Intn(2) == 0 {
 				err := tab.Lock(row)
-				m := model[idx]
 				switch {
-				case m == nil && countPresent() < 8:
-					if err != nil {
+				case !valid:
+					if err == nil || errors.Is(err, ErrLocked) || errors.Is(err, ErrFull) {
 						return false
 					}
-					model[idx] = &ref{locked: true}
-				case m == nil:
-					if !errors.Is(err, ErrFull) {
-						return false
-					}
-				case m.pending:
-					if err != nil {
-						return false
-					}
-					m.pending = false
-					m.locked = true
-				default:
+				case model[row]:
 					if !errors.Is(err, ErrLocked) {
 						return false
 					}
-				}
-			case 1: // Unlock
-				err := tab.Unlock(row, 2)
-				m := model[idx]
-				if m != nil && m.locked && !m.pending {
+				case len(model) >= capacity:
+					if !errors.Is(err, ErrFull) {
+						return false
+					}
+				default:
 					if err != nil {
 						return false
 					}
-					m.locked = false
-					m.pending = true
-				} else if err == nil {
-					return false
+					model[row] = true
 				}
-			case 2: // IsLocked
-				m := model[idx]
-				want := m != nil && m.locked
-				if tab.IsLocked(row) != want {
-					return false
-				}
-			case 3: // Remove
-				err := tab.Remove(row)
-				if _, ok := model[idx]; ok {
-					if err != nil {
-						return false
-					}
-					delete(model, idx)
-				} else if err == nil {
-					return false
-				}
+			} else if tab.IsLocked(row) != model[row] {
+				return false
 			}
-			if tab.Len() != countPresent() || tab.Len() > 8 {
+			if tab.Len() != len(model) {
 				return false
 			}
 		}

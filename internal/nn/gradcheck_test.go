@@ -29,13 +29,14 @@ func checkLayerGradients(t *testing.T, layers []Layer, x *tensor.Tensor, labels 
 	m := &Model{ModelName: "gradcheck", Layers: layers}
 
 	loss := func() float64 {
-		l, _ := SoftmaxCrossEntropy(m.Forward(x, true), labels)
-		return l
+		logits := m.Forward(x, true)
+		return SoftmaxCrossEntropyInto(tensor.New(logits.Shape...), logits, labels)
 	}
 
 	m.ZeroGrad()
 	logits := m.Forward(x, true)
-	_, g := SoftmaxCrossEntropy(logits, labels)
+	g := tensor.New(logits.Shape...)
+	SoftmaxCrossEntropyInto(g, logits, labels)
 	dx := m.Backward(g)
 
 	// Parameter gradients: check a spread of indices (all for small
@@ -167,7 +168,8 @@ func TestSoftmaxCrossEntropyGradientRowsSumToZero(t *testing.T) {
 	rng := stats.NewRNG(19)
 	logits := tensor.New(4, 5)
 	logits.RandNormal(rng, 2)
-	loss, grad := SoftmaxCrossEntropy(logits, []int{0, 4, 2, 1})
+	grad := tensor.New(4, 5)
+	loss := SoftmaxCrossEntropyInto(grad, logits, []int{0, 4, 2, 1})
 	if loss <= 0 {
 		t.Fatalf("loss = %g, want > 0", loss)
 	}
@@ -184,7 +186,7 @@ func TestSoftmaxCrossEntropyGradientRowsSumToZero(t *testing.T) {
 
 func TestSoftmaxCrossEntropyPerfectPrediction(t *testing.T) {
 	logits := tensor.FromData([]float32{30, 0, 0}, 1, 3)
-	loss, _ := SoftmaxCrossEntropy(logits, []int{0})
+	loss := SoftmaxCrossEntropyInto(tensor.New(1, 3), logits, []int{0})
 	if loss > 1e-9 {
 		t.Fatalf("loss = %g, want ~0 for confident correct prediction", loss)
 	}

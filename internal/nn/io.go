@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Checkpoint format: a little-endian binary stream of
@@ -43,10 +42,8 @@ func SaveCheckpoint(m *Model, w io.Writer) error {
 		if err := writeU32(bw, uint32(p.W.Len())); err != nil {
 			return err
 		}
-		for _, v := range p.W.Data {
-			if err := writeU32(bw, math.Float32bits(v)); err != nil {
-				return err
-			}
+		if err := binary.Write(bw, binary.LittleEndian, p.W.Data); err != nil {
+			return err
 		}
 	}
 	bns := m.BatchNorms()
@@ -60,15 +57,11 @@ func SaveCheckpoint(m *Model, w io.Writer) error {
 		if err := writeU32(bw, uint32(bn.C)); err != nil {
 			return err
 		}
-		for _, v := range bn.RunningMean {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
-			}
+		if err := binary.Write(bw, binary.LittleEndian, bn.RunningMean); err != nil {
+			return err
 		}
-		for _, v := range bn.RunningVar {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
-			}
+		if err := binary.Write(bw, binary.LittleEndian, bn.RunningVar); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
@@ -115,12 +108,8 @@ func LoadCheckpoint(m *Model, r io.Reader) error {
 		if int(n) != p.W.Len() {
 			return fmt.Errorf("nn: param %q has %d values in checkpoint, %d in model", name, n, p.W.Len())
 		}
-		for i := range p.W.Data {
-			bits, err := readU32(br)
-			if err != nil {
-				return err
-			}
-			p.W.Data[i] = math.Float32frombits(bits)
+		if err := binary.Read(br, binary.LittleEndian, p.W.Data); err != nil {
+			return err
 		}
 	}
 	nbn, err := readU32(br)
@@ -146,15 +135,11 @@ func LoadCheckpoint(m *Model, r io.Reader) error {
 		if int(c) != bn.C {
 			return fmt.Errorf("nn: BN %q has %d channels in checkpoint, %d in model", name, c, bn.C)
 		}
-		for i := range bn.RunningMean {
-			if err := binary.Read(br, binary.LittleEndian, &bn.RunningMean[i]); err != nil {
-				return err
-			}
+		if err := binary.Read(br, binary.LittleEndian, bn.RunningMean); err != nil {
+			return err
 		}
-		for i := range bn.RunningVar {
-			if err := binary.Read(br, binary.LittleEndian, &bn.RunningVar[i]); err != nil {
-				return err
-			}
+		if err := binary.Read(br, binary.LittleEndian, bn.RunningVar); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -2,6 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -74,5 +77,45 @@ func TestCheckpointTruncatedPayload(t *testing.T) {
 	half := buf.Bytes()[:buf.Len()/2]
 	if err := LoadCheckpoint(NewResNet20(2, 0.25, 1), bytes.NewReader(half)); err == nil {
 		t.Fatal("truncated checkpoint must fail")
+	}
+}
+
+// TestCheckpointBytesPinned pins the checkpoint format to the bytes the
+// per-value encoder wrote, for one fixed-seed model whose BatchNorm
+// statistics are set away from their 0/1 defaults, and bounds the
+// allocations of a save and a load: each tensor moves in one call, so
+// the count grows with the number of tensors, not of values. The model's
+// initial weights are drawn through math.Log, whose amd64 assembly may
+// round differently from other ports, so the digest is checked on amd64
+// only.
+func TestCheckpointBytesPinned(t *testing.T) {
+	m := NewResNet20(10, 0.25, 2024)
+	for k, bn := range m.BatchNorms() {
+		for i := range bn.RunningMean {
+			bn.RunningMean[i] = float64(k) + float64(i)/7
+			bn.RunningVar[i] = 1 + float64(k*i)/3
+		}
+	}
+	var buf bytes.Buffer
+	if err := SaveCheckpoint(m, &buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "e9fa2c6bed6911d1f626af62e8ef8b5b815082cf603b57d91b1b109316eeb993"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); runtime.GOARCH == "amd64" && got != want {
+		t.Fatalf("checkpoint SHA-256 %s, want %s", got, want)
+	}
+
+	tensors := len(m.Params()) + len(m.BatchNorms())
+	allocs := testing.AllocsPerRun(5, func() {
+		buf.Reset()
+		if err := SaveCheckpoint(m, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := LoadCheckpoint(m, &buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(16 * tensors); allocs > limit {
+		t.Fatalf("save+load: %.0f allocations for %d tensors, want at most %.0f", allocs, tensors, limit)
 	}
 }

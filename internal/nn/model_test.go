@@ -96,7 +96,8 @@ func TestZeroGradClearsAll(t *testing.T) {
 	x := tensor.New(2, 3, 8, 8)
 	x.RandNormal(rng, 1)
 	logits := m.Forward(x, true)
-	_, g := SoftmaxCrossEntropy(logits, []int{1, 2})
+	g := tensor.New(logits.Shape...)
+	SoftmaxCrossEntropyInto(g, logits, []int{1, 2})
 	m.Backward(g)
 	m.ZeroGrad()
 	for _, p := range m.Params() {

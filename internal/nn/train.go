@@ -8,16 +8,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// SoftmaxCrossEntropy computes the mean cross-entropy loss over a batch of
-// logits (N, C) against integer labels, and the gradient dL/dlogits.
-func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
-	grad := tensor.New(logits.Shape[0], logits.Shape[1])
-	loss := SoftmaxCrossEntropyInto(grad, logits, labels)
-	return loss, grad
-}
-
-// SoftmaxCrossEntropyInto is SoftmaxCrossEntropy writing dL/dlogits into
-// a caller-owned gradient tensor of the same shape as logits — the
+// SoftmaxCrossEntropyInto computes the mean cross-entropy loss over a
+// batch of logits (N, C) against integer labels and writes the gradient
+// dL/dlogits into a caller-owned tensor of the same shape as logits — the
 // trainer reuses one across every step.
 func SoftmaxCrossEntropyInto(grad, logits *tensor.Tensor, labels []int) float64 {
 	if len(logits.Shape) != 2 || logits.Shape[0] != len(labels) {

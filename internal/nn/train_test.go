@@ -190,7 +190,7 @@ func TestBatchLossMatchesManual(t *testing.T) {
 	b := src.Slice(0, 8)
 	loss := BatchLoss(m, b)
 	logits := m.Forward(b.X, false)
-	want, _ := SoftmaxCrossEntropy(logits, b.Y)
+	want := SoftmaxCrossEntropyInto(tensor.New(logits.Shape...), logits, b.Y)
 	if math.Abs(loss-want) > 1e-9 {
 		t.Fatalf("BatchLoss %g, want %g", loss, want)
 	}

@@ -1,15 +1,14 @@
 // Package pagetable implements the OS page-table substrate the Page Table
 // Attack (PTA) threat model needs (paper §III, Fig. 3(b)): page-table
-// entries that live inside simulated DRAM rows, a virtual-to-physical
-// walker, and the PFN bit layout whose corruption redirects a virtual page
-// to a different physical frame.
+// entries that live inside simulated DRAM rows, the page-to-frame lookup
+// (FrameOf), and the PFN bit layout whose corruption redirects a virtual
+// page to a different physical frame.
 //
 // Pages are DRAM-row sized, so a page frame number (PFN) is exactly a
 // linear row index; this matches the paper's row-granularity attack.
 // Translation path:
 //
-//	VA -> [pageIdx | offset] -> PTE (8 bytes, stored in a PT row)
-//	PTE -> [valid | PFN] -> physical row -> byte
+//	page -> PTE (8 bytes, stored in a PT row) -> [valid | PFN] -> physical row
 package pagetable
 
 import (
@@ -29,7 +28,7 @@ const (
 	pfnMask     = (uint64(1) << 52) - 1
 )
 
-// Errors returned by the walker.
+// Errors returned by table lookups.
 var (
 	ErrUnmapped   = errors.New("pagetable: virtual page not mapped")
 	ErrBadVirtual = errors.New("pagetable: virtual address out of range")
@@ -99,9 +98,6 @@ func (t *Table) NumPages() int { return t.numPages }
 // PTA-aware defense must protect.
 func (t *Table) PTRows() []dram.RowAddr { return t.ptRows }
 
-// PageSize returns the page size in bytes (one DRAM row).
-func (t *Table) PageSize() int { return t.geom.RowBytes }
-
 // entryLocation returns the row and byte offset of a virtual page's PTE.
 func (t *Table) entryLocation(page int) (dram.RowAddr, int, error) {
 	if page < 0 || page >= t.numPages {
@@ -159,27 +155,6 @@ func (t *Table) readEntry(page int) (PTE, error) {
 		return PTE{}, err
 	}
 	return DecodePTE(binary.LittleEndian.Uint64(data[off : off+PTESize])), nil
-}
-
-// Walk translates a virtual address to (physical row, byte offset).
-func (t *Table) Walk(va int64) (dram.RowAddr, int, error) {
-	if va < 0 {
-		return dram.RowAddr{}, 0, fmt.Errorf("%w: va 0x%x", ErrBadVirtual, va)
-	}
-	page := int(va / int64(t.geom.RowBytes))
-	off := int(va % int64(t.geom.RowBytes))
-	pte, err := t.readEntry(page)
-	if err != nil {
-		return dram.RowAddr{}, 0, err
-	}
-	if !pte.Valid {
-		return dram.RowAddr{}, 0, fmt.Errorf("%w: page %d", ErrUnmapped, page)
-	}
-	if pte.PFN >= uint64(t.geom.TotalRows()) {
-		return dram.RowAddr{}, 0, fmt.Errorf("pagetable: corrupt PFN %d beyond %d rows",
-			pte.PFN, t.geom.TotalRows())
-	}
-	return t.geom.FromLinearIndex(int(pte.PFN)), off, nil
 }
 
 // PFNBitOf returns the in-row bit index of PFN bit `bit` of a page's PTE —

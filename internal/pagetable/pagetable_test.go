@@ -36,38 +36,38 @@ func TestPTEEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMapWalkRoundTrip(t *testing.T) {
-	dev, tab := newTable(t, 16)
+func TestMapFrameOfRoundTrip(t *testing.T) {
+	_, tab := newTable(t, 16)
 	frame := dram.RowAddr{Bank: 0, Row: 33}
 	if err := tab.Map(3, frame); err != nil {
 		t.Fatal(err)
 	}
-	va := int64(3)*int64(tab.PageSize()) + 17
-	row, off, err := tab.Walk(va)
+	got, err := tab.FrameOf(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row != frame || off != 17 {
-		t.Fatalf("walk = (%v, %d), want (%v, 17)", row, off, frame)
+	if got != frame {
+		t.Fatalf("FrameOf(3) = %v, want %v", got, frame)
 	}
-	_ = dev
 }
 
-func TestWalkUnmappedFails(t *testing.T) {
+func TestFrameOfUnmappedFails(t *testing.T) {
 	_, tab := newTable(t, 16)
-	if _, _, err := tab.Walk(100); !errors.Is(err, ErrUnmapped) {
+	if _, err := tab.FrameOf(5); !errors.Is(err, ErrUnmapped) {
 		t.Fatalf("err = %v, want ErrUnmapped", err)
 	}
 	tab.Map(0, dram.RowAddr{Bank: 0, Row: 5})
 	tab.Unmap(0)
-	if _, _, err := tab.Walk(0); !errors.Is(err, ErrUnmapped) {
-		t.Fatal("unmapped page must not walk")
+	if _, err := tab.FrameOf(0); !errors.Is(err, ErrUnmapped) {
+		t.Fatal("unmapped page must not resolve")
+	}
+	if _, err := tab.FrameOf(16); !errors.Is(err, ErrBadVirtual) {
+		t.Fatalf("err = %v, want ErrBadVirtual past the last page", err)
 	}
 }
 
-func TestWalkRandomMappingProperty(t *testing.T) {
-	dev, tab := newTable(t, 32)
-	_ = dev
+func TestFrameOfRandomMappingProperty(t *testing.T) {
+	_, tab := newTable(t, 32)
 	rng := stats.NewRNG(3)
 	geom := dram.SmallGeometry()
 	frames := make(map[int]dram.RowAddr)
@@ -79,13 +79,12 @@ func TestWalkRandomMappingProperty(t *testing.T) {
 		frames[p] = f
 	}
 	for p, f := range frames {
-		va := int64(p) * int64(tab.PageSize())
-		row, off, err := tab.Walk(va)
+		row, err := tab.FrameOf(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if row != f || off != 0 {
-			t.Fatalf("page %d walks to %v, want %v", p, row, f)
+		if row != f {
+			t.Fatalf("page %d resolves to %v, want %v", p, row, f)
 		}
 	}
 }
@@ -126,9 +125,6 @@ func TestCorruptPFNBeyondRowsDetected(t *testing.T) {
 	dev.FlipBit(row, bit)
 	if _, err := tab.FrameOf(1); err == nil {
 		t.Fatal("corrupt out-of-range PFN must be detected")
-	}
-	if _, _, err := tab.Walk(int64(tab.PageSize())); err == nil {
-		t.Fatal("walk through corrupt PTE must fail")
 	}
 }
 

@@ -18,9 +18,6 @@
 //     inside their job's reservation; when few jobs are running — a single
 //     victim training, a direct CLI call — they pick up the idle cores.
 //
-// Acquire/Release provide the blocking variant for callers that want a
-// hard cap instead of a reservation.
-//
 // Determinism: the budget changes only *which goroutine* computes which
 // slice of work, never the floating-point evaluation order inside a
 // slice. Kernels built on For partition output elements disjointly and
@@ -40,7 +37,6 @@ import (
 // never touch the mutex.
 var (
 	mu        sync.Mutex
-	cond      = sync.NewCond(&mu)
 	total     atomic.Int64
 	avail     int
 	availHint atomic.Int64
@@ -69,24 +65,7 @@ func SetBudget(n int) {
 	total.Store(int64(n))
 	availHint.Store(int64(avail))
 	mu.Unlock()
-	cond.Broadcast()
 }
-
-// Acquire blocks until one worker token is free and takes it. Long-lived
-// workers (the engine pool) hold a token per unit of work so that kernel
-// parallelism inside the unit sees the remaining budget.
-func Acquire() {
-	mu.Lock()
-	for avail < 1 {
-		cond.Wait()
-	}
-	avail--
-	availHint.Store(int64(avail))
-	mu.Unlock()
-}
-
-// Release returns one token taken by Acquire.
-func Release() { ReleaseN(1) }
 
 // TryAcquire takes up to n tokens without blocking and returns how many
 // it got (possibly zero). Kernels use it to claim idle cores for extra
@@ -114,7 +93,7 @@ func TryAcquire(n int) int {
 	return got
 }
 
-// ReleaseN returns n tokens taken by TryAcquire/Acquire.
+// ReleaseN returns n tokens taken by TryAcquire.
 func ReleaseN(n int) {
 	if n <= 0 {
 		return
@@ -126,7 +105,6 @@ func ReleaseN(n int) {
 	}
 	availHint.Store(int64(avail))
 	mu.Unlock()
-	cond.Broadcast()
 }
 
 // Grain converts a per-item cost estimate into a chunking grain: the

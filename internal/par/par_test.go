@@ -94,25 +94,6 @@ func TestTryAcquireAfterShrink(t *testing.T) {
 	})
 }
 
-func TestAcquireBlocksUntilRelease(t *testing.T) {
-	withBudget(t, 1, func() {
-		Acquire()
-		done := make(chan struct{})
-		go func() {
-			Acquire()
-			Release()
-			close(done)
-		}()
-		select {
-		case <-done:
-			t.Fatal("second Acquire must block while the token is held")
-		default:
-		}
-		Release()
-		<-done
-	})
-}
-
 func TestGrain(t *testing.T) {
 	if g := Grain(10, 100); g != 10 {
 		t.Fatalf("Grain(10,100) = %d, want 10", g)
@@ -126,9 +107,9 @@ func TestGrain(t *testing.T) {
 }
 
 // TestBudgetUnderContention exercises the token budget from many
-// goroutines at once; run with -race this is the worker-budget race
-// check. It also asserts the budget invariant: concurrently held tokens
-// never exceed the budget.
+// goroutines at once, each reserving one token as an engine worker does;
+// run with -race this is the worker-budget race check. It also asserts
+// the budget invariant: concurrently held tokens never exceed the budget.
 func TestBudgetUnderContention(t *testing.T) {
 	withBudget(t, 3, func() {
 		var inFlight, maxSeen int32
@@ -138,7 +119,9 @@ func TestBudgetUnderContention(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 50; i++ {
-					Acquire()
+					for TryAcquire(1) == 0 {
+						runtime.Gosched()
+					}
 					cur := atomic.AddInt32(&inFlight, 1)
 					for {
 						m := atomic.LoadInt32(&maxSeen)
@@ -151,7 +134,7 @@ func TestBudgetUnderContention(t *testing.T) {
 						runtime.Gosched()
 					})
 					atomic.AddInt32(&inFlight, -1)
-					Release()
+					ReleaseN(1)
 				}
 			}()
 		}

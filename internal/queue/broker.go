@@ -355,10 +355,6 @@ func New(cfg Config) *Broker {
 	return b
 }
 
-// LeaseTTL reports the configured lease duration (advertised in
-// HelloReply).
-func (b *Broker) LeaseTTL() time.Duration { return b.cfg.LeaseTTL }
-
 // nextID mints a prefixed sequential id. Sequential — not random — ids
 // keep broker behavior fully deterministic under test.
 func (b *Broker) nextID(prefix string) string {

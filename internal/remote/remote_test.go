@@ -45,21 +45,20 @@ func testRegistry(t *testing.T) *engine.Registry {
 			},
 		})
 	}
-	must(engine.ShardedJob("grid", "grid job", "grid@hash", shards,
-		func(_ engine.Context, outs []engine.Output) (engine.Output, error) {
-			var b strings.Builder
-			for _, o := range outs {
-				var row struct {
-					Name string `json:"name"`
-					Seed uint64 `json:"seed"`
-				}
-				if err := engine.DecodeData(o.Data, &row); err != nil {
-					return engine.Output{}, err
-				}
-				fmt.Fprintf(&b, "%s:%d\n", row.Name, row.Seed)
+	must(engine.Job{Name: "grid", Title: "grid job", Key: "grid@hash", Shards: shards, Merge: func(_ engine.Context, outs []engine.Output) (engine.Output, error) {
+		var b strings.Builder
+		for _, o := range outs {
+			var row struct {
+				Name string `json:"name"`
+				Seed uint64 `json:"seed"`
 			}
-			return engine.Output{Text: b.String()}, nil
-		}))
+			if err := engine.DecodeData(o.Data, &row); err != nil {
+				return engine.Output{}, err
+			}
+			fmt.Fprintf(&b, "%s:%d\n", row.Name, row.Seed)
+		}
+		return engine.Output{Text: b.String()}, nil
+	}})
 	return reg
 }
 
@@ -457,7 +456,7 @@ func TestCancellationAbortsRemoteCalls(t *testing.T) {
 			select {
 			case <-release:
 			case <-c.Ctx.Done():
-				return engine.Output{}, c.Canceled()
+				return engine.Output{}, c.Ctx.Err()
 			}
 			return engine.Output{Text: "done"}, nil
 		}}); err != nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/dram"
 )
@@ -48,75 +47,6 @@ func TestCopyCrossSubarrayRejected(t *testing.T) {
 	}
 }
 
-func TestSwapExchangesRows(t *testing.T) {
-	dev, eng := newRig(t, DefaultConfig())
-	a := dram.RowAddr{Bank: 0, Row: 3}
-	b := dram.RowAddr{Bank: 0, Row: 7}
-	buf := dram.RowAddr{Bank: 0, Row: 63}
-	dev.PokeRow(a, []byte("AAAA"))
-	dev.PokeRow(b, []byte("BBBB"))
-	res, err := eng.Swap(a, b, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Erred || res.CopyErrors != 0 {
-		t.Fatalf("unexpected errors: %+v", res)
-	}
-	if res.Latency != 3*dev.Timing().RowCloneFPM {
-		t.Fatalf("swap latency %v, want 3 copies", res.Latency)
-	}
-	ra, _ := dev.PeekRow(a)
-	rb, _ := dev.PeekRow(b)
-	if string(ra[:4]) != "BBBB" || string(rb[:4]) != "AAAA" {
-		t.Fatalf("swap failed: a=%q b=%q", ra[:4], rb[:4])
-	}
-}
-
-// TestSwapIsInvolution: swapping twice restores the original contents for
-// arbitrary row data (property-based).
-func TestSwapIsInvolution(t *testing.T) {
-	f := func(dataA, dataB []byte) bool {
-		dev, eng := newRig(t, DefaultConfig())
-		a := dram.RowAddr{Bank: 1, Row: 5}
-		b := dram.RowAddr{Bank: 1, Row: 9}
-		buf := dram.RowAddr{Bank: 1, Row: 60}
-		if len(dataA) > dev.Geometry().RowBytes {
-			dataA = dataA[:dev.Geometry().RowBytes]
-		}
-		if len(dataB) > dev.Geometry().RowBytes {
-			dataB = dataB[:dev.Geometry().RowBytes]
-		}
-		dev.PokeRow(a, dataA)
-		dev.PokeRow(b, dataB)
-		origA, _ := dev.PeekRow(a)
-		origB, _ := dev.PeekRow(b)
-		if _, err := eng.Swap(a, b, buf); err != nil {
-			return false
-		}
-		if _, err := eng.Swap(a, b, buf); err != nil {
-			return false
-		}
-		nowA, _ := dev.PeekRow(a)
-		nowB, _ := dev.PeekRow(b)
-		return string(nowA) == string(origA) && string(nowB) == string(origB)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSwapRowsMustBeDistinct(t *testing.T) {
-	_, eng := newRig(t, DefaultConfig())
-	a := dram.RowAddr{Bank: 0, Row: 3}
-	buf := dram.RowAddr{Bank: 0, Row: 63}
-	if _, err := eng.Swap(a, a, buf); err == nil {
-		t.Fatal("swap of a row with itself must fail")
-	}
-	if _, err := eng.Swap(a, buf, buf); err == nil {
-		t.Fatal("buffer overlapping an operand must fail")
-	}
-}
-
 func TestErrorInjectionRate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CopyErrorProb = 0.2
@@ -138,10 +68,6 @@ func TestErrorInjectionRate(t *testing.T) {
 	rate := float64(errs) / n
 	if math.Abs(rate-0.2) > 0.03 {
 		t.Fatalf("error rate %.3f, want ~0.2", rate)
-	}
-	st := eng.Stats()
-	if st.Copies != n || st.CopyErrors != int64(errs) {
-		t.Fatalf("stats mismatch: %+v", st)
 	}
 }
 
@@ -166,53 +92,6 @@ func TestErroneousCopyCorruptsBits(t *testing.T) {
 	}
 	if ones != 1 {
 		t.Fatalf("corrupted bits = %d, want exactly 1", ones)
-	}
-}
-
-func TestSwapErrorAccounting(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CopyErrorProb = 1.0
-	dev, eng := newRig(t, cfg)
-	a := dram.RowAddr{Bank: 0, Row: 3}
-	b := dram.RowAddr{Bank: 0, Row: 7}
-	buf := dram.RowAddr{Bank: 0, Row: 63}
-	dev.PokeRow(a, []byte{1})
-	res, err := eng.Swap(a, b, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Erred || res.CopyErrors != 3 {
-		t.Fatalf("forced swap errors: %+v", res)
-	}
-	if eng.Stats().SwapErrors != 1 {
-		t.Fatalf("swap error stat = %d", eng.Stats().SwapErrors)
-	}
-}
-
-func TestSwapErrorProbFormula(t *testing.T) {
-	cases := map[float64]float64{
-		0:    0,
-		1:    1,
-		0.1:  1 - 0.9*0.9*0.9,
-		0.02: 1 - 0.98*0.98*0.98,
-	}
-	for p, want := range cases {
-		if got := SwapErrorProb(p); math.Abs(got-want) > 1e-12 {
-			t.Errorf("SwapErrorProb(%g) = %g, want %g", p, got, want)
-		}
-	}
-}
-
-func TestSetCopyErrorProbValidation(t *testing.T) {
-	_, eng := newRig(t, DefaultConfig())
-	if err := eng.SetCopyErrorProb(0.5); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Config().CopyErrorProb != 0.5 {
-		t.Fatal("probability not updated")
-	}
-	if err := eng.SetCopyErrorProb(1.5); err == nil {
-		t.Fatal("out-of-range probability must be rejected")
 	}
 }
 

@@ -18,7 +18,6 @@ package rowhammer
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dram"
 	"repro/internal/stats"
@@ -332,32 +331,3 @@ func (e *Engine) Flips() []FlipEvent { return e.flips }
 
 // History returns aggregate counters.
 func (e *Engine) History() FlipHistory { return e.history }
-
-// HottestRows returns up to n rows with the highest current-window
-// activation counts, most active first. Counter-based defense baselines
-// (Graphene, Hydra) are evaluated against this ground truth in tests.
-func (e *Engine) HottestRows(n int) []dram.RowAddr {
-	type rc struct {
-		idx, count int
-	}
-	all := make([]rc, 0, len(e.touched))
-	for _, idx := range e.touched {
-		if c := e.counts[idx]; c > 0 {
-			all = append(all, rc{int(idx), int(c)})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].count != all[j].count {
-			return all[i].count > all[j].count
-		}
-		return all[i].idx < all[j].idx
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]dram.RowAddr, 0, n)
-	for _, x := range all[:n] {
-		out = append(out, e.geom.FromLinearIndex(x.idx))
-	}
-	return out
-}

@@ -175,18 +175,6 @@ func TestResetRowNeutralizesAccumulation(t *testing.T) {
 	}
 }
 
-func TestHottestRowsOrdering(t *testing.T) {
-	dev, eng := newRig(t, 1000)
-	a := dram.RowAddr{Bank: 0, Row: 10}
-	b := dram.RowAddr{Bank: 0, Row: 20}
-	hammer(t, dev, a, 5)
-	hammer(t, dev, b, 9)
-	hot := eng.HottestRows(2)
-	if len(hot) != 2 || hot[0] != b || hot[1] != a {
-		t.Fatalf("hottest = %v, want [%v %v]", hot, b, a)
-	}
-}
-
 // TestWindowEpochSemantics pins the epoch-stamped dense reset: a row's
 // counter survives arbitrarily many activations within one window,
 // clears across a single ResetWindow (without touching other windows'

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/dram"
-	"repro/internal/rowclone"
 )
 
 // LatencyConfig parameterises the Fig. 7(a) model.
@@ -288,10 +287,4 @@ func Fig7bBarAt(cfg DefenseTimeConfig, trh int) (Fig7bBar, error) {
 		ShadowDays: ShadowDefenseDays(cfg, trh),
 		LockerDays: LockerDefenseDays(cfg, trh),
 	}, nil
-}
-
-// SwapErrorProbability re-exports the three-copy SWAP failure law so the
-// Fig. 7 models and the RowClone engine cannot drift apart.
-func SwapErrorProbability(perCopy float64) float64 {
-	return rowclone.SwapErrorProb(perCopy)
 }

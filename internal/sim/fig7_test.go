@@ -188,12 +188,6 @@ func TestSilentExposureProb(t *testing.T) {
 	}
 }
 
-func TestSwapErrorProbabilityReExport(t *testing.T) {
-	if got := SwapErrorProbability(0.1); math.Abs(got-(1-0.9*0.9*0.9)) > 1e-12 {
-		t.Fatalf("SwapErrorProbability(0.1) = %g", got)
-	}
-}
-
 func TestDefenseTimeValidation(t *testing.T) {
 	bad := DefaultDefenseTimeConfig()
 	bad.TargetProb = 0

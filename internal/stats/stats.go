@@ -1,16 +1,12 @@
-// Package stats provides deterministic random number generation and small
-// statistics helpers used throughout the DRAM-Locker simulator.
+// Package stats provides the deterministic random number generator used
+// throughout the DRAM-Locker simulator.
 //
 // Every stochastic component in the simulator (fault injection, Monte-Carlo
 // process variation, synthetic datasets, attack sampling) draws from an
 // explicitly seeded RNG so that experiments are reproducible run-to-run.
 package stats
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
+import "math"
 
 // RNG is a small, fast, deterministic pseudo-random number generator
 // (xoshiro256** by Blackman and Vigna). It is intentionally independent of
@@ -108,19 +104,6 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 	return mean + float64(stddev*u*m)
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle pseudo-randomly shuffles the first n elements using swap.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
@@ -132,162 +115,3 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // Fork derives an independent child RNG from this one. Forked streams are
 // used to give each subsystem its own stream while staying deterministic.
 func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64()) }
-
-// ErrEmpty is returned by aggregate statistics on empty inputs.
-var ErrEmpty = errors.New("stats: empty input")
-
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs)), nil
-}
-
-// Variance returns the population variance of xs.
-func Variance(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += float64(d * d)
-	}
-	return s / float64(len(xs)), nil
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. xs is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := float64(p / 100 * float64(len(sorted)-1))
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac), nil
-}
-
-// Max returns the maximum of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Min returns the minimum of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// BinomialTail returns P(X >= k) for X ~ Binomial(n, p), computed by direct
-// summation in log space for numerical stability. Used by the defense-time
-// model to decide when an attacker's cumulative flip probability exceeds a
-// target bound.
-func BinomialTail(n int, p float64, k int) float64 {
-	if k <= 0 {
-		return 1
-	}
-	if k > n || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return 1
-	}
-	// Sum P(X = i) for i in [k, n].
-	logP := math.Log(p)
-	logQ := math.Log(1 - p)
-	var tail float64
-	for i := k; i <= n; i++ {
-		lg := logChoose(n, i) + float64(float64(i)*logP) + float64(float64(n-i)*logQ)
-		tail += math.Exp(lg)
-	}
-	if tail > 1 {
-		tail = 1
-	}
-	return tail
-}
-
-func logChoose(n, k int) float64 {
-	return logFactorial(n) - logFactorial(k) - logFactorial(n-k)
-}
-
-func logFactorial(n int) float64 {
-	if n < 2 {
-		return 0
-	}
-	// Exact summation for small n; Stirling with correction beyond.
-	if n <= 64 {
-		var s float64
-		for i := 2; i <= n; i++ {
-			s += math.Log(float64(i))
-		}
-		return s
-	}
-	x := float64(n)
-	return float64(x*math.Log(x)) - x + float64(0.5*math.Log(2*math.Pi*x)) + 1/(12*x)
-}
-
-// Histogram bins xs into nbins equal-width bins over [lo, hi] and returns
-// the counts. Values outside the range are clamped into the edge bins.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	counts := make([]int, nbins)
-	if nbins == 0 || hi <= lo {
-		return counts
-	}
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}

@@ -1,10 +1,8 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterministicPerSeed(t *testing.T) {
@@ -90,139 +88,11 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := NewRNG(seed)
-		p := r.Perm(20)
-		seen := make([]bool, 20)
-		for _, v := range p {
-			if v < 0 || v >= 20 || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestForkIndependence(t *testing.T) {
 	a := NewRNG(11)
 	child := a.Fork()
 	if child.Uint64() == a.Uint64() {
 		t.Fatal("fork should diverge from parent")
-	}
-}
-
-func TestMeanVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	m, err := Mean(xs)
-	if err != nil || m != 5 {
-		t.Fatalf("mean = %g err=%v", m, err)
-	}
-	v, _ := Variance(xs)
-	if v != 4 {
-		t.Fatalf("variance = %g, want 4", v)
-	}
-	s, _ := StdDev(xs)
-	if s != 2 {
-		t.Fatalf("stddev = %g, want 2", s)
-	}
-	if _, err := Mean(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatal("empty mean must error")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	for _, tc := range []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2},
-	} {
-		got, err := Percentile(xs, tc.p)
-		if err != nil || got != tc.want {
-			t.Fatalf("p%.0f = %g, want %g (err %v)", tc.p, got, tc.want, err)
-		}
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Fatal("out-of-range percentile must error")
-	}
-	// Property: percentile stays within [min, max] and is monotone in p.
-	f := func(seed uint64) bool {
-		r := NewRNG(seed)
-		xs := make([]float64, 17)
-		for i := range xs {
-			xs[i] = r.Normal(0, 10)
-		}
-		lo, _ := Min(xs)
-		hi, _ := Max(xs)
-		prev := lo
-		for p := 0.0; p <= 100; p += 10 {
-			v, err := Percentile(xs, p)
-			if err != nil || v < lo || v > hi || v < prev-1e-9 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 0}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	if mn != -1 || mx != 7 {
-		t.Fatalf("min/max = %g/%g", mn, mx)
-	}
-	if _, err := Max(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatal("empty max must error")
-	}
-}
-
-func TestBinomialTail(t *testing.T) {
-	// P(X >= 1) for n=2, p=0.5 is 0.75.
-	if got := BinomialTail(2, 0.5, 1); math.Abs(got-0.75) > 1e-6 {
-		t.Fatalf("tail = %g, want 0.75", got)
-	}
-	if BinomialTail(10, 0.3, 0) != 1 {
-		t.Fatal("k=0 tail must be 1")
-	}
-	if BinomialTail(10, 0.3, 11) != 0 {
-		t.Fatal("k>n tail must be 0")
-	}
-	if BinomialTail(10, 0, 1) != 0 || BinomialTail(10, 1, 10) != 1 {
-		t.Fatal("degenerate p handling wrong")
-	}
-	// Monotone decreasing in k.
-	prev := 1.0
-	for k := 0; k <= 20; k++ {
-		v := BinomialTail(20, 0.4, k)
-		if v > prev+1e-12 {
-			t.Fatalf("tail not monotone at k=%d", k)
-		}
-		prev = v
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	// Bins: [0, 0.5) and [0.5, 1]. 0.1, 0.2 and clamped -5 land low;
-	// 0.5, 0.9 and clamped 99 land high.
-	xs := []float64{0.1, 0.2, 0.5, 0.9, -5, 99}
-	h := Histogram(xs, 0, 1, 2)
-	if h[0] != 3 || h[1] != 3 {
-		t.Fatalf("histogram = %v", h)
-	}
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != len(xs) {
-		t.Fatal("histogram must count every value (clamped)")
 	}
 }
 

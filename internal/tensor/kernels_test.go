@@ -172,9 +172,9 @@ func TestGEMMBitIdenticalAcrossBudgets(t *testing.T) {
 			gotBias := New(m, n)
 			for _, budget := range []int{1, 2, 3, 8} {
 				withBudget(t, budget, func() {
-					requireBitIdentical(t, "MatMul", MatMul(a, b), wantMM)
-					requireBitIdentical(t, "MatMulTransA", MatMulTransA(at, b), wantTA)
-					requireBitIdentical(t, "MatMulTransB", MatMulTransB(a, bt), wantTB)
+					requireBitIdentical(t, "MatMul", gemm(MatMulInto, m, n, a, b), wantMM)
+					requireBitIdentical(t, "MatMulTransA", gemm(MatMulTransAInto, m, n, at, b), wantTA)
+					requireBitIdentical(t, "MatMulTransB", gemm(MatMulTransBInto, m, n, a, bt), wantTB)
 					MatMulTransBBiasInto(gotBias, a, bt, bias.Data)
 					requireBitIdentical(t, "MatMulTransBBias", gotBias, wantBias)
 				})
@@ -281,14 +281,14 @@ func TestGEMMPropagatesNaN(t *testing.T) {
 // holds are NaN and every other element is zero.
 func requireNaNExactly(t *testing.T, tag string, a, at, b, bt *Tensor, want func(row, col int) bool) {
 	t.Helper()
-	n := b.Shape[1]
+	m, n := a.Shape[0], b.Shape[1]
 	for _, kern := range []struct {
 		name string
 		c    *Tensor
 	}{
-		{"MatMul", MatMul(a, b)},
-		{"MatMulTransA", MatMulTransA(at, b)},
-		{"MatMulTransB", MatMulTransB(a, bt)},
+		{"MatMul", gemm(MatMulInto, m, n, a, b)},
+		{"MatMulTransA", gemm(MatMulTransAInto, m, n, at, b)},
+		{"MatMulTransB", gemm(MatMulTransBInto, m, n, a, bt)},
 	} {
 		for i, v := range kern.c.Data {
 			if want(i/n, i%n) {

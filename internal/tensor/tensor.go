@@ -51,22 +51,10 @@ func (t *Tensor) Len() int {
 	return n
 }
 
-// Dim returns the size of axis i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Clone deep-copies the tensor.
 func (t *Tensor) Clone() *Tensor {
 	out := &Tensor{Shape: append([]int(nil), t.Shape...), Data: make([]float32, len(t.Data))}
 	copy(out.Data, t.Data)
-	return out
-}
-
-// Reshape returns a view with a new shape of equal length.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	out := &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
-	if out.Len() != t.Len() {
-		panic(fmt.Sprintf("tensor: reshape %v -> %v changes length", t.Shape, shape))
-	}
 	return out
 }
 
@@ -78,27 +66,6 @@ func (t *Tensor) Fill(v float32) {
 	for i := range t.Data {
 		t.Data[i] = v
 	}
-}
-
-// At returns the element at the given indices (bounds-checked; for tests
-// and small-scale code, not inner loops).
-func (t *Tensor) At(idx ...int) float32 { return t.Data[t.offset(idx)] }
-
-// Set stores v at the given indices.
-func (t *Tensor) Set(v float32, idx ...int) { t.Data[t.offset(idx)] = v }
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: %d indices for shape %v", len(idx), t.Shape))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %d out of range for axis %d (%v)", x, i, t.Shape))
-		}
-		off = off*t.Shape[i] + x
-	}
-	return off
 }
 
 // SameShape reports whether two tensors have identical shapes.
@@ -159,49 +126,10 @@ func (t *Tensor) MaxAbs() float32 {
 	return m
 }
 
-// MatMul computes C = A(mxk) * B(kxn) into a new (mxn) tensor. See
-// matmul.go for the blocked, goroutine-parallel kernel underneath.
-func MatMul(a, b *Tensor) *Tensor {
-	m, _, n := mmShapes("MatMul", a, b, false, false)
-	c := New(m, n)
-	MatMulInto(c, a, b)
-	return c
-}
-
-// MatMulTransA computes C = Aᵀ·B where A is (k x m) and B is (k x n),
-// giving C (m x n): C[i,j] = sum_p A[p,i] * B[p,j]. Used for weight
-// gradients.
-func MatMulTransA(a, b *Tensor) *Tensor {
-	m, _, n := mmShapes("MatMulTransA", a, b, true, false)
-	c := New(m, n)
-	MatMulTransAAcc(c, a, b)
-	return c
-}
-
-// MatMulTransB computes C[m,n] = sum_p A[m,p] * B[n,p] (B transposed).
-// Used for input gradients.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, _, n := mmShapes("MatMulTransB", a, b, false, true)
-	c := New(m, n)
-	MatMulTransBInto(c, a, b)
-	return c
-}
-
 // ConvOutDims returns the spatial output size of a convolution over an
 // (H, W) map with the given kernel, stride and padding.
 func ConvOutDims(h, w, kh, kw, stride, pad int) (int, int) {
 	return (h+2*pad-kh)/stride + 1, (w+2*pad-kw)/stride + 1
-}
-
-// Im2Col lowers an input batch (N, C, H, W) channel-major into a new
-// colsᵀ matrix of shape (C*kh*kw, N*outH*outW), returned with the output
-// size; see Im2ColInto.
-func Im2Col(x *Tensor, kh, kw, stride, pad int) (*Tensor, int, int) {
-	n, c := x.Shape[0], x.Shape[1]
-	outH, outW := ConvOutDims(x.Shape[2], x.Shape[3], kh, kw, stride, pad)
-	cols := New(c*kh*kw, n*outH*outW)
-	Im2ColInto(cols, x, kh, kw, stride, pad)
-	return cols, outH, outW
 }
 
 // Im2ColInto lowers x (N, C, H, W) into colsᵀ, which must have shape
@@ -301,15 +229,6 @@ func ceilDiv(a, b int) int {
 	return (a + b - 1) / b
 }
 
-// Col2Im scatters a colsᵀ matrix (as produced by Im2Col) back into a new
-// image batch of shape (N, C, H, W), accumulating overlaps. It is the
-// adjoint of Im2Col and is used for convolution input gradients.
-func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
-	x := New(n, c, h, w)
-	Col2ImInto(x, cols, kh, kw, stride, pad)
-	return x
-}
-
 // Col2ImInto scatters colsᵀ (shape (C*kh*kw, N*outH*outW)) into x
 // (shape (N, C, H, W)), overwriting its previous contents. Every x
 // element adds its terms in ascending (oy, ox) order, starting from
@@ -370,15 +289,10 @@ func col2imPlanes(x, cols []float32, p0, p1, n, c, h, w, kh, kw, stride, pad int
 	}
 }
 
-// ArgMaxRow returns the index of the maximum element in each row of a 2-D
-// tensor (class predictions from logits).
-func ArgMaxRow(t *Tensor) []int {
-	return ArgMaxRowInto(nil, t)
-}
-
-// ArgMaxRowInto is ArgMaxRow writing into dst, which is grown only when
-// its capacity is short — evaluation loops pass the previous batch's
-// slice back in so per-batch predictions cost no allocation.
+// ArgMaxRowInto writes the index of the maximum element in each row of a
+// 2-D tensor (class predictions from logits) into dst, which is grown
+// only when its capacity is short — evaluation loops pass the previous
+// batch's slice back in so per-batch predictions cost no allocation.
 func ArgMaxRowInto(dst []int, t *Tensor) []int {
 	if len(t.Shape) != 2 {
 		panic("tensor: ArgMaxRow needs a 2-D tensor")

@@ -15,7 +15,7 @@ func TestNewShapesAndLen(t *testing.T) {
 	if x.Len() != 24 {
 		t.Fatalf("Len = %d, want 24", x.Len())
 	}
-	if x.Dim(0) != 2 || x.Dim(1) != 3 || x.Dim(2) != 4 {
+	if x.Shape[0] != 2 || x.Shape[1] != 3 || x.Shape[2] != 4 {
 		t.Fatalf("dims wrong: %v", x.Shape)
 	}
 	for _, v := range x.Data {
@@ -43,17 +43,6 @@ func TestFromDataValidatesLength(t *testing.T) {
 	FromData([]float32{1, 2, 3}, 2, 2)
 }
 
-func TestAtSetRoundTrip(t *testing.T) {
-	x := New(3, 4)
-	x.Set(7.5, 2, 1)
-	if got := x.At(2, 1); got != 7.5 {
-		t.Fatalf("At = %g, want 7.5", got)
-	}
-	if x.Data[2*4+1] != 7.5 {
-		t.Fatal("row-major offset wrong")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	x := New(2, 2)
 	x.Fill(1)
@@ -65,21 +54,6 @@ func TestCloneIsDeep(t *testing.T) {
 	if !SameShape(x, y) {
 		t.Fatal("Clone must preserve shape")
 	}
-}
-
-func TestReshapeSharesData(t *testing.T) {
-	x := New(2, 6)
-	x.Data[3] = 5
-	y := x.Reshape(3, 4)
-	if y.Data[3] != 5 {
-		t.Fatal("Reshape must share storage")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length change")
-		}
-	}()
-	x.Reshape(5, 2)
 }
 
 func TestAddScaleMaxAbs(t *testing.T) {
@@ -98,7 +72,7 @@ func TestAddScaleMaxAbs(t *testing.T) {
 	}
 }
 
-// naiveMatMul is the reference implementation MatMul is tested against.
+// naiveMatMul is the reference implementation MatMulInto is tested against.
 func naiveMatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	c := New(m, n)
@@ -120,12 +94,19 @@ func randTensor(rng *stats.RNG, shape ...int) *Tensor {
 	return x
 }
 
+// gemm runs one of the GEMM kernels into a fresh (m x n) output.
+func gemm(into func(c, a, b *Tensor), m, n int, a, b *Tensor) *Tensor {
+	c := New(m, n)
+	into(c, a, b)
+	return c
+}
+
 func TestMatMulAgainstNaive(t *testing.T) {
 	rng := stats.NewRNG(1)
 	for _, dims := range [][3]int{{1, 1, 1}, {2, 3, 4}, {5, 7, 3}, {8, 8, 8}} {
 		a := randTensor(rng, dims[0], dims[1])
 		b := randTensor(rng, dims[1], dims[2])
-		got := MatMul(a, b)
+		got := gemm(MatMulInto, dims[0], dims[2], a, b)
 		want := naiveMatMul(a, b)
 		for i := range got.Data {
 			if !almostEqual(float64(got.Data[i]), float64(want.Data[i]), 1e-4) {
@@ -141,7 +122,7 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 2))
+	MatMulInto(New(2, 2), New(2, 3), New(4, 2))
 }
 
 // transpose returns a new transposed 2-D tensor.
@@ -160,8 +141,8 @@ func TestMatMulTransAEqualsExplicitTranspose(t *testing.T) {
 	rng := stats.NewRNG(2)
 	a := randTensor(rng, 6, 4) // (k=6, m=4)
 	b := randTensor(rng, 6, 5) // (k=6, n=5)
-	got := MatMulTransA(a, b)
-	want := MatMul(transpose(a), b)
+	got := gemm(MatMulTransAInto, 4, 5, a, b)
+	want := gemm(MatMulInto, 4, 5, transpose(a), b)
 	for i := range got.Data {
 		if !almostEqual(float64(got.Data[i]), float64(want.Data[i]), 1e-4) {
 			t.Fatalf("element %d = %g, want %g", i, got.Data[i], want.Data[i])
@@ -173,8 +154,8 @@ func TestMatMulTransBEqualsExplicitTranspose(t *testing.T) {
 	rng := stats.NewRNG(3)
 	a := randTensor(rng, 4, 6)
 	b := randTensor(rng, 5, 6) // (n=5, k=6)
-	got := MatMulTransB(a, b)
-	want := MatMul(a, transpose(b))
+	got := gemm(MatMulTransBInto, 4, 5, a, b)
+	want := gemm(MatMulInto, 4, 5, a, transpose(b))
 	for i := range got.Data {
 		if !almostEqual(float64(got.Data[i]), float64(want.Data[i]), 1e-4) {
 			t.Fatalf("element %d = %g, want %g", i, got.Data[i], want.Data[i])
@@ -189,10 +170,11 @@ func TestIm2ColKnownValues(t *testing.T) {
 		4, 5, 6,
 		7, 8, 9,
 	}, 1, 1, 3, 3)
-	cols, oh, ow := Im2Col(x, 2, 2, 1, 0)
-	if oh != 2 || ow != 2 {
+	if oh, ow := ConvOutDims(3, 3, 2, 2, 1, 0); oh != 2 || ow != 2 {
 		t.Fatalf("out dims %dx%d, want 2x2", oh, ow)
 	}
+	cols := New(4, 4)
+	Im2ColInto(cols, x, 2, 2, 1, 0)
 	// Row r of colsᵀ is kernel tap r over the patches in output order.
 	want := [][]float32{
 		{1, 2, 4, 5},
@@ -211,10 +193,12 @@ func TestIm2ColKnownValues(t *testing.T) {
 
 func TestIm2ColPaddingZeros(t *testing.T) {
 	x := FromData([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
-	cols, oh, ow := Im2Col(x, 3, 3, 1, 1)
+	oh, ow := ConvOutDims(2, 2, 3, 3, 1, 1)
 	if oh != 2 || ow != 2 {
 		t.Fatalf("out dims %dx%d, want 2x2", oh, ow)
 	}
+	cols := New(9, oh*ow)
+	Im2ColInto(cols, x, 3, 3, 1, 1)
 	// First patch centered at (0,0), column 0 of colsᵀ: top row and left
 	// column are padding.
 	wantFirst := []float32{0, 0, 0, 0, 1, 2, 0, 3, 4}
@@ -236,9 +220,12 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 		{1, 2, 6, 4, 2, 2, 0},
 	} {
 		x := randTensor(rng, tc.n, tc.c, tc.h, tc.w)
-		cols, _, _ := Im2Col(x, tc.k, tc.k, tc.stride, tc.pad)
+		oh, ow := ConvOutDims(tc.h, tc.w, tc.k, tc.k, tc.stride, tc.pad)
+		cols := New(tc.c*tc.k*tc.k, tc.n*oh*ow)
+		Im2ColInto(cols, x, tc.k, tc.k, tc.stride, tc.pad)
 		y := randTensor(rng, cols.Shape[0], cols.Shape[1])
-		back := Col2Im(y, tc.n, tc.c, tc.h, tc.w, tc.k, tc.k, tc.stride, tc.pad)
+		back := New(tc.n, tc.c, tc.h, tc.w)
+		Col2ImInto(back, y, tc.k, tc.k, tc.stride, tc.pad)
 
 		var lhs, rhs float64
 		for i := range cols.Data {
@@ -255,9 +242,9 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 
 func TestArgMaxRow(t *testing.T) {
 	x := FromData([]float32{1, 5, 2, 9, 0, 3}, 2, 3)
-	got := ArgMaxRow(x)
+	got := ArgMaxRowInto(nil, x)
 	if got[0] != 1 || got[1] != 0 {
-		t.Fatalf("ArgMaxRow = %v, want [1 0]", got)
+		t.Fatalf("ArgMaxRowInto = %v, want [1 0]", got)
 	}
 }
 
@@ -279,7 +266,7 @@ func TestKaimingInitVariance(t *testing.T) {
 	}
 }
 
-// Property: MatMul is linear in its first argument.
+// Property: MatMulInto is linear in its first argument.
 func TestMatMulLinearityProperty(t *testing.T) {
 	rng := stats.NewRNG(6)
 	f := func(seed uint64) bool {
@@ -289,9 +276,9 @@ func TestMatMulLinearityProperty(t *testing.T) {
 		b := randTensor(r, 4, 2)
 		sum := a1.Clone()
 		sum.Add(a2)
-		lhs := MatMul(sum, b)
-		r1 := MatMul(a1, b)
-		r2 := MatMul(a2, b)
+		lhs := gemm(MatMulInto, 3, 2, sum, b)
+		r1 := gemm(MatMulInto, 3, 2, a1, b)
+		r2 := gemm(MatMulInto, 3, 2, a2, b)
 		for i := range lhs.Data {
 			if !almostEqual(float64(lhs.Data[i]), float64(r1.Data[i]+r2.Data[i]), 1e-3) {
 				return false
