@@ -51,13 +51,19 @@ bench-check:
 # accepted program re-assembles from its disassembly and survives
 # encode/decode unchanged. FuzzParse covers internal/trace's text
 # reader behind tracegen: never panics, and an accepted trace re-parses
-# unchanged from its written form.
+# unchanged from its written form. FuzzJournalReplay covers the broker
+# journal's segments under internal/queue's OpenJournal and replay:
+# never panics, and a journal the broker just compacted reopens to the
+# same jobs, task states, results and epoch. Its executions fsync
+# several files each, so it minimizes a new input for at most 1 s: at
+# the default 60 s the whole run goes into minimizing the first one.
 fuzz-smoke:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
 	$(GO) test ./internal/remote/ -run '^$$' -fuzz '^FuzzDecodeError$$' -fuzztime 10s
 	$(GO) test ./internal/resultplane/ -run '^$$' -fuzz '^FuzzFetch$$' -fuzztime 10s
 	$(GO) test ./internal/isa/ -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
+	$(GO) test ./internal/queue/ -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Loopback end-to-end gate for the remote executors: boots dramlockerd
 # on 127.0.0.1 in both topologies — push worker (-remote) and job-queue
@@ -211,9 +217,16 @@ loc:
 		"$(LOC_SUBSTRATE)"
 
 # Functions declared under internal/ that no main package links (cmd/*,
-# examples/* and bench/'s dlbench, built with inlining off). It reports
-# only, like loc, and stays out of ci.
+# examples/* and bench/'s dlbench, built with inlining off). The list
+# must equal scripts/deadcode.allow: each entry there is read or
+# injected by a test of live code, required by an interface, or a
+# Stringer. A function that falls out of every binary fails the gate
+# until the PR deletes it or adds it to the allow file, so every new
+# entry shows up in the diff; one that a binary links again fails it
+# until its line leaves the file.
 deadcode:
-	@bash scripts/deadcode.sh
+	@out=$$(bash scripts/deadcode.sh) && \
+	if ! printf '%s\n' "$$out" | diff -u scripts/deadcode.allow -; then \
+		echo "deadcode: the unlinked functions (+) differ from scripts/deadcode.allow (-)"; exit 1; fi
 
-ci: vet cross fmt-check lint build test race bench-check fuzz-smoke e2e-remote e2e-chaos e2e-resultplane e2e-ha cache-gate
+ci: vet cross fmt-check lint build test race bench-check fuzz-smoke deadcode e2e-remote e2e-chaos e2e-resultplane e2e-ha cache-gate

@@ -166,9 +166,8 @@ func BenchmarkRowHammerActivationTracking(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := rowhammer.DefaultConfig()
-	cfg.TRH = 1 << 30 // never cross, measure tracking cost only
-	if _, err := rowhammer.New(dev, cfg); err != nil {
+	// A threshold never crossed measures the tracking cost only.
+	if _, err := rowhammer.New(dev, 1<<30); err != nil {
 		b.Fatal(err)
 	}
 	row := dram.RowAddr{Bank: 0, Row: 5}
@@ -195,13 +194,13 @@ func BenchmarkQuantizedInferenceResNet20(b *testing.B) {
 
 // --- Ablations -----------------------------------------------------------------
 
-// ablationSetup builds a defended system with the given controller tweaks
+// ablationRun builds a defended system with the given controller tweaks
 // and measures how many attack iterations are denied and the victim-side
 // swap overhead of a fixed legitimate workload under attack.
-func ablationRun(b *testing.B, mut func(*controller.Config), lockWeightsThemselves bool, stride int) (denied int64, swapLat dram.Picoseconds) {
+func ablationRun(b *testing.B, mut func(*controller.Config), lockWeightsThemselves bool) (denied int64, swapLat dram.Picoseconds) {
 	b.Helper()
 	ccfg := core.DefaultConfig()
-	ccfg.Hammer.TRH = 40
+	ccfg.TRH = 40
 	if mut != nil {
 		mut(&ccfg.Controller)
 	}
@@ -210,11 +209,7 @@ func ablationRun(b *testing.B, mut func(*controller.Config), lockWeightsThemselv
 		b.Fatal(err)
 	}
 	qm := quant.NewModel(nn.NewResNet20(4, 0.125, 31))
-	opts := memmap.DefaultOptions()
-	opts.StartRow = 1
-	opts.RowStride = stride
-	opts.Avoid = func(a dram.RowAddr) bool { return sys.Controller().IsReserved(a) }
-	layout, err := memmap.New(qm, sys.Device(), opts)
+	layout, err := memmap.New(qm, sys.Device(), sys.Controller().IsReserved)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -257,8 +252,8 @@ func ablationRun(b *testing.B, mut func(*controller.Config), lockWeightsThemselv
 // SWAP on nearly every legitimate access (the paper's §IV-A argument).
 func BenchmarkAblationLockGranularity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, swapAdj := ablationRun(b, nil, false, 2)
-		_, swapSelf := ablationRun(b, nil, true, 2)
+		_, swapAdj := ablationRun(b, nil, false)
+		_, swapSelf := ablationRun(b, nil, true)
 		once(b, "abl-gran", fmt.Sprintf(
 			"lock granularity ablation:\n  adjacent-row locking: swap latency %v\n  weight-row locking:   swap latency %v\n  (weight-row locking forces constant unlock SWAPs, as §IV-A argues)",
 			swapAdj, swapSelf))
@@ -275,21 +270,10 @@ func BenchmarkAblationRelockInterval(b *testing.B) {
 		for _, interval := range []int{50, 200, 1000, 5000} {
 			_, swapLat := ablationRun(b, func(c *controller.Config) {
 				c.RelockInterval = interval
-			}, true, 2)
+			}, true)
 			out += fmt.Sprintf("  interval %5d: swap latency %v\n", interval, swapLat)
 		}
 		once(b, "abl-relock", out)
-	}
-}
-
-// BenchmarkAblationSwapDest compares destination selection policies.
-func BenchmarkAblationSwapDest(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, rr := ablationRun(b, func(c *controller.Config) { c.DestPolicy = controller.DestRoundRobin }, true, 2)
-		_, rnd := ablationRun(b, func(c *controller.Config) { c.DestPolicy = controller.DestRandom }, true, 2)
-		once(b, "abl-dest", fmt.Sprintf(
-			"swap destination ablation:\n  round-robin: swap latency %v\n  random:      swap latency %v",
-			rr, rnd))
 	}
 }
 
@@ -300,67 +284,22 @@ func BenchmarkAblationLockTableSize(b *testing.B) {
 		out := "lock-table capacity ablation:\n"
 		for _, capEntries := range []int{4, 16, 64, 8192} {
 			ccfg := core.DefaultConfig()
-			ccfg.Hammer.TRH = 40
+			ccfg.TRH = 40
 			ccfg.Controller.Table.CapacityEntries = capEntries
 			sys, err := core.NewSystem(ccfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			qm := quant.NewModel(nn.NewResNet20(4, 0.125, 33))
-			opts := memmap.DefaultOptions()
-			opts.StartRow = 1
-			opts.Avoid = func(a dram.RowAddr) bool { return sys.Controller().IsReserved(a) }
-			layout, err := memmap.New(qm, sys.Device(), opts)
+			layout, err := memmap.New(qm, sys.Device(), sys.Controller().IsReserved)
 			if err != nil {
 				b.Fatal(err)
 			}
 			locked, _ := sys.ProtectWeights(layout) // error expected at low capacity
-			total := len(layout.AggressorRows(1))
+			total := len(layout.AggressorRows())
 			out += fmt.Sprintf("  capacity %5d: locked %d of %d aggressor rows\n", capEntries, locked, total)
 		}
 		once(b, "abl-size", out)
-	}
-}
-
-// BenchmarkAblationLockDistance compares distance-1 locking against
-// distance-2 (Half-Double coverage).
-func BenchmarkAblationLockDistance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := "lock distance ablation (stride-4 placement):\n"
-		for _, dist := range []int{1, 2} {
-			ccfg := core.DefaultConfig()
-			ccfg.Hammer.TRH = 40
-			ccfg.Hammer.BlastRadius = 2
-			ccfg.Hammer.DistantFlipProb = 1
-			ccfg.LockDistance = dist
-			sys, err := core.NewSystem(ccfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			qm := quant.NewModel(nn.NewResNet20(4, 0.125, 35))
-			opts := memmap.DefaultOptions()
-			opts.StartRow = 1
-			opts.RowStride = 4
-			opts.Avoid = func(a dram.RowAddr) bool { return sys.Controller().IsReserved(a) }
-			layout, err := memmap.New(qm, sys.Device(), opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sys.ProtectWeights(layout); err != nil {
-				b.Fatal(err)
-			}
-			// Half-Double: hammer a distance-2 aggressor of a weight row.
-			victim := layout.WeightRows()[0]
-			geom := sys.Device().Geometry()
-			for _, agg := range geom.Neighbors(victim, 2) {
-				for j := 0; j < 45; j++ {
-					sys.Controller().HammerAttempt(agg)
-				}
-			}
-			flips := int(sys.Hammer().History().TotalFlips)
-			out += fmt.Sprintf("  distance %d: %d Half-Double flips landed\n", dist, flips)
-		}
-		once(b, "abl-dist", out)
 	}
 }
 
@@ -375,7 +314,7 @@ func BenchmarkControllerMixedStream(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctl.Write(phys, []byte{1, 2, 3, 4})
-	ctl.LockNeighborsOf(phys, 1)
+	ctl.LockNeighborsOf(phys)
 	agg := dram.RowAddr{Bank: 0, Row: 10}
 	b.ReportAllocs()
 	b.ResetTimer()

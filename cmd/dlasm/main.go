@@ -114,11 +114,7 @@ func execute(prog []isa.Instruction) error {
 	if err != nil {
 		return err
 	}
-	clone, err := rowclone.New(dev, rowclone.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	seq := isa.NewSequencer(clone)
+	seq := isa.NewSequencer(rowclone.New(dev))
 	locked := dram.RowAddr{Bank: 0, Row: 5}
 	unlocked := dram.RowAddr{Bank: 0, Row: 9}
 	buffer := dram.RowAddr{Bank: 0, Row: 63}

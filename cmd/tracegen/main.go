@@ -15,7 +15,6 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/dram"
 	"repro/internal/memmap"
 	"repro/internal/nn"
 	"repro/internal/quant"
@@ -45,10 +44,7 @@ func buildSystem(defend bool) (*core.System, *memmap.Layout, error) {
 		return nil, nil, err
 	}
 	qm := quant.NewModel(nn.NewResNet20(10, 0.25, 7))
-	opts := memmap.DefaultOptions()
-	opts.StartRow = 1
-	opts.Avoid = func(a dram.RowAddr) bool { return sys.Controller().IsReserved(a) }
-	layout, err := memmap.New(qm, sys.Device(), opts)
+	layout, err := memmap.New(qm, sys.Device(), sys.Controller().IsReserved)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -27,7 +27,6 @@
 //
 // The root package holds the benchmark harness (bench_test.go): one
 // testing.B benchmark per paper table/figure, each timing its registry
-// job, plus ablation benches for DRAM-Locker's design choices (lock
-// granularity, relock interval, SWAP destination, lock-table size, lock
-// distance).
+// job, plus ablation benches for the knobs that scale DRAM-Locker's one
+// mechanism (lock granularity, relock interval, lock-table size).
 package repro

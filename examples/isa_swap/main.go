@@ -17,11 +17,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	clone, err := rowclone.New(dev, rowclone.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	seq := isa.NewSequencer(clone)
+	seq := isa.NewSequencer(rowclone.New(dev))
 
 	// Three rows of the same subarray: locked, unlocked, buffer.
 	locked := dram.RowAddr{Bank: 0, Row: 5}

@@ -35,7 +35,7 @@ func main() {
 
 	// Lock the rows physically adjacent to the victim row — the only rows
 	// an attacker could hammer to disturb it.
-	locked, err := ctl.LockNeighborsOf(phys, 1)
+	locked, err := ctl.LockNeighborsOf(phys)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func main() {
 	// The attacker hammers those neighbors far past the threshold.
 	attempts, denied := 0, 0
 	for _, agg := range geom.Neighbors(victimRow, 1) {
-		for i := 0; i < sys.Hammer().Config().TRH*2; i++ {
+		for i := 0; i < sys.Hammer().TRH()*2; i++ {
 			activated, _, err := ctl.HammerAttempt(agg)
 			if err != nil {
 				log.Fatal(err)

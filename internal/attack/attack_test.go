@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dram"
 	"repro/internal/memmap"
 	"repro/internal/nn"
 	"repro/internal/quant"
@@ -113,6 +112,57 @@ func TestBFAUntilCollapse(t *testing.T) {
 	}
 }
 
+// countingExecutor counts the flips the attack commits on its way to the
+// direct executor.
+type countingExecutor struct {
+	DirectExecutor
+	calls int
+}
+
+func (e *countingExecutor) TryFlip(globalW, k int) (FlipOutcome, error) {
+	e.calls++
+	return e.DirectExecutor.TryFlip(globalW, k)
+}
+
+// TestBFAUntilCollapseStopsAtCollapse: the attack commits no flip after
+// the first iteration that reaches the threshold, and reports that
+// iteration's flips and accuracy, as read off a full BFA run.
+func TestBFAUntilCollapseStopsAtCollapse(t *testing.T) {
+	const threshold, budget = 0.45, 25
+	qm, ab, eval := trainedVictim(t)
+	cfg := DefaultBFAConfig()
+	cfg.Iterations = budget
+	cfg.CandidatesPerIter = 3
+	full, err := BFA(qm, ab, eval, &DirectExecutor{QM: qm}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := -1
+	for i, rec := range full.Records {
+		if rec.Accuracy <= threshold {
+			first = i
+			break
+		}
+	}
+	if first < 0 || first == len(full.Records)-1 {
+		t.Fatalf("victim must collapse before the budget: first collapsed record %d of %d", first, len(full.Records))
+	}
+
+	qm, ab, eval = trainedVictim(t)
+	exec := &countingExecutor{DirectExecutor: DirectExecutor{QM: qm}}
+	flips, acc, err := BFAUntilCollapse(qm, ab, eval, exec, cfg, threshold, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exec.calls != flips {
+		t.Fatalf("committed %d flips, reported %d: the attack ran past the collapse", exec.calls, flips)
+	}
+	if want := full.Records[first]; flips != want.Flips || acc != want.Accuracy {
+		t.Fatalf("collapse at (%d flips, %.3f), want the full run's first collapsed record (%d, %.3f)",
+			flips, acc, want.Flips, want.Accuracy)
+	}
+}
+
 // TestBFAStopHookAbortsAttack: a tripped Stop surfaces its error with
 // the partial trace — how Ctrl-C interrupts an in-flight attack.
 func TestBFAStopHookAbortsAttack(t *testing.T) {
@@ -153,15 +203,12 @@ func TestBFAConfigValidation(t *testing.T) {
 func buildStack(t *testing.T, qm *quant.Model, protect bool, leak float64) (*core.System, *memmap.Layout, *DRAMExecutor) {
 	t.Helper()
 	ccfg := core.DefaultConfig()
-	ccfg.Hammer.TRH = 30
+	ccfg.TRH = 30
 	sys, err := core.NewSystem(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := memmap.DefaultOptions()
-	opts.StartRow = 1
-	opts.Avoid = func(a dram.RowAddr) bool { return sys.Controller().IsReserved(a) }
-	layout, err := memmap.New(qm, sys.Device(), opts)
+	layout, err := memmap.New(qm, sys.Device(), sys.Controller().IsReserved)
 	if err != nil {
 		t.Fatal(err)
 	}

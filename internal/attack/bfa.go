@@ -65,15 +65,9 @@ type BFAConfig struct {
 	// one flip).
 	Iterations int
 	// CandidatesPerIter is how many top-ranked bits are evaluated with a
-	// real forward pass before committing the best.
+	// real forward pass before committing the best. Every bit of every
+	// weight is scored.
 	CandidatesPerIter int
-	// AttackBatch is the number of examples in the attacker's sample
-	// batch (paper: 128).
-	AttackBatch int
-	// MSBOnly restricts the search to sign bits (bit 7), the practical
-	// BFA variant; when false all 8 bits are scored.
-	MSBOnly bool
-	Seed    uint64
 	// Stop, if non-nil, is polled before every iteration; a non-nil
 	// return aborts the attack, surfacing that error with the partial
 	// trace. The experiment harness wires it to the run's cancellation
@@ -82,20 +76,17 @@ type BFAConfig struct {
 }
 
 // DefaultBFAConfig returns the paper's attack setup scaled to the
-// simulator (100 iterations, 128-sample batch).
+// simulator (100 iterations, 5 trial candidates each).
 func DefaultBFAConfig() BFAConfig {
 	return BFAConfig{
 		Iterations:        100,
 		CandidatesPerIter: 5,
-		AttackBatch:       128,
-		MSBOnly:           false,
-		Seed:              0xbfa,
 	}
 }
 
 // Validate checks the configuration.
 func (c BFAConfig) Validate() error {
-	if c.Iterations <= 0 || c.CandidatesPerIter <= 0 || c.AttackBatch <= 0 {
+	if c.Iterations <= 0 || c.CandidatesPerIter <= 0 {
 		return fmt.Errorf("attack: BFAConfig fields must be positive: %+v", c)
 	}
 	return nil
@@ -186,17 +177,18 @@ func RandomAttack(qm *quant.Model, eval nn.BatchSource, exec FlipExecutor, itera
 
 // BFAUntilCollapse runs BFA until accuracy falls to the threshold or the
 // flip budget is exhausted, returning the number of flips used (the
-// "Bit-Flips #" column of Table II).
+// "Bit-Flips #" column of Table II) and the accuracy at that point. The
+// attack stops at the first iteration that reaches the threshold.
 func BFAUntilCollapse(qm *quant.Model, attackBatch nn.Batch, eval nn.BatchSource, exec FlipExecutor, cfg BFAConfig, accThreshold float64, maxFlips int) (int, float64, error) {
 	cfg.Iterations = maxFlips
-	res, err := BFA(qm, attackBatch, eval, exec, cfg)
+	s, err := NewSearcher(qm, cfg)
 	if err != nil {
 		return 0, 0, err
 	}
-	for _, rec := range res.Records {
-		if rec.Accuracy <= accThreshold {
-			return rec.Flips, rec.Accuracy, nil
-		}
+	collapsed := func(rec IterationRecord) bool { return rec.Accuracy <= accThreshold }
+	res, err := s.run(attackBatch, eval, exec, collapsed)
+	if err != nil {
+		return 0, 0, err
 	}
 	return res.TotalFlips, res.FinalAccuracy(), nil
 }

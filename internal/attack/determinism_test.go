@@ -22,11 +22,7 @@ func referenceRankCandidates(qm *quant.Model, cfg BFAConfig, tried map[[2]int]bo
 			if g == 0 {
 				continue
 			}
-			lo, hi := 0, qp.Bits
-			if cfg.MSBOnly {
-				lo = qp.Bits - 1
-			}
-			for k := lo; k < hi; k++ {
+			for k := 0; k < qp.Bits; k++ {
 				delta := float64(qp.BitDelta(li, k)) * float64(qp.Scale)
 				score := g * delta
 				if score <= 0 {

@@ -9,6 +9,11 @@ import (
 	"repro/internal/stats"
 )
 
+// hammerBudget bounds one aggressor's hammering per attempt to
+// hammerBudget·T_RH activations (the attacker stops once the flip should
+// have landed).
+const hammerBudget = 2
+
 // DRAMExecutor commits flips the way a real attacker must: by hammering an
 // aggressor row adjacent to the DRAM row holding the target bit, through
 // the memory controller — where the lock-table can deny the activations.
@@ -16,7 +21,8 @@ import (
 // The executor registers the intended victim bit with the RowHammer engine
 // (the threat model grants the attacker data-pattern control, §III
 // assumptions 4-5), hammers until the threshold is crossed or the defense
-// denies, then syncs the victim model from DRAM.
+// denies, then syncs the victim model from DRAM. Each aggressor gets at
+// most hammerBudget·T_RH activations per attempt.
 type DRAMExecutor struct {
 	Layout *memmap.Layout
 	Ctl    *controller.Controller
@@ -26,10 +32,6 @@ type DRAMExecutor struct {
 	// Zero models an ideal, error-free DRAM-Locker.
 	Leak float64
 	RNG  *stats.RNG
-
-	// HammerBudgetFactor bounds hammering per attempt to factor*TRH
-	// activations (the attacker stops once the flip should have landed).
-	HammerBudgetFactor int
 
 	// Stats
 	Activations int64
@@ -43,12 +45,11 @@ func NewDRAMExecutor(layout *memmap.Layout, ctl *controller.Controller, eng *row
 		return nil, fmt.Errorf("attack: leak must be in [0,1], got %g", leak)
 	}
 	return &DRAMExecutor{
-		Layout:             layout,
-		Ctl:                ctl,
-		Engine:             eng,
-		Leak:               leak,
-		RNG:                stats.NewRNG(seed),
-		HammerBudgetFactor: 2,
+		Layout: layout,
+		Ctl:    ctl,
+		Engine: eng,
+		Leak:   leak,
+		RNG:    stats.NewRNG(seed),
 	}, nil
 }
 
@@ -73,8 +74,8 @@ func (e *DRAMExecutor) TryFlip(globalW, k int) (FlipOutcome, error) {
 	// prior iterations' residual counts do not mask the crossing.
 	e.Engine.ResetWindow(e.Ctl.Device().Now())
 
-	trh := e.Engine.Config().TRH
-	budget := e.HammerBudgetFactor * trh
+	trh := e.Engine.TRH()
+	budget := hammerBudget * trh
 	flipped := false
 	deniedAll := true
 	for _, agg := range aggressors {

@@ -17,32 +17,32 @@ type PTAConfig struct {
 	// Iterations is the number of attack rounds; each tries to corrupt
 	// one weight page.
 	Iterations int
-	// AttackerPage is the attacker-controlled virtual page index.
-	AttackerPage int
-	// PayloadByte is the replacement value written over hijacked weight
-	// frames (0x80 = -128, the most damaging int8 value).
-	PayloadByte byte
-	// Leak is the probability a denied PTE flip lands anyway (erroneous
-	// SWAP exposure), as in Fig. 8's 9.6% accounting.
-	Leak float64
+	// Seed drives the choice of PFN bit each round flips.
 	Seed uint64
 }
 
 // DefaultPTAConfig returns the paper-style PTA setup.
 func DefaultPTAConfig() PTAConfig {
 	return PTAConfig{
-		Iterations:   100,
-		AttackerPage: 0,
-		PayloadByte:  0x80,
-		Leak:         0,
-		Seed:         0x97a,
+		Iterations: 100,
+		Seed:       0x97a,
 	}
 }
+
+// The attacker owns virtual page attackerPage and overwrites each hijacked
+// weight frame with payloadByte (0x80 = -128, the most damaging int8
+// value).
+const (
+	attackerPage = 0
+	payloadByte  = 0x80
+)
 
 // PTA is the page-table attack of Fig. 3(b): the attacker flips a PFN bit
 // in its *own* PTE (via RowHammer on the page-table row's neighbor) so the
 // entry points at a victim weight frame, then overwrites that frame
-// through its now-redirected virtual page.
+// through its now-redirected virtual page. A round whose every aggressor
+// the lock-table denies fails: the PTA runs at the nominal process corner,
+// with no erroneous-SWAP leak (see experiments.Fig8PTA for why).
 type PTA struct {
 	cfg    PTAConfig
 	table  *pagetable.Table
@@ -54,19 +54,12 @@ type PTA struct {
 	// Stats
 	Redirects int64
 	Denied    int64
-	Leaked    int64
 }
 
 // NewPTA wires the attack over the substrate.
 func NewPTA(table *pagetable.Table, layout *memmap.Layout, ctl *controller.Controller, eng *rowhammer.Engine, cfg PTAConfig) (*PTA, error) {
 	if cfg.Iterations <= 0 {
 		return nil, fmt.Errorf("attack: PTA iterations must be positive")
-	}
-	if cfg.Leak < 0 || cfg.Leak > 1 {
-		return nil, fmt.Errorf("attack: PTA leak must be in [0,1]")
-	}
-	if cfg.AttackerPage < 0 || cfg.AttackerPage >= table.NumPages() {
-		return nil, fmt.Errorf("attack: attacker page %d outside table", cfg.AttackerPage)
 	}
 	return &PTA{
 		cfg: cfg, table: table, layout: layout, ctl: ctl, engine: eng,
@@ -118,12 +111,12 @@ func (p *PTA) round(target dram.RowAddr, geom dram.Geometry) (succeeded, denied 
 		setupPFN = targetPFN ^ 1
 		bit = 0
 	}
-	if err := p.table.Map(p.cfg.AttackerPage, geom.FromLinearIndex(int(setupPFN))); err != nil {
+	if err := p.table.Map(attackerPage, geom.FromLinearIndex(int(setupPFN))); err != nil {
 		return false, false, err
 	}
 
 	// 2. Hammer the PT row's neighbor to flip that PFN bit.
-	pteRow, pteBit, err := p.table.PFNBitOf(p.cfg.AttackerPage, bit)
+	pteRow, pteBit, err := p.table.PFNBitOf(attackerPage, bit)
 	if err != nil {
 		return false, false, err
 	}
@@ -137,7 +130,7 @@ func (p *PTA) round(target dram.RowAddr, geom dram.Geometry) (succeeded, denied 
 	if len(aggressors) == 0 {
 		return false, false, fmt.Errorf("attack: PT row %v has no neighbors", pteRow)
 	}
-	trh := p.engine.Config().TRH
+	trh := p.engine.TRH()
 	flipped := false
 	deniedAll := true
 	for _, agg := range aggressors {
@@ -156,38 +149,26 @@ func (p *PTA) round(target dram.RowAddr, geom dram.Geometry) (succeeded, denied 
 			continue
 		}
 		deniedAll = false
-		frame, err := p.table.FrameOf(p.cfg.AttackerPage)
+		frame, err := p.table.FrameOf(attackerPage)
 		if err == nil && frame == target {
 			flipped = true
 			break
 		}
 	}
-	if !flipped && deniedAll {
-		if p.rng.Bernoulli(p.cfg.Leak) {
-			// Erroneous-SWAP exposure: the flip lands despite the lock.
-			if err := p.ctl.Device().FlipBit(pteRow, pteBit); err != nil {
-				return false, false, err
-			}
-			p.Leaked++
-			flipped = true
-		} else {
-			return false, true, nil
-		}
-	}
 	if !flipped {
-		return false, false, nil
+		return false, deniedAll, nil
 	}
 
 	// 3. The attacker's page now maps to the victim frame: overwrite it
 	//    with the payload through the page table, then let the victim's
 	//    next inference read the corrupted weights.
-	frame, err := p.table.FrameOf(p.cfg.AttackerPage)
+	frame, err := p.table.FrameOf(attackerPage)
 	if err != nil {
 		return false, false, err
 	}
 	payload := make([]byte, geom.RowBytes)
 	for i := range payload {
-		payload[i] = p.cfg.PayloadByte
+		payload[i] = payloadByte
 	}
 	if err := p.ctl.Device().PokeRow(frame, payload); err != nil {
 		return false, false, err
@@ -196,7 +177,7 @@ func (p *PTA) round(target dram.RowAddr, geom dram.Geometry) (succeeded, denied 
 		return false, false, err
 	}
 	// Clean up: restore the attacker mapping legitimately for next round.
-	if err := p.table.Unmap(p.cfg.AttackerPage); err != nil {
+	if err := p.table.Unmap(attackerPage); err != nil {
 		return false, false, err
 	}
 	return true, false, nil

@@ -156,16 +156,12 @@ func (s *Searcher) scoreRange(glo, ghi int, h *topK) {
 		}
 		grads := qp.Param.Grad.Data
 		scale := float64(qp.Scale)
-		lo, hi := 0, qp.Bits
-		if s.cfg.MSBOnly {
-			lo = qp.Bits - 1
-		}
 		for i := li; i < end; i++ {
 			g := float64(grads[i])
 			if g == 0 {
 				continue
 			}
-			for k := lo; k < hi; k++ {
+			for k := 0; k < qp.Bits; k++ {
 				score := g * float64(qp.BitDelta(i, k)) * scale
 				if score <= 0 {
 					continue
@@ -291,6 +287,12 @@ func (s *Searcher) step(batch nn.Batch) (Candidate, bool) {
 // flips through the executor and evaluating accuracy on eval after every
 // iteration. It starts a fresh attack: the tried-bit set is cleared.
 func (s *Searcher) Run(attackBatch nn.Batch, eval nn.BatchSource, exec FlipExecutor) (Result, error) {
+	return s.run(attackBatch, eval, exec, nil)
+}
+
+// run is Run that also ends the attack after the first iteration whose
+// record done accepts (done may be nil).
+func (s *Searcher) run(attackBatch nn.Batch, eval nn.BatchSource, exec FlipExecutor, done func(IterationRecord) bool) (Result, error) {
 	s.reset()
 	res := Result{Records: make([]IterationRecord, 0, s.cfg.Iterations)}
 	for iter := 0; iter < s.cfg.Iterations; iter++ {
@@ -324,6 +326,9 @@ func (s *Searcher) Run(attackBatch nn.Batch, eval nn.BatchSource, exec FlipExecu
 			rec.Accuracy = nn.Evaluate(s.qm.Net, eval, 64)
 		}
 		res.Records = append(res.Records, rec)
+		if done != nil && done(rec) {
+			break
+		}
 	}
 	if len(res.Records) == 0 {
 		// Match the pre-Searcher trace exactly: a run that never found a

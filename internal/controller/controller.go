@@ -19,6 +19,11 @@
 //  4. A redirect created by a SWAP lives for RelockInterval R/W
 //     instructions (1k in the paper); on expiry the controller swaps the
 //     data back and re-secures the row (Fig. 4(d)).
+//
+// The model has one operating point. A SWAP's destination is the next
+// free-pool row of the subarray in round-robin order. Every SWAP copy is
+// exact (see internal/rowclone). Locking a row's neighbours reaches
+// distance 1, the rows the paper's fault model lets an aggressor disturb.
 package controller
 
 import (
@@ -29,7 +34,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/locktable"
 	"repro/internal/rowclone"
-	"repro/internal/stats"
 )
 
 // RequestKind distinguishes reads from writes.
@@ -78,8 +82,6 @@ type Response struct {
 	Latency dram.Picoseconds
 	// Swapped is true when serving the request required a SWAP.
 	Swapped bool
-	// SwapErred is true when the SWAP had at least one erroneous copy.
-	SwapErred bool
 	// RowHit is true when the access hit the open row buffer.
 	RowHit bool
 }
@@ -91,7 +93,6 @@ type Stats struct {
 	Writes        int64
 	Denied        int64
 	Swaps         int64
-	SwapErrors    int64
 	SwapsBack     int64
 	RowHits       int64
 	RowMisses     int64
@@ -102,17 +103,6 @@ type Stats struct {
 	AccessLatency dram.Picoseconds
 }
 
-// SwapDestPolicy selects the destination row for SWAPs.
-type SwapDestPolicy uint8
-
-// Swap destination policies (ablated by BenchmarkAblationSwapDest).
-const (
-	// DestRoundRobin cycles deterministically through the free pool.
-	DestRoundRobin SwapDestPolicy = iota
-	// DestRandom picks a seeded-random free row.
-	DestRandom
-)
-
 // Config parameterises the controller.
 type Config struct {
 	// RelockInterval is the number of R/W instructions after a SWAP until
@@ -121,14 +111,8 @@ type Config struct {
 	// FreeRowsPerSubarray is the size of the reserved swap-destination
 	// pool in each subarray (the buffer row is reserved separately).
 	FreeRowsPerSubarray int
-	// DestPolicy selects how swap destinations are chosen.
-	DestPolicy SwapDestPolicy
-	// Seed drives DestRandom.
-	Seed uint64
 	// Table sizes the lock-table.
 	Table locktable.Config
-	// Clone configures RowClone error injection.
-	Clone rowclone.Config
 }
 
 // DefaultConfig returns the paper's operating point.
@@ -136,10 +120,7 @@ func DefaultConfig() Config {
 	return Config{
 		RelockInterval:      1000,
 		FreeRowsPerSubarray: 4,
-		DestPolicy:          DestRoundRobin,
-		Seed:                0x10c4,
 		Table:               locktable.DefaultConfig(),
-		Clone:               rowclone.DefaultConfig(),
 	}
 }
 
@@ -151,13 +132,7 @@ func (c Config) Validate() error {
 	if c.FreeRowsPerSubarray <= 0 {
 		return fmt.Errorf("controller: FreeRowsPerSubarray must be positive, got %d", c.FreeRowsPerSubarray)
 	}
-	if c.DestPolicy != DestRoundRobin && c.DestPolicy != DestRandom {
-		return fmt.Errorf("controller: unknown DestPolicy %d", c.DestPolicy)
-	}
-	if err := c.Table.Validate(); err != nil {
-		return err
-	}
-	return c.Clone.Validate()
+	return c.Table.Validate()
 }
 
 // Errors returned by the controller.
@@ -181,7 +156,6 @@ type Controller struct {
 	table  *locktable.Table
 	seq    *isa.Sequencer
 	cfg    Config
-	rng    *stats.RNG
 
 	// redirects maps the linear index of an original row to its redirect.
 	redirects map[int]*redirect
@@ -189,7 +163,7 @@ type Controller struct {
 	reverse map[int]*redirect
 	// destInUse marks free-pool rows currently holding swapped data.
 	destInUse map[int]bool
-	// rrCursor implements DestRoundRobin per subarray.
+	// rrCursor is each subarray's next free-pool index to try.
 	rrCursor map[int]int
 
 	stats Stats
@@ -209,17 +183,12 @@ func New(dev *dram.Device, cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	clone, err := rowclone.New(dev, cfg.Clone)
-	if err != nil {
-		return nil, err
-	}
 	return &Controller{
 		dev:       dev,
 		mapper:    dram.NewAddrMapper(geom),
 		table:     table,
-		seq:       isa.NewSequencer(clone),
+		seq:       isa.NewSequencer(rowclone.New(dev)),
 		cfg:       cfg,
-		rng:       stats.NewRNG(cfg.Seed),
 		redirects: make(map[int]*redirect),
 		reverse:   make(map[int]*redirect),
 		destInUse: make(map[int]bool),
@@ -273,23 +242,20 @@ func (c *Controller) LockRow(a dram.RowAddr) error {
 // LockNeighborsOf locks the rows physically adjacent to the row holding the
 // given physical address — the paper's recommended policy (lock aggressor
 // candidates, not the hot data itself). It returns the rows locked.
-func (c *Controller) LockNeighborsOf(phys int64, distance int) ([]dram.RowAddr, error) {
+func (c *Controller) LockNeighborsOf(phys int64) ([]dram.RowAddr, error) {
 	row, err := c.mapper.RowOfPhys(phys)
 	if err != nil {
 		return nil, err
 	}
-	geom := c.dev.Geometry()
 	var locked []dram.RowAddr
-	for d := 1; d <= distance; d++ {
-		for _, n := range geom.Neighbors(row, d) {
-			if c.IsReserved(n) || c.table.IsLocked(n) {
-				continue
-			}
-			if err := c.table.Lock(n); err != nil {
-				return locked, err
-			}
-			locked = append(locked, n)
+	for _, n := range c.dev.Geometry().Neighbors(row, 1) {
+		if c.IsReserved(n) || c.table.IsLocked(n) {
+			continue
 		}
+		if err := c.table.Lock(n); err != nil {
+			return locked, err
+		}
+		locked = append(locked, n)
 	}
 	return locked, nil
 }
@@ -336,12 +302,11 @@ func (c *Controller) Submit(req Request) (Response, error) {
 			c.stats.Redirected++
 		} else {
 			// 3b. First victim access: SWAP the locked row's data out.
-			swapped, erred, lat, dest, err := c.swapOut(row)
+			lat, dest, err := c.swapOut(row)
 			if err != nil {
 				return resp, err
 			}
-			resp.Swapped = swapped
-			resp.SwapErred = erred
+			resp.Swapped = true
 			resp.Latency += lat
 			target = dest
 		}
@@ -423,29 +388,29 @@ func (c *Controller) access(kind RequestKind, row dram.RowAddr, col int, data, b
 
 // swapOut runs the ISA SWAP program to move a locked row's data into a free
 // row of the same subarray and records the redirect.
-func (c *Controller) swapOut(locked dram.RowAddr) (swapped, erred bool, lat dram.Picoseconds, dest dram.RowAddr, err error) {
+func (c *Controller) swapOut(locked dram.RowAddr) (lat dram.Picoseconds, dest dram.RowAddr, err error) {
 	geom := c.dev.Geometry()
 	sub := geom.Subarray(locked)
 	dest, err = c.pickDest(locked.Bank, sub)
 	if err != nil {
-		return false, false, 0, dest, err
+		return 0, dest, err
 	}
 
 	// Bind the canonical registers and run the SWAP program, exactly as
 	// the hardware sequencer would (paper Fig. 4(b) + Fig. 5).
 	buffer := c.bufferRow(locked.Bank, sub)
 	if err := c.seq.BindRow(isa.RegLocked, locked); err != nil {
-		return false, false, 0, dest, err
+		return 0, dest, err
 	}
 	if err := c.seq.BindRow(isa.RegUnlocked, dest); err != nil {
-		return false, false, 0, dest, err
+		return 0, dest, err
 	}
 	if err := c.seq.BindRow(isa.RegBuffer, buffer); err != nil {
-		return false, false, 0, dest, err
+		return 0, dest, err
 	}
 	res, err := c.seq.Run(isa.SwapProgram())
 	if err != nil {
-		return false, false, 0, dest, err
+		return 0, dest, err
 	}
 
 	linOrig := geom.LinearIndex(locked)
@@ -457,35 +422,21 @@ func (c *Controller) swapOut(locked dram.RowAddr) (swapped, erred bool, lat dram
 
 	c.stats.Swaps++
 	c.stats.SwapLatency += res.Latency
-	if res.CopyErrors > 0 {
-		c.stats.SwapErrors++
-	}
-	return true, res.CopyErrors > 0, res.Latency, dest, nil
+	return res.Latency, dest, nil
 }
 
-// pickDest selects an unused free-pool row in the subarray.
+// pickDest selects the subarray's next unused free-pool row in
+// round-robin order.
 func (c *Controller) pickDest(bank, sub int) (dram.RowAddr, error) {
 	geom := c.dev.Geometry()
 	pool := c.cfg.FreeRowsPerSubarray
 	key := bank*geom.SubarraysPerBank + sub
-	switch c.cfg.DestPolicy {
-	case DestRandom:
-		// Try random probes, then fall back to a scan.
-		for i := 0; i < pool; i++ {
-			cand := c.freePoolRow(bank, sub, c.rng.Intn(pool))
-			if !c.destInUse[geom.LinearIndex(cand)] {
-				return cand, nil
-			}
-		}
-		fallthrough
-	default:
-		start := c.rrCursor[key]
-		for i := 0; i < pool; i++ {
-			cand := c.freePoolRow(bank, sub, (start+i)%pool)
-			if !c.destInUse[geom.LinearIndex(cand)] {
-				c.rrCursor[key] = (start + i + 1) % pool
-				return cand, nil
-			}
+	start := c.rrCursor[key]
+	for i := 0; i < pool; i++ {
+		cand := c.freePoolRow(bank, sub, (start+i)%pool)
+		if !c.destInUse[geom.LinearIndex(cand)] {
+			c.rrCursor[key] = (start + i + 1) % pool
+			return cand, nil
 		}
 	}
 	return dram.RowAddr{}, fmt.Errorf("%w: bank %d subarray %d", ErrNoFreeRow, bank, sub)
@@ -516,9 +467,6 @@ func (c *Controller) tickRedirects() {
 		if err == nil {
 			c.stats.SwapsBack++
 			c.stats.SwapLatency += res.Latency
-			if res.CopyErrors > 0 {
-				c.stats.SwapErrors++
-			}
 		}
 		delete(c.redirects, geom.LinearIndex(r.Orig))
 		delete(c.reverse, geom.LinearIndex(r.Dest))

@@ -119,6 +119,10 @@ func TestPrivilegedAccessSwapsOut(t *testing.T) {
 	if c.ActiveRedirects() != 1 {
 		t.Fatalf("redirects = %d", c.ActiveRedirects())
 	}
+	// The lock still denies the attacker while the data is swapped out.
+	if aresp, _ := c.Submit(Request{Kind: ReqRead, Phys: phys, Len: 1}); !aresp.Denied {
+		t.Fatal("lock must hold while the row is swapped out")
+	}
 	// Subsequent access uses the redirect without another swap.
 	got2, resp2, err := c.Read(phys, 7)
 	if err != nil {
@@ -209,7 +213,7 @@ func TestLockNeighborsOf(t *testing.T) {
 	c := newCtl(t, nil)
 	row := dram.RowAddr{Bank: 0, Row: 10}
 	phys := physOf(t, c, row, 0)
-	locked, err := c.LockNeighborsOf(phys, 1)
+	locked, err := c.LockNeighborsOf(phys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,16 +258,34 @@ func TestFreePoolExhaustion(t *testing.T) {
 	}
 }
 
-func TestDestPolicies(t *testing.T) {
-	for _, policy := range []SwapDestPolicy{DestRoundRobin, DestRandom} {
-		c := newCtl(t, func(cfg *Config) { cfg.DestPolicy = policy })
-		row := dram.RowAddr{Bank: 0, Row: 5}
+// TestSwapDestRoundRobin: each SWAP in a subarray takes the next free-pool
+// row after the previous SWAP's, wrapping around the pool, even when an
+// earlier row has been released by a swap-back.
+func TestSwapDestRoundRobin(t *testing.T) {
+	c := newCtl(t, func(cfg *Config) { cfg.RelockInterval = 3 })
+	last := c.Device().Geometry().RowsPerSubarray - 2 // the first free-pool row
+	other := physOf(t, c, dram.RowAddr{Bank: 1, Row: 40}, 0)
+	for i, r := range []int{5, 7, 9, 11, 13} {
+		row := dram.RowAddr{Bank: 0, Row: r}
 		phys := physOf(t, c, row, 0)
-		c.Write(phys, []byte("z"))
+		c.Write(phys, []byte{byte('a' + i)})
 		c.LockRow(row)
-		got, resp, err := c.Read(phys, 1)
-		if err != nil || !resp.Swapped || got[0] != 'z' {
-			t.Fatalf("policy %d: got=%q swapped=%v err=%v", policy, got, resp.Swapped, err)
+		if _, resp, err := c.Read(phys, 1); err != nil || !resp.Swapped {
+			t.Fatalf("swap %d: swapped=%v err=%v", i, resp.Swapped, err)
+		}
+		dest := dram.RowAddr{Bank: 0, Row: last - i%c.cfg.FreeRowsPerSubarray}
+		if got, _ := c.Device().PeekRow(dest); got[0] != byte('a'+i) {
+			t.Fatalf("swap %d: %v holds %q, want %q", i, dest, got[0], 'a'+i)
+		}
+		// Release the destination: RelockInterval+1 requests expire the
+		// redirect, which swaps the data back.
+		for range c.cfg.RelockInterval + 1 {
+			if _, _, err := c.Read(other, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.ActiveRedirects() != 0 {
+			t.Fatalf("swap %d: redirect still live", i)
 		}
 	}
 }

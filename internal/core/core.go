@@ -3,10 +3,13 @@
 // (lock-table + ISA SWAP sequencer) and the protection policies into one
 // system a user can drop a workload onto.
 //
+// The protection policies lock the rows at distance 1 from the protected
+// data, the reach of the fault model's blast radius.
+//
 // Typical use:
 //
 //	sys, _ := core.NewSystem(core.DefaultConfig())
-//	layout, _ := memmap.New(quantModel, sys.Device(), memmap.DefaultOptions())
+//	layout, _ := memmap.New(quantModel, sys.Device(), sys.Controller().IsReserved)
 //	sys.ProtectWeights(layout)          // lock aggressor-candidate rows
 //	...
 //	sys.Controller().Submit(req)        // guarded accesses
@@ -25,25 +28,22 @@ import (
 
 // Config assembles the full system configuration.
 type Config struct {
-	Geometry   dram.Geometry
-	Timing     dram.Timing
-	Hammer     rowhammer.Config
+	Geometry dram.Geometry
+	Timing   dram.Timing
+	// TRH is the RowHammer threshold of the fault model.
+	TRH        int
 	Controller controller.Config
-	// LockDistance is how far (in rows) from protected data the
-	// aggressor-candidate locking reaches. 1 covers the paper's model;
-	// 2 additionally defends Half-Double patterns.
-	LockDistance int
 }
 
-// DefaultConfig returns the paper's operating point on a small test
-// geometry. Production-scale runs swap in dram.DefaultGeometry().
+// DefaultConfig returns the paper's operating point (T_RH = 1k) on a
+// small test geometry. Production-scale runs swap in
+// dram.DefaultGeometry().
 func DefaultConfig() Config {
 	return Config{
-		Geometry:     dram.SmallGeometry(),
-		Timing:       dram.DDR4Timing(),
-		Hammer:       rowhammer.DefaultConfig(),
-		Controller:   controller.DefaultConfig(),
-		LockDistance: 1,
+		Geometry:   dram.SmallGeometry(),
+		Timing:     dram.DDR4Timing(),
+		TRH:        1000,
+		Controller: controller.DefaultConfig(),
 	}
 }
 
@@ -55,16 +55,7 @@ func (c Config) Validate() error {
 	if err := c.Timing.Validate(); err != nil {
 		return err
 	}
-	if err := c.Hammer.Validate(); err != nil {
-		return err
-	}
-	if err := c.Controller.Validate(); err != nil {
-		return err
-	}
-	if c.LockDistance < 1 || c.LockDistance > 2 {
-		return fmt.Errorf("core: LockDistance must be 1 or 2, got %d", c.LockDistance)
-	}
-	return nil
+	return c.Controller.Validate()
 }
 
 // System is an assembled DRAM-Locker deployment.
@@ -84,7 +75,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	hammer, err := rowhammer.New(dev, cfg.Hammer)
+	hammer, err := rowhammer.New(dev, cfg.TRH)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +107,7 @@ func (s *System) Config() Config { return s.cfg }
 // of rows locked.
 func (s *System) ProtectWeights(layout *memmap.Layout) (int, error) {
 	locked := 0
-	for _, row := range layout.AggressorRows(s.cfg.LockDistance) {
+	for _, row := range layout.AggressorRows() {
 		if s.ctl.IsReserved(row) || s.ctl.Table().IsLocked(row) {
 			continue
 		}
@@ -134,16 +125,14 @@ func (s *System) ProtectPageTable(t *pagetable.Table) (int, error) {
 	geom := s.dev.Geometry()
 	locked := 0
 	for _, ptr := range t.PTRows() {
-		for d := 1; d <= s.cfg.LockDistance; d++ {
-			for _, n := range geom.Neighbors(ptr, d) {
-				if s.ctl.IsReserved(n) || s.ctl.Table().IsLocked(n) {
-					continue
-				}
-				if err := s.ctl.LockRow(n); err != nil {
-					return locked, fmt.Errorf("core: locking %v: %w", n, err)
-				}
-				locked++
+		for _, n := range geom.Neighbors(ptr, 1) {
+			if s.ctl.IsReserved(n) || s.ctl.Table().IsLocked(n) {
+				continue
 			}
+			if err := s.ctl.LockRow(n); err != nil {
+				return locked, fmt.Errorf("core: locking %v: %w", n, err)
+			}
+			locked++
 		}
 	}
 	return locked, nil

@@ -34,29 +34,21 @@ func TestNewSystemWiresComponents(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := DefaultConfig()
-	bad.LockDistance = 3
+	bad.TRH = 0
 	if _, err := NewSystem(bad); err == nil {
-		t.Fatal("LockDistance 3 must fail")
+		t.Fatal("TRH 0 must fail")
 	}
 	bad = DefaultConfig()
-	bad.Hammer.TRH = 0
+	bad.Controller.RelockInterval = 0
 	if _, err := NewSystem(bad); err == nil {
-		t.Fatal("bad hammer config must fail")
+		t.Fatal("bad controller config must fail")
 	}
 }
 
 func layoutFor(t *testing.T, sys *System) (*quant.Model, *memmap.Layout) {
-	return layoutForStride(t, sys, 2)
-}
-
-func layoutForStride(t *testing.T, sys *System, stride int) (*quant.Model, *memmap.Layout) {
 	t.Helper()
 	qm := quant.NewModel(nn.NewResNet20(4, 0.125, 9))
-	opts := memmap.DefaultOptions()
-	opts.StartRow = 1
-	opts.RowStride = stride
-	opts.Avoid = func(a dram.RowAddr) bool { return sys.Controller().IsReserved(a) }
-	layout, err := memmap.New(qm, sys.Device(), opts)
+	layout, err := memmap.New(qm, sys.Device(), sys.Controller().IsReserved)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +65,7 @@ func TestProtectWeightsLocksAggressors(t *testing.T) {
 	if locked == 0 {
 		t.Fatal("nothing locked")
 	}
-	for _, a := range layout.AggressorRows(1) {
+	for _, a := range layout.AggressorRows() {
 		if sys.Controller().IsReserved(a) {
 			continue
 		}
@@ -106,7 +98,7 @@ func TestProtectWeightsStopsHammering(t *testing.T) {
 	victim := layout.WeightRows()[0]
 	geom := sys.Device().Geometry()
 	for _, agg := range geom.Neighbors(victim, 1) {
-		for i := 0; i < sys.Config().Hammer.TRH*2; i++ {
+		for i := 0; i < sys.Config().TRH*2; i++ {
 			activated, _, err := sys.Controller().HammerAttempt(agg)
 			if err != nil {
 				t.Fatal(err)
@@ -158,32 +150,5 @@ func TestProtectRow(t *testing.T) {
 	}
 	if !sys.Table().IsLocked(row) {
 		t.Fatal("manual lock missing")
-	}
-}
-
-func TestLockDistance2CoversHalfDouble(t *testing.T) {
-	// Stride-3 placement leaves two free rows between weight rows, so
-	// distance-2 locking has extra rows to claim (with stride 2 the
-	// distance-2 neighbors are other weight rows and nothing changes).
-	cfg := DefaultConfig()
-	cfg.LockDistance = 2
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, layout := layoutForStride(t, sys, 3)
-	lockedD2, err := sys.ProtectWeights(layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sys1 := newSystem(t) // distance 1
-	_, layout1 := layoutForStride(t, sys1, 3)
-	lockedD1, err := sys1.ProtectWeights(layout1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lockedD2 <= lockedD1 {
-		t.Fatalf("distance 2 locked %d rows, distance 1 locked %d; want more", lockedD2, lockedD1)
 	}
 }

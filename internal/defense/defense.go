@@ -2,7 +2,7 @@
 // mechanisms and functional implementations of the baselines the paper
 // compares against (Table I and Fig. 7): SHADOW-style intra-subarray
 // shuffling, PARA probabilistic refresh, Graphene/Hydra-class counter
-// trackers, naive counter-per-row, and random/secure row-swap.
+// trackers, naive counter-per-row, and randomized row-swap (RRS).
 //
 // A Defense sits between the request stream and the DRAM array: every
 // activation is offered to the defense, which may mitigate (neutralise the
@@ -364,40 +364,31 @@ func (g *Graphene) OnWindowReset() {
 
 // --- Row swap baselines -------------------------------------------------------
 
-// RowSwap models RRS/SRS-class defenses: after SwapPeriod activations of a
-// row, the row is swapped with a random row of the bank, breaking the
-// aggressor-victim adjacency.
+// RowSwap models the RRS defense: after SwapPeriod activations of a row,
+// RRS swaps it with a random row of the bank, breaking the
+// aggressor-victim adjacency. The model resets the row's accumulated
+// disturbance (rowhammer.Engine.ResetRow) and charges a two-row migration.
 type RowSwap struct {
 	base
 	SwapPeriod  int
 	SwapLatency dram.Picoseconds
-	Secure      bool // SRS adds integrity checks (extra latency)
 	engine      *rowhammer.Engine
 	geom        dram.Geometry
 	counts      map[int]int
-	rng         *stats.RNG
 }
 
-// NewRowSwap builds an RRS (secure=false) or SRS (secure=true) instance.
-func NewRowSwap(engine *rowhammer.Engine, geom dram.Geometry, swapPeriod int, secure bool, seed uint64) (*RowSwap, error) {
+// NewRowSwap builds an RRS instance.
+func NewRowSwap(engine *rowhammer.Engine, geom dram.Geometry, swapPeriod int) (*RowSwap, error) {
 	if swapPeriod <= 0 {
 		return nil, fmt.Errorf("defense: swapPeriod must be positive, got %d", swapPeriod)
 	}
-	name := "RRS"
-	lat := 2 * 270 * dram.Nanosecond // two-row migration
-	if secure {
-		name = "SRS"
-		lat += 60 * dram.Nanosecond // integrity verification
-	}
 	return &RowSwap{
-		base:        base{name: name},
+		base:        base{name: "RRS"},
 		SwapPeriod:  swapPeriod,
-		SwapLatency: lat,
-		Secure:      secure,
+		SwapLatency: 2 * 270 * dram.Nanosecond,
 		engine:      engine,
 		geom:        geom,
 		counts:      make(map[int]int),
-		rng:         stats.NewRNG(seed),
 	}, nil
 }
 

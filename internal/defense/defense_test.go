@@ -13,9 +13,7 @@ func newRig(t *testing.T, trh int) (*dram.Device, *rowhammer.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := rowhammer.DefaultConfig()
-	cfg.TRH = trh
-	eng, err := rowhammer.New(dev, cfg)
+	eng, err := rowhammer.New(dev, trh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,21 +172,14 @@ func TestGrapheneCatchesHotRow(t *testing.T) {
 	}
 }
 
-func TestRowSwapVariants(t *testing.T) {
+func TestRowSwapBreaksCorrelation(t *testing.T) {
 	dev, eng := newRig(t, 50)
-	rrs, err := NewRowSwap(eng, dev.Geometry(), 10, false, 1)
+	rrs, err := NewRowSwap(eng, dev.Geometry(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srs, err := NewRowSwap(eng, dev.Geometry(), 10, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rrs.Name() != "RRS" || srs.Name() != "SRS" {
-		t.Fatalf("names: %s %s", rrs.Name(), srs.Name())
-	}
-	if srs.SwapLatency <= rrs.SwapLatency {
-		t.Fatal("SRS integrity checks must cost extra latency")
+	if rrs.Name() != "RRS" {
+		t.Fatalf("name: %s", rrs.Name())
 	}
 	agg := dram.RowAddr{Bank: 0, Row: 10}
 	victim := dram.RowAddr{Bank: 0, Row: 11}
@@ -227,7 +218,7 @@ func TestDefenseInterfaceCompliance(t *testing.T) {
 	if g, err := NewGraphene(eng, geom, 500, 8); err == nil {
 		defenses = append(defenses, g)
 	}
-	if r, err := NewRowSwap(eng, geom, 250, false, 3); err == nil {
+	if r, err := NewRowSwap(eng, geom, 250); err == nil {
 		defenses = append(defenses, r)
 	}
 	if len(defenses) != 6 {

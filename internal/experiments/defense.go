@@ -72,9 +72,7 @@ func defenseRig(trh int) (*dram.Device, *rowhammer.Engine, dram.RowAddr, dram.Ro
 	if err != nil {
 		return nil, nil, dram.RowAddr{}, dram.RowAddr{}, err
 	}
-	cfg := rowhammer.DefaultConfig()
-	cfg.TRH = trh
-	eng, err := rowhammer.New(dev, cfg)
+	eng, err := rowhammer.New(dev, trh)
 	if err != nil {
 		return nil, nil, dram.RowAddr{}, dram.RowAddr{}, err
 	}
@@ -105,7 +103,7 @@ func buildDefense(name string, dev *dram.Device, eng *rowhammer.Engine, trh int)
 	case "TWiCE":
 		return defense.NewTWiCE(eng, geom, trh/2)
 	case "RRS":
-		return defense.NewRowSwap(eng, geom, trh/2, false, 2)
+		return defense.NewRowSwap(eng, geom, trh/2)
 	case "SHADOW":
 		return defense.NewShadow(eng, geom, defense.DefaultShadowConfig(trh))
 	default:

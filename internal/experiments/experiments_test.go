@@ -36,11 +36,8 @@ func TestPresetsAreInternallyConsistent(t *testing.T) {
 		if err := p.Geometry.Validate(); err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		if err := p.hammerConfig().Validate(); err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
-		}
-		if err := p.controllerConfig().Validate(); err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
+		if p.TRH <= 0 {
+			t.Fatalf("%s: TRH %d must be positive", p.Name, p.TRH)
 		}
 	}
 }

@@ -86,9 +86,7 @@ func validateThreshold(trh int) (flipAtTRH, flipPastTRH bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		hcfg := rowhammer.DefaultConfig()
-		hcfg.TRH = trh
-		eng, err := rowhammer.New(dev, hcfg)
+		eng, err := rowhammer.New(dev, trh)
 		if err != nil {
 			return false, err
 		}

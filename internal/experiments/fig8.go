@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
+	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/memmap"
@@ -29,21 +30,16 @@ type DefendedSystem struct {
 // the attack executor. protect enables the lock-table policy; leak is the
 // erroneous-SWAP exposure probability granted to the attacker.
 func BuildSystem(p Preset, v *Victim, protect bool, leak float64) (*DefendedSystem, error) {
-	ccfg := core.Config{
-		Geometry:     p.Geometry,
-		Timing:       dram.DDR4Timing(),
-		Hammer:       p.hammerConfig(),
-		Controller:   p.controllerConfig(),
-		LockDistance: 1,
-	}
-	sys, err := core.NewSystem(ccfg)
+	sys, err := core.NewSystem(core.Config{
+		Geometry:   p.Geometry,
+		Timing:     dram.DDR4Timing(),
+		TRH:        p.TRH,
+		Controller: controller.DefaultConfig(),
+	})
 	if err != nil {
 		return nil, err
 	}
-	opts := memmap.DefaultOptions()
-	opts.StartRow = 1 // odd rows hold weights; even rows are attacker space
-	opts.Avoid = func(a dram.RowAddr) bool { return sys.Controller().IsReserved(a) }
-	layout, err := memmap.New(v.QM, sys.Device(), opts)
+	layout, err := memmap.New(v.QM, sys.Device(), sys.Controller().IsReserved)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +132,7 @@ func Fig8PTA(ctx context.Context, p Preset) (*Fig8PTAResult, error) {
 	snap := v.QM.Snapshot()
 	res := &Fig8PTAResult{CleanAcc: v.CleanAcc}
 
-	run := func(protect bool, leak float64) (attack.Result, int, error) {
+	run := func(protect bool) (attack.Result, int, error) {
 		v.QM.Restore(snap)
 		sysb, err := BuildSystem(p, v, false, 0) // weights unprotected: PTA targets PTEs
 		if err != nil {
@@ -172,7 +168,6 @@ func Fig8PTA(ctx context.Context, p Preset) (*Fig8PTAResult, error) {
 		}
 		pcfg := attack.DefaultPTAConfig()
 		pcfg.Iterations = p.AttackIters
-		pcfg.Leak = leak
 		pcfg.Seed = p.Seed + 303
 		pta, err := attack.NewPTA(table, sysb.Layout, sys.Controller(), sys.Hammer(), pcfg)
 		if err != nil {
@@ -182,18 +177,18 @@ func Fig8PTA(ctx context.Context, p Preset) (*Fig8PTAResult, error) {
 		return r, locked, err
 	}
 
-	// The defended run uses the nominal process corner (no leak): one
-	// leaked PTA redirect overwrites an entire weight row — thousands of
-	// weights — so even a sub-percent leak collapses the model and every
-	// defended curve would be trivially identical to the undefended one.
-	// The paper's PTA discussion (§V) reports the defended curve staying
+	// The PTA runs at the nominal process corner (no leak): one leaked
+	// PTA redirect overwrites an entire weight row — thousands of weights
+	// — so even a sub-percent leak collapses the model and every defended
+	// curve would be trivially identical to the undefended one. The
+	// paper's PTA discussion (§V) reports the defended curve staying
 	// flat, which corresponds to this corner; the ±20% leak accounting is
 	// specific to the per-bit BFA panels of Fig. 8.
 	var locked int
-	if res.Without, _, err = run(false, 0); err != nil {
+	if res.Without, _, err = run(false); err != nil {
 		return nil, fmt.Errorf("experiments: PTA undefended: %w", err)
 	}
-	if res.With, locked, err = run(true, 0); err != nil {
+	if res.With, locked, err = run(true); err != nil {
 		return nil, fmt.Errorf("experiments: PTA defended: %w", err)
 	}
 	res.LockedRows = locked

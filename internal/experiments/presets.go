@@ -11,9 +11,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"repro/internal/controller"
 	"repro/internal/dram"
-	"repro/internal/rowhammer"
 )
 
 // Preset bundles every scale-dependent knob.
@@ -128,16 +126,4 @@ func PresetByName(name string) (Preset, error) {
 	default:
 		return Preset{}, fmt.Errorf("experiments: unknown preset %q (have %v)", name, PresetNames())
 	}
-}
-
-// hammerConfig builds the fault model for the preset.
-func (p Preset) hammerConfig() rowhammer.Config {
-	cfg := rowhammer.DefaultConfig()
-	cfg.TRH = p.TRH
-	return cfg
-}
-
-// controllerConfig builds the DRAM-Locker controller config for the preset.
-func (p Preset) controllerConfig() controller.Config {
-	return controller.DefaultConfig()
 }

@@ -169,8 +169,6 @@ func table2DRAMLocker(ctx context.Context, p Preset, cfg Table2Config, v *Victim
 	res, err := attack.BFA(v.QM, v.AttackBatch, v.Eval, sys.Exec, attack.BFAConfig{
 		Iterations:        cfg.MaxFlips,
 		CandidatesPerIter: p.Candidates,
-		AttackBatch:       p.AttackBatch,
-		Seed:              p.Seed + 999,
 		Stop:              ctx.Err,
 	})
 	if err != nil {

@@ -147,11 +147,7 @@ func newSeq(t *testing.T) (*dram.Device, *Sequencer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone, err := rowclone.New(dev, rowclone.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dev, NewSequencer(clone)
+	return dev, NewSequencer(rowclone.New(dev))
 }
 
 func TestSequencerRunsSwap(t *testing.T) {
@@ -257,7 +253,6 @@ func TestSequencerNoTerminator(t *testing.T) {
 
 func TestSequencerRunawayLoopBounded(t *testing.T) {
 	_, seq := newSeq(t)
-	seq.MaxSteps = 100
 	seq.BindCounter(3, 1<<40) // effectively infinite
 	prog := []Instruction{
 		Nop(),

@@ -25,17 +25,14 @@ type Sequencer struct {
 	rows    [NumMicroRegs]dram.RowAddr
 	bound   [NumMicroRegs]bool
 	counter [NumMicroRegs]int64
-
-	// MaxSteps bounds execution to catch runaway loops; 0 means default.
-	MaxSteps int
 }
 
-// DefaultMaxSteps bounds one program run.
-const DefaultMaxSteps = 1 << 20
+// maxSteps bounds one program run, to catch runaway loops.
+const maxSteps = 1 << 20
 
 // NewSequencer builds a sequencer over a RowClone engine.
 func NewSequencer(clone *rowclone.Engine) *Sequencer {
-	return &Sequencer{clone: clone, MaxSteps: DefaultMaxSteps}
+	return &Sequencer{clone: clone}
 }
 
 // BindRow loads a row address into a micro-register.
@@ -67,21 +64,16 @@ func (s *Sequencer) Counter(reg uint8) int64 {
 
 // RunResult reports one program execution.
 type RunResult struct {
-	Steps      int
-	Copies     int
-	CopyErrors int
-	Latency    dram.Picoseconds
+	Steps   int
+	Copies  int
+	Latency dram.Picoseconds
 }
 
 // Run executes the program until DONE. AAP copies rows through the RowClone
-// engine (inheriting its error injection); BNEZ decrements its counter
-// register and branches while non-zero.
+// engine; BNEZ decrements its counter register and branches while
+// non-zero.
 func (s *Sequencer) Run(prog []Instruction) (RunResult, error) {
 	var res RunResult
-	maxSteps := s.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = DefaultMaxSteps
-	}
 	pc := 0
 	for {
 		if res.Steps >= maxSteps {
@@ -105,15 +97,12 @@ func (s *Sequencer) Run(prog []Instruction) (RunResult, error) {
 			if src >= NumMicroRegs || !s.bound[src] {
 				return res, fmt.Errorf("%w: src R%d", ErrUnboundReg, src)
 			}
-			erred, lat, err := s.clone.Copy(s.rows[src], s.rows[in.A])
+			lat, err := s.clone.Copy(s.rows[src], s.rows[in.A])
 			if err != nil {
 				return res, err
 			}
 			res.Copies++
 			res.Latency += lat
-			if erred {
-				res.CopyErrors++
-			}
 			pc++
 		case OpBNEZ:
 			if s.counter[in.A] > 0 {

@@ -6,9 +6,10 @@
 //
 // Placement follows the paper's threat model (§III assumption 3): weight
 // rows are *scattered* — interleaved with attacker-mappable rows — rather
-// than packed contiguously. The default stride of 2 leaves a non-weight
-// row between consecutive weight rows, which is what gives the attacker
-// its aggressor rows and gives the lock-table something to lock.
+// than packed contiguously. Weights fill the odd rows of each bank from
+// bank 0 on (row 1, stride 2), skipping the controller's reserved rows, so
+// a non-weight row lies between consecutive weight rows: that gives the
+// attacker its aggressor rows and the lock-table something to lock.
 package memmap
 
 import (
@@ -19,34 +20,11 @@ import (
 	"repro/internal/quant"
 )
 
-// Options controls weight placement.
-type Options struct {
-	// StartBank and StartRow position the first weight row.
-	StartBank, StartRow int
-	// RowStride is the spacing between consecutive weight rows within a
-	// bank (2 = one attacker-mappable gap row between weight rows).
-	RowStride int
-	// Avoid excludes rows from allocation (e.g. the controller's reserved
-	// buffer and free-pool rows). May be nil.
-	Avoid func(dram.RowAddr) bool
-}
-
-// DefaultOptions returns the paper-faithful scattered placement.
-func DefaultOptions() Options { return Options{RowStride: 2} }
-
-// Validate checks the options against a geometry.
-func (o Options) Validate(geom dram.Geometry) error {
-	if o.RowStride < 1 {
-		return fmt.Errorf("memmap: RowStride must be >= 1, got %d", o.RowStride)
-	}
-	if o.StartBank < 0 || o.StartBank >= geom.Banks() {
-		return fmt.Errorf("memmap: StartBank %d outside %d banks", o.StartBank, geom.Banks())
-	}
-	if o.StartRow < 0 || o.StartRow >= geom.RowsPerBank() {
-		return fmt.Errorf("memmap: StartRow %d outside bank", o.StartRow)
-	}
-	return nil
-}
+// Weight rows start at row firstRow of each bank and advance by rowStride.
+const (
+	firstRow  = 1
+	rowStride = 2
+)
 
 // Layout records where each quantized weight lives in DRAM.
 type Layout struct {
@@ -58,13 +36,11 @@ type Layout struct {
 	rowSet map[int]bool
 }
 
-// New lays the model's quantized weights out in DRAM under the options and
-// writes their current values into the device.
-func New(qm *quant.Model, dev *dram.Device, opts Options) (*Layout, error) {
+// New lays the model's quantized weights out in DRAM, skipping every row
+// for which reserved reports true (the controller's buffer and free-pool
+// rows), and writes their current values into the device.
+func New(qm *quant.Model, dev *dram.Device, reserved func(dram.RowAddr) bool) (*Layout, error) {
 	geom := dev.Geometry()
-	if err := opts.Validate(geom); err != nil {
-		return nil, err
-	}
 	l := &Layout{
 		QM:     qm,
 		Dev:    dev,
@@ -72,19 +48,19 @@ func New(qm *quant.Model, dev *dram.Device, opts Options) (*Layout, error) {
 		rowSet: make(map[int]bool),
 	}
 	needRows := (qm.TotalWeights() + geom.RowBytes - 1) / geom.RowBytes
-	bank, row := opts.StartBank, opts.StartRow
+	bank, row := 0, firstRow
 	for len(l.rows) < needRows {
 		if bank >= geom.Banks() {
 			return nil, fmt.Errorf("memmap: geometry exhausted after %d of %d rows", len(l.rows), needRows)
 		}
 		a := dram.RowAddr{Bank: bank, Row: row}
-		if opts.Avoid == nil || !opts.Avoid(a) {
+		if !reserved(a) {
 			l.rows = append(l.rows, a)
 			l.rowSet[geom.LinearIndex(a)] = true
 		}
-		row += opts.RowStride
+		row += rowStride
 		if row >= geom.RowsPerBank() {
-			row = opts.StartRow
+			row = firstRow
 			bank++
 		}
 	}
@@ -147,24 +123,22 @@ func (l *Layout) IsWeightRow(a dram.RowAddr) bool {
 	return l.rowSet[l.Dev.Geometry().LinearIndex(a)]
 }
 
-// AggressorRows returns the rows physically adjacent (within distance) to
-// any weight row — the lock-table's protection set. Weight rows themselves
-// are excluded (they are frequently accessed; locking them would force
-// constant unlocks, which is exactly what the paper argues against).
-func (l *Layout) AggressorRows(distance int) []dram.RowAddr {
+// AggressorRows returns the rows physically adjacent to any weight row —
+// the lock-table's protection set. Weight rows themselves are excluded
+// (they are frequently accessed; locking them would force constant
+// unlocks, which is exactly what the paper argues against).
+func (l *Layout) AggressorRows() []dram.RowAddr {
 	geom := l.Dev.Geometry()
 	seen := make(map[int]bool)
 	var out []dram.RowAddr
 	for _, wr := range l.rows {
-		for d := 1; d <= distance; d++ {
-			for _, n := range geom.Neighbors(wr, d) {
-				li := geom.LinearIndex(n)
-				if seen[li] || l.rowSet[li] {
-					continue
-				}
-				seen[li] = true
-				out = append(out, n)
+		for _, n := range geom.Neighbors(wr, 1) {
+			li := geom.LinearIndex(n)
+			if seen[li] || l.rowSet[li] {
+				continue
 			}
+			seen[li] = true
+			out = append(out, n)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

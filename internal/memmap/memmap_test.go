@@ -8,14 +8,17 @@ import (
 	"repro/internal/quant"
 )
 
-func newRig(t *testing.T, opts Options) (*dram.Device, *quant.Model, *Layout) {
+// noneReserved is a reserved-row predicate that reserves nothing.
+func noneReserved(dram.RowAddr) bool { return false }
+
+func newRig(t *testing.T) (*dram.Device, *quant.Model, *Layout) {
 	t.Helper()
 	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
 	if err != nil {
 		t.Fatal(err)
 	}
 	qm := quant.NewModel(nn.NewResNet20(4, 0.125, 5))
-	l, err := New(qm, dev, opts)
+	l, err := New(qm, dev, noneReserved)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,12 +26,18 @@ func newRig(t *testing.T, opts Options) (*dram.Device, *quant.Model, *Layout) {
 }
 
 func TestPlacementStrideLeavesGaps(t *testing.T) {
-	_, _, l := newRig(t, DefaultOptions())
+	_, _, l := newRig(t)
 	rows := l.WeightRows()
 	if len(rows) < 2 {
 		t.Skip("model too small for this geometry")
 	}
+	if rows[0] != (dram.RowAddr{Bank: 0, Row: 1}) {
+		t.Fatalf("first weight row %v, want bank 0 row 1", rows[0])
+	}
 	for i := 1; i < len(rows); i++ {
+		if rows[i].Row%2 != 1 {
+			t.Fatalf("weight row %v is even; even rows are attacker space", rows[i])
+		}
 		if rows[i].Bank != rows[i-1].Bank {
 			continue
 		}
@@ -39,9 +48,9 @@ func TestPlacementStrideLeavesGaps(t *testing.T) {
 }
 
 func TestAggressorRowsAreNeighborsNotWeights(t *testing.T) {
-	dev, _, l := newRig(t, DefaultOptions())
+	dev, _, l := newRig(t)
 	geom := dev.Geometry()
-	aggs := l.AggressorRows(1)
+	aggs := l.AggressorRows()
 	if len(aggs) == 0 {
 		t.Fatal("no aggressor rows found")
 	}
@@ -63,10 +72,10 @@ func TestAggressorRowsAreNeighborsNotWeights(t *testing.T) {
 }
 
 func TestEveryWeightRowIsCovered(t *testing.T) {
-	dev, _, l := newRig(t, DefaultOptions())
+	dev, _, l := newRig(t)
 	geom := dev.Geometry()
 	aggSet := make(map[int]bool)
-	for _, a := range l.AggressorRows(1) {
+	for _, a := range l.AggressorRows() {
 		aggSet[geom.LinearIndex(a)] = true
 	}
 	for _, wr := range l.WeightRows() {
@@ -79,7 +88,7 @@ func TestEveryWeightRowIsCovered(t *testing.T) {
 }
 
 func TestWriteAllStoresQuantizedBytes(t *testing.T) {
-	dev, qm, l := newRig(t, DefaultOptions())
+	dev, qm, l := newRig(t)
 	// Check the first few weights byte-for-byte.
 	for w := 0; w < 16 && w < qm.TotalWeights(); w++ {
 		row, col, err := l.rowAndCol(w)
@@ -98,7 +107,7 @@ func TestWriteAllStoresQuantizedBytes(t *testing.T) {
 }
 
 func TestSyncFromDRAMPropagatesFlips(t *testing.T) {
-	dev, qm, l := newRig(t, DefaultOptions())
+	dev, qm, l := newRig(t)
 	const target = 5
 	row, bit, err := l.LocationOfBit(target, 7)
 	if err != nil {
@@ -136,7 +145,7 @@ func TestSyncFromDRAMPropagatesFlips(t *testing.T) {
 }
 
 func TestLocationOfBitConsistentWithPhys(t *testing.T) {
-	dev, qm, l := newRig(t, DefaultOptions())
+	dev, qm, l := newRig(t)
 	mapper := dram.NewAddrMapper(dev.Geometry())
 	for w := 0; w < qm.TotalWeights(); w += 997 {
 		phys, err := l.PhysOfWeight(w)
@@ -163,14 +172,12 @@ func TestAvoidExcludesRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	qm := quant.NewModel(nn.NewResNet20(4, 0.125, 5))
-	opts := DefaultOptions()
-	opts.Avoid = func(a dram.RowAddr) bool { return a.Row%4 == 0 }
-	l, err := New(qm, dev, opts)
+	l, err := New(qm, dev, func(a dram.RowAddr) bool { return a.Row%4 == 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range l.WeightRows() {
-		if r.Row%4 == 0 {
+		if r.Row%4 == 1 {
 			t.Fatalf("avoided row %v was allocated", r)
 		}
 	}
@@ -183,27 +190,13 @@ func TestGeometryExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	qm := quant.NewModel(nn.NewResNet20(4, 0.25, 5))
-	if _, err := New(qm, dev, DefaultOptions()); err == nil {
+	if _, err := New(qm, dev, noneReserved); err == nil {
 		t.Fatal("oversized model must fail placement")
 	}
 }
 
-func TestOptionsValidation(t *testing.T) {
-	geom := dram.SmallGeometry()
-	bad := []Options{
-		{RowStride: 0},
-		{RowStride: 1, StartBank: -1},
-		{RowStride: 1, StartRow: 1 << 20},
-	}
-	for i, o := range bad {
-		if err := o.Validate(geom); err == nil {
-			t.Errorf("options %d must fail", i)
-		}
-	}
-}
-
 func TestWeightsInRowBounds(t *testing.T) {
-	dev, qm, l := newRig(t, DefaultOptions())
+	dev, qm, l := newRig(t)
 	rb := dev.Geometry().RowBytes
 	total := 0
 	for i := range l.WeightRows() {

@@ -91,9 +91,6 @@ func New(dev *dram.Device, ptRows []dram.RowAddr, numPages int) (*Table, error) 
 	return &Table{dev: dev, geom: geom, ptRows: ptRows[:need], entriesPerRow: per, numPages: numPages}, nil
 }
 
-// NumPages returns the covered virtual page count.
-func (t *Table) NumPages() int { return t.numPages }
-
 // PTRows returns the rows holding page-table entries — the rows a
 // PTA-aware defense must protect.
 func (t *Table) PTRows() []dram.RowAddr { return t.ptRows }

@@ -2,6 +2,10 @@
 // DRAM-Locker paper's threat model (§III): every row has a hammer threshold
 // T_RH; once a row accumulates more than T_RH activations within one refresh
 // window, bit-flips are induced in the two physically adjacent victim rows.
+// T_RH is the model's one parameter. The blast radius is 1 (distance-2
+// Half-Double victims are outside the model), and each crossing flips the
+// attacker's registered bits of a victim row or else one bit drawn from a
+// fixed-seed stream.
 //
 // The engine observes activations via dram.ActivateObserver, tracks per-row
 // counts inside the current refresh window, and injects flips into the
@@ -52,53 +56,8 @@ type FlipEvent struct {
 	At        dram.Picoseconds
 }
 
-// Config parameterises the fault model.
-type Config struct {
-	// TRH is the activation count within one refresh window beyond which a
-	// row disturbs its neighbors.
-	TRH int
-	// BlastRadius is the neighbor distance affected. 1 reproduces the
-	// paper's model; 2 additionally flips distance-2 rows (Half-Double).
-	BlastRadius int
-	// DistantFlipProb is the per-threshold-crossing probability that a
-	// distance-2 victim flips when BlastRadius >= 2. Distance-1 victims
-	// always flip on crossing, per the paper's threat model.
-	DistantFlipProb float64
-	// FlipsPerCrossing is how many bits flip in each victim row per
-	// threshold crossing when no targeted bits are registered.
-	FlipsPerCrossing int
-	// Seed drives victim bit selection for untargeted flips.
-	Seed uint64
-}
-
-// DefaultConfig returns the paper's worst-case model: T_RH=1k, immediate
-// neighbors, one random flip per crossing.
-func DefaultConfig() Config {
-	return Config{
-		TRH:              1000,
-		BlastRadius:      1,
-		DistantFlipProb:  0.2,
-		FlipsPerCrossing: 1,
-		Seed:             0x0dd4a11,
-	}
-}
-
-// Validate checks config sanity.
-func (c Config) Validate() error {
-	if c.TRH <= 0 {
-		return fmt.Errorf("rowhammer: TRH must be positive, got %d", c.TRH)
-	}
-	if c.BlastRadius < 1 || c.BlastRadius > 2 {
-		return fmt.Errorf("rowhammer: BlastRadius must be 1 or 2, got %d", c.BlastRadius)
-	}
-	if c.DistantFlipProb < 0 || c.DistantFlipProb > 1 {
-		return fmt.Errorf("rowhammer: DistantFlipProb must be in [0,1], got %g", c.DistantFlipProb)
-	}
-	if c.FlipsPerCrossing < 0 {
-		return fmt.Errorf("rowhammer: FlipsPerCrossing must be >= 0, got %d", c.FlipsPerCrossing)
-	}
-	return nil
-}
+// flipSeed seeds the bit positions of untargeted flips.
+const flipSeed = 0x0dd4a11
 
 // targetEntry holds the attacker-registered flip bits of one victim row.
 // Entries live in a compact slice whose bit slices are reused across
@@ -118,7 +77,7 @@ type targetEntry struct {
 // those bits flip. Without registered targets, flips hit seeded
 // pseudo-random bit positions (the "random attack" of Fig. 1(a)).
 type Engine struct {
-	cfg  Config
+	trh  int
 	dev  *dram.Device
 	rng  *stats.RNG
 	geom dram.Geometry
@@ -148,17 +107,17 @@ type FlipHistory struct {
 	Windows          int64
 }
 
-// New creates an engine bound to a device and registers it as an
-// activation observer.
-func New(dev *dram.Device, cfg Config) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// New creates an engine with hammer threshold trh bound to a device and
+// registers it as an activation observer.
+func New(dev *dram.Device, trh int) (*Engine, error) {
+	if trh <= 0 {
+		return nil, fmt.Errorf("rowhammer: TRH must be positive, got %d", trh)
 	}
 	total := dev.Geometry().TotalRows()
 	e := &Engine{
-		cfg:        cfg,
+		trh:        trh,
 		dev:        dev,
-		rng:        stats.NewRNG(cfg.Seed),
+		rng:        stats.NewRNG(flipSeed),
 		geom:       dev.Geometry(),
 		counts:     make([]int32, total),
 		stamp:      make([]uint32, total),
@@ -172,8 +131,8 @@ func New(dev *dram.Device, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
+// TRH returns the engine's hammer threshold.
+func (e *Engine) TRH() int { return e.trh }
 
 // Epoch returns the current refresh-window epoch (starts at 1; each
 // ResetWindow advances it).
@@ -249,7 +208,7 @@ func (e *Engine) ObserveActivate(addr dram.RowAddr, now dram.Picoseconds) {
 		e.counts[idx]++
 	}
 	e.history.TotalActivations++
-	if int(e.counts[idx]) == e.cfg.TRH+1 {
+	if int(e.counts[idx]) == e.trh+1 {
 		// Threshold crossed in this window: disturb neighbors once. The
 		// count keeps rising; a second crossing needs a fresh window.
 		e.history.ThresholdCrosses++
@@ -259,13 +218,8 @@ func (e *Engine) ObserveActivate(addr dram.RowAddr, now dram.Picoseconds) {
 
 // disturb injects flips into the victims adjacent to the aggressor.
 func (e *Engine) disturb(aggressor dram.RowAddr, now dram.Picoseconds) {
-	for dist := 1; dist <= e.cfg.BlastRadius; dist++ {
-		for _, victim := range e.geom.Neighbors(aggressor, dist) {
-			if dist > 1 && !e.rng.Bernoulli(e.cfg.DistantFlipProb) {
-				continue
-			}
-			e.flipVictim(aggressor, victim, now)
-		}
+	for _, victim := range e.geom.Neighbors(aggressor, 1) {
+		e.flipVictim(aggressor, victim, now)
 	}
 }
 
@@ -279,11 +233,9 @@ func (e *Engine) flipVictim(aggressor, victim dram.RowAddr, now dram.Picoseconds
 		}
 		return
 	}
-	for i := 0; i < e.cfg.FlipsPerCrossing; i++ {
-		b := e.rng.Intn(e.geom.RowBytes * 8)
-		if err := e.dev.FlipBit(victim, b); err == nil {
-			e.recordFlip(aggressor, victim, b, now)
-		}
+	b := e.rng.Intn(e.geom.RowBytes * 8)
+	if err := e.dev.FlipBit(victim, b); err == nil {
+		e.recordFlip(aggressor, victim, b, now)
 	}
 }
 

@@ -12,9 +12,7 @@ func newRig(t *testing.T, trh int) (*dram.Device, *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.TRH = trh
-	eng, err := New(dev, cfg)
+	eng, err := New(dev, trh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,27 +139,6 @@ func TestUntargetedFlipsAreRandomButDeterministic(t *testing.T) {
 	}
 }
 
-func TestBlastRadius2HitsDistance2(t *testing.T) {
-	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.TRH = 10
-	cfg.BlastRadius = 2
-	cfg.DistantFlipProb = 1.0
-	eng, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	far := dram.RowAddr{Bank: 0, Row: 12}
-	eng.RegisterTarget(far, 7)
-	hammer(t, dev, dram.RowAddr{Bank: 0, Row: 10}, 11)
-	if set, _ := dev.PeekBit(far, 7); !set {
-		t.Fatal("Half-Double distance-2 victim must flip with prob 1")
-	}
-}
-
 func TestResetRowNeutralizesAccumulation(t *testing.T) {
 	dev, eng := newRig(t, 10)
 	agg := dram.RowAddr{Bank: 0, Row: 10}
@@ -284,16 +261,13 @@ func TestRegisterTargetValidation(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	cases := []Config{
-		{TRH: 0, BlastRadius: 1},
-		{TRH: 10, BlastRadius: 0},
-		{TRH: 10, BlastRadius: 3},
-		{TRH: 10, BlastRadius: 1, DistantFlipProb: 1.5},
-		{TRH: 10, BlastRadius: 1, FlipsPerCrossing: -1},
+	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, c := range cases {
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: expected validation error", i)
+	for _, trh := range []int{0, -1} {
+		if _, err := New(dev, trh); err == nil {
+			t.Errorf("TRH %d: expected validation error", trh)
 		}
 	}
 }

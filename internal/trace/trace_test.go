@@ -19,10 +19,7 @@ func newSystem(t *testing.T) (*core.System, *memmap.Layout) {
 		t.Fatal(err)
 	}
 	qm := quant.NewModel(nn.NewResNet20(4, 0.125, 55))
-	opts := memmap.DefaultOptions()
-	opts.StartRow = 1
-	opts.Avoid = func(a dram.RowAddr) bool { return sys.Controller().IsReserved(a) }
-	layout, err := memmap.New(qm, sys.Device(), opts)
+	layout, err := memmap.New(qm, sys.Device(), sys.Controller().IsReserved)
 	if err != nil {
 		t.Fatal(err)
 	}
