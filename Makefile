@@ -57,6 +57,10 @@ bench-check:
 # same jobs, task states, results and epoch. Its executions fsync
 # several files each, so it minimizes a new input for at most 1 s: at
 # the default 60 s the whole run goes into minimizing the first one.
+# FuzzPlaneOpen covers the result-plane store's reload of plane.jsonl:
+# never panics, every loaded entry has a key and data, the metrics
+# agree with the entries, and a rewritten store reopens to the same
+# entries; its executions fsync too.
 fuzz-smoke:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
 	$(GO) test ./internal/remote/ -run '^$$' -fuzz '^FuzzDecodeError$$' -fuzztime 10s
@@ -64,6 +68,7 @@ fuzz-smoke:
 	$(GO) test ./internal/isa/ -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 	$(GO) test ./internal/queue/ -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/resultplane/ -run '^$$' -fuzz '^FuzzPlaneOpen$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Loopback end-to-end gate for the remote executors: boots dramlockerd
 # on 127.0.0.1 in both topologies — push worker (-remote) and job-queue

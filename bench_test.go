@@ -188,7 +188,7 @@ func BenchmarkQuantizedInferenceResNet20(b *testing.B) {
 	batch := v.AttackBatch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nn.BatchLoss(v.QM.Net, batch)
+		nn.SoftmaxLoss(v.QM.Net.Forward(batch.X, false), batch.Y)
 	}
 }
 

@@ -12,22 +12,28 @@ import (
 )
 
 // TestSearchIterationSteadyStateAllocs pins the zero-alloc contract of
-// the reused Searcher: once warm, a full search iteration (gradient
-// pass, top-k selection, candidate trials) stays off the allocator.
+// the reused Searcher on both iteration paths: once warm, an iteration
+// that commits a flip (gradient pass, selection, trials, loss and
+// accuracy rerun from the flipped layer) and one that follows a denial
+// (selection, memoised trials, one new trial, reused loss and accuracy)
+// stay off the allocator.
 func TestSearchIterationSteadyStateAllocs(t *testing.T) {
-	qm, ab, _ := trainedVictim(t)
-	cfg := DefaultBFAConfig()
-	cfg.CandidatesPerIter = 3
-	s, err := NewSearcher(qm, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	origBudget := par.Budget()
 	defer par.SetBudget(origBudget)
 	par.SetBudget(1) // serial: goroutine spawns would count as allocs
-	s.step(ab)       // warm the scratch
-	allocs := testing.AllocsPerRun(5, func() { s.step(ab) })
-	if allocs > 2 {
-		t.Fatalf("steady-state search iteration allocates %.1f objects/op, want <= 2", allocs)
+	for _, path := range searchPaths {
+		t.Run(path.name, func(t *testing.T) {
+			qm, ab, eval := trainedVictim(t)
+			exec := path.exec(qm)
+			s, res := newSearchIter(t, qm, ab, eval, exec, 6)
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, _, err := s.iterate(exec, res); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0 {
+				t.Fatalf("steady-state %s iteration allocates %.1f objects/op, want 0", path.name, allocs)
+			}
+		})
 	}
 }

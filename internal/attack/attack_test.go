@@ -226,7 +226,7 @@ func buildStack(t *testing.T, qm *quant.Model, protect bool, leak float64) (*cor
 
 func TestDRAMExecutorFlipsThroughHammering(t *testing.T) {
 	qm, _, _ := trainedVictim(t)
-	_, _, exec := buildStack(t, qm, false, 0)
+	sys, _, exec := buildStack(t, qm, false, 0)
 	pi, li := qm.Locate(3)
 	before := qm.Params[pi].Get(li)
 	out, err := exec.TryFlip(3, 7)
@@ -240,14 +240,14 @@ func TestDRAMExecutorFlipsThroughHammering(t *testing.T) {
 	if after == before {
 		t.Fatal("weight unchanged after hammering flip")
 	}
-	if exec.Activations == 0 {
+	if sys.Hammer().History().TotalActivations == 0 {
 		t.Fatal("no activations recorded")
 	}
 }
 
 func TestDRAMExecutorDeniedUnderProtection(t *testing.T) {
 	qm, _, _ := trainedVictim(t)
-	_, _, exec := buildStack(t, qm, true, 0)
+	sys, _, exec := buildStack(t, qm, true, 0)
 	snap := qm.Snapshot()
 	for w := 0; w < 5; w++ {
 		out, err := exec.TryFlip(w*3, 7)
@@ -261,23 +261,28 @@ func TestDRAMExecutorDeniedUnderProtection(t *testing.T) {
 	if qm.HammingDistance(snap) != 0 {
 		t.Fatal("weights changed despite full denial")
 	}
-	if exec.DeniedActs == 0 {
+	if sys.Controller().Stats().Denied == 0 {
 		t.Fatal("denials not recorded")
 	}
 }
 
 func TestDRAMExecutorLeakLandsFlips(t *testing.T) {
 	qm, _, _ := trainedVictim(t)
-	_, _, exec := buildStack(t, qm, true, 1.0) // always leak
+	sys, _, exec := buildStack(t, qm, true, 1.0) // always leak
+	pi, li := qm.Locate(2)
+	before := qm.Params[pi].Get(li)
 	out, err := exec.TryFlip(2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Succeeded {
+	if !out.Succeeded || out.Denied {
 		t.Fatalf("leak=1 must land the flip: %+v", out)
 	}
-	if exec.LeakedFlips != 1 {
-		t.Fatalf("leaked = %d", exec.LeakedFlips)
+	if sys.Controller().Stats().Denied == 0 {
+		t.Fatal("the hammering was not denied, so the flip did not come from the leak")
+	}
+	if got, want := qm.Params[pi].Get(li), quant.FlipBit(before, 7); got != want {
+		t.Fatalf("weight after the leaked flip = %d, want %d (bit 7 of %d flipped)", got, want, before)
 	}
 }
 

@@ -9,11 +9,12 @@
 // model directly.
 //
 // The BFA hot path is built around Searcher, which owns every piece of
-// per-iteration scratch (bounded top-k selectors, the merged candidate
-// slice, the tried-bit set) so steady-state search iterations allocate
-// nothing and candidate scoring parallelises under the internal/par
-// worker budget with bit-identical selections at any budget. See the
-// Searcher type for the reuse contract.
+// per-iteration scratch (bounded top-k selectors, the kept candidate
+// ranking, the tried-bit set, the cached layer inputs) so steady-state
+// search iterations allocate nothing and candidate scoring parallelises
+// under the internal/par worker budget with bit-identical selections at
+// any budget. See the Searcher type for what an iteration reuses and
+// for the reuse contract.
 package attack
 
 import (
@@ -146,12 +147,15 @@ func BFA(qm *quant.Model, attackBatch nn.Batch, eval nn.BatchSource, exec FlipEx
 
 // RandomAttack flips one uniformly random bit per iteration through the
 // executor — the Fig. 1(a) baseline showing targeted flips are what makes
-// BFA dangerous.
+// BFA dangerous. Accuracy after each flip reruns only from the first
+// layer the flip changed.
 func RandomAttack(qm *quant.Model, eval nn.BatchSource, exec FlipExecutor, iterations int, seed uint64) (Result, error) {
 	if iterations <= 0 {
 		return Result{}, fmt.Errorf("attack: iterations must be positive, got %d", iterations)
 	}
 	rng := stats.NewRNG(seed)
+	ev := newEvaluator(qm)
+	ev.bind(nn.Batch{}, eval)
 	var res Result
 	for iter := 0; iter < iterations; iter++ {
 		gw := rng.Intn(qm.TotalWeights())
@@ -166,11 +170,13 @@ func RandomAttack(qm *quant.Model, eval nn.BatchSource, exec FlipExecutor, itera
 		if out.Denied {
 			res.TotalDenied++
 		}
-		rec := IterationRecord{Iteration: iter + 1, Flips: res.TotalFlips, Denied: res.TotalDenied}
-		if eval != nil {
-			rec.Accuracy = nn.Evaluate(qm.Net, eval, 64)
-		}
-		res.Records = append(res.Records, rec)
+		ev.sync()
+		res.Records = append(res.Records, IterationRecord{
+			Iteration: iter + 1,
+			Flips:     res.TotalFlips,
+			Denied:    res.TotalDenied,
+			Accuracy:  ev.accuracy(),
+		})
 	}
 	return res, nil
 }

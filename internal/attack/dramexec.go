@@ -32,11 +32,6 @@ type DRAMExecutor struct {
 	// Zero models an ideal, error-free DRAM-Locker.
 	Leak float64
 	RNG  *stats.RNG
-
-	// Stats
-	Activations int64
-	DeniedActs  int64
-	LeakedFlips int64
 }
 
 // NewDRAMExecutor wires an executor over the full substrate.
@@ -94,11 +89,9 @@ func (e *DRAMExecutor) TryFlip(globalW, k int) (FlipOutcome, error) {
 				return FlipOutcome{}, err
 			}
 			if !activated {
-				e.DeniedActs++
 				denied = true
 				break
 			}
-			e.Activations++
 		}
 		if denied {
 			continue
@@ -127,7 +120,6 @@ func (e *DRAMExecutor) TryFlip(globalW, k int) (FlipOutcome, error) {
 			if _, err := e.Layout.SyncFromDRAM(); err != nil {
 				return FlipOutcome{}, err
 			}
-			e.LeakedFlips++
 			return FlipOutcome{Succeeded: true, Denied: false}, nil
 		}
 		return FlipOutcome{Denied: true}, nil

@@ -50,10 +50,6 @@ type PTA struct {
 	ctl    *controller.Controller
 	engine *rowhammer.Engine
 	rng    *stats.RNG
-
-	// Stats
-	Redirects int64
-	Denied    int64
 }
 
 // NewPTA wires the attack over the substrate.
@@ -68,12 +64,16 @@ func NewPTA(table *pagetable.Table, layout *memmap.Layout, ctl *controller.Contr
 }
 
 // Run executes the attack, evaluating victim accuracy after each round.
+// A denied round leaves the weights unchanged and reuses the previous
+// accuracy; a landed one reruns from the first layer it overwrote.
 func (p *PTA) Run(eval nn.BatchSource) (Result, error) {
 	var res Result
 	targets := p.layout.WeightRows()
 	if len(targets) == 0 {
 		return res, fmt.Errorf("attack: no weight rows to target")
 	}
+	ev := newEvaluator(p.layout.QM)
+	ev.bind(nn.Batch{}, eval)
 	geom := p.ctl.Device().Geometry()
 	for iter := 0; iter < p.cfg.Iterations; iter++ {
 		target := targets[iter%len(targets)]
@@ -83,17 +83,17 @@ func (p *PTA) Run(eval nn.BatchSource) (Result, error) {
 		}
 		if ok {
 			res.TotalFlips++
-			p.Redirects++
 		}
 		if denied {
 			res.TotalDenied++
-			p.Denied++
 		}
-		rec := IterationRecord{Iteration: iter + 1, Flips: res.TotalFlips, Denied: res.TotalDenied}
-		if eval != nil {
-			rec.Accuracy = nn.Evaluate(p.layout.QM.Net, eval, 64)
-		}
-		res.Records = append(res.Records, rec)
+		ev.sync()
+		res.Records = append(res.Records, IterationRecord{
+			Iteration: iter + 1,
+			Flips:     res.TotalFlips,
+			Denied:    res.TotalDenied,
+			Accuracy:  ev.accuracy(),
+		})
 	}
 	return res, nil
 }

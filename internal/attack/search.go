@@ -86,6 +86,20 @@ func (h *topK) push(c Candidate) {
 // Searcher runs the progressive bit search with all scratch state held
 // for reuse, so steady-state iterations are allocation-free.
 //
+// Each iteration recomputes only what the last attempt changed. The
+// Searcher's evaluator keeps the attack batch's and the eval set's
+// inputs to every layer where a quantizable parameter starts, so a
+// trial flip reruns the forward from the flipped weight's layer only.
+// After each executor call the evaluator compares every weight and
+// BatchNorm statistic with its copy from the previous call: the
+// iteration's loss and accuracy rerun from the first layer that
+// differs. When nothing differs (a denied flip), the previous loss and
+// accuracy, the gradients the last gradient pass left in Param.Grad,
+// the candidate ranking of the last scan and the trial losses of the
+// candidates still in the top k are reused, so such an iteration costs
+// one new trial forward. Every reuse is exact: records match full
+// forwards bit for bit.
+//
 // Reuse contract: a Searcher is bound to one quantized model and one
 // configuration. Run may be called any number of times (each call starts
 // a fresh attack and clears the tried-bit set), but the Searcher must
@@ -95,6 +109,7 @@ func (h *topK) push(c Candidate) {
 type Searcher struct {
 	qm  *quant.Model
 	cfg BFAConfig
+	ev  *evaluator
 
 	// tried records (globalW, bit) pairs already committed or denied so
 	// the search never proposes the same flip twice.
@@ -103,8 +118,25 @@ type Searcher struct {
 	// heaps[w] is scoring worker w's bounded selector; heaps[0] belongs
 	// to the calling goroutine and is the only one used serially.
 	heaps []topK
-	// sel is the merged selection, reused every iteration.
-	sel []Candidate
+	// sel is the ranking of the last scan, minus what was tried since.
+	// ranked says it ranks under the current gradients; rankedAll that
+	// the scan kept every candidate it found.
+	sel               []Candidate
+	ranked, rankedAll bool
+	// stale says the model changed since the last step, so the
+	// gradients in Param.Grad and the memoised trial losses are out of
+	// date.
+	stale bool
+	// trials holds the last step's candidates with their trial losses;
+	// next is the step's scratch for the following set. Both hold at
+	// most CandidatesPerIter.
+	trials, next []trial
+}
+
+// trial is one candidate's trial-flip loss on the attack batch.
+type trial struct {
+	c    Candidate
+	loss float64
 }
 
 // NewSearcher validates the configuration and builds a Searcher over the
@@ -114,16 +146,20 @@ func NewSearcher(qm *quant.Model, cfg BFAConfig) (*Searcher, error) {
 		return nil, err
 	}
 	return &Searcher{
-		qm:    qm,
-		cfg:   cfg,
-		tried: make(map[[2]int]bool, cfg.Iterations),
-		sel:   make([]Candidate, 0, cfg.CandidatesPerIter),
+		qm:     qm,
+		cfg:    cfg,
+		ev:     newEvaluator(qm),
+		tried:  make(map[[2]int]bool, cfg.Iterations),
+		sel:    make([]Candidate, 0, cfg.CandidatesPerIter+rankReserve),
+		trials: make([]trial, 0, cfg.CandidatesPerIter),
+		next:   make([]trial, 0, cfg.CandidatesPerIter),
 	}, nil
 }
 
 // reset clears per-attack state, keeping scratch capacity.
 func (s *Searcher) reset() {
 	clear(s.tried)
+	s.stale = true
 }
 
 // offer funnels one scored (weight, bit) into a worker's selector. The
@@ -175,15 +211,41 @@ func (s *Searcher) scoreRange(glo, ghi int, h *topK) {
 	}
 }
 
-// selectTopK scans the gradient-scored attack surface and returns the
-// top CandidatesPerIter untried candidates, best first. The scan fans
-// out over the weight range under the par token budget; each worker
-// keeps its own bounded selector and the merge re-ranks the union under
-// the same total order, so the result is bit-identical at any
-// parallelism. The returned slice is Searcher-owned scratch, valid until
-// the next call.
+// rankReserve is how many candidates past the top k a scan keeps. While
+// the model is unchanged, an attempt only adds its candidate to the
+// tried set, so the next top k is the kept ranking minus what was tried
+// since: up to rankReserve denials in a row reuse one scan.
+const rankReserve = 32
+
+// selectTopK returns the top CandidatesPerIter untried candidates, best
+// first. It answers from the ranking the last scan kept, dropping what
+// was tried since, unless the model changed since that scan or fewer
+// than CandidatesPerIter kept candidates remain while the scan left some
+// out; then it scans again. The returned slice is Searcher-owned
+// scratch, valid until the next call.
 func (s *Searcher) selectTopK() []Candidate {
 	k := s.cfg.CandidatesPerIter
+	if s.ranked {
+		kept := s.sel[:0]
+		for _, c := range s.sel {
+			if !s.tried[[2]int{c.GlobalW, c.Bit}] {
+				kept = append(kept, c)
+			}
+		}
+		s.sel = kept
+	}
+	if !s.ranked || (len(s.sel) < k && !s.rankedAll) {
+		s.rank(k + rankReserve)
+	}
+	return s.sel[:min(k, len(s.sel))]
+}
+
+// rank scans the gradient-scored attack surface and keeps its top n
+// untried candidates in s.sel, best first. The scan fans out over the
+// weight range under the par token budget; each worker keeps its own
+// bounded selector and the merge re-ranks the union under the same
+// total order, so the result is bit-identical at any parallelism.
+func (s *Searcher) rank(n int) {
 	total := s.qm.TotalWeights()
 	workers := 1
 	if maxW := total / searchMinChunk; maxW > 1 {
@@ -198,13 +260,14 @@ func (s *Searcher) selectTopK() []Candidate {
 		s.heaps = append(s.heaps, topK{})
 	}
 	if workers == 1 {
-		s.heaps[0].reset(k)
+		s.heaps[0].reset(n)
 		s.scoreRange(0, total, &s.heaps[0])
 	} else {
-		s.scoreParallel(total, workers, k)
+		s.scoreParallel(total, workers, n)
 	}
-	// Merge: the union of per-worker keeps is at most workers*k
-	// candidates; insertion-sort it under the total order and keep k.
+	// Merge: the union of per-worker keeps is at most workers*n
+	// candidates; insertion-sort it under the total order and keep n.
+	// A union of fewer than n holds every untried candidate.
 	s.sel = s.sel[:0]
 	for w := 0; w < workers; w++ {
 		for _, c := range s.heaps[w].items {
@@ -220,10 +283,10 @@ func (s *Searcher) selectTopK() []Candidate {
 		}
 		s.sel[j+1] = c
 	}
-	if len(s.sel) > k {
-		s.sel = s.sel[:k]
+	s.ranked, s.rankedAll = true, len(s.sel) < n
+	if len(s.sel) > n {
+		s.sel = s.sel[:n]
 	}
-	return s.sel
 }
 
 // scoreParallel fans the scoring scan out over workers contiguous chunks
@@ -256,31 +319,51 @@ func (s *Searcher) scoreParallel(total, workers, k int) {
 	s.scoreRange(0, chunk, &s.heaps[0])
 }
 
-// step runs one search iteration: a gradient pass on the attacker's
-// batch, top-k candidate selection, and a real-forward-pass trial of
-// each candidate. It returns the candidate whose trial flip raised the
-// batch loss most, or ok=false when the surface is exhausted. The model
-// is left unmodified — committing the flip is the caller's call to make
-// through a FlipExecutor.
-func (s *Searcher) step(batch nn.Batch) (Candidate, bool) {
-	nn.GradientPass(s.qm.Net, batch)
+// step runs one search step: a gradient pass on the attack batch, top-k
+// candidate selection, and a trial forward of each candidate. It returns
+// the candidate whose trial flip raised the batch loss most, or ok=false
+// when the surface is exhausted. The model is left unmodified —
+// committing the flip is the caller's call to make through a
+// FlipExecutor. Unless the model changed since the last step, the
+// gradients in Param.Grad, the ranking of the last scan and the trial
+// losses of candidates that were already in the last top k are reused.
+func (s *Searcher) step() (Candidate, bool) {
+	if s.stale {
+		nn.GradientPass(s.qm.Net, s.ev.attack.Batch)
+		s.trials = s.trials[:0]
+		s.stale, s.ranked = false, false
+	}
 	cands := s.selectTopK()
 	if len(cands) == 0 {
 		return Candidate{}, false
 	}
 	best := -1
 	bestLoss := -1.0
-	for i := range cands {
-		c := cands[i]
-		s.qm.FlipGlobal(c.GlobalW, c.Bit)
-		loss := nn.BatchLoss(s.qm.Net, batch)
-		s.qm.FlipGlobal(c.GlobalW, c.Bit) // undo the trial flip
+	s.next = s.next[:0]
+	for i, c := range cands {
+		loss, ok := s.memoised(c)
+		if !ok {
+			loss = s.ev.trialLoss(c.GlobalW, c.Bit)
+		}
+		s.next = append(s.next, trial{c: c, loss: loss})
 		if loss > bestLoss {
 			bestLoss = loss
 			best = i
 		}
 	}
+	s.trials, s.next = s.next, s.trials
 	return cands[best], true
+}
+
+// memoised returns the trial loss of c from the last step, if it was a
+// candidate there.
+func (s *Searcher) memoised(c Candidate) (float64, bool) {
+	for _, t := range s.trials {
+		if t.c.GlobalW == c.GlobalW && t.c.Bit == c.Bit {
+			return t.loss, true
+		}
+	}
+	return 0, false
 }
 
 // Run executes the progressive bit search against the model, committing
@@ -294,6 +377,7 @@ func (s *Searcher) Run(attackBatch nn.Batch, eval nn.BatchSource, exec FlipExecu
 // record done accepts (done may be nil).
 func (s *Searcher) run(attackBatch nn.Batch, eval nn.BatchSource, exec FlipExecutor, done func(IterationRecord) bool) (Result, error) {
 	s.reset()
+	s.ev.bind(attackBatch, eval)
 	res := Result{Records: make([]IterationRecord, 0, s.cfg.Iterations)}
 	for iter := 0; iter < s.cfg.Iterations; iter++ {
 		if s.cfg.Stop != nil {
@@ -301,29 +385,12 @@ func (s *Searcher) run(attackBatch nn.Batch, eval nn.BatchSource, exec FlipExecu
 				return res, err
 			}
 		}
-		chosen, ok := s.step(attackBatch)
-		if !ok {
-			break
-		}
-		s.tried[[2]int{chosen.GlobalW, chosen.Bit}] = true
-		out, err := exec.TryFlip(chosen.GlobalW, chosen.Bit)
+		rec, ok, err := s.iterate(exec, &res)
 		if err != nil {
 			return res, err
 		}
-		if out.Succeeded {
-			res.TotalFlips++
-		}
-		if out.Denied {
-			res.TotalDenied++
-		}
-		rec := IterationRecord{
-			Iteration: iter + 1,
-			Flips:     res.TotalFlips,
-			Denied:    res.TotalDenied,
-			Loss:      nn.BatchLoss(s.qm.Net, attackBatch),
-		}
-		if eval != nil {
-			rec.Accuracy = nn.Evaluate(s.qm.Net, eval, 64)
+		if !ok {
+			break
 		}
 		res.Records = append(res.Records, rec)
 		if done != nil && done(rec) {
@@ -336,4 +403,34 @@ func (s *Searcher) run(attackBatch nn.Batch, eval nn.BatchSource, exec FlipExecu
 		res.Records = nil
 	}
 	return res, nil
+}
+
+// iterate runs the next iteration of the attack res traces: a search
+// step, the chosen flip committed through exec, and the record of the
+// loss and accuracy after it, which the caller appends to res. ok is
+// false when the attack surface is exhausted.
+func (s *Searcher) iterate(exec FlipExecutor, res *Result) (rec IterationRecord, ok bool, err error) {
+	chosen, ok := s.step()
+	if !ok {
+		return rec, false, nil
+	}
+	s.tried[[2]int{chosen.GlobalW, chosen.Bit}] = true
+	out, err := exec.TryFlip(chosen.GlobalW, chosen.Bit)
+	if err != nil {
+		return rec, false, err
+	}
+	if out.Succeeded {
+		res.TotalFlips++
+	}
+	if out.Denied {
+		res.TotalDenied++
+	}
+	s.stale = s.ev.sync()
+	return IterationRecord{
+		Iteration: len(res.Records) + 1,
+		Flips:     res.TotalFlips,
+		Denied:    res.TotalDenied,
+		Loss:      s.ev.loss(),
+		Accuracy:  s.ev.accuracy(),
+	}, true, nil
 }

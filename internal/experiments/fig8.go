@@ -141,9 +141,9 @@ func Fig8PTA(ctx context.Context, p Preset) (*Fig8PTAResult, error) {
 		sys := sysb.Sys
 		geom := sys.Device().Geometry()
 
-		// Page-table rows live in bank 0 at even rows not used by weights;
-		// give the table enough rows for one PTE per weight page plus the
-		// attacker's page.
+		// Page-table rows live in the last bank at even rows not used by
+		// weights; give the table enough rows for one PTE per weight page
+		// plus the attacker's page.
 		pages := len(sysb.Layout.WeightRows()) + 8
 		per := geom.RowBytes / pagetable.PTESize
 		need := (pages + per - 1) / per

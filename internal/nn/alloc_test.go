@@ -44,9 +44,9 @@ func TestTrainStepDoesNotAllocate(t *testing.T) {
 }
 
 // TestInferenceDoesNotAllocate asserts the zero-alloc forward that the
-// bit-flip attack runs thousands of times per search (BatchLoss on every
-// trial flip): after one warm-up pass, inference on ResNet-20 and VGG-11
-// stays off the allocator at a worker budget of 1.
+// bit-flip attack runs thousands of times per search (forward and loss
+// on every trial flip): after one warm-up pass, inference on ResNet-20
+// and VGG-11 stays off the allocator at a worker budget of 1.
 func TestInferenceDoesNotAllocate(t *testing.T) {
 	old := par.Budget()
 	par.SetBudget(1)
@@ -60,9 +60,10 @@ func TestInferenceDoesNotAllocate(t *testing.T) {
 		{"VGG-11", NewVGG11(4, 0.25, 25)},
 	} {
 		b := newSyntheticSource(8, 4, 16, 36).Slice(0, 8)
-		BatchLoss(tc.m, b) // warm up buffers and scratch
-		if allocs := testing.AllocsPerRun(5, func() { BatchLoss(tc.m, b) }); allocs > 0 {
-			t.Errorf("%s: BatchLoss allocates %.1f objects/op, want 0", tc.name, allocs)
+		loss := func() { SoftmaxLoss(tc.m.Forward(b.X, false), b.Y) }
+		loss() // warm up buffers and scratch
+		if allocs := testing.AllocsPerRun(5, loss); allocs > 0 {
+			t.Errorf("%s: inference allocates %.1f objects/op, want 0", tc.name, allocs)
 		}
 	}
 }

@@ -92,11 +92,11 @@ func BenchmarkInferenceResNet20(b *testing.B) {
 	serialBudget(b)
 	m := NewResNet20(10, 0.25, 7)
 	batch := benchBatch(32, 10, 16)
-	BatchLoss(m, batch) // warm buffers
+	SoftmaxLoss(m.Forward(batch.X, false), batch.Y) // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BatchLoss(m, batch)
+		SoftmaxLoss(m.Forward(batch.X, false), batch.Y)
 	}
 }
 

@@ -127,7 +127,8 @@ func TestEvaluateBitIdenticalAcrossBudgets(t *testing.T) {
 		old := par.Budget()
 		par.SetBudget(budget)
 		defer par.SetBudget(old)
-		return Evaluate(m, src, 8), BatchLoss(m, src.Slice(0, 16))
+		b := src.Slice(0, 16)
+		return Evaluate(m, src, 8), SoftmaxLoss(m.Forward(b.X, false), b.Y)
 	}
 	acc1, loss1 := run(1)
 	acc8, loss8 := run(8)

@@ -91,8 +91,20 @@ func (m *Model) BatchNorms() []*BatchNorm2D {
 
 // Forward runs the full network.
 func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range m.Layers {
-		x = l.Forward(x, train)
+	return m.ForwardFrom(0, x, train, nil)
+}
+
+// ForwardFrom runs layers [i, end) on x, the input of layer i, and
+// returns the network's output. A non-nil keep holds one slot per
+// layer: before each later layer l whose slot is non-nil runs, its
+// input is copied into keep[l] (resized to fit), so a later call can
+// restart at l with every layer before it unchanged.
+func (m *Model) ForwardFrom(i int, x *tensor.Tensor, train bool, keep []*tensor.Tensor) *tensor.Tensor {
+	for l := i; l < len(m.Layers); l++ {
+		if l > i && keep != nil && keep[l] != nil {
+			copy(tensor.Ensure(keep[l], x.Shape...).Data, x.Data)
+		}
+		x = m.Layers[l].Forward(x, train)
 	}
 	return x
 }

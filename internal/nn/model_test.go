@@ -19,6 +19,45 @@ func TestResNet20Shapes(t *testing.T) {
 	}
 }
 
+// TestForwardFromMatchesForward: a forward restarted at any layer from
+// the input ForwardFrom kept for it gives the full forward's logits bit
+// for bit, and the kept inputs are left as they were.
+func TestForwardFromMatchesForward(t *testing.T) {
+	for _, m := range []*Model{NewResNet20(10, 0.25, 1), NewVGG11(10, 0.25, 2)} {
+		rng := stats.NewRNG(3)
+		x := tensor.New(4, 3, 16, 16)
+		x.RandNormal(rng, 1)
+		keep := make([]*tensor.Tensor, len(m.Layers))
+		for l := 1; l < len(keep); l++ {
+			keep[l] = new(tensor.Tensor)
+		}
+		want := m.ForwardFrom(0, x, false, keep).Clone()
+		kept := make([]*tensor.Tensor, len(keep))
+		for l := 1; l < len(keep); l++ {
+			kept[l] = keep[l].Clone()
+		}
+		for l := len(m.Layers) - 1; l >= 0; l-- {
+			in := x
+			if l > 0 {
+				in = keep[l]
+			}
+			got := m.ForwardFrom(l, in, false, nil)
+			for i, v := range got.Data {
+				if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%s: restart at layer %d: logit %d = %v, full forward %v", m.Name(), l, i, v, want.Data[i])
+				}
+			}
+		}
+		for l := 1; l < len(keep); l++ {
+			for i, v := range keep[l].Data {
+				if math.Float32bits(v) != math.Float32bits(kept[l].Data[i]) {
+					t.Fatalf("%s: kept input of layer %d changed at %d", m.Name(), l, i)
+				}
+			}
+		}
+	}
+}
+
 func TestResNet20ParamCountScalesWithWidth(t *testing.T) {
 	small := NewResNet20(10, 0.25, 1).NumParams()
 	big := NewResNet20(10, 0.5, 1).NumParams()

@@ -364,14 +364,6 @@ func Evaluate(m *Model, data BatchSource, batchSize int) float64 {
 	return float64(correct) / float64(n)
 }
 
-// BatchLoss computes the mean cross-entropy of the model on one batch in
-// inference mode (used by the attack's candidate evaluation). It does
-// not materialise the loss gradient and does not allocate.
-func BatchLoss(m *Model, b Batch) float64 {
-	logits := m.Forward(b.X, false)
-	return SoftmaxLoss(logits, b.Y)
-}
-
 // GradientPass runs one forward+backward over the batch and leaves dL/dW
 // in the parameter gradients. BatchNorm running statistics are frozen for
 // the duration so that probing the model does not perturb its inference

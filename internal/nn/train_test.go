@@ -184,14 +184,17 @@ func TestPiecewiseClusteringRegPullsTowardMeans(t *testing.T) {
 	}
 }
 
-func TestBatchLossMatchesManual(t *testing.T) {
+// TestSoftmaxLossMatchesCrossEntropy: the gradient-free loss the attack
+// loops evaluate equals the loss the training path computes with its
+// gradient.
+func TestSoftmaxLossMatchesCrossEntropy(t *testing.T) {
 	src := newToySource(8, 3)
 	m := NewResNet20(2, 0.25, 5)
 	b := src.Slice(0, 8)
-	loss := BatchLoss(m, b)
 	logits := m.Forward(b.X, false)
+	loss := SoftmaxLoss(logits, b.Y)
 	want := SoftmaxCrossEntropyInto(tensor.New(logits.Shape...), logits, b.Y)
 	if math.Abs(loss-want) > 1e-9 {
-		t.Fatalf("BatchLoss %g, want %g", loss, want)
+		t.Fatalf("SoftmaxLoss %g, want %g", loss, want)
 	}
 }

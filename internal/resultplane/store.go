@@ -164,7 +164,12 @@ func (s *Store) load(path string) {
 		if pl.Key == "" || len(pl.Data) == 0 {
 			return errUnusableLine
 		}
-		data := append([]byte(nil), pl.Data...)
+		// Hold the data as a rewrite encodes it (compact, HTML-escaped),
+		// so compacting the file never changes a reloaded entry.
+		data, err := json.Marshal(pl.Data)
+		if err != nil {
+			return err
+		}
 		// Reloaded entries start their idle clock now — mtimes are not
 		// persisted, and nuking the whole store at boot would be worse
 		// than letting survivors age out over the next TTL window.
