@@ -43,10 +43,11 @@ bench-check:
 # unchanged. FuzzDecodeError covers the network error decoder every
 # remote and plane client failure goes through: never panics, typed
 # exactly when the body holds a coded api.Error, and WriteError's
-# output decodes back unchanged. FuzzFetch covers the result-plane
-# client's entry decode: never panics, a hit only for a 200 entry with
-# the client's version, the requested key and no error, a typed
-# not_found a clean miss, any other refusal an error. FuzzAssemble
+# output fits the bound DecodeError reads and decodes back unchanged
+# (a message over 512 bytes cut to a prefix). FuzzFetch covers the
+# result-plane client's entry decode: never panics, a hit only for a
+# 200 entry with the client's version, the requested key and no error,
+# a typed not_found a clean miss, any other refusal an error. FuzzAssemble
 # covers internal/isa's assembler behind dlasm: never panics, and an
 # accepted program re-assembles from its disassembly and survives
 # encode/decode unchanged. FuzzParse covers internal/trace's text
@@ -60,7 +61,17 @@ bench-check:
 # FuzzPlaneOpen covers the result-plane store's reload of plane.jsonl:
 # never panics, every loaded entry has a key and data, the metrics
 # agree with the entries, and a rewritten store reopens to the same
-# entries; its executions fsync too.
+# entries; its executions fsync too. FuzzBrokerRequest sends one body to
+# one of the broker's POST routes, each decoded by internal/remote's
+# readJSON, through a fresh in-memory broker with a worker, a job and a
+# lease: never panics, a 200 body is valid JSON, and any other reply
+# decodes to a typed api.Error. Each of its executions builds a broker
+# and may wait out a 5 ms long poll, so minimizing one input at the
+# default 60 s can take the whole run: it gets 1 s. FuzzLoadPlan covers
+# internal/faultinject's LoadPlan: never panics, an accepted plan
+# re-marshals and reloads equal, and its Injector evaluates a fixed
+# set of fault points without panicking; its executions write a file,
+# so it minimizes for 1 s too.
 fuzz-smoke:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
 	$(GO) test ./internal/remote/ -run '^$$' -fuzz '^FuzzDecodeError$$' -fuzztime 10s
@@ -69,6 +80,8 @@ fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 	$(GO) test ./internal/queue/ -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/resultplane/ -run '^$$' -fuzz '^FuzzPlaneOpen$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/remote/ -run '^$$' -fuzz '^FuzzBrokerRequest$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/faultinject/ -run '^$$' -fuzz '^FuzzLoadPlan$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Loopback end-to-end gate for the remote executors: boots dramlockerd
 # on 127.0.0.1 in both topologies — push worker (-remote) and job-queue

@@ -42,16 +42,10 @@ func (s JobSubmit) Validate() error {
 	return nil
 }
 
-// SubmitReply acknowledges a JobSubmit with the broker-assigned job id.
-type SubmitReply struct {
-	Proto string `json:"proto"`
-	ID    string `json:"id"`
-}
-
-// JobSubmitBatch submits several jobs in one request, cutting the
-// per-task round-trips of a sharded run to one POST per submission
-// wave. Jobs are admitted independently: each gets its own SubmitItem,
-// so one tenant hitting its queue-depth limit fails only its own jobs.
+// JobSubmitBatch submits one or more jobs in one request, the broker's
+// only submission message: a sharded run's submission wave is one POST.
+// Jobs are admitted independently: each gets its own SubmitItem, so one
+// tenant hitting its queue-depth limit fails only its own jobs.
 type JobSubmitBatch struct {
 	// Proto must equal Version (each enclosed JobSubmit echoes it too).
 	Proto string      `json:"proto"`

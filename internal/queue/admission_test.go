@@ -27,7 +27,7 @@ func TestAdmissionQueueDepthLimit(t *testing.T) {
 	b := newBroker(t, Config{MaxQueued: 2}, clk)
 
 	submit(t, b, "", 0, spec("a", 0), spec("a", 1))
-	_, err := b.Submit(api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec("b", 0)}})
+	_, err := submitOne(b, api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec("b", 0)}})
 	wantQueueFull(t, err)
 	if got := b.Metrics().Rejected; got != 1 {
 		t.Fatalf("Rejected = %d, want 1", got)
@@ -47,7 +47,7 @@ func TestAdmissionQueueDepthLimit(t *testing.T) {
 		t.Fatalf("pending after requeue = %d, want 4", st.Pending)
 	}
 	// But new submissions see the full queue.
-	_, err = b.Submit(api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec("d", 0)}})
+	_, err = submitOne(b, api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec("d", 0)}})
 	wantQueueFull(t, err)
 }
 
@@ -60,11 +60,11 @@ func TestAdmissionPerTenantOverride(t *testing.T) {
 	}, newClock())
 
 	submit(t, b, "", 0, spec("a", 0))
-	_, err := b.Submit(api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec("a", 1)}})
+	_, err := submitOne(b, api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec("a", 1)}})
 	wantQueueFull(t, err)
 
 	submit(t, b, "bulk", 0, spec("b", 0), spec("b", 1), spec("b", 2))
-	_, err = b.Submit(api.JobSubmit{Proto: api.Version, Tenant: "bulk", Tasks: []api.TaskSpec{spec("b", 3)}})
+	_, err = submitOne(b, api.JobSubmit{Proto: api.Version, Tenant: "bulk", Tasks: []api.TaskSpec{spec("b", 3)}})
 	wantQueueFull(t, err)
 
 	for i := 0; i < 5; i++ {

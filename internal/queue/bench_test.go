@@ -30,7 +30,7 @@ func BenchmarkBrokerSubmitDone(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		job := fmt.Sprintf("bench-%d", i)
-		sub, err := br.Submit(api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{
+		_, err := submitOne(br, api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{
 			{Proto: api.Version, Job: job, Shard: 0, Seed: 7, Key: job + "@hash"},
 		}})
 		if err != nil {
@@ -51,7 +51,6 @@ func BenchmarkBrokerSubmitDone(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = sub
 		clk.advance(2 * time.Millisecond)
 	}
 }
@@ -87,7 +86,7 @@ func BenchmarkJournalReplicateAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		job := fmt.Sprintf("bench-%d", i)
-		if _, err := p.Submit(api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{
+		if _, err := submitOne(p, api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{
 			{Proto: api.Version, Job: job, Shard: 0, Seed: 7, Key: job + "@hash"},
 		}}); err != nil {
 			b.Fatal(err)

@@ -401,25 +401,6 @@ func (b *Broker) tenantFor(name string) *tenantQ {
 	return tq
 }
 
-// Submit enqueues a job and returns its id. Admission control may
-// reject it with queue_full (retryable); journaled brokers fsync the
-// submission before replying, so an acknowledged job survives a crash.
-// On a cache-aware broker, tasks the result plane already holds are
-// completed at submit and never queue.
-func (b *Broker) Submit(s api.JobSubmit) (api.SubmitReply, error) {
-	if err := s.Validate(); err != nil {
-		return api.SubmitReply{}, err
-	}
-	items, err := b.submitWave([]api.JobSubmit{s})
-	if err != nil {
-		return api.SubmitReply{}, err
-	}
-	if items[0].Err != nil {
-		return api.SubmitReply{}, items[0].Err
-	}
-	return api.SubmitReply{Proto: api.Version, ID: items[0].ID}, nil
-}
-
 // prefetchPlane consults the result plane for every cache-keyed task of
 // a validated submission. It runs outside b.mu — lookups block on the
 // network — and any failure (or an error-carrying entry) is a miss.
@@ -457,11 +438,13 @@ func planeResult(spec api.TaskSpec, cr api.CachedResult) api.TaskResult {
 	}
 }
 
-// SubmitBatch enqueues several jobs in one call with per-job outcomes:
-// admission control rejects jobs individually, so one full tenant fails
-// only its own submissions, and a single fsync covers the whole batch —
-// the round-trip (and durability) cost of a sharded run's submission
-// wave is O(1), not O(tasks).
+// SubmitBatch enqueues jobs with per-job outcomes: an id, or the job's
+// own refusal (admission control's retryable queue_full fails only the
+// full tenant's jobs). Journaled brokers fsync the batch once before
+// replying, so an acknowledged job survives a crash and a sharded run's
+// submission wave costs O(1) round-trips and fsyncs, not O(tasks). On a
+// cache-aware broker, tasks the result plane already holds are
+// completed at submit and never queue.
 func (b *Broker) SubmitBatch(bt api.JobSubmitBatch) (api.SubmitBatchReply, error) {
 	if err := bt.Validate(); err != nil {
 		return api.SubmitBatchReply{}, err

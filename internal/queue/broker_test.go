@@ -29,13 +29,26 @@ func spec(job string, shard int) api.TaskSpec {
 	return api.TaskSpec{Proto: api.Version, Job: job, Shard: shard, Seed: 7, Key: job + "@hash"}
 }
 
+// submitOne submits s as a one-job batch, the broker's one submission
+// route, and returns the job's id or its own refusal.
+func submitOne(b *Broker, s api.JobSubmit) (string, error) {
+	rep, err := b.SubmitBatch(api.JobSubmitBatch{Proto: api.Version, Jobs: []api.JobSubmit{s}})
+	if err != nil {
+		return "", err
+	}
+	if item := rep.Jobs[0]; item.Err != nil {
+		return "", item.Err
+	}
+	return rep.Jobs[0].ID, nil
+}
+
 func submit(t *testing.T, b *Broker, tenant string, prio int, specs ...api.TaskSpec) string {
 	t.Helper()
-	rep, err := b.Submit(api.JobSubmit{Proto: api.Version, Tenant: tenant, Priority: prio, Tasks: specs})
+	id, err := submitOne(b, api.JobSubmit{Proto: api.Version, Tenant: tenant, Priority: prio, Tasks: specs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep.ID
+	return id
 }
 
 func hello(t *testing.T, b *Broker, name string) string {
@@ -80,13 +93,13 @@ func resultFor(ts api.TaskSpec, text string) api.TaskResult {
 
 func TestSubmitValidates(t *testing.T) {
 	b := newBroker(t, Config{}, newClock())
-	if _, err := b.Submit(api.JobSubmit{Proto: "dlexec0", Tasks: []api.TaskSpec{spec("j", 0)}}); err == nil {
+	if _, err := submitOne(b, api.JobSubmit{Proto: "dlexec0", Tasks: []api.TaskSpec{spec("j", 0)}}); err == nil {
 		t.Fatal("foreign proto must be rejected")
 	}
-	if _, err := b.Submit(api.JobSubmit{Proto: api.Version}); err == nil {
+	if _, err := submitOne(b, api.JobSubmit{Proto: api.Version}); err == nil {
 		t.Fatal("empty task list must be rejected")
 	}
-	_, err := b.Submit(api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{{Proto: api.Version}}})
+	_, err := submitOne(b, api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{{Proto: api.Version}}})
 	ae, ok := api.AsError(err)
 	if !ok || ae.Code != api.CodeBadRequest || ae.Retryable {
 		t.Fatalf("invalid task must fail typed and non-retryable: %v", err)

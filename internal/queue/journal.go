@@ -53,9 +53,10 @@ import (
 // What is written, and how durably, follows from what a loss costs:
 //
 //   - submit, done, cancel are fsynced before the broker replies. These
-//     are the records a client acts on (it stops resubmitting once the
-//     SubmitReply arrives, stops polling once results land), so they
-//     must survive the crash that immediately follows the reply.
+//     are the records a client acts on (it stops resubmitting once its
+//     job's id arrives in the batch reply, stops polling once results
+//     land), so they must survive the crash that immediately follows
+//     the reply.
 //   - grant (lease) entries are appended without fsync. Losing one
 //     re-runs a task that was already leased — wasted work, not lost
 //     work — and tasks are deterministic, so the re-run is

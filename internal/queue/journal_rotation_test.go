@@ -64,7 +64,7 @@ func TestJournalRotationUnderConcurrentSubmission(t *testing.T) {
 		go func(wi int) {
 			defer wg.Done()
 			for k := 0; k < jobsPer; k++ {
-				rep, err := b1.Submit(api.JobSubmit{
+				id, err := submitOne(b1, api.JobSubmit{
 					Proto: api.Version,
 					Tasks: []api.TaskSpec{spec(fmt.Sprintf("w%d-%d", wi, k), 0)},
 				})
@@ -72,7 +72,7 @@ func TestJournalRotationUnderConcurrentSubmission(t *testing.T) {
 					t.Errorf("writer %d: %v", wi, err)
 					return
 				}
-				ids[wi] = append(ids[wi], rep.ID)
+				ids[wi] = append(ids[wi], id)
 			}
 		}(wi)
 	}

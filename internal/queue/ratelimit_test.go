@@ -36,7 +36,7 @@ func TestRateLimitTokenBucket(t *testing.T) {
 	submit(t, b, "", 0, spec("b", 0), spec("b", 1))
 
 	// The bucket is empty; a 2-task job needs 2 tokens = 500ms at 4/s.
-	_, err := b.Submit(api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec("c", 0), spec("c", 1)}})
+	_, err := submitOne(b, api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec("c", 0), spec("c", 1)}})
 	wait := wantRateLimited(t, err)
 	if wait != 500*time.Millisecond {
 		t.Fatalf("Retry-After = %v, want 500ms (2 tokens at 4/s)", wait)
@@ -50,7 +50,7 @@ func TestRateLimitTokenBucket(t *testing.T) {
 
 	// Too early: still limited, with a shorter remaining wait.
 	clk.advance(250 * time.Millisecond)
-	_, err = b.Submit(api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec("c", 0), spec("c", 1)}})
+	_, err = submitOne(b, api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec("c", 0), spec("c", 1)}})
 	if got := wantRateLimited(t, err); got != 250*time.Millisecond {
 		t.Fatalf("remaining Retry-After = %v, want 250ms", got)
 	}
@@ -73,7 +73,7 @@ func TestRateLimitOversizedJobRuns(t *testing.T) {
 
 	// The debt is real: even a 1-task job now waits until the bucket is
 	// non-negative again ((3+1)/2 = 2s).
-	_, err := b.Submit(api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec("s", 0)}})
+	_, err := submitOne(b, api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec("s", 0)}})
 	if wait := wantRateLimited(t, err); wait != 2*time.Second {
 		t.Fatalf("Retry-After = %v, want 2s (paying off the oversized job's debt)", wait)
 	}
@@ -93,13 +93,13 @@ func TestRateLimitPerTenantOverride(t *testing.T) {
 
 	// Default tenant: burst of 1.
 	submit(t, b, "", 0, spec("a", 0))
-	_, err := b.Submit(api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec("a", 1)}})
+	_, err := submitOne(b, api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec("a", 1)}})
 	wantRateLimited(t, err)
 
 	// "bulk" has its own 3-token bucket, untouched by the default
 	// tenant's exhaustion.
 	submit(t, b, "bulk", 0, spec("b", 0), spec("b", 1), spec("b", 2))
-	_, err = b.Submit(api.JobSubmit{Proto: api.Version, Tenant: "bulk", Tasks: []api.TaskSpec{spec("b", 3)}})
+	_, err = submitOne(b, api.JobSubmit{Proto: api.Version, Tenant: "bulk", Tasks: []api.TaskSpec{spec("b", 3)}})
 	wantRateLimited(t, err)
 
 	// "free" is unlimited.

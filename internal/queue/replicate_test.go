@@ -84,7 +84,7 @@ func TestReplicationStreamToFollower(t *testing.T) {
 	}
 
 	// Mutations are refused with a retryable redirect at the primary.
-	_, err := f.Submit(api.JobSubmit{Proto: api.Version, Tenant: "acme", Tasks: []api.TaskSpec{spec("jobC", 0)}})
+	_, err := submitOne(f, api.JobSubmit{Proto: api.Version, Tenant: "acme", Tasks: []api.TaskSpec{spec("jobC", 0)}})
 	ae, ok := api.AsError(err)
 	if !ok || ae.Code != api.CodeNotLeader {
 		t.Fatalf("follower submit error = %v, want %s", err, api.CodeNotLeader)
@@ -128,7 +128,7 @@ func TestReplicationStreamToFollower(t *testing.T) {
 		}
 	}
 	// And accepts brand-new work.
-	if _, err := f.Submit(api.JobSubmit{Proto: api.Version, Tenant: "acme", Tasks: []api.TaskSpec{spec("jobC", 0)}}); err != nil {
+	if _, err := submitOne(f, api.JobSubmit{Proto: api.Version, Tenant: "acme", Tasks: []api.TaskSpec{spec("jobC", 0)}}); err != nil {
 		t.Fatalf("submit after promote: %v", err)
 	}
 }
@@ -273,7 +273,7 @@ func TestPromoteFencesZombiePrimary(t *testing.T) {
 	if p.Role() != RoleFenced || p.Epoch() != epoch {
 		t.Fatalf("zombie after fence: role %s epoch %d", p.Role(), p.Epoch())
 	}
-	_, err = p.Submit(api.JobSubmit{Proto: api.Version, Tenant: "acme", Tasks: []api.TaskSpec{spec("late", 0)}})
+	_, err = submitOne(p, api.JobSubmit{Proto: api.Version, Tenant: "acme", Tasks: []api.TaskSpec{spec("late", 0)}})
 	ae, ok := api.AsError(err)
 	if !ok || ae.Code != api.CodeNotLeader || ae.Primary != "standby:7002" {
 		t.Fatalf("fenced submit error = %v, want not_leader → standby:7002", err)
@@ -298,7 +298,7 @@ func TestPromoteFencesZombiePrimary(t *testing.T) {
 	if p2.Role() != RoleFenced || p2.Epoch() != epoch {
 		t.Fatalf("restarted zombie: role %s epoch %d, want fenced at %d", p2.Role(), p2.Epoch(), epoch)
 	}
-	if _, err := p2.Submit(api.JobSubmit{Proto: api.Version, Tenant: "acme", Tasks: []api.TaskSpec{spec("late2", 0)}}); err == nil {
+	if _, err := submitOne(p2, api.JobSubmit{Proto: api.Version, Tenant: "acme", Tasks: []api.TaskSpec{spec("late2", 0)}}); err == nil {
 		t.Fatal("restarted fenced broker accepted a mutation")
 	}
 }
@@ -377,7 +377,7 @@ func TestFenceAdoptedByConfiguredFollower(t *testing.T) {
 		t.Fatalf("re-fence on follower: %v", err)
 	}
 	// Mutations now redirect at the fence's primary.
-	_, err := f.Submit(api.JobSubmit{Proto: api.Version, Tenant: "acme", Tasks: []api.TaskSpec{spec("jobB", 0)}})
+	_, err := submitOne(f, api.JobSubmit{Proto: api.Version, Tenant: "acme", Tasks: []api.TaskSpec{spec("jobB", 0)}})
 	if ae, ok := api.AsError(err); !ok || ae.Code != api.CodeNotLeader || ae.Primary != "newprimary:7002" {
 		t.Fatalf("follower submit after fence = %v, want not_leader → newprimary:7002", err)
 	}

@@ -14,7 +14,6 @@ import (
 // worker side is the pull-dispatch lease API; both speak typed api
 // messages with api.Error bodies on failure.
 const (
-	SubmitPath      = "/v2/submit"      // POST api.JobSubmit -> api.SubmitReply
 	SubmitBatchPath = "/v2/submitbatch" // POST api.JobSubmitBatch -> api.SubmitBatchReply
 	JobStatusPath   = "/v2/job"         // GET ?id=...[&wait=seconds] -> api.JobStatus
 	CancelPath      = "/v2/cancel"      // POST api.CancelRequest -> {}
@@ -73,7 +72,6 @@ type BrokerServer struct {
 // NewBrokerServer wraps b in the HTTP service, named name in statuses.
 func NewBrokerServer(b *queue.Broker, name string) *BrokerServer {
 	s := &BrokerServer{name: name, b: b, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST "+SubmitPath, s.handleSubmit)
 	s.mux.HandleFunc("POST "+SubmitBatchPath, s.handleSubmitBatch)
 	s.mux.HandleFunc("GET "+JobStatusPath, s.handleJobStatus)
 	s.mux.HandleFunc("POST "+CancelPath, s.handleCancel)
@@ -136,23 +134,6 @@ func (s *BrokerServer) drainingErr() *api.Error {
 	ae := api.Errf(api.CodeDraining, "broker %s is draining", s.name)
 	ae.RetryAfterNS = int64(drainingRetryAfter)
 	return ae
-}
-
-func (s *BrokerServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		WriteError(w, s.drainingErr())
-		return
-	}
-	var sub api.JobSubmit
-	if !DecodeInto(w, r, &sub) {
-		return
-	}
-	rep, err := s.b.Submit(sub)
-	if err != nil {
-		WriteError(w, err)
-		return
-	}
-	Reply(w, rep)
 }
 
 func (s *BrokerServer) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {

@@ -126,19 +126,14 @@ func TestFailoverAfterPromotion(t *testing.T) {
 // standby beside a live primary.
 func TestFollowerReplicatesFromSlashTerminatedAddress(t *testing.T) {
 	ha := startHAPair(t, "/")
-	sub, err := ha.primary.Submit(api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{
-		{Proto: api.Version, Job: "j", Shard: 0, Seed: 7, Key: "j@hash"},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := submitJob(t, ha.primary, api.TaskSpec{Proto: api.Version, Job: "j", Shard: 0, Seed: 7, Key: "j@hash"})
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		if _, err := ha.standby.Status(sub.ID); err == nil {
+		if _, err := ha.standby.Status(id); err == nil {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("standby following %s/ never replicated job %s", ha.tsP.URL, sub.ID)
+			t.Fatalf("standby following %s/ never replicated job %s", ha.tsP.URL, id)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -149,11 +144,11 @@ func TestFollowerReplicatesFromSlashTerminatedAddress(t *testing.T) {
 // Retry-After floor, and a typed not_leader error naming the primary.
 func TestStandbyRejectsMutationsOverHTTP(t *testing.T) {
 	ha := startHAPair(t, "")
-	var rep api.SubmitReply
-	err := PostJSON(context.Background(), http.DefaultClient, ha.tsS.URL+SubmitPath,
-		api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{
+	var rep api.SubmitBatchReply
+	err := PostJSON(context.Background(), http.DefaultClient, ha.tsS.URL+SubmitBatchPath,
+		api.JobSubmitBatch{Proto: api.Version, Jobs: []api.JobSubmit{{Proto: api.Version, Tasks: []api.TaskSpec{
 			{Proto: api.Version, Job: "j", Shard: 0, Seed: 7, Key: "j@hash"},
-		}}, &rep)
+		}}}}, &rep)
 	ae, ok := api.AsError(err)
 	if !ok || ae.Code != api.CodeNotLeader {
 		t.Fatalf("standby submit error = %v, want %s", err, api.CodeNotLeader)
@@ -164,10 +159,10 @@ func TestStandbyRejectsMutationsOverHTTP(t *testing.T) {
 
 	// The HTTP layer mirrors the typed hint as a Retry-After header,
 	// same as rate_limited — one floor-handling path client-side.
-	body, _ := json.Marshal(api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{
+	body, _ := json.Marshal(api.JobSubmitBatch{Proto: api.Version, Jobs: []api.JobSubmit{{Proto: api.Version, Tasks: []api.TaskSpec{
 		{Proto: api.Version, Job: "j2", Shard: 0, Seed: 7, Key: "j2@hash"},
-	}})
-	resp, err := http.Post(ha.tsS.URL+SubmitPath, "application/json", bytes.NewReader(body))
+	}}}})
+	resp, err := http.Post(ha.tsS.URL+SubmitBatchPath, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

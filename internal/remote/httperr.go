@@ -39,11 +39,17 @@ func httpStatus(code api.Code) int {
 // with a matching HTTP status. Untyped errors are wrapped as
 // CodeInternal so every non-200 response has the same shape. Sibling
 // HTTP layers (the result plane) answer through it too, so every
-// endpoint in the repo speaks the identical typed-error shape.
+// endpoint in the repo speaks the identical typed-error shape. A
+// message longer than maxErrorMsg bytes is cut there.
 func WriteError(w http.ResponseWriter, err error) {
 	ae, ok := api.AsError(err)
 	if !ok {
 		ae = api.Errf(api.CodeInternal, "%v", err)
+	}
+	if len(ae.Msg) > maxErrorMsg {
+		cut := *ae
+		cut.Msg = strings.ToValidUTF8(ae.Msg[:maxErrorMsg], "") + "…"
+		ae = &cut
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if ae.RetryAfterNS > 0 {
@@ -57,6 +63,10 @@ func WriteError(w http.ResponseWriter, err error) {
 
 // errorBodyLimit bounds how much of a non-200 body DecodeError reads.
 const errorBodyLimit = 4096
+
+// maxErrorMsg bounds an error body's message, which may echo a client's
+// input: one this long fits errorBodyLimit even with every byte escaped.
+const maxErrorMsg = 512
 
 // DecodeError reconstructs the typed error from a non-200 response.
 // Bodies that are not an api.Error (a proxy's HTML error page, a

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
@@ -97,9 +98,11 @@ func TestQueueFullMapsTo429(t *testing.T) {
 // FuzzDecodeError feeds DecodeError arbitrary statuses and bodies. It
 // never panics; it returns a typed *api.Error exactly when the first
 // errorBodyLimit bytes of the body unmarshal into an api.Error with a
-// code (and then that error); and an error WriteError rendered within
-// the bound decodes back to the same code, retryable flag, message,
-// RetryAfterNS and Primary.
+// code (and then that error); and an error WriteError renders with a
+// short code and primary fits the bound, whatever its message, and
+// decodes back to the same code, retryable flag, RetryAfterNS, Primary
+// and message, a message over maxErrorMsg bytes cut to a prefix of
+// itself.
 func FuzzDecodeError(f *testing.F) {
 	seed := func(ae *api.Error) {
 		rec := httptest.NewRecorder()
@@ -143,13 +146,27 @@ func FuzzDecodeError(f *testing.F) {
 		in := &api.Error{Code: api.Code(code), Msg: msg, Retryable: retryable, RetryAfterNS: retryAfterNS, Primary: primary}
 		rec := httptest.NewRecorder()
 		WriteError(rec, in)
+		if len(code)+len(primary) <= 64 && rec.Body.Len() > errorBodyLimit {
+			t.Fatalf("WriteError(%+v) wrote %d bytes, over errorBodyLimit", *in, rec.Body.Len())
+		}
 		if code == "" || rec.Body.Len() > errorBodyLimit ||
 			!utf8.ValidString(code) || !utf8.ValidString(msg) || !utf8.ValidString(primary) {
 			return
 		}
 		out, ok := api.AsError(DecodeError(rec.Result()))
-		if !ok || *out != *in {
-			t.Fatalf("WriteError(%+v) decoded to %+v", *in, out)
+		if !ok {
+			t.Fatalf("WriteError(%+v) decoded untyped", *in)
+		}
+		got := *out
+		if len(msg) > maxErrorMsg {
+			prefix, cut := strings.CutSuffix(got.Msg, "…")
+			if !cut || len(prefix) > maxErrorMsg || !strings.HasPrefix(msg, prefix) {
+				t.Fatalf("message of %d bytes came back as %q", len(msg), got.Msg)
+			}
+			got.Msg = msg
+		}
+		if got != *in {
+			t.Fatalf("WriteError(%+v) decoded to %+v", *in, got)
 		}
 	})
 }

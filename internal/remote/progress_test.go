@@ -17,9 +17,7 @@ import (
 func TestFleetEndpointShowsProgress(t *testing.T) {
 	bs, ts := startBroker(t, queue.Config{})
 	spec := api.TaskSpec{Proto: api.Version, Job: "train", Shard: 0, Key: "train@hash"}
-	if _, err := bs.Broker().Submit(api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec}}); err != nil {
-		t.Fatal(err)
-	}
+	submitJob(t, bs.Broker(), spec)
 	w := newRawWorker(t, ts.URL, "rw")
 	l := w.grabLease()
 	var rep api.RenewReply
@@ -75,10 +73,7 @@ func TestPullWorkerPiggybacksProgressOnRenew(t *testing.T) {
 	bs, ts := startBroker(t, queue.Config{LeaseTTL: 300 * time.Millisecond})
 	startPullWorker(t, ts.URL, reg, "pw", 1)
 	spec := api.TaskSpec{Proto: api.Version, Job: "slow", Shard: api.MonolithShard, Key: "slow@hash", Seed: 1}
-	sub, err := bs.Broker().Submit(api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := submitJob(t, bs.Broker(), spec)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -89,7 +84,7 @@ func TestPullWorkerPiggybacksProgressOnRenew(t *testing.T) {
 					t.Fatalf("fleet progress %+v", p)
 				}
 				once.Do(func() { close(release) })
-				waitJobDone(t, bs.Broker(), sub.ID)
+				waitJobDone(t, bs.Broker(), id)
 				return
 			}
 		}

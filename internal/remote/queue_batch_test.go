@@ -41,8 +41,7 @@ func (c *countingMux) posts(path string) int {
 
 // TestQueueBatchedSubmissionCoalesces is the batching acceptance test:
 // a sharded run fans its submission wave into O(1) batch POSTs instead
-// of one POST per task, never touches the single-submit route, and the
-// report stays byte-identical to local.
+// of one POST per task, and the report stays byte-identical to local.
 func TestQueueBatchedSubmissionCoalesces(t *testing.T) {
 	cm := &countingMux{h: NewBrokerServer(queue.New(queue.Config{}), "qb"), n: make(map[string]int)}
 	ts := httptest.NewServer(cm)
@@ -65,19 +64,16 @@ func TestQueueBatchedSubmissionCoalesces(t *testing.T) {
 	if reportText(rep) != reportText(local) {
 		t.Fatalf("batched report diverged:\n%s\nvs local\n%s", reportText(rep), reportText(local))
 	}
-	if got := cm.posts(SubmitPath); got != 0 {
-		t.Fatalf("%d single-submit POSTs; the executor must always batch", got)
-	}
 	if got := cm.posts(SubmitBatchPath); got < 1 || got > 3 {
 		t.Fatalf("10 tasks cost %d batch POSTs, want O(1) (1-3 waves)", got)
 	}
 }
 
 // TestQueueFullReturnedAndRetried is the admission acceptance test
-// under a depth-1 limit: the broker answers queue_full (typed,
-// retryable, HTTP 429) while the queue holds a task, the executor
-// retries instead of failing, and both tasks complete once a worker
-// drains the backlog.
+// under a depth-1 limit: the broker answers queue_full (typed and
+// retryable, on the job's own batch item) while the queue holds a
+// task, the executor retries instead of failing, and both tasks
+// complete once a worker drains the backlog.
 func TestQueueFullReturnedAndRetried(t *testing.T) {
 	bs, ts := startBroker(t, queue.Config{MaxQueued: 1})
 	qe := dialQueue(t, ts.URL, QueueOptions{BatchLinger: -1})
@@ -106,14 +102,18 @@ func TestQueueFullReturnedAndRetried(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// The raw wire answer while the queue is full: typed queue_full, 429.
-	err := PostJSON(context.Background(), http.DefaultClient, ts.URL+SubmitPath,
-		api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{
+	// The raw wire answer while the queue is full: a 200 batch reply
+	// whose one item is a typed, retryable queue_full.
+	var rep api.SubmitBatchReply
+	err := PostJSON(context.Background(), http.DefaultClient, ts.URL+SubmitBatchPath,
+		api.JobSubmitBatch{Proto: api.Version, Jobs: []api.JobSubmit{{Proto: api.Version, Tasks: []api.TaskSpec{
 			{Proto: api.Version, Job: "mono2", Shard: api.MonolithShard, Seed: 7, Key: "mono2@hash"},
-		}}, nil)
-	ae, typed := api.AsError(err)
-	if !typed || ae.Code != api.CodeQueueFull || !ae.Retryable {
-		t.Fatalf("direct submit on a full queue: %v, want retryable queue_full", err)
+		}}}}, &rep)
+	if err != nil || len(rep.Jobs) != 1 {
+		t.Fatalf("direct submit on a full queue: %v, %d items, want one", err, len(rep.Jobs))
+	}
+	if ae := rep.Jobs[0].Err; ae == nil || ae.Code != api.CodeQueueFull || !ae.Retryable {
+		t.Fatalf("direct submit on a full queue: item %+v, want retryable queue_full", rep.Jobs[0])
 	}
 
 	// A worker drains the queue; the executor's backoff loop must get

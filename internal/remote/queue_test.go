@@ -41,6 +41,20 @@ func startPullWorker(t *testing.T, brokerURL string, reg *engine.Registry, name 
 	})
 }
 
+// submitJob submits one job of specs to b as a one-job batch, the
+// broker's one submission route, and returns the job's id.
+func submitJob(t testing.TB, b *queue.Broker, specs ...api.TaskSpec) string {
+	t.Helper()
+	rep, err := b.SubmitBatch(api.JobSubmitBatch{Proto: api.Version, Jobs: []api.JobSubmit{{Proto: api.Version, Tasks: specs}}})
+	if err == nil && rep.Jobs[0].Err != nil {
+		err = rep.Jobs[0].Err
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Jobs[0].ID
+}
+
 func dialQueue(t *testing.T, url string, opts QueueOptions) *QueueExecutor {
 	t.Helper()
 	qe, err := DialQueue(context.Background(), url, opts)
@@ -319,9 +333,10 @@ func TestBrokerStatusAndDrain(t *testing.T) {
 		t.Fatalf("dial of draining broker: %v", err)
 	}
 	// Submissions and registrations are refused with the typed code.
-	err := PostJSON(context.Background(), http.DefaultClient, ts.URL+SubmitPath, api.JobSubmit{
+	err := PostJSON(context.Background(), http.DefaultClient, ts.URL+SubmitBatchPath, api.JobSubmitBatch{
 		Proto: api.Version,
-		Tasks: []api.TaskSpec{{Proto: api.Version, Job: "mono0", Shard: api.MonolithShard}},
+		Jobs: []api.JobSubmit{{Proto: api.Version,
+			Tasks: []api.TaskSpec{{Proto: api.Version, Job: "mono0", Shard: api.MonolithShard}}}},
 	}, nil)
 	ae, ok := api.AsError(err)
 	if !ok || ae.Code != api.CodeDraining || !ae.Retryable {
@@ -341,8 +356,8 @@ func TestQueueTypedErrorsEndToEnd(t *testing.T) {
 	_, ts := startBroker(t, queue.Config{})
 
 	// An empty submission is a non-retryable bad request.
-	err := PostJSON(context.Background(), http.DefaultClient, ts.URL+SubmitPath,
-		api.JobSubmit{Proto: api.Version}, nil)
+	err := PostJSON(context.Background(), http.DefaultClient, ts.URL+SubmitBatchPath,
+		api.JobSubmitBatch{Proto: api.Version, Jobs: []api.JobSubmit{{Proto: api.Version}}}, nil)
 	if ae, ok := api.AsError(err); !ok || ae.Code != api.CodeBadRequest || ae.Retryable {
 		t.Fatalf("empty submit: %v", err)
 	}

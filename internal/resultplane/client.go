@@ -112,7 +112,7 @@ func (c *Client) WaitFetch(ctx context.Context, key string, wait time.Duration) 
 }
 
 // Put stores entry under its key. The body is json.Marshal(entry),
-// which the plane keeps verbatim, so equal entries get equal ETags.
+// already the encoding the plane stores, so equal entries get equal ETags.
 func (c *Client) Put(ctx context.Context, e api.CacheEntry) error {
 	u := c.Base + PutPath + "?key=" + url.QueryEscape(WireKey(c.Version, e.Key))
 	ctx, cancel := context.WithTimeout(ctx, opTimeout)

@@ -117,8 +117,8 @@ func etagMatch(header, etag string) bool {
 }
 
 // handlePut stores one entry. It reads the raw bytes rather than
-// decoding them: the store keeps a PUT's bytes verbatim, which is what
-// keeps an entry's ETag stable.
+// decoding them into an api.CacheEntry; a body that is not JSON is a
+// bad request.
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
 	if key == "" {
@@ -134,7 +134,11 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		remote.WriteError(w, api.Errf(api.CodeBadRequest, "put needs an entry"))
 		return
 	}
-	etag, conflict := s.store.Put(key, data)
+	etag, conflict, err := s.store.Put(key, data)
+	if err != nil {
+		remote.WriteError(w, api.Errf(api.CodeBadRequest, "entry is not JSON: %v", err))
+		return
+	}
 	remote.Reply(w, api.PutReply{Proto: api.Version, ETag: etag, Conflict: conflict})
 }
 

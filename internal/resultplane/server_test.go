@@ -98,6 +98,31 @@ func TestServerGetMissIsTypedNotFound(t *testing.T) {
 	}
 }
 
+// TestServerRefusesNonJSONPut: a body that is not JSON cannot be
+// persisted, so the plane answers a typed bad request and stores
+// nothing.
+func TestServerRefusesNonJSONPut(t *testing.T) {
+	store, srv := newTestPlane(t)
+	before := store.Metrics()
+	resp, err := http.Post(srv.URL+PutPath+"?key=k", "application/json", strings.NewReader("not json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("non-JSON put status %d, want 400", resp.StatusCode)
+	}
+	if ae, ok := api.AsError(remote.DecodeError(resp)); !ok || ae.Code != api.CodeBadRequest {
+		t.Fatalf("non-JSON put: %v, want typed %s", ae, api.CodeBadRequest)
+	}
+	if m := store.Metrics(); m != before {
+		t.Fatalf("non-JSON put changed the metrics: %+v, was %+v", m, before)
+	}
+	if _, _, ok := store.Get("k"); ok {
+		t.Fatal("non-JSON put stored an entry")
+	}
+}
+
 func TestServerClaimEndpoint(t *testing.T) {
 	_, srv := newTestPlane(t)
 	c1 := NewClient(srv.URL, "v1")

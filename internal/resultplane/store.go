@@ -72,8 +72,8 @@ type claim struct {
 	expires time.Time
 }
 
-// planeLine is the persistence record: the key and the entry bytes
-// verbatim (kept raw so reloaded entries are byte-identical).
+// planeLine is the persistence record: the key and the entry bytes,
+// which Put already holds in the encoding Marshal gives them here.
 type planeLine struct {
 	Key  string          `json:"key"`
 	Data json.RawMessage `json:"data"`
@@ -267,12 +267,18 @@ func (s *Store) Wait(ctx context.Context, key string, d time.Duration) ([]byte, 
 }
 
 // Put stores data under key and releases the key's claim and waiters.
-// An equivalent duplicate keeps the original bytes (first write wins,
-// so ETags stay stable); a differing payload is counted as a conflict
-// and overwrites (last write wins). The returned ETag tags whatever the
-// store now holds.
-func (s *Store) Put(key string, data []byte) (string, bool) {
-	data = append([]byte(nil), data...)
+// The store holds data as plane.jsonl persists it, compacted and
+// HTML-escaped by json.Marshal, so an entry has the same bytes and ETag
+// before and after a restart; data that is not JSON is refused and
+// nothing changes. An equivalent duplicate keeps the original bytes
+// (first write wins, so ETags stay stable); a differing payload is
+// counted as a conflict and overwrites (last write wins). The returned
+// ETag tags whatever the store now holds.
+func (s *Store) Put(key string, data []byte) (string, bool, error) {
+	data, err := json.Marshal(json.RawMessage(data))
+	if err != nil {
+		return "", false, err
+	}
 	s.mu.Lock()
 	old, exists := s.entries[key]
 	conflict := false
@@ -284,7 +290,7 @@ func (s *Store) Put(key string, data []byte) (string, bool) {
 		s.m.DupPuts++
 		s.releaseLocked(key)
 		s.mu.Unlock()
-		return old.etag, false
+		return old.etag, false, nil
 	case exists:
 		s.m.Conflicts++
 		s.m.BytesStored -= int64(len(old.data))
@@ -312,7 +318,7 @@ func (s *Store) Put(key string, data []byte) (string, bool) {
 			s.log.Append(rec)
 		}
 	}
-	return e.etag, conflict
+	return e.etag, conflict, nil
 }
 
 // maybeEvictLocked enforces the idle TTL and the byte budget (mu held),

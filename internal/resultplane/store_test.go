@@ -31,9 +31,9 @@ func TestStorePutGet(t *testing.T) {
 		t.Fatal("empty store must miss")
 	}
 	data := entryBytes(t, "v1", "k", "hello", 10)
-	etag, conflict := s.Put("k", data)
-	if conflict {
-		t.Fatal("first put must not conflict")
+	etag, conflict, err := s.Put("k", data)
+	if err != nil || conflict {
+		t.Fatalf("first put: conflict=%v err=%v", conflict, err)
 	}
 	got, tag, ok := s.Get("k")
 	if !ok || string(got) != string(data) || tag != etag {
@@ -48,16 +48,16 @@ func TestStorePutGet(t *testing.T) {
 func TestStoreDupAndConflictPuts(t *testing.T) {
 	s := NewStore()
 	data := entryBytes(t, "v1", "k", "hello", 10)
-	etag, _ := s.Put("k", data)
+	etag, _, _ := s.Put("k", data)
 
 	// Byte-identical duplicate: original kept.
-	if tag, conflict := s.Put("k", data); conflict || tag != etag {
+	if tag, conflict, _ := s.Put("k", data); conflict || tag != etag {
 		t.Fatalf("identical dup put: conflict=%v tag=%q want %q", conflict, tag, etag)
 	}
 	// Equivalent payload from another producer (duration differs):
 	// first write wins so the ETag stays stable.
 	equiv := entryBytes(t, "v1", "k", "hello", 99)
-	if tag, conflict := s.Put("k", equiv); conflict || tag != etag {
+	if tag, conflict, _ := s.Put("k", equiv); conflict || tag != etag {
 		t.Fatalf("equivalent dup put: conflict=%v tag=%q want %q", conflict, tag, etag)
 	}
 	if got, _, _ := s.Get("k"); string(got) != string(data) {
@@ -65,7 +65,7 @@ func TestStoreDupAndConflictPuts(t *testing.T) {
 	}
 	// Genuinely differing payload: conflict counted, last write wins.
 	diff := entryBytes(t, "v1", "k", "DIFFERENT", 10)
-	tag, conflict := s.Put("k", diff)
+	tag, conflict, _ := s.Put("k", diff)
 	if !conflict || tag == etag {
 		t.Fatalf("differing put: conflict=%v tag=%q", conflict, tag)
 	}
@@ -186,6 +186,10 @@ func TestStorePersistenceReload(t *testing.T) {
 	// Overwrite a: later lines must win on reload.
 	a2 := entryBytes(t, "v1", "a", "alpha-2", 3)
 	s.Put("a", a2)
+	// A body not in json.Marshal's encoding: served before and after the
+	// restart with the same bytes and ETag.
+	s.Put("c", []byte(`{ "spaced" : "<html>" }`))
+	c, cTag, _ := s.Get("c")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +206,11 @@ func TestStorePersistenceReload(t *testing.T) {
 	if got, _, ok := s2.Get("b"); !ok || string(got) != string(b) {
 		t.Fatalf("reloaded b: ok=%v data=%q", ok, got)
 	}
-	if m := s2.Metrics(); m.Entries != 2 {
-		t.Fatalf("reloaded entries %d, want 2", m.Entries)
+	if got, tag, ok := s2.Get("c"); !ok || string(got) != string(c) || tag != cTag {
+		t.Fatalf("reloaded c: ok=%v data=%q etag=%s, want %q etag=%s", ok, got, tag, c, cTag)
+	}
+	if m := s2.Metrics(); m.Entries != 3 {
+		t.Fatalf("reloaded entries %d, want 3", m.Entries)
 	}
 }
 

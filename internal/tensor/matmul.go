@@ -17,24 +17,22 @@ import (
 //
 // Inside a worker the kernels are register-tiled micro-kernels that
 // keep every output element's single float32 accumulator and its
-// ascending-k order. A·B and Aᵀ·B share one driver, axpyRows, that
-// updates two C rows at a time, one column block after another. On a CPU
-// with AVX2 it hands each row pair's columns to the assembly tiles of
-// matmul_amd64.s: a 2×32 tile of C held in eight YMM registers across a
-// whole k-panel, and a 2×8 tile for the remaining multiples of 8. Each
-// lane takes a rounded VMULPS and then a rounded VADDPS per k, the same
-// two steps as the scalar `s += float32(a*b)` (the conversion keeps any
-// compiler from fusing them into an FMA), so the vector tiles are
-// bit-identical to the scalar kernels. The scalar tile folds four
-// consecutive k into one load and one store of each C element and shares
-// each load of the four B rows between the two C rows (axpy4x2); it
-// takes the n%8 columns beside the vector tiles, and every column
-// without AVX2. On AVX2, A·Bᵀ (n ≥ 8) goes through the same driver over
-// a transposed copy of B; otherwise it computes four output columns per
-// pass over a row of A (dot4: four independent add chains instead of
-// one). The tiles change how many loads, stores and independent chains
-// the inner loops carry, never a result bit. dot, axpy4 and axpy are the
-// column, row and k remainders.
+// ascending-k order. All three GEMMs share one driver, axpyRows, that
+// updates two C rows at a time, one column block after another; A·Bᵀ
+// runs it over a transposed copy of B. On a CPU with AVX2 it hands each
+// row pair's columns to the assembly tiles of matmul_amd64.s: a 2×32
+// tile of C held in eight YMM registers across a whole k-panel, and a
+// 2×8 tile for the remaining multiples of 8. Each lane takes a rounded
+// VMULPS and then a rounded VADDPS per k, the same two steps as the
+// scalar `s += float32(a*b)` (the conversion keeps any compiler from
+// fusing them into an FMA), so the vector tiles are bit-identical to
+// the scalar kernels. The scalar tile folds four consecutive k into one
+// load and one store of each C element and shares each load of the
+// four B rows between the two C rows (axpy4x2); it takes the n%8
+// columns beside the vector tiles, and every column without AVX2. The
+// tiles change how many loads, stores and independent chains the inner
+// loops carry, never a result bit. axpy4 and axpy are the row and k
+// remainders.
 //
 // Zero weights are NOT skipped in the inner loops (the seed kernel had an
 // `if av == 0 { continue }` fast path): the skip broke NaN/Inf
@@ -71,29 +69,23 @@ func MatMulInto(c, a, b *Tensor) {
 	m, k, n := mmShapes("MatMul", a, b, false, false)
 	checkOut("MatMul", c, m, n)
 	clear(c.Data)
-	axpyGEMM(c.Data, a.Data, b.Data, nil, m, k, n, k, 1)
+	axpyGEMM(c.Data, a.Data, b.Data, m, k, n, k, 1)
 }
 
-// axpyGEMM accumulates C(m x n) += Â·B (+ bias; see axpyRows for Â, rs
-// and ps), fanning row pairs out over the worker budget when the work is
-// worth it. Workers take whole pairs: the tiles update two rows at a
-// time, and a chunk of odd size would run its last row alone.
-func axpyGEMM(c, a, b, bias []float32, m, k, n, rs, ps int) {
+// axpyGEMM accumulates C(m x n) += Â·B (see axpyRows for Â, rs and ps),
+// fanning row pairs out over the worker budget when the work is worth
+// it. Workers take whole pairs: the tiles update two rows at a time, and
+// a chunk of odd size would run its last row alone.
+func axpyGEMM(c, a, b []float32, m, k, n, rs, ps int) {
 	pairs := (m + 1) / 2
-	if grain := par.Grain(2*k*n, gemmMinWork); parallelWorthIt(pairs, grain) {
+	if grain := par.Grain(2*k*n, gemmMinWork); par.WorthIt(pairs, grain) {
 		par.For(pairs, grain, func(lo, hi int) {
-			axpyRows(c, a, b, bias, 2*lo, min(2*hi, m), k, n, rs, ps)
+			axpyRows(c, a, b, 2*lo, min(2*hi, m), k, n, rs, ps)
 		})
 		return
 	}
-	axpyRows(c, a, b, bias, 0, m, k, n, rs, ps)
+	axpyRows(c, a, b, 0, m, k, n, rs, ps)
 }
-
-// parallelWorthIt reports whether a row-partitioned kernel should go
-// through the worker budget at all. The serial path calls the kernel
-// directly — without allocating the escaping closure par.For needs — so
-// the small GEMMs that dominate a training step stay allocation-free.
-func parallelWorthIt(rows, grain int) bool { return par.WorthIt(rows, grain) }
 
 // axpyRows accumulates rows [i0,i1) of C += Â·B, where the coefficient
 // Â(i,p) = a[i*rs+p*ps] lets one driver serve A (rs = k, ps = 1) and Aᵀ
@@ -103,9 +95,8 @@ func parallelWorthIt(rows, grain int) bool { return par.WorthIt(rows, grain) }
 // vector tiles (axpyTiles) on their first n &^ 7 columns when the CPU
 // has AVX2, and through axpy4x2 on the rest; an odd last row takes
 // axpy4 alone, and the k%4 tail of a panel goes one B row at a time
-// (axpy). Per-element accumulation stays ascending in k. A non-nil bias
-// is added to every row after the last k, as matMulTransBRows does.
-func axpyRows(c, a, b, bias []float32, i0, i1, k, n, rs, ps int) {
+// (axpy). Per-element accumulation stays ascending in k.
+func axpyRows(c, a, b []float32, i0, i1, k, n, rs, ps int) {
 	nv := 0 // columns [0, nv) of a row pair take the vector tiles
 	if useAVX2 {
 		nv = n &^ 7
@@ -149,14 +140,6 @@ func axpyRows(c, a, b, bias []float32, i0, i1, k, n, rs, ps int) {
 			}
 		}
 	}
-	if bias != nil {
-		for i := i0; i < i1; i++ {
-			ci := c[i*n : i*n+n]
-			for j := range ci {
-				ci[j] += bias[j]
-			}
-		}
-	}
 }
 
 // axpyTiles adds the k-panel [kb, kEnd) of one row pair's Â·B into the
@@ -185,7 +168,7 @@ func MatMulTransAInto(c, a, b *Tensor) {
 	m, k, n := mmShapes("MatMulTransA", a, b, true, false)
 	checkOut("MatMulTransA", c, m, n)
 	clear(c.Data)
-	axpyGEMM(c.Data, a.Data, b.Data, nil, m, k, n, 1, m)
+	axpyGEMM(c.Data, a.Data, b.Data, m, k, n, 1, m)
 }
 
 // MatMulTransAAcc accumulates C += Aᵀ·B into c without clearing it — the
@@ -196,7 +179,7 @@ func MatMulTransAInto(c, a, b *Tensor) {
 func MatMulTransAAcc(c, a, b *Tensor) {
 	m, k, n := mmShapes("MatMulTransA", a, b, true, false)
 	checkOut("MatMulTransA", c, m, n)
-	axpyGEMM(c.Data, a.Data, b.Data, nil, m, k, n, 1, m)
+	axpyGEMM(c.Data, a.Data, b.Data, m, k, n, 1, m)
 }
 
 // MatMulTransBInto computes C = A·Bᵀ into c: A is (m x k), B is (n x k),
@@ -204,9 +187,9 @@ func MatMulTransAAcc(c, a, b *Tensor) {
 func MatMulTransBInto(c, a, b *Tensor) { MatMulTransBBiasInto(c, a, b, nil) }
 
 // MatMulTransBBiasInto computes C = A·Bᵀ + bias into c, with bias (one
-// value per output column, i.e. per row of B) fused into the GEMM
-// epilogue; nil bias gives the plain product. This is Linear's forward
-// kernel (x·Wᵀ + b).
+// value per output column, i.e. per row of B) added to every element
+// once, after its last k; nil bias gives the plain product. This is
+// Linear's forward kernel (x·Wᵀ + b).
 func MatMulTransBBiasInto(c, a, b *Tensor, bias []float32) {
 	m, k, n := mmShapes("MatMulTransB", a, b, false, true)
 	checkOut("MatMulTransB", c, m, n)
@@ -214,7 +197,14 @@ func MatMulTransBBiasInto(c, a, b *Tensor, bias []float32) {
 		panic(fmt.Sprintf("tensor: MatMulTransB bias length %d, want %d", len(bias), n))
 	}
 	clear(c.Data)
-	matMulTransBAcc(c.Data, a.Data, b.Data, bias, m, k, n)
+	matMulTransBAcc(c.Data, a.Data, b.Data, m, k, n)
+	if bias != nil {
+		for i := 0; i < len(c.Data); i += n {
+			for j, v := range bias {
+				c.Data[i+j] += v
+			}
+		}
+	}
 }
 
 // MatMulTransBAcc accumulates C += A·Bᵀ into c without clearing it: A is
@@ -224,27 +214,17 @@ func MatMulTransBBiasInto(c, a, b *Tensor, bias []float32) {
 func MatMulTransBAcc(c, a, b *Tensor) {
 	m, k, n := mmShapes("MatMulTransB", a, b, false, true)
 	checkOut("MatMulTransB", c, m, n)
-	matMulTransBAcc(c.Data, a.Data, b.Data, nil, m, k, n)
+	matMulTransBAcc(c.Data, a.Data, b.Data, m, k, n)
 }
 
-// matMulTransBAcc accumulates C += A·Bᵀ (+ bias after the last k).
-func matMulTransBAcc(c, a, b, bias []float32, m, k, n int) {
-	if useAVX2 && n >= 8 {
-		// The vector tiles stream rows of a (k x n) B: transpose the
-		// (n x k) operand into scratch first.
-		bt := GetScratch(k, n)
-		transposeInto(bt.Data, b, n, k)
-		axpyGEMM(c, a, bt.Data, bias, m, k, n, k, 1)
-		PutScratch(bt)
-		return
-	}
-	if grain := par.Grain(k*n, gemmMinWork); parallelWorthIt(m, grain) {
-		par.For(m, grain, func(lo, hi int) {
-			matMulTransBRows(c, a, b, bias, lo, hi, k, n)
-		})
-		return
-	}
-	matMulTransBRows(c, a, b, bias, 0, m, k, n)
+// matMulTransBAcc accumulates C += A·Bᵀ through the one driver, which
+// streams rows of a (k x n) B: the (n x k) operand is transposed into
+// scratch first.
+func matMulTransBAcc(c, a, b []float32, m, k, n int) {
+	bt := GetScratch(k, n)
+	transposeInto(bt.Data, b, n, k)
+	axpyGEMM(c, a, bt.Data, m, k, n, k, 1)
+	PutScratch(bt)
 }
 
 // transposeInto writes bt (k x n) = bᵀ for b (n x k), eight rows of b
@@ -270,33 +250,6 @@ func transposeInto(bt, b []float32, n, k int) {
 	for ; j < n; j++ {
 		for p, v := range b[j*k : j*k+k] {
 			bt[p*n+j] = v
-		}
-	}
-}
-
-// matMulTransBRows accumulates rows [i0,i1) of C += A·Bᵀ (+ bias) as
-// row-row dot products that start from C, four columns per pass over a
-// row of A; both operands stream contiguously. The bias is added once,
-// after the last k, as in the untiled kernel.
-func matMulTransBRows(c, a, b, bias []float32, i0, i1, k, n int) {
-	for i := i0; i < i1; i++ {
-		ai := a[i*k : i*k+k]
-		ci := c[i*n : i*n+n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			s0, s1, s2, s3 := dot4(ai, b[j*k:j*k+k], b[(j+1)*k:(j+1)*k+k], b[(j+2)*k:(j+2)*k+k], b[(j+3)*k:(j+3)*k+k],
-				ci[j], ci[j+1], ci[j+2], ci[j+3])
-			if bias != nil {
-				s0, s1, s2, s3 = s0+bias[j], s1+bias[j+1], s2+bias[j+2], s3+bias[j+3]
-			}
-			ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
-			s := dot(ai, b[j*k:j*k+k], ci[j])
-			if bias != nil {
-				s += bias[j]
-			}
-			ci[j] = s
 		}
 	}
 }
@@ -346,30 +299,6 @@ func axpy(ci, bp []float32, av float32) {
 	for j := range ci {
 		ci[j] += float32(av * bp[j])
 	}
-}
-
-// dot4 adds the inner products of x with y0..y3 to s0..s3: four
-// independent accumulators, each summed in ascending index order exactly
-// like dot.
-func dot4(x, y0, y1, y2, y3 []float32, s0, s1, s2, s3 float32) (float32, float32, float32, float32) {
-	y0, y1, y2, y3 = y0[:len(x)], y1[:len(x)], y2[:len(x)], y3[:len(x)]
-	for i, xv := range x {
-		s0 += float32(xv * y0[i])
-		s1 += float32(xv * y1[i])
-		s2 += float32(xv * y2[i])
-		s3 += float32(xv * y3[i])
-	}
-	return s0, s1, s2, s3
-}
-
-// dot adds the inner product of x and y to s with a single accumulator
-// in ascending index order: the remainder tail of dot4.
-func dot(x, y []float32, s float32) float32 {
-	y = y[:len(x)]
-	for i, xv := range x {
-		s += float32(xv * y[i])
-	}
-	return s
 }
 
 // mmShapes validates a 2-D matmul pair and returns (m, k, n). ta/tb mark

@@ -144,7 +144,7 @@ func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) {
 	outH, outW := ConvOutDims(h, w, kh, kw, stride, pad)
 	rows := c * kh * kw
 	checkOut("Im2Col", cols, rows, n*outH*outW)
-	if grain := par.Grain(n*outH*outW, copyMinWork); parallelWorthIt(rows, grain) {
+	if grain := par.Grain(n*outH*outW, copyMinWork); par.WorthIt(rows, grain) {
 		par.For(rows, grain, func(lo, hi int) {
 			im2colRows(cols.Data, x.Data, lo, hi, n, c, h, w, kh, kw, stride, pad)
 		})
@@ -241,7 +241,7 @@ func Col2ImInto(x, cols *Tensor, kh, kw, stride, pad int) {
 	outH, outW := ConvOutDims(h, w, kh, kw, stride, pad)
 	checkOut("Col2Im", cols, c*kh*kw, n*outH*outW)
 	planes := n * c
-	if grain := par.Grain(kh*kw*outH*outW, copyMinWork); parallelWorthIt(planes, grain) {
+	if grain := par.Grain(kh*kw*outH*outW, copyMinWork); par.WorthIt(planes, grain) {
 		par.For(planes, grain, func(lo, hi int) {
 			col2imPlanes(x.Data, cols.Data, lo, hi, n, c, h, w, kh, kw, stride, pad)
 		})

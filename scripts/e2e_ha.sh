@@ -189,9 +189,9 @@ echo "zombie fenced at epoch $(stat_of "$PADDR" epoch)"
 
 # A late mutation aimed straight at the zombie: refused with the typed
 # retryable error, redirect and Retry-After floor included.
-REFUSAL=$(curl -s -D "$WORK/refuse.hdr" -X POST "http://$PADDR/v2/submit" \
+REFUSAL=$(curl -s -D "$WORK/refuse.hdr" -X POST "http://$PADDR/v2/submitbatch" \
     -H 'Content-Type: application/json' \
-    -d '{"proto":"dlexec2","tasks":[{"proto":"dlexec2","job":"late","shard":0,"seed":7,"key":"late@hash"}]}')
+    -d '{"proto":"dlexec2","jobs":[{"proto":"dlexec2","tasks":[{"proto":"dlexec2","job":"late","shard":0,"seed":7,"key":"late@hash"}]}]}')
 echo "$REFUSAL" | grep -q '"code": *"not_leader"' || {
     echo "FAIL: zombie accepted (or mis-refused) a late mutation: $REFUSAL"; exit 1; }
 echo "$REFUSAL" | grep -q "\"primary\": *\"$SADDR\"" || {
