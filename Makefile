@@ -71,7 +71,13 @@ bench-check:
 # internal/faultinject's LoadPlan: never panics, an accepted plan
 # re-marshals and reloads equal, and its Injector evaluates a fixed
 # set of fault points without panicking; its executions write a file,
-# so it minimizes for 1 s too.
+# so it minimizes for 1 s too. FuzzQueueReply answers internal/remote's
+# queue clients from an in-memory transport: one status code and body
+# for batch submit, job status and poll, valid replies elsewhere. A
+# QueueExecutor runs one task and a PullWorker works leases under a
+# 20 ms context: neither panics, and Execute returns an error or a
+# result that passes Validate. Each execution waits out that context,
+# so it minimizes for 1 s as well.
 fuzz-smoke:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
 	$(GO) test ./internal/remote/ -run '^$$' -fuzz '^FuzzDecodeError$$' -fuzztime 10s
@@ -82,6 +88,7 @@ fuzz-smoke:
 	$(GO) test ./internal/resultplane/ -run '^$$' -fuzz '^FuzzPlaneOpen$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/remote/ -run '^$$' -fuzz '^FuzzBrokerRequest$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/faultinject/ -run '^$$' -fuzz '^FuzzLoadPlan$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/remote/ -run '^$$' -fuzz '^FuzzQueueReply$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Loopback end-to-end gate for the remote executors: boots dramlockerd
 # on 127.0.0.1 in both topologies — push worker (-remote) and job-queue

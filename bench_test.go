@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/engine"
@@ -194,16 +193,13 @@ func BenchmarkQuantizedInferenceResNet20(b *testing.B) {
 
 // --- Ablations -----------------------------------------------------------------
 
-// ablationRun builds a defended system with the given controller tweaks
-// and measures how many attack iterations are denied and the victim-side
-// swap overhead of a fixed legitimate workload under attack.
-func ablationRun(b *testing.B, mut func(*controller.Config), lockWeightsThemselves bool) (denied int64, swapLat dram.Picoseconds) {
+// ablationRun builds a defended system and returns the swaps a fixed
+// legitimate workload under attack triggers and the latency those
+// privileged reads are charged.
+func ablationRun(b *testing.B, lockWeightsThemselves bool) (swaps int64, victimLat dram.Picoseconds) {
 	b.Helper()
 	ccfg := core.DefaultConfig()
 	ccfg.TRH = 40
-	if mut != nil {
-		mut(&ccfg.Controller)
-	}
 	sys, err := core.NewSystem(ccfg)
 	if err != nil {
 		b.Fatal(err)
@@ -239,12 +235,13 @@ func ablationRun(b *testing.B, mut func(*controller.Config), lockWeightsThemselv
 		for _, agg := range aggs {
 			ctl.HammerAttempt(agg)
 		}
-		if _, _, err := ctl.Read(phys, 1); err != nil {
+		_, resp, err := ctl.Read(phys, 1)
+		if err != nil {
 			b.Fatal(err)
 		}
+		victimLat += resp.Latency
 	}
-	st := ctl.Stats()
-	return st.Denied, st.SwapLatency
+	return ctl.Stats().Swaps, victimLat
 }
 
 // BenchmarkAblationLockGranularity compares the paper's adjacent-row
@@ -252,54 +249,14 @@ func ablationRun(b *testing.B, mut func(*controller.Config), lockWeightsThemselv
 // SWAP on nearly every legitimate access (the paper's §IV-A argument).
 func BenchmarkAblationLockGranularity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, swapAdj := ablationRun(b, nil, false)
-		_, swapSelf := ablationRun(b, nil, true)
+		swapsAdj, latAdj := ablationRun(b, false)
+		swapsSelf, latSelf := ablationRun(b, true)
 		once(b, "abl-gran", fmt.Sprintf(
-			"lock granularity ablation:\n  adjacent-row locking: swap latency %v\n  weight-row locking:   swap latency %v\n  (weight-row locking forces constant unlock SWAPs, as §IV-A argues)",
-			swapAdj, swapSelf))
-		if swapSelf <= swapAdj {
-			b.Fatal("weight-row locking should cost more swap latency")
+			"lock granularity ablation:\n  adjacent-row locking: %d swaps, victim latency %v\n  weight-row locking:   %d swaps, victim latency %v\n  (weight-row locking forces unlock SWAPs, as §IV-A argues)",
+			swapsAdj, latAdj, swapsSelf, latSelf))
+		if swapsSelf <= swapsAdj || latSelf <= latAdj {
+			b.Fatal("weight-row locking should cost more swaps and victim latency")
 		}
-	}
-}
-
-// BenchmarkAblationRelockInterval sweeps the re-lock cadence.
-func BenchmarkAblationRelockInterval(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := "re-lock interval ablation (weight-row locking to force swap traffic):\n"
-		for _, interval := range []int{50, 200, 1000, 5000} {
-			_, swapLat := ablationRun(b, func(c *controller.Config) {
-				c.RelockInterval = interval
-			}, true)
-			out += fmt.Sprintf("  interval %5d: swap latency %v\n", interval, swapLat)
-		}
-		once(b, "abl-relock", out)
-	}
-}
-
-// BenchmarkAblationLockTableSize verifies protection degrades gracefully
-// when the lock-table cannot hold every aggressor row.
-func BenchmarkAblationLockTableSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := "lock-table capacity ablation:\n"
-		for _, capEntries := range []int{4, 16, 64, 8192} {
-			ccfg := core.DefaultConfig()
-			ccfg.TRH = 40
-			ccfg.Controller.Table.CapacityEntries = capEntries
-			sys, err := core.NewSystem(ccfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			qm := quant.NewModel(nn.NewResNet20(4, 0.125, 33))
-			layout, err := memmap.New(qm, sys.Device(), sys.Controller().IsReserved)
-			if err != nil {
-				b.Fatal(err)
-			}
-			locked, _ := sys.ProtectWeights(layout) // error expected at low capacity
-			total := len(layout.AggressorRows())
-			out += fmt.Sprintf("  capacity %5d: locked %d of %d aggressor rows\n", capEntries, locked, total)
-		}
-		once(b, "abl-size", out)
 	}
 }
 

@@ -120,7 +120,7 @@ func run(mode, in, out string, passes, hammers int, defend bool) error {
 		fmt.Printf("  total latency:   %v\n", rs.TotalLatency)
 		fmt.Printf("  victim latency:  %v\n", rs.VictimLatency)
 		fmt.Printf("  energy:          %.1f nJ\n", rs.EnergyPJ/1000)
-		fmt.Printf("  flips landed:    %d\n", sys.Hammer().History().TotalFlips)
+		fmt.Printf("  flips landed:    %d\n", sys.Hammer().TotalFlips())
 		return nil
 
 	default:

@@ -27,6 +27,6 @@
 //
 // The root package holds the benchmark harness (bench_test.go): one
 // testing.B benchmark per paper table/figure, each timing its registry
-// job, plus ablation benches for the knobs that scale DRAM-Locker's one
-// mechanism (lock granularity, relock interval, lock-table size).
+// job, plus an ablation bench for DRAM-Locker's lock granularity (the
+// aggressor rows against the weight rows themselves).
 package repro

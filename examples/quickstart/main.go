@@ -56,7 +56,7 @@ func main() {
 		}
 	}
 	fmt.Printf("hammer attempts: %d, denied by lock-table: %d\n", attempts, denied)
-	fmt.Printf("disturbance flips injected: %d\n", sys.Hammer().History().TotalFlips)
+	fmt.Printf("disturbance flips injected: %d\n", sys.Hammer().TotalFlips())
 
 	// The victim still reads its data intact.
 	got, _, err := ctl.Read(phys, len(secret))

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/nn"
+	"repro/internal/par"
 	"repro/internal/quant"
 )
 
@@ -73,9 +74,13 @@ func newSearchIter(tb testing.TB, qm *quant.Model, ab nn.Batch, eval nn.BatchSou
 // BenchmarkBFASearchIter times one steady-state attack iteration on a
 // reused Searcher, once per path: a search step, the executor call and
 // the record's loss and accuracy on the 80-image eval set. Allocs/op
-// must stay at 0 at a budget of one CPU: no per-iteration candidate
-// slices, map churn or activation buffers.
+// must stay at 0: no per-iteration candidate slices, map churn or
+// activation buffers. The worker budget is pinned to 1, whatever -cpu
+// says, because par fan-out spends allocations on goroutines.
 func BenchmarkBFASearchIter(b *testing.B) {
+	old := par.Budget()
+	par.SetBudget(1)
+	b.Cleanup(func() { par.SetBudget(old) })
 	for _, path := range searchPaths {
 		b.Run(path.name, func(b *testing.B) {
 			qm, ab, eval := benchVictim(b)

@@ -92,20 +92,14 @@ func (p Params) Margin(cc, cb, vth, vwlScale float64) float64 {
 
 // Result reports one Monte-Carlo run.
 type Result struct {
-	Variation  float64 // the +-X variation fraction (0.0, 0.1, 0.2)
-	Trials     int
-	CopyErrors int     // erroneous single row copies
-	SwapErrors int     // swaps with >= 1 erroneous copy
-	CopyRate   float64 // CopyErrors / total copies
-	SwapRate   float64 // SwapErrors / Trials
-	MeanMargin float64 // mean sampled margin (V)
-	MinMargin  float64 // minimum sampled margin (V)
+	Variation float64 // the +-X variation fraction (0.0, 0.1, 0.2)
+	SwapRate  float64 // fraction of swaps with >= 1 erroneous copy
 }
 
 // MonteCarlo runs `trials` SWAP instances at the given +-variation fraction
-// (e.g. 0.20 for +-20%) and returns error statistics. Each of the three
-// copies in a SWAP samples an independent worst-case cell, matching the
-// paper's per-operation error accounting.
+// (e.g. 0.20 for +-20%) and returns the erroneous-SWAP rate. Each of the
+// three copies in a SWAP samples an independent worst-case cell, matching
+// the paper's per-operation error accounting.
 func MonteCarlo(p Params, variation float64, trials int, seed uint64) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -117,10 +111,8 @@ func MonteCarlo(p Params, variation float64, trials int, seed uint64) (Result, e
 		return Result{}, fmt.Errorf("circuit: trials must be positive, got %d", trials)
 	}
 	rng := stats.NewRNG(seed)
-	res := Result{Variation: variation, Trials: trials, MinMargin: math.Inf(1)}
 	sigma := variation / 3 // +-X% interpreted as 3-sigma bounds
-	var marginSum float64
-	var copies int
+	swapErrors := 0
 	for t := 0; t < trials; t++ {
 		swapErred := false
 		for c := 0; c < p.CopiesPerSwap; c++ {
@@ -135,25 +127,15 @@ func MonteCarlo(p Params, variation float64, trials int, seed uint64) (Result, e
 				cb = p.Cb * 0.1
 			}
 			m := p.Margin(cc, cb, vth, vwl)
-			off := p.Voff + rng.Normal(0, p.SenseSigma)
-			marginSum += m
-			copies++
-			if m < res.MinMargin {
-				res.MinMargin = m
-			}
-			if m < off {
-				res.CopyErrors++
+			if off := p.Voff + rng.Normal(0, p.SenseSigma); m < off {
 				swapErred = true
 			}
 		}
 		if swapErred {
-			res.SwapErrors++
+			swapErrors++
 		}
 	}
-	res.CopyRate = float64(res.CopyErrors) / float64(copies)
-	res.SwapRate = float64(res.SwapErrors) / float64(trials)
-	res.MeanMargin = marginSum / float64(copies)
-	return res, nil
+	return Result{Variation: variation, SwapRate: float64(swapErrors) / float64(trials)}, nil
 }
 
 // PaperVariations returns the §IV.D process-variation sweep (±0/10/20%).

@@ -20,10 +20,12 @@
 //     instructions (1k in the paper); on expiry the controller swaps the
 //     data back and re-secures the row (Fig. 4(d)).
 //
-// The model has one operating point. A SWAP's destination is the next
-// free-pool row of the subarray in round-robin order. Every SWAP copy is
-// exact (see internal/rowclone). Locking a row's neighbours reaches
-// distance 1, the rows the paper's fault model lets an aggressor disturb.
+// The model has one operating point: the constants RelockInterval and
+// FreeRowsPerSubarray, and the lock-table's locktable.Capacity. A SWAP's
+// destination is the next free-pool row of the subarray in round-robin
+// order. Every SWAP copy is exact (see internal/rowclone). Locking a row's
+// neighbours reaches distance 1, the rows the paper's fault model lets an
+// aggressor disturb.
 package controller
 
 import (
@@ -80,60 +82,28 @@ type Response struct {
 	Data []byte
 	// Latency is the total time charged to this request.
 	Latency dram.Picoseconds
-	// Swapped is true when serving the request required a SWAP.
-	Swapped bool
-	// RowHit is true when the access hit the open row buffer.
-	RowHit bool
 }
 
 // Stats aggregates controller activity.
 type Stats struct {
 	Instructions  int64
-	Reads         int64
-	Writes        int64
 	Denied        int64
 	Swaps         int64
-	SwapsBack     int64
 	RowHits       int64
 	RowMisses     int64
-	Redirected    int64
 	TotalLatency  dram.Picoseconds
 	LookupLatency dram.Picoseconds
-	SwapLatency   dram.Picoseconds
-	AccessLatency dram.Picoseconds
 }
 
-// Config parameterises the controller.
-type Config struct {
+// The controller's operating point (paper §IV, Fig. 4).
+const (
 	// RelockInterval is the number of R/W instructions after a SWAP until
 	// the controller swaps back and re-secures the row (paper: 1k).
-	RelockInterval int
+	RelockInterval = 1000
 	// FreeRowsPerSubarray is the size of the reserved swap-destination
 	// pool in each subarray (the buffer row is reserved separately).
-	FreeRowsPerSubarray int
-	// Table sizes the lock-table.
-	Table locktable.Config
-}
-
-// DefaultConfig returns the paper's operating point.
-func DefaultConfig() Config {
-	return Config{
-		RelockInterval:      1000,
-		FreeRowsPerSubarray: 4,
-		Table:               locktable.DefaultConfig(),
-	}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.RelockInterval <= 0 {
-		return fmt.Errorf("controller: RelockInterval must be positive, got %d", c.RelockInterval)
-	}
-	if c.FreeRowsPerSubarray <= 0 {
-		return fmt.Errorf("controller: FreeRowsPerSubarray must be positive, got %d", c.FreeRowsPerSubarray)
-	}
-	return c.Table.Validate()
-}
+	FreeRowsPerSubarray = 4
+)
 
 // Errors returned by the controller.
 var (
@@ -155,12 +125,9 @@ type Controller struct {
 	mapper dram.AddrMapper
 	table  *locktable.Table
 	seq    *isa.Sequencer
-	cfg    Config
 
 	// redirects maps the linear index of an original row to its redirect.
 	redirects map[int]*redirect
-	// reverse maps destination rows back to their redirect.
-	reverse map[int]*redirect
 	// destInUse marks free-pool rows currently holding swapped data.
 	destInUse map[int]bool
 	// rrCursor is each subarray's next free-pool index to try.
@@ -169,28 +136,20 @@ type Controller struct {
 	stats Stats
 }
 
-// New builds a controller over the device.
-func New(dev *dram.Device, cfg Config) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// New builds a controller over the device. The device's subarrays must
+// leave rows beyond the reserved buffer and free-pool rows.
+func New(dev *dram.Device) (*Controller, error) {
 	geom := dev.Geometry()
-	if cfg.FreeRowsPerSubarray+1 >= geom.RowsPerSubarray {
+	if FreeRowsPerSubarray+1 >= geom.RowsPerSubarray {
 		return nil, fmt.Errorf("controller: reserved rows (%d) exceed subarray size (%d)",
-			cfg.FreeRowsPerSubarray+1, geom.RowsPerSubarray)
-	}
-	table, err := locktable.New(geom, cfg.Table)
-	if err != nil {
-		return nil, err
+			FreeRowsPerSubarray+1, geom.RowsPerSubarray)
 	}
 	return &Controller{
 		dev:       dev,
 		mapper:    dram.NewAddrMapper(geom),
-		table:     table,
+		table:     locktable.New(geom),
 		seq:       isa.NewSequencer(rowclone.New(dev)),
-		cfg:       cfg,
 		redirects: make(map[int]*redirect),
-		reverse:   make(map[int]*redirect),
 		destInUse: make(map[int]bool),
 		rrCursor:  make(map[int]int),
 	}, nil
@@ -226,7 +185,7 @@ func (c *Controller) freePoolRow(bank, subarray, i int) dram.RowAddr {
 func (c *Controller) IsReserved(a dram.RowAddr) bool {
 	geom := c.dev.Geometry()
 	in := geom.RowInSubarray(a)
-	return in >= geom.RowsPerSubarray-1-c.cfg.FreeRowsPerSubarray
+	return in >= geom.RowsPerSubarray-1-FreeRowsPerSubarray
 }
 
 // --- Locking policy entry points -------------------------------------------
@@ -299,32 +258,24 @@ func (c *Controller) Submit(req Request) (Response, error) {
 		if r, ok := c.redirects[c.dev.Geometry().LinearIndex(row)]; ok {
 			// 3a. Already swapped out: serve at the redirect destination.
 			target = r.Dest
-			c.stats.Redirected++
 		} else {
 			// 3b. First victim access: SWAP the locked row's data out.
 			lat, dest, err := c.swapOut(row)
 			if err != nil {
 				return resp, err
 			}
-			resp.Swapped = true
 			resp.Latency += lat
 			target = dest
 		}
 	}
 
 	// 4. Issue the DRAM commands at the (possibly redirected) location.
-	accessLat, rowHit, err := c.access(req.Kind, target, col, req.Data, req.Buf, n, &resp)
+	accessLat, err := c.access(req.Kind, target, col, req.Data, req.Buf, n, &resp)
 	if err != nil {
 		return resp, err
 	}
 	resp.Latency += accessLat
-	resp.RowHit = rowHit
 	c.stats.TotalLatency += resp.Latency
-	if req.Kind == ReqRead {
-		c.stats.Reads++
-	} else {
-		c.stats.Writes++
-	}
 	return resp, nil
 }
 
@@ -341,21 +292,20 @@ func (c *Controller) Write(phys int64, data []byte) (Response, error) {
 
 // access performs the open-page command sequence for one burst. For reads
 // the result lands in buf when it is large enough, else a fresh buffer.
-func (c *Controller) access(kind RequestKind, row dram.RowAddr, col int, data, buf []byte, n int, resp *Response) (dram.Picoseconds, bool, error) {
+func (c *Controller) access(kind RequestKind, row dram.RowAddr, col int, data, buf []byte, n int, resp *Response) (dram.Picoseconds, error) {
 	var lat dram.Picoseconds
 	open, isOpen := c.dev.OpenRow(row.Bank)
-	rowHit := isOpen && open == row.Row
-	if !rowHit {
+	if !isOpen || open != row.Row {
 		if isOpen {
 			l, err := c.dev.Precharge(row.Bank)
 			if err != nil {
-				return lat, false, err
+				return lat, err
 			}
 			lat += l
 		}
 		l, err := c.dev.Activate(row)
 		if err != nil {
-			return lat, false, err
+			return lat, err
 		}
 		lat += l
 		c.stats.RowMisses++
@@ -371,19 +321,18 @@ func (c *Controller) access(kind RequestKind, row dram.RowAddr, col int, data, b
 		}
 		l, err := c.dev.Read(row, col, buf)
 		if err != nil {
-			return lat, rowHit, err
+			return lat, err
 		}
 		lat += l
 		resp.Data = buf
 	case ReqWrite:
 		l, err := c.dev.Write(row, col, data)
 		if err != nil {
-			return lat, rowHit, err
+			return lat, err
 		}
 		lat += l
 	}
-	c.stats.AccessLatency += lat
-	return lat, rowHit, nil
+	return lat, nil
 }
 
 // swapOut runs the ISA SWAP program to move a locked row's data into a free
@@ -413,15 +362,9 @@ func (c *Controller) swapOut(locked dram.RowAddr) (lat dram.Picoseconds, dest dr
 		return 0, dest, err
 	}
 
-	linOrig := geom.LinearIndex(locked)
-	linDest := geom.LinearIndex(dest)
-	r := &redirect{Orig: locked, Dest: dest, Countdown: c.cfg.RelockInterval}
-	c.redirects[linOrig] = r
-	c.reverse[linDest] = r
-	c.destInUse[linDest] = true
-
+	c.redirects[geom.LinearIndex(locked)] = &redirect{Orig: locked, Dest: dest, Countdown: RelockInterval}
+	c.destInUse[geom.LinearIndex(dest)] = true
 	c.stats.Swaps++
-	c.stats.SwapLatency += res.Latency
 	return res.Latency, dest, nil
 }
 
@@ -429,7 +372,7 @@ func (c *Controller) swapOut(locked dram.RowAddr) (lat dram.Picoseconds, dest dr
 // round-robin order.
 func (c *Controller) pickDest(bank, sub int) (dram.RowAddr, error) {
 	geom := c.dev.Geometry()
-	pool := c.cfg.FreeRowsPerSubarray
+	pool := FreeRowsPerSubarray
 	key := bank*geom.SubarraysPerBank + sub
 	start := c.rrCursor[key]
 	for i := 0; i < pool; i++ {
@@ -463,13 +406,8 @@ func (c *Controller) tickRedirects() {
 		_ = c.seq.BindRow(isa.RegLocked, r.Dest)
 		_ = c.seq.BindRow(isa.RegUnlocked, r.Orig)
 		_ = c.seq.BindRow(isa.RegBuffer, buffer)
-		res, err := c.seq.Run(isa.SwapProgram())
-		if err == nil {
-			c.stats.SwapsBack++
-			c.stats.SwapLatency += res.Latency
-		}
+		_, _ = c.seq.Run(isa.SwapProgram())
 		delete(c.redirects, geom.LinearIndex(r.Orig))
-		delete(c.reverse, geom.LinearIndex(r.Dest))
 		delete(c.destInUse, geom.LinearIndex(r.Dest))
 	}
 }

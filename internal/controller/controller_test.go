@@ -8,23 +8,35 @@ import (
 	"repro/internal/dram"
 )
 
-func newCtl(t *testing.T, mut func(*Config)) *Controller {
+func newCtl(t *testing.T) *Controller {
 	t.Helper()
 	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.RelockInterval = 10
-	if mut != nil {
-		mut(&cfg)
-	}
-	c, err := New(dev, cfg)
+	c, err := New(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
+
+// idle submits n privileged reads of a row no test locks, each one R/W
+// instruction toward the re-lock countdowns.
+func idle(t *testing.T, c *Controller, n int) {
+	t.Helper()
+	other := physOf(t, c, dram.RowAddr{Bank: 1, Row: 40}, 0)
+	for range n {
+		if _, _, err := c.Read(other, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// activations counts the activations that reach the array.
+type activations int
+
+func (a *activations) ObserveActivate(dram.RowAddr, dram.Picoseconds) { *a++ }
 
 // physOf returns a physical address inside the given row.
 func physOf(t *testing.T, c *Controller, row dram.RowAddr, col int) int64 {
@@ -37,7 +49,7 @@ func physOf(t *testing.T, c *Controller, row dram.RowAddr, col int) int64 {
 }
 
 func TestReadWriteRoundTrip(t *testing.T) {
-	c := newCtl(t, nil)
+	c := newCtl(t)
 	phys := physOf(t, c, dram.RowAddr{Bank: 0, Row: 5}, 16)
 	if _, err := c.Write(phys, []byte("payload")); err != nil {
 		t.Fatal(err)
@@ -49,24 +61,27 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	if string(got) != "payload" {
 		t.Fatalf("read %q", got)
 	}
-	if resp.Denied || resp.Swapped {
-		t.Fatalf("unexpected flags: %+v", resp)
+	if resp.Denied || c.Stats().Swaps != 0 {
+		t.Fatalf("unlocked row: denied=%v swaps=%d", resp.Denied, c.Stats().Swaps)
 	}
 }
 
 func TestRowHitVsMissLatency(t *testing.T) {
-	c := newCtl(t, nil)
+	c := newCtl(t)
 	phys := physOf(t, c, dram.RowAddr{Bank: 0, Row: 5}, 0)
 	_, first, err := c.Read(phys, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st := c.Stats(); st.RowMisses != 1 || st.RowHits != 0 {
+		t.Fatalf("first access: %d misses, %d hits; want a miss", st.RowMisses, st.RowHits)
+	}
 	_, second, err := c.Read(phys+1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.RowHit || first.RowHit {
-		t.Fatalf("rowhit flags: first=%v second=%v", first.RowHit, second.RowHit)
+	if st := c.Stats(); st.RowMisses != 1 || st.RowHits != 1 {
+		t.Fatalf("second access: %d misses, %d hits; want a hit", st.RowMisses, st.RowHits)
 	}
 	if second.Latency >= first.Latency {
 		t.Fatalf("row hit (%v) must be faster than miss (%v)", second.Latency, first.Latency)
@@ -74,7 +89,7 @@ func TestRowHitVsMissLatency(t *testing.T) {
 }
 
 func TestUnprivilegedDeniedOnLockedRow(t *testing.T) {
-	c := newCtl(t, nil)
+	c := newCtl(t)
 	row := dram.RowAddr{Bank: 0, Row: 5}
 	if err := c.LockRow(row); err != nil {
 		t.Fatal(err)
@@ -97,7 +112,7 @@ func TestUnprivilegedDeniedOnLockedRow(t *testing.T) {
 }
 
 func TestPrivilegedAccessSwapsOut(t *testing.T) {
-	c := newCtl(t, nil)
+	c := newCtl(t)
 	row := dram.RowAddr{Bank: 0, Row: 5}
 	phys := physOf(t, c, row, 0)
 	if _, err := c.Write(phys, []byte("secret!")); err != nil {
@@ -110,8 +125,11 @@ func TestPrivilegedAccessSwapsOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Swapped {
+	if c.Stats().Swaps != 1 {
 		t.Fatal("first privileged access to a locked row must SWAP")
+	}
+	if resp.Latency <= c.Device().Timing().SwapLatency() {
+		t.Fatalf("latency %v must include the SWAP", resp.Latency)
 	}
 	if string(got) != "secret!" {
 		t.Fatalf("data after swap = %q", got)
@@ -128,8 +146,8 @@ func TestPrivilegedAccessSwapsOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp2.Swapped {
-		t.Fatal("second access must reuse the redirect")
+	if c.Stats().Swaps != 1 || resp2.Latency >= c.Device().Timing().SwapLatency() {
+		t.Fatalf("second access must reuse the redirect: swaps=%d latency=%v", c.Stats().Swaps, resp2.Latency)
 	}
 	if string(got2) != "secret!" {
 		t.Fatalf("redirected read = %q", got2)
@@ -137,7 +155,7 @@ func TestPrivilegedAccessSwapsOut(t *testing.T) {
 }
 
 func TestRelockSwapsBackAndRestoresData(t *testing.T) {
-	c := newCtl(t, func(cfg *Config) { cfg.RelockInterval = 3 })
+	c := newCtl(t)
 	row := dram.RowAddr{Bank: 0, Row: 5}
 	phys := physOf(t, c, row, 0)
 	c.Write(phys, []byte("data"))
@@ -145,18 +163,20 @@ func TestRelockSwapsBackAndRestoresData(t *testing.T) {
 	if _, _, err := c.Read(phys, 4); err != nil { // triggers swap
 		t.Fatal(err)
 	}
-	// Drive the countdown with unrelated traffic.
-	other := physOf(t, c, dram.RowAddr{Bank: 1, Row: 40}, 0)
-	for i := 0; i < 4; i++ {
-		if _, _, err := c.Read(other, 1); err != nil {
-			t.Fatal(err)
-		}
+	// While swapped out, the data lives in a free-pool row and the
+	// locked row holds what was in it.
+	if raw, _ := c.Device().PeekRow(row); bytes.Equal(raw[:4], []byte("data")) {
+		t.Fatal("SWAP left the data in the locked row")
 	}
+	// Drive the countdown with unrelated traffic: the redirect lives for
+	// RelockInterval R/W instructions.
+	idle(t, c, RelockInterval-1)
+	if c.ActiveRedirects() != 1 {
+		t.Fatalf("redirect expired early, have %d", c.ActiveRedirects())
+	}
+	idle(t, c, 1)
 	if c.ActiveRedirects() != 0 {
 		t.Fatalf("redirect must expire, have %d", c.ActiveRedirects())
-	}
-	if c.Stats().SwapsBack != 1 {
-		t.Fatalf("swaps back = %d", c.Stats().SwapsBack)
 	}
 	// Data is back in the original (still locked) row.
 	raw, err := c.Device().PeekRow(row)
@@ -174,7 +194,9 @@ func TestRelockSwapsBackAndRestoresData(t *testing.T) {
 }
 
 func TestHammerAttemptDeniedOnLockedRow(t *testing.T) {
-	c := newCtl(t, nil)
+	c := newCtl(t)
+	var acts activations
+	c.Device().AddActivateObserver(&acts)
 	row := dram.RowAddr{Bank: 0, Row: 5}
 	c.LockRow(row)
 	activated, lat, err := c.HammerAttempt(row)
@@ -192,13 +214,13 @@ func TestHammerAttemptDeniedOnLockedRow(t *testing.T) {
 	if err != nil || !activated {
 		t.Fatalf("hammer on free row: activated=%v err=%v", activated, err)
 	}
-	if c.Device().Stats().Activates != 1 {
-		t.Fatalf("activations = %d", c.Device().Stats().Activates)
+	if acts != 1 {
+		t.Fatalf("activations = %d", acts)
 	}
 }
 
 func TestReservedRowsRejectLocks(t *testing.T) {
-	c := newCtl(t, nil)
+	c := newCtl(t)
 	geom := c.Device().Geometry()
 	buffer := dram.RowAddr{Bank: 0, Row: geom.RowsPerSubarray - 1}
 	if !c.IsReserved(buffer) {
@@ -210,7 +232,7 @@ func TestReservedRowsRejectLocks(t *testing.T) {
 }
 
 func TestLockNeighborsOf(t *testing.T) {
-	c := newCtl(t, nil)
+	c := newCtl(t)
 	row := dram.RowAddr{Bank: 0, Row: 10}
 	phys := physOf(t, c, row, 0)
 	locked, err := c.LockNeighborsOf(phys)
@@ -232,24 +254,21 @@ func TestLockNeighborsOf(t *testing.T) {
 }
 
 func TestFreePoolExhaustion(t *testing.T) {
-	c := newCtl(t, func(cfg *Config) {
-		cfg.FreeRowsPerSubarray = 2
-		cfg.RelockInterval = 1000
-	})
-	// Lock three rows in the same subarray and touch each: the third
-	// swap has no free destination.
+	c := newCtl(t)
+	// Lock one row more than the free pool holds in the same subarray and
+	// touch each: the last swap has no free destination.
 	var errSeen error
-	for i, r := range []int{5, 7, 9} {
-		row := dram.RowAddr{Bank: 0, Row: r}
+	for i := range FreeRowsPerSubarray + 1 {
+		row := dram.RowAddr{Bank: 0, Row: 5 + 2*i}
 		if err := c.LockRow(row); err != nil {
 			t.Fatal(err)
 		}
 		phys := physOf(t, c, row, 0)
 		_, _, err := c.Read(phys, 1)
-		if i < 2 && err != nil {
+		if i < FreeRowsPerSubarray && err != nil {
 			t.Fatalf("swap %d failed early: %v", i, err)
 		}
-		if i == 2 {
+		if i == FreeRowsPerSubarray {
 			errSeen = err
 		}
 	}
@@ -262,28 +281,23 @@ func TestFreePoolExhaustion(t *testing.T) {
 // row after the previous SWAP's, wrapping around the pool, even when an
 // earlier row has been released by a swap-back.
 func TestSwapDestRoundRobin(t *testing.T) {
-	c := newCtl(t, func(cfg *Config) { cfg.RelockInterval = 3 })
+	c := newCtl(t)
 	last := c.Device().Geometry().RowsPerSubarray - 2 // the first free-pool row
-	other := physOf(t, c, dram.RowAddr{Bank: 1, Row: 40}, 0)
 	for i, r := range []int{5, 7, 9, 11, 13} {
 		row := dram.RowAddr{Bank: 0, Row: r}
 		phys := physOf(t, c, row, 0)
 		c.Write(phys, []byte{byte('a' + i)})
 		c.LockRow(row)
-		if _, resp, err := c.Read(phys, 1); err != nil || !resp.Swapped {
-			t.Fatalf("swap %d: swapped=%v err=%v", i, resp.Swapped, err)
+		if _, _, err := c.Read(phys, 1); err != nil || c.Stats().Swaps != int64(i+1) {
+			t.Fatalf("swap %d: swaps=%d err=%v", i, c.Stats().Swaps, err)
 		}
-		dest := dram.RowAddr{Bank: 0, Row: last - i%c.cfg.FreeRowsPerSubarray}
+		dest := dram.RowAddr{Bank: 0, Row: last - i%FreeRowsPerSubarray}
 		if got, _ := c.Device().PeekRow(dest); got[0] != byte('a'+i) {
 			t.Fatalf("swap %d: %v holds %q, want %q", i, dest, got[0], 'a'+i)
 		}
-		// Release the destination: RelockInterval+1 requests expire the
+		// Release the destination: RelockInterval requests expire the
 		// redirect, which swaps the data back.
-		for range c.cfg.RelockInterval + 1 {
-			if _, _, err := c.Read(other, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
+		idle(t, c, RelockInterval)
 		if c.ActiveRedirects() != 0 {
 			t.Fatalf("swap %d: redirect still live", i)
 		}
@@ -291,7 +305,7 @@ func TestSwapDestRoundRobin(t *testing.T) {
 }
 
 func TestRequestValidation(t *testing.T) {
-	c := newCtl(t, nil)
+	c := newCtl(t)
 	// Zero-length read.
 	if _, err := c.Submit(Request{Kind: ReqRead, Phys: 0, Len: 0, Privileged: true}); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("err = %v, want ErrOutOfRange", err)
@@ -307,34 +321,44 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestConfigValidation: the device's subarrays must leave rows beyond
+// the reserved buffer and free-pool rows.
 func TestConfigValidation(t *testing.T) {
-	dev, _ := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
-	bad := DefaultConfig()
-	bad.RelockInterval = 0
-	if _, err := New(dev, bad); err == nil {
-		t.Fatal("zero relock interval must fail")
+	geom := dram.SmallGeometry()
+	geom.RowsPerSubarray = FreeRowsPerSubarray + 1
+	dev, _ := dram.NewDevice(geom, dram.DDR4Timing())
+	if _, err := New(dev); err == nil {
+		t.Fatal("a subarray of reserved rows only must fail")
 	}
-	bad = DefaultConfig()
-	bad.FreeRowsPerSubarray = 1000 // exceeds subarray
-	if _, err := New(dev, bad); err == nil {
-		t.Fatal("oversized free pool must fail")
+	geom.RowsPerSubarray++
+	dev, _ = dram.NewDevice(geom, dram.DDR4Timing())
+	if _, err := New(dev); err != nil {
+		t.Fatalf("one data row per subarray: %v", err)
 	}
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	c := newCtl(t, nil)
+	c := newCtl(t)
 	row := dram.RowAddr{Bank: 0, Row: 5}
 	phys := physOf(t, c, row, 0)
-	c.Write(phys, []byte("x"))
+	var total dram.Picoseconds
+	resp, _ := c.Write(phys, []byte("x"))
+	total += resp.Latency
 	c.LockRow(row)
-	c.Read(phys, 1)                                      // swap + read
-	c.Submit(Request{Kind: ReqRead, Phys: phys, Len: 1}) // denied
+	_, resp, _ = c.Read(phys, 1) // swap + read
+	total += resp.Latency
+	resp, _ = c.Submit(Request{Kind: ReqRead, Phys: phys, Len: 1}) // denied
+	total += resp.Latency
 	st := c.Stats()
-	// The denied request never completes, so it is not counted as a read.
-	if st.Swaps != 1 || st.Denied != 1 || st.Reads != 1 || st.Writes != 1 {
+	if st.Instructions != 3 || st.Swaps != 1 || st.Denied != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.TotalLatency <= 0 || st.SwapLatency <= 0 {
-		t.Fatal("latency accounting missing")
+	// The write opened the row and the swapped read opened its
+	// destination; the denied request reached no row.
+	if st.RowMisses != 2 || st.RowHits != 0 {
+		t.Fatalf("row misses/hits = %d/%d, want 2/0", st.RowMisses, st.RowHits)
+	}
+	if st.TotalLatency != total || st.LookupLatency != 3*c.Device().Timing().LockLookup {
+		t.Fatalf("latency: total %v (sum %v), lookup %v", st.TotalLatency, total, st.LookupLatency)
 	}
 }

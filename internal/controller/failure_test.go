@@ -15,9 +15,7 @@ func TestRelockSurvivesManyCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.RelockInterval = 3
-	c, err := New(dev, cfg)
+	c, err := New(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,29 +23,24 @@ func TestRelockSurvivesManyCycles(t *testing.T) {
 	phys, _ := c.Mapper().Untranslate(row, 0)
 	c.Write(phys, []byte{0x5A})
 	c.LockRow(row)
-	other, _ := c.Mapper().Untranslate(dram.RowAddr{Bank: 1, Row: 40}, 0)
 
 	// 30 unlock/re-lock cycles: data must survive every round trip.
 	for cycle := 0; cycle < 30; cycle++ {
-		got, resp, err := c.Read(phys, 1)
+		got, _, err := c.Read(phys, 1)
 		if err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
 		if got[0] != 0x5A {
 			t.Fatalf("cycle %d: data corrupted to %#x", cycle, got[0])
 		}
-		if cycle > 0 && !resp.Swapped && c.ActiveRedirects() == 0 {
-			t.Fatalf("cycle %d: no swap and no redirect", cycle)
+		if c.Stats().Swaps != int64(cycle+1) || c.ActiveRedirects() != 1 {
+			t.Fatalf("cycle %d: swaps=%d redirects=%d", cycle, c.Stats().Swaps, c.ActiveRedirects())
 		}
-		// Let the redirect expire.
-		for i := 0; i < cfg.RelockInterval+1; i++ {
-			if _, _, err := c.Read(other, 1); err != nil {
-				t.Fatal(err)
-			}
+		// Let the redirect expire: the data is back in the locked row.
+		idle(t, c, RelockInterval)
+		if raw, _ := dev.PeekRow(row); c.ActiveRedirects() != 0 || raw[0] != 0x5A {
+			t.Fatalf("cycle %d: redirects=%d, locked row holds %#x", cycle, c.ActiveRedirects(), raw[0])
 		}
-	}
-	if c.Stats().SwapsBack < 25 {
-		t.Fatalf("swaps back = %d, want ~30", c.Stats().SwapsBack)
 	}
 }
 
@@ -56,9 +49,7 @@ func TestConcurrentRedirectsAcrossSubarrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.RelockInterval = 1000
-	c, err := New(dev, cfg)
+	c, err := New(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +66,12 @@ func TestConcurrentRedirectsAcrossSubarrays(t *testing.T) {
 		physAddrs = append(physAddrs, phys)
 	}
 	for i, phys := range physAddrs {
-		got, resp, err := c.Read(phys, 1)
+		got, _, err := c.Read(phys, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !resp.Swapped || got[0] != byte(i+1) {
-			t.Fatalf("subarray %d: swapped=%v data=%#x", i, resp.Swapped, got[0])
+		if c.Stats().Swaps != int64(i+1) || got[0] != byte(i+1) {
+			t.Fatalf("subarray %d: swaps=%d data=%#x", i, c.Stats().Swaps, got[0])
 		}
 	}
 	if c.ActiveRedirects() != geom.SubarraysPerBank {
@@ -103,9 +94,7 @@ func TestRandomizedMixedStreamInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.RelockInterval = 7
-	c, err := New(dev, cfg)
+	c, err := New(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +103,10 @@ func TestRandomizedMixedStreamInvariants(t *testing.T) {
 
 	// Shadow model of written data: phys -> byte.
 	written := make(map[int64]byte)
+	// As many locked rows in subarray 0 as its free pool can redirect at
+	// once.
 	lockedRows := map[int]bool{}
-	for r := 5; r < 20; r += 3 {
+	for r := 5; len(lockedRows) < FreeRowsPerSubarray; r += 3 {
 		row := dram.RowAddr{Bank: 0, Row: r}
 		if err := c.LockRow(row); err != nil {
 			t.Fatal(err)
@@ -123,7 +114,8 @@ func TestRandomizedMixedStreamInvariants(t *testing.T) {
 		lockedRows[geom.LinearIndex(row)] = true
 	}
 
-	for step := 0; step < 3000; step++ {
+	// Several RelockInterval spans, so redirects expire mid-stream.
+	for step := 0; step < 6*RelockInterval; step++ {
 		row := dram.RowAddr{Bank: rng.Intn(geom.Banks()), Row: rng.Intn(40)}
 		if c.IsReserved(row) {
 			continue

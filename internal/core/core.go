@@ -26,36 +26,20 @@ import (
 	"repro/internal/rowhammer"
 )
 
-// Config assembles the full system configuration.
+// Config holds what a system's callers set: the DRAM geometry and the
+// fault model's threshold. The device runs at dram.DDR4Timing and the
+// controller at its one operating point (see internal/controller).
 type Config struct {
 	Geometry dram.Geometry
-	Timing   dram.Timing
 	// TRH is the RowHammer threshold of the fault model.
-	TRH        int
-	Controller controller.Config
+	TRH int
 }
 
 // DefaultConfig returns the paper's operating point (T_RH = 1k) on a
 // small test geometry. Production-scale runs swap in
 // dram.DefaultGeometry().
 func DefaultConfig() Config {
-	return Config{
-		Geometry:   dram.SmallGeometry(),
-		Timing:     dram.DDR4Timing(),
-		TRH:        1000,
-		Controller: controller.DefaultConfig(),
-	}
-}
-
-// Validate checks the assembled configuration.
-func (c Config) Validate() error {
-	if err := c.Geometry.Validate(); err != nil {
-		return err
-	}
-	if err := c.Timing.Validate(); err != nil {
-		return err
-	}
-	return c.Controller.Validate()
+	return Config{Geometry: dram.SmallGeometry(), TRH: 1000}
 }
 
 // System is an assembled DRAM-Locker deployment.
@@ -68,10 +52,7 @@ type System struct {
 
 // NewSystem builds the device, fault model and controller.
 func NewSystem(cfg Config) (*System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	dev, err := dram.NewDevice(cfg.Geometry, cfg.Timing)
+	dev, err := dram.NewDevice(cfg.Geometry, dram.DDR4Timing())
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +60,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctl, err := controller.New(dev, cfg.Controller)
+	ctl, err := controller.New(dev)
 	if err != nil {
 		return nil, err
 	}

@@ -39,9 +39,14 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("TRH 0 must fail")
 	}
 	bad = DefaultConfig()
-	bad.Controller.RelockInterval = 0
+	bad.Geometry.RowsPerSubarray = 0
 	if _, err := NewSystem(bad); err == nil {
-		t.Fatal("bad controller config must fail")
+		t.Fatal("bad geometry must fail")
+	}
+	bad = DefaultConfig()
+	bad.Geometry.RowsPerSubarray = 3 // all reserved by the controller
+	if _, err := NewSystem(bad); err == nil {
+		t.Fatal("a geometry without room for the controller's reserved rows must fail")
 	}
 }
 
@@ -108,7 +113,7 @@ func TestProtectWeightsStopsHammering(t *testing.T) {
 			}
 		}
 	}
-	if sys.Hammer().History().TotalFlips != 0 {
+	if sys.Hammer().TotalFlips() != 0 {
 		t.Fatal("flips occurred despite protection")
 	}
 }

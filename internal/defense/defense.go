@@ -8,6 +8,10 @@
 // activation is offered to the defense, which may mitigate (neutralise the
 // accumulating disturbance at some latency cost) or — for DRAM-Locker,
 // implemented in internal/controller — deny the activation outright.
+//
+// Each mechanism has one operating point: the constants below, plus the
+// threshold its constructor takes. A campaign stays inside one refresh
+// window, so no mechanism models the window's end.
 package defense
 
 import (
@@ -32,7 +36,6 @@ type Decision struct {
 
 // Stats aggregates defense activity.
 type Stats struct {
-	Activations  int64
 	Mitigations  int64
 	Denials      int64
 	ExtraLatency dram.Picoseconds
@@ -44,11 +47,37 @@ type Defense interface {
 	Name() string
 	// OnActivate is offered every activation before it reaches the array.
 	OnActivate(row dram.RowAddr, privileged bool) Decision
-	// OnWindowReset is called at every refresh-window boundary.
-	OnWindowReset()
 	// Stats returns accumulated counters.
 	Stats() Stats
 }
+
+// SHADOW's operating point, shared with the Fig. 7(a) latency model
+// (internal/sim).
+const (
+	// ShadowGroupRows is the number of potential target rows one SHADOW
+	// shuffle relocates: a VGG-scale model footprint.
+	ShadowGroupRows = 1000
+	// ShadowCeilingFactor bounds SHADOW: its shuffle throughput is
+	// exceeded once one row sees ShadowCeilingFactor·T_RH activations in a
+	// refresh window (the "defense threshold" of Fig. 7(a)).
+	ShadowCeilingFactor = 40
+)
+
+// The other baselines' operating points.
+const (
+	// refreshLatency is the cost of one victim refresh.
+	refreshLatency = 100 * dram.Nanosecond
+	// paraProbability is PARA's per-activation refresh probability, and
+	// paraSeed seeds its draws.
+	paraProbability = 0.02
+	paraSeed        = 1
+	// grapheneTableSize is Graphene's Misra-Gries capacity per bank.
+	grapheneTableSize = 16
+	// hydraGroupSize is the number of rows one Hydra group counter covers.
+	hydraGroupSize = 8
+	// counterTreeLevels is the depth of the counter tree.
+	counterTreeLevels = 6
+)
 
 // base carries shared bookkeeping for implementations.
 type base struct {
@@ -61,7 +90,6 @@ func (b *base) Name() string { return b.name }
 func (b *base) Stats() Stats { return b.stats }
 
 func (b *base) record(d Decision) Decision {
-	b.stats.Activations++
 	if d.Mitigated {
 		b.stats.Mitigations++
 	}
@@ -85,80 +113,44 @@ func (n *None) OnActivate(dram.RowAddr, bool) Decision {
 	return n.record(Decision{Allow: true})
 }
 
-// OnWindowReset is a no-op.
-func (n *None) OnWindowReset() {}
-
 // --- SHADOW -----------------------------------------------------------------
 
 // Shadow models Wi et al. HPCA'23: every protected row is shuffled within
 // its subarray after accumulating ShufflePeriod activations, neutralising
 // the disturbance toward its neighbors. Shuffling is "unintelligent": each
-// trigger shuffles the whole protected group, which is where SHADOW's
-// latency comes from (paper §I, §V).
+// trigger relocates the whole protected group of ShadowGroupRows rows,
+// which is where SHADOW's latency comes from (paper §I, §V).
 type Shadow struct {
 	base
 	// ShufflePeriod is how many activations a row may accumulate before
 	// the group is shuffled; SHADOW must keep this below the device T_RH,
 	// so the period is TRH/2 for a safety factor of 2.
 	ShufflePeriod int
-	// GroupSize is the number of potential target rows shuffled per
-	// trigger.
-	GroupSize int
-	// ShuffleCopyLatency is the cost of relocating one row.
-	ShuffleCopyLatency dram.Picoseconds
 
 	engine *rowhammer.Engine
 	counts map[int]int
 	geom   dram.Geometry
-	rng    *stats.RNG
 
 	// DefenseCeiling is the per-window activation count on one row beyond
 	// which SHADOW's shuffle throughput is exceeded and integrity is
-	// compromised (the "defense threshold" of Fig. 7(a)).
+	// compromised: ShadowCeilingFactor·T_RH.
 	DefenseCeiling int
 	compromised    bool
 }
 
-// ShadowConfig parameterises Shadow.
-type ShadowConfig struct {
-	TRH                int
-	GroupSize          int
-	ShuffleCopyLatency dram.Picoseconds
-	// CeilingFactor scales the defense ceiling: ceiling = CeilingFactor * TRH.
-	CeilingFactor int
-	Seed          uint64
-}
-
-// DefaultShadowConfig returns the Fig. 7 operating point for a given TRH.
-func DefaultShadowConfig(trh int) ShadowConfig {
-	return ShadowConfig{
-		TRH:                trh,
-		GroupSize:          1000,
-		ShuffleCopyLatency: 270 * dram.Nanosecond,
-		CeilingFactor:      10,
-		Seed:               0x5ad0,
-	}
-}
-
-// NewShadow builds a SHADOW instance bound to a rowhammer engine (for
-// counter neutralisation on shuffle).
-func NewShadow(engine *rowhammer.Engine, geom dram.Geometry, cfg ShadowConfig) (*Shadow, error) {
-	if cfg.TRH <= 1 {
-		return nil, fmt.Errorf("defense: shadow TRH must be > 1, got %d", cfg.TRH)
-	}
-	if cfg.GroupSize <= 0 {
-		return nil, fmt.Errorf("defense: shadow GroupSize must be positive, got %d", cfg.GroupSize)
+// NewShadow builds a SHADOW instance at device threshold trh, bound to a
+// rowhammer engine (for counter neutralisation on shuffle).
+func NewShadow(engine *rowhammer.Engine, geom dram.Geometry, trh int) (*Shadow, error) {
+	if trh <= 1 {
+		return nil, fmt.Errorf("defense: shadow TRH must be > 1, got %d", trh)
 	}
 	return &Shadow{
-		base:               base{name: fmt.Sprintf("SHADOW%d", cfg.TRH)},
-		ShufflePeriod:      cfg.TRH / 2,
-		GroupSize:          cfg.GroupSize,
-		ShuffleCopyLatency: cfg.ShuffleCopyLatency,
-		engine:             engine,
-		counts:             make(map[int]int),
-		geom:               geom,
-		rng:                stats.NewRNG(cfg.Seed),
-		DefenseCeiling:     cfg.CeilingFactor * cfg.TRH,
+		base:           base{name: fmt.Sprintf("SHADOW%d", trh)},
+		ShufflePeriod:  trh / 2,
+		engine:         engine,
+		counts:         make(map[int]int),
+		geom:           geom,
+		DefenseCeiling: ShadowCeilingFactor * trh,
 	}, nil
 }
 
@@ -178,9 +170,10 @@ func (s *Shadow) OnActivate(row dram.RowAddr, privileged bool) Decision {
 		return s.record(d)
 	}
 	if s.counts[idx]%s.ShufflePeriod == 0 {
-		// Group shuffle: every potential target row is relocated.
+		// Group shuffle: every potential target row is relocated, one
+		// three-copy row SWAP each.
 		d.Mitigated = true
-		d.ExtraLatency = dram.Picoseconds(int64(s.GroupSize)) * s.ShuffleCopyLatency
+		d.ExtraLatency = ShadowGroupRows * dram.DDR4Timing().SwapLatency()
 		if s.engine != nil {
 			s.engine.ResetRow(row)
 		}
@@ -188,44 +181,28 @@ func (s *Shadow) OnActivate(row dram.RowAddr, privileged bool) Decision {
 	return s.record(d)
 }
 
-// OnWindowReset clears per-window counts.
-func (s *Shadow) OnWindowReset() {
-	s.counts = make(map[int]int)
-	s.compromised = false
-}
-
 // --- PARA -------------------------------------------------------------------
 
 // PARA models Kim et al. ISCA'14 probabilistic adjacent row activation:
-// on every activation, with probability P, the victims are refreshed.
+// on every activation, with probability paraProbability, the victims are
+// refreshed.
 type PARA struct {
 	base
-	P              float64
-	RefreshLatency dram.Picoseconds
-	engine         *rowhammer.Engine
-	rng            *stats.RNG
+	engine *rowhammer.Engine
+	rng    *stats.RNG
 }
 
-// NewPARA builds a PARA instance with mitigation probability p.
-func NewPARA(engine *rowhammer.Engine, p float64, seed uint64) (*PARA, error) {
-	if p <= 0 || p >= 1 {
-		return nil, fmt.Errorf("defense: PARA probability must be in (0,1), got %g", p)
-	}
-	return &PARA{
-		base:           base{name: "PARA"},
-		P:              p,
-		RefreshLatency: 100 * dram.Nanosecond,
-		engine:         engine,
-		rng:            stats.NewRNG(seed),
-	}, nil
+// NewPARA builds a PARA instance.
+func NewPARA(engine *rowhammer.Engine) *PARA {
+	return &PARA{base: base{name: "PARA"}, engine: engine, rng: stats.NewRNG(paraSeed)}
 }
 
 // OnActivate probabilistically refreshes the neighbors.
 func (p *PARA) OnActivate(row dram.RowAddr, privileged bool) Decision {
 	d := Decision{Allow: true}
-	if p.rng.Bernoulli(p.P) {
+	if p.rng.Bernoulli(paraProbability) {
 		d.Mitigated = true
-		d.ExtraLatency = p.RefreshLatency
+		d.ExtraLatency = refreshLatency
 		if p.engine != nil {
 			p.engine.ResetRow(row)
 		}
@@ -233,20 +210,16 @@ func (p *PARA) OnActivate(row dram.RowAddr, privileged bool) Decision {
 	return p.record(d)
 }
 
-// OnWindowReset is a no-op (PARA is stateless).
-func (p *PARA) OnWindowReset() {}
-
 // --- Counter-per-row ---------------------------------------------------------
 
 // CounterPerRow keeps an exact activation counter for every row and
 // refreshes victims when a row reaches the threshold.
 type CounterPerRow struct {
 	base
-	TRH            int
-	RefreshLatency dram.Picoseconds
-	engine         *rowhammer.Engine
-	geom           dram.Geometry
-	counts         map[int]int
+	TRH    int
+	engine *rowhammer.Engine
+	geom   dram.Geometry
+	counts map[int]int
 }
 
 // NewCounterPerRow builds the exact-counting baseline.
@@ -255,12 +228,11 @@ func NewCounterPerRow(engine *rowhammer.Engine, geom dram.Geometry, trh int) (*C
 		return nil, fmt.Errorf("defense: TRH must be positive, got %d", trh)
 	}
 	return &CounterPerRow{
-		base:           base{name: "CounterPerRow"},
-		TRH:            trh,
-		RefreshLatency: 100 * dram.Nanosecond,
-		engine:         engine,
-		geom:           geom,
-		counts:         make(map[int]int),
+		base:   base{name: "CounterPerRow"},
+		TRH:    trh,
+		engine: engine,
+		geom:   geom,
+		counts: make(map[int]int),
 	}, nil
 }
 
@@ -272,16 +244,13 @@ func (c *CounterPerRow) OnActivate(row dram.RowAddr, privileged bool) Decision {
 	if c.counts[idx] >= c.TRH {
 		c.counts[idx] = 0
 		d.Mitigated = true
-		d.ExtraLatency = c.RefreshLatency
+		d.ExtraLatency = refreshLatency
 		if c.engine != nil {
 			c.engine.ResetRow(row)
 		}
 	}
 	return c.record(d)
 }
-
-// OnWindowReset clears all counters.
-func (c *CounterPerRow) OnWindowReset() { c.counts = make(map[int]int) }
 
 // --- Graphene (Misra-Gries) ---------------------------------------------------
 
@@ -290,31 +259,31 @@ func (c *CounterPerRow) OnWindowReset() { c.counts = make(map[int]int) }
 // far fewer counters than rows.
 type Graphene struct {
 	base
-	TRH            int
-	TableSize      int
-	RefreshLatency dram.Picoseconds
-	engine         *rowhammer.Engine
-	geom           dram.Geometry
+	TRH    int
+	engine *rowhammer.Engine
+	geom   dram.Geometry
 	// Misra-Gries state per bank.
 	tables []map[int]int
 	spill  []int
 }
 
-// NewGraphene builds the tracker. tableSize is the Misra-Gries capacity
-// per bank; the classical guarantee needs tableSize >= activations/TRH.
-func NewGraphene(engine *rowhammer.Engine, geom dram.Geometry, trh, tableSize int) (*Graphene, error) {
-	if trh <= 0 || tableSize <= 0 {
-		return nil, fmt.Errorf("defense: graphene needs positive TRH and tableSize")
+// NewGraphene builds the tracker with grapheneTableSize entries per bank;
+// the classical guarantee needs that many >= activations/TRH.
+func NewGraphene(engine *rowhammer.Engine, geom dram.Geometry, trh int) (*Graphene, error) {
+	if trh <= 0 {
+		return nil, fmt.Errorf("defense: graphene needs positive TRH")
 	}
 	g := &Graphene{
-		base:           base{name: "Graphene"},
-		TRH:            trh,
-		TableSize:      tableSize,
-		RefreshLatency: 100 * dram.Nanosecond,
-		engine:         engine,
-		geom:           geom,
+		base:   base{name: "Graphene"},
+		TRH:    trh,
+		engine: engine,
+		geom:   geom,
+		tables: make([]map[int]int, geom.Banks()),
+		spill:  make([]int, geom.Banks()),
 	}
-	g.OnWindowReset()
+	for i := range g.tables {
+		g.tables[i] = make(map[int]int)
+	}
 	return g, nil
 }
 
@@ -327,7 +296,7 @@ func (g *Graphene) OnActivate(row dram.RowAddr, privileged bool) Decision {
 	t := g.tables[bank]
 	if _, ok := t[idx]; ok {
 		t[idx]++
-	} else if len(t) < g.TableSize {
+	} else if len(t) < grapheneTableSize {
 		t[idx] = g.spill[bank] + 1
 	} else {
 		// Decrement-all step of Misra-Gries, implemented as a spill floor.
@@ -337,7 +306,7 @@ func (g *Graphene) OnActivate(row dram.RowAddr, privileged bool) Decision {
 				delete(t, k)
 			}
 		}
-		if len(t) < g.TableSize {
+		if len(t) < grapheneTableSize {
 			t[idx] = g.spill[bank] + 1
 		}
 	}
@@ -345,21 +314,12 @@ func (g *Graphene) OnActivate(row dram.RowAddr, privileged bool) Decision {
 		// Mitigate early (half threshold), as Graphene does.
 		t[idx] = g.spill[bank]
 		d.Mitigated = true
-		d.ExtraLatency = g.RefreshLatency
+		d.ExtraLatency = refreshLatency
 		if g.engine != nil {
 			g.engine.ResetRow(row)
 		}
 	}
 	return g.record(d)
-}
-
-// OnWindowReset clears tracker state.
-func (g *Graphene) OnWindowReset() {
-	g.tables = make([]map[int]int, g.geom.Banks())
-	for i := range g.tables {
-		g.tables[i] = make(map[int]int)
-	}
-	g.spill = make([]int, g.geom.Banks())
 }
 
 // --- Row swap baselines -------------------------------------------------------
@@ -370,11 +330,10 @@ func (g *Graphene) OnWindowReset() {
 // disturbance (rowhammer.Engine.ResetRow) and charges a two-row migration.
 type RowSwap struct {
 	base
-	SwapPeriod  int
-	SwapLatency dram.Picoseconds
-	engine      *rowhammer.Engine
-	geom        dram.Geometry
-	counts      map[int]int
+	SwapPeriod int
+	engine     *rowhammer.Engine
+	geom       dram.Geometry
+	counts     map[int]int
 }
 
 // NewRowSwap builds an RRS instance.
@@ -383,12 +342,11 @@ func NewRowSwap(engine *rowhammer.Engine, geom dram.Geometry, swapPeriod int) (*
 		return nil, fmt.Errorf("defense: swapPeriod must be positive, got %d", swapPeriod)
 	}
 	return &RowSwap{
-		base:        base{name: "RRS"},
-		SwapPeriod:  swapPeriod,
-		SwapLatency: 2 * 270 * dram.Nanosecond,
-		engine:      engine,
-		geom:        geom,
-		counts:      make(map[int]int),
+		base:       base{name: "RRS"},
+		SwapPeriod: swapPeriod,
+		engine:     engine,
+		geom:       geom,
+		counts:     make(map[int]int),
 	}, nil
 }
 
@@ -399,13 +357,10 @@ func (r *RowSwap) OnActivate(row dram.RowAddr, privileged bool) Decision {
 	d := Decision{Allow: true}
 	if r.counts[idx]%r.SwapPeriod == 0 {
 		d.Mitigated = true
-		d.ExtraLatency = r.SwapLatency
+		d.ExtraLatency = 2 * dram.DDR4Timing().SwapLatency()
 		if r.engine != nil {
 			r.engine.ResetRow(row)
 		}
 	}
 	return r.record(d)
 }
-
-// OnWindowReset clears per-window counts.
-func (r *RowSwap) OnWindowReset() { r.counts = make(map[int]int) }

@@ -16,11 +16,9 @@ import (
 // preserving exactness for hot rows.
 type Hydra struct {
 	base
-	TRH       int
-	GroupSize int
+	TRH int
 	// SplitFraction of TRH at which a group graduates to per-row counters.
-	SplitFraction  float64
-	RefreshLatency dram.Picoseconds
+	SplitFraction float64
 	// SpillLatency models the DRAM access for per-row counters.
 	SpillLatency dram.Picoseconds
 
@@ -32,27 +30,26 @@ type Hydra struct {
 	rowCount   map[int]int  // linear row -> exact count (post split)
 }
 
-// NewHydra builds the hybrid tracker.
-func NewHydra(engine *rowhammer.Engine, geom dram.Geometry, trh, groupSize int) (*Hydra, error) {
-	if trh <= 0 || groupSize <= 0 {
-		return nil, fmt.Errorf("defense: hydra needs positive TRH and groupSize")
+// NewHydra builds the hybrid tracker with groups of hydraGroupSize rows.
+func NewHydra(engine *rowhammer.Engine, geom dram.Geometry, trh int) (*Hydra, error) {
+	if trh <= 0 {
+		return nil, fmt.Errorf("defense: hydra needs positive TRH")
 	}
-	h := &Hydra{
-		base:           base{name: "Hydra"},
-		TRH:            trh,
-		GroupSize:      groupSize,
-		SplitFraction:  0.5,
-		RefreshLatency: 100 * dram.Nanosecond,
-		SpillLatency:   45 * dram.Nanosecond,
-		engine:         engine,
-		geom:           geom,
-	}
-	h.OnWindowReset()
-	return h, nil
+	return &Hydra{
+		base:          base{name: "Hydra"},
+		TRH:           trh,
+		SplitFraction: 0.5,
+		SpillLatency:  45 * dram.Nanosecond,
+		engine:        engine,
+		geom:          geom,
+		groupCount:    make(map[int]int),
+		split:         make(map[int]bool),
+		rowCount:      make(map[int]int),
+	}, nil
 }
 
 func (h *Hydra) groupOf(row dram.RowAddr) int {
-	return h.geom.LinearIndex(row) / h.GroupSize
+	return h.geom.LinearIndex(row) / hydraGroupSize
 }
 
 // OnActivate implements Defense.
@@ -75,19 +72,12 @@ func (h *Hydra) OnActivate(row dram.RowAddr, privileged bool) Decision {
 	if h.rowCount[idx]+h.groupCount[g] >= h.TRH {
 		h.rowCount[idx] = 0
 		d.Mitigated = true
-		d.ExtraLatency += h.RefreshLatency
+		d.ExtraLatency += refreshLatency
 		if h.engine != nil {
 			h.engine.ResetRow(row)
 		}
 	}
 	return h.record(d)
-}
-
-// OnWindowReset implements Defense.
-func (h *Hydra) OnWindowReset() {
-	h.groupCount = make(map[int]int)
-	h.split = make(map[int]bool)
-	h.rowCount = make(map[int]int)
 }
 
 // --- Counter Tree ----------------------------------------------------------------
@@ -98,29 +88,28 @@ func (h *Hydra) OnWindowReset() {
 // bounded undercounting.
 type CounterTree struct {
 	base
-	TRH            int
-	Levels         int
-	RefreshLatency dram.Picoseconds
+	TRH int
 
 	engine *rowhammer.Engine
 	geom   dram.Geometry
 	counts []map[int]int // per level: node id -> count
 }
 
-// NewCounterTree builds a tree tracker with the given depth.
-func NewCounterTree(engine *rowhammer.Engine, geom dram.Geometry, trh, levels int) (*CounterTree, error) {
-	if trh <= 0 || levels <= 0 || levels > 24 {
-		return nil, fmt.Errorf("defense: counter tree needs positive TRH and 1..24 levels")
+// NewCounterTree builds a tree tracker counterTreeLevels deep.
+func NewCounterTree(engine *rowhammer.Engine, geom dram.Geometry, trh int) (*CounterTree, error) {
+	if trh <= 0 {
+		return nil, fmt.Errorf("defense: counter tree needs positive TRH")
 	}
 	c := &CounterTree{
-		base:           base{name: "CounterTree"},
-		TRH:            trh,
-		Levels:         levels,
-		RefreshLatency: 100 * dram.Nanosecond,
-		engine:         engine,
-		geom:           geom,
+		base:   base{name: "CounterTree"},
+		TRH:    trh,
+		engine: engine,
+		geom:   geom,
+		counts: make([]map[int]int, counterTreeLevels),
 	}
-	c.OnWindowReset()
+	for i := range c.counts {
+		c.counts[i] = make(map[int]int)
+	}
 	return c, nil
 }
 
@@ -133,34 +122,26 @@ func (c *CounterTree) OnActivate(row dram.RowAddr, privileged bool) Decision {
 	span := c.geom.TotalRows()
 	node := 0
 	trigger := false
-	for lvl := 0; lvl < c.Levels; lvl++ {
+	for lvl := 0; lvl < counterTreeLevels; lvl++ {
 		// Node id at this level: index within 2^lvl equal partitions.
 		parts := 1 << lvl
 		width := (span + parts - 1) / parts
 		node = idx / width
 		key := lvl<<24 | node
 		c.counts[lvl][key]++
-		if lvl == c.Levels-1 && c.counts[lvl][key] >= c.TRH/2 {
+		if lvl == counterTreeLevels-1 && c.counts[lvl][key] >= c.TRH/2 {
 			trigger = true
 			c.counts[lvl][key] = 0
 		}
 	}
 	if trigger {
 		d.Mitigated = true
-		d.ExtraLatency = c.RefreshLatency
+		d.ExtraLatency = refreshLatency
 		if c.engine != nil {
 			c.engine.ResetRow(row)
 		}
 	}
 	return c.record(d)
-}
-
-// OnWindowReset implements Defense.
-func (c *CounterTree) OnWindowReset() {
-	c.counts = make([]map[int]int, c.Levels)
-	for i := range c.counts {
-		c.counts[i] = make(map[int]int)
-	}
 }
 
 // --- TWiCE ----------------------------------------------------------------------
@@ -171,9 +152,8 @@ func (c *CounterTree) OnWindowReset() {
 // cross the threshold trigger a victim refresh.
 type TWiCE struct {
 	base
-	TRH            int
-	PruneInterval  int
-	RefreshLatency dram.Picoseconds
+	TRH           int
+	PruneInterval int
 
 	engine *rowhammer.Engine
 	geom   dram.Geometry
@@ -193,13 +173,12 @@ func NewTWiCE(engine *rowhammer.Engine, geom dram.Geometry, trh int) (*TWiCE, er
 		return nil, fmt.Errorf("defense: TWiCE needs positive TRH")
 	}
 	t := &TWiCE{
-		base:           base{name: "TWiCE"},
-		TRH:            trh,
-		PruneInterval:  4 * trh,
-		RefreshLatency: 100 * dram.Nanosecond,
-		engine:         engine,
-		geom:           geom,
-		entries:        make(map[int]*twiceEntry),
+		base:          base{name: "TWiCE"},
+		TRH:           trh,
+		PruneInterval: 4 * trh,
+		engine:        engine,
+		geom:          geom,
+		entries:       make(map[int]*twiceEntry),
 	}
 	return t, nil
 }
@@ -218,7 +197,7 @@ func (t *TWiCE) OnActivate(row dram.RowAddr, privileged bool) Decision {
 	if e.count >= t.TRH/2 {
 		e.count = 0
 		d.Mitigated = true
-		d.ExtraLatency = t.RefreshLatency
+		d.ExtraLatency = refreshLatency
 		if t.engine != nil {
 			t.engine.ResetRow(row)
 		}
@@ -245,9 +224,3 @@ func (t *TWiCE) prune() {
 // TableSize returns the live tracker entry count (TWiCE's pruning keeps
 // this bounded; exported for tests).
 func (t *TWiCE) TableSize() int { return len(t.entries) }
-
-// OnWindowReset implements Defense.
-func (t *TWiCE) OnWindowReset() {
-	t.entries = make(map[int]*twiceEntry)
-	t.tick = 0
-}

@@ -8,7 +8,7 @@ import (
 
 func TestHydraSplitsHotGroupsAndMitigates(t *testing.T) {
 	dev, eng := newRig(t, 100)
-	h, err := NewHydra(eng, dev.Geometry(), 40, 8)
+	h, err := NewHydra(eng, dev.Geometry(), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestHydraSplitsHotGroupsAndMitigates(t *testing.T) {
 
 func TestHydraColdGroupsStayCheap(t *testing.T) {
 	dev, eng := newRig(t, 1000)
-	h, err := NewHydra(eng, dev.Geometry(), 400, 8)
+	h, err := NewHydra(eng, dev.Geometry(), 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestHydraColdGroupsStayCheap(t *testing.T) {
 
 func TestCounterTreeMitigatesHotRow(t *testing.T) {
 	dev, eng := newRig(t, 100)
-	c, err := NewCounterTree(eng, dev.Geometry(), 40, 6)
+	c, err := NewCounterTree(eng, dev.Geometry(), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,11 @@ func TestCounterTreeMitigatesHotRow(t *testing.T) {
 
 func TestCounterTreeValidation(t *testing.T) {
 	dev, eng := newRig(t, 100)
-	if _, err := NewCounterTree(eng, dev.Geometry(), 0, 4); err == nil {
+	if _, err := NewCounterTree(eng, dev.Geometry(), 0); err == nil {
 		t.Fatal("zero TRH must fail")
 	}
-	if _, err := NewCounterTree(eng, dev.Geometry(), 10, 30); err == nil {
-		t.Fatal("absurd depth must fail")
+	if _, err := NewCounterTree(eng, dev.Geometry(), -1); err == nil {
+		t.Fatal("negative TRH must fail")
 	}
 }
 
@@ -104,10 +104,10 @@ func TestTrackersImplementDefense(t *testing.T) {
 	dev, eng := newRig(t, 100)
 	geom := dev.Geometry()
 	var defenses []Defense
-	if h, err := NewHydra(eng, geom, 50, 8); err == nil {
+	if h, err := NewHydra(eng, geom, 50); err == nil {
 		defenses = append(defenses, h)
 	}
-	if c, err := NewCounterTree(eng, geom, 50, 5); err == nil {
+	if c, err := NewCounterTree(eng, geom, 50); err == nil {
 		defenses = append(defenses, c)
 	}
 	if tw, err := NewTWiCE(eng, geom, 50); err == nil {
@@ -117,10 +117,11 @@ func TestTrackersImplementDefense(t *testing.T) {
 		t.Fatalf("built %d trackers", len(defenses))
 	}
 	for _, d := range defenses {
-		d.OnActivate(dram.RowAddr{Bank: 0, Row: 1}, false)
-		d.OnWindowReset()
-		if d.Stats().Activations != 1 {
-			t.Fatalf("%s: activation not recorded", d.Name())
+		if dec := d.OnActivate(dram.RowAddr{Bank: 0, Row: 1}, false); !dec.Allow || dec.Mitigated {
+			t.Fatalf("%s: first activation of a cold row: %+v", d.Name(), dec)
+		}
+		if st := d.Stats(); st.Mitigations != 0 || st.Denials != 0 {
+			t.Fatalf("%s: stats %+v", d.Name(), st)
 		}
 	}
 }

@@ -74,17 +74,7 @@ type Device struct {
 
 	observers []ActivateObserver
 
-	stats DeviceStats
-}
-
-// DeviceStats aggregates command counts and energy.
-type DeviceStats struct {
-	Activates  int64
-	Precharges int64
-	Reads      int64
-	Writes     int64
-	RowClones  int64
-	EnergyPJ   float64
+	energyPJ float64 // command energy accumulated so far
 }
 
 // NewDevice constructs a device with the given geometry and timing.
@@ -120,8 +110,9 @@ func (d *Device) AdvanceClock(delta Picoseconds) {
 	}
 }
 
-// Stats returns a copy of the accumulated statistics.
-func (d *Device) Stats() DeviceStats { return d.stats }
+// EnergyPJ returns the energy of every command issued so far, in
+// picojoules.
+func (d *Device) EnergyPJ() float64 { return d.energyPJ }
 
 // AddActivateObserver registers an observer for row activations.
 func (d *Device) AddActivateObserver(o ActivateObserver) {
@@ -160,8 +151,7 @@ func (d *Device) Activate(a RowAddr) (Picoseconds, error) {
 	b.open = true
 	b.openRow = a.Row
 	d.now += d.timing.TRCD
-	d.stats.Activates++
-	d.stats.EnergyPJ += d.timing.ActEnergyPJ
+	d.energyPJ += d.timing.ActEnergyPJ
 	for _, o := range d.observers {
 		o.ObserveActivate(a, d.now)
 	}
@@ -180,8 +170,7 @@ func (d *Device) Precharge(bank int) (Picoseconds, error) {
 	}
 	b.open = false
 	d.now += d.timing.TRP
-	d.stats.Precharges++
-	d.stats.EnergyPJ += d.timing.PreEnergyPJ
+	d.energyPJ += d.timing.PreEnergyPJ
 	return d.timing.TRP, nil
 }
 
@@ -209,8 +198,7 @@ func (d *Device) Read(a RowAddr, col int, dst []byte) (Picoseconds, error) {
 		copy(dst, src[col:col+len(dst)])
 	}
 	d.now += d.timing.ReadLatency()
-	d.stats.Reads++
-	d.stats.EnergyPJ += d.timing.RdWrEnergyPJ
+	d.energyPJ += d.timing.RdWrEnergyPJ
 	return d.timing.ReadLatency(), nil
 }
 
@@ -221,8 +209,7 @@ func (d *Device) Write(a RowAddr, col int, src []byte) (Picoseconds, error) {
 	}
 	copy(d.rowData(a)[col:], src)
 	d.now += d.timing.WriteLatency()
-	d.stats.Writes++
-	d.stats.EnergyPJ += d.timing.RdWrEnergyPJ
+	d.energyPJ += d.timing.RdWrEnergyPJ
 	return d.timing.WriteLatency(), nil
 }
 
@@ -262,8 +249,7 @@ func (d *Device) RowCloneCopy(src, dst RowAddr) (Picoseconds, error) {
 	}
 	if src == dst {
 		d.now += d.timing.RowCloneFPM
-		d.stats.RowClones++
-		d.stats.EnergyPJ += d.timing.RowCloneEnergyPJ
+		d.energyPJ += d.timing.RowCloneEnergyPJ
 		return d.timing.RowCloneFPM, nil
 	}
 	s := d.rowDataIfPresent(src)
@@ -277,8 +263,7 @@ func (d *Device) RowCloneCopy(src, dst RowAddr) (Picoseconds, error) {
 		copy(d.rowData(dst), s)
 	}
 	d.now += d.timing.RowCloneFPM
-	d.stats.RowClones++
-	d.stats.EnergyPJ += d.timing.RowCloneEnergyPJ
+	d.energyPJ += d.timing.RowCloneEnergyPJ
 	return d.timing.RowCloneFPM, nil
 }
 

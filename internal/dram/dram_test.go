@@ -305,18 +305,21 @@ type observerFunc func(RowAddr, Picoseconds)
 
 func (f observerFunc) ObserveActivate(a RowAddr, now Picoseconds) { f(a, now) }
 
+// TestDeviceStatsAndEnergy: every command adds its own energy once, and
+// a command that fails adds none.
 func TestDeviceStatsAndEnergy(t *testing.T) {
 	d := testDevice(t)
+	tm := d.Timing()
 	a := RowAddr{Bank: 0, Row: 1}
 	d.Activate(a)
 	d.Write(a, 0, []byte{1})
+	d.Activate(a) // fails: the bank is open
 	d.Precharge(0)
-	st := d.Stats()
-	if st.Activates != 1 || st.Writes != 1 || st.Precharges != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.EnergyPJ <= 0 {
-		t.Fatal("energy must accumulate")
+	d.Precharge(0) // no-op: the bank is closed
+	d.RowCloneCopy(a, RowAddr{Bank: 0, Row: 2})
+	want := tm.ActEnergyPJ + tm.RdWrEnergyPJ + tm.PreEnergyPJ + tm.RowCloneEnergyPJ
+	if got := d.EnergyPJ(); got != want {
+		t.Fatalf("energy = %g pJ, want %g", got, want)
 	}
 }
 

@@ -91,21 +91,21 @@ func buildDefense(name string, dev *dram.Device, eng *rowhammer.Engine, trh int)
 	case "None":
 		return defense.NewNone(), nil
 	case "PARA":
-		return defense.NewPARA(eng, 0.02, 1)
+		return defense.NewPARA(eng), nil
 	case "CounterPerRow":
 		return defense.NewCounterPerRow(eng, geom, trh/2)
 	case "Graphene":
-		return defense.NewGraphene(eng, geom, trh, 16)
+		return defense.NewGraphene(eng, geom, trh)
 	case "Hydra":
-		return defense.NewHydra(eng, geom, trh/2, 8)
+		return defense.NewHydra(eng, geom, trh/2)
 	case "CounterTree":
-		return defense.NewCounterTree(eng, geom, trh/2, 6)
+		return defense.NewCounterTree(eng, geom, trh/2)
 	case "TWiCE":
 		return defense.NewTWiCE(eng, geom, trh/2)
 	case "RRS":
 		return defense.NewRowSwap(eng, geom, trh/2)
 	case "SHADOW":
-		return defense.NewShadow(eng, geom, defense.DefaultShadowConfig(trh))
+		return defense.NewShadow(eng, geom, trh)
 	default:
 		return nil, fmt.Errorf("unknown defense %q", name)
 	}
@@ -144,7 +144,7 @@ func runDefenseLocker(trh, activations int) (flipped bool, denied int64, lat dra
 	if err != nil {
 		return false, 0, 0, err
 	}
-	ctl, err := controller.New(dev, controller.DefaultConfig())
+	ctl, err := controller.New(dev)
 	if err != nil {
 		return false, 0, 0, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
-	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/memmap"
@@ -30,12 +29,7 @@ type DefendedSystem struct {
 // the attack executor. protect enables the lock-table policy; leak is the
 // erroneous-SWAP exposure probability granted to the attacker.
 func BuildSystem(p Preset, v *Victim, protect bool, leak float64) (*DefendedSystem, error) {
-	sys, err := core.NewSystem(core.Config{
-		Geometry:   p.Geometry,
-		Timing:     dram.DDR4Timing(),
-		TRH:        p.TRH,
-		Controller: controller.DefaultConfig(),
-	})
+	sys, err := core.NewSystem(core.Config{Geometry: p.Geometry, TRH: p.TRH})
 	if err != nil {
 		return nil, err
 	}

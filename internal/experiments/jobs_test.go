@@ -53,12 +53,12 @@ func serialRows[T any](t *testing.T, n int, point func(i int) (T, error)) []T {
 // order: SHADOW at every paper threshold, then DRAM-Locker.
 func fig7aCurves(t *testing.T, maxBFA, step int) []sim.Fig7aCurve {
 	t.Helper()
-	cfg, trhs := sim.DefaultLatencyConfig(), sim.PaperThresholds()
+	trhs := sim.PaperThresholds()
 	return serialRows(t, len(trhs)+1, func(i int) (sim.Fig7aCurve, error) {
 		if i == len(trhs) {
-			return sim.LockerCurve(cfg, maxBFA, step)
+			return sim.LockerCurve(maxBFA, step)
 		}
-		return sim.ShadowCurve(cfg, trhs[i], maxBFA, step)
+		return sim.ShadowCurve(trhs[i], maxBFA, step)
 	})
 }
 
@@ -67,7 +67,7 @@ func fig7bBars(t *testing.T) []sim.Fig7bBar {
 	t.Helper()
 	trhs := sim.PaperThresholds()
 	return serialRows(t, len(trhs), func(i int) (sim.Fig7bBar, error) {
-		return sim.Fig7bBarAt(sim.DefaultDefenseTimeConfig(), trhs[i])
+		return sim.Fig7bBarAt(trhs[i])
 	})
 }
 
@@ -277,7 +277,7 @@ func TestShardedGridsMatchSerialMonoliths(t *testing.T) {
 	})
 	frameworks := overhead.Table1Frameworks()
 	table1 := serialRows(t, len(frameworks), func(i int) (overhead.Report, error) {
-		return overhead.Table1Report(overhead.DefaultConfig(), frameworks[i])
+		return overhead.Table1Report(frameworks[i])
 	})
 	names := DefenseGridNames()
 	defense := serialRows(t, len(names), func(i int) (DefenseRow, error) {

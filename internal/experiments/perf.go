@@ -54,7 +54,7 @@ func Perf(ctx context.Context, p Preset) (*PerfResult, error) {
 		if err != nil {
 			return trace.ReplayStats{}, 0, err
 		}
-		return rs, sysb.Sys.Hammer().History().TotalFlips, nil
+		return rs, sysb.Sys.Hammer().TotalFlips(), nil
 	}
 
 	var res PerfResult

@@ -11,10 +11,13 @@ import (
 )
 
 // pinnedReports maps a job to the SHA-256 of its report entry (see
-// reportDigest). bench/golden.json pins the model-bearing jobs dlbench
-// runs; these cover every model-free job at every preset, whose DRAM
-// models (the rowhammer engine, the controller, the baseline defenses)
-// no other digest reaches, plus tiny/fig1a.
+// reportDigest). They cover every model-free job at every preset, whose
+// DRAM models (the rowhammer engine, the controller, the baseline
+// defenses) no model-bearing job reaches, plus tiny/fig1a and the tiny
+// ResNet-20 jobs (fig8a, fig8pta, perf, table2), which run the DRAM
+// executor, the PTA, trace replay and the controller on a trained
+// victim. bench/golden.json pins those ResNet-20 payloads too, but only
+// dlbench checks it.
 var pinnedReports = map[string]string{
 	"tiny/fig1b":    "df30914ec125e77e67783cbe60d4dca609ee8737c02450fa8fe07c55709094f1",
 	"tiny/mc":       "b3dffd1c323b4388d0cddc3516392586d48b7aca0ed756f62b1e53910ce54b13",
@@ -23,6 +26,10 @@ var pinnedReports = map[string]string{
 	"tiny/fig7b":    "cde7b60cbc61be242f19f2642a808533345d465c1436dbb92e71cb6c50cef75f",
 	"tiny/defense":  "4a7897974a5bbfe72e396edba80d6bd9ce29436a9b4c2e32bf7613dfaef4f923",
 	"tiny/fig1a":    "019672c27c6c15bfbecb09430a65188bcfa5d467204a78d1627adad0bee01e3e",
+	"tiny/fig8a":    "e6b4205bf92c150371b6e45fe6c25a7e0dee94e71c66bf594534649df2aae406",
+	"tiny/fig8pta":  "c03300b7e7d307d1310bb1cb28616c91d861f338e87fdb46b52523ad3a697dbe",
+	"tiny/perf":     "948cd21629f98bc74a4f7d3fa3d783efb2aee643c7dc6d0c710b656591b3e80a",
+	"tiny/table2":   "8224ff821a229aaabe5b6bc7c9183eabdb272df90aa470e04b569766fcf7763a",
 	"small/fig1b":   "df30914ec125e77e67783cbe60d4dca609ee8737c02450fa8fe07c55709094f1",
 	"small/mc":      "6730a0eaa2159929536656d1d3f5cd65c3b448afee5c211894b330a5e0a298e7",
 	"small/table1":  "70f1328ae5bf0463eb7ec9116e8490b1bd7e5fbba57fd93d884ae179d59cbd44",
@@ -35,6 +42,13 @@ var pinnedReports = map[string]string{
 	"paper/fig7a":   "3409f9de1eccda44f4d78c03e11b6037c9e7df7ff23cd65bf5265de1875def17",
 	"paper/fig7b":   "cde7b60cbc61be242f19f2642a808533345d465c1436dbb92e71cb6c50cef75f",
 	"paper/defense": "f338d0c87edf436248bd03113ae1915c6f3ca4852fe185fc5b42426601c93463",
+}
+
+// trainsVictim marks the pinned jobs that train a victim, which -short
+// leaves out.
+var trainsVictim = map[string]bool{
+	"tiny/fig1a": true, "tiny/fig8a": true, "tiny/fig8pta": true,
+	"tiny/perf": true, "tiny/table2": true,
 }
 
 // reportDigest fingerprints a job's Text and its Data as JSON.
@@ -53,8 +67,8 @@ func reportDigest(t *testing.T, r engine.Result) string {
 
 // TestReportsMatchPinnedDigests runs the pinned jobs through the engine
 // and compares each report entry with its digest. Floating-point results
-// are recorded on amd64; -short leaves out tiny/fig1a, which trains a
-// VGG-11.
+// are recorded on amd64; -short leaves out the jobs that train a victim
+// (tiny/fig1a's VGG-11 and the tiny ResNet-20 jobs).
 func TestReportsMatchPinnedDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests are recorded on amd64")
@@ -65,7 +79,7 @@ func TestReportsMatchPinnedDigests(t *testing.T) {
 	}
 	var jobs []string
 	for name := range pinnedReports {
-		if name == "tiny/fig1a" && testing.Short() {
+		if testing.Short() && trainsVictim[name] {
 			continue
 		}
 		jobs = append(jobs, name)

@@ -64,13 +64,12 @@ func mcJob(p Preset) engine.Job {
 
 // table1Job shards Table I over the compared frameworks.
 func table1Job() engine.Job {
-	cfg := overhead.DefaultConfig()
 	var shards []engine.Shard
 	for _, name := range overhead.Table1Frameworks() {
 		name := name
 		shards = append(shards, payloadShard(
 			name,
-			func(engine.Context) (overhead.Report, error) { return overhead.Table1Report(cfg, name) },
+			func(engine.Context) (overhead.Report, error) { return overhead.Table1Report(name) },
 		))
 	}
 	return engine.Job{Shards: shards, Merge: mergeRows(FormatTable1)}
@@ -79,31 +78,29 @@ func table1Job() engine.Job {
 // fig7aJob shards the Fig. 7(a) threshold sweep per curve: one SHADOW
 // curve per device threshold plus the DRAM-Locker curve.
 func fig7aJob() engine.Job {
-	cfg := sim.DefaultLatencyConfig()
 	var shards []engine.Shard
 	for _, trh := range sim.PaperThresholds() {
 		trh := trh
 		shards = append(shards, payloadShard(
 			fmt.Sprintf("shadow-trh=%d", trh),
-			func(engine.Context) (sim.Fig7aCurve, error) { return sim.ShadowCurve(cfg, trh, fig7aMaxBFA, fig7aStep) },
+			func(engine.Context) (sim.Fig7aCurve, error) { return sim.ShadowCurve(trh, fig7aMaxBFA, fig7aStep) },
 		))
 	}
 	shards = append(shards, payloadShard(
 		"locker",
-		func(engine.Context) (sim.Fig7aCurve, error) { return sim.LockerCurve(cfg, fig7aMaxBFA, fig7aStep) },
+		func(engine.Context) (sim.Fig7aCurve, error) { return sim.LockerCurve(fig7aMaxBFA, fig7aStep) },
 	))
 	return engine.Job{Shards: shards, Merge: mergeRows(FormatFig7a)}
 }
 
 // fig7bJob shards the Fig. 7(b) defense-time bars per device threshold.
 func fig7bJob() engine.Job {
-	cfg := sim.DefaultDefenseTimeConfig()
 	var shards []engine.Shard
 	for _, trh := range sim.PaperThresholds() {
 		trh := trh
 		shards = append(shards, payloadShard(
 			fmt.Sprintf("trh=%d", trh),
-			func(engine.Context) (sim.Fig7bBar, error) { return sim.Fig7bBarAt(cfg, trh) },
+			func(engine.Context) (sim.Fig7bBar, error) { return sim.Fig7bBarAt(trh) },
 		))
 	}
 	return engine.Job{Shards: shards, Merge: mergeRows(FormatFig7b)}

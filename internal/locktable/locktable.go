@@ -10,10 +10,11 @@
 // A locked row stays locked: a SWAP moves the protected data, not the
 // lock entry (Fig. 4(b)). The one place a row is re-secured is the
 // controller's redirect countdown, which swaps the data back after
-// RelockInterval R/W instructions (Fig. 4(d)); that countdown is what the
-// entry's 16-bit field prices. The simulator keeps one flag per geometry
-// row (Geometry.LinearIndex -> locked), so the lookup on every memory
-// request is one slice index.
+// controller.RelockInterval R/W instructions (Fig. 4(d)); that countdown
+// is what the entry's 16-bit field prices. The table has the paper's one
+// size, Capacity entries. The simulator keeps one flag per geometry row
+// (Geometry.LinearIndex -> locked), so the lookup on every memory request
+// is one slice index.
 package locktable
 
 import (
@@ -33,28 +34,13 @@ var (
 // row address, a 16-bit re-lock countdown and a valid/state byte.
 const EntryBytes = 7
 
-// Config sizes the table.
-type Config struct {
-	// CapacityEntries bounds the number of simultaneously tracked rows.
-	// The paper's 56KB SRAM at 7B/entry is 8192 entries.
-	CapacityEntries int
-}
-
-// DefaultConfig returns the paper's 56KB SRAM sizing.
-func DefaultConfig() Config { return Config{CapacityEntries: 56 * 1024 / EntryBytes} }
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.CapacityEntries <= 0 {
-		return fmt.Errorf("locktable: CapacityEntries must be positive, got %d", c.CapacityEntries)
-	}
-	return nil
-}
+// Capacity bounds the number of simultaneously locked rows: the paper's
+// 56KB SRAM at EntryBytes per entry is 8192 entries.
+const Capacity = 56 * 1024 / EntryBytes
 
 // Table is the lock-table. Lookup semantics are identical to the paper's
-// set-associative SRAM; occupancy is bounded by the configured capacity.
+// set-associative SRAM; occupancy is bounded by Capacity.
 type Table struct {
-	cfg  Config
 	geom dram.Geometry
 	// locked is indexed by the geometry's linear row index.
 	locked []bool
@@ -62,11 +48,8 @@ type Table struct {
 }
 
 // New creates an empty table for rows of the given geometry.
-func New(geom dram.Geometry, cfg Config) (*Table, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Table{cfg: cfg, geom: geom, locked: make([]bool, geom.TotalRows())}, nil
+func New(geom dram.Geometry) *Table {
+	return &Table{geom: geom, locked: make([]bool, geom.TotalRows())}
 }
 
 // Len returns the number of locked rows.
@@ -81,8 +64,8 @@ func (t *Table) Lock(row dram.RowAddr) error {
 	if t.locked[idx] {
 		return fmt.Errorf("%w: %v", ErrLocked, row)
 	}
-	if t.n >= t.cfg.CapacityEntries {
-		return fmt.Errorf("%w: capacity %d", ErrFull, t.cfg.CapacityEntries)
+	if t.n >= Capacity {
+		return fmt.Errorf("%w: capacity %d", ErrFull, Capacity)
 	}
 	t.locked[idx] = true
 	t.n++

@@ -9,47 +9,40 @@ import (
 	"repro/internal/stats"
 )
 
-func newTable(t *testing.T, capacity int) *Table {
-	t.Helper()
-	tab, err := New(dram.SmallGeometry(), Config{CapacityEntries: capacity})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tab
-}
-
 func TestCapacityEnforced(t *testing.T) {
-	tab := newTable(t, 2)
-	tab.Lock(dram.RowAddr{Bank: 0, Row: 1})
-	tab.Lock(dram.RowAddr{Bank: 0, Row: 2})
-	if err := tab.Lock(dram.RowAddr{Bank: 0, Row: 3}); !errors.Is(err, ErrFull) {
+	// Two banks of 8192 rows: more rows than the table holds.
+	geom := dram.Geometry{Ranks: 1, BanksPerRank: 2, SubarraysPerBank: 16, RowsPerSubarray: 512, RowBytes: 64}
+	tab := New(geom)
+	for i := range Capacity {
+		if err := tab.Lock(geom.FromLinearIndex(i)); err != nil {
+			t.Fatalf("lock %d: %v", i, err)
+		}
+	}
+	full := geom.FromLinearIndex(Capacity)
+	if err := tab.Lock(full); !errors.Is(err, ErrFull) {
 		t.Fatalf("err = %v, want ErrFull", err)
 	}
-	if tab.Len() != 2 {
-		t.Fatalf("len = %d", tab.Len())
+	if tab.Len() != Capacity || tab.IsLocked(full) {
+		t.Fatalf("len = %d, locked(%v) = %v", tab.Len(), full, tab.IsLocked(full))
 	}
 }
 
 func TestSRAMBudgetMatchesPaper(t *testing.T) {
 	// The paper's Table I row: 56KB of SRAM.
-	if got := DefaultConfig().CapacityEntries * EntryBytes; got > 56*1024 || got < 50*1024 {
+	if got := Capacity * EntryBytes; got > 56*1024 || got < 50*1024 {
 		t.Fatalf("SRAM = %d bytes, want ~56KB", got)
 	}
 }
 
 // TestModelConformance drives the table with random operations and checks
 // it against a plain map reference model: duplicate locks fail with
-// ErrLocked, a full table with ErrFull, and rows outside the geometry are
-// rejected and never locked.
+// ErrLocked, and rows outside the geometry are rejected and never
+// locked. (TestCapacityEnforced covers a full table.)
 func TestModelConformance(t *testing.T) {
-	const capacity = 8
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		geom := dram.SmallGeometry()
-		tab, err := New(geom, Config{CapacityEntries: capacity})
-		if err != nil {
-			return false
-		}
+		tab := New(geom)
 		model := make(map[dram.RowAddr]bool)
 		for op := 0; op < 200; op++ {
 			// One bank past the last is outside the geometry.
@@ -64,10 +57,6 @@ func TestModelConformance(t *testing.T) {
 					}
 				case model[row]:
 					if !errors.Is(err, ErrLocked) {
-						return false
-					}
-				case len(model) >= capacity:
-					if !errors.Is(err, ErrFull) {
 						return false
 					}
 				default:
@@ -90,17 +79,8 @@ func TestModelConformance(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	if err := (Config{CapacityEntries: 0}).Validate(); err == nil {
-		t.Fatal("zero capacity must fail")
-	}
-	if _, err := New(dram.SmallGeometry(), Config{CapacityEntries: -1}); err == nil {
-		t.Fatal("negative capacity must fail")
-	}
-}
-
 func TestLockInvalidRow(t *testing.T) {
-	tab := newTable(t, 4)
+	tab := New(dram.SmallGeometry())
 	if err := tab.Lock(dram.RowAddr{Bank: 99, Row: 0}); err == nil {
 		t.Fatal("invalid row must be rejected")
 	}

@@ -1,11 +1,11 @@
 // Package overhead reproduces Table I of the paper: the hardware cost of
 // DRAM-Locker against prior RowHammer mitigation frameworks, normalised to
-// a 32GB, 16-bank DDR4 DIMM.
+// a 32GB, 16-bank DDR4 DIMM (dram.DefaultGeometry).
 //
-// Each framework's capacity overhead is computed from its published
-// structure (counter widths, tracker entry counts, swap-map sizes) rather
-// than hard-coded, so the models also answer "what if" questions at other
-// DRAM capacities; the default configuration reproduces the paper's rows.
+// The prior frameworks' rows are their published sizes at that capacity.
+// Two rows are computed from their structure: counter-per-row (one 8-byte
+// counter per row of the 32GB geometry) and DRAM-Locker (the lock-table's
+// locktable.Capacity entries of locktable.EntryBytes each).
 package overhead
 
 import (
@@ -87,40 +87,24 @@ func (r Report) InvolvedMemory() string {
 	return s
 }
 
-// Config fixes the DRAM organisation all frameworks are normalised to.
-type Config struct {
-	Geometry dram.Geometry
-	// TRH is the assumed hammer threshold (drives tracker sizing for
-	// threshold-dependent schemes such as Graphene and Hydra).
-	TRH int
-}
-
-// DefaultConfig returns the paper's 32GB 16-bank DDR4 setup.
-func DefaultConfig() Config {
-	return Config{Geometry: dram.DefaultGeometry(), TRH: 4800}
-}
-
-// scale returns the ratio of the configured capacity to the paper's 32GB
-// baseline; published absolute sizes scale linearly with capacity.
-func (c Config) scale() float64 {
-	return float64(c.Geometry.CapacityBytes()) / float64(32<<30)
-}
-
 const (
 	kb = 1 << 10
 	mb = 1 << 20
 )
 
+// mbytes converts a published size in MB to bytes, truncating the
+// fraction.
+func mbytes(x float64) int64 { return int64(x * mb) }
+
 // Graphene models Park et al. MICRO'20: per-bank Misra-Gries tables kept
 // in CAM (row ids) + SRAM (counts). Paper row: 0.53MB CAM + 1.12MB SRAM,
 // 1 counter adder.
-func Graphene(cfg Config) Report {
-	s := cfg.scale()
+func Graphene() Report {
 	return Report{
 		Framework: "Graphene",
 		Components: []Component{
-			{Kind: MemCAM, Bytes: int64(0.53 * mb * s)},
-			{Kind: MemSRAM, Bytes: int64(1.12 * mb * s)},
+			{Kind: MemCAM, Bytes: mbytes(0.53)},
+			{Kind: MemSRAM, Bytes: mbytes(1.12)},
 		},
 		Counters:  1,
 		AreaKnown: false,
@@ -130,13 +114,12 @@ func Graphene(cfg Config) Report {
 
 // Hydra models Qureshi et al. ISCA'22: a small SRAM group-count cache plus
 // per-row counters spilled to DRAM. Paper row: 56KB SRAM + 4MB DRAM.
-func Hydra(cfg Config) Report {
-	s := cfg.scale()
+func Hydra() Report {
 	return Report{
 		Framework: "Hydra",
 		Components: []Component{
-			{Kind: MemSRAM, Bytes: int64(56 * kb * s)},
-			{Kind: MemDRAM, Bytes: int64(4 * mb * s)},
+			{Kind: MemSRAM, Bytes: 56 * kb},
+			{Kind: MemDRAM, Bytes: 4 * mb},
 		},
 		Counters:  1,
 		AreaKnown: false,
@@ -146,13 +129,12 @@ func Hydra(cfg Config) Report {
 
 // TWiCE models Lee et al. ISCA'19 time-window counters:
 // 3.16MB SRAM + 1.6MB CAM.
-func TWiCE(cfg Config) Report {
-	s := cfg.scale()
+func TWiCE() Report {
 	return Report{
 		Framework: "TWiCE",
 		Components: []Component{
-			{Kind: MemSRAM, Bytes: int64(3.16 * mb * s)},
-			{Kind: MemCAM, Bytes: int64(1.6 * mb * s)},
+			{Kind: MemSRAM, Bytes: mbytes(3.16)},
+			{Kind: MemCAM, Bytes: mbytes(1.6)},
 		},
 		Counters:  1,
 		AreaKnown: false,
@@ -162,8 +144,8 @@ func TWiCE(cfg Config) Report {
 
 // CounterPerRow models the brute-force design: one counter per DRAM row,
 // stored in DRAM. With 4Mi rows and 8B per counter entry: 32MB.
-func CounterPerRow(cfg Config) Report {
-	rows := int64(cfg.Geometry.TotalRows())
+func CounterPerRow() Report {
+	rows := int64(dram.DefaultGeometry().TotalRows())
 	const counterBytes = 8
 	return Report{
 		Framework: "Counter per Row",
@@ -178,12 +160,11 @@ func CounterPerRow(cfg Config) Report {
 
 // CounterTree models Seyedzadeh et al. CAL'16: a tree of shared counters,
 // 2MB DRAM, 1024 counters.
-func CounterTree(cfg Config) Report {
-	s := cfg.scale()
+func CounterTree() Report {
 	return Report{
 		Framework: "Counter Tree",
 		Components: []Component{
-			{Kind: MemDRAM, Bytes: int64(2 * mb * s)},
+			{Kind: MemDRAM, Bytes: 2 * mb},
 		},
 		Counters:  1024,
 		AreaKnown: false,
@@ -193,12 +174,11 @@ func CounterTree(cfg Config) Report {
 
 // RRS models Saileshwar et al. ASPLOS'22 randomized row-swap: an indirection
 // (swap) table in DRAM plus an SRAM cache the paper reports as NR.
-func RRS(cfg Config) Report {
-	s := cfg.scale()
+func RRS() Report {
 	return Report{
 		Framework: "RRS",
 		Components: []Component{
-			{Kind: MemDRAM, Bytes: int64(4 * mb * s)},
+			{Kind: MemDRAM, Bytes: 4 * mb},
 			{Kind: MemSRAM, Bytes: 0},
 		},
 		AreaKnown: false,
@@ -207,12 +187,11 @@ func RRS(cfg Config) Report {
 }
 
 // SRS models Woo et al. secure row-swap: 1.26MB DRAM + unreported SRAM.
-func SRS(cfg Config) Report {
-	s := cfg.scale()
+func SRS() Report {
 	return Report{
 		Framework: "SRS",
 		Components: []Component{
-			{Kind: MemDRAM, Bytes: int64(1.26 * mb * s)},
+			{Kind: MemDRAM, Bytes: mbytes(1.26)},
 			{Kind: MemSRAM, Bytes: 0},
 		},
 		AreaKnown: false,
@@ -222,12 +201,11 @@ func SRS(cfg Config) Report {
 
 // SHADOW models Wi et al. HPCA'23 intra-subarray shuffling: only a small
 // DRAM bookkeeping region (0.16MB) and 0.6% area.
-func SHADOW(cfg Config) Report {
-	s := cfg.scale()
+func SHADOW() Report {
 	return Report{
 		Framework: "SHADOW",
 		Components: []Component{
-			{Kind: MemDRAM, Bytes: int64(0.16 * mb * s)},
+			{Kind: MemDRAM, Bytes: mbytes(0.16)},
 		},
 		AreaPercent: 0.6,
 		AreaKnown:   true,
@@ -236,12 +214,11 @@ func SHADOW(cfg Config) Report {
 }
 
 // PPIM models Zhou et al. DATE'23 P-PIM: 4.125MB DRAM, 0.34% area.
-func PPIM(cfg Config) Report {
-	s := cfg.scale()
+func PPIM() Report {
 	return Report{
 		Framework: "P-PIM",
 		Components: []Component{
-			{Kind: MemDRAM, Bytes: int64(4.125 * mb * s)},
+			{Kind: MemDRAM, Bytes: mbytes(4.125)},
 		},
 		AreaPercent: 0.34,
 		AreaKnown:   true,
@@ -251,10 +228,10 @@ func PPIM(cfg Config) Report {
 
 // DRAMLocker computes the paper's own row from first principles: zero DRAM
 // capacity overhead (buffer rows are reserve rows that already exist) and a
-// lock-table SRAM sized by its entry count. With the default 8192-entry
-// table at 7B/entry this is the paper's 56KB SRAM, 0.02% area.
-func DRAMLocker(cfg Config) Report {
-	tableBytes := int64(locktable.DefaultConfig().CapacityEntries * locktable.EntryBytes)
+// lock-table SRAM sized by its entry count. The 8192-entry table at
+// 7B/entry is the paper's 56KB SRAM, 0.02% area.
+func DRAMLocker() Report {
+	tableBytes := int64(locktable.Capacity * locktable.EntryBytes)
 	return Report{
 		Framework: "DRAM-Locker",
 		Components: []Component{
@@ -277,28 +254,28 @@ func Table1Frameworks() []string {
 }
 
 // Table1Report computes one framework's overhead row.
-func Table1Report(cfg Config, name string) (Report, error) {
+func Table1Report(name string) (Report, error) {
 	switch name {
 	case "Graphene":
-		return Graphene(cfg), nil
+		return Graphene(), nil
 	case "Hydra":
-		return Hydra(cfg), nil
+		return Hydra(), nil
 	case "TWiCE":
-		return TWiCE(cfg), nil
+		return TWiCE(), nil
 	case "CounterPerRow":
-		return CounterPerRow(cfg), nil
+		return CounterPerRow(), nil
 	case "CounterTree":
-		return CounterTree(cfg), nil
+		return CounterTree(), nil
 	case "RRS":
-		return RRS(cfg), nil
+		return RRS(), nil
 	case "SRS":
-		return SRS(cfg), nil
+		return SRS(), nil
 	case "SHADOW":
-		return SHADOW(cfg), nil
+		return SHADOW(), nil
 	case "P-PIM":
-		return PPIM(cfg), nil
+		return PPIM(), nil
 	case "DRAM-Locker":
-		return DRAMLocker(cfg), nil
+		return DRAMLocker(), nil
 	default:
 		return Report{}, fmt.Errorf("overhead: unknown framework %q", name)
 	}

@@ -13,7 +13,7 @@ func table1(t *testing.T) []Report {
 	t.Helper()
 	var reports []Report
 	for _, name := range Table1Frameworks() {
-		r, err := Table1Report(DefaultConfig(), name)
+		r, err := Table1Report(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestTable1HasAllPaperRows(t *testing.T) {
 }
 
 func TestDRAMLockerRowMatchesPaper(t *testing.T) {
-	r := DRAMLocker(DefaultConfig())
+	r := DRAMLocker()
 	caps := r.CapacityBytesByKind()
 	if caps[MemDRAM] != 0 {
 		t.Fatalf("DRAM overhead = %d, paper says 0", caps[MemDRAM])
@@ -66,38 +66,20 @@ func TestDRAMLockerHasSmallestArea(t *testing.T) {
 	}
 }
 
-func TestCounterPerRowScalesWithGeometry(t *testing.T) {
-	cfg := DefaultConfig()
-	full := CounterPerRow(cfg).TotalBytes()
-	small := cfg
-	small.Geometry = dram.SmallGeometry()
-	tiny := CounterPerRow(small).TotalBytes()
-	if tiny >= full {
-		t.Fatal("counter storage must scale with row count")
-	}
+func TestCounterPerRowMatchesPaper(t *testing.T) {
 	// 32MB at the paper's 4Mi rows x 8B.
-	if full != int64(cfg.Geometry.TotalRows())*8 {
-		t.Fatalf("counter bytes = %d", full)
-	}
-}
-
-func TestPublishedSizesScaleWithCapacity(t *testing.T) {
-	cfg := DefaultConfig()
-	half := cfg
-	half.Geometry.BanksPerRank = 8 // 16GB
-	g, gh := Graphene(cfg).TotalBytes(), Graphene(half).TotalBytes()
-	if gh >= g {
-		t.Fatalf("Graphene at half capacity should shrink: %d vs %d", gh, g)
+	rows := int64(dram.DefaultGeometry().TotalRows())
+	if got := CounterPerRow().TotalBytes(); got != rows*8 || got != 32<<20 {
+		t.Fatalf("counter bytes = %d, want 32MB", got)
 	}
 }
 
 func TestInvolvedMemoryStrings(t *testing.T) {
-	cfg := DefaultConfig()
 	cases := map[string]string{
-		Graphene(cfg).InvolvedMemory():   "CAM-SRAM",
-		Hydra(cfg).InvolvedMemory():      "DRAM-SRAM",
-		SHADOW(cfg).InvolvedMemory():     "DRAM",
-		DRAMLocker(cfg).InvolvedMemory(): "DRAM-SRAM",
+		Graphene().InvolvedMemory():   "CAM-SRAM",
+		Hydra().InvolvedMemory():      "DRAM-SRAM",
+		SHADOW().InvolvedMemory():     "DRAM",
+		DRAMLocker().InvolvedMemory(): "DRAM-SRAM",
 	}
 	for got, want := range cases {
 		if got != want {
@@ -122,33 +104,31 @@ func TestFormatBytes(t *testing.T) {
 }
 
 func TestAreaCells(t *testing.T) {
-	cfg := DefaultConfig()
-	if got := Graphene(cfg).AreaCell(); got != "1 counter" {
+	if got := Graphene().AreaCell(); got != "1 counter" {
 		t.Errorf("Graphene area cell = %q", got)
 	}
-	if got := CounterPerRow(cfg).AreaCell(); got != "16384 counters" {
+	if got := CounterPerRow().AreaCell(); got != "16384 counters" {
 		t.Errorf("CounterPerRow area cell = %q", got)
 	}
-	if got := RRS(cfg).AreaCell(); got != "NULL" {
+	if got := RRS().AreaCell(); got != "NULL" {
 		t.Errorf("RRS area cell = %q", got)
 	}
-	if got := DRAMLocker(cfg).AreaCell(); got != "0.02%" {
+	if got := DRAMLocker().AreaCell(); got != "0.02%" {
 		t.Errorf("DRAM-Locker area cell = %q", got)
 	}
 }
 
 func TestCapacityCellMentionsNR(t *testing.T) {
-	cfg := DefaultConfig()
-	if cell := RRS(cfg).CapacityCell(); !strings.Contains(cell, "NR") {
+	if cell := RRS().CapacityCell(); !strings.Contains(cell, "NR") {
 		t.Errorf("RRS capacity cell %q must flag unreported SRAM", cell)
 	}
-	if cell := SRS(cfg).CapacityCell(); !strings.Contains(cell, "NR") {
+	if cell := SRS().CapacityCell(); !strings.Contains(cell, "NR") {
 		t.Errorf("SRS capacity cell %q must flag unreported SRAM", cell)
 	}
 }
 
 func TestHydraMatchesPaperNumbers(t *testing.T) {
-	r := Hydra(DefaultConfig())
+	r := Hydra()
 	caps := r.CapacityBytesByKind()
 	if caps[MemSRAM] != 56*1024 {
 		t.Fatalf("Hydra SRAM = %d, want 56KB", caps[MemSRAM])

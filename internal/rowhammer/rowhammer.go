@@ -10,7 +10,8 @@
 // The engine observes activations via dram.ActivateObserver, tracks per-row
 // counts inside the current refresh window, and injects flips into the
 // device's stored bits, so attacks and defenses interact through real state
-// rather than bookkeeping flags.
+// rather than bookkeeping flags. It keeps no flip log: the device's bits
+// are the record, and TotalFlips counts the flips.
 //
 // Per-row state is dense — slices indexed by Geometry.LinearIndex with an
 // epoch stamp per row — so the activation hot path is two array accesses,
@@ -48,14 +49,6 @@ func PublishedThresholds() []Threshold {
 	}
 }
 
-// FlipEvent describes one injected disturbance flip.
-type FlipEvent struct {
-	Aggressor dram.RowAddr
-	Victim    dram.RowAddr
-	Bit       int
-	At        dram.Picoseconds
-}
-
 // flipSeed seeds the bit positions of untargeted flips.
 const flipSeed = 0x0dd4a11
 
@@ -83,28 +76,17 @@ type Engine struct {
 	geom dram.Geometry
 
 	// counts[i] is row i's activation count in the current refresh
-	// window, valid only when stamp[i] == epoch; touched lists the rows
-	// stamped in this window so scans never walk the whole geometry.
+	// window, valid only when stamp[i] == epoch.
 	counts      []int32
 	stamp       []uint32
 	epoch       uint32
-	touched     []int32
 	windowStart dram.Picoseconds
 
 	// targetSlot[i] indexes targets for victim row i, -1 when absent.
 	targetSlot []int32
 	targets    []targetEntry
 
-	flips   []FlipEvent
-	history FlipHistory
-}
-
-// FlipHistory aggregates counters across refresh windows.
-type FlipHistory struct {
-	TotalActivations int64
-	ThresholdCrosses int64
-	TotalFlips       int64
-	Windows          int64
+	totalFlips int64
 }
 
 // New creates an engine with hammer threshold trh bound to a device and
@@ -203,45 +185,34 @@ func (e *Engine) ObserveActivate(addr dram.RowAddr, now dram.Picoseconds) {
 	if e.stamp[idx] != e.epoch {
 		e.stamp[idx] = e.epoch
 		e.counts[idx] = 1
-		e.touched = append(e.touched, int32(idx))
 	} else {
 		e.counts[idx]++
 	}
-	e.history.TotalActivations++
 	if int(e.counts[idx]) == e.trh+1 {
 		// Threshold crossed in this window: disturb neighbors once. The
 		// count keeps rising; a second crossing needs a fresh window.
-		e.history.ThresholdCrosses++
-		e.disturb(addr, now)
+		for _, victim := range e.geom.Neighbors(addr, 1) {
+			e.flipVictim(victim)
+		}
 	}
 }
 
-// disturb injects flips into the victims adjacent to the aggressor.
-func (e *Engine) disturb(aggressor dram.RowAddr, now dram.Picoseconds) {
-	for _, victim := range e.geom.Neighbors(aggressor, 1) {
-		e.flipVictim(aggressor, victim, now)
-	}
-}
-
-func (e *Engine) flipVictim(aggressor, victim dram.RowAddr, now dram.Picoseconds) {
+// flipVictim flips the registered target bits of a victim row, or else
+// one bit drawn from the engine's stream.
+func (e *Engine) flipVictim(victim dram.RowAddr) {
 	idx := e.geom.LinearIndex(victim)
 	if si := e.targetSlot[idx]; si >= 0 && len(e.targets[si].bits) > 0 {
 		for _, b := range e.targets[si].bits {
 			if err := e.dev.FlipBit(victim, b); err == nil {
-				e.recordFlip(aggressor, victim, b, now)
+				e.totalFlips++
 			}
 		}
 		return
 	}
 	b := e.rng.Intn(e.geom.RowBytes * 8)
 	if err := e.dev.FlipBit(victim, b); err == nil {
-		e.recordFlip(aggressor, victim, b, now)
+		e.totalFlips++
 	}
-}
-
-func (e *Engine) recordFlip(aggressor, victim dram.RowAddr, bit int, now dram.Picoseconds) {
-	e.flips = append(e.flips, FlipEvent{Aggressor: aggressor, Victim: victim, Bit: bit, At: now})
-	e.history.TotalFlips++
 }
 
 // ResetRow clears the current-window activation count of one row. Defense
@@ -264,9 +235,7 @@ func (e *Engine) ResetWindow(now dram.Picoseconds) {
 		clear(e.stamp)
 		e.epoch = 1
 	}
-	e.touched = e.touched[:0]
 	e.windowStart = now
-	e.history.Windows++
 }
 
 // Count returns the current-window activation count of a row.
@@ -278,8 +247,6 @@ func (e *Engine) Count(a dram.RowAddr) int {
 	return int(e.counts[idx])
 }
 
-// Flips returns all injected flip events so far.
-func (e *Engine) Flips() []FlipEvent { return e.flips }
-
-// History returns aggregate counters.
-func (e *Engine) History() FlipHistory { return e.history }
+// TotalFlips returns the number of disturbance bit flips injected so far,
+// across every refresh window.
+func (e *Engine) TotalFlips() int64 { return e.totalFlips }

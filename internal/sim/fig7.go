@@ -6,59 +6,29 @@
 // The latency model is command-level (replacing the paper's gem5+CACTI
 // stack): every quantity is derived from DDR4 timing parameters and the
 // mitigation mechanics, with the calibration constants documented next to
-// each formula.
+// each formula. The model has one operating point: dram.DDR4Timing, the
+// controller's re-lock interval (controller.RelockInterval), SHADOW's
+// protected group and ceiling (defense.ShadowGroupRows and
+// defense.ShadowCeilingFactor), and the constants below.
 package sim
 
 import (
 	"fmt"
 
+	"repro/internal/controller"
+	"repro/internal/defense"
 	"repro/internal/dram"
 )
 
-// LatencyConfig parameterises the Fig. 7(a) model.
-type LatencyConfig struct {
-	Timing dram.Timing
-	// ProtectedRows is the size of the protection working set (weight-
-	// adjacent rows for DRAM-Locker, potential target rows for SHADOW).
-	// The default (1000) corresponds to a VGG-scale model footprint.
-	ProtectedRows int
-	// RelockInterval is DRAM-Locker's re-lock cadence in R/W instructions.
-	RelockInterval int
-	// PendingRows is the typical number of concurrently unlocked
-	// (pending re-lock) rows per re-lock cycle in DRAM-Locker.
-	PendingRows int
-	// ShadowCeilingFactor bounds SHADOW: its shuffle throughput is
-	// exceeded once one row sees CeilingFactor*TRH activations per window.
-	ShadowCeilingFactor int
-}
-
-// DefaultLatencyConfig returns the Fig. 7(a) operating point.
-func DefaultLatencyConfig() LatencyConfig {
-	return LatencyConfig{
-		Timing:              dram.DDR4Timing(),
-		ProtectedRows:       1000,
-		RelockInterval:      1000,
-		PendingRows:         64,
-		ShadowCeilingFactor: 40,
-	}
-}
+// pendingRows is the typical number of concurrently unlocked (pending
+// re-lock) rows per re-lock cycle in DRAM-Locker (Fig. 7(a)).
+const pendingRows = 64
 
 // PaperThresholds returns the TRH sweep of Fig. 7 (1k, 2k, 4k, 8k): the
 // SHADOW curves of Fig. 7(a) and the bars of Fig. 7(b), one grid shard
 // per threshold.
 func PaperThresholds() []int {
 	return []int{1000, 2000, 4000, 8000}
-}
-
-// Validate checks the configuration.
-func (c LatencyConfig) Validate() error {
-	if err := c.Timing.Validate(); err != nil {
-		return err
-	}
-	if c.ProtectedRows <= 0 || c.RelockInterval <= 0 || c.PendingRows <= 0 || c.ShadowCeilingFactor <= 0 {
-		return fmt.Errorf("sim: LatencyConfig fields must be positive: %+v", c)
-	}
-	return nil
 }
 
 // LatencyPoint is one (x, y) sample of a Fig. 7(a) curve.
@@ -80,12 +50,12 @@ type LatencyPoint struct {
 // shuffle trigger relocates the whole protected group of rows (SHADOW's
 // "unintelligent" shuffling), each relocation being a full three-copy row
 // exchange: latency = (n / (trh/2)) * group * tSwap.
-// Its defense threshold is ceilingFactor*trh activations per window —
-// beyond that the shuffle throughput is exceeded, integrity is lost, and
-// delay escalation halts (the curve plateaus, as in the paper).
-func ShadowLatency(cfg LatencyConfig, trh, nBFA int) LatencyPoint {
+// Its defense threshold is defense.ShadowCeilingFactor*trh activations per
+// window — beyond that the shuffle throughput is exceeded, integrity is
+// lost, and delay escalation halts (the curve plateaus, as in the paper).
+func ShadowLatency(trh, nBFA int) LatencyPoint {
 	pt := LatencyPoint{BFA: nBFA}
-	ceiling := cfg.ShadowCeilingFactor * trh
+	ceiling := defense.ShadowCeilingFactor * trh
 	n := nBFA
 	if n > ceiling {
 		n = ceiling
@@ -96,7 +66,7 @@ func ShadowLatency(cfg LatencyConfig, trh, nBFA int) LatencyPoint {
 		period = 1
 	}
 	shuffles := int64(n / period)
-	perShuffle := int64(cfg.ProtectedRows) * int64(cfg.Timing.SwapLatency())
+	perShuffle := defense.ShadowGroupRows * int64(dram.DDR4Timing().SwapLatency())
 	pt.Latency = dram.Picoseconds(shuffles * perShuffle)
 	return pt
 }
@@ -106,14 +76,15 @@ func ShadowLatency(cfg LatencyConfig, trh, nBFA int) LatencyPoint {
 //
 // Mechanics: every attacker R/W instruction costs one lock-table lookup
 // (the instruction itself is then skipped, so no array latency); every
-// RelockInterval instructions the controller runs a re-lock cycle that
-// swaps back the pending rows (three RowClone copies each). There is no
-// defense threshold: the lock holds at any intensity.
-func LockerLatency(cfg LatencyConfig, nBFA int) LatencyPoint {
-	lookups := dram.Picoseconds(int64(nBFA) * int64(cfg.Timing.LockLookup))
-	cycles := int64(nBFA / cfg.RelockInterval)
-	swaps := cycles * int64(cfg.PendingRows)
-	swapLat := dram.Picoseconds(swaps * int64(cfg.Timing.SwapLatency()))
+// controller.RelockInterval instructions the controller runs a re-lock
+// cycle that swaps back the pending rows (three RowClone copies each).
+// There is no defense threshold: the lock holds at any intensity.
+func LockerLatency(nBFA int) LatencyPoint {
+	t := dram.DDR4Timing()
+	lookups := dram.Picoseconds(int64(nBFA) * int64(t.LockLookup))
+	cycles := int64(nBFA / controller.RelockInterval)
+	swaps := cycles * pendingRows
+	swapLat := dram.Picoseconds(swaps * int64(t.SwapLatency()))
 	return LatencyPoint{BFA: nBFA, Latency: lookups + swapLat}
 }
 
@@ -126,10 +97,7 @@ type Fig7aCurve struct {
 
 // ShadowCurve computes SHADOW's latency curve at one device threshold for
 // nBFA = 0..maxBFA in steps — one shard of the Fig. 7(a) grid.
-func ShadowCurve(cfg LatencyConfig, trh, maxBFA, step int) (Fig7aCurve, error) {
-	if err := cfg.Validate(); err != nil {
-		return Fig7aCurve{}, err
-	}
+func ShadowCurve(trh, maxBFA, step int) (Fig7aCurve, error) {
 	if maxBFA <= 0 || step <= 0 {
 		return Fig7aCurve{}, fmt.Errorf("sim: maxBFA and step must be positive")
 	}
@@ -138,7 +106,7 @@ func ShadowCurve(cfg LatencyConfig, trh, maxBFA, step int) (Fig7aCurve, error) {
 	}
 	c := Fig7aCurve{Label: fmt.Sprintf("SHADOW%d", trh), TRH: trh}
 	for n := 0; n <= maxBFA; n += step {
-		c.Points = append(c.Points, ShadowLatency(cfg, trh, n))
+		c.Points = append(c.Points, ShadowLatency(trh, n))
 	}
 	return c, nil
 }
@@ -146,79 +114,49 @@ func ShadowCurve(cfg LatencyConfig, trh, maxBFA, step int) (Fig7aCurve, error) {
 // LockerCurve computes DRAM-Locker's latency curve (labelled with its
 // worst case, the smallest paper threshold) — the final shard of the
 // Fig. 7(a) grid.
-func LockerCurve(cfg LatencyConfig, maxBFA, step int) (Fig7aCurve, error) {
-	if err := cfg.Validate(); err != nil {
-		return Fig7aCurve{}, err
-	}
+func LockerCurve(maxBFA, step int) (Fig7aCurve, error) {
 	if maxBFA <= 0 || step <= 0 {
 		return Fig7aCurve{}, fmt.Errorf("sim: maxBFA and step must be positive")
 	}
 	dl := Fig7aCurve{Label: "DL", TRH: PaperThresholds()[0]}
 	for n := 0; n <= maxBFA; n += step {
-		dl.Points = append(dl.Points, LockerLatency(cfg, n))
+		dl.Points = append(dl.Points, LockerLatency(n))
 	}
 	return dl, nil
 }
 
 // --- Fig. 7(b): defense time -------------------------------------------------
 
-// DefenseTimeConfig parameterises the defense-duration model.
-type DefenseTimeConfig struct {
-	Timing dram.Timing
-	// CopyErrorProb is the per-row-copy error probability (paper assumes
+// The calibrated Fig. 7(b) model.
+const (
+	// copyErrorProb is the per-row-copy error probability (paper assumes
 	// 10% for this experiment).
-	CopyErrorProb float64
-	// TargetProb is the cumulative attacker success probability defining
+	copyErrorProb = 0.10
+	// targetProb is the cumulative attacker success probability defining
 	// "defense holds" (paper: 1%).
-	TargetProb float64
-	// UnlockRatePerDay is the rate of legitimate SWAP (unlock) events on
-	// the victim-adjacent locked row. Locked rows are chosen *because*
-	// they are cold (paper §IV-A), so this is small.
-	UnlockRatePerDay float64
-	// ExposureAlignProb is the probability that, given a silently
+	targetProb = 0.01
+	// unlockRatePerDay is the rate of legitimate SWAP (unlock) events on
+	// the victim-adjacent locked row: one per hour. Locked rows are
+	// chosen *because* they are cold (paper §IV-A), so this is small.
+	unlockRatePerDay = 24
+	// exposureAlignProb is the probability that, given a silently
 	// erroneous SWAP, the attacker's continuous hammering both coincides
 	// with the brief exposure (the ~50us re-lock window out of the 64ms
 	// refresh window, ~7.8e-4) and defeats the residual redirect
 	// bookkeeping. Calibrated so DRAM-Locker at TRH=1k sustains >500
 	// days, the paper's reported operating point.
-	ExposureAlignProb float64
-	// ShadowEvadePerWindow is the per-refresh-window probability that the
+	exposureAlignProb = 2.7e-5
+	// shadowEvadePerWindow is the per-refresh-window probability that the
 	// attacker defeats SHADOW's randomized shuffle (guesses the shuffle
 	// destination and completes the hammer inside the window) at TRH=1k.
 	// Calibrated so SHADOW at TRH=1k holds for tens of days.
-	ShadowEvadePerWindow float64
-}
+	shadowEvadePerWindow = 1.23e-10
+)
 
-// DefaultDefenseTimeConfig returns the calibrated Fig. 7(b) model.
-func DefaultDefenseTimeConfig() DefenseTimeConfig {
-	return DefenseTimeConfig{
-		Timing:               dram.DDR4Timing(),
-		CopyErrorProb:        0.10,
-		TargetProb:           0.01,
-		UnlockRatePerDay:     24,     // one legitimate unlock per hour
-		ExposureAlignProb:    2.7e-5, // see field comment
-		ShadowEvadePerWindow: 1.23e-10,
-	}
-}
-
-// Validate checks the configuration.
-func (c DefenseTimeConfig) Validate() error {
-	if c.CopyErrorProb < 0 || c.CopyErrorProb > 1 {
-		return fmt.Errorf("sim: CopyErrorProb must be in [0,1]")
-	}
-	if c.TargetProb <= 0 || c.TargetProb >= 1 {
-		return fmt.Errorf("sim: TargetProb must be in (0,1)")
-	}
-	if c.UnlockRatePerDay <= 0 || c.ExposureAlignProb <= 0 || c.ShadowEvadePerWindow <= 0 {
-		return fmt.Errorf("sim: rates must be positive")
-	}
-	return c.Timing.Validate()
-}
-
-// WindowsPerDay returns refresh windows per day under the configured
-// timing (64ms windows -> 1.35e6 windows/day).
-func (c DefenseTimeConfig) WindowsPerDay() float64 {
-	return (24 * 3600) / c.Timing.TREFW.Seconds()
+// WindowsPerDay returns refresh windows per day under DDR4 timing (64ms
+// windows -> 1.35e6 windows/day).
+func WindowsPerDay() float64 {
+	return (24 * 3600) / dram.DDR4Timing().TREFW.Seconds()
 }
 
 // SilentExposureProb returns the probability that one SWAP silently
@@ -232,38 +170,38 @@ func SilentExposureProb(perCopy float64) float64 {
 
 // LockerDefenseDays returns how many days DRAM-Locker sustains the attack
 // at device threshold trh before the attacker's cumulative success
-// probability reaches TargetProb.
+// probability reaches targetProb.
 //
 // Per-day success probability:
 //
-//	p/day = UnlockRate * P(silent exposure) * P(align) * min(1, 1000/trh)
+//	p/day = unlockRate * P(silent exposure) * P(align) * min(1, 1000/trh)
 //
 // The last factor is the chance the attacker completes trh activations
 // inside the fixed-size exposure window (~1000 activations fit), which is
 // what makes higher thresholds *easier* to defend — the paper's Fig. 7(b)
 // trend.
-func LockerDefenseDays(cfg DefenseTimeConfig, trh int) float64 {
+func LockerDefenseDays(trh int) float64 {
 	pFit := 1000.0 / float64(trh)
 	if pFit > 1 {
 		pFit = 1
 	}
-	perDay := cfg.UnlockRatePerDay * SilentExposureProb(cfg.CopyErrorProb) *
-		cfg.ExposureAlignProb * pFit
-	return cfg.TargetProb / perDay
+	perDay := unlockRatePerDay * SilentExposureProb(copyErrorProb) *
+		exposureAlignProb * pFit
+	return targetProb / perDay
 }
 
 // ShadowDefenseDays returns SHADOW's sustained defense time at device
 // threshold trh:
 //
-//	p/day = WindowsPerDay * ShadowEvadePerWindow * (1000/trh)
+//	p/day = WindowsPerDay * shadowEvadePerWindow * (1000/trh)
 //
 // Higher thresholds shrink the attacker's per-window evasion chance
 // (fewer complete hammer rounds fit), so defense time grows linearly in
 // trh — but from a far lower base than DRAM-Locker because every refresh
 // window is an independent evasion opportunity.
-func ShadowDefenseDays(cfg DefenseTimeConfig, trh int) float64 {
-	perDay := cfg.WindowsPerDay() * cfg.ShadowEvadePerWindow * 1000 / float64(trh)
-	return cfg.TargetProb / perDay
+func ShadowDefenseDays(trh int) float64 {
+	perDay := WindowsPerDay() * shadowEvadePerWindow * 1000 / float64(trh)
+	return targetProb / perDay
 }
 
 // Fig7bBar is one bar of the defense-time chart.
@@ -275,16 +213,13 @@ type Fig7bBar struct {
 
 // Fig7bBarAt computes the defense-time comparison at one device threshold
 // — one shard of the Fig. 7(b) grid.
-func Fig7bBarAt(cfg DefenseTimeConfig, trh int) (Fig7bBar, error) {
-	if err := cfg.Validate(); err != nil {
-		return Fig7bBar{}, err
-	}
+func Fig7bBarAt(trh int) (Fig7bBar, error) {
 	if trh <= 0 {
 		return Fig7bBar{}, fmt.Errorf("sim: trh must be positive, got %d", trh)
 	}
 	return Fig7bBar{
 		Threshold:  trh,
-		ShadowDays: ShadowDefenseDays(cfg, trh),
-		LockerDays: LockerDefenseDays(cfg, trh),
+		ShadowDays: ShadowDefenseDays(trh),
+		LockerDays: LockerDefenseDays(trh),
 	}, nil
 }

@@ -3,13 +3,14 @@ package sim
 import (
 	"math"
 	"testing"
+
+	"repro/internal/defense"
 )
 
 func TestShadowLatencyMonotoneInAttackIntensity(t *testing.T) {
-	cfg := DefaultLatencyConfig()
 	var prev LatencyPoint
 	for n := 0; n <= 80000; n += 5000 {
-		pt := ShadowLatency(cfg, 1000, n)
+		pt := ShadowLatency(1000, n)
 		if pt.Latency < prev.Latency {
 			t.Fatalf("latency decreased at n=%d", n)
 		}
@@ -18,10 +19,9 @@ func TestShadowLatencyMonotoneInAttackIntensity(t *testing.T) {
 }
 
 func TestShadowSlopeInverseInThreshold(t *testing.T) {
-	cfg := DefaultLatencyConfig()
 	n := 8000 // below every ceiling
-	l1 := ShadowLatency(cfg, 1000, n).Latency
-	l8 := ShadowLatency(cfg, 8000, n).Latency
+	l1 := ShadowLatency(1000, n).Latency
+	l8 := ShadowLatency(8000, n).Latency
 	if l1 <= l8 {
 		t.Fatalf("SHADOW1000 (%v) must cost more than SHADOW8000 (%v)", l1, l8)
 	}
@@ -33,11 +33,10 @@ func TestShadowSlopeInverseInThreshold(t *testing.T) {
 }
 
 func TestShadowDefenseThresholdPlateaus(t *testing.T) {
-	cfg := DefaultLatencyConfig()
 	trh := 1000
-	ceiling := cfg.ShadowCeilingFactor * trh
-	below := ShadowLatency(cfg, trh, ceiling)
-	above := ShadowLatency(cfg, trh, ceiling*2)
+	ceiling := defense.ShadowCeilingFactor * trh
+	below := ShadowLatency(trh, ceiling)
+	above := ShadowLatency(trh, ceiling*2)
 	if !above.Compromised {
 		t.Fatal("beyond the ceiling SHADOW must be compromised")
 	}
@@ -50,14 +49,13 @@ func TestShadowDefenseThresholdPlateaus(t *testing.T) {
 }
 
 func TestLockerLatencyBelowShadowAndUnbounded(t *testing.T) {
-	cfg := DefaultLatencyConfig()
 	for n := 10000; n <= 80000; n += 10000 {
-		dl := LockerLatency(cfg, n)
+		dl := LockerLatency(n)
 		if dl.Compromised {
 			t.Fatal("DRAM-Locker has no defense threshold")
 		}
 		for _, trh := range []int{1000, 2000, 4000, 8000} {
-			sh := ShadowLatency(cfg, trh, n)
+			sh := ShadowLatency(trh, n)
 			if dl.Latency >= sh.Latency {
 				t.Fatalf("n=%d trh=%d: DL latency %v not below SHADOW %v",
 					n, trh, dl.Latency, sh.Latency)
@@ -68,16 +66,15 @@ func TestLockerLatencyBelowShadowAndUnbounded(t *testing.T) {
 
 func TestFig7aCurveSet(t *testing.T) {
 	// The fig7a job's shards: SHADOW at every paper threshold, then DL.
-	cfg := DefaultLatencyConfig()
 	var curves []Fig7aCurve
 	for _, trh := range PaperThresholds() {
-		c, err := ShadowCurve(cfg, trh, 80000, 20000)
+		c, err := ShadowCurve(trh, 80000, 20000)
 		if err != nil {
 			t.Fatal(err)
 		}
 		curves = append(curves, c)
 	}
-	dl, err := LockerCurve(cfg, 80000, 20000)
+	dl, err := LockerCurve(80000, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,39 +103,38 @@ func TestFig7aCurveSet(t *testing.T) {
 }
 
 func TestFig7aValidation(t *testing.T) {
-	if _, err := ShadowCurve(DefaultLatencyConfig(), 1000, 0, 10); err == nil {
+	if _, err := ShadowCurve(1000, 0, 10); err == nil {
 		t.Fatal("zero max must fail")
 	}
-	if _, err := LockerCurve(DefaultLatencyConfig(), 0, 10); err == nil {
+	if _, err := LockerCurve(0, 10); err == nil {
 		t.Fatal("zero max must fail")
 	}
-	bad := DefaultLatencyConfig()
-	bad.ProtectedRows = 0
-	if _, err := ShadowCurve(bad, 1000, 100, 10); err == nil {
-		t.Fatal("bad config must fail")
+	if _, err := ShadowCurve(1000, 100, 0); err == nil {
+		t.Fatal("zero step must fail")
 	}
-	if _, err := LockerCurve(bad, 100, 10); err == nil {
-		t.Fatal("bad config must fail")
+	if _, err := LockerCurve(100, 0); err == nil {
+		t.Fatal("zero step must fail")
+	}
+	if _, err := ShadowCurve(0, 100, 10); err == nil {
+		t.Fatal("zero threshold must fail")
 	}
 }
 
 func TestLockerDefenseDaysCalibration(t *testing.T) {
-	cfg := DefaultDefenseTimeConfig()
 	// The paper's headline numbers: >500 days at TRH=1k, >4000 at 8k.
-	if d := LockerDefenseDays(cfg, 1000); d < 500 || d > 700 {
+	if d := LockerDefenseDays(1000); d < 500 || d > 700 {
 		t.Fatalf("DL @1k = %.1f days, want >500 (calibrated ~550)", d)
 	}
-	if d := LockerDefenseDays(cfg, 8000); d < 4000 {
+	if d := LockerDefenseDays(8000); d < 4000 {
 		t.Fatalf("DL @8k = %.1f days, want >4000", d)
 	}
 }
 
 func TestDefenseDaysGrowWithThreshold(t *testing.T) {
-	cfg := DefaultDefenseTimeConfig()
 	var prevDL, prevSh float64
 	for _, trh := range []int{1000, 2000, 4000, 8000} {
-		dl := LockerDefenseDays(cfg, trh)
-		sh := ShadowDefenseDays(cfg, trh)
+		dl := LockerDefenseDays(trh)
+		sh := ShadowDefenseDays(trh)
 		if dl <= prevDL || sh <= prevSh {
 			t.Fatalf("defense time must grow with threshold")
 		}
@@ -150,10 +146,9 @@ func TestDefenseDaysGrowWithThreshold(t *testing.T) {
 }
 
 func TestFig7bBars(t *testing.T) {
-	cfg := DefaultDefenseTimeConfig()
 	var bars []Fig7bBar
 	for _, trh := range PaperThresholds() {
-		bar, err := Fig7bBarAt(cfg, trh)
+		bar, err := Fig7bBarAt(trh)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,11 +161,11 @@ func TestFig7bBars(t *testing.T) {
 		if bars[i].Threshold != trh {
 			t.Fatalf("bar %d threshold %d", i, bars[i].Threshold)
 		}
-		if bars[i].LockerDays != LockerDefenseDays(cfg, trh) || bars[i].ShadowDays != ShadowDefenseDays(cfg, trh) {
+		if bars[i].LockerDays != LockerDefenseDays(trh) || bars[i].ShadowDays != ShadowDefenseDays(trh) {
 			t.Fatalf("bar %d: %+v", i, bars[i])
 		}
 	}
-	if _, err := Fig7bBarAt(cfg, 0); err == nil {
+	if _, err := Fig7bBarAt(0); err == nil {
 		t.Fatal("zero threshold must fail")
 	}
 }
@@ -189,22 +184,16 @@ func TestSilentExposureProb(t *testing.T) {
 }
 
 func TestDefenseTimeValidation(t *testing.T) {
-	bad := DefaultDefenseTimeConfig()
-	bad.TargetProb = 0
-	if _, err := Fig7bBarAt(bad, 1000); err == nil {
-		t.Fatal("zero target probability must fail")
-	}
-	bad = DefaultDefenseTimeConfig()
-	bad.CopyErrorProb = 2
-	if _, err := Fig7bBarAt(bad, 1000); err == nil {
-		t.Fatal("invalid copy error probability must fail")
+	for _, trh := range []int{0, -1000} {
+		if _, err := Fig7bBarAt(trh); err == nil {
+			t.Fatalf("threshold %d must fail", trh)
+		}
 	}
 }
 
 func TestWindowsPerDay(t *testing.T) {
-	cfg := DefaultDefenseTimeConfig()
 	// 64ms windows: 86400/0.064 = 1.35e6.
-	got := cfg.WindowsPerDay()
+	got := WindowsPerDay()
 	if math.Abs(got-1.35e6) > 1e4 {
 		t.Fatalf("windows/day = %g", got)
 	}

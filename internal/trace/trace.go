@@ -279,7 +279,7 @@ func Replay(t *Trace, ctl *controller.Controller) (ReplayStats, error) {
 	startSwaps := ctl.Stats().Swaps
 	startHits := ctl.Stats().RowHits
 	startMisses := ctl.Stats().RowMisses
-	startEnergy := ctl.Device().Stats().EnergyPJ
+	startEnergy := ctl.Device().EnergyPJ()
 	rowBytes := ctl.Device().Geometry().RowBytes
 	payload := make([]byte, rowBytes)
 	readBuf := make([]byte, rowBytes)
@@ -322,7 +322,7 @@ func Replay(t *Trace, ctl *controller.Controller) (ReplayStats, error) {
 	rs.Swaps = ctl.Stats().Swaps - startSwaps
 	rs.RowHits = ctl.Stats().RowHits - startHits
 	rs.RowMisses = ctl.Stats().RowMisses - startMisses
-	rs.EnergyPJ = ctl.Device().Stats().EnergyPJ - startEnergy
+	rs.EnergyPJ = ctl.Device().EnergyPJ() - startEnergy
 	return rs, nil
 }
 
