@@ -16,7 +16,7 @@ test:
 # broker and its wire types, the record log under the journal, cache
 # and plane (appends racing atomic replaces), the result-plane store,
 # the worker-budget semaphore and the parallel tensor/nn kernels it
-# feeds, the goroutine-parallel BFA candidate scoring and the rowhammer
+# feeds, the BFA search that runs those kernels and the rowhammer
 # engine it drives, plus the trace replay layer. The second line adds
 # the experiments' victim memo, which concurrent jobs of a registration
 # share: its single-flight, cancellation, copy and per-registration
@@ -173,11 +173,12 @@ else
 	@echo "bench JSON written to $(BENCH_JSON)"
 endif
 
-# Compute-kernel microbenchmarks (tensor GEMM/im2col, nn train-step and
-# inference) with allocation stats: the serial/parallel GEMM pairs track
-# multi-core throughput and the train-step allocs/op tracks the
-# zero-alloc path. With BENCH_JSON set, events append to the same
-# BENCH_<sha>.json artifact the CI bench job uploads.
+# Compute-kernel microbenchmarks (tensor GEMM/im2col, nn train-step,
+# inference, ReLU and max-pool) with allocation stats: the
+# serial/parallel GEMM pairs track multi-core throughput, and the
+# allocs/op of BenchmarkTrainStep*, BenchmarkReLU and BenchmarkMaxPool2
+# track the zero-alloc path. With BENCH_JSON set, events append to the
+# same BENCH_<sha>.json artifact the CI bench job uploads.
 bench-kernels:
 ifeq ($(BENCH_JSON),)
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./internal/tensor/ ./internal/nn/
@@ -187,9 +188,10 @@ else
 endif
 
 # Attack/sim hot-path microbenchmarks with allocation stats: the BFA
-# search iteration (BenchmarkBFASearchIter allocs/op is the zero-alloc
-# steady-state gate), candidate selection (BenchmarkRankCandidates) and
-# trace replay over the dense DRAM-sim state (BenchmarkReplayDense).
+# search iteration and candidate selection (the allocs/op of
+# BenchmarkBFASearchIter and BenchmarkRankCandidates are zero-alloc
+# gates) and trace replay over the dense DRAM-sim state
+# (BenchmarkReplayDense).
 # With BENCH_JSON set, events append to the same BENCH_<sha>.json
 # artifact as bench-smoke and bench-kernels.
 bench-attack:

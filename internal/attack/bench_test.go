@@ -2,11 +2,10 @@ package attack
 
 // Attack-layer hot-path gauges (make bench-attack): the per-iteration
 // cost of the BFA progressive bit search on each of its two paths and
-// of candidate selection alone, with allocation stats.
-// BenchmarkBFASearchIter's allocs/op is the zero-alloc steady-state
-// gate; BenchmarkRankCandidates tracks the bounded top-k selector
-// against the pre-optimization full sort (README's Performance table
-// records the before/after).
+// of candidate selection alone, with allocation stats. The allocs/op of
+// BenchmarkBFASearchIter and BenchmarkRankCandidates are zero-alloc
+// gates; README's Performance table records the before/after of each
+// change to the scan.
 
 import (
 	"testing"
@@ -97,12 +96,29 @@ func BenchmarkBFASearchIter(b *testing.B) {
 	}
 }
 
-// BenchmarkRankCandidates times candidate selection alone (the part the
-// bounded top-k selector replaced): one scan of the scored attack
-// surface keeping the top CandidatesPerIter untried bits plus the
-// reserve, as an iteration after a landed flip runs it.
+// BenchmarkRankCandidates times candidate selection alone: one
+// bound-pruned scan of the scored attack surface keeping the top
+// CandidatesPerIter untried bits plus the reserve, as an iteration after
+// a landed flip runs it. It runs on the untrained tiny ResNet-20 surface
+// (17k weights) and on VGG-11/100 at the tiny preset's width (590k
+// weights, fig8b's victim). The scan is serial, so allocs/op is 0 at any
+// -cpu.
 func BenchmarkRankCandidates(b *testing.B) {
-	qm, ab, _ := benchVictim(b)
+	b.Run("resnet20", func(b *testing.B) {
+		qm, ab, _ := benchVictim(b)
+		benchRank(b, qm, ab)
+	})
+	b.Run("vgg11-100", func(b *testing.B) {
+		ds, err := dataset.Generate(dataset.Tiny(100))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchRank(b, quant.NewModel(nn.NewVGG11(100, 0.25, 21)), ds.TestSplit.Slice(0, 16))
+	})
+}
+
+// benchRank times rank on qm's gradients for the attack batch ab.
+func benchRank(b *testing.B, qm *quant.Model, ab nn.Batch) {
 	cfg := DefaultBFAConfig()
 	s, err := NewSearcher(qm, cfg)
 	if err != nil {

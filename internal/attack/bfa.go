@@ -9,12 +9,12 @@
 // model directly.
 //
 // The BFA hot path is built around Searcher, which owns every piece of
-// per-iteration scratch (bounded top-k selectors, the kept candidate
+// per-iteration scratch (the bounded top-k selector, the kept candidate
 // ranking, the tried-bit set, the cached layer inputs) so steady-state
-// search iterations allocate nothing and candidate scoring parallelises
-// under the internal/par worker budget with bit-identical selections at
-// any budget. See the Searcher type for what an iteration reuses and
-// for the reuse contract.
+// search iterations allocate nothing. Candidate scoring is one serial
+// scan that skips every weight whose score bound cannot reach the
+// selector's bar. See the Searcher type for what an iteration reuses
+// and for the reuse contract.
 package attack
 
 import (

@@ -16,8 +16,9 @@ import (
 
 // referenceRankCandidates is the pre-optimization scalar ranker kept as
 // the golden model: score every (weight, bit) by grad*deltaW, sort the
-// whole surface, take the top CandidatesPerIter untried candidates.
-func referenceRankCandidates(qm *quant.Model, cfg BFAConfig, tried map[[2]int]bool) []Candidate {
+// whole surface under the better order, take the top n untried
+// candidates.
+func referenceRankCandidates(qm *quant.Model, n int, tried map[[2]int]bool) []Candidate {
 	var cands []Candidate
 	for pi, qp := range qm.Params {
 		grads := qp.Param.Grad.Data
@@ -40,9 +41,9 @@ func referenceRankCandidates(qm *quant.Model, cfg BFAConfig, tried map[[2]int]bo
 			}
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Score > cands[j].Score })
-	if len(cands) > cfg.CandidatesPerIter {
-		cands = cands[:cfg.CandidatesPerIter]
+	sort.Slice(cands, func(i, j int) bool { return better(cands[i], cands[j]) })
+	if len(cands) > n {
+		cands = cands[:n]
 	}
 	return cands
 }
@@ -59,7 +60,7 @@ func referenceBFA(qm *quant.Model, attackBatch nn.Batch, eval nn.BatchSource, ex
 	tried := make(map[[2]int]bool)
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		nn.GradientPass(qm.Net, attackBatch)
-		cands := referenceRankCandidates(qm, cfg, tried)
+		cands := referenceRankCandidates(qm, cfg.CandidatesPerIter, tried)
 		if len(cands) == 0 {
 			break
 		}
@@ -436,25 +437,99 @@ func TestPTAMatchesReference(t *testing.T) {
 	}
 }
 
+// rankLandscapes are the gradient landscapes the selector is checked
+// on, each left in Param.Grad by build. "trained" is the attack batch's
+// gradient on the trained victim. "snapped" zeroes 15 of every 16 of
+// those gradients and snaps the rest to ±2⁻¹⁰, ±2⁻¹¹ or ±2⁻¹², so within
+// a parameter whole groups of (weight, bit) score the same and the bar
+// falls inside a tie, which only (GlobalW, Bit) breaks. "binary" is a
+// binary-weight model, one bit per weight. tie says the first scan's bar
+// must fall inside a tie.
+var rankLandscapes = []struct {
+	name  string
+	tie   bool
+	build func(*testing.T) *quant.Model
+}{
+	{"trained", false, func(t *testing.T) *quant.Model {
+		qm, ab, _ := trainedVictim(t)
+		nn.GradientPass(qm.Net, ab)
+		return qm
+	}},
+	{"snapped", true, func(t *testing.T) *quant.Model {
+		qm, ab, _ := trainedVictim(t)
+		nn.GradientPass(qm.Net, ab)
+		for _, qp := range qm.Params {
+			for i, g := range qp.Param.Grad.Data {
+				if i%16 != 0 || g == 0 {
+					qp.Param.Grad.Data[i] = 0
+					continue
+				}
+				qp.Param.Grad.Data[i] = float32(math.Copysign(math.Ldexp(1, -10-i/16%3), float64(g)))
+			}
+		}
+		return qm
+	}},
+	{"binary", false, func(t *testing.T) *quant.Model {
+		_, ab, _ := trainedVictim(t)
+		qm := quant.NewModelBits(nn.NewResNet20(4, 0.25, 21), 1)
+		nn.GradientPass(qm.Net, ab)
+		return qm
+	}},
+}
+
 // TestSelectTopKMatchesReferenceRanking checks the bounded selector
-// against the full-sort reference on a fresh gradient landscape, with
-// and without an exclusion set: a fresh Searcher scans every round, a
+// against the full-sort reference on every rank landscape, with and
+// without an exclusion set: a fresh Searcher scans every round, a
 // reused one answers from its kept ranking until the winners it drops
-// use up the reserve and it scans again.
+// use up the reserve and it scans again. Then a scan for n candidates,
+// n around the number of untried positive ones, keeps the reference's
+// first n and says it kept them all exactly when there are fewer than n.
 func TestSelectTopKMatchesReferenceRanking(t *testing.T) {
-	qm, ab, _ := trainedVictim(t)
+	for _, ls := range rankLandscapes {
+		t.Run(ls.name, func(t *testing.T) {
+			qm := ls.build(t)
+			if ls.tie {
+				bar := DefaultBFAConfig().CandidatesPerIter + rankReserve
+				first := referenceRankCandidates(qm, bar+1, nil)
+				if first[bar-1].Score != first[bar].Score {
+					t.Fatalf("the bar %v is not tied: the next score is %v", first[bar-1].Score, first[bar].Score)
+				}
+			}
+			tried := checkSelectTopK(t, qm)
+			all := referenceRankCandidates(qm, math.MaxInt, tried)
+			s, err := NewSearcher(qm, DefaultBFAConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range tried {
+				s.tried[k] = true
+			}
+			for _, n := range []int{len(all) / 2, len(all) - 1, len(all), len(all) + 1} {
+				s.rank(n)
+				checkSameCandidates(t, fmt.Sprintf("rank(%d) of %d", n, len(all)), s.sel, all[:min(n, len(all))])
+				if s.rankedAll != (len(all) < n) {
+					t.Fatalf("rank(%d) of %d candidates: rankedAll = %v", n, len(all), s.rankedAll)
+				}
+			}
+		})
+	}
+}
+
+// checkSelectTopK runs ten rounds of selection on qm's gradients, each
+// excluding the winners of the rounds before it, and returns the
+// excluded set.
+func checkSelectTopK(t *testing.T, qm *quant.Model) map[[2]int]bool {
+	t.Helper()
 	cfg := DefaultBFAConfig()
 	cfg.CandidatesPerIter = 5
-	nn.GradientPass(qm.Net, ab)
 	reused, err := NewSearcher(qm, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	tried := map[[2]int]bool{}
 	scans := 0
 	for round := 0; round < 10; round++ {
-		want := referenceRankCandidates(qm, cfg, tried)
+		want := referenceRankCandidates(qm, cfg.CandidatesPerIter, tried)
 		s, err := NewSearcher(qm, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -468,14 +543,7 @@ func TestSelectTopKMatchesReferenceRanking(t *testing.T) {
 			scans++
 		}
 		for name, got := range map[string][]Candidate{"fresh": s.selectTopK(), "reused": fromReused} {
-			if len(got) != len(want) {
-				t.Fatalf("round %d, %s: %d candidates, want %d", round, name, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("round %d, %s: candidate %d = %+v, want %+v", round, name, i, got[i], want[i])
-				}
-			}
+			checkSameCandidates(t, fmt.Sprintf("round %d, %s", round, name), got, want)
 		}
 		// Exclude this round's winners so the next round exercises the
 		// tried-set filter at the selection frontier.
@@ -486,5 +554,20 @@ func TestSelectTopKMatchesReferenceRanking(t *testing.T) {
 	}
 	if scans < 2 {
 		t.Fatalf("the reused Searcher scanned %d times: the reserve never ran out", scans)
+	}
+	return tried
+}
+
+// checkSameCandidates fails unless got lists want's candidates in
+// want's order.
+func checkSameCandidates(t *testing.T, label string, got, want []Candidate) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d candidates, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: candidate %d = %+v, want %+v", label, i, got[i], want[i])
+		}
 	}
 }

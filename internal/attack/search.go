@@ -1,21 +1,17 @@
 package attack
 
 import (
-	"sync"
+	"math"
+	"slices"
 
 	"repro/internal/nn"
-	"repro/internal/par"
 	"repro/internal/quant"
 )
-
-// searchMinChunk is the minimum number of weights one scoring worker
-// takes; below that the fan-out bookkeeping costs more than the scan.
-const searchMinChunk = 4096
 
 // better is the total order the bit search selects under: higher score
 // first, ties broken on (GlobalW, Bit) so the top-k set — and therefore
 // the committed flip sequence — is a pure function of the candidate set,
-// independent of scan partitioning or worker count.
+// independent of the order the scan offers candidates in.
 func better(a, b Candidate) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
@@ -103,9 +99,8 @@ func (h *topK) push(c Candidate) {
 // Reuse contract: a Searcher is bound to one quantized model and one
 // configuration. Run may be called any number of times (each call starts
 // a fresh attack and clears the tried-bit set), but the Searcher must
-// not be shared between goroutines — the scoring fan-out inside one call
-// is the only concurrency it manages. Scratch grows to the high-water
-// mark of CandidatesPerIter and the worker budget and is never released.
+// not be shared between goroutines. Scratch holds CandidatesPerIter
+// candidates plus the rank reserve and is never released.
 type Searcher struct {
 	qm  *quant.Model
 	cfg BFAConfig
@@ -115,9 +110,8 @@ type Searcher struct {
 	// the search never proposes the same flip twice.
 	tried map[[2]int]bool
 
-	// heaps[w] is scoring worker w's bounded selector; heaps[0] belongs
-	// to the calling goroutine and is the only one used serially.
-	heaps []topK
+	// heap is the scan's bounded selector.
+	heap topK
 	// sel is the ranking of the last scan, minus what was tried since.
 	// ranked says it ranks under the current gradients; rankedAll that
 	// the scan kept every candidate it found.
@@ -162,11 +156,12 @@ func (s *Searcher) reset() {
 	s.stale = true
 }
 
-// offer funnels one scored (weight, bit) into a worker's selector. The
+// offer funnels one scored (weight, bit) into the scan's selector. The
 // admission test runs before the tried-set lookup so the map is only
 // consulted for candidates that would actually be kept (at most k per
-// worker per scan, instead of once per scored bit).
-func (s *Searcher) offer(h *topK, globalW, bit int, score float64) {
+// scan, instead of once per scored bit).
+func (s *Searcher) offer(globalW, bit int, score float64) {
+	h := &s.heap
 	c := Candidate{GlobalW: globalW, Bit: bit, Score: score}
 	if h.full() && !better(c, h.items[0]) {
 		return
@@ -177,24 +172,35 @@ func (s *Searcher) offer(h *topK, globalW, bit int, score float64) {
 	h.push(c)
 }
 
-// scoreRange scores every untried (weight, bit) with global weight index
-// in [glo, ghi) by the first-order loss increase grad*deltaW, keeping the
-// best in h. A flip whose estimate is <= 0 would reduce the loss and is
-// never a candidate.
-func (s *Searcher) scoreRange(glo, ghi int, h *topK) {
-	pi, li := s.qm.Locate(glo)
-	base := glo - li // global index of Params[pi].Q[0]
-	for base < ghi && pi < len(s.qm.Params) {
-		qp := s.qm.Params[pi]
-		end := qp.NumWeights()
-		if base+end > ghi {
-			end = ghi - base
+// score scans every untried (weight, bit) by the first-order loss
+// increase grad*deltaW, keeping the best in s.heap. A flip whose
+// estimate is <= 0 would reduce the loss and is never a candidate.
+//
+// Once the selector is full, a weight is skipped when
+// |grad|*maxDelta*scale is below the bar, the worst kept score: no bit
+// of it could be admitted. The skip is exact. grad*deltaW is exact in
+// float64 (a float32 times an integer of at most 8 bits), and the one
+// rounding, the multiply by the positive scale, is monotonic, so no
+// bit's score exceeds its weight's bound. The test is a strict <, as a
+// score equal to the bar ties it and a tie is (GlobalW, Bit)'s to
+// decide; a NaN bound or bar compares false and skips nothing.
+func (s *Searcher) score() {
+	base := 0 // global index of the current param's first weight
+	for _, qp := range s.qm.Params {
+		// The largest |BitDelta|: the sign-bit flip of an int8 weight,
+		// or the negation of a binary one (Q is ±1).
+		maxDelta := 128.0
+		if qp.Bits == 1 {
+			maxDelta = 2
 		}
-		grads := qp.Param.Grad.Data
+		grads := qp.Param.Grad.Data[:qp.NumWeights()]
 		scale := float64(qp.Scale)
-		for i := li; i < end; i++ {
-			g := float64(grads[i])
-			if g == 0 {
+		for i, g32 := range grads {
+			if g32 == 0 {
+				continue
+			}
+			g := float64(g32)
+			if s.heap.full() && math.Abs(g)*maxDelta*scale < s.heap.items[0].Score {
 				continue
 			}
 			for k := 0; k < qp.Bits; k++ {
@@ -202,12 +208,10 @@ func (s *Searcher) scoreRange(glo, ghi int, h *topK) {
 				if score <= 0 {
 					continue
 				}
-				s.offer(h, base+i, k, score)
+				s.offer(base+i, k, score)
 			}
 		}
 		base += qp.NumWeights()
-		li = 0
-		pi++
 	}
 }
 
@@ -241,82 +245,22 @@ func (s *Searcher) selectTopK() []Candidate {
 }
 
 // rank scans the gradient-scored attack surface and keeps its top n
-// untried candidates in s.sel, best first. The scan fans out over the
-// weight range under the par token budget; each worker keeps its own
-// bounded selector and the merge re-ranks the union under the same
-// total order, so the result is bit-identical at any parallelism.
+// untried candidates in s.sel, best first.
 func (s *Searcher) rank(n int) {
-	total := s.qm.TotalWeights()
-	workers := 1
-	if maxW := total / searchMinChunk; maxW > 1 {
-		if cap := par.Budget(); maxW > cap {
-			maxW = cap
+	s.heap.reset(n)
+	s.score()
+	// A scan that kept fewer than n kept every untried candidate.
+	s.sel = append(s.sel[:0], s.heap.items...)
+	slices.SortFunc(s.sel, func(a, b Candidate) int {
+		switch {
+		case better(a, b):
+			return -1
+		case better(b, a):
+			return 1
 		}
-		if maxW > 1 {
-			workers = 1 + par.TryAcquire(maxW-1)
-		}
-	}
-	for len(s.heaps) < workers {
-		s.heaps = append(s.heaps, topK{})
-	}
-	if workers == 1 {
-		s.heaps[0].reset(n)
-		s.scoreRange(0, total, &s.heaps[0])
-	} else {
-		s.scoreParallel(total, workers, n)
-	}
-	// Merge: the union of per-worker keeps is at most workers*n
-	// candidates; insertion-sort it under the total order and keep n.
-	// A union of fewer than n holds every untried candidate.
-	s.sel = s.sel[:0]
-	for w := 0; w < workers; w++ {
-		for _, c := range s.heaps[w].items {
-			s.sel = append(s.sel, c)
-		}
-	}
-	for i := 1; i < len(s.sel); i++ {
-		c := s.sel[i]
-		j := i - 1
-		for j >= 0 && better(c, s.sel[j]) {
-			s.sel[j+1] = s.sel[j]
-			j--
-		}
-		s.sel[j+1] = c
-	}
+		return 0
+	})
 	s.ranked, s.rankedAll = true, len(s.sel) < n
-	if len(s.sel) > n {
-		s.sel = s.sel[:n]
-	}
-}
-
-// scoreParallel fans the scoring scan out over workers contiguous chunks
-// (the calling goroutine takes chunk 0 and the tokens are returned when
-// every worker finishes). Chunk boundaries only decide which heap a
-// candidate lands in; the merge erases that.
-func (s *Searcher) scoreParallel(total, workers, k int) {
-	defer par.ReleaseN(workers - 1)
-	chunk := (total + workers - 1) / workers
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for w := 1; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > total {
-			hi = total
-		}
-		h := &s.heaps[w]
-		h.reset(k)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int, h *topK) {
-			defer wg.Done()
-			s.scoreRange(lo, hi, h)
-		}(lo, hi, h)
-	}
-	s.heaps[0].reset(k)
-	s.scoreRange(0, chunk, &s.heaps[0])
 }
 
 // step runs one search step: a gradient pass on the attack batch, top-k

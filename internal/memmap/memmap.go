@@ -150,21 +150,21 @@ func (l *Layout) AggressorRows() []dram.RowAddr {
 // WriteAll writes every quantized weight into DRAM (out-of-band: the
 // initial model load, not part of the measured request stream).
 func (l *Layout) WriteAll() error {
-	total := l.QM.TotalWeights()
-	for ri := range l.rows {
+	cur := cursor{qm: l.QM}
+	for ri, row := range l.rows {
 		lo, hi := l.WeightsInRow(ri)
-		if lo >= total {
-			break
-		}
-		data, err := l.Dev.PeekRow(l.rows[ri])
+		data, err := l.Dev.PeekRow(row)
 		if err != nil {
 			return err
 		}
-		for w := lo; w < hi; w++ {
-			pi, li := l.QM.Locate(w)
-			data[w-lo] = byte(l.QM.Params[pi].Get(li))
+		for off := 0; off < hi-lo; {
+			qp, li, n := cur.next(hi - lo - off)
+			for j, v := range qp.Q[li : li+n] {
+				data[off+j] = byte(v)
+			}
+			off += n
 		}
-		if err := l.Dev.PokeRow(l.rows[ri], data); err != nil {
+		if err := l.Dev.PokeRow(row, data); err != nil {
 			return err
 		}
 	}
@@ -176,22 +176,45 @@ func (l *Layout) WriteAll() error {
 // It returns the number of weights whose value changed.
 func (l *Layout) SyncFromDRAM() (int, error) {
 	changed := 0
-	for ri := range l.rows {
+	cur := cursor{qm: l.QM}
+	for ri, row := range l.rows {
 		lo, hi := l.WeightsInRow(ri)
-		data, err := l.Dev.PeekRow(l.rows[ri])
+		data, err := l.Dev.PeekRow(row)
 		if err != nil {
 			return changed, err
 		}
-		for w := lo; w < hi; w++ {
-			pi, li := l.QM.Locate(w)
-			qp := l.QM.Params[pi]
-			nv := int8(data[w-lo])
-			if qp.Get(li) != nv {
-				qp.Q[li] = nv
-				qp.Param.W.Data[li] = quant.Dequantize(nv, qp.Scale)
-				changed++
+		for off := 0; off < hi-lo; {
+			qp, li, n := cur.next(hi - lo - off)
+			for j, b := range data[off : off+n] {
+				if nv := int8(b); qp.Q[li+j] != nv {
+					qp.Q[li+j] = nv
+					qp.Param.W.Data[li+j] = quant.Dequantize(nv, qp.Scale)
+					changed++
+				}
 			}
+			off += n
 		}
 	}
 	return changed, nil
+}
+
+// cursor walks the model's weights in global index order, one run
+// within a parameter at a time, so the rows' weights map to (param,
+// local) pairs without a search per weight.
+type cursor struct {
+	qm     *quant.Model
+	pi, li int // the next weight is qm.Params[pi].Q[li]
+}
+
+// next returns the parameter the next weight is in, that weight's local
+// index li, and how many weights from li on, at most want, the
+// parameter still holds; it moves the cursor past them.
+func (c *cursor) next(want int) (qp *quant.QuantizedParam, li, n int) {
+	for c.li == len(c.qm.Params[c.pi].Q) {
+		c.pi, c.li = c.pi+1, 0
+	}
+	qp, li = c.qm.Params[c.pi], c.li
+	n = min(want, len(qp.Q)-li)
+	c.li += n
+	return qp, li, n
 }

@@ -144,6 +144,80 @@ func TestSyncFromDRAMPropagatesFlips(t *testing.T) {
 	}
 }
 
+// TestSyncFromDRAMAcrossParamBoundaries flips bits on both sides of
+// every parameter boundary, two of them in one weight. Rows are as long
+// as the first parameter, so the first boundary falls at a row's start
+// and later ones inside rows. Each flipped weight's Q and float weight
+// must change in its own parameter, nothing else may, and changed must
+// count each weight once.
+func TestSyncFromDRAMAcrossParamBoundaries(t *testing.T) {
+	qm := quant.NewModel(nn.NewResNet20(4, 0.125, 5))
+	geom := dram.SmallGeometry()
+	geom.RowBytes = qm.Params[0].NumWeights()
+	dev, err := dram.NewDevice(geom, dram.DDR4Timing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := New(qm, dev, noneReserved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb := geom.RowBytes
+	snap := qm.Snapshot()
+	bits := map[int][]int{} // global weight -> bits flipped
+	inRow, atRowStart := 0, 0
+	for p := 1; p < len(qm.Params); p++ {
+		g := qm.GlobalIndex(p, 0)
+		if g%rb == 0 {
+			atRowStart++
+		} else {
+			inRow++
+		}
+		bits[g-1] = append(bits[g-1], 7)
+		bits[g] = append(bits[g], 2)
+	}
+	if inRow == 0 || atRowStart == 0 {
+		t.Fatalf("%d boundaries inside a row and %d at a row's start: the rig must have both", inRow, atRowStart)
+	}
+	last := qm.GlobalIndex(1, 0) - 1
+	bits[last] = append(bits[last], 0) // a second bit in one weight
+	flipped := 0
+	for w, ks := range bits {
+		for _, k := range ks {
+			row, bit, err := l.LocationOfBit(w, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dev.FlipBit(row, bit); err != nil {
+				t.Fatal(err)
+			}
+			flipped++
+		}
+	}
+	changed, err := l.SyncFromDRAM()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if changed != len(bits) {
+		t.Fatalf("changed = %d, want %d weights", changed, len(bits))
+	}
+	if d := qm.HammingDistance(snap); d != flipped {
+		t.Fatalf("model differs from before in %d bits, want %d", d, flipped)
+	}
+	for w, ks := range bits {
+		pi, li := qm.Locate(w)
+		qp := qm.Params[pi]
+		want := snap[pi][li]
+		for _, k := range ks {
+			want = quant.FlipBit(want, k)
+		}
+		if qp.Q[li] != want || qp.Param.W.Data[li] != quant.Dequantize(want, qp.Scale) {
+			t.Fatalf("weight %d (param %d, local %d): Q %d, W %v; want %d, %v",
+				w, pi, li, qp.Q[li], qp.Param.W.Data[li], want, quant.Dequantize(want, qp.Scale))
+		}
+	}
+}
+
 func TestLocationOfBitConsistentWithPhys(t *testing.T) {
 	dev, qm, l := newRig(t)
 	mapper := dram.NewAddrMapper(dev.Geometry())

@@ -114,3 +114,31 @@ func BenchmarkBatchNormForward(b *testing.B) {
 		bn.Forward(x, true)
 	}
 }
+
+// layerBench times one forward plus backward of a parameter-free layer
+// at VGG-11 tiny's first-stage shape (batch 32, 16 channels, 16×16) on
+// normal inputs, so half the ReLU inputs are negative and the max-pool
+// windows are in random order. allocs/op is pinned at 0.
+func layerBench(b *testing.B, l Layer) {
+	serialBudget(b)
+	x := tensor.New(32, 16, 16, 16)
+	x.RandNormal(stats.NewRNG(5), 1)
+	out := l.Forward(x, true)
+	grad := tensor.New(out.Shape...)
+	grad.RandNormal(stats.NewRNG(6), 1)
+	l.Backward(grad)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Forward(x, true)
+		l.Backward(grad)
+	}
+}
+
+// BenchmarkReLU times the branch-free ReLU: a select per element forward
+// and an integer mask of the forward's output backward.
+func BenchmarkReLU(b *testing.B) { layerBench(b, NewReLU("relu")) }
+
+// BenchmarkMaxPool2 times the 2×2 max pool: the branch-free window
+// select forward and the argmax scatter backward.
+func BenchmarkMaxPool2(b *testing.B) { layerBench(b, NewMaxPool2("pool")) }

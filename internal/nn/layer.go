@@ -249,7 +249,6 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // ReLU is the rectified linear activation.
 type ReLU struct {
 	LayerName string
-	mask      []bool
 	out, dx   *tensor.Tensor
 }
 
@@ -265,38 +264,41 @@ func (r *ReLU) Params() []*Param { return nil }
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.out = tensor.Ensure(r.out, x.Shape...)
-	r.mask = ensureMask(r.mask, len(x.Data))
+	out := r.out.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v <= 0 {
-			r.out.Data[i] = 0
-			r.mask[i] = false
-		} else {
-			r.out.Data[i] = v
-			r.mask[i] = true
-		}
+		out[i] = relu(v)
 	}
 	return r.out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The forward's output is the mask: the
+// gradient passes where it is not +0.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	r.dx = tensor.Ensure(r.dx, grad.Shape...)
-	for i, v := range grad.Data {
-		if r.mask[i] {
-			r.dx.Data[i] = v
-		} else {
-			r.dx.Data[i] = 0
-		}
+	dx, out := r.dx.Data[:len(grad.Data)], r.out.Data[:len(grad.Data)]
+	for i, g := range grad.Data {
+		dx[i] = reluGrad(g, out[i])
 	}
 	return r.dx
 }
 
-// ensureMask resizes a reusable bool mask.
-func ensureMask(m []bool, n int) []bool {
-	if cap(m) < n {
-		return make([]bool, n)
+// relu returns +0 where v <= 0 (−0 included) and v elsewhere, NaN bits
+// untouched. The choice is a select on v's bits, which the compiler
+// emits as a conditional move instead of a branch that mispredicts on
+// every sign change.
+func relu(v float32) float32 {
+	b := math.Float32bits(v)
+	if v <= 0 {
+		b = 0
 	}
-	return m[:n]
+	return math.Float32frombits(b)
+}
+
+// reluGrad returns g where out, relu's output, is not +0 and +0 where it
+// is: the mask o|−o has its sign bit set exactly when o != 0.
+func reluGrad(g, out float32) float32 {
+	o := math.Float32bits(out)
+	return math.Float32frombits(math.Float32bits(g) & uint32(int32(o|-o)>>31))
 }
 
 // --- BatchNorm2D --------------------------------------------------------------
@@ -530,31 +532,37 @@ func (m *MaxPool2) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		m.argmax = make([]int, m.out.Len())
 	}
 	m.argmax = m.argmax[:m.out.Len()]
-	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
-			inBase := (img*c + ch) * h * w
-			outBase := (img*c + ch) * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := inBase + (2*oy)*w + 2*ox
-					bv := x.Data[best]
-					for dy := 0; dy < 2; dy++ {
-						for dx := 0; dx < 2; dx++ {
-							idx := inBase + (2*oy+dy)*w + 2*ox + dx
-							if x.Data[idx] > bv {
-								bv = x.Data[idx]
-								best = idx
-							}
-						}
-					}
-					o := outBase + oy*ow + ox
-					m.out.Data[o] = bv
-					m.argmax[o] = best
-				}
+	// Each window is read (0,0), (0,1), (1,0), (1,1) and a later element
+	// wins only when strictly greater.
+	for p := 0; p < n*c; p++ {
+		inBase, outBase := p*h*w, p*oh*ow
+		for oy := 0; oy < oh; oy++ {
+			at := inBase + 2*oy*w // the first element of the window row
+			r0, r1 := x.Data[at:at+2*ow], x.Data[at+w:at+w+2*ow]
+			out := m.out.Data[outBase+oy*ow : outBase+(oy+1)*ow]
+			arg := m.argmax[outBase+oy*ow : outBase+(oy+1)*ow]
+			for ox := range out {
+				i := 2 * ox
+				v, a := pick(r0[i], at+i, r0[i+1], at+i+1)
+				v, a = pick(v, a, r1[i], at+w+i)
+				out[ox], arg[ox] = pick(v, a, r1[i+1], at+w+i+1)
 			}
 		}
 	}
 	return m.out
+}
+
+// pick returns (v, j) when v > u and (u, i) otherwise, so a tie or a
+// NaN keeps the earlier element. Both results are selected as integers,
+// which the compiler emits as conditional moves instead of a branch;
+// both float bit patterns are taken before the comparison, as with the
+// conversion inside the if it branches.
+func pick(u float32, i int, v float32, j int) (float32, int) {
+	ub, vb := math.Float32bits(u), math.Float32bits(v)
+	if v > u {
+		ub, i = vb, j
+	}
+	return math.Float32frombits(ub), i
 }
 
 // Backward implements Layer.

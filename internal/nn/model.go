@@ -141,7 +141,6 @@ type BasicBlock struct {
 	DownConv *Conv2D
 	DownBN   *BatchNorm2D
 
-	reluMask   []bool
 	out, g, dx *tensor.Tensor
 }
 
@@ -206,16 +205,9 @@ func (b *BasicBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	// Residual add and final ReLU fused into one pass over the block's
 	// reusable output buffer.
 	b.out = tensor.Ensure(b.out, main.Shape...)
-	b.reluMask = ensureMask(b.reluMask, len(main.Data))
+	out, sd := b.out.Data[:len(main.Data)], short.Data[:len(main.Data)]
 	for i, v := range main.Data {
-		v += short.Data[i]
-		if v <= 0 {
-			b.out.Data[i] = 0
-			b.reluMask[i] = false
-		} else {
-			b.out.Data[i] = v
-			b.reluMask[i] = true
-		}
+		out[i] = relu(v + sd[i])
 	}
 	return b.out
 }
@@ -223,12 +215,9 @@ func (b *BasicBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer.
 func (b *BasicBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	b.g = tensor.Ensure(b.g, grad.Shape...)
+	g, out := b.g.Data[:len(grad.Data)], b.out.Data[:len(grad.Data)]
 	for i, v := range grad.Data {
-		if b.reluMask[i] {
-			b.g.Data[i] = v
-		} else {
-			b.g.Data[i] = 0
-		}
+		g[i] = reluGrad(v, out[i])
 	}
 	// Main branch.
 	gm := b.BN2.Backward(b.g)

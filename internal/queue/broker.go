@@ -140,7 +140,6 @@ const (
 
 // task is one queued unit.
 type task struct {
-	id    string // "<job id>/<index>", for logs
 	job   *job
 	idx   int
 	spec  api.TaskSpec
@@ -564,7 +563,6 @@ func (b *Broker) addJobLocked(id, tenant string, priority int, specs []api.TaskS
 	now := b.now()
 	for i, spec := range specs {
 		t := &task{
-			id:       fmt.Sprintf("%s/%d", id, i),
 			job:      j,
 			idx:      i,
 			spec:     spec,
