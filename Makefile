@@ -232,16 +232,11 @@ fmt-check:
 
 # Non-test Go line counts, the figure every PR states its net delta in:
 # per package under internal/ and cmd/, their total, and the distributed
-# substrate's share. It reports only; nothing fails on the numbers.
-LOC_SUBSTRATE = queue remote resultplane api faultinject backoff wal
+# substrate's share (scripts/loc.sh). With BASE=<rev> each line also
+# shows the count at that git revision and the delta. It reports only;
+# nothing fails on the numbers.
 loc:
-	@for d in internal/* cmd/*; do \
-		printf '%6d %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; done
-	@printf '%6d total under internal/ and cmd/\n' \
-		$$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
-	@printf '%6d substrate (%s)\n' \
-		$$(for p in $(LOC_SUBSTRATE); do find internal/$$p -name '*.go' ! -name '*_test.go'; done | xargs cat | wc -l) \
-		"$(LOC_SUBSTRATE)"
+	@bash scripts/loc.sh $(BASE)
 
 # Functions declared under internal/ that no main package links (cmd/*,
 # examples/* and bench/'s dlbench, built with inlining off). The list

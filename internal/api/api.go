@@ -57,9 +57,10 @@ type TaskSpec struct {
 	Job string `json:"job"`
 	// Shard is the shard index within the job, or MonolithShard.
 	Shard int `json:"shard"`
-	// Seed is the pre-derived execution seed. The scheduler computes it
-	// from its own base seed and the unit name; executors use it verbatim
-	// so results are identical no matter where the task runs.
+	// Seed is the unit's result seed, derived by the scheduler from its
+	// base seed and the unit name. No job reads it: a caching executor
+	// stamps it on the result it stores, as the scheduler does, so a
+	// result's seed is the same no matter where the task ran.
 	Seed uint64 `json:"seed"`
 	// Key is the scheduler's cache key stem for the job (Job.Key,
 	// typically "<experiment>@<preset hash>"). The executing side must

@@ -41,8 +41,8 @@ func (denyingExecutor) TryFlip(int, int) (FlipOutcome, error) {
 // commit the model changed, so the iteration reruns the gradient pass
 // and every trial, and its loss and accuracy rerun from the flipped
 // layer. After a denial nothing changed, so it reuses the gradients,
-// the loss, the accuracy and the memoised trial losses, and runs one
-// new trial.
+// the loss, the accuracy and the memoised trial losses, and runs the
+// candidate scan and one new trial.
 var searchPaths = []struct {
 	name string
 	exec func(*quant.Model) FlipExecutor
@@ -98,8 +98,7 @@ func BenchmarkBFASearchIter(b *testing.B) {
 
 // BenchmarkRankCandidates times candidate selection alone: one
 // bound-pruned scan of the scored attack surface keeping the top
-// CandidatesPerIter untried bits plus the reserve, as an iteration after
-// a landed flip runs it. It runs on the untrained tiny ResNet-20 surface
+// CandidatesPerIter untried bits, as every iteration runs it. It runs on the untrained tiny ResNet-20 surface
 // (17k weights) and on VGG-11/100 at the tiny preset's width (590k
 // weights, fig8b's victim). The scan is serial, so allocs/op is 0 at any
 // -cpu.
@@ -117,7 +116,7 @@ func BenchmarkRankCandidates(b *testing.B) {
 	})
 }
 
-// benchRank times rank on qm's gradients for the attack batch ab.
+// benchRank times selectTopK on qm's gradients for the attack batch ab.
 func benchRank(b *testing.B, qm *quant.Model, ab nn.Batch) {
 	cfg := DefaultBFAConfig()
 	s, err := NewSearcher(qm, cfg)
@@ -125,10 +124,10 @@ func benchRank(b *testing.B, qm *quant.Model, ab nn.Batch) {
 		b.Fatal(err)
 	}
 	nn.GradientPass(qm.Net, ab)
-	s.rank(cfg.CandidatesPerIter + rankReserve) // warm scratch
+	s.selectTopK() // warm scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.rank(cfg.CandidatesPerIter + rankReserve)
+		s.selectTopK()
 	}
 }

@@ -90,17 +90,16 @@ func (h *topK) push(c Candidate) {
 // BatchNorm statistic with its copy from the previous call: the
 // iteration's loss and accuracy rerun from the first layer that
 // differs. When nothing differs (a denied flip), the previous loss and
-// accuracy, the gradients the last gradient pass left in Param.Grad,
-// the candidate ranking of the last scan and the trial losses of the
-// candidates still in the top k are reused, so such an iteration costs
-// one new trial forward. Every reuse is exact: records match full
-// forwards bit for bit.
+// accuracy, the gradients the last gradient pass left in Param.Grad and
+// the trial losses of the candidates still in the top k are reused, so
+// such an iteration costs one candidate scan and one new trial forward.
+// Every reuse is exact: records match full forwards bit for bit.
 //
 // Reuse contract: a Searcher is bound to one quantized model and one
 // configuration. Run may be called any number of times (each call starts
 // a fresh attack and clears the tried-bit set), but the Searcher must
 // not be shared between goroutines. Scratch holds CandidatesPerIter
-// candidates plus the rank reserve and is never released.
+// candidates and is never released.
 type Searcher struct {
 	qm  *quant.Model
 	cfg BFAConfig
@@ -110,13 +109,9 @@ type Searcher struct {
 	// the search never proposes the same flip twice.
 	tried map[[2]int]bool
 
-	// heap is the scan's bounded selector.
+	// heap is the scan's bounded selector; sel its ranking, best first.
 	heap topK
-	// sel is the ranking of the last scan, minus what was tried since.
-	// ranked says it ranks under the current gradients; rankedAll that
-	// the scan kept every candidate it found.
-	sel               []Candidate
-	ranked, rankedAll bool
+	sel  []Candidate
 	// stale says the model changed since the last step, so the
 	// gradients in Param.Grad and the memoised trial losses are out of
 	// date.
@@ -144,7 +139,7 @@ func NewSearcher(qm *quant.Model, cfg BFAConfig) (*Searcher, error) {
 		cfg:    cfg,
 		ev:     newEvaluator(qm),
 		tried:  make(map[[2]int]bool, cfg.Iterations),
-		sel:    make([]Candidate, 0, cfg.CandidatesPerIter+rankReserve),
+		sel:    make([]Candidate, 0, cfg.CandidatesPerIter),
 		trials: make([]trial, 0, cfg.CandidatesPerIter),
 		next:   make([]trial, 0, cfg.CandidatesPerIter),
 	}, nil
@@ -215,41 +210,12 @@ func (s *Searcher) score() {
 	}
 }
 
-// rankReserve is how many candidates past the top k a scan keeps. While
-// the model is unchanged, an attempt only adds its candidate to the
-// tried set, so the next top k is the kept ranking minus what was tried
-// since: up to rankReserve denials in a row reuse one scan.
-const rankReserve = 32
-
-// selectTopK returns the top CandidatesPerIter untried candidates, best
-// first. It answers from the ranking the last scan kept, dropping what
-// was tried since, unless the model changed since that scan or fewer
-// than CandidatesPerIter kept candidates remain while the scan left some
-// out; then it scans again. The returned slice is Searcher-owned
-// scratch, valid until the next call.
+// selectTopK scans the gradient-scored attack surface and returns its
+// top CandidatesPerIter untried candidates, best first. The returned
+// slice is Searcher-owned scratch, valid until the next call.
 func (s *Searcher) selectTopK() []Candidate {
-	k := s.cfg.CandidatesPerIter
-	if s.ranked {
-		kept := s.sel[:0]
-		for _, c := range s.sel {
-			if !s.tried[[2]int{c.GlobalW, c.Bit}] {
-				kept = append(kept, c)
-			}
-		}
-		s.sel = kept
-	}
-	if !s.ranked || (len(s.sel) < k && !s.rankedAll) {
-		s.rank(k + rankReserve)
-	}
-	return s.sel[:min(k, len(s.sel))]
-}
-
-// rank scans the gradient-scored attack surface and keeps its top n
-// untried candidates in s.sel, best first.
-func (s *Searcher) rank(n int) {
-	s.heap.reset(n)
+	s.heap.reset(s.cfg.CandidatesPerIter)
 	s.score()
-	// A scan that kept fewer than n kept every untried candidate.
 	s.sel = append(s.sel[:0], s.heap.items...)
 	slices.SortFunc(s.sel, func(a, b Candidate) int {
 		switch {
@@ -260,7 +226,7 @@ func (s *Searcher) rank(n int) {
 		}
 		return 0
 	})
-	s.ranked, s.rankedAll = true, len(s.sel) < n
+	return s.sel
 }
 
 // step runs one search step: a gradient pass on the attack batch, top-k
@@ -269,13 +235,13 @@ func (s *Searcher) rank(n int) {
 // when the surface is exhausted. The model is left unmodified —
 // committing the flip is the caller's call to make through a
 // FlipExecutor. Unless the model changed since the last step, the
-// gradients in Param.Grad, the ranking of the last scan and the trial
-// losses of candidates that were already in the last top k are reused.
+// gradients in Param.Grad and the trial losses of candidates that were
+// already in the last top k are reused.
 func (s *Searcher) step() (Candidate, bool) {
 	if s.stale {
 		nn.GradientPass(s.qm.Net, s.ev.attack.Batch)
 		s.trials = s.trials[:0]
-		s.stale, s.ranked = false, false
+		s.stale = false
 	}
 	cands := s.selectTopK()
 	if len(cands) == 0 {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -16,12 +17,12 @@ func benchRegistry(b *testing.B) *Registry {
 			s := s
 			shards = append(shards, Shard{
 				Name: fmt.Sprintf("s%d", s),
-				Run: func(ctx Context) (Output, error) {
-					return Output{Data: ctx.Seed + uint64(s)}, nil
+				Run: func(context.Context) (Output, error) {
+					return Output{Data: uint64(8*j + s)}, nil
 				},
 			})
 		}
-		err := reg.Register(Job{Name: fmt.Sprintf("job%d", j), Key: fmt.Sprintf("job%d@bench", j), Shards: shards, Merge: func(_ Context, outs []Output) (Output, error) {
+		err := reg.Register(Job{Name: fmt.Sprintf("job%d", j), Key: fmt.Sprintf("job%d@bench", j), Shards: shards, Merge: func(outs []Output) (Output, error) {
 			var sum uint64
 			for _, o := range outs {
 				var v uint64

@@ -45,25 +45,17 @@ func CacheVersionTag(version string) string {
 }
 
 // ToCachedResult converts a Result into its persisted wire form,
-// normalising Data to raw JSON so a replayed payload re-marshals
-// byte-identically to the original.
+// normalising Data to raw JSON (marshalPayload) so a replayed payload
+// re-marshals byte-identically to the original.
 func ToCachedResult(r Result) (api.CachedResult, error) {
-	cr := api.CachedResult{
-		Name: r.Name, Title: r.Title, Text: r.Text,
+	data, err := marshalPayload(r.Data)
+	if err != nil {
+		return api.CachedResult{}, err
+	}
+	return api.CachedResult{
+		Name: r.Name, Title: r.Title, Text: r.Text, Data: data,
 		Err: r.Err, Seed: r.Seed, DurationNS: r.Duration.Nanoseconds(),
-	}
-	switch d := r.Data.(type) {
-	case nil:
-	case json.RawMessage:
-		cr.Data = d
-	default:
-		b, err := json.Marshal(d)
-		if err != nil {
-			return api.CachedResult{}, err
-		}
-		cr.Data = b
-	}
-	return cr, nil
+	}, nil
 }
 
 // FromCachedResult converts a persisted result back into the scheduler's

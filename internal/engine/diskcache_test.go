@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -19,14 +20,11 @@ func countingRegistry(t *testing.T, n int, runs *int, mu *sync.Mutex) *Registry 
 		err := reg.Register(Job{
 			Name: fmt.Sprintf("job%02d", i),
 			Key:  fmt.Sprintf("job%02d@hash", i),
-			Run: func(ctx Context) (Output, error) {
+			Run: func(context.Context) (Output, error) {
 				mu.Lock()
 				*runs++
 				mu.Unlock()
-				return Output{
-					Text: fmt.Sprintf("out-%d", i),
-					Data: map[string]any{"i": i, "seed": ctx.Seed},
-				}, nil
+				return Output{Text: fmt.Sprintf("out-%d", i), Data: map[string]any{"i": i}}, nil
 			},
 		})
 		if err != nil {
@@ -261,7 +259,7 @@ func TestDiskCacheShardedWarmRun(t *testing.T) {
 			i := i
 			shards = append(shards, Shard{
 				Name: fmt.Sprintf("s%d", i),
-				Run: func(Context) (Output, error) {
+				Run: func(context.Context) (Output, error) {
 					mu.Lock()
 					runs++
 					mu.Unlock()
@@ -269,7 +267,7 @@ func TestDiskCacheShardedWarmRun(t *testing.T) {
 				},
 			})
 		}
-		err := reg.Register(Job{Name: "grid", Key: "grid@hash", Shards: shards, Merge: func(_ Context, outs []Output) (Output, error) {
+		err := reg.Register(Job{Name: "grid", Key: "grid@hash", Shards: shards, Merge: func(outs []Output) (Output, error) {
 			var b strings.Builder
 			for _, o := range outs {
 				var v []int

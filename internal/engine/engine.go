@@ -25,11 +25,13 @@
 // leave the scheduler, the determinism guarantees below hold under any
 // executor — local pool, remote fleet, or a mix via fallback.
 //
-// Determinism: a job receives a Context whose Seed is derived from the
-// runner's BaseSeed and the job name, so a given (BaseSeed, job) pair
-// always sees the same RNG stream regardless of worker count or
-// scheduling order. Results are reported in registration order, never in
-// completion order.
+// Determinism: a job's output must follow from its own closure (the
+// experiments seed from their preset), never from worker count,
+// scheduling order or the executor that ran it. The runner's BaseSeed
+// reaches no job: it salts every cache key, so a result computed under
+// one base seed never replays under another, and stamps each Result
+// with JobSeed(BaseSeed, name). Results are reported in registration
+// order, never in completion order.
 //
 // Caching: a Job may carry a Key (the experiments layer uses
 // "<experiment>@<preset hash>"). When the Runner is given a Cache,
@@ -52,31 +54,14 @@ import (
 	"sync"
 )
 
-// Context carries per-job execution metadata into a Job's Run function.
-type Context struct {
-	// Name is the registered job name, e.g. "small/fig8a".
-	Name string
-	// Seed is the deterministic per-job RNG seed: a hash of the
-	// runner's BaseSeed and Name. Two runs with the same BaseSeed hand
-	// every job the same seed no matter how many workers execute.
-	Seed uint64
-	// Ctx is the run's cancellation context. The engine always populates
-	// it (falling back to context.Background() when Options.Ctx is nil),
-	// and when someone listens for progress it also carries the task's
-	// reporter (see ProgressFromContext). Long-running jobs poll
-	// Ctx.Err() between iterations so Ctrl-C on the CLI stops in-flight
-	// work instead of only the not-yet-started tail.
-	Ctx context.Context
-}
-
 // progressKey keys the progress reporter in a context.Context.
 type progressKey struct{}
 
 // WithProgress returns a context carrying a progress reporter. The
 // context is the only progress channel: the executor attaches the
-// task's reporter to Context.Ctx with it, so library code that only
-// receives the cancellation context (e.g. a training loop behind several
-// call layers) can heartbeat. A reporter is called on the job's
+// task's reporter to the context it runs the task under, so library
+// code that only receives that context (e.g. a training loop behind
+// several call layers) can heartbeat. A reporter is called on the job's
 // goroutine with done of total units of the named stage complete (total
 // 0 = unknown), so it must be cheap and non-blocking.
 func WithProgress(ctx context.Context, f func(stage string, done, total int)) context.Context {
@@ -122,10 +107,12 @@ type Job struct {
 	// additionally cache each shard under Key + "/" + shard name, so a
 	// partial re-run recomputes only the missing shards.
 	Key string
-	// Run executes a monolithic job. It must be safe to call concurrently
-	// with every other registered job's Run. Mutually exclusive with
-	// Shards.
-	Run func(Context) (Output, error)
+	// Run executes a monolithic job under the run's context (Options.Ctx),
+	// which carries the task's progress reporter when someone listens
+	// (ProgressFromContext); long jobs poll its Err so Ctrl-C stops them.
+	// It must be safe to call concurrently with every other registered
+	// job's Run. Mutually exclusive with Shards.
+	Run func(context.Context) (Output, error)
 	// Shards, when non-empty, split the job into independently scheduled
 	// slices (per curve, per grid point). Every shard must be safe to run
 	// concurrently with every other shard and job.
@@ -135,17 +122,18 @@ type Job struct {
 	// the live typed value or as json.RawMessage replayed from the
 	// persistent cache — decode it with DecodeData, which normalises
 	// both. Required when Shards is non-empty.
-	Merge func(Context, []Output) (Output, error)
+	Merge func([]Output) (Output, error)
 }
 
 // Shard is one independent slice of a sharded job.
 type Shard struct {
-	// Name suffixes the job name ("<job>/<shard>") for seeding and the
+	// Name suffixes the job name ("<job>/<shard>") in the result and the
 	// cache key; it must be unique within the job and stable across runs.
 	Name string
-	// Run computes the shard. Output.Data is the payload handed to the
-	// job's Merge; it must be JSON-marshalable so it can persist.
-	Run func(Context) (Output, error)
+	// Run computes the shard, under a context like Job.Run's. Output.Data
+	// is the payload handed to the job's Merge; it must be
+	// JSON-marshalable so it can persist.
+	Run func(context.Context) (Output, error)
 	// Cost is the shard's relative cost, which orders dispatch (see the
 	// package comment). Zero for cheap shards.
 	Cost float64
@@ -283,8 +271,8 @@ func (r *Registry) Select(patterns []string) ([]Job, error) {
 	return out, nil
 }
 
-// JobSeed derives the deterministic per-job seed from a base seed and the
-// job name (FNV-1a over both).
+// JobSeed derives the seed Run stamps on a unit's Result and TaskSpec
+// from a base seed and the unit name (FNV-1a over both).
 func JobSeed(base uint64, name string) uint64 {
 	h := fnv.New64a()
 	var b [8]byte

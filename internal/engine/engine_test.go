@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -22,7 +23,7 @@ func textOf(rep *Report) string {
 
 func TestRegistryRejectsBadJobs(t *testing.T) {
 	reg := NewRegistry()
-	ok := Job{Name: "a", Run: func(Context) (Output, error) { return Output{}, nil }}
+	ok := Job{Name: "a", Run: func(context.Context) (Output, error) { return Output{}, nil }}
 	if err := reg.Register(ok); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestSelectFiltering(t *testing.T) {
 	reg := NewRegistry()
 	for _, name := range []string{"tiny/fig8a", "tiny/table2", "small/fig8a", "small/perf"} {
 		name := name
-		if err := reg.Register(Job{Name: name, Run: func(Context) (Output, error) {
+		if err := reg.Register(Job{Name: name, Run: func(context.Context) (Output, error) {
 			return Output{Text: name}, nil
 		}}); err != nil {
 			t.Fatal(err)
@@ -84,7 +85,7 @@ func TestSelectFiltering(t *testing.T) {
 func TestSelectOverlappingPatterns(t *testing.T) {
 	reg := NewRegistry()
 	for _, name := range []string{"tiny/fig8a", "tiny/fig8b", "small/fig8a"} {
-		if err := reg.Register(Job{Name: name, Run: func(Context) (Output, error) {
+		if err := reg.Register(Job{Name: name, Run: func(context.Context) (Output, error) {
 			return Output{}, nil
 		}}); err != nil {
 			t.Fatal(err)
@@ -122,7 +123,7 @@ func TestSelectOverlappingPatterns(t *testing.T) {
 // the bad pattern and the available jobs.
 func TestSelectNoMatchErrorText(t *testing.T) {
 	reg := NewRegistry()
-	if err := reg.Register(Job{Name: "tiny/mc", Run: func(Context) (Output, error) {
+	if err := reg.Register(Job{Name: "tiny/mc", Run: func(context.Context) (Output, error) {
 		return Output{}, nil
 	}}); err != nil {
 		t.Fatal(err)
@@ -147,16 +148,18 @@ func TestSelectNoMatchErrorText(t *testing.T) {
 	}
 }
 
-// seededRegistry builds jobs whose output depends only on ctx.Seed, so a
-// report's text is a fingerprint of the seeding and scheduling.
+// seededRegistry builds keyed jobs, each drawing from an RNG seeded by
+// its own index, so a report's text is a fingerprint of which job ran
+// which closure, in what order the results were reported, and which
+// seed each result was stamped with.
 func seededRegistry(t *testing.T, n int) *Registry {
 	t.Helper()
 	reg := NewRegistry()
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("job%02d", i)
-		err := reg.Register(Job{Name: name, Run: func(ctx Context) (Output, error) {
-			rng := rand.New(rand.NewSource(int64(ctx.Seed)))
-			return Output{Text: fmt.Sprintf("%s -> %d %d %d", ctx.Name, rng.Int63(), rng.Int63(), rng.Int63())}, nil
+		err := reg.Register(Job{Name: name, Key: name + "@hash", Run: func(context.Context) (Output, error) {
+			rng := rand.New(rand.NewSource(int64(i)))
+			return Output{Text: fmt.Sprintf("%s -> %d %d %d", name, rng.Int63(), rng.Int63(), rng.Int63())}, nil
 		}})
 		if err != nil {
 			t.Fatal(err)
@@ -165,9 +168,14 @@ func seededRegistry(t *testing.T, n int) *Registry {
 	return reg
 }
 
+// TestConcurrentExecutionIsDeterministic: a parallel run reports what a
+// serial one does. Another base seed stamps every result with a new
+// seed and replays nothing from a cache the first seed filled, while
+// the first seed's rerun replays everything.
 func TestConcurrentExecutionIsDeterministic(t *testing.T) {
 	reg := seededRegistry(t, 24)
-	serial, err := Run(reg, Options{Workers: 1, BaseSeed: 42})
+	cache := NewCache()
+	serial, err := Run(reg, Options{Workers: 1, BaseSeed: 42, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +188,24 @@ func TestConcurrentExecutionIsDeterministic(t *testing.T) {
 			t.Fatalf("workers=8 run diverged from serial:\n%s\nvs\n%s", textOf(par), textOf(serial))
 		}
 	}
-	other, err := Run(reg, Options{Workers: 8, BaseSeed: 43})
+	other, err := Run(reg, Options{Workers: 8, BaseSeed: 43, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if textOf(other) == textOf(serial) {
-		t.Fatal("different base seed must change the seeded outputs")
+	for i, r := range other.Results {
+		if r.Seed == serial.Results[i].Seed {
+			t.Fatalf("%s: base seeds 42 and 43 both stamp seed %d", r.Name, r.Seed)
+		}
+		if r.Cached {
+			t.Fatalf("%s replayed from a cache filled under another base seed", r.Name)
+		}
+	}
+	again, err := Run(reg, Options{Workers: 8, BaseSeed: 42, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.CachedCount() != len(again.Results) || textOf(again) != textOf(serial) {
+		t.Fatalf("rerun at base seed 42 replayed %d of %d results:\n%s", again.CachedCount(), len(again.Results), textOf(again))
 	}
 }
 
@@ -210,9 +230,9 @@ func TestErrorAndPanicPropagation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(Job{Name: "ok", Run: func(Context) (Output, error) { return Output{Text: "fine"}, nil }})
-	must(Job{Name: "fails", Run: func(Context) (Output, error) { return Output{}, boom }})
-	must(Job{Name: "panics", Run: func(Context) (Output, error) { panic("kaboom") }})
+	must(Job{Name: "ok", Run: func(context.Context) (Output, error) { return Output{Text: "fine"}, nil }})
+	must(Job{Name: "fails", Run: func(context.Context) (Output, error) { return Output{}, boom }})
+	must(Job{Name: "panics", Run: func(context.Context) (Output, error) { panic("kaboom") }})
 
 	rep, err := Run(reg, Options{Workers: 3})
 	if err != nil {
@@ -249,7 +269,7 @@ func TestWorkerPoolRunsJobsInParallel(t *testing.T) {
 	var barrier sync.WaitGroup
 	barrier.Add(n)
 	for i := 0; i < n; i++ {
-		err := reg.Register(Job{Name: fmt.Sprintf("j%d", i), Run: func(ctx Context) (Output, error) {
+		err := reg.Register(Job{Name: fmt.Sprintf("j%d", i), Run: func(context.Context) (Output, error) {
 			barrier.Done()
 			done := make(chan struct{})
 			go func() { barrier.Wait(); close(done) }()
@@ -285,19 +305,19 @@ func TestCacheReplaysResults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(Job{Name: "cached", Key: "cached@deadbeef", Run: func(Context) (Output, error) {
+	must(Job{Name: "cached", Key: "cached@deadbeef", Run: func(context.Context) (Output, error) {
 		mu.Lock()
 		runs++
 		mu.Unlock()
 		return Output{Text: "expensive"}, nil
 	}})
-	must(Job{Name: "failing", Key: "failing@deadbeef", Run: func(Context) (Output, error) {
+	must(Job{Name: "failing", Key: "failing@deadbeef", Run: func(context.Context) (Output, error) {
 		mu.Lock()
 		failRuns++
 		mu.Unlock()
 		return Output{}, errors.New("transient")
 	}})
-	must(Job{Name: "unkeyed", Run: func(Context) (Output, error) { return Output{Text: "x"}, nil }})
+	must(Job{Name: "unkeyed", Run: func(context.Context) (Output, error) { return Output{Text: "x"}, nil }})
 
 	cache := NewCache()
 	for pass := 0; pass < 2; pass++ {
@@ -328,7 +348,7 @@ func TestSameKeyJobsSingleFlight(t *testing.T) {
 	var mu sync.Mutex
 	runs := 0
 	for i := 0; i < 4; i++ {
-		err := reg.Register(Job{Name: fmt.Sprintf("sf%d", i), Key: "shared@key", Run: func(Context) (Output, error) {
+		err := reg.Register(Job{Name: fmt.Sprintf("sf%d", i), Key: "shared@key", Run: func(context.Context) (Output, error) {
 			mu.Lock()
 			runs++
 			mu.Unlock()
@@ -371,7 +391,7 @@ func TestSameKeyFailuresDoNotDeadlockOrCache(t *testing.T) {
 	var mu sync.Mutex
 	runs := 0
 	for i := 0; i < 3; i++ {
-		err := reg.Register(Job{Name: fmt.Sprintf("bad%d", i), Key: "doomed@key", Run: func(Context) (Output, error) {
+		err := reg.Register(Job{Name: fmt.Sprintf("bad%d", i), Key: "doomed@key", Run: func(context.Context) (Output, error) {
 			mu.Lock()
 			runs++
 			mu.Unlock()
@@ -429,10 +449,10 @@ func TestReportRendering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(Job{Name: "t1", Title: "table one", Run: func(Context) (Output, error) {
+	must(Job{Name: "t1", Title: "table one", Run: func(context.Context) (Output, error) {
 		return Output{Text: "row A\n", Data: map[string]int{"rows": 1}}, nil
 	}})
-	must(Job{Name: "t2", Run: func(Context) (Output, error) { return Output{}, errors.New("nope") }})
+	must(Job{Name: "t2", Run: func(context.Context) (Output, error) { return Output{}, errors.New("nope") }})
 
 	rep, err := Run(reg, Options{Workers: 1})
 	if err != nil {
@@ -461,11 +481,13 @@ func TestReportRendering(t *testing.T) {
 // registration and shard order.
 func TestRunDispatchesHeaviestFirst(t *testing.T) {
 	var started []string
-	run := func(ec Context) (Output, error) {
-		started = append(started, ec.Name)
-		return Output{Text: ec.Name + "\n", Data: ec.Name}, nil
+	run := func(name string) func(context.Context) (Output, error) {
+		return func(context.Context) (Output, error) {
+			started = append(started, name)
+			return Output{Text: name + "\n", Data: name}, nil
+		}
 	}
-	merge := func(_ Context, outs []Output) (Output, error) {
+	merge := func(outs []Output) (Output, error) {
 		var b strings.Builder
 		for _, o := range outs {
 			b.WriteString(o.Text)
@@ -474,17 +496,17 @@ func TestRunDispatchesHeaviestFirst(t *testing.T) {
 	}
 	reg := NewRegistry()
 	for _, j := range []Job{
-		{Name: "a", Run: run},
+		{Name: "a", Run: run("a")},
 		{Name: "b", Merge: merge, Shards: []Shard{
-			{Name: "s0", Run: run, Cost: 1},
-			{Name: "s1", Run: run, Cost: 16},
-			{Name: "s2", Run: run, Cost: 4},
-			{Name: "s3", Run: run},
+			{Name: "s0", Run: run("b/s0"), Cost: 1},
+			{Name: "s1", Run: run("b/s1"), Cost: 16},
+			{Name: "s2", Run: run("b/s2"), Cost: 4},
+			{Name: "s3", Run: run("b/s3")},
 		}},
-		{Name: "c", Run: run},
+		{Name: "c", Run: run("c")},
 		{Name: "d", Merge: merge, Shards: []Shard{
-			{Name: "t0", Run: run, Cost: 4},
-			{Name: "t1", Run: run, Cost: 1},
+			{Name: "t0", Run: run("d/t0"), Cost: 4},
+			{Name: "t1", Run: run("d/t1"), Cost: 1},
 		}},
 	} {
 		if err := reg.Register(j); err != nil {

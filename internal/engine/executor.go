@@ -79,9 +79,9 @@ func (e *LocalExecutor) Execute(ctx context.Context, spec api.TaskSpec) (api.Tas
 const progressInterval = 100 * time.Millisecond
 
 // ExecuteStream is Execute with progress: heartbeats the job emits
-// through ProgressFromContext(Context.Ctx) are throttled and forwarded
-// to onProgress (nil disables forwarding, making this identical to
-// Execute).
+// through ProgressFromContext on the context it runs under are
+// throttled and forwarded to onProgress (nil disables forwarding,
+// making this identical to Execute).
 func (e *LocalExecutor) ExecuteStream(ctx context.Context, spec api.TaskSpec, onProgress ProgressFunc) (api.TaskResult, error) {
 	if err := spec.Validate(); err != nil {
 		return api.TaskResult{}, err
@@ -94,13 +94,12 @@ func (e *LocalExecutor) ExecuteStream(ctx context.Context, spec api.TaskSpec, on
 		return api.TaskResult{}, api.Errf(api.CodeKeyMismatch, "job %q cache-key mismatch: scheduler sent %q, this registry derived %q (different preset knobs or code version)",
 			spec.Job, spec.Key, j.Key)
 	}
-	name, run := j.Name, j.Run
+	run := j.Run
 	if spec.Shard != api.MonolithShard {
 		if spec.Shard >= len(j.Shards) {
 			return api.TaskResult{}, api.Errf(api.CodeBadRequest, "job %q has %d shards, task wants shard %d", spec.Job, len(j.Shards), spec.Shard)
 		}
-		sh := j.Shards[spec.Shard]
-		name, run = j.Name+"/"+sh.Name, sh.Run
+		run = j.Shards[spec.Shard].Run
 	} else if run == nil {
 		return api.TaskResult{}, api.Errf(api.CodeBadRequest, "job %q is sharded; it cannot run as a monolithic task", spec.Job)
 	}
@@ -110,11 +109,11 @@ func (e *LocalExecutor) ExecuteStream(ctx context.Context, spec api.TaskSpec, on
 
 	res := api.TaskResult{Proto: api.Version, Job: spec.Job, Shard: spec.Shard, Key: j.Key, Worker: e.name}
 	start := time.Now()
-	jctx := Context{Name: name, Seed: spec.Seed, Ctx: ctx}
+	jobCtx := ctx
 	if onProgress != nil {
 		var mu sync.Mutex
 		var last time.Time
-		jctx.Ctx = WithProgress(ctx, func(stage string, done, total int) {
+		jobCtx = WithProgress(ctx, func(stage string, done, total int) {
 			now := time.Now()
 			mu.Lock()
 			if now.Sub(last) < progressInterval && !(total > 0 && done >= total) {
@@ -129,7 +128,7 @@ func (e *LocalExecutor) ExecuteStream(ctx context.Context, spec api.TaskSpec, on
 			})
 		})
 	}
-	out, err := runProtected(run, jctx)
+	out, err := runProtected(func() (Output, error) { return run(jobCtx) })
 	res.DurationNS = time.Since(start).Nanoseconds()
 	if err != nil {
 		res.Err = err.Error()
@@ -226,9 +225,10 @@ func replayedTaskResult(spec api.TaskSpec, r Result) (api.TaskResult, error) {
 	return tr, nil
 }
 
-// marshalPayload normalises a job's Data into raw JSON for the wire and
-// the report. Already-raw payloads (cache replays) pass through
-// unchanged, so byte identity is preserved end to end.
+// marshalPayload normalises a job's Data into raw JSON, the one form
+// the wire, the report, the persisted cache and DecodeData use.
+// Already-raw payloads (cache replays) pass through unchanged, so byte
+// identity is preserved end to end.
 func marshalPayload(v any) (json.RawMessage, error) {
 	switch d := v.(type) {
 	case nil:

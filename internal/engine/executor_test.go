@@ -18,14 +18,14 @@ func execRegistry(t *testing.T) *Registry {
 			t.Fatal(err)
 		}
 	}
-	must(Job{Name: "mono", Key: "mono@hash", Run: func(ctx Context) (Output, error) {
-		return Output{Text: fmt.Sprintf("seed=%d", ctx.Seed), Data: map[string]uint64{"seed": ctx.Seed}}, nil
+	must(Job{Name: "mono", Key: "mono@hash", Run: func(context.Context) (Output, error) {
+		return Output{Text: "mono ran", Data: map[string]string{"job": "mono"}}, nil
 	}})
-	must(Job{Name: "panics", Run: func(Context) (Output, error) { panic("kaboom") }})
+	must(Job{Name: "panics", Run: func(context.Context) (Output, error) { panic("kaboom") }})
 	must(Job{Name: "grid", Key: "grid@hash", Shards: []Shard{
-		{Name: "s0", Run: func(ctx Context) (Output, error) { return Output{Data: ctx.Seed}, nil }},
-		{Name: "s1", Run: func(ctx Context) (Output, error) { return Output{Data: ctx.Seed}, nil }},
-	}, Merge: func(_ Context, outs []Output) (Output, error) {
+		{Name: "s0", Run: func(context.Context) (Output, error) { return Output{Data: "s0"}, nil }},
+		{Name: "s1", Run: func(context.Context) (Output, error) { return Output{Data: "s1"}, nil }},
+	}, Merge: func(outs []Output) (Output, error) {
 		return Output{Text: fmt.Sprintf("%d shards", len(outs))}, nil
 	}})
 	return reg
@@ -41,13 +41,13 @@ func TestLocalExecutorRunsMonolith(t *testing.T) {
 	if err := res.Validate(spec); err != nil {
 		t.Fatal(err)
 	}
-	if res.Text != "seed=42" {
+	if res.Text != "mono ran" {
 		t.Fatalf("text %q", res.Text)
 	}
 	var data struct {
-		Seed uint64 `json:"seed"`
+		Job string `json:"job"`
 	}
-	if err := DecodeData(res.Data, &data); err != nil || data.Seed != 42 {
+	if err := DecodeData(res.Data, &data); err != nil || data.Job != "mono" {
 		t.Fatalf("data %s (%v)", res.Data, err)
 	}
 	if res.DurationNS <= 0 {
@@ -62,8 +62,8 @@ func TestLocalExecutorRunsShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seed uint64
-	if err := DecodeData(res.Data, &seed); err != nil || seed != 9 {
+	var shard string
+	if err := DecodeData(res.Data, &shard); err != nil || shard != "s1" {
 		t.Fatalf("shard data %s (%v)", res.Data, err)
 	}
 }
@@ -195,14 +195,14 @@ func TestRunCancellation(t *testing.T) {
 	// First job cancels the run mid-flight; with one worker the rest are
 	// still queued and must fail fast without running.
 	ran := 0
-	must(Job{Name: "canceller", Run: func(c Context) (Output, error) {
+	must(Job{Name: "canceller", Run: func(jobCtx context.Context) (Output, error) {
 		close(started)
 		cancel()
-		<-c.Ctx.Done()
-		return Output{}, c.Ctx.Err()
+		<-jobCtx.Done()
+		return Output{}, jobCtx.Err()
 	}})
 	for i := 0; i < 3; i++ {
-		must(Job{Name: fmt.Sprintf("queued%d", i), Run: func(Context) (Output, error) {
+		must(Job{Name: fmt.Sprintf("queued%d", i), Run: func(context.Context) (Output, error) {
 			ran++
 			return Output{Text: "should not run"}, nil
 		}})

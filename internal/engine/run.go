@@ -19,7 +19,8 @@ type Options struct {
 	// Filter selects jobs by exact name or path.Match glob; empty runs
 	// everything (see Registry.Select).
 	Filter []string
-	// BaseSeed feeds the per-job seed derivation (JobSeed).
+	// BaseSeed salts every cache key and stamps each Result.Seed
+	// (JobSeed); no job reads it.
 	BaseSeed uint64
 	// Cache, when non-nil, replays previously computed results for jobs
 	// with a non-empty Key and stores new successes. Use NewCache for a
@@ -30,10 +31,10 @@ type Options struct {
 	// sharded job reports once, after its merge). Calls are serialised;
 	// the callback must not invoke the Runner re-entrantly.
 	OnDone func(Result)
-	// Ctx cancels the pass: in-flight tasks observe it through
-	// Context.Ctx (and remote dispatches abort their HTTP calls), queued
-	// tasks fail fast with the cancellation error instead of starting.
-	// Nil means context.Background() (never cancelled).
+	// Ctx cancels the pass: in-flight tasks observe it through the
+	// context their Run receives (and remote dispatches abort their HTTP
+	// calls), queued tasks fail fast with the cancellation error instead
+	// of starting. Nil means context.Background() (never cancelled).
 	Ctx context.Context
 	// Executor runs the individual tasks. Nil means a LocalExecutor over
 	// the registry — the in-process worker-pool behavior. Scheduling,
@@ -108,7 +109,7 @@ func Run(reg *Registry, opts Options) (*Report, error) {
 			si := si
 			units = append(units, unit{j.Shards[si].Cost, func() {
 				if runShard(ctx, exec, j, si, st, opts) {
-					rep.Results[i] = mergeShards(ctx, j, st, opts)
+					rep.Results[i] = mergeShards(j, st, opts)
 					done(rep.Results[i])
 				}
 			}})

@@ -15,23 +15,16 @@ import (
 // shard Data in one of two shapes: the live typed value a shard just
 // produced (or replayed from the in-process cache), or json.RawMessage
 // replayed from the persistent cache. Both are normalised through one
-// JSON round-trip, so a merge observes identical values either way and
-// its output stays byte-identical between cold and warm runs.
+// JSON round-trip (marshalPayload), so a merge observes identical values
+// either way and its output stays byte-identical between cold and warm
+// runs.
 func DecodeData(v any, dst any) error {
-	var raw []byte
-	switch d := v.(type) {
-	case nil:
+	raw, err := marshalPayload(v)
+	if err != nil {
+		return err
+	}
+	if raw == nil {
 		return fmt.Errorf("engine: shard produced no data")
-	case json.RawMessage:
-		raw = d
-	case []byte:
-		raw = d
-	default:
-		b, err := json.Marshal(v)
-		if err != nil {
-			return fmt.Errorf("engine: shard data not JSON-marshalable: %w", err)
-		}
-		raw = b
 	}
 	return json.Unmarshal(raw, dst)
 }
@@ -101,7 +94,7 @@ func runShard(ctx context.Context, exec Executor, j Job, si int, st *shardState,
 // is identical at any worker count. A successful merge is cached under
 // the job's own key, giving the next run an O(1) whole-job replay; the
 // result counts as Cached when every shard was replayed (no new compute).
-func mergeShards(ctx context.Context, j Job, st *shardState, opts Options) Result {
+func mergeShards(j Job, st *shardState, opts Options) Result {
 	res := Result{Name: j.Name, Title: j.Title, Seed: JobSeed(opts.BaseSeed, j.Name)}
 	var total time.Duration
 	for _, d := range st.durs {
@@ -120,9 +113,7 @@ func mergeShards(ctx context.Context, j Job, st *shardState, opts Options) Resul
 	}
 
 	start := time.Now()
-	out, err := runProtected(func(c Context) (Output, error) {
-		return j.Merge(c, st.outs)
-	}, Context{Name: j.Name, Seed: res.Seed, Ctx: ctx})
+	out, err := runProtected(func() (Output, error) { return j.Merge(st.outs) })
 	res.Duration = total + time.Since(start)
 	if err != nil {
 		res.Err = fmt.Sprintf("merge: %s", err)
@@ -137,13 +128,13 @@ func mergeShards(ctx context.Context, j Job, st *shardState, opts Options) Resul
 	return res
 }
 
-// runProtected invokes a shard or merge function converting panics to
-// errors.
-func runProtected(run func(Context) (Output, error), ctx Context) (out Output, err error) {
+// runProtected calls a job, shard or merge function, converting a panic
+// to an error.
+func runProtected(run func() (Output, error)) (out Output, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			out, err = Output{}, fmt.Errorf("panic: %v", p)
 		}
 	}()
-	return run(ctx)
+	return run()
 }

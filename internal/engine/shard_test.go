@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,30 +12,29 @@ import (
 	"repro/internal/api"
 )
 
-// gridShards builds n shards whose payloads are (index, seed-derived)
+// gridJob builds a job of n shards whose payloads are (job name, index)
 // rows, plus a merge that formats them in shard order.
 func gridJob(name string, n int, key string) Job {
 	var shards []Shard
 	for i := 0; i < n; i++ {
-		i := i
 		shards = append(shards, Shard{
 			Name: fmt.Sprintf("pt%02d", i),
-			Run: func(ctx Context) (Output, error) {
-				return Output{Data: map[string]any{"i": i, "seed": ctx.Seed}}, nil
+			Run: func(context.Context) (Output, error) {
+				return Output{Data: map[string]any{"job": name, "i": i}}, nil
 			},
 		})
 	}
-	merge := func(_ Context, outs []Output) (Output, error) {
+	merge := func(outs []Output) (Output, error) {
 		var b strings.Builder
 		for _, o := range outs {
 			var row struct {
-				I    int    `json:"i"`
-				Seed uint64 `json:"seed"`
+				Job string `json:"job"`
+				I   int    `json:"i"`
 			}
 			if err := DecodeData(o.Data, &row); err != nil {
 				return Output{}, err
 			}
-			fmt.Fprintf(&b, "%d:%d\n", row.I, row.Seed)
+			fmt.Fprintf(&b, "%s:%d\n", row.Job, row.I)
 		}
 		return Output{Text: b.String(), Data: b.String()}, nil
 	}
@@ -42,8 +42,8 @@ func gridJob(name string, n int, key string) Job {
 }
 
 func TestRegistryValidatesShardedJobs(t *testing.T) {
-	run := func(Context) (Output, error) { return Output{}, nil }
-	merge := func(Context, []Output) (Output, error) { return Output{}, nil }
+	run := func(context.Context) (Output, error) { return Output{}, nil }
+	merge := func([]Output) (Output, error) { return Output{}, nil }
 	cases := []struct {
 		desc string
 		job  Job
@@ -101,7 +101,7 @@ func TestShardedJobShardsRunInParallel(t *testing.T) {
 	for i := 0; i < n; i++ {
 		shards = append(shards, Shard{
 			Name: fmt.Sprintf("s%d", i),
-			Run: func(Context) (Output, error) {
+			Run: func(context.Context) (Output, error) {
 				barrier.Done()
 				barrier.Wait() // deadlocks unless all shards overlap
 				return Output{Data: "met"}, nil
@@ -109,7 +109,7 @@ func TestShardedJobShardsRunInParallel(t *testing.T) {
 		})
 	}
 	reg := NewRegistry()
-	err := reg.Register(Job{Name: "wide", Shards: shards, Merge: func(_ Context, outs []Output) (Output, error) {
+	err := reg.Register(Job{Name: "wide", Shards: shards, Merge: func(outs []Output) (Output, error) {
 		return Output{Text: fmt.Sprintf("%d shards", len(outs))}, nil
 	}})
 	if err != nil {
@@ -130,18 +130,18 @@ func TestShardedJobShardsRunInParallel(t *testing.T) {
 func TestShardErrorsAndPanicsFailTheJob(t *testing.T) {
 	reg := NewRegistry()
 	shards := []Shard{
-		{Name: "good", Run: func(Context) (Output, error) { return Output{Data: 1}, nil }},
-		{Name: "bad", Run: func(Context) (Output, error) { return Output{}, errors.New("boom") }},
-		{Name: "panics", Run: func(Context) (Output, error) { panic("kaboom") }},
+		{Name: "good", Run: func(context.Context) (Output, error) { return Output{Data: 1}, nil }},
+		{Name: "bad", Run: func(context.Context) (Output, error) { return Output{}, errors.New("boom") }},
+		{Name: "panics", Run: func(context.Context) (Output, error) { panic("kaboom") }},
 	}
-	err := reg.Register(Job{Name: "mixed", Shards: shards, Merge: func(Context, []Output) (Output, error) {
+	err := reg.Register(Job{Name: "mixed", Shards: shards, Merge: func([]Output) (Output, error) {
 		t.Error("merge must not run when a shard failed")
 		return Output{}, nil
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(Job{Name: "sibling", Run: func(Context) (Output, error) {
+	if err := reg.Register(Job{Name: "sibling", Run: func(context.Context) (Output, error) {
 		return Output{Text: "fine"}, nil
 	}}); err != nil {
 		t.Fatal(err)
@@ -166,16 +166,16 @@ func TestShardErrorsAndPanicsFailTheJob(t *testing.T) {
 
 func TestMergeErrorAndPanicAreCaptured(t *testing.T) {
 	reg := NewRegistry()
-	one := []Shard{{Name: "a", Run: func(Context) (Output, error) { return Output{Data: 1}, nil }}}
+	one := []Shard{{Name: "a", Run: func(context.Context) (Output, error) { return Output{Data: 1}, nil }}}
 	must := func(j Job) {
 		if err := reg.Register(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	must(Job{Name: "mergeerr", Shards: one, Merge: func(Context, []Output) (Output, error) {
+	must(Job{Name: "mergeerr", Shards: one, Merge: func([]Output) (Output, error) {
 		return Output{}, errors.New("cannot assemble")
 	}})
-	must(Job{Name: "mergepanic", Shards: one, Merge: func(Context, []Output) (Output, error) {
+	must(Job{Name: "mergepanic", Shards: one, Merge: func([]Output) (Output, error) {
 		panic("merge kaboom")
 	}})
 	rep, err := Run(reg, Options{Workers: 2})
@@ -201,7 +201,7 @@ func TestShardedJobCaching(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			shards = append(shards, Shard{
 				Name: fmt.Sprintf("s%d", i),
-				Run: func(Context) (Output, error) {
+				Run: func(context.Context) (Output, error) {
 					mu.Lock()
 					runs++
 					mu.Unlock()
@@ -209,7 +209,7 @@ func TestShardedJobCaching(t *testing.T) {
 				},
 			})
 		}
-		if err := reg.Register(Job{Name: "grid", Key: "grid@hash", Shards: shards, Merge: func(_ Context, outs []Output) (Output, error) {
+		if err := reg.Register(Job{Name: "grid", Key: "grid@hash", Shards: shards, Merge: func(outs []Output) (Output, error) {
 			return Output{Text: fmt.Sprintf("merged %d", len(outs))}, nil
 		}}); err != nil {
 			t.Fatal(err)
@@ -250,7 +250,7 @@ func TestShardLevelCacheReuse(t *testing.T) {
 			i := i
 			shards = append(shards, Shard{
 				Name: fmt.Sprintf("s%d", i),
-				Run: func(Context) (Output, error) {
+				Run: func(context.Context) (Output, error) {
 					mu.Lock()
 					computed[fmt.Sprintf("s%d", i)]++
 					mu.Unlock()
@@ -258,7 +258,7 @@ func TestShardLevelCacheReuse(t *testing.T) {
 				},
 			})
 		}
-		if err := reg.Register(Job{Name: jobName, Key: "shared@key", Shards: shards, Merge: func(_ Context, outs []Output) (Output, error) {
+		if err := reg.Register(Job{Name: jobName, Key: "shared@key", Shards: shards, Merge: func(outs []Output) (Output, error) {
 			var vals []string
 			for _, o := range outs {
 				var v int

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -133,13 +134,12 @@ func SplitList(s string) []string {
 }
 
 // monolith wraps one experiment function into a single-unit engine.Job.
-// The closures use the preset's own seeds; the engine.Context is
-// forwarded so the model-bearing experiments can poll cancellation,
-// report training progress and reach the victim memo (all ride on Ctx)
-// — ec.Seed remains available for engine-level features.
-func monolith[T any](run func(engine.Context) (T, error), format func(T) string) engine.Job {
-	return engine.Job{Run: func(ec engine.Context) (engine.Output, error) {
-		v, err := run(ec)
+// The closures use the preset's own seeds; the context is forwarded so
+// the model-bearing experiments can poll cancellation, report training
+// progress and reach the victim memo.
+func monolith[T any](run func(context.Context) (T, error), format func(T) string) engine.Job {
+	return engine.Job{Run: func(ctx context.Context) (engine.Output, error) {
+		v, err := run(ctx)
 		if err != nil {
 			return engine.Output{}, err
 		}
@@ -152,9 +152,9 @@ func monolith[T any](run func(engine.Context) (T, error), format func(T) string)
 func jobSpec(exp string, p Preset) (engine.Job, error) {
 	switch exp {
 	case "fig1a":
-		return monolith(func(ec engine.Context) (*Fig1aResult, error) { return Fig1a(ec.Ctx, p) }, FormatFig1a), nil
+		return monolith(func(ctx context.Context) (*Fig1aResult, error) { return Fig1a(ctx, p) }, FormatFig1a), nil
 	case "fig1b":
-		return monolith(func(engine.Context) ([]Fig1bRow, error) { return Fig1b() }, FormatFig1b), nil
+		return monolith(func(context.Context) ([]Fig1bRow, error) { return Fig1b() }, FormatFig1b), nil
 	case "mc":
 		return mcJob(p), nil
 	case "table1":
@@ -166,15 +166,15 @@ func jobSpec(exp string, p Preset) (engine.Job, error) {
 	case "defense":
 		return defenseJob(p), nil
 	case "fig8a":
-		return monolith(func(ec engine.Context) (*Fig8Result, error) { return Fig8(ec.Ctx, p, ArchResNet20, 10) }, FormatFig8), nil
+		return monolith(func(ctx context.Context) (*Fig8Result, error) { return Fig8(ctx, p, ArchResNet20, 10) }, FormatFig8), nil
 	case "fig8b":
-		return monolith(func(ec engine.Context) (*Fig8Result, error) { return Fig8(ec.Ctx, p, ArchVGG11, 100) }, FormatFig8), nil
+		return monolith(func(ctx context.Context) (*Fig8Result, error) { return Fig8(ctx, p, ArchVGG11, 100) }, FormatFig8), nil
 	case "fig8pta":
-		return monolith(func(ec engine.Context) (*Fig8PTAResult, error) { return Fig8PTA(ec.Ctx, p) }, FormatFig8PTA), nil
+		return monolith(func(ctx context.Context) (*Fig8PTAResult, error) { return Fig8PTA(ctx, p) }, FormatFig8PTA), nil
 	case "table2":
 		return table2Job(p), nil
 	case "perf":
-		return monolith(func(ec engine.Context) (*PerfResult, error) { return Perf(ec.Ctx, p) }, FormatPerf), nil
+		return monolith(func(ctx context.Context) (*PerfResult, error) { return Perf(ctx, p) }, FormatPerf), nil
 	default:
 		return engine.Job{}, fmt.Errorf("experiments: unknown experiment %q", exp)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -396,7 +397,7 @@ func TestJobErrorSurfacesInReport(t *testing.T) {
 	}
 	if err := reg.Register(engine.Job{
 		Name: "tiny/broken",
-		Run: func(engine.Context) (engine.Output, error) {
+		Run: func(context.Context) (engine.Output, error) {
 			return engine.Output{}, errTestBroken
 		},
 	}); err != nil {

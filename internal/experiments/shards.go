@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/circuit"
@@ -21,8 +22,8 @@ import (
 
 // mergeRows builds the deterministic merge shared by every grid job:
 // decode one payload per shard, assemble the slice in shard order, format.
-func mergeRows[T any](format func([]T) string) func(engine.Context, []engine.Output) (engine.Output, error) {
-	return func(_ engine.Context, outs []engine.Output) (engine.Output, error) {
+func mergeRows[T any](format func([]T) string) func([]engine.Output) (engine.Output, error) {
+	return func(outs []engine.Output) (engine.Output, error) {
 		rows := make([]T, len(outs))
 		for i, o := range outs {
 			if err := engine.DecodeData(o.Data, &rows[i]); err != nil {
@@ -34,13 +35,14 @@ func mergeRows[T any](format func([]T) string) func(engine.Context, []engine.Out
 }
 
 // payloadShard wraps a typed shard computation into an engine.Shard. The
-// engine.Context is passed through so shard bodies can poll cancellation
-// (the model-training table2 rows do; the cheap grid points ignore it).
-func payloadShard[T any](name string, run func(engine.Context) (T, error)) engine.Shard {
+// context is passed through so shard bodies can poll cancellation and
+// reach the victim memo (the model-training table2 rows do; the cheap
+// grid points ignore it).
+func payloadShard[T any](name string, run func(context.Context) (T, error)) engine.Shard {
 	return engine.Shard{
 		Name: name,
-		Run: func(ec engine.Context) (engine.Output, error) {
-			v, err := run(ec)
+		Run: func(ctx context.Context) (engine.Output, error) {
+			v, err := run(ctx)
 			if err != nil {
 				return engine.Output{}, err
 			}
@@ -56,7 +58,7 @@ func mcJob(p Preset) engine.Job {
 		i := i
 		shards = append(shards, payloadShard(
 			fmt.Sprintf("var=%g", v),
-			func(engine.Context) (MonteCarloRow, error) { return MonteCarloRowFor(p, i) },
+			func(context.Context) (MonteCarloRow, error) { return MonteCarloRowFor(p, i) },
 		))
 	}
 	return engine.Job{Shards: shards, Merge: mergeRows(FormatMonteCarlo)}
@@ -69,7 +71,7 @@ func table1Job() engine.Job {
 		name := name
 		shards = append(shards, payloadShard(
 			name,
-			func(engine.Context) (overhead.Report, error) { return overhead.Table1Report(name) },
+			func(context.Context) (overhead.Report, error) { return overhead.Table1Report(name) },
 		))
 	}
 	return engine.Job{Shards: shards, Merge: mergeRows(FormatTable1)}
@@ -83,12 +85,12 @@ func fig7aJob() engine.Job {
 		trh := trh
 		shards = append(shards, payloadShard(
 			fmt.Sprintf("shadow-trh=%d", trh),
-			func(engine.Context) (sim.Fig7aCurve, error) { return sim.ShadowCurve(trh, fig7aMaxBFA, fig7aStep) },
+			func(context.Context) (sim.Fig7aCurve, error) { return sim.ShadowCurve(trh, fig7aMaxBFA, fig7aStep) },
 		))
 	}
 	shards = append(shards, payloadShard(
 		"locker",
-		func(engine.Context) (sim.Fig7aCurve, error) { return sim.LockerCurve(fig7aMaxBFA, fig7aStep) },
+		func(context.Context) (sim.Fig7aCurve, error) { return sim.LockerCurve(fig7aMaxBFA, fig7aStep) },
 	))
 	return engine.Job{Shards: shards, Merge: mergeRows(FormatFig7a)}
 }
@@ -100,7 +102,7 @@ func fig7bJob() engine.Job {
 		trh := trh
 		shards = append(shards, payloadShard(
 			fmt.Sprintf("trh=%d", trh),
-			func(engine.Context) (sim.Fig7bBar, error) { return sim.Fig7bBarAt(trh) },
+			func(context.Context) (sim.Fig7bBar, error) { return sim.Fig7bBarAt(trh) },
 		))
 	}
 	return engine.Job{Shards: shards, Merge: mergeRows(FormatFig7b)}
@@ -113,7 +115,7 @@ func defenseJob(p Preset) engine.Job {
 		name := name
 		shards = append(shards, payloadShard(
 			name,
-			func(engine.Context) (DefenseRow, error) { return DefenseRowFor(p, name) },
+			func(context.Context) (DefenseRow, error) { return DefenseRowFor(p, name) },
 		))
 	}
 	merge := func(rows []DefenseRow) string { return FormatDefenseComparison(p, rows) }
@@ -132,7 +134,7 @@ func table2Job(p Preset) engine.Job {
 		m := m
 		sh := payloadShard(
 			m.ID,
-			func(ec engine.Context) (Table2Row, error) { return m.Run(ec.Ctx, p, cfg) },
+			func(ctx context.Context) (Table2Row, error) { return m.Run(ctx, p, cfg) },
 		)
 		sh.Cost = m.Victim.cost()
 		shards = append(shards, sh)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -163,8 +162,8 @@ func (p Preset) quantize(s VictimSpec, ds *dataset.Dataset, net *nn.Model) *Vict
 }
 
 // victimMemo trains each distinct victim of one preset registration
-// once. It keeps what a training produced — an nn checkpoint of the
-// float parameters and BatchNorm statistics, taken before quantization
+// once. It keeps what a training produced — a copy of the float
+// parameters and BatchNorm statistics, taken before quantization
 // overwrites the weights, and the clean accuracy — and builds every
 // later request a network, dataset and quant.Model of its own from it.
 // Attacks mutate weights in place, so no two requests share a model.
@@ -179,11 +178,13 @@ type victimMemo struct {
 }
 
 // memoEntry is one spec's training: in flight until done closes, then
-// trained when checkpoint is set, withdrawn from the memo otherwise.
+// trained when net is set, withdrawn from the memo otherwise. net never
+// runs: it only holds the trained state. The copy that filled it built
+// its Params and BatchNorms caches, so concurrent restores only read it.
 type memoEntry struct {
-	done       chan struct{}
-	checkpoint []byte
-	cleanAcc   float64
+	done     chan struct{}
+	net      *nn.Model
+	cleanAcc float64
 }
 
 func newVictimMemo(p Preset) *victimMemo {
@@ -205,7 +206,7 @@ func (m *victimMemo) victim(ctx context.Context, s VictimSpec) (*Victim, error) 
 		m.mu.Unlock()
 		select {
 		case <-e.done:
-			if e.checkpoint != nil {
+			if e.net != nil {
 				return m.restore(s, e)
 			}
 		case <-ctx.Done():
@@ -218,7 +219,7 @@ func (m *victimMemo) victim(ctx context.Context, s VictimSpec) (*Victim, error) 
 // when training does not complete.
 func (m *victimMemo) train(ctx context.Context, s VictimSpec, e *memoEntry) (*Victim, error) {
 	defer func() {
-		if e.checkpoint == nil {
+		if e.net == nil {
 			m.mu.Lock()
 			delete(m.entries, s)
 			m.mu.Unlock()
@@ -229,13 +230,14 @@ func (m *victimMemo) train(ctx context.Context, s VictimSpec, e *memoEntry) (*Vi
 	if err != nil {
 		return nil, err
 	}
-	var ck bytes.Buffer
-	if err := nn.SaveCheckpoint(net, &ck); err != nil {
+	kept, err := m.p.buildNet(s.Arch, s.Classes, s.Width)
+	if err != nil {
 		return nil, err
 	}
+	kept.CopyStateFrom(net)
 	v := m.p.quantize(s, ds, net)
 	v.CleanAcc = nn.Evaluate(net, v.Eval, 64)
-	e.checkpoint, e.cleanAcc = ck.Bytes(), v.CleanAcc
+	e.net, e.cleanAcc = kept, v.CleanAcc
 	return v, nil
 }
 
@@ -245,9 +247,7 @@ func (m *victimMemo) restore(s VictimSpec, e *memoEntry) (*Victim, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := nn.LoadCheckpoint(net, bytes.NewReader(e.checkpoint)); err != nil {
-		return nil, err
-	}
+	net.CopyStateFrom(e.net)
 	v := m.p.quantize(s, ds, net)
 	v.CleanAcc = e.cleanAcc
 	return v, nil
@@ -258,10 +258,9 @@ type memoKey struct{}
 
 // attach wraps a job or shard body so that its context carries the
 // registration's victim memo.
-func (m *victimMemo) attach(run func(engine.Context) (engine.Output, error)) func(engine.Context) (engine.Output, error) {
-	return func(ec engine.Context) (engine.Output, error) {
-		ec.Ctx = context.WithValue(ec.Ctx, memoKey{}, m)
-		return run(ec)
+func (m *victimMemo) attach(run func(context.Context) (engine.Output, error)) func(context.Context) (engine.Output, error) {
+	return func(ctx context.Context) (engine.Output, error) {
+		return run(context.WithValue(ctx, memoKey{}, m))
 	}
 }
 

@@ -80,7 +80,7 @@ func TestGradConv2D(t *testing.T) {
 	rng := stats.NewRNG(11)
 	x := gradInput(rng, 2, 2, 5, 5)
 	layers := []Layer{
-		NewConv2D("conv", 2, 3, 3, 1, 1, true, rng),
+		NewConv2D("conv", 2, 3, 3, 1, 1, rng),
 		NewFlatten("flat"),
 		NewLinear("fc", 3*5*5, 3, rng),
 	}
@@ -91,7 +91,7 @@ func TestGradConv2DStride2(t *testing.T) {
 	rng := stats.NewRNG(12)
 	x := gradInput(rng, 1, 2, 6, 6)
 	layers := []Layer{
-		NewConv2D("conv", 2, 2, 3, 2, 1, false, rng),
+		NewConv2D("conv", 2, 2, 3, 2, 1, rng),
 		NewFlatten("flat"),
 		NewLinear("fc", 2*3*3, 2, rng),
 	}

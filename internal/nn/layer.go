@@ -78,10 +78,8 @@ type Conv2D struct {
 	LayerName           string
 	InC, OutC           int
 	Kernel, Stride, Pad int
-	Bias                bool
 
 	Weight *Param // (OutC, InC*K*K)
-	B      *Param // (OutC)
 
 	// cached forward state and reusable buffers
 	cols       *tensor.Tensor
@@ -92,18 +90,14 @@ type Conv2D struct {
 }
 
 // NewConv2D constructs a convolution layer with Kaiming init.
-func NewConv2D(name string, inC, outC, kernel, stride, pad int, bias bool, rng *stats.RNG) *Conv2D {
+func NewConv2D(name string, inC, outC, kernel, stride, pad int, rng *stats.RNG) *Conv2D {
 	c := &Conv2D{
 		LayerName: name, InC: inC, OutC: outC,
-		Kernel: kernel, Stride: stride, Pad: pad, Bias: bias,
+		Kernel: kernel, Stride: stride, Pad: pad,
 	}
 	c.Weight = newParam(name+".weight", outC, inC*kernel*kernel)
 	c.Weight.Quantizable = true
 	c.Weight.W.KaimingInit(rng, inC*kernel*kernel)
-	if bias {
-		c.B = newParam(name+".bias", outC)
-		c.B.NoDecay = true
-	}
 	return c
 }
 
@@ -111,12 +105,7 @@ func NewConv2D(name string, inC, outC, kernel, stride, pad int, bias bool, rng *
 func (c *Conv2D) Name() string { return c.LayerName }
 
 // Params implements Layer.
-func (c *Conv2D) Params() []*Param {
-	if c.B != nil {
-		return []*Param{c.Weight, c.B}
-	}
-	return []*Param{c.Weight}
-}
+func (c *Conv2D) Params() []*Param { return []*Param{c.Weight} }
 
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -134,20 +123,13 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 	// (outC, inC*k*k) x (inC*k*k, N*oh*ow) = W·colsᵀ, one row per output
 	// channel; each image's plane of a row is then one block copy into
-	// (N, outC, oh, ow), with the bias added after the last k.
+	// (N, outC, oh, ow).
 	out2 := tensor.GetScratch(c.OutC, nhw)
 	tensor.MatMulInto(out2, c.Weight.W, c.cols)
 	c.out = tensor.Ensure(c.out, n, c.OutC, outH, outW)
 	for oc := 0; oc < c.OutC; oc++ {
 		for img := 0; img < n; img++ {
-			dst := c.out.Data[(img*c.OutC+oc)*hw : (img*c.OutC+oc+1)*hw]
-			copy(dst, out2.Data[oc*nhw+img*hw:])
-			if c.B != nil {
-				b := c.B.W.Data[oc]
-				for p := range dst {
-					dst[p] += b
-				}
-			}
+			copy(c.out.Data[(img*c.OutC+oc)*hw:][:hw], out2.Data[oc*nhw+img*hw:])
 		}
 	}
 	tensor.PutScratch(out2)
@@ -176,13 +158,6 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.dx = tensor.Ensure(c.dx, c.inShape...)
 	tensor.Col2ImInto(c.dx, dcols, c.Kernel, c.Kernel, c.Stride, c.Pad)
 	tensor.PutScratch(dcols)
-	if c.B != nil {
-		for oc := range c.B.Grad.Data {
-			for _, v := range g2.Data[oc*nhw : (oc+1)*nhw] {
-				c.B.Grad.Data[oc] += v
-			}
-		}
-	}
 	tensor.PutScratch(g2)
 	return c.dx
 }

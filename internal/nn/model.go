@@ -89,6 +89,34 @@ func (m *Model) BatchNorms() []*BatchNorm2D {
 	return m.bns
 }
 
+// CopyStateFrom copies src's learnable state into m: every parameter's
+// values and every BatchNorm's running statistics, matched by position.
+// Both models must come from one constructor with the same arguments
+// but the seed; a count or length mismatch panics.
+func (m *Model) CopyStateFrom(src *Model) {
+	ps, sps := m.Params(), src.Params()
+	bns, sbns := m.BatchNorms(), src.BatchNorms()
+	if len(ps) != len(sps) || len(bns) != len(sbns) {
+		panic(fmt.Sprintf("nn: copying %s (%d params, %d batch norms) into %s (%d, %d)",
+			src.ModelName, len(sps), len(sbns), m.ModelName, len(ps), len(bns)))
+	}
+	for i, p := range ps {
+		copyExact(p.Name, p.W.Data, sps[i].W.Data)
+	}
+	for i, bn := range bns {
+		copyExact(bn.LayerName, bn.RunningMean, sbns[i].RunningMean)
+		copyExact(bn.LayerName, bn.RunningVar, sbns[i].RunningVar)
+	}
+}
+
+// copyExact copies src into dst, which must have src's length.
+func copyExact[T any](name string, dst, src []T) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("nn: %s holds %d values, its source %d", name, len(dst), len(src)))
+	}
+	copy(dst, src)
+}
+
 // Forward runs the full network.
 func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return m.ForwardFrom(0, x, train, nil)
@@ -148,13 +176,13 @@ type BasicBlock struct {
 // stride on the first convolution.
 func NewBasicBlock(name string, inC, outC, stride int, rng *stats.RNG) *BasicBlock {
 	b := &BasicBlock{LayerName: name}
-	b.Conv1 = NewConv2D(name+".conv1", inC, outC, 3, stride, 1, false, rng)
+	b.Conv1 = NewConv2D(name+".conv1", inC, outC, 3, stride, 1, rng)
 	b.BN1 = NewBatchNorm2D(name+".bn1", outC)
 	b.Relu1 = NewReLU(name + ".relu1")
-	b.Conv2 = NewConv2D(name+".conv2", outC, outC, 3, 1, 1, false, rng)
+	b.Conv2 = NewConv2D(name+".conv2", outC, outC, 3, 1, 1, rng)
 	b.BN2 = NewBatchNorm2D(name+".bn2", outC)
 	if stride != 1 || inC != outC {
-		b.DownConv = NewConv2D(name+".down.conv", inC, outC, 1, stride, 0, false, rng)
+		b.DownConv = NewConv2D(name+".down.conv", inC, outC, 1, stride, 0, rng)
 		b.DownBN = NewBatchNorm2D(name+".down.bn", outC)
 	}
 	return b
@@ -257,7 +285,7 @@ func NewResNet20(classes int, width float64, seed uint64) *Model {
 	c1, c2, c3 := scaleC(16, width), scaleC(32, width), scaleC(64, width)
 	m := &Model{ModelName: fmt.Sprintf("ResNet-20(w=%g)", width)}
 	m.Layers = append(m.Layers,
-		NewConv2D("stem.conv", 3, c1, 3, 1, 1, false, rng),
+		NewConv2D("stem.conv", 3, c1, 3, 1, 1, rng),
 		NewBatchNorm2D("stem.bn", c1),
 		NewReLU("stem.relu"),
 	)
@@ -304,7 +332,7 @@ func NewVGG11(classes int, width float64, seed uint64) *Model {
 		out := scaleC(it.ch, width)
 		name := fmt.Sprintf("features.conv%d", ci)
 		m.Layers = append(m.Layers,
-			NewConv2D(name, in, out, 3, 1, 1, false, rng),
+			NewConv2D(name, in, out, 3, 1, 1, rng),
 			NewBatchNorm2D(fmt.Sprintf("features.bn%d", ci), out),
 			NewReLU(fmt.Sprintf("features.relu%d", ci)),
 		)

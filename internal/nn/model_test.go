@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
@@ -239,5 +240,51 @@ func TestGlobalAvgPoolKnownValues(t *testing.T) {
 	y := p.Forward(x, false)
 	if y.Data[0] != 2.5 || y.Data[1] != 10 {
 		t.Fatalf("avgpool = %v, want [2.5 10]", y.Data)
+	}
+}
+
+// TestCopyStateFromMatchesSource: a copy of a trained network's state
+// into a differently initialised one gives the source's logits bit for
+// bit, and later changes to the source's weights and running statistics
+// do not reach the copy.
+func TestCopyStateFromMatchesSource(t *testing.T) {
+	src := NewResNet20(2, 0.25, 77)
+	cfg := DefaultTrainConfig()
+	cfg.Epochs = 2
+	Fit(src, newToySource(32, 8), cfg)
+	dst := NewResNet20(2, 0.25, 999)
+	dst.CopyStateFrom(src)
+
+	rng := stats.NewRNG(5)
+	x := tensor.New(4, 3, 8, 8)
+	x.RandNormal(rng, 1)
+	want := src.Forward(x, false).Clone()
+	if !slices.Equal(dst.Forward(x, false).Data, want.Data) {
+		t.Fatal("the copy's logits differ from the source's")
+	}
+
+	src.Params()[0].W.Data[0] = -src.Params()[0].W.Data[0]
+	src.BatchNorms()[0].RunningMean[0] += 1
+	if slices.Equal(src.Forward(x, false).Data, want.Data) {
+		t.Fatal("changing the source's weight and statistic did not move its logits")
+	}
+	if !slices.Equal(dst.Forward(x, false).Data, want.Data) {
+		t.Fatal("changing the source moved the copy's logits")
+	}
+}
+
+// TestCopyStateFromPanicsAcrossArchitectures: the state of one
+// architecture does not fit another, or the same one at another width.
+func TestCopyStateFromPanicsAcrossArchitectures(t *testing.T) {
+	src := NewResNet20(2, 0.25, 1)
+	for _, dst := range []*Model{NewResNet20(2, 0.5, 1), NewVGG11(2, 0.25, 1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("copying %s into %s did not panic", src.ModelName, dst.ModelName)
+				}
+			}()
+			dst.CopyStateFrom(src)
+		}()
 	}
 }

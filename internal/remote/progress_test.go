@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -59,8 +60,8 @@ func TestPullWorkerPiggybacksProgressOnRenew(t *testing.T) {
 
 	reg := engine.NewRegistry()
 	err := reg.Register(engine.Job{Name: "slow", Key: "slow@hash",
-		Run: func(c engine.Context) (engine.Output, error) {
-			if report := engine.ProgressFromContext(c.Ctx); report != nil {
+		Run: func(ctx context.Context) (engine.Output, error) {
+			if report := engine.ProgressFromContext(ctx); report != nil {
 				report("train", 4, 8)
 			}
 			<-release

@@ -16,8 +16,9 @@ import (
 	"repro/internal/engine"
 )
 
-// testRegistry builds seed-dependent jobs — monoliths plus one sharded
-// grid — so report text fingerprints where and how tasks executed.
+// testRegistry builds name-dependent jobs — monoliths plus one sharded
+// grid — so report text fingerprints which closure each task ran and
+// which seed each result was stamped with.
 func testRegistry(t *testing.T) *engine.Registry {
 	t.Helper()
 	reg := engine.NewRegistry()
@@ -28,34 +29,35 @@ func testRegistry(t *testing.T) *engine.Registry {
 	}
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("mono%d", i)
-		must(engine.Job{Name: name, Key: name + "@hash", Run: func(ctx engine.Context) (engine.Output, error) {
-			rng := rand.New(rand.NewSource(int64(ctx.Seed)))
+		must(engine.Job{Name: name, Key: name + "@hash", Run: func(context.Context) (engine.Output, error) {
+			rng := rand.New(rand.NewSource(int64(i)))
 			return engine.Output{
-				Text: fmt.Sprintf("%s -> %d", ctx.Name, rng.Int63()),
-				Data: map[string]uint64{"seed": ctx.Seed},
+				Text: fmt.Sprintf("%s -> %d", name, rng.Int63()),
+				Data: map[string]int{"i": i},
 			}, nil
 		}})
 	}
 	var shards []engine.Shard
 	for i := 0; i < 6; i++ {
+		name := fmt.Sprintf("s%d", i)
 		shards = append(shards, engine.Shard{
-			Name: fmt.Sprintf("s%d", i),
-			Run: func(ctx engine.Context) (engine.Output, error) {
-				return engine.Output{Data: map[string]any{"name": ctx.Name, "seed": ctx.Seed}}, nil
+			Name: name,
+			Run: func(context.Context) (engine.Output, error) {
+				return engine.Output{Data: map[string]any{"name": "grid/" + name, "i": i}}, nil
 			},
 		})
 	}
-	must(engine.Job{Name: "grid", Title: "grid job", Key: "grid@hash", Shards: shards, Merge: func(_ engine.Context, outs []engine.Output) (engine.Output, error) {
+	must(engine.Job{Name: "grid", Title: "grid job", Key: "grid@hash", Shards: shards, Merge: func(outs []engine.Output) (engine.Output, error) {
 		var b strings.Builder
 		for _, o := range outs {
 			var row struct {
 				Name string `json:"name"`
-				Seed uint64 `json:"seed"`
+				I    int    `json:"i"`
 			}
 			if err := engine.DecodeData(o.Data, &row); err != nil {
 				return engine.Output{}, err
 			}
-			fmt.Fprintf(&b, "%s:%d\n", row.Name, row.Seed)
+			fmt.Fprintf(&b, "%s:%d\n", row.Name, row.I)
 		}
 		return engine.Output{Text: b.String()}, nil
 	}})
@@ -330,7 +332,7 @@ func TestNoFallbackSurfacesFleetFailure(t *testing.T) {
 // with a local fallback the run still completes with correct results.
 func TestWorkerRefusesForeignCacheKey(t *testing.T) {
 	foreign := engine.NewRegistry()
-	if err := foreign.Register(engine.Job{Name: "mono0", Key: "mono0@OTHERHASH", Run: func(engine.Context) (engine.Output, error) {
+	if err := foreign.Register(engine.Job{Name: "mono0", Key: "mono0@OTHERHASH", Run: func(context.Context) (engine.Output, error) {
 		return engine.Output{Text: "poisoned"}, nil
 	}}); err != nil {
 		t.Fatal(err)
@@ -365,7 +367,7 @@ func TestPerWorkerInflightLimit(t *testing.T) {
 	const limit = 2
 	reg := engine.NewRegistry()
 	for i := 0; i < 8; i++ {
-		if err := reg.Register(engine.Job{Name: fmt.Sprintf("slow%d", i), Run: func(engine.Context) (engine.Output, error) {
+		if err := reg.Register(engine.Job{Name: fmt.Sprintf("slow%d", i), Run: func(context.Context) (engine.Output, error) {
 			time.Sleep(20 * time.Millisecond)
 			return engine.Output{Text: "ok"}, nil
 		}}); err != nil {
@@ -452,11 +454,11 @@ func TestCancellationAbortsRemoteCalls(t *testing.T) {
 	reg := engine.NewRegistry()
 	release := make(chan struct{})
 	for i := 0; i < 3; i++ {
-		if err := reg.Register(engine.Job{Name: fmt.Sprintf("block%d", i), Run: func(c engine.Context) (engine.Output, error) {
+		if err := reg.Register(engine.Job{Name: fmt.Sprintf("block%d", i), Run: func(jobCtx context.Context) (engine.Output, error) {
 			select {
 			case <-release:
-			case <-c.Ctx.Done():
-				return engine.Output{}, c.Ctx.Err()
+			case <-jobCtx.Done():
+				return engine.Output{}, jobCtx.Err()
 			}
 			return engine.Output{Text: "done"}, nil
 		}}); err != nil {
