@@ -164,7 +164,7 @@ lint:
 # it.
 BENCH_JSON ?=
 BENCH_SMOKE_PKGS = $$($(GO) list ./... | grep -v -e /internal/tensor -e /internal/nn \
-	-e /internal/attack -e /internal/trace)
+	-e /internal/attack -e /internal/trace -e /internal/memmap)
 bench-smoke:
 ifeq ($(BENCH_JSON),)
 	$(GO) test -bench=. -benchtime=1x -run='^$$' $(BENCH_SMOKE_PKGS)
@@ -188,17 +188,18 @@ else
 endif
 
 # Attack/sim hot-path microbenchmarks with allocation stats: the BFA
-# search iteration and candidate selection (the allocs/op of
-# BenchmarkBFASearchIter and BenchmarkRankCandidates are zero-alloc
+# search iteration and candidate selection, the victim's sync from DRAM
+# after a hammer (the allocs/op of BenchmarkBFASearchIter,
+# BenchmarkRankCandidates and BenchmarkSyncFromDRAM are zero-alloc
 # gates) and trace replay over the dense DRAM-sim state
 # (BenchmarkReplayDense).
 # With BENCH_JSON set, events append to the same BENCH_<sha>.json
 # artifact as bench-smoke and bench-kernels.
 bench-attack:
 ifeq ($(BENCH_JSON),)
-	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./internal/attack/ ./internal/trace/
+	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./internal/attack/ ./internal/trace/ ./internal/memmap/
 else
-	$(GO) test -json -bench=. -benchmem -benchtime=1x -run='^$$' ./internal/attack/ ./internal/trace/ >> $(BENCH_JSON)
+	$(GO) test -json -bench=. -benchmem -benchtime=1x -run='^$$' ./internal/attack/ ./internal/trace/ ./internal/memmap/ >> $(BENCH_JSON)
 	@echo "attack bench JSON appended to $(BENCH_JSON)"
 endif
 

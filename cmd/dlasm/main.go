@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/isa"
-	"repro/internal/rowclone"
 )
 
 func main() {
@@ -114,7 +113,7 @@ func execute(prog []isa.Instruction) error {
 	if err != nil {
 		return err
 	}
-	seq := isa.NewSequencer(rowclone.New(dev))
+	seq := isa.NewSequencer(dev)
 	locked := dram.RowAddr{Bank: 0, Row: 5}
 	unlocked := dram.RowAddr{Bank: 0, Row: 9}
 	buffer := dram.RowAddr{Bank: 0, Row: 63}
@@ -138,10 +137,15 @@ func execute(prog []isa.Instruction) error {
 	if err != nil {
 		return err
 	}
-	a, _ := dev.PeekRow(locked)
-	b, _ := dev.PeekRow(unlocked)
+	a, b := make([]byte, 8), make([]byte, 8)
+	if err := dev.PeekRow(locked, a); err != nil {
+		return err
+	}
+	if err := dev.PeekRow(unlocked, b); err != nil {
+		return err
+	}
 	fmt.Printf("executed: %d uops, %d copies, latency %v\n", res.Steps, res.Copies, res.Latency)
-	fmt.Printf("R%d (locked row)   now: %q\n", isa.RegLocked, strings.TrimRight(string(a[:8]), "\x00"))
-	fmt.Printf("R%d (unlocked row) now: %q\n", isa.RegUnlocked, strings.TrimRight(string(b[:8]), "\x00"))
+	fmt.Printf("R%d (locked row)   now: %q\n", isa.RegLocked, strings.TrimRight(string(a), "\x00"))
+	fmt.Printf("R%d (unlocked row) now: %q\n", isa.RegUnlocked, strings.TrimRight(string(b), "\x00"))
 	return nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/isa"
-	"repro/internal/rowclone"
 )
 
 func main() {
@@ -17,7 +16,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	seq := isa.NewSequencer(rowclone.New(dev))
+	seq := isa.NewSequencer(dev)
 
 	// Three rows of the same subarray: locked, unlocked, buffer.
 	locked := dram.RowAddr{Bank: 0, Row: 5}
@@ -57,10 +56,11 @@ func main() {
 	fmt.Printf("executed %d uops, %d row copies, latency %v\n",
 		res.Steps, res.Copies, res.Latency)
 
-	a, _ := dev.PeekRow(locked)
-	b, _ := dev.PeekRow(unlocked)
-	fmt.Printf("locked row now holds:   %q\n", a[:16])
-	fmt.Printf("unlocked row now holds: %q\n", b[:16])
+	a, b := make([]byte, 16), make([]byte, 16)
+	must(dev.PeekRow(locked, a))
+	must(dev.PeekRow(unlocked, b))
+	fmt.Printf("locked row now holds:   %q\n", a)
+	fmt.Printf("unlocked row now holds: %q\n", b)
 }
 
 func must(err error) {

@@ -293,3 +293,89 @@ func TestDRAMExecutorLeakValidation(t *testing.T) {
 		t.Fatal("leak > 1 must be rejected")
 	}
 }
+
+// TestHammerRowActivationCounts pins what one RowHammer attempt costs,
+// counted by the fault model and the controller: T_RH+1 activations on
+// each neighbour hammered in full, one denied instruction and no
+// activation on a locked one, and nothing after the neighbour whose
+// crossing lands the flip. Each case attempts the same bit twice: the
+// fresh refresh window of the second keeps the first's activations out
+// of its counts.
+func TestHammerRowActivationCounts(t *testing.T) {
+	const w, k = 3, 7
+	cases := []struct {
+		name string
+		lock [2]bool // locks the victim row's first and second neighbour
+		// neverLands drives hammerRow with a landed that never reports
+		// the flip; otherwise the attempt is a DRAMExecutor.TryFlip.
+		neverLands bool
+		// full says which neighbours take T_RH+1 activations; the
+		// others take none.
+		full   [2]bool
+		denied int64 // denied instructions per attempt
+		want   FlipOutcome
+	}{
+		{"unlocked", [2]bool{}, false, [2]bool{true, false}, 0, FlipOutcome{Succeeded: true}},
+		{"first-locked", [2]bool{true, false}, false, [2]bool{false, true}, 1, FlipOutcome{Succeeded: true}},
+		{"both-locked", [2]bool{true, true}, false, [2]bool{}, 2, FlipOutcome{Denied: true}},
+		{"never-lands", [2]bool{}, true, [2]bool{true, true}, 0, FlipOutcome{}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			qm := quant.NewModel(nn.NewResNet20(4, 0.125, 5))
+			sys, layout, exec := buildStack(t, qm, false, 0)
+			victim, bit, err := layout.LocationOfBit(w, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aggs := sys.Device().Geometry().Neighbors(victim, 1)
+			if len(aggs) != 2 {
+				t.Fatalf("victim %v has %d neighbours, want 2", victim, len(aggs))
+			}
+			for i, agg := range aggs {
+				if c.lock[i] {
+					if err := sys.Controller().LockRow(agg); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			trh := sys.Hammer().TRH()
+			acts := int64(0)
+			for attempt := 1; attempt <= 2; attempt++ {
+				var got FlipOutcome
+				if c.neverLands {
+					calls := 0
+					ok, deniedAll, err := hammerRow(sys.Controller(), sys.Hammer(), victim, bit, func() (bool, error) {
+						calls++
+						return false, nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ok || deniedAll || calls != 2 {
+						t.Fatalf("attempt %d: hammerRow = (ok %v, deniedAll %v) after %d landed calls, want (false, false) after 2", attempt, ok, deniedAll, calls)
+					}
+				} else if got, err = exec.TryFlip(w, k); err != nil {
+					t.Fatal(err)
+				}
+				if got != c.want {
+					t.Fatalf("attempt %d: outcome %+v, want %+v", attempt, got, c.want)
+				}
+				for i, agg := range aggs {
+					want := 0
+					if c.full[i] {
+						want = trh + 1
+					}
+					if n := sys.Hammer().Count(agg); n != want {
+						t.Errorf("attempt %d: neighbour %d (%v) took %d activations, want %d", attempt, i, agg, n, want)
+					}
+					acts += int64(want)
+				}
+				st := sys.Controller().Stats()
+				if denied := int64(attempt) * c.denied; st.Denied != denied || st.Instructions != acts+denied {
+					t.Errorf("attempt %d: controller saw %d instructions, %d denied; want %d, %d denied", attempt, st.Instructions, st.Denied, acts+denied, denied)
+				}
+			}
+		})
+	}
+}

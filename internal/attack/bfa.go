@@ -6,7 +6,10 @@
 // Attacks commit flips through a FlipExecutor, which is where the DRAM
 // substrate and the defense come in: the executor may hammer real
 // simulated rows (and be denied by the lock-table) rather than mutate the
-// model directly.
+// model directly. Each step of the attack path is one piece of code: a
+// RowHammer attempt is hammerRow, whether DRAMExecutor aims it at a
+// weight bit or the PTA at a PTE bit, and every attack counts, syncs and
+// records an attempt's outcome through the evaluator's record.
 //
 // The BFA hot path is built around Searcher, which owns every piece of
 // per-iteration scratch (the bounded top-k selector, the kept candidate
@@ -157,26 +160,15 @@ func RandomAttack(qm *quant.Model, eval nn.BatchSource, exec FlipExecutor, itera
 	ev := newEvaluator(qm)
 	ev.bind(nn.Batch{}, eval)
 	var res Result
-	for iter := 0; iter < iterations; iter++ {
+	for range iterations {
 		gw := rng.Intn(qm.TotalWeights())
 		k := rng.Intn(qm.Bits)
 		out, err := exec.TryFlip(gw, k)
 		if err != nil {
 			return res, err
 		}
-		if out.Succeeded {
-			res.TotalFlips++
-		}
-		if out.Denied {
-			res.TotalDenied++
-		}
-		ev.sync()
-		res.Records = append(res.Records, IterationRecord{
-			Iteration: iter + 1,
-			Flips:     res.TotalFlips,
-			Denied:    res.TotalDenied,
-			Accuracy:  ev.accuracy(),
-		})
+		rec, _ := ev.record(&res, out)
+		res.Records = append(res.Records, rec)
 	}
 	return res, nil
 }

@@ -134,14 +134,14 @@ func referencePTA(p *PTA, eval nn.BatchSource) (Result, error) {
 	targets := p.layout.WeightRows()
 	geom := p.ctl.Device().Geometry()
 	for iter := 0; iter < p.cfg.Iterations; iter++ {
-		ok, denied, err := p.round(targets[iter%len(targets)], geom)
+		out, err := p.round(targets[iter%len(targets)], geom)
 		if err != nil {
 			return res, err
 		}
-		if ok {
+		if out.Succeeded {
 			res.TotalFlips++
 		}
-		if denied {
+		if out.Denied {
 			res.TotalDenied++
 		}
 		rec := IterationRecord{Iteration: iter + 1, Flips: res.TotalFlips, Denied: res.TotalDenied}

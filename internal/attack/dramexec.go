@@ -4,25 +4,21 @@ import (
 	"fmt"
 
 	"repro/internal/controller"
+	"repro/internal/dram"
 	"repro/internal/memmap"
 	"repro/internal/rowhammer"
 	"repro/internal/stats"
 )
 
-// hammerBudget bounds one aggressor's hammering per attempt to
-// hammerBudget·T_RH activations (the attacker stops once the flip should
-// have landed).
-const hammerBudget = 2
-
 // DRAMExecutor commits flips the way a real attacker must: by hammering an
 // aggressor row adjacent to the DRAM row holding the target bit, through
 // the memory controller — where the lock-table can deny the activations.
 //
-// The executor registers the intended victim bit with the RowHammer engine
-// (the threat model grants the attacker data-pattern control, §III
-// assumptions 4-5), hammers until the threshold is crossed or the defense
-// denies, then syncs the victim model from DRAM. Each aggressor gets at
-// most hammerBudget·T_RH activations per attempt.
+// Each TryFlip is one hammerRow attempt on the target bit (the threat
+// model grants the attacker data-pattern control, §III assumptions 4-5);
+// the flip has landed once the victim model, synced from DRAM, changed.
+// When the lock-table denies every aggressor, Leak decides whether the
+// flip lands anyway.
 type DRAMExecutor struct {
 	Layout *memmap.Layout
 	Ctl    *controller.Controller
@@ -54,75 +50,67 @@ func (e *DRAMExecutor) TryFlip(globalW, k int) (FlipOutcome, error) {
 	if err != nil {
 		return FlipOutcome{}, err
 	}
-	geom := e.Ctl.Device().Geometry()
-	aggressors := geom.Neighbors(victim, 1)
-	if len(aggressors) == 0 {
-		return FlipOutcome{}, fmt.Errorf("attack: victim %v has no aggressor rows", victim)
+	landed := func() (bool, error) {
+		changed, err := e.Layout.SyncFromDRAM()
+		return changed > 0, err
 	}
-	if err := e.Engine.RegisterTarget(victim, bitInRow); err != nil {
-		return FlipOutcome{}, err
+	flipped, deniedAll, err := hammerRow(e.Ctl, e.Engine, victim, bitInRow, landed)
+	if err != nil || !deniedAll {
+		return FlipOutcome{Succeeded: flipped}, err
 	}
-	defer e.Engine.ClearTargets()
-
-	// Each attack iteration spans at least one refresh interval in real
-	// time (hammering T_RH rows takes ~T_RH*tRC); start a fresh window so
-	// prior iterations' residual counts do not mask the crossing.
-	e.Engine.ResetWindow(e.Ctl.Device().Now())
-
-	trh := e.Engine.TRH()
-	budget := hammerBudget * trh
-	flipped := false
-	deniedAll := true
-	for _, agg := range aggressors {
-		already := e.Engine.Count(agg)
-		needed := trh + 1 - already
-		if needed < 1 {
-			needed = 1
-		}
-		if needed > budget {
-			needed = budget
-		}
-		denied := false
-		for i := 0; i < needed; i++ {
-			activated, _, err := e.Ctl.HammerAttempt(agg)
-			if err != nil {
-				return FlipOutcome{}, err
-			}
-			if !activated {
-				denied = true
-				break
-			}
-		}
-		if denied {
-			continue
-		}
-		deniedAll = false
-		// The threshold crossing (if any) has injected the flip; sync the
-		// victim model from DRAM and see whether any weight changed.
-		if changed, err := e.Layout.SyncFromDRAM(); err != nil {
+	// Defense blocked every aggressor. Model the erroneous-SWAP exposure
+	// window: with probability Leak the row was silently left unprotected
+	// and the flip lands.
+	if e.RNG.Bernoulli(e.Leak) {
+		if err := e.Ctl.Device().FlipBit(victim, bitInRow); err != nil {
 			return FlipOutcome{}, err
-		} else if changed > 0 {
-			flipped = true
-			break
 		}
-	}
-	if flipped {
+		if _, err := e.Layout.SyncFromDRAM(); err != nil {
+			return FlipOutcome{}, err
+		}
 		return FlipOutcome{Succeeded: true}, nil
 	}
-	if deniedAll {
-		// Defense blocked every aggressor. Model the erroneous-SWAP
-		// exposure window: with probability Leak the row was silently
-		// left unprotected and the flip lands.
-		if e.RNG != nil && e.RNG.Bernoulli(e.Leak) {
-			if err := e.Ctl.Device().FlipBit(victim, bitInRow); err != nil {
-				return FlipOutcome{}, err
-			}
-			if _, err := e.Layout.SyncFromDRAM(); err != nil {
-				return FlipOutcome{}, err
-			}
-			return FlipOutcome{Succeeded: true, Denied: false}, nil
-		}
-		return FlipOutcome{Denied: true}, nil
+	return FlipOutcome{Denied: true}, nil
+}
+
+// hammerRow is one RowHammer attempt on bit of row victim, the one
+// hammer loop of every attack. It registers the bit with the fault model
+// and opens a fresh refresh window: an attempt spans at least one
+// refresh interval in real time (T_RH activations take ~T_RH·tRC), so
+// earlier attempts leave no residual counts. It then hammers each
+// neighbour of victim T_RH+1 times through the controller, moving on at
+// a neighbour's first denied activation, and stops at the first
+// neighbour hammered in full after which landed reports the flip.
+// deniedAll is true when the controller denied every neighbour.
+func hammerRow(ctl *controller.Controller, eng *rowhammer.Engine, victim dram.RowAddr, bit int, landed func() (bool, error)) (ok, deniedAll bool, err error) {
+	aggressors := ctl.Device().Geometry().Neighbors(victim, 1)
+	if len(aggressors) == 0 {
+		return false, false, fmt.Errorf("attack: row %v has no aggressor rows", victim)
 	}
-	return FlipOutcome{}, nil
+	if err := eng.RegisterTarget(victim, bit); err != nil {
+		return false, false, err
+	}
+	defer eng.ClearTargets()
+	eng.ResetWindow(ctl.Device().Now())
+
+	deniedAll = true
+next:
+	for _, agg := range aggressors {
+		for i := 0; i <= eng.TRH(); i++ {
+			activated, _, err := ctl.HammerAttempt(agg)
+			if err != nil {
+				return false, false, err
+			}
+			if !activated {
+				continue next
+			}
+		}
+		deniedAll = false
+		if ok, err := landed(); err != nil {
+			return false, false, err
+		} else if ok {
+			return true, false, nil
+		}
+	}
+	return false, deniedAll, nil
 }

@@ -174,6 +174,30 @@ func (e *evaluator) sync() bool {
 	return true
 }
 
+// record is the step every attack takes after an attempt: it counts
+// out into res, syncs, and returns the record of res's next iteration,
+// which the caller appends. Loss is the attack batch's, 0 when none is
+// bound; Accuracy is the eval set's. changed is sync's answer.
+func (e *evaluator) record(res *Result, out FlipOutcome) (rec IterationRecord, changed bool) {
+	if out.Succeeded {
+		res.TotalFlips++
+	}
+	if out.Denied {
+		res.TotalDenied++
+	}
+	changed = e.sync()
+	rec = IterationRecord{
+		Iteration: len(res.Records) + 1,
+		Flips:     res.TotalFlips,
+		Denied:    res.TotalDenied,
+	}
+	if e.attack.X != nil {
+		rec.Loss = e.loss()
+	}
+	rec.Accuracy = e.accuracy()
+	return rec, changed
+}
+
 // refresh reruns c's inference forward from its first stale layer,
 // recaching the inputs after it, and returns the logits; nil when c is
 // up to date.

@@ -38,10 +38,11 @@ const (
 )
 
 // PTA is the page-table attack of Fig. 3(b): the attacker flips a PFN bit
-// in its *own* PTE (via RowHammer on the page-table row's neighbor) so the
-// entry points at a victim weight frame, then overwrites that frame
-// through its now-redirected virtual page. A round whose every aggressor
-// the lock-table denies fails: the PTA runs at the nominal process corner,
+// in its *own* PTE so the entry points at a victim weight frame, then
+// overwrites that frame through its now-redirected virtual page. The flip
+// is one hammerRow attempt on the PTE bit, the same RowHammer attempt the
+// DRAMExecutor makes on a weight bit. A round whose every aggressor the
+// lock-table denies fails: the PTA runs at the nominal process corner,
 // with no erroneous-SWAP leak (see experiments.Fig8PTA for why).
 type PTA struct {
 	cfg    PTAConfig
@@ -76,31 +77,19 @@ func (p *PTA) Run(eval nn.BatchSource) (Result, error) {
 	ev.bind(nn.Batch{}, eval)
 	geom := p.ctl.Device().Geometry()
 	for iter := 0; iter < p.cfg.Iterations; iter++ {
-		target := targets[iter%len(targets)]
-		ok, denied, err := p.round(target, geom)
+		out, err := p.round(targets[iter%len(targets)], geom)
 		if err != nil {
 			return res, err
 		}
-		if ok {
-			res.TotalFlips++
-		}
-		if denied {
-			res.TotalDenied++
-		}
-		ev.sync()
-		res.Records = append(res.Records, IterationRecord{
-			Iteration: iter + 1,
-			Flips:     res.TotalFlips,
-			Denied:    res.TotalDenied,
-			Accuracy:  ev.accuracy(),
-		})
+		rec, _ := ev.record(&res, out)
+		res.Records = append(res.Records, rec)
 	}
 	return res, nil
 }
 
 // round performs one PTE corruption + payload write against one target
 // weight frame.
-func (p *PTA) round(target dram.RowAddr, geom dram.Geometry) (succeeded, denied bool, err error) {
+func (p *PTA) round(target dram.RowAddr, geom dram.Geometry) (FlipOutcome, error) {
 	// 1. Attacker re-maps its own page (legitimate OS operation) so the
 	//    stored PFN is one bit away from the target frame. The threat
 	//    model grants VA->PA knowledge and memory massaging (§III).
@@ -112,51 +101,22 @@ func (p *PTA) round(target dram.RowAddr, geom dram.Geometry) (succeeded, denied 
 		bit = 0
 	}
 	if err := p.table.Map(attackerPage, geom.FromLinearIndex(int(setupPFN))); err != nil {
-		return false, false, err
+		return FlipOutcome{}, err
 	}
 
-	// 2. Hammer the PT row's neighbor to flip that PFN bit.
+	// 2. Hammer the PT row's neighbor to flip that PFN bit. A PFN the
+	//    hammering corrupted past the table reads as a miss.
 	pteRow, pteBit, err := p.table.PFNBitOf(attackerPage, bit)
 	if err != nil {
-		return false, false, err
+		return FlipOutcome{}, err
 	}
-	if err := p.engine.RegisterTarget(pteRow, pteBit); err != nil {
-		return false, false, err
-	}
-	defer p.engine.ClearTargets()
-	p.engine.ResetWindow(p.ctl.Device().Now())
-
-	aggressors := geom.Neighbors(pteRow, 1)
-	if len(aggressors) == 0 {
-		return false, false, fmt.Errorf("attack: PT row %v has no neighbors", pteRow)
-	}
-	trh := p.engine.TRH()
-	flipped := false
-	deniedAll := true
-	for _, agg := range aggressors {
-		wasDenied := false
-		for i := 0; i < trh+1; i++ {
-			activated, _, err := p.ctl.HammerAttempt(agg)
-			if err != nil {
-				return false, false, err
-			}
-			if !activated {
-				wasDenied = true
-				break
-			}
-		}
-		if wasDenied {
-			continue
-		}
-		deniedAll = false
+	landed := func() (bool, error) {
 		frame, err := p.table.FrameOf(attackerPage)
-		if err == nil && frame == target {
-			flipped = true
-			break
-		}
+		return err == nil && frame == target, nil
 	}
-	if !flipped {
-		return false, deniedAll, nil
+	flipped, deniedAll, err := hammerRow(p.ctl, p.engine, pteRow, pteBit, landed)
+	if err != nil || !flipped {
+		return FlipOutcome{Denied: deniedAll}, err
 	}
 
 	// 3. The attacker's page now maps to the victim frame: overwrite it
@@ -164,21 +124,21 @@ func (p *PTA) round(target dram.RowAddr, geom dram.Geometry) (succeeded, denied 
 	//    next inference read the corrupted weights.
 	frame, err := p.table.FrameOf(attackerPage)
 	if err != nil {
-		return false, false, err
+		return FlipOutcome{}, err
 	}
 	payload := make([]byte, geom.RowBytes)
 	for i := range payload {
 		payload[i] = payloadByte
 	}
 	if err := p.ctl.Device().PokeRow(frame, payload); err != nil {
-		return false, false, err
+		return FlipOutcome{}, err
 	}
 	if _, err := p.layout.SyncFromDRAM(); err != nil {
-		return false, false, err
+		return FlipOutcome{}, err
 	}
 	// Clean up: restore the attacker mapping legitimately for next round.
 	if err := p.table.Unmap(attackerPage); err != nil {
-		return false, false, err
+		return FlipOutcome{}, err
 	}
-	return true, false, nil
+	return FlipOutcome{Succeeded: true}, nil
 }

@@ -329,18 +329,6 @@ func (s *Searcher) iterate(exec FlipExecutor, res *Result) (rec IterationRecord,
 	if err != nil {
 		return rec, false, err
 	}
-	if out.Succeeded {
-		res.TotalFlips++
-	}
-	if out.Denied {
-		res.TotalDenied++
-	}
-	s.stale = s.ev.sync()
-	return IterationRecord{
-		Iteration: len(res.Records) + 1,
-		Flips:     res.TotalFlips,
-		Denied:    res.TotalDenied,
-		Loss:      s.ev.loss(),
-		Accuracy:  s.ev.accuracy(),
-	}, true, nil
+	rec, s.stale = s.ev.record(res, out)
+	return rec, true, nil
 }

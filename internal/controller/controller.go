@@ -23,7 +23,7 @@
 // The model has one operating point: the constants RelockInterval and
 // FreeRowsPerSubarray, and the lock-table's locktable.Capacity. A SWAP's
 // destination is the next free-pool row of the subarray in round-robin
-// order. Every SWAP copy is exact (see internal/rowclone). Locking a row's
+// order. Every SWAP copy is exact (see isa.Sequencer). Locking a row's
 // neighbours reaches distance 1, the rows the paper's fault model lets an
 // aggressor disturb.
 package controller
@@ -35,7 +35,6 @@ import (
 	"repro/internal/dram"
 	"repro/internal/isa"
 	"repro/internal/locktable"
-	"repro/internal/rowclone"
 )
 
 // RequestKind distinguishes reads from writes.
@@ -148,7 +147,7 @@ func New(dev *dram.Device) (*Controller, error) {
 		dev:       dev,
 		mapper:    dram.NewAddrMapper(geom),
 		table:     locktable.New(geom),
-		seq:       isa.NewSequencer(rowclone.New(dev)),
+		seq:       isa.NewSequencer(dev),
 		redirects: make(map[int]*redirect),
 		destInUse: make(map[int]bool),
 		rrCursor:  make(map[int]int),

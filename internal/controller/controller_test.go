@@ -33,6 +33,16 @@ func idle(t *testing.T, c *Controller, n int) {
 	}
 }
 
+// peek returns a copy of row a.
+func peek(t *testing.T, dev *dram.Device, a dram.RowAddr) []byte {
+	t.Helper()
+	row := make([]byte, dev.Geometry().RowBytes)
+	if err := dev.PeekRow(a, row); err != nil {
+		t.Fatal(err)
+	}
+	return row
+}
+
 // activations counts the activations that reach the array.
 type activations int
 
@@ -165,7 +175,7 @@ func TestRelockSwapsBackAndRestoresData(t *testing.T) {
 	}
 	// While swapped out, the data lives in a free-pool row and the
 	// locked row holds what was in it.
-	if raw, _ := c.Device().PeekRow(row); bytes.Equal(raw[:4], []byte("data")) {
+	if raw := peek(t, c.Device(), row); bytes.Equal(raw[:4], []byte("data")) {
 		t.Fatal("SWAP left the data in the locked row")
 	}
 	// Drive the countdown with unrelated traffic: the redirect lives for
@@ -179,11 +189,7 @@ func TestRelockSwapsBackAndRestoresData(t *testing.T) {
 		t.Fatalf("redirect must expire, have %d", c.ActiveRedirects())
 	}
 	// Data is back in the original (still locked) row.
-	raw, err := c.Device().PeekRow(row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw[:4], []byte("data")) {
+	if raw := peek(t, c.Device(), row); !bytes.Equal(raw[:4], []byte("data")) {
 		t.Fatalf("original row holds %q after re-lock", raw[:4])
 	}
 	// And the lock still holds for attackers.
@@ -292,7 +298,7 @@ func TestSwapDestRoundRobin(t *testing.T) {
 			t.Fatalf("swap %d: swaps=%d err=%v", i, c.Stats().Swaps, err)
 		}
 		dest := dram.RowAddr{Bank: 0, Row: last - i%FreeRowsPerSubarray}
-		if got, _ := c.Device().PeekRow(dest); got[0] != byte('a'+i) {
+		if got := peek(t, c.Device(), dest); got[0] != byte('a'+i) {
 			t.Fatalf("swap %d: %v holds %q, want %q", i, dest, got[0], 'a'+i)
 		}
 		// Release the destination: RelockInterval requests expire the

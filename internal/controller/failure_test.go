@@ -38,7 +38,7 @@ func TestRelockSurvivesManyCycles(t *testing.T) {
 		}
 		// Let the redirect expire: the data is back in the locked row.
 		idle(t, c, RelockInterval)
-		if raw, _ := dev.PeekRow(row); c.ActiveRedirects() != 0 || raw[0] != 0x5A {
+		if raw := peek(t, dev, row); c.ActiveRedirects() != 0 || raw[0] != 0x5A {
 			t.Fatalf("cycle %d: redirects=%d, locked row holds %#x", cycle, c.ActiveRedirects(), raw[0])
 		}
 	}

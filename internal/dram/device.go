@@ -281,16 +281,21 @@ func (d *Device) FlipBit(a RowAddr, bit int) error {
 	return nil
 }
 
-// PeekRow returns a copy of the row's content without timing effects.
-func (d *Device) PeekRow(a RowAddr) ([]byte, error) {
+// PeekRow copies the first len(dst) bytes of the row into dst without
+// timing effects. A row never written reads as zeroes.
+func (d *Device) PeekRow(a RowAddr, dst []byte) error {
 	if !d.geom.Valid(a) {
-		return nil, fmt.Errorf("%w: %v", ErrBadAddress, a)
+		return fmt.Errorf("%w: %v", ErrBadAddress, a)
 	}
-	out := make([]byte, d.geom.RowBytes)
+	if len(dst) > d.geom.RowBytes {
+		return fmt.Errorf("%w: len %d", ErrBadColumn, len(dst))
+	}
 	if src := d.rowDataIfPresent(a); src != nil {
-		copy(out, src)
+		copy(dst, src)
+	} else {
+		clear(dst)
 	}
-	return out, nil
+	return nil
 }
 
 // PokeRow overwrites the row's content without timing effects.

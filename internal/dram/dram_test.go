@@ -15,6 +15,16 @@ func testDevice(t *testing.T) *Device {
 	return d
 }
 
+// peek returns a copy of row a.
+func peek(t *testing.T, d *Device, a RowAddr) []byte {
+	t.Helper()
+	row := make([]byte, d.Geometry().RowBytes)
+	if err := d.PeekRow(a, row); err != nil {
+		t.Fatal(err)
+	}
+	return row
+}
+
 func TestGeometryValidate(t *testing.T) {
 	if err := DefaultGeometry().Validate(); err != nil {
 		t.Fatal(err)
@@ -186,6 +196,30 @@ func TestUnwrittenRowsReadZero(t *testing.T) {
 	}
 }
 
+func TestPeekRowReadsPrefixIntoBuffer(t *testing.T) {
+	d := testDevice(t)
+	a := RowAddr{Bank: 0, Row: 4}
+	if err := d.PokeRow(a, []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	dst := []byte{9, 9, 9}
+	if err := d.PeekRow(a, dst); err != nil || string(dst) != "hel" {
+		t.Fatalf("PeekRow = %q, %v; want \"hel\"", dst, err)
+	}
+	if err := d.PeekRow(RowAddr{Bank: 0, Row: 5}, dst); err != nil || string(dst) != "\x00\x00\x00" {
+		t.Fatalf("unwritten row peeked as %q, %v; want zeroes", dst, err)
+	}
+	if d.AllocatedRows() != 1 {
+		t.Fatalf("peeking must not allocate storage, got %d rows", d.AllocatedRows())
+	}
+	if err := d.PeekRow(a, make([]byte, d.Geometry().RowBytes+1)); !errors.Is(err, ErrBadColumn) {
+		t.Fatalf("over-long peek: err = %v, want ErrBadColumn", err)
+	}
+	if err := d.PeekRow(RowAddr{Bank: 9}, dst); !errors.Is(err, ErrBadAddress) {
+		t.Fatalf("invalid row: err = %v, want ErrBadAddress", err)
+	}
+}
+
 func TestLazyAllocationOnWrite(t *testing.T) {
 	d := testDevice(t)
 	a := RowAddr{Bank: 0, Row: 3}
@@ -227,10 +261,14 @@ func TestRowCloneCopySameSubarray(t *testing.T) {
 	if err := d.PokeRow(src, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.RowCloneCopy(src, dst); err != nil {
+	lat, err := d.RowCloneCopy(src, dst)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := d.PeekRow(dst)
+	if lat != d.Timing().RowCloneFPM {
+		t.Fatalf("latency %v, want %v", lat, d.Timing().RowCloneFPM)
+	}
+	got := peek(t, d, dst)
 	if string(got[:5]) != "hello" {
 		t.Fatalf("copy result %q", got[:5])
 	}
@@ -252,7 +290,7 @@ func TestRowCloneFromUnwrittenSourceZeroesDest(t *testing.T) {
 	if _, err := d.RowCloneCopy(RowAddr{Bank: 0, Row: 4}, dst); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := d.PeekRow(dst)
+	got := peek(t, d, dst)
 	for _, b := range got[:3] {
 		if b != 0 {
 			t.Fatal("copy of unwritten row must zero the destination")
@@ -280,7 +318,7 @@ func TestFlipBitAndPeekBit(t *testing.T) {
 	if set {
 		t.Fatal("double flip must restore the bit")
 	}
-	row, _ := d.PeekRow(a)
+	row := peek(t, d, a)
 	if row[1] != 0 {
 		t.Fatalf("byte 1 = %#x, want 0 after double flip", row[1])
 	}

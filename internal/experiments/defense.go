@@ -66,7 +66,8 @@ func DefenseRowFor(p Preset, name string) (DefenseRow, error) {
 }
 
 // defenseRig builds a fresh device + fault engine with a registered
-// victim bit next to the aggressor.
+// victim bit next to the aggressor: the rig of every defense campaign
+// and of Fig. 1(b)'s threshold check.
 func defenseRig(trh int) (*dram.Device, *rowhammer.Engine, dram.RowAddr, dram.RowAddr, error) {
 	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
 	if err != nil {

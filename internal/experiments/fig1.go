@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
-	"repro/internal/dram"
 	"repro/internal/rowhammer"
 )
 
@@ -45,7 +44,6 @@ func Fig1a(ctx context.Context, p Preset) (*Fig1aResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.QM.Restore(snap)
 	return res, nil
 }
 
@@ -60,7 +58,7 @@ type Fig1bRow struct {
 }
 
 // Fig1b returns the published thresholds and validates the fault model's
-// threshold semantics at each of them on a scratch device.
+// threshold semantics at each of them on the defense comparison's rig.
 func Fig1b() ([]Fig1bRow, error) {
 	var rows []Fig1bRow
 	for _, th := range rowhammer.PublishedThresholds() {
@@ -78,36 +76,24 @@ func Fig1b() ([]Fig1bRow, error) {
 	return rows, nil
 }
 
-// validateThreshold hammers a row TRH and TRH+1 times on a fresh device
-// and reports whether the victim flipped in each case.
+// validateThreshold hammers the defense comparison's aggressor TRH and
+// TRH+1 times, each on a fresh rig, and reports whether the victim
+// flipped in each case.
 func validateThreshold(trh int) (flipAtTRH, flipPastTRH bool, err error) {
 	run := func(activations int) (bool, error) {
-		dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+		dev, _, agg, victim, err := defenseRig(trh)
 		if err != nil {
-			return false, err
-		}
-		eng, err := rowhammer.New(dev, trh)
-		if err != nil {
-			return false, err
-		}
-		aggressor := dram.RowAddr{Bank: 0, Row: 8}
-		victim := dram.RowAddr{Bank: 0, Row: 9}
-		if err := eng.RegisterTarget(victim, 0); err != nil {
 			return false, err
 		}
 		for i := 0; i < activations; i++ {
-			if _, err := dev.Activate(aggressor); err != nil {
+			if _, err := dev.Activate(agg); err != nil {
 				return false, err
 			}
-			if _, err := dev.Precharge(aggressor.Bank); err != nil {
+			if _, err := dev.Precharge(agg.Bank); err != nil {
 				return false, err
 			}
 		}
-		set, err := dev.PeekBit(victim, 0)
-		if err != nil {
-			return false, err
-		}
-		return set, nil
+		return dev.PeekBit(victim, 0)
 	}
 	if flipAtTRH, err = run(trh); err != nil {
 		return false, false, err

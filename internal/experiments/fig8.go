@@ -102,7 +102,6 @@ func Fig8(ctx context.Context, p Preset, arch Arch, classes int) (*Fig8Result, e
 	if err != nil {
 		return nil, err
 	}
-	v.QM.Restore(snap)
 	return res, nil
 }
 
@@ -186,6 +185,5 @@ func Fig8PTA(ctx context.Context, p Preset) (*Fig8PTAResult, error) {
 		return nil, fmt.Errorf("experiments: PTA defended: %w", err)
 	}
 	res.LockedRows = locked
-	v.QM.Restore(snap)
 	return res, nil
 }

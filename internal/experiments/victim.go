@@ -105,23 +105,13 @@ func TrainVictim(ctx context.Context, p Preset, s VictimSpec) (*Victim, error) {
 	return v, nil
 }
 
-// untrained generates the victim's dataset and its freshly initialised
-// network.
-func (p Preset) untrained(s VictimSpec) (*dataset.Dataset, *nn.Model, error) {
+// fit generates the victim's dataset and trains its network.
+func (p Preset) fit(ctx context.Context, s VictimSpec) (*dataset.Dataset, *nn.Model, error) {
 	ds, err := dataset.Generate(p.datasetConfig(s.Classes))
 	if err != nil {
 		return nil, nil, err
 	}
 	net, err := p.buildNet(s.Arch, s.Classes, s.Width)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ds, net, nil
-}
-
-// fit generates the victim's dataset and trains its network.
-func (p Preset) fit(ctx context.Context, s VictimSpec) (*dataset.Dataset, *nn.Model, error) {
-	ds, net, err := p.untrained(s)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -162,11 +152,14 @@ func (p Preset) quantize(s VictimSpec, ds *dataset.Dataset, net *nn.Model) *Vict
 }
 
 // victimMemo trains each distinct victim of one preset registration
-// once. It keeps what a training produced — a copy of the float
-// parameters and BatchNorm statistics, taken before quantization
+// once. It keeps what a training produced — the dataset, a copy of the
+// float parameters and BatchNorm statistics, taken before quantization
 // overwrites the weights, and the clean accuracy — and builds every
-// later request a network, dataset and quant.Model of its own from it.
-// Attacks mutate weights in place, so no two requests share a model.
+// later request a network and quant.Model of its own from it. Attacks
+// mutate weights in place, so no two requests share a model; they share
+// the dataset, which nothing writes after dataset.Generate (training
+// shuffles batch offsets, splits and subsets are views, and no layer
+// writes to its input).
 //
 // The first requester of a spec trains. Concurrent requesters wait
 // under their own contexts. A training that fails, is cancelled or
@@ -183,6 +176,7 @@ type victimMemo struct {
 // its Params and BatchNorms caches, so concurrent restores only read it.
 type memoEntry struct {
 	done     chan struct{}
+	ds       *dataset.Dataset
 	net      *nn.Model
 	cleanAcc float64
 }
@@ -237,18 +231,19 @@ func (m *victimMemo) train(ctx context.Context, s VictimSpec, e *memoEntry) (*Vi
 	kept.CopyStateFrom(net)
 	v := m.p.quantize(s, ds, net)
 	v.CleanAcc = nn.Evaluate(net, v.Eval, 64)
-	e.net, e.cleanAcc = kept, v.CleanAcc
+	e.ds, e.net, e.cleanAcc = ds, kept, v.CleanAcc
 	return v, nil
 }
 
-// restore builds a fresh victim from a published training.
+// restore builds a fresh victim from a published training, over the
+// training's dataset.
 func (m *victimMemo) restore(s VictimSpec, e *memoEntry) (*Victim, error) {
-	ds, net, err := m.p.untrained(s)
+	net, err := m.p.buildNet(s.Arch, s.Classes, s.Width)
 	if err != nil {
 		return nil, err
 	}
 	net.CopyStateFrom(e.net)
-	v := m.p.quantize(s, ds, net)
+	v := m.p.quantize(s, e.ds, net)
 	v.CleanAcc = e.cleanAcc
 	return v, nil
 }

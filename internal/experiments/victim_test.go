@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/engine"
+	"repro/internal/nn"
 )
 
 // shrunkTiny is the tiny preset cut to one epoch over a few dozen
@@ -54,8 +55,8 @@ func trainingCounter(ctx context.Context) (context.Context, *atomic.Int32) {
 }
 
 // sameVictim fails unless b equals a bit for bit: float parameters,
-// BatchNorm statistics, quantized weights and scales, clean accuracy and
-// the attack batch.
+// BatchNorm statistics, quantized weights and scales, clean accuracy,
+// the attack batch and the eval set.
 func sameVictim(t *testing.T, what string, a, b *Victim) {
 	t.Helper()
 	if a.Arch != b.Arch || a.Classes != b.Classes || a.CleanAcc != b.CleanAcc {
@@ -97,6 +98,10 @@ func sameVictim(t *testing.T, what string, a, b *Victim) {
 	}
 	if fmt.Sprint(a.AttackBatch.Y) != fmt.Sprint(b.AttackBatch.Y) || fmt.Sprint(a.AttackBatch.X.Data) != fmt.Sprint(b.AttackBatch.X.Data) {
 		t.Fatalf("%s: attack batch differs", what)
+	}
+	ea, eb := a.Eval.Slice(0, a.Eval.NumExamples()), b.Eval.Slice(0, b.Eval.NumExamples())
+	if fmt.Sprint(ea.Y) != fmt.Sprint(eb.Y) || fmt.Sprint(ea.X.Data) != fmt.Sprint(eb.X.Data) {
+		t.Fatalf("%s: eval set differs", what)
 	}
 }
 
@@ -163,7 +168,8 @@ func TestVictimMemoCopiesAreIndependent(t *testing.T) {
 }
 
 // TestVictimMemoTrainsOnce: concurrent requests for one victim train it
-// once, and every requester gets an equal copy.
+// once, and every requester gets an equal copy. The copies share one
+// dataset, which each requester then evaluates its copy on at once.
 func TestVictimMemoTrainsOnce(t *testing.T) {
 	p := shrunkTiny()
 	ctx, trained := trainingCounter(context.Background())
@@ -171,19 +177,25 @@ func TestVictimMemoTrainsOnce(t *testing.T) {
 	m := newVictimMemo(p)
 	const n = 4
 	got := make([]*Victim, n)
+	acc := make([]float64, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = m.victim(ctx, s)
+			if got[i], errs[i] = m.victim(ctx, s); errs[i] == nil {
+				acc[i] = nn.Evaluate(got[i].Net, got[i].Eval, 64)
+			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
 			t.Fatal(err)
+		}
+		if acc[i] != got[i].CleanAcc {
+			t.Fatalf("request %d evaluates to %v, want its clean accuracy %v", i, acc[i], got[i].CleanAcc)
 		}
 	}
 	if c := trained.Load(); c != 1 {

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/dram"
-	"repro/internal/rowclone"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -147,7 +146,17 @@ func newSeq(t *testing.T) (*dram.Device, *Sequencer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dev, NewSequencer(rowclone.New(dev))
+	return dev, NewSequencer(dev)
+}
+
+// peek returns a copy of row a.
+func peek(t *testing.T, dev *dram.Device, a dram.RowAddr) []byte {
+	t.Helper()
+	row := make([]byte, dev.Geometry().RowBytes)
+	if err := dev.PeekRow(a, row); err != nil {
+		t.Fatal(err)
+	}
+	return row
 }
 
 func TestSequencerRunsSwap(t *testing.T) {
@@ -167,8 +176,8 @@ func TestSequencerRunsSwap(t *testing.T) {
 	if res.Copies != 3 || res.Steps != 4 {
 		t.Fatalf("res = %+v", res)
 	}
-	a, _ := dev.PeekRow(locked)
-	b, _ := dev.PeekRow(unlocked)
+	a := peek(t, dev, locked)
+	b := peek(t, dev, unlocked)
 	if a[0] != 'U' || b[0] != 'L' {
 		t.Fatalf("swap failed: %c %c", a[0], b[0])
 	}
@@ -186,8 +195,8 @@ func TestSwapProgramIsInvolution(t *testing.T) {
 		rowBytes := dev.Geometry().RowBytes
 		dev.PokeRow(a, dataA[:min(len(dataA), rowBytes)])
 		dev.PokeRow(b, dataB[:min(len(dataB), rowBytes)])
-		origA, _ := dev.PeekRow(a)
-		origB, _ := dev.PeekRow(b)
+		origA := peek(t, dev, a)
+		origB := peek(t, dev, b)
 		seq.BindRow(RegLocked, a)
 		seq.BindRow(RegUnlocked, b)
 		seq.BindRow(RegBuffer, buf)
@@ -196,8 +205,8 @@ func TestSwapProgramIsInvolution(t *testing.T) {
 				return false
 			}
 		}
-		nowA, _ := dev.PeekRow(a)
-		nowB, _ := dev.PeekRow(b)
+		nowA := peek(t, dev, a)
+		nowB := peek(t, dev, b)
 		return string(nowA) == string(origA) && string(nowB) == string(origB)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

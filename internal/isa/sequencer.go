@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/dram"
-	"repro/internal/rowclone"
 )
 
 // Errors returned by the sequencer.
@@ -16,11 +15,14 @@ var (
 	ErrUnboundReg   = errors.New("isa: micro-register holds no row address")
 )
 
-// Sequencer executes DRAM-Locker programs against a RowClone engine.
-// Micro-registers hold either a row address (for AAP operands) or a scalar
-// counter (for BNEZ). The controller binds registers before Run.
+// Sequencer executes DRAM-Locker programs on a device. Each AAP is one
+// RowClone FPM copy (Seshadri et al. MICRO'13), dram.Device.RowCloneCopy,
+// exact at the model's nominal process corner (§IV.D's erroneous copies
+// are internal/circuit's Monte-Carlo). Micro-registers hold either a row
+// address (for AAP operands) or a scalar counter (for BNEZ). The
+// controller binds registers before Run.
 type Sequencer struct {
-	clone *rowclone.Engine
+	dev *dram.Device
 
 	rows    [NumMicroRegs]dram.RowAddr
 	bound   [NumMicroRegs]bool
@@ -30,9 +32,9 @@ type Sequencer struct {
 // maxSteps bounds one program run, to catch runaway loops.
 const maxSteps = 1 << 20
 
-// NewSequencer builds a sequencer over a RowClone engine.
-func NewSequencer(clone *rowclone.Engine) *Sequencer {
-	return &Sequencer{clone: clone}
+// NewSequencer builds a sequencer over the device.
+func NewSequencer(dev *dram.Device) *Sequencer {
+	return &Sequencer{dev: dev}
 }
 
 // BindRow loads a row address into a micro-register.
@@ -69,9 +71,8 @@ type RunResult struct {
 	Latency dram.Picoseconds
 }
 
-// Run executes the program until DONE. AAP copies rows through the RowClone
-// engine; BNEZ decrements its counter register and branches while
-// non-zero.
+// Run executes the program until DONE. AAP copies rows with RowClone;
+// BNEZ decrements its counter register and branches while non-zero.
 func (s *Sequencer) Run(prog []Instruction) (RunResult, error) {
 	var res RunResult
 	pc := 0
@@ -97,7 +98,7 @@ func (s *Sequencer) Run(prog []Instruction) (RunResult, error) {
 			if src >= NumMicroRegs || !s.bound[src] {
 				return res, fmt.Errorf("%w: src R%d", ErrUnboundReg, src)
 			}
-			lat, err := s.clone.Copy(s.rows[src], s.rows[in.A])
+			lat, err := s.dev.RowCloneCopy(s.rows[src], s.rows[in.A])
 			if err != nil {
 				return res, err
 			}

@@ -34,6 +34,7 @@ type Layout struct {
 
 	rows   []dram.RowAddr // allocation order; weight w is in rows[w/RowBytes]
 	rowSet map[int]bool
+	buf    []byte // one row, read by WriteAll and SyncFromDRAM
 }
 
 // New lays the model's quantized weights out in DRAM, skipping every row
@@ -46,6 +47,7 @@ func New(qm *quant.Model, dev *dram.Device, reserved func(dram.RowAddr) bool) (*
 		Dev:    dev,
 		Mapper: dram.NewAddrMapper(geom),
 		rowSet: make(map[int]bool),
+		buf:    make([]byte, geom.RowBytes),
 	}
 	needRows := (qm.TotalWeights() + geom.RowBytes - 1) / geom.RowBytes
 	bank, row := 0, firstRow
@@ -153,8 +155,8 @@ func (l *Layout) WriteAll() error {
 	cur := cursor{qm: l.QM}
 	for ri, row := range l.rows {
 		lo, hi := l.WeightsInRow(ri)
-		data, err := l.Dev.PeekRow(row)
-		if err != nil {
+		data := l.buf
+		if err := l.Dev.PeekRow(row, data); err != nil {
 			return err
 		}
 		for off := 0; off < hi-lo; {
@@ -179,8 +181,8 @@ func (l *Layout) SyncFromDRAM() (int, error) {
 	cur := cursor{qm: l.QM}
 	for ri, row := range l.rows {
 		lo, hi := l.WeightsInRow(ri)
-		data, err := l.Dev.PeekRow(row)
-		if err != nil {
+		data := l.buf
+		if err := l.Dev.PeekRow(row, data); err != nil {
 			return changed, err
 		}
 		for off := 0; off < hi-lo; {

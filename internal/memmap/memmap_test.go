@@ -95,8 +95,8 @@ func TestWriteAllStoresQuantizedBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := dev.PeekRow(row)
-		if err != nil {
+		data := make([]byte, col+1)
+		if err := dev.PeekRow(row, data); err != nil {
 			t.Fatal(err)
 		}
 		pi, li := qm.Locate(w)
@@ -282,5 +282,29 @@ func TestWeightsInRowBounds(t *testing.T) {
 	}
 	if total != qm.TotalWeights() {
 		t.Fatalf("rows cover %d weights, want %d", total, qm.TotalWeights())
+	}
+}
+
+// BenchmarkSyncFromDRAM times the read every landed hammer and every
+// PTA round ends with: one sync of a VGG-11/100 at width 0.25 (the tiny
+// preset's fig8b victim) laid out on the tiny preset's geometry, 288
+// rows of 2 KiB. A sync reads through the layout's row buffer, so it
+// allocates nothing.
+func BenchmarkSyncFromDRAM(b *testing.B) {
+	geom := dram.Geometry{Ranks: 1, BanksPerRank: 4, SubarraysPerBank: 16, RowsPerSubarray: 512, RowBytes: 2048}
+	dev, err := dram.NewDevice(geom, dram.DDR4Timing())
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := New(quant.NewModel(nn.NewVGG11(100, 0.25, 3)), dev, noneReserved)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := l.SyncFromDRAM(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

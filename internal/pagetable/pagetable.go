@@ -132,8 +132,8 @@ func (t *Table) Unmap(page int) error {
 }
 
 func (t *Table) writeEntry(row dram.RowAddr, off int, v uint64) error {
-	data, err := t.dev.PeekRow(row)
-	if err != nil {
+	data := make([]byte, t.geom.RowBytes)
+	if err := t.dev.PeekRow(row, data); err != nil {
 		return err
 	}
 	binary.LittleEndian.PutUint64(data[off:off+PTESize], v)
@@ -147,11 +147,11 @@ func (t *Table) readEntry(page int) (PTE, error) {
 	if err != nil {
 		return PTE{}, err
 	}
-	data, err := t.dev.PeekRow(row)
-	if err != nil {
+	data := make([]byte, off+PTESize)
+	if err := t.dev.PeekRow(row, data); err != nil {
 		return PTE{}, err
 	}
-	return DecodePTE(binary.LittleEndian.Uint64(data[off : off+PTESize])), nil
+	return DecodePTE(binary.LittleEndian.Uint64(data[off:])), nil
 }
 
 // PFNBitOf returns the in-row bit index of PFN bit `bit` of a page's PTE —

@@ -132,8 +132,8 @@ func TestUntargetedFlipsAreRandomButDeterministic(t *testing.T) {
 		}
 		var bits []int
 		for _, v := range victims {
-			row, err := dev.PeekRow(v)
-			if err != nil {
+			row := make([]byte, dev.Geometry().RowBytes)
+			if err := dev.PeekRow(v, row); err != nil {
 				t.Fatal(err)
 			}
 			for i := range len(row) * 8 {

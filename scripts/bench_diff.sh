@@ -10,10 +10,10 @@
 # Exit status: timing deltas never fail the script (1-iteration smoke
 # runs are noisy by design); it exits non-zero only when a pinned
 # zero-alloc benchmark (the train-step and BFA search-iteration
-# steady-state gates, candidate ranking, and the ReLU and max-pool
-# layers) reports MORE allocs/op than the base artifact —
-# at -benchtime=1x the counter includes one-time warm-up allocations,
-# so the invariant is "no increase", not an absolute zero.
+# steady-state gates, candidate ranking, the ReLU and max-pool layers,
+# and the victim's sync from DRAM) reports MORE allocs/op than the base
+# artifact — at -benchtime=1x the counter includes one-time warm-up
+# allocations, so the invariant is "no increase", not an absolute zero.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -27,7 +27,7 @@ NEW=$2
 
 # Benchmarks whose allocs/op must not grow (the zero-alloc pins; see
 # bench-kernels and bench-attack in the Makefile).
-ZERO_ALLOC_PINS='^Benchmark(TrainStep|BFASearchIter|RankCandidates|ReLU|MaxPool2)'
+ZERO_ALLOC_PINS='^Benchmark(TrainStep|BFASearchIter|RankCandidates|ReLU|MaxPool2|SyncFromDRAM)'
 
 # extract FILE -> "name ns_per_op allocs_per_op" lines (allocs "-" when
 # the benchmark ran without -benchmem). test2json splits one benchmark
