@@ -174,11 +174,13 @@ else
 endif
 
 # Compute-kernel microbenchmarks (tensor GEMM/im2col, nn train-step,
-# inference, ReLU and max-pool) with allocation stats: the
+# inference, ReLU, max-pool and BatchNorm) with allocation stats: the
 # serial/parallel GEMM pairs track multi-core throughput, and the
-# allocs/op of BenchmarkTrainStep*, BenchmarkReLU and BenchmarkMaxPool2
-# track the zero-alloc path. With BENCH_JSON set, events append to the
-# same BENCH_<sha>.json artifact the CI bench job uploads.
+# allocs/op of BenchmarkTrainStep*, BenchmarkReLU, BenchmarkMaxPool2,
+# BenchmarkBatchNorm and the one-core vector weight-gradient GEMMs
+# (BenchmarkConvGEMM/weight-grad*/vector/budget1) track the zero-alloc
+# path. With BENCH_JSON set, events append to the same BENCH_<sha>.json
+# artifact the CI bench job uploads.
 bench-kernels:
 ifeq ($(BENCH_JSON),)
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./internal/tensor/ ./internal/nn/

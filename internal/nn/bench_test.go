@@ -115,8 +115,8 @@ func BenchmarkBatchNormForward(b *testing.B) {
 	}
 }
 
-// layerBench times one forward plus backward of a parameter-free layer
-// at VGG-11 tiny's first-stage shape (batch 32, 16 channels, 16×16) on
+// layerBench times one train-mode forward plus backward of a layer at
+// VGG-11 tiny's first-stage shape (batch 32, 16 channels, 16×16) on
 // normal inputs, so half the ReLU inputs are negative and the max-pool
 // windows are in random order. allocs/op is pinned at 0.
 func layerBench(b *testing.B, l Layer) {
@@ -142,3 +142,8 @@ func BenchmarkReLU(b *testing.B) { layerBench(b, NewReLU("relu")) }
 // BenchmarkMaxPool2 times the 2×2 max pool: the branch-free window
 // select forward and the argmax scatter backward.
 func BenchmarkMaxPool2(b *testing.B) { layerBench(b, NewMaxPool2("pool")) }
+
+// BenchmarkBatchNorm times BatchNorm's train-mode forward (the batch
+// statistics and x̂) and backward (two channel reductions, then the
+// input gradient).
+func BenchmarkBatchNorm(b *testing.B) { layerBench(b, NewBatchNorm2D("bn", 16)) }

@@ -456,14 +456,17 @@ func (bn *BatchNorm2D) backwardChannels(grad *tensor.Tensor, c0, c1 int) {
 		}
 		bn.Beta.Grad.Data[ch] += float32(sumG)
 		bn.Gamma.Grad.Data[ch] += float32(sumGX)
-		gamma := float64(bn.Gamma.W.Data[ch])
-		inv := bn.invStd[ch]
+		// gamma*inv*(g - sumG/cnt - xh*sumGX/cnt), with the per-channel
+		// factor and mean hoisted: the same operands in the same order.
+		// (xh*sumGX)/cnt has no exact rewrite, so it stays per element.
+		scale := float64(bn.Gamma.W.Data[ch]) * bn.invStd[ch]
+		meanG := sumG / cnt
 		for img := 0; img < n; img++ {
 			base := (img*c + ch) * hw
 			for p := 0; p < hw; p++ {
 				g := float64(grad.Data[base+p])
 				xh := float64(bn.xhat.Data[base+p])
-				bn.dx.Data[base+p] = float32(gamma * inv * (g - sumG/cnt - xh*sumGX/cnt))
+				bn.dx.Data[base+p] = float32(scale * (g - meanG - xh*sumGX/cnt))
 			}
 		}
 	}

@@ -59,7 +59,9 @@ func DecodePTE(v uint64) PTE {
 
 // Table is a single-level page table stored in reserved DRAM rows.
 // (The paper's attack corrupts leaf PTEs; multi-level indirection adds
-// nothing to the threat model, so the substrate keeps one level.)
+// nothing to the threat model, so the substrate keeps one level.) Its
+// lookups and updates share one row buffer, so a Table is not for
+// concurrent use.
 type Table struct {
 	dev  *dram.Device
 	geom dram.Geometry
@@ -69,6 +71,8 @@ type Table struct {
 	entriesPerRow int
 	// numPages is the virtual page count the table covers.
 	numPages int
+	// buf is one row, read and written by writeEntry and readEntry.
+	buf []byte
 }
 
 // New builds a page table covering numPages virtual pages, storing PTEs in
@@ -88,7 +92,8 @@ func New(dev *dram.Device, ptRows []dram.RowAddr, numPages int) (*Table, error) 
 			return nil, fmt.Errorf("pagetable: invalid PT row %v", r)
 		}
 	}
-	return &Table{dev: dev, geom: geom, ptRows: ptRows[:need], entriesPerRow: per, numPages: numPages}, nil
+	return &Table{dev: dev, geom: geom, ptRows: ptRows[:need], entriesPerRow: per, numPages: numPages,
+		buf: make([]byte, geom.RowBytes)}, nil
 }
 
 // PTRows returns the rows holding page-table entries — the rows a
@@ -132,7 +137,7 @@ func (t *Table) Unmap(page int) error {
 }
 
 func (t *Table) writeEntry(row dram.RowAddr, off int, v uint64) error {
-	data := make([]byte, t.geom.RowBytes)
+	data := t.buf
 	if err := t.dev.PeekRow(row, data); err != nil {
 		return err
 	}
@@ -147,7 +152,7 @@ func (t *Table) readEntry(page int) (PTE, error) {
 	if err != nil {
 		return PTE{}, err
 	}
-	data := make([]byte, off+PTESize)
+	data := t.buf[:off+PTESize]
 	if err := t.dev.PeekRow(row, data); err != nil {
 		return PTE{}, err
 	}

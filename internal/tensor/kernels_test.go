@@ -96,7 +96,10 @@ func requireBitIdentical(t *testing.T, tag string, got, want *Tensor) {
 // the kernel's four-k unroll (k < 4). Past one column block, the last
 // block holds a lone scalar column (gemmBlockN+1), or a 2×32 tile, a
 // 2×8 tile and a scalar column after two full blocks, beside an odd row
-// (2*gemmBlockN+41).
+// (2*gemmBlockN+41). The last entry is wide enough that A·Bᵀ's
+// transposed chunk is one gemmBlockK (see transposeChunkBytes), so its
+// k runs three full chunks and a short fourth, and every chunk seam is
+// checked.
 var kernelShapes = [][3]int{
 	{1, 1, 1},
 	{2, 3, 4},
@@ -122,6 +125,7 @@ var kernelShapes = [][3]int{
 	{4, 7, gemmBlockN},
 	{5, 9, gemmBlockN + 1},
 	{7, gemmBlockK + 2, 2*gemmBlockN + 41},
+	{5, 3*gemmBlockK + 13, 2*gemmBlockN + 91},
 }
 
 // onBothPaths runs f as two subtests: "vector", on the kernels the CPU
@@ -235,6 +239,33 @@ func TestMatMulTransAAccAccumulates(t *testing.T) {
 					MatMulTransBAcc(got, a, bt)
 					requireBitIdentical(t, fmt.Sprintf("MatMulTransBAcc %v budget %d", dims, budget), got, wantB)
 				})
+			}
+		}
+	})
+}
+
+// TestTransposeIntoMatchesNaive checks A·Bᵀ's transpose against the
+// element-by-element reference, bit for bit, over a stale destination
+// and a row stride larger than k: n below, at and past one 8-row group,
+// with an overlapping last group (9, 12, 36), and k below, at and past
+// one 8×8 block, with a k%8 tail (7, 13) and a whole k-panel (240).
+func TestTransposeIntoMatchesNaive(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
+		rng := stats.NewRNG(46)
+		for _, n := range []int{1, 7, 8, 9, 12, 36} {
+			for _, k := range []int{1, 7, 8, 13, 240} {
+				ldb := k + 5
+				b := randTensor(rng, n, ldb)
+				want := New(k, n)
+				for j := range n {
+					for p := range k {
+						want.Data[p*n+j] = b.Data[j*ldb+p]
+					}
+				}
+				got := New(k, n)
+				got.Fill(float32(math.NaN()))
+				transposeInto(got.Data, b.Data, n, k, ldb)
+				requireBitIdentical(t, fmt.Sprintf("transposeInto n=%d k=%d", n, k), got, want)
 			}
 		}
 	})
@@ -359,6 +390,9 @@ func naiveIm2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 // naiveCol2Im is the reference scatter of colsᵀ: image, then output
 // position (oy, ox), then channel and tap, so every x element adds its
 // terms in ascending (oy, ox) order, the order of the pinned results.
+// An element that already holds a NaN keeps it, payload and all: the
+// element is the first operand of each add, as in the kernel's shifted
+// add (an x86 add of two NaNs returns the first).
 func naiveCol2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
 	oh, ow := ConvOutDims(h, w, kh, kw, stride, pad)
 	x := New(n, c, h, w)
@@ -371,7 +405,9 @@ func naiveCol2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
 							iy, ix := oy*stride-pad+ky, ox*stride-pad+kx
 							if iy >= 0 && iy < h && ix >= 0 && ix < w {
 								r := (ch*kh+ky)*kw + kx
-								x.Data[((img*c+ch)*h+iy)*w+ix] += cols.Data[(r*n+img)*oh*ow+oy*ow+ox]
+								if e := &x.Data[((img*c+ch)*h+iy)*w+ix]; *e == *e {
+									*e += cols.Data[(r*n+img)*oh*ow+oy*ow+ox]
+								}
 							}
 						}
 					}
@@ -384,10 +420,16 @@ func naiveCol2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
 
 // TestIm2ColIntoMatchesAndParallel checks the channel-major lowering and
 // its scatter against the naive references, bit for bit, at budgets 1
-// to 8, over stale destinations. The sweep covers kernels 1–5, strides
-// 1–3 and pads 0–2 on non-square planes, 1×1 planes and planes smaller
-// than the kernel; the larger cases split rows and planes across
-// workers.
+// to 8, over stale destinations, on both paths. The sweep covers kernels
+// 1–5, strides 1–3 and pads 0–2 on non-square planes, 1×1 planes and
+// planes smaller than the kernel; the larger cases split rows and
+// planes across workers. The scattered colsᵀ holds NaN in every entry
+// whose tap falls in the padding, which the scatter must never add, and
+// −0 in some valid entries. Where the scatter is one shifted add per
+// tap (stride 1, outW == W), some valid entries hold NaNs of distinct
+// payloads too: an x element that takes two keeps the first one's
+// payload. Col2ImInto may zero padding entries but must leave every
+// valid entry of cols as it was.
 func TestIm2ColIntoMatchesAndParallel(t *testing.T) {
 	type conv struct{ n, c, h, w, k, stride, pad int }
 	cases := []conv{
@@ -408,26 +450,67 @@ func TestIm2ColIntoMatchesAndParallel(t *testing.T) {
 			}
 		}
 	}
-	rng := stats.NewRNG(45)
-	for _, tc := range cases {
-		x := randTensor(rng, tc.n, tc.c, tc.h, tc.w)
-		want := naiveIm2Col(x, tc.k, tc.k, tc.stride, tc.pad)
-		cols := randTensor(rng, want.Shape[0], want.Shape[1])
-		wantIm := naiveCol2Im(cols, tc.n, tc.c, tc.h, tc.w, tc.k, tc.k, tc.stride, tc.pad)
-		got := Ensure(nil, want.Shape...)
-		gotIm := Ensure(nil, tc.n, tc.c, tc.h, tc.w)
-		for budget := 1; budget <= 8; budget++ {
-			withBudget(t, budget, func() {
-				tag := fmt.Sprintf("%+v budget %d", tc, budget)
-				got.Fill(42) // stale contents must be fully overwritten
-				Im2ColInto(got, x, tc.k, tc.k, tc.stride, tc.pad)
-				requireBitIdentical(t, "Im2ColInto "+tag, got, want)
-				gotIm.Fill(-7)
-				Col2ImInto(gotIm, cols, tc.k, tc.k, tc.stride, tc.pad)
-				requireBitIdentical(t, "Col2ImInto "+tag, gotIm, wantIm)
-			})
+	onBothPaths(t, func(t *testing.T) {
+		rng := stats.NewRNG(45)
+		for _, tc := range cases {
+			x := randTensor(rng, tc.n, tc.c, tc.h, tc.w)
+			want := naiveIm2Col(x, tc.k, tc.k, tc.stride, tc.pad)
+			cols := randTensor(rng, want.Shape[0], want.Shape[1])
+			valid := validCols(tc.n, tc.c, tc.h, tc.w, tc.k, tc.k, tc.stride, tc.pad)
+			_, ow := ConvOutDims(tc.h, tc.w, tc.k, tc.k, tc.stride, tc.pad)
+			shifted := tc.stride == 1 && ow == tc.w
+			for i := range cols.Data {
+				switch {
+				case !valid[i]:
+					cols.Data[i] = math.Float32frombits(0x7fc0dead)
+				case i%16 == 3:
+					cols.Data[i] = float32(math.Copysign(0, -1))
+				case shifted && i%32 == 7:
+					cols.Data[i] = math.Float32frombits(0x7fc00000 | uint32(i))
+				}
+			}
+			wantIm := naiveCol2Im(cols, tc.n, tc.c, tc.h, tc.w, tc.k, tc.k, tc.stride, tc.pad)
+			got := Ensure(nil, want.Shape...)
+			gotIm := Ensure(nil, tc.n, tc.c, tc.h, tc.w)
+			scattered := cols.Clone()
+			for budget := 1; budget <= 8; budget++ {
+				withBudget(t, budget, func() {
+					tag := fmt.Sprintf("%+v budget %d", tc, budget)
+					got.Fill(42) // stale contents must be fully overwritten
+					Im2ColInto(got, x, tc.k, tc.k, tc.stride, tc.pad)
+					requireBitIdentical(t, "Im2ColInto "+tag, got, want)
+					gotIm.Fill(-7)
+					copy(scattered.Data, cols.Data)
+					Col2ImInto(gotIm, scattered, tc.k, tc.k, tc.stride, tc.pad)
+					requireBitIdentical(t, "Col2ImInto "+tag, gotIm, wantIm)
+					for i, v := range scattered.Data {
+						if valid[i] && math.Float32bits(v) != math.Float32bits(cols.Data[i]) {
+							t.Fatalf("Col2ImInto %s: valid cols entry %d = %g, was %g", tag, i, v, cols.Data[i])
+						}
+					}
+				})
+			}
+		}
+	})
+}
+
+// validCols marks the colsᵀ entries of a convolution whose tap falls
+// inside the image, the entries naiveCol2Im reads.
+func validCols(n, c, h, w, kh, kw, stride, pad int) []bool {
+	oh, ow := ConvOutDims(h, w, kh, kw, stride, pad)
+	valid := make([]bool, c*kh*kw*n*oh*ow)
+	for r := range c * kh * kw {
+		ky, kx := r/kw%kh, r%kw
+		for img := range n {
+			for oy := range oh {
+				for ox := range ow {
+					iy, ix := oy*stride-pad+ky, ox*stride-pad+kx
+					valid[(r*n+img)*oh*ow+oy*ow+ox] = iy >= 0 && iy < h && ix >= 0 && ix < w
+				}
+			}
 		}
 	}
+	return valid
 }
 
 func TestEnsureReusesCapacity(t *testing.T) {

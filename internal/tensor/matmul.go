@@ -19,7 +19,9 @@ import (
 // keep every output element's single float32 accumulator and its
 // ascending-k order. All three GEMMs share one driver, axpyRows, that
 // updates two C rows at a time, one column block after another; A·Bᵀ
-// runs it over a transposed copy of B. On a CPU with AVX2 it hands each
+// runs it over B transposed one L2-sized chunk of k at a time (the
+// B-panel packing of Goto and van de Geijn), by transpose8's 8×8
+// register transposes on AVX2. On a CPU with AVX2 it hands each
 // row pair's columns to the assembly tiles of matmul_amd64.s: a 2×32
 // tile of C held in eight YMM registers across a whole k-panel, and a
 // 2×8 tile for the remaining multiples of 8. Each lane takes a rounded
@@ -219,37 +221,68 @@ func MatMulTransBAcc(c, a, b *Tensor) {
 
 // matMulTransBAcc accumulates C += A·Bᵀ through the one driver, which
 // streams rows of a (k x n) B: the (n x k) operand is transposed into
-// scratch first.
+// scratch one chunk of k at a time, and axpyGEMM runs on each chunk
+// with A's full row stride. The chunks go in ascending k and each one
+// accumulates onto C, so every element keeps its start value, its one
+// float32 accumulator and its ascending-k order; C already goes through
+// memory between k-panels, so a chunk boundary adds no rounding. A
+// chunk stays in L2 from its transpose to its GEMM; a whole transposed
+// B would go out to memory and be read back.
 func matMulTransBAcc(c, a, b []float32, m, k, n int) {
-	bt := GetScratch(k, n)
-	transposeInto(bt.Data, b, n, k)
-	axpyGEMM(c, a, bt.Data, m, k, n, k, 1)
+	kc := min(k, max(1, transposeChunkBytes/4/n/gemmBlockK)*gemmBlockK)
+	bt := GetScratch(kc, n)
+	for k0 := 0; k0 < k; k0 += kc {
+		kn := min(kc, k-k0)
+		transposeInto(bt.Data[:kn*n], b[k0:], n, kn, k)
+		axpyGEMM(c, a[k0:], bt.Data[:kn*n], m, kn, n, k, 1)
+	}
 	PutScratch(bt)
 }
 
-// transposeInto writes bt (k x n) = bᵀ for b (n x k), eight rows of b
-// at a time: each k stores eight contiguous elements of bt while the
-// loads advance along eight rows of b, where a column-strided loop
-// touches a new cache line of bt with every element.
-func transposeInto(bt, b []float32, n, k int) {
-	j := 0
-	for ; j+8 <= n; j += 8 {
-		r0 := b[j*k : j*k+k]
-		r1 := b[(j+1)*k:][:len(r0)]
-		r2 := b[(j+2)*k:][:len(r0)]
-		r3 := b[(j+3)*k:][:len(r0)]
-		r4 := b[(j+4)*k:][:len(r0)]
-		r5 := b[(j+5)*k:][:len(r0)]
-		r6 := b[(j+6)*k:][:len(r0)]
-		r7 := b[(j+7)*k:][:len(r0)]
-		for p, v := range r0 {
-			o := bt[p*n+j : p*n+j+8]
-			o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = v, r1[p], r2[p], r3[p], r4[p], r5[p], r6[p], r7[p]
+// transposeChunkBytes bounds the transposed chunk of an A·Bᵀ: a chunk
+// is the largest multiple of gemmBlockK k whose k x n float32 panel fits
+// in it, and never less than gemmBlockK. 256 KiB measured the same on
+// the weight gradients and 1 MiB slower.
+const transposeChunkBytes = 512 << 10
+
+// transposeInto writes bt (k x n) = the first k columns of b's n rows,
+// ldb elements apart, transposed. Eight rows of b go at a time, so each
+// k stores eight contiguous elements of bt while the loads advance
+// along the eight rows; when n%8 != 0 the last group overlaps the one
+// before it and rewrites the same values. On AVX2 the group's k &^ 7
+// columns go through transpose8, one 8×8 register transpose per block,
+// and the k%8 tail through the Go gather that is the whole group on
+// other CPUs. Fewer than eight rows go one row at a time.
+func transposeInto(bt, b []float32, n, k, ldb int) {
+	if n < 8 {
+		for j := 0; j < n; j++ {
+			for p, v := range b[j*ldb : j*ldb+k] {
+				bt[p*n+j] = v
+			}
 		}
+		return
 	}
-	for ; j < n; j++ {
-		for p, v := range b[j*k : j*k+k] {
-			bt[p*n+j] = v
+	kv := 0 // columns [0, kv) of a group go through transpose8
+	if useAVX2 {
+		kv = k &^ 7
+	}
+	for j0 := 0; j0 < n; j0 += 8 {
+		j := min(j0, n-8)
+		if kv > 0 {
+			_, _ = bt[(kv-1)*n+j+7], b[(j+7)*ldb+kv-1]
+			transpose8(&bt[j], &b[j*ldb], n, ldb, kv)
+		}
+		r0 := b[j*ldb+kv : j*ldb+k]
+		r1 := b[(j+1)*ldb+kv:][:len(r0)]
+		r2 := b[(j+2)*ldb+kv:][:len(r0)]
+		r3 := b[(j+3)*ldb+kv:][:len(r0)]
+		r4 := b[(j+4)*ldb+kv:][:len(r0)]
+		r5 := b[(j+5)*ldb+kv:][:len(r0)]
+		r6 := b[(j+6)*ldb+kv:][:len(r0)]
+		r7 := b[(j+7)*ldb+kv:][:len(r0)]
+		for p, v := range r0 {
+			o := bt[(kv+p)*n+j:][:8]
+			o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = v, r1[p], r2[p], r3[p], r4[p], r5[p], r6[p], r7[p]
 		}
 	}
 }

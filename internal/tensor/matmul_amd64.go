@@ -1,8 +1,8 @@
 package tensor
 
-// useAVX2 selects the vector tile kernels in matmul_amd64.s. It is read
-// from the CPU once, at package init; tests clear it to run the scalar
-// kernels on an AVX2 host.
+// useAVX2 selects the AVX2 kernels in matmul_amd64.s: the GEMM tiles,
+// the transpose and the add. It is read from the CPU once, at package
+// init; tests clear it to run the Go kernels on an AVX2 host.
 var useAVX2 = hasAVX2()
 
 // hasAVX2 reports whether the CPU has AVX2 and the OS saves YMM state
@@ -38,3 +38,15 @@ func axpyTile2x32(c0, c1, b, x0, x1 *float32, ldb, ldx, kn int)
 //
 //go:noescape
 func axpyTile2x8(c0, c1, b, x0, x1 *float32, ldb, ldx, kn int)
+
+// transpose8 transposes the first kn columns of eight B rows into kn
+// rows of bt; see matmul_amd64.s and transposeInto for the caller.
+//
+//go:noescape
+func transpose8(bt, b *float32, ldt, ldb, kn int)
+
+// addTo adds n elements of src into dst; see matmul_amd64.s and
+// addShifted for the caller.
+//
+//go:noescape
+func addTo(dst, src *float32, n int)

@@ -2,9 +2,10 @@
 // DNN substrate (internal/nn) is built on: matrix multiplication, the
 // channel-major im2col convolution lowering and its adjoint (colsᵀ rows
 // built and scattered as contiguous strips), and elementwise operations,
-// with deterministic results. Everything is Go except the GEMMs' AVX2
-// tile kernels on amd64 (matmul_amd64.s), which are selected from the
-// CPU at init and are bit-identical to the Go kernels they stand in for.
+// with deterministic results. Everything is Go except three AVX2 kernels
+// on amd64 (matmul_amd64.s): the GEMMs' tiles, the 8×8 transpose of
+// A·Bᵀ's B operand and col2im's add. They are selected from the CPU at
+// init and are bit-identical to the Go kernels they stand in for.
 package tensor
 
 import (
@@ -176,15 +177,7 @@ func im2colRows(cols, x []float32, r0, r1, n, c, h, w, kh, kw, stride, pad int) 
 				if lo, hi := max(yLo*w, -shift), min(yHi*w, h*w-shift); lo < hi {
 					copy(dst[lo:hi], src[lo+shift:hi+shift])
 				}
-				for oy := yLo; oy < yHi; oy++ {
-					row := dst[oy*w : oy*w+w]
-					for ox := 0; ox < xLo; ox++ {
-						row[ox] = 0
-					}
-					for ox := xHi; ox < w; ox++ {
-						row[ox] = 0
-					}
-				}
+				zeroPadColumns(dst, w, xLo, xHi, yLo, yHi)
 				continue
 			}
 			for oy := yLo; oy < yHi; oy++ {
@@ -200,6 +193,26 @@ func im2colRows(cols, x []float32, r0, r1, n, c, h, w, kh, kw, stride, pad int) 
 					row[ox] = in[ox*stride-pad+kx]
 				}
 			}
+		}
+	}
+}
+
+// zeroPadColumns zeroes columns [0, xLo) and [xHi, w) of the rows
+// [yLo, yHi) of a plane w wide: the entries of a stride-1 "same" tap
+// that fall in the padding, which its shifted copy or add wraps around
+// from the neighbouring rows. A tap has at most pad such columns a side,
+// so each goes down the rows with a strided loop, and a tap with none
+// costs nothing.
+func zeroPadColumns(plane []float32, w, xLo, xHi, yLo, yHi int) {
+	rows := plane[yLo*w : yHi*w]
+	for ox := 0; ox < xLo; ox++ {
+		for i := ox; i < len(rows); i += w {
+			rows[i] = 0
+		}
+	}
+	for ox := xHi; ox < w; ox++ {
+		for i := ox; i < len(rows); i += w {
+			rows[i] = 0
 		}
 	}
 }
@@ -233,9 +246,13 @@ func ceilDiv(a, b int) int {
 // (shape (N, C, H, W)), overwriting its previous contents. Every x
 // element adds its terms in ascending (oy, ox) order, starting from
 // zero: the order that the training bits pinned in internal/nn's tests
-// and bench/golden.json were computed in. The (image, channel) planes
-// scatter in parallel: each belongs to one worker, so the result is
-// identical at any worker budget.
+// and bench/golden.json were computed in. For a stride-1 convolution
+// with outW == W it also writes zeros over entries of cols whose tap
+// falls in the padding columns: gradients with respect to the zero
+// padding, which nothing reads. Every entry whose tap falls inside the
+// image is left as it was. The (image, channel) planes scatter in
+// parallel: each belongs to one worker, so the result is identical at
+// any worker budget.
 func Col2ImInto(x, cols *Tensor, kh, kw, stride, pad int) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outH, outW := ConvOutDims(h, w, kh, kw, stride, pad)
@@ -251,10 +268,12 @@ func Col2ImInto(x, cols *Tensor, kh, kw, stride, pad int) {
 }
 
 // col2imPlanes clears and scatters the planes [p0, p1) of x, plane
-// img*c+ch, one tap row of colsᵀ at a time, one strip over ox per output
-// row. The taps go in descending (ky, kx) order: the terms an x element
-// receives come from oy = (iy+pad-ky)/stride and ox = (ix+pad-kx)/stride,
-// so that is ascending (oy, ox) order for every element.
+// img*c+ch, one tap row of colsᵀ at a time. The taps go in descending
+// (ky, kx) order: the terms an x element receives come from
+// oy = (iy+pad-ky)/stride and ox = (ix+pad-kx)/stride, so that is
+// ascending (oy, ox) order for every element. A stride-1 convolution
+// with outW == w adds each tap with one shifted add (addShifted); every
+// other convolution adds one strip over ox per output row.
 func col2imPlanes(x, cols []float32, p0, p1, n, c, h, w, kh, kw, stride, pad int) {
 	outH, outW := ConvOutDims(h, w, kh, kw, stride, pad)
 	hw := outH * outW
@@ -270,6 +289,10 @@ func col2imPlanes(x, cols []float32, p0, p1, n, c, h, w, kh, kw, stride, pad int
 					continue
 				}
 				src := cols[(((ch*kh+ky)*kw+kx)*n+img)*hw:][:hw]
+				if stride == 1 && outW == w {
+					addShifted(plane, src, w, (ky-pad)*w+kx-pad, xLo, xHi, yLo, yHi)
+					continue
+				}
 				for oy := yLo; oy < yHi; oy++ {
 					in := src[oy*outW+xLo : oy*outW+xHi]
 					out := plane[(oy*stride-pad+ky)*w:][:w]
@@ -286,6 +309,33 @@ func col2imPlanes(x, cols []float32, p0, p1, n, c, h, w, kh, kw, stride, pad int
 				}
 			}
 		}
+	}
+}
+
+// addShifted adds one stride-1 "same" tap's rows [yLo, yHi) of src, a
+// colsᵀ plane w wide, into plane, where element i lands on input element
+// i+shift: one shifted add, the adjoint of im2colRows' block copy. The
+// add wraps each row's padding entries onto the neighbouring input
+// rows, so they are zeroed first. A zero adds nothing: the plane starts
+// at +0, a sum that starts at +0 never becomes −0 under round-to-nearest,
+// and x + (+0) = x for every other x, NaN payloads included. On AVX2 the
+// add is addTo, a rounded VADDPS per element with the plane as the first
+// source, as in `out[i] += in[i]`; the len%8 tail and other CPUs take
+// the Go loop.
+func addShifted(plane, src []float32, w, shift, xLo, xHi, yLo, yHi int) {
+	zeroPadColumns(src, w, xLo, xHi, yLo, yHi)
+	lo, hi := max(yLo*w, -shift), min(yHi*w, len(plane)-shift)
+	if lo >= hi {
+		return
+	}
+	in, out := src[lo:hi], plane[lo+shift:hi+shift]
+	i := 0
+	if useAVX2 && len(in) >= 8 {
+		i = len(in) &^ 7
+		addTo(&out[0], &in[0], i)
+	}
+	for ; i < len(in); i++ {
+		out[i] += in[i]
 	}
 }
 

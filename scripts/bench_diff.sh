@@ -10,8 +10,10 @@
 # Exit status: timing deltas never fail the script (1-iteration smoke
 # runs are noisy by design); it exits non-zero only when a pinned
 # zero-alloc benchmark (the train-step and BFA search-iteration
-# steady-state gates, candidate ranking, the ReLU and max-pool layers,
-# and the victim's sync from DRAM) reports MORE allocs/op than the base
+# steady-state gates, candidate ranking, the ReLU, max-pool and
+# BatchNorm layers, the one-core vector weight-gradient GEMMs, whose
+# transposed chunk comes from the scratch pool, and the victim's sync
+# from DRAM) reports MORE allocs/op than the base
 # artifact — at -benchtime=1x the counter includes one-time warm-up
 # allocations, so the invariant is "no increase", not an absolute zero.
 set -euo pipefail
@@ -27,7 +29,7 @@ NEW=$2
 
 # Benchmarks whose allocs/op must not grow (the zero-alloc pins; see
 # bench-kernels and bench-attack in the Makefile).
-ZERO_ALLOC_PINS='^Benchmark(TrainStep|BFASearchIter|RankCandidates|ReLU|MaxPool2|SyncFromDRAM)'
+ZERO_ALLOC_PINS='^Benchmark(TrainStep|BFASearchIter|RankCandidates|ReLU|MaxPool2|SyncFromDRAM|BatchNorm(-|$)|ConvGEMM/weight-grad[^/]*/vector/budget1(-|$))'
 
 # extract FILE -> "name ns_per_op allocs_per_op" lines (allocs "-" when
 # the benchmark ran without -benchmem). test2json splits one benchmark
