@@ -14,10 +14,10 @@ test:
 # Race smoke on the concurrent packages: the engine scheduler/executor,
 # sharded state and disk cache, the remote worker server/client, the job
 # broker and its wire types, the record log under the journal, cache
-# and plane (appends racing atomic replaces), the result-plane store,
-# the worker-budget semaphore and the parallel tensor/nn kernels it
-# feeds, the BFA search that runs those kernels and the rowhammer
-# engine it drives, plus the trace replay layer. The second line adds
+# and plane, the result-plane store, the worker-budget semaphore and
+# the parallel tensor/nn kernels it feeds, the BFA search that runs
+# those kernels and the rowhammer engine it drives, plus the trace
+# replay layer. The second line adds
 # the experiments' victim memo, which concurrent jobs of a registration
 # share: its single-flight, cancellation, copy and per-registration
 # tests at a shrunk preset (the whole experiments package would train
@@ -60,9 +60,9 @@ bench-check:
 # the default 60 s the whole run goes into minimizing the first one.
 # FuzzPlaneOpen covers the result-plane store's reload of plane.jsonl:
 # never panics, every loaded entry has a key and data, the metrics
-# agree with the entries, and a rewritten store reopens to the same
-# entries; its executions fsync too. FuzzBrokerRequest sends one body to
-# one of the broker's POST routes, each decoded by internal/remote's
+# agree with the entries, and a closed store reopens to the same
+# entries; its executions write files too. FuzzBrokerRequest sends one
+# body to one of the broker's POST routes, each decoded by internal/remote's
 # readJSON, through a fresh in-memory broker with a worker, a job and a
 # lease: never panics, a 200 body is valid JSON, and any other reply
 # decodes to a typed api.Error. Each of its executions builds a broker

@@ -68,10 +68,9 @@ func BenchmarkFig1bThresholds(b *testing.B) { benchJob(b, "fig1b") }
 func BenchmarkMonteCarloSwap(b *testing.B) { benchJob(b, "mc") }
 
 func BenchmarkMonteCarloSingleTrial(b *testing.B) {
-	p := circuit.Default45nm()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := circuit.MonteCarlo(p, 0.2, 100, uint64(i)); err != nil {
+		if _, err := circuit.MonteCarlo(0.2, 100, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -161,7 +160,7 @@ func BenchmarkHammerAttemptDenied(b *testing.B) {
 }
 
 func BenchmarkRowHammerActivationTracking(b *testing.B) {
-	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+	dev, err := dram.NewDevice(dram.SmallGeometry())
 	if err != nil {
 		b.Fatal(err)
 	}

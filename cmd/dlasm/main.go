@@ -109,7 +109,7 @@ func run(mode, in, words string) error {
 // execute runs the program on a scratch device with the canonical
 // registers bound to demonstration rows.
 func execute(prog []isa.Instruction) error {
-	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+	dev, err := dram.NewDevice(dram.SmallGeometry())
 	if err != nil {
 		return err
 	}

@@ -38,9 +38,10 @@
 //
 // Queue execution: -broker submits the tasks to a dramlockerd -broker
 // job queue instead, where registered pull workers pick them up —
-// membership is dynamic, capacity is shared across tenants by weighted
-// fairness, and stragglers are hedged. -tenant names this run's
-// fairness bucket and -priority orders it within the tenant. The same
+// membership is dynamic, capacity is shared equally across tenants,
+// and a dead worker's tasks requeue when its leases expire. -tenant
+// names this run's fairness bucket and -priority orders it within the
+// tenant. The same
 // scheduler-side guarantees hold: the report is byte-identical to a
 // local or -remote run. -remote and -broker are mutually exclusive.
 //
@@ -427,10 +428,10 @@ func showStats(ctx context.Context, addr string, jsonOut bool) error {
 	}
 	fmt.Printf("queue      %d pending, %d leased, %d workers, %d jobs retained\n",
 		m.Pending, m.Leased, m.Workers, m.Jobs)
-	fmt.Printf("lifetime   %d submitted, %d completed (%d failed), %d requeues, %d hedges\n",
-		m.Submitted, m.Completed, m.Failed, m.Requeues, m.Hedges)
-	fmt.Printf("duplicates %d (%d byte-identical cache hits), %d submissions rejected (queue_full)\n",
-		m.Duplicates, m.DupCacheHits, m.Rejected)
+	fmt.Printf("lifetime   %d submitted, %d completed (%d failed), %d requeues\n",
+		m.Submitted, m.Completed, m.Failed, m.Requeues)
+	fmt.Printf("duplicates %d (%d byte-identical cache hits)\n",
+		m.Duplicates, m.DupCacheHits)
 	fmt.Printf("admission  %d rate-limited submissions, %d goroutines\n",
 		m.RateLimited, m.Goroutines)
 	if jm := m.Journal; jm != nil {
@@ -453,19 +454,11 @@ func showStats(ctx context.Context, addr string, jsonOut bool) error {
 			pm.Hits, pm.Misses, pm.WaitHits)
 		fmt.Printf("claims     %d granted, %d denied (fleet-wide single-flight)\n",
 			pm.ClaimsGranted, pm.ClaimsDenied)
-		if pm.Evictions > 0 || pm.Rewrites > 0 {
-			fmt.Printf("evictions  %d entries (%d bytes reclaimed), %d plane.jsonl rewrites\n",
-				pm.Evictions, pm.EvictedBytes, pm.Rewrites)
-		}
 	}
 	for _, t := range m.Tenants {
-		limit := "unlimited"
-		if t.MaxQueued > 0 {
-			limit = fmt.Sprintf("%d", t.MaxQueued)
-		}
-		fmt.Printf("tenant     %-12s weight %d, pending %d (oldest %v), served %d, limit %s\n",
-			t.Tenant, t.Weight, t.Pending,
-			time.Duration(t.OldestAgeNS).Round(time.Millisecond), t.Served, limit)
+		fmt.Printf("tenant     %-12s pending %d (oldest %v), served %d\n",
+			t.Tenant, t.Pending,
+			time.Duration(t.OldestAgeNS).Round(time.Millisecond), t.Served)
 	}
 	for _, l := range m.Leases {
 		fmt.Printf("lease      %-12s %-16s worker %s, age %v, progress %v ago\n",

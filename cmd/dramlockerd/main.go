@@ -5,8 +5,7 @@
 //	dramlockerd -addr 0.0.0.0:9740 -capacity 8
 //	dramlockerd -preset tiny,small -name rack7
 //	dramlockerd -broker -addr 0.0.0.0:9741       # job-queue broker
-//	dramlockerd -broker -hedge-after 2m -weights ci=1,interactive=4
-//	dramlockerd -broker -journal-dir /var/lib/dramlocker -max-queued 1000
+//	dramlockerd -broker -journal-dir /var/lib/dramlocker -max-submit-rate 100
 //	dramlockerd -broker -follow 10.0.0.9:9741    # hot standby replicating that primary
 //	dramlockerd -broker -follow 10.0.0.9:9741 -takeover-after 10s
 //	dramlockerd -pull 10.0.0.9:9741              # pull worker for that broker
@@ -27,24 +26,19 @@
 // Broker (-broker): serves the dlexec2 job queue instead — schedulers
 // submit jobs (dramlocker -broker), workers register and pull leases
 // (dramlockerd -pull). The broker executes nothing and holds no
-// registry; it routes opaque tasks with weighted per-tenant fairness
-// (-weights tenant=N,...), requeues tasks whose lease expires
-// (-lease-ttl), and hedges stragglers onto idle workers (-hedge-after,
-// 0 disables). GET /v1/status answers with role "broker". With
-// -journal-dir the backlog is crash-safe: submissions, completions and
-// cancels are fsynced to an append-only journal and replayed (then
-// compacted) on restart, so a SIGKILLed broker resumes where it died.
-// -max-queued (and per-tenant -max-queued-tenant overrides, in the
-// -weights syntax) caps each tenant's pending queue; submissions past
-// the cap get the retryable queue_full error. -max-submit-rate (and
-// -max-submit-rate-tenant) bounds each tenant's sustained submission
-// rate with a token bucket; overflow gets the retryable rate_limited
-// error carrying the broker's own Retry-After estimate. The journal's
-// active segment rotates past -journal-max-bytes and sealed segments
-// are compacted in the background, so the directory stays bounded
-// under load. GET /v2/metrics exports the queue census, journal
-// counters and per-tenant gauges as JSON or (?format=prometheus)
-// Prometheus text.
+// registry; it routes opaque tasks with equal per-tenant fairness and
+// requeues tasks whose lease expires (-lease-ttl). GET /v1/status
+// answers with role "broker". With -journal-dir the backlog is
+// crash-safe: submissions, completions and cancels are fsynced to an
+// append-only journal and replayed (then compacted) on restart, so a
+// SIGKILLed broker resumes where it died. -max-submit-rate bounds each
+// tenant's sustained submission rate with a token bucket; overflow gets
+// the retryable rate_limited error carrying the broker's own
+// Retry-After estimate. The journal's active segment rotates past
+// -journal-max-bytes and sealed segments are compacted in the
+// background, so the directory stays bounded under load. GET
+// /v2/metrics exports the queue census, journal counters and
+// per-tenant gauges as JSON or (?format=prometheus) Prometheus text.
 //
 // High availability (-broker -follow PRIMARY): the broker starts as a
 // hot standby — it streams the primary's journal over /v2/replicate
@@ -81,8 +75,8 @@
 // owns the listen address; combined with -broker the /v3 object routes
 // co-host on the broker's mux and the broker consults the store before
 // dispatching, completing fully cached tasks at submit with zero
-// leases. -plane-dir persists the store as JSON lines (replayed on
-// restart); without it the plane is in-memory.
+// leases. -plane-dir persists the store as append-only JSON lines
+// (replayed on restart); without it the plane is in-memory.
 //
 // Workers (push or pull) attach to a plane with -plane ADDR: task
 // results are looked up plane-first (then the local in-process cache,
@@ -115,8 +109,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -137,22 +129,15 @@ func main() {
 	broker := flag.Bool("broker", false, "run the job-queue broker instead of a push worker")
 	pull := flag.String("pull", "", "run a pull worker against the broker at this address instead of a push worker")
 	leaseTTL := flag.Duration("lease-ttl", queue.DefaultLeaseTTL, "broker: lease duration before an unrenewed task requeues")
-	hedgeAfter := flag.Duration("hedge-after", 0, "broker: duplicate a straggling task onto an idle worker after this long (0 = off)")
-	weights := flag.String("weights", "", "broker: per-tenant fairness weights, tenant=N[,tenant=N...] (absent tenants weigh 1)")
 	journalDir := flag.String("journal-dir", "", "broker: journal submissions/results under this directory and replay them on startup (empty = in-memory only)")
 	journalMaxBytes := flag.Int64("journal-max-bytes", 64<<20, "broker: rotate the journal's active segment past this size and compact sealed segments in the background (0 = never rotate)")
-	maxQueued := flag.Int("max-queued", 0, "broker: per-tenant pending-task limit; submissions past it get queue_full (0 = unlimited)")
-	maxQueuedTenant := flag.String("max-queued-tenant", "", "broker: per-tenant overrides of -max-queued, tenant=N[,tenant=N...] (0 = unlimited for that tenant)")
 	maxSubmitRate := flag.Int("max-submit-rate", 0, "broker: per-tenant sustained submission rate in tasks/sec (token bucket, burst of one second); overflow gets rate_limited with Retry-After (0 = unlimited)")
-	maxSubmitRateTenant := flag.String("max-submit-rate-tenant", "", "broker: per-tenant overrides of -max-submit-rate, tenant=N[,tenant=N...] (0 = unlimited for that tenant)")
 	follow := flag.String("follow", "", "broker: start as a hot standby replicating the primary at this address; promote via /v2/promote, SIGUSR1, or -takeover-after")
 	takeoverAfter := flag.Duration("takeover-after", 0, "broker standby: promote automatically after the primary has been unreachable this long (0 = operator-only promotion)")
 	advertise := flag.String("advertise", "", "broker: client-reachable address stamped into not_leader redirects and fencing records (default: the listen address)")
 	haToken := flag.String("ha-token", "", "broker: shared secret required on /v2/promote and /v2/fence; set it on every broker peer (empty = unauthenticated — keep the port reachable by broker peers only)")
 	resultPlane := flag.Bool("result-plane", false, "serve the content-addressed result plane (standalone, or co-hosted with -broker)")
-	planeDir := flag.String("plane-dir", "", "result plane: persist entries as JSON lines under this directory and replay them on startup (empty = in-memory only)")
-	planeMaxBytes := flag.Int64("plane-max-bytes", 0, "result plane: evict least-recently-used entries past this many stored bytes (0 = unlimited)")
-	planeTTL := flag.Duration("plane-ttl", 0, "result plane: evict entries idle longer than this (0 = keep forever)")
+	planeDir := flag.String("plane-dir", "", "result plane: persist entries as append-only JSON lines under this directory and replay them on startup (empty = in-memory only)")
 	planeAddr := flag.String("plane", "", "worker modes: attach to the result plane at this address (plane-first lookups, write-through, fleet-wide single-flight)")
 	faultPlan := flag.String("fault-plan", "", "chaos testing: inject faults from this JSON plan (refused without -allow-faults)")
 	allowFaults := flag.Bool("allow-faults", false, "acknowledge that -fault-plan deliberately breaks this daemon")
@@ -189,22 +174,16 @@ func main() {
 		log.Printf("dramlockerd: FAULT INJECTION ACTIVE: %s (%d rules, seed %d)", *faultPlan, len(plan.Rules), plan.Seed)
 	}
 	bf := brokerFlags{
-		leaseTTL:            *leaseTTL,
-		hedgeAfter:          *hedgeAfter,
-		weights:             *weights,
-		journalDir:          *journalDir,
-		journalMaxBytes:     *journalMaxBytes,
-		maxQueued:           *maxQueued,
-		maxQueuedTenant:     *maxQueuedTenant,
-		maxSubmitRate:       *maxSubmitRate,
-		maxSubmitRateTenant: *maxSubmitRateTenant,
-		follow:              *follow,
-		takeoverAfter:       *takeoverAfter,
-		advertise:           *advertise,
-		haToken:             *haToken,
+		leaseTTL:        *leaseTTL,
+		journalDir:      *journalDir,
+		journalMaxBytes: *journalMaxBytes,
+		maxSubmitRate:   *maxSubmitRate,
+		follow:          *follow,
+		takeoverAfter:   *takeoverAfter,
+		advertise:       *advertise,
+		haToken:         *haToken,
 	}
-	pf := planeFlags{serve: *resultPlane, dir: *planeDir, attach: *planeAddr,
-		maxBytes: *planeMaxBytes, ttl: *planeTTL}
+	pf := planeFlags{serve: *resultPlane, dir: *planeDir, attach: *planeAddr}
 	err := run(*addr, *preset, *name, *capacity, *broker, *pull, bf, pf, faults)
 	// The exit receipt: how many backoff delays the process took and
 	// which injected faults actually landed. The chaos gate parses this
@@ -220,28 +199,21 @@ func main() {
 // standalone or co-hosted), dir (its persistence), attach (a worker's
 // upstream plane).
 type planeFlags struct {
-	serve    bool
-	dir      string
-	attach   string
-	maxBytes int64
-	ttl      time.Duration
+	serve  bool
+	dir    string
+	attach string
 }
 
 // brokerFlags carries the -broker mode's tuning flags.
 type brokerFlags struct {
-	leaseTTL            time.Duration
-	hedgeAfter          time.Duration
-	weights             string
-	journalDir          string
-	journalMaxBytes     int64
-	maxQueued           int
-	maxQueuedTenant     string
-	maxSubmitRate       int
-	maxSubmitRateTenant string
-	follow              string
-	takeoverAfter       time.Duration
-	advertise           string
-	haToken             string
+	leaseTTL        time.Duration
+	journalDir      string
+	journalMaxBytes int64
+	maxSubmitRate   int
+	follow          string
+	takeoverAfter   time.Duration
+	advertise       string
+	haToken         string
 }
 
 func run(addr, preset, name string, capacity int, broker bool, pull string, bf brokerFlags, pf planeFlags, faults *faultinject.Injector) error {
@@ -258,16 +230,11 @@ func run(addr, preset, name string, capacity int, broker bool, pull string, bf b
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var cfg queue.Config
 	var reg *engine.Registry
-	switch {
-	case broker:
-		cfg, err = bf.config()
-	case !pf.serve:
-		reg, err = experiments.BuildRegistry(experiments.SplitList(preset))
-	}
-	if err != nil {
-		return err
+	if !broker && !pf.serve {
+		if reg, err = experiments.BuildRegistry(experiments.SplitList(preset)); err != nil {
+			return err
+		}
 	}
 
 	if pull != "" {
@@ -300,7 +267,7 @@ func run(addr, preset, name string, capacity int, broker bool, pull string, bf b
 	defer ln.Close()
 	switch {
 	case broker:
-		return runBroker(ctx, stop, ln, name, bf, pf, cfg, faults)
+		return runBroker(ctx, stop, ln, name, bf, pf, faults)
 	case pf.serve:
 		return runPlane(ctx, stop, ln, name, pf, faults)
 	}
@@ -346,30 +313,13 @@ func serve(ctx context.Context, stop context.CancelFunc, ln net.Listener, h http
 }
 
 // config builds the broker's queue configuration from its flags.
-func (bf brokerFlags) config() (queue.Config, error) {
-	w, err := parseTenantInts("-weights", bf.weights, 1)
-	if err != nil {
-		return queue.Config{}, err
-	}
-	limits, err := parseTenantInts("-max-queued-tenant", bf.maxQueuedTenant, 0)
-	if err != nil {
-		return queue.Config{}, err
-	}
-	rates, err := parseTenantInts("-max-submit-rate-tenant", bf.maxSubmitRateTenant, 0)
-	if err != nil {
-		return queue.Config{}, err
-	}
+func (bf brokerFlags) config() queue.Config {
 	return queue.Config{
-		LeaseTTL:            bf.leaseTTL,
-		HedgeAfter:          bf.hedgeAfter,
-		Weights:             w,
-		MaxQueued:           bf.maxQueued,
-		MaxQueuedTenant:     limits,
-		MaxSubmitRate:       bf.maxSubmitRate,
-		MaxSubmitRateTenant: rates,
-		Follower:            bf.follow != "",
-		PrimaryAddr:         bf.follow,
-	}, nil
+		LeaseTTL:      bf.leaseTTL,
+		MaxSubmitRate: bf.maxSubmitRate,
+		Follower:      bf.follow != "",
+		PrimaryAddr:   bf.follow,
+	}
 }
 
 // runBroker serves the job queue on ln until a signal, then drains:
@@ -377,7 +327,8 @@ func (bf brokerFlags) config() (queue.Config, error) {
 // flowing. With a journal dir the backlog is crash-safe: submissions,
 // completions and cancels are journaled (fsynced before the reply) and
 // replayed on the next startup.
-func runBroker(ctx context.Context, stop context.CancelFunc, ln net.Listener, name string, bf brokerFlags, pf planeFlags, cfg queue.Config, faults *faultinject.Injector) error {
+func runBroker(ctx context.Context, stop context.CancelFunc, ln net.Listener, name string, bf brokerFlags, pf planeFlags, faults *faultinject.Injector) error {
+	cfg := bf.config()
 	if bf.journalDir != "" {
 		jl, err := queue.OpenJournal(bf.journalDir, bf.journalMaxBytes)
 		if err != nil {
@@ -397,7 +348,6 @@ func runBroker(ctx context.Context, stop context.CancelFunc, ln net.Listener, na
 			return err
 		}
 		defer store.Close()
-		store.SetLimits(pf.maxBytes, pf.ttl)
 		cfg.Plane = &resultplane.StorePlane{S: store, Version: experiments.CacheVersion}
 	}
 	b := queue.New(cfg)
@@ -453,8 +403,8 @@ func runBroker(ctx context.Context, stop context.CancelFunc, ln net.Listener, na
 			name, bf.follow, bf.takeoverAfter, adv)
 	}
 	return serve(ctx, stop, ln, handler, faults, bs.Drain,
-		fmt.Sprintf("dramlockerd %q brokering on %s (lease %v, hedge %v, proto %s)",
-			name, ln.Addr(), cfg.LeaseTTL, cfg.HedgeAfter, remote.ProtoVersion),
+		fmt.Sprintf("dramlockerd %q brokering on %s (lease %v, proto %s)",
+			name, ln.Addr(), cfg.LeaseTTL, remote.ProtoVersion),
 		"dramlockerd: broker draining (no new submissions)")
 }
 
@@ -468,7 +418,6 @@ func runPlane(ctx context.Context, stop context.CancelFunc, ln net.Listener, nam
 		return err
 	}
 	defer store.Close()
-	store.SetLimits(pf.maxBytes, pf.ttl)
 	return serve(ctx, stop, ln, resultplane.NewServer(store, name).Handler(), faults, nil,
 		fmt.Sprintf("dramlockerd %q result plane on %s (%d entries, version %s, proto %s)",
 			name, ln.Addr(), store.Metrics().Entries, experiments.CacheVersion, remote.ProtoVersion),
@@ -496,26 +445,4 @@ func planeExecutor(reg *engine.Registry, name, addr string, faults *faultinject.
 	cache := engine.NewCache()
 	cache.SetRemote(&resultplane.EngineCache{C: c})
 	return &engine.CachingExecutor{Exec: engine.NewNamedLocalExecutor(reg, name), Cache: cache}
-}
-
-// parseTenantInts parses the shared "tenant=N[,tenant=N...]" syntax
-// used by -weights and -max-queued-tenant; minVal is the smallest
-// accepted N (1 for weights, 0 for queue limits where 0 = unlimited).
-func parseTenantInts(flagName, s string, minVal int) (map[string]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	w := make(map[string]int)
-	for _, part := range experiments.SplitList(s) {
-		tenant, val, ok := strings.Cut(part, "=")
-		if !ok || tenant == "" {
-			return nil, fmt.Errorf("dramlockerd: bad %s entry %q (want tenant=N)", flagName, part)
-		}
-		n, err := strconv.Atoi(val)
-		if err != nil || n < minVal {
-			return nil, fmt.Errorf("dramlockerd: bad %s value %q (want an integer >= %d)", flagName, part, minVal)
-		}
-		w[tenant] = n
-	}
-	return w, nil
 }

@@ -12,7 +12,7 @@ import (
 )
 
 func main() {
-	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+	dev, err := dram.NewDevice(dram.SmallGeometry())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,15 +41,10 @@ const (
 	// CodeCanceled: the referenced job was canceled; its tasks will never
 	// produce results.
 	CodeCanceled Code = "canceled"
-	// CodeQueueFull: admission control rejected the submission because
-	// the tenant's pending queue is at its depth limit. Back off and
-	// resubmit once the backlog drains.
-	CodeQueueFull Code = "queue_full"
 	// CodeRateLimited: admission control rejected the submission because
 	// the tenant exceeded its sustained submission rate (token bucket).
-	// Unlike queue_full — a statement about standing backlog — this is a
-	// statement about arrival speed: the same submission succeeds after
-	// the RetryAfterNS hint, without anything needing to drain.
+	// The same submission succeeds after the RetryAfterNS hint, without
+	// anything needing to drain.
 	CodeRateLimited Code = "rate_limited"
 	// CodeNotLeader: the peer is a replication follower (or a fenced
 	// ex-primary) and refuses mutations. The Primary field carries the
@@ -73,7 +68,6 @@ var retryableByCode = map[Code]bool{
 	CodeDraining:      true,
 	CodeUnavailable:   true,
 	CodeCanceled:      false,
-	CodeQueueFull:     true,
 	CodeRateLimited:   true,
 	CodeNotLeader:     true,
 	CodeInternal:      true,
@@ -85,7 +79,7 @@ func Codes() []Code {
 	return []Code{
 		CodeBadRequest, CodeProtoMismatch, CodeUnknownJob, CodeKeyMismatch,
 		CodeNotFound, CodeDraining, CodeUnavailable, CodeCanceled,
-		CodeQueueFull, CodeRateLimited, CodeNotLeader, CodeInternal,
+		CodeRateLimited, CodeNotLeader, CodeInternal,
 	}
 }
 

@@ -24,12 +24,8 @@ type BrokerMetrics struct {
 	Completed    int `json:"completed"`
 	Failed       int `json:"failed"`
 	Requeues     int `json:"requeues"`
-	Hedges       int `json:"hedges"`
 	Duplicates   int `json:"duplicates"`
 	DupCacheHits int `json:"dup_cache_hits"`
-	// Rejected counts job submissions refused by admission control
-	// (queue_full).
-	Rejected int `json:"rejected"`
 	// RateLimited counts job submissions refused by the token-bucket
 	// rate limiter (rate_limited; the client retries after Retry-After).
 	RateLimited int `json:"rate_limited"`
@@ -152,14 +148,10 @@ type ReplicationMetrics struct {
 // TenantMetrics is one tenant's queue gauges.
 type TenantMetrics struct {
 	Tenant string `json:"tenant"`
-	// Weight is the fairness weight; Served the stride-scheduling
-	// numerator (tasks dispatched to date).
-	Weight int `json:"weight"`
+	// Served counts tasks dispatched to date, the fairness key.
 	Served int `json:"served"`
-	// Pending is the current queue depth; MaxQueued its admission limit
-	// (0 = unlimited).
-	Pending   int `json:"pending"`
-	MaxQueued int `json:"max_queued,omitempty"`
+	// Pending is the current queue depth.
+	Pending int `json:"pending"`
 	// OldestAgeNS is how long the oldest pending task has been queued
 	// (0 when the queue is empty).
 	OldestAgeNS int64 `json:"oldest_age_ns,omitempty"`

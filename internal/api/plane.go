@@ -131,10 +131,4 @@ type PlaneMetrics struct {
 	// Entries and BytesStored describe the current store contents.
 	Entries     int64 `json:"entries"`
 	BytesStored int64 `json:"bytes_stored"`
-	// Evictions / EvictedBytes count entries dropped by the byte-budget
-	// LRU or the idle TTL; Rewrites counts the plane.jsonl compactions
-	// that made those drops durable.
-	Evictions    int64 `json:"evictions,omitempty"`
-	EvictedBytes int64 `json:"evicted_bytes,omitempty"`
-	Rewrites     int64 `json:"rewrites,omitempty"`
 }

@@ -15,8 +15,8 @@ type JobSubmit struct {
 	// Proto must equal Version.
 	Proto string `json:"proto"`
 	// Tenant is the fairness bucket; empty means DefaultTenant. The
-	// broker shares dispatch capacity across tenants by configured
-	// weight, so one tenant's burst cannot starve the others.
+	// broker shares dispatch capacity equally across tenants with
+	// pending work, so one tenant's burst cannot starve the others.
 	Tenant string `json:"tenant,omitempty"`
 	// Priority orders tasks within a tenant: higher dispatches first;
 	// ties dispatch in submission order. It never crosses tenant
@@ -45,7 +45,7 @@ func (s JobSubmit) Validate() error {
 // JobSubmitBatch submits one or more jobs in one request, the broker's
 // only submission message: a sharded run's submission wave is one POST.
 // Jobs are admitted independently: each gets its own SubmitItem, so one
-// tenant hitting its queue-depth limit fails only its own jobs.
+// tenant over its submission rate fails only its own jobs.
 type JobSubmitBatch struct {
 	// Proto must equal Version (each enclosed JobSubmit echoes it too).
 	Proto string      `json:"proto"`
@@ -69,7 +69,7 @@ func (bt JobSubmitBatch) Validate() error {
 }
 
 // SubmitItem is one job's outcome inside a SubmitBatchReply: the
-// assigned id, or that job's own typed error (e.g. queue_full).
+// assigned id, or that job's own typed error (e.g. rate_limited).
 type SubmitItem struct {
 	ID  string `json:"id,omitempty"`
 	Err *Error `json:"error,omitempty"`
@@ -181,11 +181,6 @@ type Lease struct {
 	// DeadlineNS (unix nanos, broker clock) is when the lease expires
 	// and the task requeues unless renewed or finished.
 	DeadlineNS int64 `json:"deadline_ns"`
-	// Hedged marks a duplicate dispatch of a straggling task already
-	// leased elsewhere. Safe because tasks are deterministic and
-	// cache-keyed: first result wins, the loser is a byte-identical
-	// duplicate.
-	Hedged bool `json:"hedged,omitempty"`
 }
 
 // PollReply carries the granted leases (possibly none).
@@ -233,8 +228,8 @@ type DoneReply struct {
 	Proto string `json:"proto"`
 	// Accepted: this result was recorded as the task's outcome.
 	Accepted bool `json:"accepted"`
-	// Duplicate: the task already had a result (hedged or requeued
-	// dispatch finished elsewhere first).
+	// Duplicate: the task already had a result (its lease expired and
+	// another holder finished first).
 	Duplicate bool `json:"duplicate,omitempty"`
 	// CacheHit: the duplicate's bytes matched the recorded result —
 	// the expected outcome for deterministic, cache-keyed tasks.

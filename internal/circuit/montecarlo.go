@@ -59,20 +59,6 @@ func Default45nm() Params {
 	}
 }
 
-// Validate checks the parameters.
-func (p Params) Validate() error {
-	if p.VDD <= 0 || p.Cc <= 0 || p.Cb <= 0 || p.R0 <= 0 || p.Tsh <= 0 {
-		return fmt.Errorf("circuit: non-positive electrical parameter: %+v", p)
-	}
-	if p.Vpp <= p.Vth+float64(p.VDD/2) {
-		return fmt.Errorf("circuit: word-line boost too low: Vpp=%g Vth=%g", p.Vpp, p.Vth)
-	}
-	if p.CopiesPerSwap <= 0 {
-		return fmt.Errorf("circuit: CopiesPerSwap must be positive, got %d", p.CopiesPerSwap)
-	}
-	return nil
-}
-
 // overdrive returns the access transistor gate overdrive for a threshold.
 func (p Params) overdrive(vth float64) float64 { return p.Vpp - vth - float64(p.VDD/2) }
 
@@ -96,20 +82,19 @@ type Result struct {
 	SwapRate  float64 // fraction of swaps with >= 1 erroneous copy
 }
 
-// MonteCarlo runs `trials` SWAP instances at the given +-variation fraction
-// (e.g. 0.20 for +-20%) and returns the erroneous-SWAP rate. Each of the
-// three copies in a SWAP samples an independent worst-case cell, matching
-// the paper's per-operation error accounting.
-func MonteCarlo(p Params, variation float64, trials int, seed uint64) (Result, error) {
-	if err := p.Validate(); err != nil {
-		return Result{}, err
-	}
+// MonteCarlo runs `trials` SWAP instances of the Default45nm operating
+// point at the given +-variation fraction (e.g. 0.20 for +-20%) and
+// returns the erroneous-SWAP rate. Each of the three copies in a SWAP
+// samples an independent worst-case cell, matching the paper's
+// per-operation error accounting.
+func MonteCarlo(variation float64, trials int, seed uint64) (Result, error) {
 	if variation < 0 || variation > 0.5 {
 		return Result{}, fmt.Errorf("circuit: variation must be in [0, 0.5], got %g", variation)
 	}
 	if trials <= 0 {
 		return Result{}, fmt.Errorf("circuit: trials must be positive, got %d", trials)
 	}
+	p := Default45nm()
 	rng := stats.NewRNG(seed)
 	sigma := variation / 3 // +-X% interpreted as 3-sigma bounds
 	swapErrors := 0
@@ -148,12 +133,12 @@ func PaperVariations() []float64 {
 // erroneous-SWAP rates of 0%, 0.14% and 9.6% (10,000 trials each). The
 // point's seed depends only on seed and i, so points computed
 // independently (as the mc grid's shards are) never depend on each other.
-func PaperPoint(p Params, i, trials int, seed uint64) (Result, error) {
+func PaperPoint(i, trials int, seed uint64) (Result, error) {
 	vs := PaperVariations()
 	if i < 0 || i >= len(vs) {
 		return Result{}, fmt.Errorf("circuit: sweep point %d out of range [0,%d)", i, len(vs))
 	}
-	return MonteCarlo(p, vs[i], trials, seed+uint64(i)*7919)
+	return MonteCarlo(vs[i], trials, seed+uint64(i)*7919)
 }
 
 // PaperReportedSwapRates returns the paper's §IV.D numbers for comparison.

@@ -6,7 +6,7 @@ import (
 )
 
 func TestNominalCornerIsErrorFree(t *testing.T) {
-	r, err := MonteCarlo(Default45nm(), 0, 10000, 1)
+	r, err := MonteCarlo(0, 10000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,10 +16,9 @@ func TestNominalCornerIsErrorFree(t *testing.T) {
 }
 
 func TestErrorRateGrowsWithVariation(t *testing.T) {
-	p := Default45nm()
 	var prev float64
 	for _, v := range []float64{0, 0.05, 0.10, 0.15, 0.20} {
-		r, err := MonteCarlo(p, v, 20000, 7)
+		r, err := MonteCarlo(v, 20000, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +33,7 @@ func TestErrorRateGrowsWithVariation(t *testing.T) {
 func TestMatchesPaperBands(t *testing.T) {
 	var rs []Result
 	for i := range PaperVariations() {
-		r, err := PaperPoint(Default45nm(), i, 10000, 42)
+		r, err := PaperPoint(i, 10000, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,12 +55,12 @@ func TestMatchesPaperBands(t *testing.T) {
 }
 
 func TestDeterministicForSeed(t *testing.T) {
-	a, _ := MonteCarlo(Default45nm(), 0.2, 5000, 99)
-	b, _ := MonteCarlo(Default45nm(), 0.2, 5000, 99)
+	a, _ := MonteCarlo(0.2, 5000, 99)
+	b, _ := MonteCarlo(0.2, 5000, 99)
 	if a != b {
 		t.Fatal("Monte-Carlo must be deterministic per seed")
 	}
-	c, _ := MonteCarlo(Default45nm(), 0.2, 5000, 100)
+	c, _ := MonteCarlo(0.2, 5000, 100)
 	if a.SwapRate == c.SwapRate {
 		t.Fatal("different seeds should differ")
 	}
@@ -89,28 +88,28 @@ func TestMarginIncreasesWithCellCap(t *testing.T) {
 	}
 }
 
+// TestValidation checks the one operating point every run uses (its
+// electrical values are positive and the word-line boost clears the
+// threshold) and that MonteCarlo refuses out-of-range variation and
+// trial counts, which come from presets.
 func TestValidation(t *testing.T) {
 	p := Default45nm()
-	p.VDD = 0
-	if err := p.Validate(); err == nil {
-		t.Fatal("zero VDD must fail")
+	if p.VDD <= 0 || p.Cc <= 0 || p.Cb <= 0 || p.R0 <= 0 || p.Tsh <= 0 || p.CopiesPerSwap <= 0 {
+		t.Fatalf("non-positive parameter in the operating point: %+v", p)
 	}
-	p = Default45nm()
-	p.Vpp = 0.5
-	if err := p.Validate(); err == nil {
-		t.Fatal("insufficient WL boost must fail")
+	if p.Vpp <= p.Vth+float64(p.VDD/2) {
+		t.Fatalf("word-line boost too low: Vpp=%g Vth=%g", p.Vpp, p.Vth)
 	}
-	if _, err := MonteCarlo(Default45nm(), -0.1, 100, 1); err == nil {
+	if _, err := MonteCarlo(-0.1, 100, 1); err == nil {
 		t.Fatal("negative variation must fail")
 	}
-	if _, err := MonteCarlo(Default45nm(), 0.1, 0, 1); err == nil {
+	if _, err := MonteCarlo(0.1, 0, 1); err == nil {
 		t.Fatal("zero trials must fail")
 	}
 }
 
 func TestResultBookkeeping(t *testing.T) {
-	p := Default45nm()
-	r, err := MonteCarlo(p, 0.2, 1000, 5)
+	r, err := MonteCarlo(0.2, 1000, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

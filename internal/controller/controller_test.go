@@ -10,7 +10,7 @@ import (
 
 func newCtl(t *testing.T) *Controller {
 	t.Helper()
-	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+	dev, err := dram.NewDevice(dram.SmallGeometry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,12 +332,12 @@ func TestRequestValidation(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	geom := dram.SmallGeometry()
 	geom.RowsPerSubarray = FreeRowsPerSubarray + 1
-	dev, _ := dram.NewDevice(geom, dram.DDR4Timing())
+	dev, _ := dram.NewDevice(geom)
 	if _, err := New(dev); err == nil {
 		t.Fatal("a subarray of reserved rows only must fail")
 	}
 	geom.RowsPerSubarray++
-	dev, _ = dram.NewDevice(geom, dram.DDR4Timing())
+	dev, _ = dram.NewDevice(geom)
 	if _, err := New(dev); err != nil {
 		t.Fatalf("one data row per subarray: %v", err)
 	}

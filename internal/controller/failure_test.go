@@ -11,7 +11,7 @@ import (
 // and long mixed request streams.
 
 func TestRelockSurvivesManyCycles(t *testing.T) {
-	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+	dev, err := dram.NewDevice(dram.SmallGeometry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRelockSurvivesManyCycles(t *testing.T) {
 }
 
 func TestConcurrentRedirectsAcrossSubarrays(t *testing.T) {
-	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+	dev, err := dram.NewDevice(dram.SmallGeometry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestConcurrentRedirectsAcrossSubarrays(t *testing.T) {
 // privileged reads/writes, attacker probes and hammer attempts, checking
 // global invariants after every step.
 func TestRandomizedMixedStreamInvariants(t *testing.T) {
-	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+	dev, err := dram.NewDevice(dram.SmallGeometry())
 	if err != nil {
 		t.Fatal(err)
 	}

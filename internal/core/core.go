@@ -52,7 +52,7 @@ type System struct {
 
 // NewSystem builds the device, fault model and controller.
 func NewSystem(cfg Config) (*System, error) {
-	dev, err := dram.NewDevice(cfg.Geometry, dram.DDR4Timing())
+	dev, err := dram.NewDevice(cfg.Geometry)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,7 @@ import (
 
 func newRig(t *testing.T, trh int) (*dram.Device, *rowhammer.Engine) {
 	t.Helper()
-	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+	dev, err := dram.NewDevice(dram.SmallGeometry())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,17 +77,14 @@ type Device struct {
 	energyPJ float64 // command energy accumulated so far
 }
 
-// NewDevice constructs a device with the given geometry and timing.
-func NewDevice(geom Geometry, timing Timing) (*Device, error) {
+// NewDevice constructs a device with the given geometry and DDR4Timing.
+func NewDevice(geom Geometry) (*Device, error) {
 	if err := geom.Validate(); err != nil {
-		return nil, err
-	}
-	if err := timing.Validate(); err != nil {
 		return nil, err
 	}
 	return &Device{
 		geom:   geom,
-		timing: timing,
+		timing: DDR4Timing(),
 		banks:  make([]bankState, geom.Banks()),
 		rows:   make(map[int][]byte),
 	}, nil

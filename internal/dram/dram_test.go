@@ -8,7 +8,7 @@ import (
 
 func testDevice(t *testing.T) *Device {
 	t.Helper()
-	d, err := NewDevice(SmallGeometry(), DDR4Timing())
+	d, err := NewDevice(SmallGeometry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,19 +361,36 @@ func TestDeviceStatsAndEnergy(t *testing.T) {
 	}
 }
 
+// TestTimingValidate checks the one timing every device runs at: every
+// duration is positive, a row cycle covers an activation and a
+// precharge, and refreshes fit in the refresh window.
 func TestTimingValidate(t *testing.T) {
-	if err := DDR4Timing().Validate(); err != nil {
+	tm := DDR4Timing()
+	for _, c := range []struct {
+		name string
+		v    Picoseconds
+	}{
+		{"tRCD", tm.TRCD}, {"tRP", tm.TRP}, {"tRAS", tm.TRAS}, {"tCL", tm.TCL},
+		{"tCWL", tm.TCWL}, {"tBL", tm.TBL}, {"tWR", tm.TWR}, {"tRFC", tm.TRFC},
+		{"tRC", tm.TRC}, {"tREFW", tm.TREFW}, {"tREFI", tm.TREFI},
+		{"RowCloneFPM", tm.RowCloneFPM}, {"LockLookup", tm.LockLookup},
+	} {
+		if c.v <= 0 {
+			t.Errorf("timing %s = %d, want positive", c.name, c.v)
+		}
+	}
+	if tm.TRC < tm.TRAS+tm.TRP {
+		t.Errorf("tRC (%d) < tRAS+tRP (%d)", tm.TRC, tm.TRAS+tm.TRP)
+	}
+	if tm.TREFW < tm.TREFI {
+		t.Errorf("tREFW (%d) < tREFI (%d)", tm.TREFW, tm.TREFI)
+	}
+	d, err := NewDevice(SmallGeometry())
+	if err != nil {
 		t.Fatal(err)
 	}
-	bad := DDR4Timing()
-	bad.TRC = 1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("tRC < tRAS+tRP must fail validation")
-	}
-	bad2 := DDR4Timing()
-	bad2.TRCD = 0
-	if err := bad2.Validate(); err == nil {
-		t.Fatal("zero tRCD must fail validation")
+	if d.Timing() != tm {
+		t.Fatalf("device timing %+v, want DDR4Timing %+v", d.Timing(), tm)
 	}
 }
 

@@ -94,36 +94,6 @@ func DDR4Timing() Timing {
 	}
 }
 
-// Validate checks that all durations are positive and consistent.
-func (t Timing) Validate() error {
-	check := func(name string, v Picoseconds) error {
-		if v <= 0 {
-			return fmt.Errorf("dram: timing %s must be positive, got %d", name, v)
-		}
-		return nil
-	}
-	for _, c := range []struct {
-		name string
-		v    Picoseconds
-	}{
-		{"tRCD", t.TRCD}, {"tRP", t.TRP}, {"tRAS", t.TRAS}, {"tCL", t.TCL},
-		{"tCWL", t.TCWL}, {"tBL", t.TBL}, {"tWR", t.TWR}, {"tRFC", t.TRFC},
-		{"tRC", t.TRC}, {"tREFW", t.TREFW}, {"tREFI", t.TREFI},
-		{"RowCloneFPM", t.RowCloneFPM}, {"LockLookup", t.LockLookup},
-	} {
-		if err := check(c.name, c.v); err != nil {
-			return err
-		}
-	}
-	if t.TRC < t.TRAS+t.TRP {
-		return fmt.Errorf("dram: tRC (%d) < tRAS+tRP (%d)", t.TRC, t.TRAS+t.TRP)
-	}
-	if t.TREFW < t.TREFI {
-		return fmt.Errorf("dram: tREFW (%d) < tREFI (%d)", t.TREFW, t.TREFI)
-	}
-	return nil
-}
-
 // ReadLatency returns the latency of an RD on an already-open row.
 func (t Timing) ReadLatency() Picoseconds { return t.TCL + t.TBL }
 

@@ -69,7 +69,7 @@ func DefenseRowFor(p Preset, name string) (DefenseRow, error) {
 // victim bit next to the aggressor: the rig of every defense campaign
 // and of Fig. 1(b)'s threshold check.
 func defenseRig(trh int) (*dram.Device, *rowhammer.Engine, dram.RowAddr, dram.RowAddr, error) {
-	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+	dev, err := dram.NewDevice(dram.SmallGeometry())
 	if err != nil {
 		return nil, nil, dram.RowAddr{}, dram.RowAddr{}, err
 	}

@@ -15,7 +15,7 @@ type MonteCarloRow struct {
 // circuit.PaperPoint derives each point's seed from the preset seed and
 // i alone, so every point is the same whichever shards run.
 func MonteCarloRowFor(p Preset, i int) (MonteCarloRow, error) {
-	r, err := circuit.PaperPoint(circuit.Default45nm(), i, p.MCTrials, p.Seed+5)
+	r, err := circuit.PaperPoint(i, p.MCTrials, p.Seed+5)
 	if err != nil {
 		return MonteCarloRow{}, err
 	}

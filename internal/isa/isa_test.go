@@ -142,7 +142,7 @@ func TestSwapProgramIsPaperSequence(t *testing.T) {
 
 func newSeq(t *testing.T) (*dram.Device, *Sequencer) {
 	t.Helper()
-	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+	dev, err := dram.NewDevice(dram.SmallGeometry())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func noneReserved(dram.RowAddr) bool { return false }
 
 func newRig(t *testing.T) (*dram.Device, *quant.Model, *Layout) {
 	t.Helper()
-	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+	dev, err := dram.NewDevice(dram.SmallGeometry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestSyncFromDRAMAcrossParamBoundaries(t *testing.T) {
 	qm := quant.NewModel(nn.NewResNet20(4, 0.125, 5))
 	geom := dram.SmallGeometry()
 	geom.RowBytes = qm.Params[0].NumWeights()
-	dev, err := dram.NewDevice(geom, dram.DDR4Timing())
+	dev, err := dram.NewDevice(geom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestLocationOfBitConsistentWithPhys(t *testing.T) {
 }
 
 func TestAvoidExcludesRows(t *testing.T) {
-	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+	dev, err := dram.NewDevice(dram.SmallGeometry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestAvoidExcludesRows(t *testing.T) {
 
 func TestGeometryExhaustion(t *testing.T) {
 	tiny := dram.Geometry{Ranks: 1, BanksPerRank: 1, SubarraysPerBank: 1, RowsPerSubarray: 4, RowBytes: 16}
-	dev, err := dram.NewDevice(tiny, dram.DDR4Timing())
+	dev, err := dram.NewDevice(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestWeightsInRowBounds(t *testing.T) {
 // allocates nothing.
 func BenchmarkSyncFromDRAM(b *testing.B) {
 	geom := dram.Geometry{Ranks: 1, BanksPerRank: 4, SubarraysPerBank: 16, RowsPerSubarray: 512, RowBytes: 2048}
-	dev, err := dram.NewDevice(geom, dram.DDR4Timing())
+	dev, err := dram.NewDevice(geom)
 	if err != nil {
 		b.Fatal(err)
 	}

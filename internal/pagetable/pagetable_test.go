@@ -11,7 +11,7 @@ import (
 
 func newTable(t *testing.T, pages int) (*dram.Device, *Table) {
 	t.Helper()
-	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+	dev, err := dram.NewDevice(dram.SmallGeometry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestEntryRowAssignment(t *testing.T) {
 }
 
 func TestTableCapacityValidation(t *testing.T) {
-	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+	dev, err := dram.NewDevice(dram.SmallGeometry())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,36 +4,33 @@
 //
 // The broker is transport-agnostic — internal/remote wraps it in HTTP —
 // and deliberately knows nothing about experiments: a task is an opaque
-// api.TaskSpec routed by (tenant, priority, submission order). Four
+// api.TaskSpec routed by (tenant, priority, submission order). Three
 // mechanisms make it a service rather than a dispatcher:
 //
-//   - Weighted per-tenant fairness. Pending tasks queue per tenant, and
-//     dispatch picks the tenant with the lowest virtual time
-//     (served/weight, stride scheduling), so a tenant that floods the
-//     queue still only gets its weighted share while others have work.
-//     Priority orders tasks within a tenant, never across tenants.
+//   - Per-tenant fairness. Pending tasks queue per tenant, and dispatch
+//     picks the tenant served the fewest tasks so far (ties by name), so
+//     a tenant that floods the queue still gets only an equal share
+//     while others have work. Priority orders tasks within a tenant,
+//     never across tenants.
 //
 //   - Leases. A dispatched task is not gone, it is leased: the worker
-//     must finish or renew within the TTL or the task requeues. Worker
-//     death needs no failure detector beyond the clock.
+//     must finish or renew within the TTL or the task requeues, and a
+//     task holds at most one active lease. Worker death needs no failure
+//     detector beyond the clock. The holder of an expired lease may
+//     still report: the first result wins, and a result for a task that
+//     already has one is a duplicate whose bytes are checked against
+//     the winner. Tasks are deterministic and cache-keyed, so a matching
+//     duplicate is a cache hit (observable in Metrics and DoneReply).
 //
 //   - Dynamic membership. Workers register (Hello), stay alive by
 //     polling, renewing leases and reporting results, and leave by
 //     draining. A silent worker expires after a few TTLs and its
 //     leases requeue.
 //
-//   - Hedged re-dispatch. When a poller has capacity and the queue is
-//     empty, a task whose lease has been outstanding longer than the
-//     hedge threshold is dispatched a second time. This is safe — not
-//     merely tolerable — because tasks are deterministic and
-//     cache-keyed: the first result wins and the loser is verified to
-//     be a byte-identical duplicate (observable in Metrics and DoneReply
-//     as a cache hit).
-//
 // Every public method is safe for concurrent use. Time is injectable
 // (Config.Now) and all expiry is evaluated lazily on access, so tests
-// drive lease expiry, hedging and membership timeouts with a fake clock
-// and zero sleeps.
+// drive lease expiry and membership timeouts with a fake clock and zero
+// sleeps.
 package queue
 
 import (
@@ -78,37 +75,17 @@ type ResultPlane interface {
 type Config struct {
 	// LeaseTTL is the lease duration; 0 means DefaultLeaseTTL.
 	LeaseTTL time.Duration
-	// HedgeAfter is how long a task's oldest lease may be outstanding
-	// before an idle poller is offered a duplicate lease for it; 0
-	// disables hedging. Each task gets at most one hedge at a time, and
-	// never on the worker already holding it.
-	HedgeAfter time.Duration
-	// Weights assigns per-tenant fairness weights; tenants absent from
-	// the map (and the map being nil) weigh 1. Weights below 1 read
-	// as 1.
-	Weights map[string]int
 	// JobRetention is how long finished/canceled jobs stay queryable;
 	// 0 means 10 minutes.
 	JobRetention time.Duration
-	// MaxQueued caps every tenant's pending queue depth (admission
-	// control): a submission that would push the queue past the limit is
-	// rejected with queue_full. 0 means unlimited. Requeues of
-	// already-admitted tasks are never gated, and neither is journal
-	// replay — limits apply to new work only.
-	MaxQueued int
-	// MaxQueuedTenant overrides MaxQueued per tenant (0 or negative =
-	// unlimited for that tenant).
-	MaxQueuedTenant map[string]int
 	// MaxSubmitRate caps every tenant's sustained submission rate in
 	// tasks per second (token bucket with a one-second burst): a
 	// submission the bucket cannot cover is rejected with rate_limited
-	// and a Retry-After hint. 0 means unlimited. Where MaxQueued bounds
-	// standing backlog, this bounds arrival speed — a fleet of clients
-	// in a retry storm is shed here before it can saturate the journal.
+	// and a Retry-After hint. 0 means unlimited. A fleet of clients in a
+	// retry storm is shed here before it can saturate the journal.
+	// Requeues and journal replay are never charged: the limit applies
+	// to new work only.
 	MaxSubmitRate int
-	// MaxSubmitRateTenant overrides MaxSubmitRate per tenant (0 or
-	// negative = unlimited for that tenant).
-	MaxSubmitRateTenant map[string]int
 	// Journal, when non-nil, makes the backlog crash-safe: submissions,
 	// grants, completions and cancels are journaled (see OpenJournal),
 	// and New replays + compacts the journal before serving.
@@ -153,8 +130,8 @@ type task struct {
 	// a lease that did not survive. Promote reports these as requeued —
 	// a takeover turns live leases into expiry→requeue.
 	granted bool
-	// leases holds the active leases (normally one; two while hedged).
-	leases map[string]*lease
+	// lease is the task's active lease while it is leased, else nil.
+	lease  *lease
 	result *api.TaskResult
 }
 
@@ -204,7 +181,6 @@ type lease struct {
 	worker   string
 	start    time.Time
 	deadline time.Time
-	hedged   bool
 	// active is false once the lease expired, was superseded by a
 	// recorded result, or its worker died. Inactive leases are kept (until
 	// their job is swept) so a late TaskDone is recognised as a duplicate
@@ -227,32 +203,30 @@ type workerRec struct {
 	leases   map[string]*lease
 }
 
-// tenantQ is one tenant's pending queue plus its fairness state and
+// tenantQ is one tenant's pending queue plus its fairness count and
 // submission token bucket.
 type tenantQ struct {
 	name   string
-	weight int
-	limit  int    // admission cap on len(q); 0 = unlimited
-	served uint64 // tasks dispatched, the stride-scheduling numerator
+	served uint64 // tasks dispatched, the fairness key
 	q      []*task
 
-	// Token bucket (rate > 0 only): refills at rate tokens/second up to
-	// a one-second burst; each submitted task costs one token.
-	rate     int
+	// Token bucket (Config.MaxSubmitRate > 0 only): refills at that many
+	// tokens/second up to a one-second burst; each submitted task costs
+	// one token.
 	tokens   float64
 	refilled time.Time
 }
 
-// takeTokens refills the bucket for the time elapsed and tries to pay
-// for need tasks. A full bucket always admits — even a job larger than
-// the burst — letting its balance go negative (debt), so oversized
-// jobs are delayed, not starved. The return value is 0 on admission,
-// otherwise how long until the bucket can cover the job (the
-// Retry-After hint).
-func (tq *tenantQ) takeTokens(need int, now time.Time) time.Duration {
-	burst := float64(tq.rate)
+// takeTokens refills the bucket for the time elapsed at rate tokens per
+// second and tries to pay for need tasks. A full bucket always admits —
+// even a job larger than the burst — letting its balance go negative
+// (debt), so oversized jobs are delayed, not starved. The return value
+// is 0 on admission, otherwise how long until the bucket can cover the
+// job (the Retry-After hint).
+func (tq *tenantQ) takeTokens(need, rate int, now time.Time) time.Duration {
+	burst := float64(rate)
 	if el := now.Sub(tq.refilled).Seconds(); el > 0 {
-		tq.tokens += float64(el * float64(tq.rate))
+		tq.tokens += float64(el * burst)
 		if tq.tokens > burst {
 			tq.tokens = burst
 		}
@@ -268,7 +242,7 @@ func (tq *tenantQ) takeTokens(need int, now time.Time) time.Duration {
 	if full := burst - tq.tokens; full < deficit {
 		deficit = full
 	}
-	wait := time.Duration(deficit / float64(tq.rate) * float64(time.Second))
+	wait := time.Duration(deficit / burst * float64(time.Second))
 	if wait <= 0 {
 		wait = time.Millisecond
 	}
@@ -371,30 +345,8 @@ func (b *Broker) wakeAll() {
 func (b *Broker) tenantFor(name string) *tenantQ {
 	tq := b.tenants[name]
 	if tq == nil {
-		w := 1
-		if b.cfg.Weights != nil && b.cfg.Weights[name] > 1 {
-			w = b.cfg.Weights[name]
-		}
-		limit := b.cfg.MaxQueued
-		if l, ok := b.cfg.MaxQueuedTenant[name]; ok {
-			limit = l
-		}
-		if limit < 0 {
-			limit = 0
-		}
-		rate := b.cfg.MaxSubmitRate
-		if r, ok := b.cfg.MaxSubmitRateTenant[name]; ok {
-			rate = r
-		}
-		if rate < 0 {
-			rate = 0
-		}
-		tq = &tenantQ{name: name, weight: w, limit: limit, rate: rate}
-		if rate > 0 {
-			// Start full: the first second's burst is free.
-			tq.tokens = float64(rate)
-			tq.refilled = b.now()
-		}
+		// The bucket starts full: the first second's burst is free.
+		tq = &tenantQ{name: name, tokens: float64(b.cfg.MaxSubmitRate), refilled: b.now()}
 		b.tenants[name] = tq
 	}
 	return tq
@@ -438,8 +390,8 @@ func planeResult(spec api.TaskSpec, cr api.CachedResult) api.TaskResult {
 }
 
 // SubmitBatch enqueues jobs with per-job outcomes: an id, or the job's
-// own refusal (admission control's retryable queue_full fails only the
-// full tenant's jobs). Journaled brokers fsync the batch once before
+// own refusal (the rate limiter's retryable rate_limited fails only the
+// limited tenant's jobs). Journaled brokers fsync the batch once before
 // replying, so an acknowledged job survives a crash and a sharded run's
 // submission wave costs O(1) round-trips and fsyncs, not O(tasks). On a
 // cache-aware broker, tasks the result plane already holds are
@@ -498,30 +450,23 @@ func (b *Broker) submitWave(subs []api.JobSubmit) ([]api.SubmitItem, error) {
 }
 
 // submitLocked admits one validated submission against its tenant's
-// depth limit, enqueues it, and journals it (unsynced — the caller
+// token bucket, enqueues it, and journals it (unsynced — the caller
 // fsyncs once per submission wave before replying). hits maps task
 // indices to prefetched plane results: those tasks complete at submit,
-// so admission control and the rate limiter charge only the tasks that
-// actually queue — cached work is free.
+// so the rate limiter charges only the tasks that actually queue —
+// cached work is free.
 func (b *Broker) submitLocked(s api.JobSubmit, hits map[int]api.CachedResult) (string, error) {
 	tenant := s.Tenant
 	if tenant == "" {
 		tenant = api.DefaultTenant
 	}
 	uncached := len(s.Tasks) - len(hits)
-	tq := b.tenantFor(tenant)
-	if tq.limit > 0 && len(tq.q)+uncached > tq.limit {
-		b.stats.Rejected++
-		return "", api.Errf(api.CodeQueueFull,
-			"tenant %q queue is full (%d pending, limit %d, job adds %d tasks); back off and resubmit",
-			tenant, len(tq.q), tq.limit, uncached)
-	}
-	if tq.rate > 0 && uncached > 0 {
-		if wait := tq.takeTokens(uncached, b.now()); wait > 0 {
+	if rate := b.cfg.MaxSubmitRate; rate > 0 && uncached > 0 {
+		if wait := b.tenantFor(tenant).takeTokens(uncached, rate, b.now()); wait > 0 {
 			b.stats.RateLimited++
 			ae := api.Errf(api.CodeRateLimited,
 				"tenant %q is over its submission rate (%d tasks/s, job adds %d); retry in %v",
-				tenant, tq.rate, uncached, wait)
+				tenant, rate, uncached, wait)
 			ae.RetryAfterNS = int64(wait)
 			return "", ae
 		}
@@ -568,7 +513,6 @@ func (b *Broker) addJobLocked(id, tenant string, priority int, specs []api.TaskS
 			spec:     spec,
 			seq:      b.seq + uint64(i) + 1,
 			enqueued: now,
-			leases:   make(map[string]*lease),
 		}
 		j.tasks = append(j.tasks, t)
 		tq.insert(t)
@@ -585,13 +529,13 @@ func (b *Broker) addJobLocked(id, tenant string, priority int, specs []api.TaskS
 // completeTaskLocked records res as t's result. It is the one
 // result-recording transition, shared by live Done, submit-time plane
 // hits, startup replay and replication. t must be pending or leased: a
-// pending task leaves its queue, and a leased one's remaining leases
-// are released (their holders' late results come back as duplicates).
+// pending task leaves its queue, and a leased one's lease is released
+// (its holder's late result comes back as a duplicate).
 func (b *Broker) completeTaskLocked(t *task, res api.TaskResult) {
 	if t.state == taskPending {
 		b.tenantFor(t.job.tenant).remove(t)
 	}
-	b.releaseLeases(t)
+	b.releaseLease(t)
 	t.result = &res
 	t.state = taskDone
 	j := t.job
@@ -610,7 +554,7 @@ func (b *Broker) completeTaskLocked(t *task, res api.TaskResult) {
 // cancelJobLocked cancels a job that is not yet complete. It is the one
 // cancel transition, shared by live Cancel, startup replay and
 // replication: pending tasks leave the queue at once, leased ones keep
-// running on their workers but lose their leases, so their results are
+// running on their workers but lose their lease, so their results are
 // discarded on arrival.
 func (b *Broker) cancelJobLocked(j *job) {
 	j.canceled = true
@@ -623,7 +567,7 @@ func (b *Broker) cancelJobLocked(j *job) {
 			t.state = taskCanceled
 		case taskLeased:
 			t.state = taskCanceled
-			b.releaseLeases(t)
+			b.releaseLease(t)
 		}
 	}
 	close(j.finished)
@@ -852,7 +796,6 @@ func (b *Broker) Poll(ctx context.Context, req api.PollRequest) (api.PollReply, 
 					ID:         l.id,
 					Task:       l.t.spec,
 					DeadlineNS: l.deadline.UnixNano(),
-					Hedged:     l.hedged,
 				})
 			}
 		}
@@ -863,10 +806,9 @@ func (b *Broker) Poll(ctx context.Context, req api.PollRequest) (api.PollReply, 
 			return api.PollReply{Proto: api.Version, Leases: leases}, nil
 		}
 		// Park until new work (wake), the long-poll deadline, or the next
-		// time-triggered dispatch change — a lease expiring into a requeue
-		// or a straggler becoming hedge-eligible. Without the latter a
-		// parked poll would sit out the whole wait while a requeued task
-		// sat in the queue (expiry is evaluated lazily, on entry).
+		// lease expiring into a requeue. Without the latter a parked poll
+		// would sit out the whole wait while a requeued task sat in the
+		// queue (expiry is evaluated lazily, on entry).
 		until := time.Until(deadline)
 		if !next.IsZero() {
 			if d := next.Sub(b.now()) + time.Millisecond; d < until {
@@ -890,102 +832,42 @@ func (b *Broker) Poll(ctx context.Context, req api.PollRequest) (api.PollReply, 
 
 // nextEventLocked returns the earliest instant (broker clock) at which
 // the passage of time alone could make new dispatch possible: an active
-// lease expiring (requeue) or a single-leased task crossing the hedge
-// threshold. Zero when no such instant is pending.
+// lease expiring into a requeue. Zero when no lease is active.
 func (b *Broker) nextEventLocked() time.Time {
 	var next time.Time
-	sooner := func(t time.Time) {
-		if next.IsZero() || t.Before(next) {
-			next = t
-		}
-	}
 	for _, l := range b.leases {
-		if !l.active {
-			continue
-		}
-		sooner(l.deadline)
-		if b.cfg.HedgeAfter > 0 && len(l.t.leases) == 1 {
-			sooner(l.start.Add(b.cfg.HedgeAfter))
+		if l.active && (next.IsZero() || l.deadline.Before(next)) {
+			next = l.deadline
 		}
 	}
 	return next
 }
 
-// dispatchOne picks the next task for w, preferring fresh pending work
-// (weighted-fair across tenants, priority-then-FIFO within one) and
-// falling back to hedging a straggler. Returns nil when there is
-// nothing for this worker.
+// dispatchOne leases the next pending task to w: the tenant served the
+// fewest tasks so far goes first, ties broken on tenant name so the
+// schedule is deterministic, and within it priority, then submission
+// order. Returns nil when nothing is pending.
 func (b *Broker) dispatchOne(w *workerRec) *lease {
-	// Weighted fair pick: among tenants with pending work, the lowest
-	// virtual time served/weight wins; ties break on tenant name so the
-	// schedule is deterministic.
 	var pick *tenantQ
 	for _, tq := range b.tenants {
 		if len(tq.q) == 0 {
 			continue
 		}
-		if pick == nil {
-			pick = tq
-			continue
-		}
-		a, c := tq.served*uint64(pick.weight), pick.served*uint64(tq.weight)
-		if a < c || (a == c && tq.name < pick.name) {
+		if pick == nil || tq.served < pick.served || (tq.served == pick.served && tq.name < pick.name) {
 			pick = tq
 		}
 	}
-	if pick != nil {
-		t := pick.q[0]
-		pick.q = pick.q[1:]
-		pick.served++
-		return b.grantLocked(t, w, false)
-	}
-	return b.hedgeOne(w)
-}
-
-// hedgeOne grants a duplicate lease for the longest-outstanding
-// straggler, if hedging is on and one qualifies: its oldest active
-// lease is older than HedgeAfter, it has no hedge out already, and this
-// worker doesn't hold it. Candidates are scanned in task submission
-// order so the choice is deterministic.
-func (b *Broker) hedgeOne(w *workerRec) *lease {
-	if b.cfg.HedgeAfter <= 0 {
+	if pick == nil {
 		return nil
 	}
-	now := b.now()
-	var cand *task
-	var candStart time.Time
-	for _, j := range b.jobs {
-		if j.canceled {
-			continue
-		}
-		for _, t := range j.tasks {
-			if t.state != taskLeased || len(t.leases) != 1 {
-				continue
-			}
-			var start time.Time
-			mine := false
-			for _, l := range t.leases {
-				start = l.start
-				mine = l.worker == w.id
-			}
-			if mine || now.Sub(start) < b.cfg.HedgeAfter {
-				continue
-			}
-			if cand == nil || start.Before(candStart) ||
-				(start.Equal(candStart) && t.seq < cand.seq) {
-				cand, candStart = t, start
-			}
-		}
-	}
-	if cand == nil {
-		return nil
-	}
-	b.stats.Hedges++
-	return b.grantLocked(cand, w, true)
+	t := pick.q[0]
+	pick.q = pick.q[1:]
+	pick.served++
+	return b.grantLocked(t, w)
 }
 
-// grantLocked creates and indexes a lease of t to w.
-func (b *Broker) grantLocked(t *task, w *workerRec, hedged bool) *lease {
+// grantLocked creates and indexes a lease of the pending task t to w.
+func (b *Broker) grantLocked(t *task, w *workerRec) *lease {
 	now := b.now()
 	l := &lease{
 		id:         b.nextID("l"),
@@ -993,12 +875,11 @@ func (b *Broker) grantLocked(t *task, w *workerRec, hedged bool) *lease {
 		worker:     w.id,
 		start:      now,
 		deadline:   now.Add(b.cfg.LeaseTTL),
-		hedged:     hedged,
 		active:     true,
 		progressAt: now,
 	}
 	t.state = taskLeased
-	t.leases[l.id] = l
+	t.lease = l
 	w.leases[l.id] = l
 	b.leases[l.id] = l
 	// Unsynced: losing a grant record only costs a redundant,
@@ -1096,8 +977,8 @@ func (b *Broker) Fleet() api.FleetStatus {
 }
 
 // Done records a lease's result. First result wins: if the task already
-// finished (a hedge or an expired-lease re-dispatch got there first),
-// the reply flags a duplicate and whether its bytes matched the winner.
+// finished (its lease expired and another holder got there first), the
+// reply flags a duplicate and whether its bytes matched the winner.
 // Results for canceled jobs are discarded.
 func (b *Broker) Done(req api.TaskDone) (api.DoneReply, error) {
 	if err := api.CheckProto(req.Proto); err != nil {
@@ -1152,25 +1033,26 @@ func sameResult(a, c api.TaskResult) bool {
 	return a.Text == c.Text && a.Err == c.Err && bytes.Equal(a.Data, c.Data)
 }
 
-// dropLease deactivates l and unlinks it from its worker and task (it
+// dropLease deactivates l and unlinks it from its task and worker (it
 // stays in b.leases for duplicate detection until its job is swept).
+// An active lease is always its task's one lease.
 func (b *Broker) dropLease(l *lease) {
 	if !l.active {
 		return
 	}
 	l.active = false
-	delete(l.t.leases, l.id)
+	l.t.lease = nil
 	if w := b.workers[l.worker]; w != nil {
 		delete(w.leases, l.id)
 	}
 }
 
-// releaseLeases deactivates every remaining active lease of t (its
-// result just landed, or its job was canceled). The holders keep
-// computing — their TaskDone will be answered as duplicate/discarded.
-func (b *Broker) releaseLeases(t *task) {
-	for _, l := range t.leases {
-		b.dropLease(l)
+// releaseLease deactivates t's lease, if it has one (its result just
+// landed, or its job was canceled). The holder keeps computing — its
+// TaskDone will be answered as duplicate/discarded.
+func (b *Broker) releaseLease(t *task) {
+	if t.lease != nil {
+		b.dropLease(t.lease)
 	}
 }
 
@@ -1208,13 +1090,9 @@ func (b *Broker) sweep() {
 	}
 }
 
-// requeue returns a leased task to its tenant queue after its last
-// active lease vanished (expiry or worker death). Tasks still covered
-// by another lease (a hedge) stay leased.
+// requeue returns a leased task to its tenant queue after its lease was
+// dropped (expiry or worker death).
 func (b *Broker) requeue(t *task) {
-	if t.state != taskLeased || len(t.leases) > 0 {
-		return
-	}
 	t.state = taskPending
 	t.enqueued = b.now()
 	b.tenantFor(t.job.tenant).insert(t)
@@ -1222,13 +1100,11 @@ func (b *Broker) requeue(t *task) {
 	b.wakeAll()
 }
 
-// leasedLocked counts tasks out on at least one active lease.
+// leasedLocked counts active leases: one per leased task.
 func (b *Broker) leasedLocked() int {
 	n := 0
-	seen := make(map[*task]bool)
 	for _, l := range b.leases {
-		if l.active && !seen[l.t] {
-			seen[l.t] = true
+		if l.active {
 			n++
 		}
 	}
@@ -1301,11 +1177,9 @@ func (b *Broker) Metrics() api.BrokerMetrics {
 	for _, name := range names {
 		tq := b.tenants[name]
 		tm := api.TenantMetrics{
-			Tenant:    name,
-			Weight:    tq.weight,
-			Served:    int(tq.served),
-			Pending:   len(tq.q),
-			MaxQueued: tq.limit,
+			Tenant:  name,
+			Served:  int(tq.served),
+			Pending: len(tq.q),
 		}
 		// Queue order is priority-then-FIFO, not age, so scan for the
 		// oldest resident.
@@ -1335,9 +1209,8 @@ func (b *Broker) Metrics() api.BrokerMetrics {
 // reattached verbatim (byte-identical replies across the restart);
 // tasks that were pending or leased-but-unfinished at crash time
 // re-enter their tenant queue — a lease without a completion record is
-// exactly the work a crashed broker must hand out again. Admission
-// limits do not gate replay: everything in the journal was already
-// admitted.
+// exactly the work a crashed broker must hand out again. The rate limit
+// does not gate replay: everything in the journal was already admitted.
 func (b *Broker) replayJournal(jl *Journal) {
 	for _, e := range jl.load() {
 		res := b.applyEntryLocked(e)

@@ -90,15 +90,16 @@ func shardSpec(r api.TaskResult, specs ...api.TaskSpec) api.TaskSpec {
 }
 
 // TestPlanePartialHitQueuesOnlyMisses proves a mixed job leases only
-// its uncached tasks and admission charges only those.
+// its uncached tasks and the rate limiter charges only those: a plane
+// hit costs no token.
 func TestPlanePartialHitQueuesOnlyMisses(t *testing.T) {
 	hit, miss := cachedSpec("t1", 0), cachedSpec("t1", 1)
 	plane := &fakePlane{m: map[string]api.CachedResult{
 		hit.CacheKey: planeEntryFor(hit, "cached"),
 	}}
 	clk := newClock()
-	// MaxQueued 1: the job only fits because the cached task is free.
-	b := newBroker(t, Config{Plane: plane, MaxQueued: 1}, clk)
+	// Two tokens and a clock that never moves: the mixed job pays one.
+	b := newBroker(t, Config{Plane: plane, MaxSubmitRate: 2}, clk)
 
 	id := submit(t, b, "", 0, hit, miss)
 	st, _ := b.Status(id)
@@ -121,6 +122,14 @@ func TestPlanePartialHitQueuesOnlyMisses(t *testing.T) {
 	if s := b.Metrics(); s.PlaneHits != 1 {
 		t.Fatalf("plane hits %d, want 1", s.PlaneHits)
 	}
+
+	// One token is left: a fully cached job is free, and one more
+	// uncached task fits only if neither hit was charged. The next one
+	// finds the bucket empty.
+	submit(t, b, "", 0, hit)
+	submit(t, b, "", 0, cachedSpec("t1", 2))
+	_, err := submitOne(b, api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{cachedSpec("t1", 3)}})
+	wantRateLimited(t, err)
 }
 
 // TestPlaneHitsSurviveJournalReplay proves plane completions are as

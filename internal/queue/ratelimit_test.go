@@ -44,9 +44,6 @@ func TestRateLimitTokenBucket(t *testing.T) {
 	if got := b.Metrics().RateLimited; got != 1 {
 		t.Fatalf("RateLimited = %d, want 1", got)
 	}
-	if got := b.Metrics().Rejected; got != 0 {
-		t.Fatalf("rate limiting must not count as queue_full rejection, Rejected = %d", got)
-	}
 
 	// Too early: still limited, with a shorter remaining wait.
 	clk.advance(250 * time.Millisecond)
@@ -79,37 +76,6 @@ func TestRateLimitOversizedJobRuns(t *testing.T) {
 	}
 	clk.advance(2 * time.Second)
 	submit(t, b, "", 0, spec("s", 0))
-}
-
-// TestRateLimitPerTenantOverride: -max-submit-rate-tenant semantics —
-// an override replaces the global rate, an override of 0 lifts it, and
-// buckets are independent per tenant.
-func TestRateLimitPerTenantOverride(t *testing.T) {
-	clk := newClock()
-	b := newBroker(t, Config{
-		MaxSubmitRate:       1,
-		MaxSubmitRateTenant: map[string]int{"bulk": 3, "free": 0},
-	}, clk)
-
-	// Default tenant: burst of 1.
-	submit(t, b, "", 0, spec("a", 0))
-	_, err := submitOne(b, api.JobSubmit{Proto: api.Version, Tasks: []api.TaskSpec{spec("a", 1)}})
-	wantRateLimited(t, err)
-
-	// "bulk" has its own 3-token bucket, untouched by the default
-	// tenant's exhaustion.
-	submit(t, b, "bulk", 0, spec("b", 0), spec("b", 1), spec("b", 2))
-	_, err = submitOne(b, api.JobSubmit{Proto: api.Version, Tenant: "bulk", Tasks: []api.TaskSpec{spec("b", 3)}})
-	wantRateLimited(t, err)
-
-	// "free" is unlimited.
-	for i := 0; i < 20; i++ {
-		submit(t, b, "free", 0, spec("f", i))
-	}
-
-	if got := b.Metrics().RateLimited; got != 2 {
-		t.Fatalf("metrics RateLimited = %d, want 2", got)
-	}
 }
 
 // TestRateLimitBatchPartial: in a batch, rate limiting rejects jobs

@@ -26,7 +26,7 @@ func httpStatus(code api.Code) int {
 		return http.StatusNotFound
 	case api.CodeCanceled:
 		return http.StatusConflict
-	case api.CodeQueueFull, api.CodeRateLimited:
+	case api.CodeRateLimited:
 		return http.StatusTooManyRequests
 	case api.CodeDraining, api.CodeUnavailable, api.CodeNotLeader:
 		return http.StatusServiceUnavailable

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 	"unicode/utf8"
 
 	"repro/internal/api"
@@ -86,12 +87,22 @@ func TestErrorRoundTripUntyped(t *testing.T) {
 	}
 }
 
-// TestQueueFullMapsTo429 pins the admission code's cosmetic status so
-// off-the-shelf HTTP tooling (rate-limit dashboards, curl --retry)
-// reads it correctly.
+// TestQueueFullMapsTo429 pins the admission code's cosmetic status and
+// its Retry-After header, so off-the-shelf HTTP tooling (rate-limit
+// dashboards, curl --retry) reads them correctly.
 func TestQueueFullMapsTo429(t *testing.T) {
-	if _, status := roundTrip(t, api.Errf(api.CodeQueueFull, "full")); status != 429 {
-		t.Fatalf("queue_full status %d, want 429", status)
+	in := api.Errf(api.CodeRateLimited, "slow down")
+	in.RetryAfterNS = int64(1500 * time.Millisecond)
+	rec := httptest.NewRecorder()
+	WriteError(rec, in)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("rate_limited status %d, want 429", rec.Code)
+	}
+	if got := rec.Header().Get("Retry-After"); got != "2" {
+		t.Fatalf("Retry-After %q, want the hint rounded up to 2 seconds", got)
+	}
+	if ae, _ := roundTrip(t, in); ae.RetryAfterNS != in.RetryAfterNS {
+		t.Fatalf("round trip lost the hint: %+v", ae)
 	}
 }
 
@@ -119,7 +130,13 @@ func FuzzDecodeError(f *testing.F) {
 	seed(&api.Error{Code: api.CodeNotLeader, Msg: "standby", Retryable: true,
 		RetryAfterNS: 1500000000, Primary: "http://10.0.0.9:9741"})
 	f.Add(502, []byte("<html>bad gateway</html>"), "", "", false, int64(0), "")
+	// A hand-written body whose code this build does not define.
 	f.Add(429, []byte(`{"code":"queue_full","message":"full"}`), "queue_full", "full", true, int64(-1), "")
+	// The broker's rate_limited reply, with a sub-second hint, and a
+	// message long enough that WriteError cuts it.
+	seed(&api.Error{Code: api.CodeRateLimited, Msg: "tenant \"ci\" is over its submission rate",
+		Retryable: true, RetryAfterNS: int64(250 * time.Millisecond)})
+	seed(api.Errf(api.CodeBadRequest, "bad message: %s", strings.Repeat("é", maxErrorMsg)))
 
 	f.Fuzz(func(t *testing.T, status int, body []byte, code, msg string, retryable bool, retryAfterNS int64, primary string) {
 		resp := &http.Response{

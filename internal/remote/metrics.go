@@ -36,17 +36,15 @@ func writePrometheus(w io.Writer, m api.BrokerMetrics) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
 	g("dramlocker_broker_pending_tasks", "Tasks queued waiting for a poller.", int64(m.Pending))
-	g("dramlocker_broker_leased_tasks", "Tasks out on at least one active lease.", int64(m.Leased))
+	g("dramlocker_broker_leased_tasks", "Tasks out on an active lease.", int64(m.Leased))
 	g("dramlocker_broker_workers", "Live worker registrations.", int64(m.Workers))
 	g("dramlocker_broker_jobs", "Retained jobs (queued, running, recently done).", int64(m.Jobs))
 	c("dramlocker_broker_tasks_submitted_total", "Tasks submitted over the broker's lifetime.", int64(m.Submitted))
 	c("dramlocker_broker_tasks_completed_total", "Tasks completed (including deterministic failures).", int64(m.Completed))
 	c("dramlocker_broker_tasks_failed_total", "Completed tasks that carried a task error.", int64(m.Failed))
 	c("dramlocker_broker_requeues_total", "Lease expiries that returned a task to the queue.", int64(m.Requeues))
-	c("dramlocker_broker_hedges_total", "Duplicate leases granted for stragglers.", int64(m.Hedges))
 	c("dramlocker_broker_duplicate_results_total", "Results that arrived after the task was already done.", int64(m.Duplicates))
 	c("dramlocker_broker_duplicate_cache_hits_total", "Duplicate results byte-identical to the recorded winner.", int64(m.DupCacheHits))
-	c("dramlocker_broker_rejected_jobs_total", "Job submissions refused by admission control (queue_full).", int64(m.Rejected))
 	c("dramlocker_broker_rate_limited_jobs_total", "Job submissions deferred by the per-tenant token bucket (rate_limited).", int64(m.RateLimited))
 	c("dramlocker_broker_plane_hits_total", "Tasks completed straight from the result plane at submit time (no lease granted).", int64(m.PlaneHits))
 	g("dramlocker_broker_goroutines", "Goroutines in the broker process (leak canary for chaos soaks).", int64(m.Goroutines))
@@ -84,9 +82,6 @@ func writePrometheus(w io.Writer, m api.BrokerMetrics) {
 		c("dramlocker_plane_wait_hits_total", "Long-poll GETs answered by a PUT arriving mid-wait.", pm.WaitHits)
 		g("dramlocker_plane_entries", "Entries currently stored in the result plane.", pm.Entries)
 		g("dramlocker_plane_bytes_stored", "Bytes currently stored in the result plane.", pm.BytesStored)
-		c("dramlocker_plane_evictions_total", "Entries evicted by the byte-budget LRU or idle TTL.", pm.Evictions)
-		c("dramlocker_plane_evicted_bytes_total", "Bytes reclaimed by plane evictions.", pm.EvictedBytes)
-		c("dramlocker_plane_rewrites_total", "plane.jsonl compactions that made evictions durable.", pm.Rewrites)
 	}
 	if jm := m.Journal; jm != nil {
 		c("dramlocker_broker_journal_appends_total", "Journal entries appended.", int64(jm.Appends))
@@ -111,17 +106,9 @@ func writePrometheus(w io.Writer, m api.BrokerMetrics) {
 		for _, t := range m.Tenants {
 			fmt.Fprintf(w, "dramlocker_tenant_oldest_age_seconds{tenant=%q} %g\n", t.Tenant, float64(t.OldestAgeNS)/1e9)
 		}
-		fmt.Fprintf(w, "# HELP dramlocker_tenant_served_total Tasks dispatched per tenant (stride numerator).\n# TYPE dramlocker_tenant_served_total counter\n")
+		fmt.Fprintf(w, "# HELP dramlocker_tenant_served_total Tasks dispatched per tenant (the fairness key).\n# TYPE dramlocker_tenant_served_total counter\n")
 		for _, t := range m.Tenants {
 			fmt.Fprintf(w, "dramlocker_tenant_served_total{tenant=%q} %d\n", t.Tenant, t.Served)
-		}
-		fmt.Fprintf(w, "# HELP dramlocker_tenant_weight Fairness weight per tenant.\n# TYPE dramlocker_tenant_weight gauge\n")
-		for _, t := range m.Tenants {
-			fmt.Fprintf(w, "dramlocker_tenant_weight{tenant=%q} %d\n", t.Tenant, t.Weight)
-		}
-		fmt.Fprintf(w, "# HELP dramlocker_tenant_max_queued Admission queue-depth limit per tenant (0 = unlimited).\n# TYPE dramlocker_tenant_max_queued gauge\n")
-		for _, t := range m.Tenants {
-			fmt.Fprintf(w, "dramlocker_tenant_max_queued{tenant=%q} %d\n", t.Tenant, t.MaxQueued)
 		}
 	}
 	if len(m.Leases) > 0 {

@@ -30,8 +30,8 @@ const defaultBatchLinger = 2 * time.Millisecond
 const submitShipTimeout = 30 * time.Second
 
 // submitRetry shapes the backoff between submit retries (transport
-// failures, queue_full and rate_limited rejections): start at 10ms —
-// a drained queue readmits quickly — and cap at 1s so a long outage
+// failures and rate_limited rejections): start at 10ms — a refilled
+// token bucket readmits quickly — and cap at 1s so a long outage
 // polls about once a second, jittered so a fan-out of schedulers
 // rejected together does not resubmit together.
 var submitRetry = backoff.Policy{
@@ -264,9 +264,9 @@ func (e *QueueExecutor) newRetry(p backoff.Policy) *backoff.Backoff {
 // submit routes one job through the batcher and waits for its per-job
 // outcome, retrying with capped jittered backoff on transport failures
 // (broker momentarily down — the crash-recovery window) and on the
-// typed "back off and resubmit" rejections: queue_full, rate_limited,
-// not_leader, and (with somewhere else to go) draining. Every typed
-// retry floors the backoff at the broker's own Retry-After hint —
+// typed "back off and resubmit" rejections: rate_limited, not_leader,
+// and (with somewhere else to go) draining. Every typed retry floors
+// the backoff at the broker's own Retry-After hint —
 // retrying sooner than the server's named comeback time is a
 // guaranteed wasted round-trip. not_leader additionally fails over to
 // the primary the error names; repeated transport failures rotate
@@ -310,7 +310,7 @@ func (e *QueueExecutor) submit(ctx context.Context, sub api.JobSubmit) (string, 
 			// points.
 			e.targets.failover(out.base, ae.Primary)
 			retry.SleepAtLeast(ctx, time.Duration(ae.RetryAfterNS))
-		case ae.Code == api.CodeQueueFull, ae.Code == api.CodeRateLimited:
+		case ae.Code == api.CodeRateLimited:
 			retry.SleepAtLeast(ctx, time.Duration(ae.RetryAfterNS))
 		case ae.Code == api.CodeDraining && e.targets.size() > 1:
 			// With a failover list, a draining broker is a hop, not a

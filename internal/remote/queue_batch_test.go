@@ -70,12 +70,12 @@ func TestQueueBatchedSubmissionCoalesces(t *testing.T) {
 }
 
 // TestQueueFullReturnedAndRetried is the admission acceptance test
-// under a depth-1 limit: the broker answers queue_full (typed and
-// retryable, on the job's own batch item) while the queue holds a
-// task, the executor retries instead of failing, and both tasks
-// complete once a worker drains the backlog.
+// under a one-task-per-second rate: the broker answers rate_limited
+// (typed and retryable, with a Retry-After hint, on the job's own batch
+// item) while the tenant's bucket is empty, the executor waits it out
+// instead of failing, and both tasks complete.
 func TestQueueFullReturnedAndRetried(t *testing.T) {
-	bs, ts := startBroker(t, queue.Config{MaxQueued: 1})
+	bs, ts := startBroker(t, queue.Config{MaxSubmitRate: 1})
 	qe := dialQueue(t, ts.URL, QueueOptions{BatchLinger: -1})
 
 	type outcome struct {
@@ -91,38 +91,38 @@ func TestQueueFullReturnedAndRetried(t *testing.T) {
 		}(spec)
 	}
 
-	// With no worker attached, one task occupies the whole queue and the
-	// other bounces off admission until a slot opens. Rejections are
-	// visible as the broker's Rejected counter.
+	// The first task spends the bucket's one token, and the other
+	// bounces off it until the bucket refills a second later. Rejections
+	// are visible as the broker's RateLimited counter.
 	deadline := time.Now().Add(5 * time.Second)
-	for bs.Broker().Metrics().Rejected == 0 {
+	for bs.Broker().Metrics().RateLimited == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("broker never rejected a submission under the depth-1 limit")
+			t.Fatal("broker never rate-limited a submission at one task per second")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// The raw wire answer while the queue is full: a 200 batch reply
-	// whose one item is a typed, retryable queue_full.
+	// The raw wire answer while the bucket is empty: a 200 batch reply
+	// whose one item is a typed, retryable rate_limited with a hint.
 	var rep api.SubmitBatchReply
 	err := PostJSON(context.Background(), http.DefaultClient, ts.URL+SubmitBatchPath,
 		api.JobSubmitBatch{Proto: api.Version, Jobs: []api.JobSubmit{{Proto: api.Version, Tasks: []api.TaskSpec{
 			{Proto: api.Version, Job: "mono2", Shard: api.MonolithShard, Seed: 7, Key: "mono2@hash"},
 		}}}}, &rep)
 	if err != nil || len(rep.Jobs) != 1 {
-		t.Fatalf("direct submit on a full queue: %v, %d items, want one", err, len(rep.Jobs))
+		t.Fatalf("direct submit on an empty bucket: %v, %d items, want one", err, len(rep.Jobs))
 	}
-	if ae := rep.Jobs[0].Err; ae == nil || ae.Code != api.CodeQueueFull || !ae.Retryable {
-		t.Fatalf("direct submit on a full queue: item %+v, want retryable queue_full", rep.Jobs[0])
+	if ae := rep.Jobs[0].Err; ae == nil || ae.Code != api.CodeRateLimited || !ae.Retryable || ae.RetryAfterNS <= 0 {
+		t.Fatalf("direct submit on an empty bucket: item %+v, want retryable rate_limited with a hint", rep.Jobs[0])
 	}
 
-	// A worker drains the queue; the executor's backoff loop must get
-	// the bounced task admitted and both Executes finish clean.
+	// A worker runs what lands; the executor's backoff loop must get the
+	// bounced task admitted and both Executes finish clean.
 	startPullWorker(t, ts.URL, testRegistry(t), "pw", 1)
 	for i := 0; i < 2; i++ {
 		out := <-results
 		if out.err != nil {
-			t.Fatalf("task failed despite retryable queue_full: %v", out.err)
+			t.Fatalf("task failed despite retryable rate_limited: %v", out.err)
 		}
 		if out.res.Worker != "pw" {
 			t.Fatalf("result from %q, want the pull worker", out.res.Worker)

@@ -87,8 +87,8 @@ func FuzzQueueReply(f *testing.F) {
 		{http.StatusOK, map[string]any{"proto": api.Version, "jobs": []api.SubmitItem{{ID: "j1"}}, "state": api.JobQueued}},
 		{http.StatusOK, map[string]any{"proto": api.Version, "jobs": []api.SubmitItem{{ID: "j1"}}, "state": api.JobDone,
 			"results": []api.TaskResult{{Proto: api.Version, Job: spec.Job, Key: "other@hash"}}}},
-		{http.StatusOK, api.SubmitBatchReply{Proto: api.Version, Jobs: []api.SubmitItem{{Err: api.Errf(api.CodeQueueFull, "full")}}}},
-		{http.StatusTooManyRequests, api.Error{Code: api.CodeQueueFull, Msg: "full", Retryable: true, RetryAfterNS: int64(time.Hour)}},
+		{http.StatusOK, api.SubmitBatchReply{Proto: api.Version, Jobs: []api.SubmitItem{{Err: api.Errf(api.CodeRateLimited, "slow down")}}}},
+		{http.StatusTooManyRequests, api.Error{Code: api.CodeRateLimited, Msg: "slow down", Retryable: true, RetryAfterNS: int64(time.Hour)}},
 		{http.StatusNotFound, api.Error{Code: api.CodeNotFound, Msg: "unknown"}},
 		{http.StatusMisdirectedRequest, api.Error{Code: api.CodeNotLeader, Msg: "standby", Retryable: true, Primary: "http://10.0.0.9:9741"}},
 		{http.StatusServiceUnavailable, api.Error{Code: api.CodeDraining, Msg: "draining", Retryable: true}},

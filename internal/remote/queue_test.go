@@ -208,15 +208,13 @@ func TestQueueLeaseExpiryRecoversTask(t *testing.T) {
 }
 
 // TestQueueHedgedDuplicateIsCacheHit is the straggler acceptance path: a
-// slow worker sits on a lease past the hedge threshold, a fast pull
-// worker gets a hedged duplicate and wins, and when the straggler
-// finally reports, the broker confirms its bytes match the winner — the
-// determinism guarantee observable on the wire as a cache hit.
+// slow worker sits on a lease without renewing it, the lease expires
+// into a requeue, a fast pull worker takes the task and wins, and when
+// the straggler finally reports, the broker confirms its bytes match
+// the winner — the determinism guarantee observable on the wire as a
+// cache hit.
 func TestQueueHedgedDuplicateIsCacheHit(t *testing.T) {
-	bs, ts := startBroker(t, queue.Config{
-		LeaseTTL:   10 * time.Second, // never expires during the test
-		HedgeAfter: 30 * time.Millisecond,
-	})
+	bs, ts := startBroker(t, queue.Config{LeaseTTL: 50 * time.Millisecond})
 	reg := testRegistry(t)
 	qe := dialQueue(t, ts.URL, QueueOptions{})
 
@@ -230,19 +228,16 @@ func TestQueueHedgedDuplicateIsCacheHit(t *testing.T) {
 		resCh <- res
 	}()
 
-	// The straggler takes the (only) lease and stalls.
+	// The straggler takes the (only) lease and stalls without renewing.
 	slow := newRawWorker(t, strings.TrimRight(ts.URL, "/"), "slow")
 	lease := slow.grabLease()
-	if lease.Hedged {
-		t.Fatal("first lease must not be hedged")
-	}
 
 	// The fast worker joins with an empty queue; once the straggler's
-	// lease is older than HedgeAfter it is offered a hedged duplicate.
+	// lease expires the task requeues and the fast worker takes it.
 	startPullWorker(t, ts.URL, testRegistry(t), "fast", 2)
 	winner := <-resCh
 	if winner.Worker != "fast" {
-		t.Fatalf("winner %q, want the hedged fast worker", winner.Worker)
+		t.Fatalf("winner %q, want the fast worker", winner.Worker)
 	}
 
 	// The straggler finally finishes the same deterministic computation
@@ -257,17 +252,17 @@ func TestQueueHedgedDuplicateIsCacheHit(t *testing.T) {
 		t.Fatalf("straggler's reply %+v, want duplicate cache hit", rep)
 	}
 	st := bs.Broker().Metrics()
-	if st.Hedges != 1 || st.Duplicates != 1 || st.DupCacheHits != 1 {
-		t.Fatalf("stats %+v, want exactly one hedge and one byte-identical duplicate", st)
+	if st.Requeues < 1 || st.Duplicates != 1 || st.DupCacheHits != 1 {
+		t.Fatalf("stats %+v, want a requeue and exactly one byte-identical duplicate", st)
 	}
 }
 
 // TestQueueTenantsShareFairly runs two tenants' schedulers concurrently
 // against one single-capacity worker and checks both finish — the
-// remote-level smoke of the fairness machinery (exact weighted shares
-// are proven deterministically in internal/queue).
+// remote-level smoke of the fairness machinery (exact equal shares are
+// proven deterministically in internal/queue).
 func TestQueueTenantsShareFairly(t *testing.T) {
-	_, ts := startBroker(t, queue.Config{Weights: map[string]int{"gold": 2}})
+	_, ts := startBroker(t, queue.Config{})
 	startPullWorker(t, ts.URL, testRegistry(t), "pw", 1)
 
 	var wg sync.WaitGroup

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/api"
@@ -51,12 +52,15 @@ func FuzzFetch(f *testing.F) {
 	f.Add(uint8(0), "k", entry("v1", "k", api.CachedResult{Err: "boom"}))
 	f.Add(uint8(0), "k", entry("v1", "other", api.CachedResult{Text: "table"}))
 	// httperr_test.go's vectors: every code, an HTML error page, a
-	// hand-written queue_full.
+	// hand-written body whose code this build does not define.
 	for i, code := range api.Codes() {
 		f.Add(uint8(i), "k", errBody(api.Errf(code, "probe %s with %q and spaces", code, "quoted")))
 	}
 	f.Add(uint8(3), "k", []byte("<html>bad gateway</html>"))
 	f.Add(uint8(2), "k", []byte(`{"code":"queue_full","message":"full"}`))
+	// A not_found body longer than the error decoder reads: its prefix
+	// does not parse, so it is an error, not a clean miss.
+	f.Add(uint8(1), "k", []byte(`{"code":"not_found","message":"`+strings.Repeat("x", 5000)+`"}`))
 
 	f.Fuzz(func(t *testing.T, s uint8, key string, body []byte) {
 		status := fetchStatuses[int(s)%len(fetchStatuses)]

@@ -20,8 +20,9 @@
 //
 // Persistence (Open) is an internal/wal log, plane.jsonl, plus this
 // package's decode step: records are replayed leniently (damage
-// degrades to misses), and an eviction batch compacts the file with
-// wal's atomic replace so evicted entries do not resurrect.
+// degrades to misses), and every accepted PUT is appended. The file is
+// append-only: nothing rewrites it, and an entry lives until the file
+// is removed.
 package resultplane
 
 import (
@@ -34,7 +35,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -61,9 +61,6 @@ const (
 type entry struct {
 	data []byte
 	etag string // hex sha256 of data
-	// lastUsed is the entry's last hit (or its store time), the LRU
-	// eviction order and the idle-TTL clock.
-	lastUsed time.Time
 }
 
 // claim is one in-flight computation registration.
@@ -89,15 +86,10 @@ type Store struct {
 	// GETs; Put closes it. Created lazily, recreated after each close.
 	waiters map[string]chan struct{}
 	// log persists entries (nil when memory-only). It has its own lock,
-	// and mu is never held across its I/O: appends and compactions run
-	// outside the critical section, so a rewrite-heavy plane never
-	// stalls Get/Wait/Put behind a full-file write and fsync.
+	// and mu is never held across its I/O: appends run outside the
+	// critical section, so a write never stalls Get/Wait/Put.
 	log *wal.Log
 	m   api.PlaneMetrics
-	// Eviction limits (SetLimits): maxBytes caps BytesStored via LRU
-	// eviction, ttl drops entries idle longer than ttl. Zero disables.
-	maxBytes int64
-	ttl      time.Duration
 	// now is the clock (injectable so claim-expiry tests don't sleep).
 	now func() time.Time
 }
@@ -134,23 +126,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// SetLimits caps the store: maxBytes bounds BytesStored (least recently
-// used entries are evicted past it) and ttl drops entries idle longer
-// than ttl. Zero disables either limit. Limits are enforced at PUT time
-// — the plane is an optimisation, so an eviction merely costs a future
-// recompute — and each eviction batch compacts plane.jsonl so reclaimed
-// entries do not resurrect on restart.
-func (s *Store) SetLimits(maxBytes int64, ttl time.Duration) {
-	s.mu.Lock()
-	s.maxBytes = maxBytes
-	s.ttl = ttl
-	evicted := s.maybeEvictLocked("")
-	s.mu.Unlock()
-	if evicted {
-		s.rewrite()
-	}
-}
-
 // errUnusableLine marks a plane record without a key or data.
 var errUnusableLine = errors.New("resultplane: record lacks key or data")
 
@@ -164,16 +139,13 @@ func (s *Store) load(path string) {
 		if pl.Key == "" || len(pl.Data) == 0 {
 			return errUnusableLine
 		}
-		// Hold the data as a rewrite encodes it (compact, HTML-escaped),
-		// so compacting the file never changes a reloaded entry.
+		// Hold the data as Put encodes it (compact, HTML-escaped), so an
+		// entry keeps the bytes and ETag its PUT gave it.
 		data, err := json.Marshal(pl.Data)
 		if err != nil {
 			return err
 		}
-		// Reloaded entries start their idle clock now — mtimes are not
-		// persisted, and nuking the whole store at boot would be worse
-		// than letting survivors age out over the next TTL window.
-		s.entries[pl.Key] = entry{data: data, etag: etagOf(data), lastUsed: s.now()}
+		s.entries[pl.Key] = entry{data: data, etag: etagOf(data)}
 		return nil
 	})
 	s.m.Entries = int64(len(s.entries))
@@ -189,8 +161,7 @@ func (s *Store) SetNow(now func() time.Time) {
 	s.mu.Unlock()
 }
 
-// Close releases the persistence file, if any, after any in-flight
-// compaction lands.
+// Close releases the persistence file, if any.
 func (s *Store) Close() error {
 	if s.log == nil {
 		return nil
@@ -214,14 +185,7 @@ func (s *Store) Get(key string) ([]byte, string, bool) {
 		return nil, "", false
 	}
 	s.m.Hits++
-	s.touchLocked(key, e)
 	return e.data, e.etag, true
-}
-
-// touchLocked refreshes key's LRU position (mu held).
-func (s *Store) touchLocked(key string, e entry) {
-	e.lastUsed = s.now()
-	s.entries[key] = e
 }
 
 // Wait long-polls for key: it returns immediately on a hit and
@@ -234,7 +198,6 @@ func (s *Store) Wait(ctx context.Context, key string, d time.Duration) ([]byte, 
 		s.mu.Lock()
 		if e, ok := s.entries[key]; ok {
 			s.m.Hits++
-			s.touchLocked(key, e)
 			s.mu.Unlock()
 			return e.data, e.etag, true
 		}
@@ -249,7 +212,6 @@ func (s *Store) Wait(ctx context.Context, key string, d time.Duration) ([]byte, 
 			s.mu.Lock()
 			if e, ok := s.entries[key]; ok {
 				s.m.WaitHits++
-				s.touchLocked(key, e)
 				s.mu.Unlock()
 				return e.data, e.etag, true
 			}
@@ -299,19 +261,12 @@ func (s *Store) Put(key string, data []byte) (string, bool, error) {
 		s.m.Puts++
 		s.m.Entries++
 	}
-	e := entry{data: data, etag: etagOf(data), lastUsed: s.now()}
+	e := entry{data: data, etag: etagOf(data)}
 	s.entries[key] = e
 	s.m.BytesStored += int64(len(data))
 	s.releaseLocked(key)
-	// Enforce the byte budget and idle TTL now that the write landed; a
-	// triggered eviction batch rewrites plane.jsonl — outside the lock,
-	// and with the new entry included (it is in s.entries before the
-	// rewrite snapshots), making the append below redundant.
-	evicted := s.maybeEvictLocked(key)
 	s.mu.Unlock()
-	if evicted {
-		s.rewrite()
-	} else if s.log != nil {
+	if s.log != nil {
 		// Swallow write errors like the disk cache: persistence is an
 		// optimisation; the entry is live in memory regardless.
 		if rec, err := json.Marshal(planeLine{Key: key, Data: data}); err == nil {
@@ -319,97 +274,6 @@ func (s *Store) Put(key string, data []byte) (string, bool, error) {
 		}
 	}
 	return e.etag, conflict, nil
-}
-
-// maybeEvictLocked enforces the idle TTL and the byte budget (mu held),
-// sparing keep (the entry whose write triggered the check — evicting
-// what was just stored would thrash). It reports whether anything was
-// evicted; the caller runs rewrite() after releasing mu so the evicted
-// entries do not resurrect from plane.jsonl on restart.
-func (s *Store) maybeEvictLocked(keep string) bool {
-	if s.maxBytes <= 0 && s.ttl <= 0 {
-		return false
-	}
-	now := s.now()
-	evicted := 0
-	if s.ttl > 0 {
-		for key, e := range s.entries {
-			if key != keep && now.Sub(e.lastUsed) > s.ttl {
-				s.dropLocked(key, e)
-				evicted++
-			}
-		}
-	}
-	if s.maxBytes > 0 && s.m.BytesStored > s.maxBytes {
-		type cand struct {
-			key      string
-			lastUsed time.Time
-		}
-		cands := make([]cand, 0, len(s.entries))
-		for key, e := range s.entries {
-			if key != keep {
-				cands = append(cands, cand{key, e.lastUsed})
-			}
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if !cands[i].lastUsed.Equal(cands[j].lastUsed) {
-				return cands[i].lastUsed.Before(cands[j].lastUsed)
-			}
-			return cands[i].key < cands[j].key // deterministic tie-break
-		})
-		for _, c := range cands {
-			if s.m.BytesStored <= s.maxBytes {
-				break
-			}
-			s.dropLocked(c.key, s.entries[c.key])
-			evicted++
-		}
-	}
-	return evicted > 0
-}
-
-// dropLocked removes one entry, counting the eviction (mu held).
-func (s *Store) dropLocked(key string, e entry) {
-	delete(s.entries, key)
-	s.m.Entries--
-	s.m.BytesStored -= int64(len(e.data))
-	s.m.Evictions++
-	s.m.EvictedBytes += int64(len(e.data))
-}
-
-// rewrite compacts the persistence file to the live entries. The
-// snapshot is taken inside wal.Log.Replace, where appends are held off
-// until the handle has moved to the new file: a PUT whose entry missed
-// the snapshot appends to the new file, never to the renamed-over one,
-// so every entry live in memory once its PUT returns survives a
-// restart. mu is held only to copy the map (entry data slices are
-// immutable once stored); the write and fsync run outside it. An error
-// leaves the old file in place, and the worst case is evicted entries
-// resurrecting on the next restart — a plane already tolerates that.
-func (s *Store) rewrite() {
-	if s.log == nil {
-		return
-	}
-	err := s.log.Replace(func() [][]byte {
-		s.mu.Lock()
-		snap := make(map[string][]byte, len(s.entries))
-		for key, e := range s.entries {
-			snap[key] = e.data
-		}
-		s.mu.Unlock()
-		records := make([][]byte, 0, len(snap))
-		for key, data := range snap {
-			if rec, err := json.Marshal(planeLine{Key: key, Data: data}); err == nil {
-				records = append(records, rec)
-			}
-		}
-		return records
-	})
-	if err == nil {
-		s.mu.Lock()
-		s.m.Rewrites++
-		s.mu.Unlock()
-	}
 }
 
 // releaseLocked drops key's claim and wakes its waiters (mu held).

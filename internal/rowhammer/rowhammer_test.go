@@ -8,7 +8,7 @@ import (
 
 func newRig(t *testing.T, trh int) (*dram.Device, *Engine) {
 	t.Helper()
-	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+	dev, err := dram.NewDevice(dram.SmallGeometry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestRegisterTargetValidation(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	dev, err := dram.NewDevice(dram.SmallGeometry(), dram.DDR4Timing())
+	dev, err := dram.NewDevice(dram.SmallGeometry())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,9 +84,9 @@ type storeDump struct {
 // brokerCensus is the queue census and lifetime counters of
 // api.BrokerMetrics under the field names want.json recorded them with.
 type brokerCensus struct {
-	Pending, Leased, Workers, Jobs                             int
-	Submitted, Completed, Failed, Requeues, Hedges             int
-	Duplicates, DupCacheHits, Rejected, RateLimited, PlaneHits int
+	Pending, Leased, Workers, Jobs                   int
+	Submitted, Completed, Failed, Requeues           int
+	Duplicates, DupCacheHits, RateLimited, PlaneHits int
 }
 
 // missExecutor fails every task, so a cache miss surfaces as an error.
@@ -136,9 +136,9 @@ func dumpStores(dir string) (storeDump, error) {
 	d.Stats = brokerCensus{
 		Pending: m.Pending, Leased: m.Leased, Workers: m.Workers, Jobs: m.Jobs,
 		Submitted: m.Submitted, Completed: m.Completed, Failed: m.Failed,
-		Requeues: m.Requeues, Hedges: m.Hedges, Duplicates: m.Duplicates,
-		DupCacheHits: m.DupCacheHits, Rejected: m.Rejected,
-		RateLimited: m.RateLimited, PlaneHits: m.PlaneHits,
+		Requeues: m.Requeues, Duplicates: m.Duplicates,
+		DupCacheHits: m.DupCacheHits, RateLimited: m.RateLimited,
+		PlaneHits: m.PlaneHits,
 	}
 	jm := m.Journal
 	d.Replay = [4]int{jm.ReplayedJobs, jm.ReplayedTasks, jm.Requeued, jm.Skipped}

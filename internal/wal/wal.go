@@ -9,8 +9,7 @@
 //   - Replay, which hands records back under an explicit Mode: Strict
 //     makes the first unusable record an error, Lenient counts it and
 //     goes on;
-//   - the atomic replace, WriteFile and Log.Replace: temp file, fsync,
-//     rename, and for a Log, reopen.
+//   - the atomic replace, WriteFile: temp file, fsync, rename.
 //
 // What a record means, and which Mode a file is read in, stays with the
 // store: wal only moves bytes.
@@ -33,7 +32,6 @@ const TempSuffix = ".tmp"
 // use. Operations on a closed Log return os.ErrClosed.
 type Log struct {
 	mu     sync.Mutex
-	path   string
 	f      *os.File
 	size   int64 // bytes in the file, as this handle knows it
 	synced int64 // size at the last successful Sync
@@ -51,7 +49,7 @@ func Open(path string) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Log{path: path, f: f, size: size, synced: size}, nil
+	return &Log{f: f, size: size, synced: size}, nil
 }
 
 // Append writes rec and its newline with one write call. rec must not
@@ -108,48 +106,19 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Replace atomically rewrites the log's file to the records snapshot
-// returns and moves the handle onto the new file. Appends wait from
-// before snapshot runs until the handle has moved, so each one either
-// precedes the snapshot (which can then include it) or lands in the new
-// file — none goes to the file being replaced. If the write fails the
-// old file and handle stay; if only reopening fails, the log is closed.
-func (l *Log) Replace(snapshot func() [][]byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return os.ErrClosed
-	}
-	size, err := writeFile(l.path, snapshot())
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	l.f.Close() // the old inode is unlinked; appends to it would vanish
-	l.f = f     // nil on error: the log is closed
-	l.size, l.synced = size, size
-	return err
-}
-
 // WriteFile atomically replaces the file at path with records, one per
 // line: written to path+TempSuffix, fsynced, renamed over path. On
 // error path is untouched and the temp file removed.
 func WriteFile(path string, records [][]byte) error {
-	_, err := writeFile(path, records)
-	return err
-}
-
-func writeFile(path string, records [][]byte) (size int64, err error) {
 	tmp := path + TempSuffix
 	f, err := os.Create(tmp)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	w := bufio.NewWriter(f)
 	for _, rec := range records {
 		w.Write(rec)
 		w.WriteByte('\n')
-		size += int64(len(rec)) + 1
 	}
 	if err = w.Flush(); err == nil {
 		err = f.Sync()
@@ -162,9 +131,8 @@ func writeFile(path string, records [][]byte) (size int64, err error) {
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return 0, err
 	}
-	return size, nil
+	return err
 }
 
 // Mode selects how replay treats an unusable record.

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -128,69 +127,6 @@ func TestReplayLongRecord(t *testing.T) {
 	got, _, err := collect(t, path, Strict)
 	if err != nil || len(got) != 2 || got[0] != long {
 		t.Fatalf("long record replay: %d records, %v", len(got), err)
-	}
-}
-
-// TestReplaceHoldsOffAppends: appends racing a Replace land either in
-// the snapshot's source state or in the new file — none is lost to the
-// renamed-over file.
-func TestReplaceHoldsOffAppends(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log.jsonl")
-	l, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	var mu sync.Mutex
-	live := map[string]bool{} // the caller's state: every record ever appended
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				rec := fmt.Sprintf(`{"v":"t1","w":%d,"i":%d}`, w, i)
-				mu.Lock()
-				live[rec] = true
-				mu.Unlock()
-				if err := l.Append([]byte(rec)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	for i := 0; i < 20; i++ {
-		err := l.Replace(func() [][]byte {
-			mu.Lock()
-			defer mu.Unlock()
-			var out [][]byte
-			for rec := range live {
-				out = append(out, []byte(rec))
-			}
-			return out
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	wg.Wait()
-	got, _, err := collect(t, path, Strict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, r := range got {
-		seen[r] = true
-	}
-	for rec := range live {
-		if !seen[rec] {
-			t.Fatalf("record %s lost across a concurrent Replace", rec)
-		}
-	}
-	if st, _ := os.Stat(path); st.Size() != l.Size() {
-		t.Fatalf("tracked size %d, file holds %d", l.Size(), st.Size())
 	}
 }
 
