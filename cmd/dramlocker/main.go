@@ -81,11 +81,12 @@
 // plane degrades to the local tiers. Requires caching (-no-cache and
 // -plane are mutually exclusive).
 //
-// Caching: results are memoised per job and per shard under a key built
-// from the experiment id, the preset hash and the base seed. By default
-// the cache lives in process memory (deduping repeated and preset-free
-// jobs within one run). With -cache-dir it also persists as JSON lines
-// under that directory, so a re-run of the same presets — even from a new
+// Caching: results are memoised per shard under a key built from the
+// experiment id, the preset hash, the shard name and the base seed; a
+// replayed job runs its merge again. By default the cache lives in
+// process memory (deduping repeated and preset-free jobs within one
+// run). With -cache-dir it also persists as JSON lines under that
+// directory, so a re-run of the same presets — even from a new
 // process — replays every shard instead of recomputing; entries are
 // invalidated by preset changes (new hash → new key) and by code changes
 // (experiments.CacheVersion stamp). -no-cache disables caching entirely;
@@ -349,23 +350,19 @@ func run(ctx context.Context, cfg config) error {
 	return nil
 }
 
-// listJobs renders the registry listing. Shard counts and cache keys
-// let operators predict remote fan-out (units = shards, or 1 for
-// monoliths) and cache reuse before submitting a run. With jsonOut the
-// listing is emitted as the dlexec2 api.Listing wire schema, so broker
-// tooling and scripts consume the same shape the protocol uses.
+// listJobs renders the registry listing. Unit (shard) counts and cache
+// keys let operators predict remote fan-out and cache reuse before
+// submitting a run. With jsonOut the listing is emitted as the dlexec2
+// api.Listing wire schema, so broker tooling and scripts consume the
+// same shape the protocol uses.
 func listJobs(reg *engine.Registry, jsonOut bool) error {
 	if jsonOut {
 		listing := api.Listing{Proto: api.Version}
 		for _, j := range reg.Jobs() {
-			units := 1
-			if n := len(j.Shards); n > 0 {
-				units = n
-			}
 			listing.Jobs = append(listing.Jobs, api.JobInfo{
 				Name:  j.Name,
 				Title: j.Title,
-				Units: units,
+				Units: len(j.Shards),
 				Key:   j.Key,
 			})
 		}
@@ -378,15 +375,11 @@ func listJobs(reg *engine.Registry, jsonOut bool) error {
 	}
 	fmt.Printf("%-16s %-6s %-24s %s\n", "JOB", "UNITS", "CACHE KEY", "TITLE")
 	for _, j := range reg.Jobs() {
-		units := "1"
-		if n := len(j.Shards); n > 0 {
-			units = fmt.Sprintf("%d", n)
-		}
 		key := j.Key
 		if key == "" {
 			key = "-"
 		}
-		fmt.Printf("%-16s %-6s %-24s %s\n", j.Name, units, key, j.Title)
+		fmt.Printf("%-16s %-6d %-24s %s\n", j.Name, len(j.Shards), key, j.Title)
 	}
 	return nil
 }

@@ -45,14 +45,14 @@
 // into its own journal and in-memory state, answers read-only routes
 // (status, metrics, fleet, job status) and refuses mutations with the
 // retryable not_leader error naming the primary. It promotes to
-// primary on POST /v2/promote, on SIGUSR1, or — with -takeover-after —
-// after the primary has been silent that long; promotion bumps the
-// fencing epoch, requeues inherited leases, and fences the ex-primary
-// (POST /v2/fence) so a zombie that comes back refuses mutations
-// instead of splitting the brain. -advertise names the address
-// clients should be redirected to (default: the listen address).
-// -ha-token gates /v2/promote and /v2/fence behind a shared secret
-// (give every broker peer, and the promoting operator, the same
+// primary on POST /v2/promote (dramlocker -promote) or — with
+// -takeover-after — after the primary has been silent that long;
+// promotion bumps the fencing epoch, requeues inherited leases, and
+// fences the ex-primary (POST /v2/fence) so a zombie that comes back
+// refuses mutations instead of splitting the brain. -advertise names
+// the address clients should be redirected to (default: the listen
+// address). -ha-token gates /v2/promote and /v2/fence behind a shared
+// secret (give every broker peer, and the promoting operator, the same
 // value); without it those endpoints accept any caller that reaches
 // the port, so keep it reachable by broker peers only.
 // Clients and workers take comma-separated broker lists and follow
@@ -132,7 +132,7 @@ func main() {
 	journalDir := flag.String("journal-dir", "", "broker: journal submissions/results under this directory and replay them on startup (empty = in-memory only)")
 	journalMaxBytes := flag.Int64("journal-max-bytes", 64<<20, "broker: rotate the journal's active segment past this size and compact sealed segments in the background (0 = never rotate)")
 	maxSubmitRate := flag.Int("max-submit-rate", 0, "broker: per-tenant sustained submission rate in tasks/sec (token bucket, burst of one second); overflow gets rate_limited with Retry-After (0 = unlimited)")
-	follow := flag.String("follow", "", "broker: start as a hot standby replicating the primary at this address; promote via /v2/promote, SIGUSR1, or -takeover-after")
+	follow := flag.String("follow", "", "broker: start as a hot standby replicating the primary at this address; promote via /v2/promote or -takeover-after")
 	takeoverAfter := flag.Duration("takeover-after", 0, "broker standby: promote automatically after the primary has been unreachable this long (0 = operator-only promotion)")
 	advertise := flag.String("advertise", "", "broker: client-reachable address stamped into not_leader redirects and fencing records (default: the listen address)")
 	haToken := flag.String("ha-token", "", "broker: shared secret required on /v2/promote and /v2/fence; set it on every broker peer (empty = unauthenticated — keep the port reachable by broker peers only)")
@@ -369,7 +369,7 @@ func runBroker(ctx context.Context, stop context.CancelFunc, ln net.Listener, na
 			name, store.Metrics().Entries, experiments.CacheVersion)
 	}
 	// Hot standby: replicate the primary's journal into this broker and
-	// arm the promotion paths (/v2/promote, SIGUSR1, silence timeout)
+	// arm the promotion paths (/v2/promote, silence timeout)
 	// before the listener serves, so a promote cannot race the mux.
 	if bf.follow != "" {
 		adv := bf.advertise
@@ -387,16 +387,6 @@ func runBroker(ctx context.Context, stop context.CancelFunc, ln net.Listener, na
 		go func() {
 			if err := fol.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
 				log.Printf("dramlockerd %q follower loop: %v", name, err)
-			}
-		}()
-		usr1 := make(chan os.Signal, 1)
-		signal.Notify(usr1, syscall.SIGUSR1)
-		defer signal.Stop(usr1)
-		go func() {
-			for range usr1 {
-				if _, err := fol.Promote("SIGUSR1"); err != nil {
-					log.Printf("dramlockerd %q promote: %v", name, err)
-				}
 			}
 		}()
 		log.Printf("dramlockerd %q standby following %s (takeover-after %v, advertise %s)",

@@ -12,11 +12,11 @@
 // Retryable flag, so clients decide retry/exclusion policy from the
 // error itself instead of guessing from transport status codes.
 //
-// A task is one schedulable unit — a monolithic job or a single shard of
-// a sharded job. Jobs carry Go closures that cannot cross a process
-// boundary, so a TaskSpec never ships code: it names the job, the shard
-// index, and the pre-derived seed, and the executing side re-resolves the
-// closure from its own registry. Two safety rails make that sound:
+// A task is one schedulable unit: a single shard of a job. Jobs carry Go
+// closures that cannot cross a process boundary, so a TaskSpec never
+// ships code: it names the job, the shard index, and the pre-derived
+// seed, and the executing side re-resolves the closure from its own
+// registry. Two safety rails make that sound:
 //
 //   - Proto stamps every message with Version; either side rejects a
 //     message stamped with a different protocol revision, so a scheduler
@@ -44,18 +44,14 @@ import (
 // the typed Error taxonomy, and the Draining/Role status fields.
 const Version = "dlexec2"
 
-// MonolithShard is the TaskSpec.Shard value for a monolithic job (no
-// shard indexing).
-const MonolithShard = -1
-
-// TaskSpec describes one task for an executor: a monolithic job
-// (Shard == MonolithShard) or one shard of a sharded job.
+// TaskSpec describes one task for an executor: one shard of a job. A
+// job that does not split has one shard, index 0.
 type TaskSpec struct {
 	// Proto must equal Version.
 	Proto string `json:"proto"`
 	// Job is the fully qualified job name, e.g. "tiny/fig8a".
 	Job string `json:"job"`
-	// Shard is the shard index within the job, or MonolithShard.
+	// Shard is the shard index within the job.
 	Shard int `json:"shard"`
 	// Seed is the unit's result seed, derived by the scheduler from its
 	// base seed and the unit name. No job reads it: a caching executor
@@ -67,7 +63,7 @@ type TaskSpec struct {
 	// verify its registry derived the same key before running.
 	Key string `json:"key,omitempty"`
 	// CacheKey is the fully seeded cache key this task's result is
-	// stored under ("<stem>[/<shard>]#<base seed>"). Optional: when
+	// stored under ("<stem>/<shard name>#<base seed>"). Optional: when
 	// set, a cache-aware broker can answer the task from the result
 	// plane without granting a lease, and a plane-attached worker can
 	// check/populate the shared cache. It must extend Key — executors
@@ -84,7 +80,7 @@ func (s TaskSpec) Validate() error {
 	if s.Job == "" {
 		return Errf(CodeBadRequest, "task spec names no job")
 	}
-	if s.Shard < MonolithShard {
+	if s.Shard < 0 {
 		return Errf(CodeBadRequest, "task %q has invalid shard index %d", s.Job, s.Shard)
 	}
 	return nil

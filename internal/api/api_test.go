@@ -23,21 +23,25 @@ func TestTaskSpecValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	mono := TaskSpec{Proto: Version, Job: "tiny/fig8a", Shard: MonolithShard}
-	if err := mono.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		desc string
 		spec TaskSpec
 	}{
 		{"wrong proto", TaskSpec{Proto: "nope", Job: "j", Shard: 0}},
 		{"no job", TaskSpec{Proto: Version, Shard: 0}},
-		{"shard below monolith", TaskSpec{Proto: Version, Job: "j", Shard: -2}},
+		// -1 was an older build's whole-job sentinel; every task is a
+		// shard now, so no negative index is well-formed.
+		{"negative shard", TaskSpec{Proto: Version, Job: "tiny/fig8a", Shard: -1}},
+		{"shard below -1", TaskSpec{Proto: Version, Job: "j", Shard: -2}},
 	}
 	for _, c := range cases {
-		if err := c.spec.Validate(); err == nil {
+		err := c.spec.Validate()
+		if err == nil {
 			t.Errorf("%s: must fail validation", c.desc)
+			continue
+		}
+		if ae, ok := AsError(err); !ok || (ae.Code != CodeBadRequest && ae.Code != CodeProtoMismatch) {
+			t.Errorf("%s: error %v is not a typed refusal", c.desc, err)
 		}
 	}
 }

@@ -4,9 +4,9 @@ import "encoding/json"
 
 // Result-plane messages. The plane is a content-addressed HTTP object
 // store for the engine's cache entries: GET/PUT keyed by the engine's
-// fully seeded cache key, ETag conditional fetches, and a claim
-// protocol for cross-machine single-flight (only one worker in the
-// fleet computes a key; everyone else waits for the stored result).
+// fully seeded cache key, and a claim protocol for cross-machine
+// single-flight (only one worker in the fleet computes a key; everyone
+// else waits for the stored result).
 //
 // Consistency model: keys are content addresses — a key embeds the
 // experiment id, preset hash, shard name, code version and base seed,
@@ -21,11 +21,9 @@ import "encoding/json"
 // shape, field order and JSON tags as the engine's disk-cache lines,
 // so plane entries and results.jsonl lines are interchangeable.
 type CachedResult struct {
-	// Name is the producing unit's full name ("<job>" or
-	// "<job>/<shard>"); replays re-stamp it, so it is diagnostic.
+	// Name is the producing unit's full name ("<job>/<shard>");
+	// replays re-stamp it, so it is diagnostic.
 	Name string `json:"name"`
-	// Title is the job's one-line description (monolithic jobs only).
-	Title string `json:"title,omitempty"`
 	// Text is the human-readable rendering.
 	Text string `json:"text,omitempty"`
 	// Data is the structured payload, kept raw for byte identity.
@@ -52,9 +50,9 @@ type CacheEntry struct {
 
 // SamePayload reports whether two entries are equivalent results for
 // the same key: everything but the producer-dependent fields (compute
-// duration, diagnostic name/title) must match. The plane uses it to
-// tell a duplicate PUT (benign, keep the original bytes so ETags stay
-// stable) from a conflicting one (equivalence violation).
+// duration, diagnostic name) must match. The plane uses it to tell a
+// duplicate PUT (benign, keep the original bytes so replays stay
+// byte-stable) from a conflicting one (equivalence violation).
 func (e CacheEntry) SamePayload(o CacheEntry) bool {
 	return e.Version == o.Version && e.Key == o.Key &&
 		e.Result.Text == o.Result.Text &&
@@ -67,9 +65,6 @@ func (e CacheEntry) SamePayload(o CacheEntry) bool {
 type PutReply struct {
 	// Proto must equal Version.
 	Proto string `json:"proto"`
-	// ETag is the stored entry's tag after the write (the original
-	// entry's tag when the PUT was an equivalent duplicate).
-	ETag string `json:"etag"`
 	// Conflict reports the PUT carried a payload that differs from an
 	// existing entry under the same key (last write wins).
 	Conflict bool `json:"conflict,omitempty"`
@@ -83,8 +78,6 @@ type ClaimRequest struct {
 	Key string `json:"key"`
 	// Owner identifies the claimant (worker name; diagnostics).
 	Owner string `json:"owner,omitempty"`
-	// TTLNS is the requested claim duration; the plane clamps it.
-	TTLNS int64 `json:"ttl_ns,omitempty"`
 }
 
 // ClaimReply answers a ClaimRequest. Exactly one of Done, Granted, or
@@ -112,7 +105,7 @@ type ClaimReply struct {
 // BrokerMetrics when a plane is being served (or consulted) alongside
 // the broker.
 type PlaneMetrics struct {
-	// Hits / Misses count GET outcomes (conditional 304s are hits).
+	// Hits / Misses count GET outcomes.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// Puts counts first-time stores; DupPuts equivalent re-stores;

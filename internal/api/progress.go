@@ -8,8 +8,7 @@ package api
 
 // TaskProgress is one progress heartbeat for a running task.
 type TaskProgress struct {
-	// Job and Shard identify the task (Shard is MonolithShard for a
-	// monolithic job).
+	// Job and Shard identify the task.
 	Job   string `json:"job"`
 	Shard int    `json:"shard"`
 	// Stage names what the task is doing ("train", "search", or the

@@ -242,8 +242,8 @@ type DoneReply struct {
 type JobInfo struct {
 	Name  string `json:"name"`
 	Title string `json:"title,omitempty"`
-	// Units is the number of schedulable units (shards, or 1 for a
-	// monolith) — the fan-out a remote run will produce.
+	// Units is the number of schedulable units (the job's shards) —
+	// the fan-out a remote run will produce.
 	Units int `json:"units"`
 	// Key is the cache-key stem ("<experiment>@<preset hash>"); empty
 	// means the job is uncacheable.

@@ -5,9 +5,10 @@
 // trackers, naive counter-per-row, and randomized row-swap (RRS).
 //
 // A Defense sits between the request stream and the DRAM array: every
-// activation is offered to the defense, which may mitigate (neutralise the
-// accumulating disturbance at some latency cost) or — for DRAM-Locker,
-// implemented in internal/controller — deny the activation outright.
+// activation is offered to the defense, which may mitigate it
+// (neutralise the accumulating disturbance at some latency cost). None
+// of these baselines denies an activation; DRAM-Locker, which does, is
+// implemented in internal/controller.
 //
 // Each mechanism has one operating point: the constants below, plus the
 // threshold its constructor takes. A campaign stays inside one refresh
@@ -22,11 +23,9 @@ import (
 	"repro/internal/stats"
 )
 
-// Decision is a defense's verdict on one activation.
+// Decision is a defense's verdict on one activation, which always
+// reaches the array.
 type Decision struct {
-	// Allow is false when the activation must not reach the array
-	// (lock-style defenses).
-	Allow bool
 	// ExtraLatency is mitigation work charged to this activation.
 	ExtraLatency dram.Picoseconds
 	// Mitigated is true when the defense performed a mitigation action
@@ -37,7 +36,6 @@ type Decision struct {
 // Stats aggregates defense activity.
 type Stats struct {
 	Mitigations  int64
-	Denials      int64
 	ExtraLatency dram.Picoseconds
 }
 
@@ -46,7 +44,7 @@ type Defense interface {
 	// Name identifies the mechanism in reports.
 	Name() string
 	// OnActivate is offered every activation before it reaches the array.
-	OnActivate(row dram.RowAddr, privileged bool) Decision
+	OnActivate(row dram.RowAddr) Decision
 	// Stats returns accumulated counters.
 	Stats() Stats
 }
@@ -93,9 +91,6 @@ func (b *base) record(d Decision) Decision {
 	if d.Mitigated {
 		b.stats.Mitigations++
 	}
-	if !d.Allow {
-		b.stats.Denials++
-	}
 	b.stats.ExtraLatency += d.ExtraLatency
 	return d
 }
@@ -108,9 +103,9 @@ type None struct{ base }
 // NewNone returns the no-defense baseline.
 func NewNone() *None { return &None{base{name: "None"}} }
 
-// OnActivate allows everything.
-func (n *None) OnActivate(dram.RowAddr, bool) Decision {
-	return n.record(Decision{Allow: true})
+// OnActivate does nothing.
+func (n *None) OnActivate(dram.RowAddr) Decision {
+	return n.record(Decision{})
 }
 
 // --- SHADOW -----------------------------------------------------------------
@@ -159,10 +154,10 @@ func (s *Shadow) Compromised() bool { return s.compromised }
 
 // OnActivate counts the activation and triggers a group shuffle when the
 // row reaches the shuffle period.
-func (s *Shadow) OnActivate(row dram.RowAddr, privileged bool) Decision {
+func (s *Shadow) OnActivate(row dram.RowAddr) Decision {
 	idx := s.geom.LinearIndex(row)
 	s.counts[idx]++
-	d := Decision{Allow: true}
+	var d Decision
 	if s.counts[idx] > s.DefenseCeiling {
 		// Beyond the ceiling SHADOW cannot keep up; no further latency
 		// is added because mitigation has effectively stopped.
@@ -198,8 +193,8 @@ func NewPARA(engine *rowhammer.Engine) *PARA {
 }
 
 // OnActivate probabilistically refreshes the neighbors.
-func (p *PARA) OnActivate(row dram.RowAddr, privileged bool) Decision {
-	d := Decision{Allow: true}
+func (p *PARA) OnActivate(row dram.RowAddr) Decision {
+	var d Decision
 	if p.rng.Bernoulli(paraProbability) {
 		d.Mitigated = true
 		d.ExtraLatency = refreshLatency
@@ -237,10 +232,10 @@ func NewCounterPerRow(engine *rowhammer.Engine, geom dram.Geometry, trh int) (*C
 }
 
 // OnActivate counts and mitigates at the threshold.
-func (c *CounterPerRow) OnActivate(row dram.RowAddr, privileged bool) Decision {
+func (c *CounterPerRow) OnActivate(row dram.RowAddr) Decision {
 	idx := c.geom.LinearIndex(row)
 	c.counts[idx]++
-	d := Decision{Allow: true}
+	var d Decision
 	if c.counts[idx] >= c.TRH {
 		c.counts[idx] = 0
 		d.Mitigated = true
@@ -289,8 +284,8 @@ func NewGraphene(engine *rowhammer.Engine, geom dram.Geometry, trh int) (*Graphe
 
 // OnActivate runs one Misra-Gries update and mitigates rows whose estimate
 // reaches the threshold.
-func (g *Graphene) OnActivate(row dram.RowAddr, privileged bool) Decision {
-	d := Decision{Allow: true}
+func (g *Graphene) OnActivate(row dram.RowAddr) Decision {
+	var d Decision
 	bank := row.Bank
 	idx := g.geom.LinearIndex(row)
 	t := g.tables[bank]
@@ -351,10 +346,10 @@ func NewRowSwap(engine *rowhammer.Engine, geom dram.Geometry, swapPeriod int) (*
 }
 
 // OnActivate counts and swaps at the period.
-func (r *RowSwap) OnActivate(row dram.RowAddr, privileged bool) Decision {
+func (r *RowSwap) OnActivate(row dram.RowAddr) Decision {
 	idx := r.geom.LinearIndex(row)
 	r.counts[idx]++
-	d := Decision{Allow: true}
+	var d Decision
 	if r.counts[idx]%r.SwapPeriod == 0 {
 		d.Mitigated = true
 		d.ExtraLatency = 2 * dram.DDR4Timing().SwapLatency()

@@ -53,8 +53,8 @@ func (h *Hydra) groupOf(row dram.RowAddr) int {
 }
 
 // OnActivate implements Defense.
-func (h *Hydra) OnActivate(row dram.RowAddr, privileged bool) Decision {
-	d := Decision{Allow: true}
+func (h *Hydra) OnActivate(row dram.RowAddr) Decision {
+	var d Decision
 	g := h.groupOf(row)
 	if !h.split[g] {
 		h.groupCount[g]++
@@ -116,8 +116,8 @@ func NewCounterTree(engine *rowhammer.Engine, geom dram.Geometry, trh int) (*Cou
 // OnActivate implements Defense: increment the counter on every level of
 // the row's root-to-leaf path; mitigate when the leaf-level estimate
 // crosses the per-level share of the threshold.
-func (c *CounterTree) OnActivate(row dram.RowAddr, privileged bool) Decision {
-	d := Decision{Allow: true}
+func (c *CounterTree) OnActivate(row dram.RowAddr) Decision {
+	var d Decision
 	idx := c.geom.LinearIndex(row)
 	span := c.geom.TotalRows()
 	node := 0
@@ -184,8 +184,8 @@ func NewTWiCE(engine *rowhammer.Engine, geom dram.Geometry, trh int) (*TWiCE, er
 }
 
 // OnActivate implements Defense.
-func (t *TWiCE) OnActivate(row dram.RowAddr, privileged bool) Decision {
-	d := Decision{Allow: true}
+func (t *TWiCE) OnActivate(row dram.RowAddr) Decision {
+	var d Decision
 	t.tick++
 	idx := t.geom.LinearIndex(row)
 	e := t.entries[idx]

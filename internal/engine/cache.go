@@ -9,11 +9,9 @@ import (
 // the seam the fleet-wide result plane plugs into. Implementations are
 // consulted after the local tiers miss and written through on every new
 // success, and they must degrade, never fail: an unreachable backend
-// looks like a miss (Lookup/Acquire) or a no-op (Store), so the worst
-// case is recomputing locally — never a wrong or missing result.
+// looks like a miss (Acquire) or a no-op (Store), so the worst case is
+// recomputing locally — never a wrong or missing result.
 type RemoteCache interface {
-	// Lookup fetches key's result without claiming anything.
-	Lookup(ctx context.Context, key string) (Result, bool)
 	// Acquire resolves who computes key fleet-wide: a true return hands
 	// back a stored result (possibly after waiting out another
 	// machine's in-flight computation); a false return means the caller
@@ -23,11 +21,11 @@ type RemoteCache interface {
 	Store(ctx context.Context, key string, r Result)
 }
 
-// Cache memoises successful job results across runs. Keys come from
-// Job.Key (experiment id + preset hash), so editing a preset knob
-// invalidates every cached result computed under it. The cache also
-// tracks in-flight computations: a keyed job whose key is already being
-// computed waits for that computation instead of duplicating it
+// Cache memoises successful shard results across runs. Keys come from
+// Job.Key (experiment id + preset hash) and the shard name, so editing a
+// preset knob invalidates every cached result computed under it. The
+// cache also tracks in-flight computations: a unit whose key is already
+// being computed waits for that computation instead of duplicating it
 // (single-flight). A Cache from NewCache lives in one process; one from
 // OpenDiskCache is additionally backed by an append-only JSON-lines file
 // shared across processes; SetRemote adds a third, fleet-wide tier
@@ -88,51 +86,6 @@ func (c *Cache) Close() error {
 	return s.log.Close()
 }
 
-// peek returns the cached result for key without claiming the key for
-// computation (no single-flight bookkeeping). A local miss consults the
-// remote tier; a remote hit is admitted into the local tiers so the
-// next lookup is local.
-func (c *Cache) peek(ctx context.Context, key string) (Result, bool) {
-	if c == nil || key == "" {
-		return Result{}, false
-	}
-	c.mu.Lock()
-	r, ok := c.m[key]
-	rem := c.remote
-	c.mu.Unlock()
-	if ok {
-		return r, true
-	}
-	if rem == nil {
-		return Result{}, false
-	}
-	r, ok = rem.Lookup(ctx, key)
-	if !ok {
-		return Result{}, false
-	}
-	c.admit(key, r)
-	return r, true
-}
-
-// admit records a remote-fetched result in the local tiers (memory and
-// disk) without touching single-flight state and without echoing it
-// back to the remote.
-func (c *Cache) admit(key string, r Result) {
-	if r.Err != "" {
-		return
-	}
-	c.mu.Lock()
-	var store *diskStore
-	if _, dup := c.m[key]; !dup {
-		store = c.store
-		c.m[key] = r
-	}
-	c.mu.Unlock()
-	if store != nil {
-		store.append(key, r)
-	}
-}
-
 // begin claims key for computation. It returns the cached result on a
 // hit; otherwise, if another goroutine is already computing the key, it
 // waits for that computation and retries. Once the claim is won locally
@@ -176,10 +129,9 @@ func (c *Cache) begin(ctx context.Context, key string) (Result, bool) {
 }
 
 // finish records a computed result under key. Failures are not cached,
-// so a flaky job re-runs; waiters claimed via begin are released either
-// way. finish is also safe without a prior begin (sharded merges store
-// their assembled result directly). New successes write through to the
-// remote tier, making them visible fleet-wide.
+// so a flaky shard re-runs; waiters claimed via begin are released
+// either way. New successes write through to the remote tier, making
+// them visible fleet-wide.
 func (c *Cache) finish(key string, r Result) {
 	if c == nil || key == "" {
 		return

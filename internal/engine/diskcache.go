@@ -53,7 +53,7 @@ func ToCachedResult(r Result) (api.CachedResult, error) {
 		return api.CachedResult{}, err
 	}
 	return api.CachedResult{
-		Name: r.Name, Title: r.Title, Text: r.Text, Data: data,
+		Name: r.Name, Text: r.Text, Data: data,
 		Err: r.Err, Seed: r.Seed, DurationNS: r.Duration.Nanoseconds(),
 	}, nil
 }
@@ -62,7 +62,7 @@ func ToCachedResult(r Result) (api.CachedResult, error) {
 // in-memory form.
 func FromCachedResult(cr api.CachedResult) Result {
 	r := Result{
-		Name: cr.Name, Title: cr.Title, Text: cr.Text,
+		Name: cr.Name, Text: cr.Text,
 		Err: cr.Err, Seed: cr.Seed, Duration: time.Duration(cr.DurationNS),
 	}
 	if len(cr.Data) > 0 {

@@ -17,16 +17,15 @@ func countingRegistry(t *testing.T, n int, runs *int, mu *sync.Mutex) *Registry 
 	reg := NewRegistry()
 	for i := 0; i < n; i++ {
 		i := i
-		err := reg.Register(Job{
+		err := reg.Register(single(Job{
 			Name: fmt.Sprintf("job%02d", i),
 			Key:  fmt.Sprintf("job%02d@hash", i),
-			Run: func(context.Context) (Output, error) {
-				mu.Lock()
-				*runs++
-				mu.Unlock()
-				return Output{Text: fmt.Sprintf("out-%d", i), Data: map[string]any{"i": i}}, nil
-			},
-		})
+		}, func(context.Context) (Output, error) {
+			mu.Lock()
+			*runs++
+			mu.Unlock()
+			return Output{Text: fmt.Sprintf("out-%d", i), Data: map[string]any{"i": i}}, nil
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,9 +244,8 @@ func TestDiskCacheCorruptionIsAMiss(t *testing.T) {
 	}
 }
 
-// TestDiskCacheShardReuse: a warm process replays a sharded job wholesale;
-// deleting the merged entry still leaves per-shard entries, so only the
-// merge recomputes.
+// TestDiskCacheShardedWarmRun: a warm process replays every shard of a
+// sharded job from disk and runs only the merge again.
 func TestDiskCacheShardedWarmRun(t *testing.T) {
 	dir := t.TempDir()
 	var mu sync.Mutex
@@ -305,9 +303,9 @@ func TestDiskCacheShardedWarmRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer warm.Close()
-	// 3 shard entries + 1 merged entry.
-	if warm.Len() != 4 {
-		t.Fatalf("warm cache holds %d entries, want 4", warm.Len())
+	// One entry per shard, none for the merged job.
+	if warm.Len() != 3 {
+		t.Fatalf("warm cache holds %d entries, want 3", warm.Len())
 	}
 	warmRep, err := Run(build(), Options{Workers: 3, Cache: warm})
 	if err != nil {
@@ -321,5 +319,54 @@ func TestDiskCacheShardedWarmRun(t *testing.T) {
 	}
 	if warmRep.Results[0].Text != coldRep.Results[0].Text {
 		t.Fatalf("warm text diverged:\n%q\nvs\n%q", warmRep.Results[0].Text, coldRep.Results[0].Text)
+	}
+}
+
+// TestDiskCacheOneLinePerUnit: over a disk cache, a cold run appends
+// exactly one line per unit (shard), one-shard and sharded jobs alike,
+// and a warm run appends none while every job reads Cached.
+func TestDiskCacheOneLinePerUnit(t *testing.T) {
+	dir := t.TempDir()
+	var mu sync.Mutex
+	runs := 0
+	build := func() *Registry {
+		reg := countingRegistry(t, 3, &runs, &mu)
+		if err := reg.Register(gridJob("grid", 4, "grid@hash")); err != nil {
+			t.Fatal(err)
+		}
+		return reg
+	}
+	const units = 3 + 4
+	lines := func() int {
+		b, err := os.ReadFile(filepath.Join(dir, "results.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(string(b), "\n")
+	}
+	for pass, want := range []struct{ lines, cached int }{{units, 0}, {units, 4}} {
+		c, err := OpenDiskCache(dir, "v1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(build(), Options{Workers: 3, Cache: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if got := lines(); got != want.lines {
+			t.Fatalf("pass %d: results.jsonl holds %d lines, want %d (one per unit)", pass, got, want.lines)
+		}
+		if got := rep.CachedCount(); got != want.cached {
+			t.Fatalf("pass %d: %d of %d jobs cached, want %d", pass, got, len(rep.Results), want.cached)
+		}
+	}
+	if runs != 3 {
+		t.Fatalf("one-shard jobs computed %d times over two passes, want 3", runs)
 	}
 }

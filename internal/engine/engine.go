@@ -3,29 +3,31 @@
 //
 // The harness in internal/experiments regenerates every table and figure
 // of the paper; each (preset, experiment) pair is registered here as one
-// Job. Run executes the selected jobs concurrently with up to
-// runtime.NumCPU() workers, captures per-job timing and errors, and
-// collects everything into a Report that renders as text or JSON. Jobs
-// must be independent: any subset may run in parallel, and no job may
-// see another's writes. (The experiments layer shares trained weights
-// between the jobs of one registration, but hands each job its own copy
-// of the model it attacks.)
+// Job. Every job has one shape: a list of shards plus a merge. Run
+// schedules every shard of the selected jobs as one unit on a worker
+// pool of up to runtime.NumCPU() workers, merges each job's shard
+// outputs once its last shard finishes, captures per-job timing and
+// errors, and collects everything into a Report that renders as text
+// or JSON. Jobs must be independent: any subset may run in parallel,
+// and no job may see another's writes. (The experiments layer shares
+// trained weights between the jobs of one registration, but hands each
+// job its own copy of the model it attacks.)
 //
-// Dispatch order: units start in descending Shard.Cost (a monolith
-// costs zero), ties in registration order, so the heaviest shard is not
-// the last to start. Order affects only when a unit runs; seeds, cache
-// keys, merges and reports never depend on it.
+// Dispatch order: units start in descending Shard.Cost, ties in
+// registration order, so the heaviest shard is not the last to start.
+// Order affects only when a unit runs; seeds, cache keys, merges and
+// reports never depend on it.
 //
 // Scheduling vs execution: Run owns selection, seeding, caching, shard
 // fan-out and the deterministic merge; the Executor interface owns only
-// the execution of one task (a monolithic job or a single shard),
-// addressed by the api wire types. LocalExecutor resolves tasks against
-// an in-process Registry; internal/remote ships the same TaskSpecs to
-// worker daemons over HTTP. Because ordering, merging and caching never
-// leave the scheduler, the determinism guarantees below hold under any
-// executor — local pool, remote fleet, or a mix via fallback.
+// the execution of one task (a single shard), addressed by the api wire
+// types. LocalExecutor resolves tasks against an in-process Registry;
+// internal/remote ships the same TaskSpecs to worker daemons over HTTP.
+// Because ordering, merging and caching never leave the scheduler, the
+// determinism guarantees below hold under any executor — local pool,
+// remote fleet, or a mix via fallback.
 //
-// Determinism: a job's output must follow from its own closure (the
+// Determinism: a job's output must follow from its own closures (the
 // experiments seed from their preset), never from worker count,
 // scheduling order or the executor that ran it. The runner's BaseSeed
 // reaches no job: it salts every cache key, so a result computed under
@@ -34,9 +36,10 @@
 // order, never in completion order.
 //
 // Caching: a Job may carry a Key (the experiments layer uses
-// "<experiment>@<preset hash>"). When the Runner is given a Cache,
-// successful results are memoised under that key and replayed on the next
-// run instead of recomputed.
+// "<experiment>@<preset hash>"). When the Runner is given a Cache, each
+// successful shard is memoised under "<key>/<shard name>" and replayed
+// on the next run instead of recomputed; the merge runs again over the
+// replayed outputs, so the cache holds one entry per unit.
 //
 // Worker budget: the pool shares the process-wide budget of internal/par
 // with the tensor/nn compute kernels. A worker reserves one budget token
@@ -90,10 +93,9 @@ type Output struct {
 	Data any
 }
 
-// Job is one independent, schedulable unit of work. A job is either
-// monolithic (Run set) or sharded (Shards + Merge set): a sharded job's
-// shards are scheduled as independent units on the same worker pool, and
-// once the last shard finishes Merge deterministically assembles the
+// Job is one independent unit of the report: a list of shards, each
+// scheduled as an independent unit on the worker pool, and a merge that
+// runs once the last shard finishes and deterministically assembles the
 // shard outputs — in shard order, never completion order — into the
 // job's single Result, so reports are byte-identical at any worker count.
 type Job struct {
@@ -101,38 +103,35 @@ type Job struct {
 	Name string
 	// Title is a one-line human description shown by listings.
 	Title string
-	// Key is the result-cache key; empty disables caching for this job.
-	// The experiments layer keys by experiment id + preset hash so a
-	// preset change invalidates the cached result. Sharded jobs
-	// additionally cache each shard under Key + "/" + shard name, so a
-	// partial re-run recomputes only the missing shards.
+	// Key is the result-cache key stem; empty disables caching for this
+	// job. The experiments layer keys by experiment id + preset hash so
+	// a preset change invalidates the cached results. Each shard caches
+	// under Key + "/" + shard name, so a partial re-run recomputes only
+	// the missing shards.
 	Key string
-	// Run executes a monolithic job under the run's context (Options.Ctx),
-	// which carries the task's progress reporter when someone listens
-	// (ProgressFromContext); long jobs poll its Err so Ctrl-C stops them.
-	// It must be safe to call concurrently with every other registered
-	// job's Run. Mutually exclusive with Shards.
-	Run func(context.Context) (Output, error)
-	// Shards, when non-empty, split the job into independently scheduled
-	// slices (per curve, per grid point). Every shard must be safe to run
-	// concurrently with every other shard and job.
+	// Shards split the job into independently scheduled slices (per
+	// curve, per grid point; one for an experiment that does not
+	// split). Every shard must be safe to run concurrently with every
+	// other shard and job.
 	Shards []Shard
 	// Merge combines the shard outputs (indexed like Shards) into the
 	// job's Output. It must be deterministic: shard Data may arrive as
 	// the live typed value or as json.RawMessage replayed from the
 	// persistent cache — decode it with DecodeData, which normalises
-	// both. Required when Shards is non-empty.
+	// both.
 	Merge func([]Output) (Output, error)
 }
 
-// Shard is one independent slice of a sharded job.
+// Shard is one independent slice of a job.
 type Shard struct {
-	// Name suffixes the job name ("<job>/<shard>") in the result and the
+	// Name suffixes the job name ("<job>/<shard>") in the unit's seed and
 	// cache key; it must be unique within the job and stable across runs.
 	Name string
-	// Run computes the shard, under a context like Job.Run's. Output.Data
-	// is the payload handed to the job's Merge; it must be
-	// JSON-marshalable so it can persist.
+	// Run computes the shard under the run's context (Options.Ctx),
+	// which carries the task's progress reporter when someone listens
+	// (ProgressFromContext); long shards poll its Err so Ctrl-C stops
+	// them. Output.Data is the payload handed to the job's Merge; it
+	// must be JSON-marshalable so it can persist.
 	Run func(context.Context) (Output, error)
 	// Cost is the shard's relative cost, which orders dispatch (see the
 	// package comment). Zero for cheap shards.
@@ -151,34 +150,30 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]int)}
 }
 
-// Register adds a job. Names must be unique; a job carries either Run
-// (monolithic) or Shards+Merge (sharded), never both.
+// Register adds a job. Names must be unique, and a job needs at least
+// one shard and a Merge.
 func (r *Registry) Register(j Job) error {
 	if j.Name == "" {
 		return fmt.Errorf("engine: job has no name")
 	}
-	if len(j.Shards) > 0 {
-		if j.Run != nil {
-			return fmt.Errorf("engine: job %q sets both Run and Shards", j.Name)
+	if len(j.Shards) == 0 {
+		return fmt.Errorf("engine: job %q has no shards", j.Name)
+	}
+	if j.Merge == nil {
+		return fmt.Errorf("engine: job %q has no Merge function", j.Name)
+	}
+	seen := make(map[string]bool, len(j.Shards))
+	for _, s := range j.Shards {
+		if s.Name == "" {
+			return fmt.Errorf("engine: job %q has an unnamed shard", j.Name)
 		}
-		if j.Merge == nil {
-			return fmt.Errorf("engine: sharded job %q has no Merge function", j.Name)
+		if s.Run == nil {
+			return fmt.Errorf("engine: job %q shard %q has no Run function", j.Name, s.Name)
 		}
-		seen := make(map[string]bool, len(j.Shards))
-		for _, s := range j.Shards {
-			if s.Name == "" {
-				return fmt.Errorf("engine: job %q has an unnamed shard", j.Name)
-			}
-			if s.Run == nil {
-				return fmt.Errorf("engine: job %q shard %q has no Run function", j.Name, s.Name)
-			}
-			if seen[s.Name] {
-				return fmt.Errorf("engine: job %q has duplicate shard %q", j.Name, s.Name)
-			}
-			seen[s.Name] = true
+		if seen[s.Name] {
+			return fmt.Errorf("engine: job %q has duplicate shard %q", j.Name, s.Name)
 		}
-	} else if j.Run == nil {
-		return fmt.Errorf("engine: job %q has no Run function", j.Name)
+		seen[s.Name] = true
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -11,6 +11,15 @@ import (
 	"time"
 )
 
+// single is the shape of a job that does not split: j with one shard,
+// named "only", running run, and a merge that returns that shard's
+// output.
+func single(j Job, run func(context.Context) (Output, error)) Job {
+	j.Shards = []Shard{{Name: "only", Run: run}}
+	j.Merge = func(outs []Output) (Output, error) { return outs[0], nil }
+	return j
+}
+
 // textOf strips the timing-dependent parts of a report so two runs can be
 // compared for determinism.
 func textOf(rep *Report) string {
@@ -23,18 +32,24 @@ func textOf(rep *Report) string {
 
 func TestRegistryRejectsBadJobs(t *testing.T) {
 	reg := NewRegistry()
-	ok := Job{Name: "a", Run: func(context.Context) (Output, error) { return Output{}, nil }}
+	run := func(context.Context) (Output, error) { return Output{}, nil }
+	ok := single(Job{Name: "a"}, run)
 	if err := reg.Register(ok); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Register(ok); err == nil {
 		t.Fatal("duplicate name must fail")
 	}
-	if err := reg.Register(Job{Run: ok.Run}); err == nil {
+	if err := reg.Register(single(Job{}, run)); err == nil {
 		t.Fatal("empty name must fail")
 	}
 	if err := reg.Register(Job{Name: "b"}); err == nil {
-		t.Fatal("nil Run must fail")
+		t.Fatal("a job with no shards must fail")
+	}
+	noMerge := single(Job{Name: "c"}, run)
+	noMerge.Merge = nil
+	if err := reg.Register(noMerge); err == nil {
+		t.Fatal("a job with no merge must fail")
 	}
 	if reg.Len() != 1 {
 		t.Fatalf("len = %d", reg.Len())
@@ -45,9 +60,9 @@ func TestSelectFiltering(t *testing.T) {
 	reg := NewRegistry()
 	for _, name := range []string{"tiny/fig8a", "tiny/table2", "small/fig8a", "small/perf"} {
 		name := name
-		if err := reg.Register(Job{Name: name, Run: func(context.Context) (Output, error) {
+		if err := reg.Register(single(Job{Name: name}, func(context.Context) (Output, error) {
 			return Output{Text: name}, nil
-		}}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,9 +100,9 @@ func TestSelectFiltering(t *testing.T) {
 func TestSelectOverlappingPatterns(t *testing.T) {
 	reg := NewRegistry()
 	for _, name := range []string{"tiny/fig8a", "tiny/fig8b", "small/fig8a"} {
-		if err := reg.Register(Job{Name: name, Run: func(context.Context) (Output, error) {
+		if err := reg.Register(single(Job{Name: name}, func(context.Context) (Output, error) {
 			return Output{}, nil
-		}}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,9 +138,9 @@ func TestSelectOverlappingPatterns(t *testing.T) {
 // the bad pattern and the available jobs.
 func TestSelectNoMatchErrorText(t *testing.T) {
 	reg := NewRegistry()
-	if err := reg.Register(Job{Name: "tiny/mc", Run: func(context.Context) (Output, error) {
+	if err := reg.Register(single(Job{Name: "tiny/mc"}, func(context.Context) (Output, error) {
 		return Output{}, nil
-	}}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	_, err := reg.Select([]string{"tiny/md"})
@@ -157,10 +172,10 @@ func seededRegistry(t *testing.T, n int) *Registry {
 	reg := NewRegistry()
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("job%02d", i)
-		err := reg.Register(Job{Name: name, Key: name + "@hash", Run: func(context.Context) (Output, error) {
+		err := reg.Register(single(Job{Name: name, Key: name + "@hash"}, func(context.Context) (Output, error) {
 			rng := rand.New(rand.NewSource(int64(i)))
 			return Output{Text: fmt.Sprintf("%s -> %d %d %d", name, rng.Int63(), rng.Int63(), rng.Int63())}, nil
-		}})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,9 +245,9 @@ func TestErrorAndPanicPropagation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(Job{Name: "ok", Run: func(context.Context) (Output, error) { return Output{Text: "fine"}, nil }})
-	must(Job{Name: "fails", Run: func(context.Context) (Output, error) { return Output{}, boom }})
-	must(Job{Name: "panics", Run: func(context.Context) (Output, error) { panic("kaboom") }})
+	must(single(Job{Name: "ok"}, func(context.Context) (Output, error) { return Output{Text: "fine"}, nil }))
+	must(single(Job{Name: "fails"}, func(context.Context) (Output, error) { return Output{}, boom }))
+	must(single(Job{Name: "panics"}, func(context.Context) (Output, error) { panic("kaboom") }))
 
 	rep, err := Run(reg, Options{Workers: 3})
 	if err != nil {
@@ -244,7 +259,8 @@ func TestErrorAndPanicPropagation(t *testing.T) {
 	if rep.Results[0].Failed() || rep.Results[0].Text != "fine" {
 		t.Fatalf("healthy job corrupted: %+v", rep.Results[0])
 	}
-	if rep.Results[1].Err != "boom" {
+	// A job's error names the shard that failed.
+	if rep.Results[1].Err != "shard only: boom" {
 		t.Fatalf("error not captured: %q", rep.Results[1].Err)
 	}
 	if !strings.Contains(rep.Results[2].Err, "kaboom") {
@@ -254,7 +270,7 @@ func TestErrorAndPanicPropagation(t *testing.T) {
 	if joined == nil {
 		t.Fatal("Report.Err must be non-nil")
 	}
-	for _, frag := range []string{"fails: boom", "panics:"} {
+	for _, frag := range []string{"fails: shard only: boom", "panics:"} {
 		if !strings.Contains(joined.Error(), frag) {
 			t.Fatalf("joined error missing %q: %v", frag, joined)
 		}
@@ -269,7 +285,7 @@ func TestWorkerPoolRunsJobsInParallel(t *testing.T) {
 	var barrier sync.WaitGroup
 	barrier.Add(n)
 	for i := 0; i < n; i++ {
-		err := reg.Register(Job{Name: fmt.Sprintf("j%d", i), Run: func(context.Context) (Output, error) {
+		err := reg.Register(single(Job{Name: fmt.Sprintf("j%d", i)}, func(context.Context) (Output, error) {
 			barrier.Done()
 			done := make(chan struct{})
 			go func() { barrier.Wait(); close(done) }()
@@ -279,7 +295,7 @@ func TestWorkerPoolRunsJobsInParallel(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				return Output{}, errors.New("barrier never met: jobs did not overlap")
 			}
-		}})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,19 +321,19 @@ func TestCacheReplaysResults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(Job{Name: "cached", Key: "cached@deadbeef", Run: func(context.Context) (Output, error) {
+	must(single(Job{Name: "cached", Key: "cached@deadbeef"}, func(context.Context) (Output, error) {
 		mu.Lock()
 		runs++
 		mu.Unlock()
 		return Output{Text: "expensive"}, nil
-	}})
-	must(Job{Name: "failing", Key: "failing@deadbeef", Run: func(context.Context) (Output, error) {
+	}))
+	must(single(Job{Name: "failing", Key: "failing@deadbeef"}, func(context.Context) (Output, error) {
 		mu.Lock()
 		failRuns++
 		mu.Unlock()
 		return Output{}, errors.New("transient")
-	}})
-	must(Job{Name: "unkeyed", Run: func(context.Context) (Output, error) { return Output{Text: "x"}, nil }})
+	}))
+	must(single(Job{Name: "unkeyed"}, func(context.Context) (Output, error) { return Output{Text: "x"}, nil }))
 
 	cache := NewCache()
 	for pass := 0; pass < 2; pass++ {
@@ -348,13 +364,13 @@ func TestSameKeyJobsSingleFlight(t *testing.T) {
 	var mu sync.Mutex
 	runs := 0
 	for i := 0; i < 4; i++ {
-		err := reg.Register(Job{Name: fmt.Sprintf("sf%d", i), Key: "shared@key", Run: func(context.Context) (Output, error) {
+		err := reg.Register(single(Job{Name: fmt.Sprintf("sf%d", i), Key: "shared@key"}, func(context.Context) (Output, error) {
 			mu.Lock()
 			runs++
 			mu.Unlock()
 			time.Sleep(30 * time.Millisecond) // widen the overlap window
 			return Output{Text: "shared"}, nil
-		}})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,12 +407,12 @@ func TestSameKeyFailuresDoNotDeadlockOrCache(t *testing.T) {
 	var mu sync.Mutex
 	runs := 0
 	for i := 0; i < 3; i++ {
-		err := reg.Register(Job{Name: fmt.Sprintf("bad%d", i), Key: "doomed@key", Run: func(context.Context) (Output, error) {
+		err := reg.Register(single(Job{Name: fmt.Sprintf("bad%d", i), Key: "doomed@key"}, func(context.Context) (Output, error) {
 			mu.Lock()
 			runs++
 			mu.Unlock()
 			return Output{}, errors.New("always fails")
-		}})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,17 +465,17 @@ func TestReportRendering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(Job{Name: "t1", Title: "table one", Run: func(context.Context) (Output, error) {
+	must(single(Job{Name: "t1", Title: "table one"}, func(context.Context) (Output, error) {
 		return Output{Text: "row A\n", Data: map[string]int{"rows": 1}}, nil
-	}})
-	must(Job{Name: "t2", Run: func(context.Context) (Output, error) { return Output{}, errors.New("nope") }})
+	}))
+	must(single(Job{Name: "t2"}, func(context.Context) (Output, error) { return Output{}, errors.New("nope") }))
 
 	rep, err := Run(reg, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	text := rep.Text()
-	for _, frag := range []string{"=== t1", "row A", "=== t2", "ERROR: nope", "2 jobs, 1 failed, 0 cached, 1 workers"} {
+	for _, frag := range []string{"=== t1", "row A", "=== t2", "ERROR: shard only: nope", "2 jobs, 1 failed, 0 cached, 1 workers"} {
 		if !strings.Contains(text, frag) {
 			t.Fatalf("report text missing %q:\n%s", frag, text)
 		}
@@ -468,16 +484,45 @@ func TestReportRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frag := range []string{`"name": "t1"`, `"rows": 1`, `"error": "nope"`, `"workers": 1`} {
+	for _, frag := range []string{`"name": "t1"`, `"rows": 1`, `"error": "shard only: nope"`, `"workers": 1`} {
 		if !strings.Contains(string(buf), frag) {
 			t.Fatalf("JSON missing %q:\n%s", frag, buf)
 		}
 	}
 }
 
+// TestOneShardJobResult: a job that does not split reports as its one
+// shard ran: the job's name, title and JobSeed(base, job name), and the
+// shard's text and data, cold and warm alike.
+func TestOneShardJobResult(t *testing.T) {
+	reg := NewRegistry()
+	if err := reg.Register(single(Job{Name: "tiny/fig8a", Title: "Fig 8", Key: "fig8a@hash"}, func(context.Context) (Output, error) {
+		return Output{Text: "curve\n", Data: map[string]int{"flips": 3}}, nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	cache := NewCache()
+	for pass := 0; pass < 2; pass++ {
+		rep, err := Run(reg, Options{Workers: 1, BaseSeed: 5, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rep.Results[0]
+		if r.Name != "tiny/fig8a" || r.Title != "Fig 8" || r.Seed != JobSeed(5, "tiny/fig8a") || r.Err != "" {
+			t.Fatalf("pass %d: result %+v", pass, r)
+		}
+		if data, err := marshalPayload(r.Data); err != nil || r.Text != "curve\n" || string(data) != `{"flips":3}` {
+			t.Fatalf("pass %d: text %q data %s (%v)", pass, r.Text, data, err)
+		}
+		if r.Cached != (pass == 1) {
+			t.Fatalf("pass %d: cached = %v", pass, r.Cached)
+		}
+	}
+}
+
 // TestRunDispatchesHeaviestFirst pins the dispatch order: with one
-// worker, units start in descending Shard.Cost (a monolith costs zero),
-// ties in registration order, while the report and every merge keep
+// worker, units start in descending Shard.Cost, ties in registration
+// order, while the report and every merge keep
 // registration and shard order.
 func TestRunDispatchesHeaviestFirst(t *testing.T) {
 	var started []string
@@ -496,14 +541,14 @@ func TestRunDispatchesHeaviestFirst(t *testing.T) {
 	}
 	reg := NewRegistry()
 	for _, j := range []Job{
-		{Name: "a", Run: run("a")},
+		single(Job{Name: "a"}, run("a")),
 		{Name: "b", Merge: merge, Shards: []Shard{
 			{Name: "s0", Run: run("b/s0"), Cost: 1},
 			{Name: "s1", Run: run("b/s1"), Cost: 16},
 			{Name: "s2", Run: run("b/s2"), Cost: 4},
 			{Name: "s3", Run: run("b/s3")},
 		}},
-		{Name: "c", Run: run("c")},
+		single(Job{Name: "c"}, run("c")),
 		{Name: "d", Merge: merge, Shards: []Shard{
 			{Name: "t0", Run: run("d/t0"), Cost: 4},
 			{Name: "t1", Run: run("d/t1"), Cost: 1},

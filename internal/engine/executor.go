@@ -11,9 +11,9 @@ import (
 	"repro/internal/api"
 )
 
-// Executor runs one task — a monolithic job or a single shard — and is
-// the seam between the scheduler and a transport. Implementations must be
-// safe for concurrent use: the scheduler dispatches up to Options.Workers
+// Executor runs one task — a single shard of a job — and is the seam
+// between the scheduler and a transport. Implementations must be safe
+// for concurrent use: the scheduler dispatches up to Options.Workers
 // tasks at once.
 //
 // The two error channels are distinct on purpose. A non-nil Go error
@@ -62,8 +62,8 @@ func NewNamedLocalExecutor(reg *Registry, name string) *LocalExecutor {
 	return &LocalExecutor{reg: reg, name: name}
 }
 
-// Execute resolves spec against the registry and runs the named job (or
-// shard). Panics inside the job surface as TaskResult.Err; resolution
+// Execute resolves spec against the registry and runs the named shard.
+// Panics inside the shard surface as TaskResult.Err; resolution
 // failures — unknown job, shard out of range, protocol or cache-key
 // mismatch — surface as typed *api.Error values so a scheduler (or the
 // worker daemon wrapping this executor) can tell "this worker cannot
@@ -94,15 +94,10 @@ func (e *LocalExecutor) ExecuteStream(ctx context.Context, spec api.TaskSpec, on
 		return api.TaskResult{}, api.Errf(api.CodeKeyMismatch, "job %q cache-key mismatch: scheduler sent %q, this registry derived %q (different preset knobs or code version)",
 			spec.Job, spec.Key, j.Key)
 	}
-	run := j.Run
-	if spec.Shard != api.MonolithShard {
-		if spec.Shard >= len(j.Shards) {
-			return api.TaskResult{}, api.Errf(api.CodeBadRequest, "job %q has %d shards, task wants shard %d", spec.Job, len(j.Shards), spec.Shard)
-		}
-		run = j.Shards[spec.Shard].Run
-	} else if run == nil {
-		return api.TaskResult{}, api.Errf(api.CodeBadRequest, "job %q is sharded; it cannot run as a monolithic task", spec.Job)
+	if spec.Shard >= len(j.Shards) {
+		return api.TaskResult{}, api.Errf(api.CodeBadRequest, "job %q has %d shards, task wants shard %d", spec.Job, len(j.Shards), spec.Shard)
 	}
+	run := j.Shards[spec.Shard].Run
 	if err := ctx.Err(); err != nil {
 		return api.TaskResult{}, err
 	}
@@ -186,9 +181,11 @@ func (e *CachingExecutor) ExecuteStream(ctx context.Context, spec api.TaskSpec, 
 		e.Cache.finish(key, Result{Err: msg})
 		return tr, err
 	}
+	// The unit name carries the shard index: the wrapper is
+	// registry-agnostic, and replays re-stamp names anyway.
 	e.Cache.finish(key, Result{
-		Name: taskName(spec), Seed: spec.Seed, Text: tr.Text,
-		Data: tr.Data, Duration: time.Duration(tr.DurationNS),
+		Name: fmt.Sprintf("%s/#%d", spec.Job, spec.Shard), Seed: spec.Seed,
+		Text: tr.Text, Data: tr.Data, Duration: time.Duration(tr.DurationNS),
 	})
 	return tr, nil
 }
@@ -198,17 +195,6 @@ func (e *CachingExecutor) dispatch(ctx context.Context, spec api.TaskSpec, onPro
 		return se.ExecuteStream(ctx, spec, onProgress)
 	}
 	return e.Exec.Execute(ctx, spec)
-}
-
-// taskName renders a task's unit name for cached diagnostics. Shard
-// names are not resolvable here (the wrapper is registry-agnostic), so
-// shards use their index; replays re-stamp names, and plane payload
-// equivalence ignores them, so the difference is cosmetic.
-func taskName(spec api.TaskSpec) string {
-	if spec.Shard == api.MonolithShard {
-		return spec.Job
-	}
-	return fmt.Sprintf("%s/#%d", spec.Job, spec.Shard)
 }
 
 // replayedTaskResult renders a cached result as the task's reply.

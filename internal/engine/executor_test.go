@@ -18,10 +18,10 @@ func execRegistry(t *testing.T) *Registry {
 			t.Fatal(err)
 		}
 	}
-	must(Job{Name: "mono", Key: "mono@hash", Run: func(context.Context) (Output, error) {
+	must(single(Job{Name: "mono", Key: "mono@hash"}, func(context.Context) (Output, error) {
 		return Output{Text: "mono ran", Data: map[string]string{"job": "mono"}}, nil
-	}})
-	must(Job{Name: "panics", Run: func(context.Context) (Output, error) { panic("kaboom") }})
+	}))
+	must(single(Job{Name: "panics"}, func(context.Context) (Output, error) { panic("kaboom") }))
 	must(Job{Name: "grid", Key: "grid@hash", Shards: []Shard{
 		{Name: "s0", Run: func(context.Context) (Output, error) { return Output{Data: "s0"}, nil }},
 		{Name: "s1", Run: func(context.Context) (Output, error) { return Output{Data: "s1"}, nil }},
@@ -33,7 +33,7 @@ func execRegistry(t *testing.T) *Registry {
 
 func TestLocalExecutorRunsMonolith(t *testing.T) {
 	exec := NewLocalExecutor(execRegistry(t))
-	spec := api.TaskSpec{Proto: api.Version, Job: "mono", Shard: api.MonolithShard, Seed: 42, Key: "mono@hash"}
+	spec := api.TaskSpec{Proto: api.Version, Job: "mono", Shard: 0, Seed: 42, Key: "mono@hash"}
 	res, err := exec.Execute(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -73,19 +73,25 @@ func TestLocalExecutorResolutionErrors(t *testing.T) {
 	cases := []struct {
 		desc string
 		spec api.TaskSpec
+		code api.Code
 		frag string
 	}{
-		{"bad proto", api.TaskSpec{Proto: "old", Job: "mono", Shard: api.MonolithShard}, "protocol version"},
-		{"unknown job", api.TaskSpec{Proto: api.Version, Job: "nosuch", Shard: api.MonolithShard}, "unknown job"},
-		{"key mismatch", api.TaskSpec{Proto: api.Version, Job: "mono", Shard: api.MonolithShard, Key: "mono@OTHER"}, "cache-key mismatch"},
-		{"shard out of range", api.TaskSpec{Proto: api.Version, Job: "grid", Shard: 7, Key: "grid@hash"}, "2 shards"},
-		{"monolith task on sharded job", api.TaskSpec{Proto: api.Version, Job: "grid", Shard: api.MonolithShard, Key: "grid@hash"}, "cannot run as a monolithic task"},
+		{"bad proto", api.TaskSpec{Proto: "old", Job: "mono", Shard: 0}, api.CodeProtoMismatch, "protocol version"},
+		{"unknown job", api.TaskSpec{Proto: api.Version, Job: "nosuch", Shard: 0}, api.CodeUnknownJob, "unknown job"},
+		{"key mismatch", api.TaskSpec{Proto: api.Version, Job: "mono", Shard: 0, Key: "mono@OTHER"}, api.CodeKeyMismatch, "cache-key mismatch"},
+		{"shard out of range", api.TaskSpec{Proto: api.Version, Job: "grid", Shard: 7, Key: "grid@hash"}, api.CodeBadRequest, "2 shards"},
+		{"shard == len(Shards)", api.TaskSpec{Proto: api.Version, Job: "grid", Shard: 2, Key: "grid@hash"}, api.CodeBadRequest, "2 shards"},
+		// -1 was an older build's whole-job index; no job has one now.
+		{"shard -1", api.TaskSpec{Proto: api.Version, Job: "mono", Shard: -1, Key: "mono@hash"}, api.CodeBadRequest, "invalid shard index -1"},
 	}
 	for _, c := range cases {
 		_, err := exec.Execute(context.Background(), c.spec)
 		if err == nil {
 			t.Errorf("%s: must fail", c.desc)
 			continue
+		}
+		if ae, ok := api.AsError(err); !ok || ae.Code != c.code {
+			t.Errorf("%s: error %v, want a typed %s", c.desc, err, c.code)
 		}
 		if !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("%s: error %q missing %q", c.desc, err, c.frag)
@@ -98,7 +104,7 @@ func TestLocalExecutorResolutionErrors(t *testing.T) {
 func TestLocalExecutorSeparatesFailureChannels(t *testing.T) {
 	exec := NewLocalExecutor(execRegistry(t))
 	res, err := exec.Execute(context.Background(), api.TaskSpec{
-		Proto: api.Version, Job: "panics", Shard: api.MonolithShard,
+		Proto: api.Version, Job: "panics", Shard: 0,
 	})
 	if err != nil {
 		t.Fatalf("a panicking job is a task failure, not a transport error: %v", err)
@@ -195,17 +201,17 @@ func TestRunCancellation(t *testing.T) {
 	// First job cancels the run mid-flight; with one worker the rest are
 	// still queued and must fail fast without running.
 	ran := 0
-	must(Job{Name: "canceller", Run: func(jobCtx context.Context) (Output, error) {
+	must(single(Job{Name: "canceller"}, func(jobCtx context.Context) (Output, error) {
 		close(started)
 		cancel()
 		<-jobCtx.Done()
 		return Output{}, jobCtx.Err()
-	}})
+	}))
 	for i := 0; i < 3; i++ {
-		must(Job{Name: fmt.Sprintf("queued%d", i), Run: func(context.Context) (Output, error) {
+		must(single(Job{Name: fmt.Sprintf("queued%d", i)}, func(context.Context) (Output, error) {
 			ran++
 			return Output{Text: "should not run"}, nil
-		}})
+		}))
 	}
 	rep, err := Run(reg, Options{Workers: 1, Ctx: ctx})
 	if err != nil {

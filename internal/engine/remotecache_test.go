@@ -10,20 +10,11 @@ import (
 type fakeRemote struct {
 	mu       sync.Mutex
 	m        map[string]Result
-	lookups  int
 	acquires int
 	stores   int
 }
 
 func newFakeRemote() *fakeRemote { return &fakeRemote{m: make(map[string]Result)} }
-
-func (f *fakeRemote) Lookup(_ context.Context, key string) (Result, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.lookups++
-	r, ok := f.m[key]
-	return r, ok
-}
 
 func (f *fakeRemote) Acquire(_ context.Context, key string) (Result, bool) {
 	f.mu.Lock()
@@ -40,31 +31,10 @@ func (f *fakeRemote) Store(_ context.Context, key string, r Result) {
 	f.m[key] = r
 }
 
-func (f *fakeRemote) counts() (lookups, acquires, stores int) {
+func (f *fakeRemote) counts() (acquires, stores int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.lookups, f.acquires, f.stores
-}
-
-// TestCachePeekConsultsRemoteAndAdmits proves the lookup order memory →
-// remote, and that a remote hit is admitted locally so the next peek
-// stays local.
-func TestCachePeekConsultsRemoteAndAdmits(t *testing.T) {
-	rem := newFakeRemote()
-	rem.m["k"] = Result{Name: "k", Text: "remote"}
-	c := NewCache()
-	c.SetRemote(rem)
-
-	r, ok := c.peek(context.Background(), "k")
-	if !ok || r.Text != "remote" {
-		t.Fatalf("peek via remote: ok=%v r=%+v", ok, r)
-	}
-	if r, ok = c.peek(context.Background(), "k"); !ok || r.Text != "remote" {
-		t.Fatalf("second peek: ok=%v r=%+v", ok, r)
-	}
-	if lookups, _, _ := rem.counts(); lookups != 1 {
-		t.Fatalf("remote lookups %d, want 1 (admitted result must serve locally)", lookups)
-	}
+	return f.acquires, f.stores
 }
 
 // TestCacheFinishWritesThroughToRemote proves a locally computed
@@ -79,12 +49,12 @@ func TestCacheFinishWritesThroughToRemote(t *testing.T) {
 		t.Fatal("empty cache must hand the computation to the caller")
 	}
 	c.finish("k", Result{Name: "k", Text: "computed"})
-	if _, acquires, stores := rem.counts(); acquires != 1 || stores != 1 {
+	if acquires, stores := rem.counts(); acquires != 1 || stores != 1 {
 		t.Fatalf("acquires=%d stores=%d, want 1/1", acquires, stores)
 	}
-	// A duplicate finish (sharded merge path) must not re-store.
+	// A duplicate finish must not re-store.
 	c.finish("k", Result{Name: "k", Text: "computed"})
-	if _, _, stores := rem.counts(); stores != 1 {
+	if _, stores := rem.counts(); stores != 1 {
 		t.Fatalf("duplicate finish re-stored (stores=%d)", stores)
 	}
 
@@ -92,7 +62,7 @@ func TestCacheFinishWritesThroughToRemote(t *testing.T) {
 		t.Fatal("unexpected hit")
 	}
 	c.finish("fail", Result{Name: "fail", Err: "boom"})
-	if _, _, stores := rem.counts(); stores != 1 {
+	if _, stores := rem.counts(); stores != 1 {
 		t.Fatalf("failure was written through (stores=%d)", stores)
 	}
 }
@@ -110,14 +80,14 @@ func TestCacheBeginAdmitsRemoteResultWithoutEcho(t *testing.T) {
 	if !hit || r.Text != "theirs" {
 		t.Fatalf("begin over remote result: hit=%v r=%+v", hit, r)
 	}
-	if _, _, stores := rem.counts(); stores != 0 {
+	if _, stores := rem.counts(); stores != 0 {
 		t.Fatalf("remote result echoed back (stores=%d)", stores)
 	}
 	// Served locally from here on.
 	if r, hit = c.begin(context.Background(), "k"); !hit || r.Text != "theirs" {
 		t.Fatalf("second begin: hit=%v r=%+v", hit, r)
 	}
-	if _, acquires, _ := rem.counts(); acquires != 1 {
+	if acquires, _ := rem.counts(); acquires != 1 {
 		t.Fatalf("remote acquires %d, want 1", acquires)
 	}
 }

@@ -55,8 +55,7 @@ func (rep *Report) Failed() int {
 	return n
 }
 
-// CachedCount counts results replayed from the cache (for sharded jobs:
-// merged entirely from cached shards or replayed whole).
+// CachedCount counts results merged entirely from cached shards.
 func (rep *Report) CachedCount() int {
 	n := 0
 	for _, r := range rep.Results {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/api"
 	"repro/internal/par"
 )
 
@@ -22,14 +21,14 @@ type Options struct {
 	// BaseSeed salts every cache key and stamps each Result.Seed
 	// (JobSeed); no job reads it.
 	BaseSeed uint64
-	// Cache, when non-nil, replays previously computed results for jobs
+	// Cache, when non-nil, replays previously computed shards of jobs
 	// with a non-empty Key and stores new successes. Use NewCache for a
 	// process-local cache or OpenDiskCache for one persisted across
 	// processes.
 	Cache *Cache
-	// OnDone, when non-nil, is invoked once per job as it finishes (a
-	// sharded job reports once, after its merge). Calls are serialised;
-	// the callback must not invoke the Runner re-entrantly.
+	// OnDone, when non-nil, is invoked once per job as it finishes,
+	// after its merge. Calls are serialised; the callback must not
+	// invoke the Runner re-entrantly.
 	OnDone func(Result)
 	// Ctx cancels the pass: in-flight tasks observe it through the
 	// context their Run receives (and remote dispatches abort their HTTP
@@ -44,15 +43,14 @@ type Options struct {
 }
 
 // Run executes the selected jobs from reg on a bounded worker pool and
-// returns the Report. Monolithic jobs are one schedulable unit each;
-// sharded jobs contribute one unit per shard, all interleaved on the same
-// pool, with the last shard to finish running the job's merge. Units
-// start in descending Shard.Cost (a monolith costs zero), ties in
-// registration order. Each unit
-// is dispatched through the Executor; job errors (including panics, which
-// the executor converts) do not abort the pass — every selected job runs,
-// and the failures surface in the Report and via Report.Err. The returned
-// error is reserved for configuration problems (bad filter).
+// returns the Report. Every shard of every job is one schedulable unit,
+// all interleaved on the same pool, with the last shard of a job to
+// finish running the job's merge. Units start in descending Shard.Cost,
+// ties in registration order. Each unit is dispatched through the
+// Executor; job errors (including panics, which the executor converts)
+// do not abort the pass — every selected job runs, and the failures
+// surface in the Report and via Report.Err. The returned error is
+// reserved for configuration problems (bad filter).
 func Run(reg *Registry, opts Options) (*Report, error) {
 	jobs, err := reg.Select(opts.Filter)
 	if err != nil {
@@ -79,9 +77,7 @@ func Run(reg *Registry, opts Options) (*Report, error) {
 		opts.OnDone(r)
 	}
 
-	// Expand the selection into schedulable units. Whole sharded jobs
-	// already present in the cache replay here, before any unit is
-	// enqueued, so a fully warm run schedules nothing for them.
+	// Expand the selection into schedulable units, one per shard.
 	type unit struct {
 		cost float64
 		run  func()
@@ -90,20 +86,6 @@ func Run(reg *Registry, opts Options) (*Report, error) {
 	for i := range jobs {
 		i := i
 		j := jobs[i]
-		if len(j.Shards) == 0 {
-			units = append(units, unit{0, func() {
-				rep.Results[i] = runOne(ctx, exec, j, opts)
-				done(rep.Results[i])
-			}})
-			continue
-		}
-		if cached, hit := opts.Cache.peek(ctx, seededKey(j.Key, opts.BaseSeed)); hit {
-			cached.Name, cached.Title, cached.Cached = j.Name, j.Title, true
-			cached.Seed = JobSeed(opts.BaseSeed, j.Name)
-			rep.Results[i] = cached
-			done(rep.Results[i])
-			continue
-		}
 		st := newShardState(len(j.Shards))
 		for si := range j.Shards {
 			si := si
@@ -174,32 +156,4 @@ func seededKey(key string, base uint64) string {
 		return ""
 	}
 	return fmt.Sprintf("%s#%016x", key, base)
-}
-
-// runOne executes a single monolithic job through the executor, with
-// cache lookup on this side of the dispatch. Jobs that share a Key
-// (preset-independent experiments) must produce identical output for a
-// given BaseSeed. Same-key jobs running concurrently are single-flight:
-// one computes, the others wait and replay.
-func runOne(ctx context.Context, exec Executor, j Job, opts Options) Result {
-	res := Result{Name: j.Name, Title: j.Title, Seed: JobSeed(opts.BaseSeed, j.Name)}
-
-	key := seededKey(j.Key, opts.BaseSeed)
-	if cached, hit := opts.Cache.begin(ctx, key); hit {
-		// Replay under this job's own identity; the payload is shared,
-		// the metadata is not.
-		cached.Name, cached.Title, cached.Seed, cached.Cached = j.Name, j.Title, res.Seed, true
-		return cached
-	}
-
-	spec := api.TaskSpec{Proto: api.Version, Job: j.Name, Shard: api.MonolithShard, Seed: res.Seed, Key: j.Key, CacheKey: key}
-	out, errStr, d := executeTask(ctx, exec, spec)
-	res.Duration = d
-	if errStr != "" {
-		res.Err = errStr
-	} else {
-		res.Text, res.Data = out.Text, out.Data
-	}
-	opts.Cache.finish(key, res)
-	return res
 }

@@ -29,7 +29,7 @@ func DecodeData(v any, dst any) error {
 	return json.Unmarshal(raw, dst)
 }
 
-// shardState accumulates one sharded job's in-flight shard outcomes.
+// shardState accumulates one job's in-flight shard outcomes.
 type shardState struct {
 	mu      sync.Mutex
 	pending int
@@ -91,9 +91,8 @@ func runShard(ctx context.Context, exec Executor, j Job, si int, st *shardState,
 // mergeShards assembles the completed shards of j into its single Result.
 // Shard outputs are passed to Merge in shard order regardless of which
 // worker finished when, so the merged result — and therefore the report —
-// is identical at any worker count. A successful merge is cached under
-// the job's own key, giving the next run an O(1) whole-job replay; the
-// result counts as Cached when every shard was replayed (no new compute).
+// is identical at any worker count. The result counts as Cached when
+// every shard was replayed (no new compute).
 func mergeShards(j Job, st *shardState, opts Options) Result {
 	res := Result{Name: j.Name, Title: j.Title, Seed: JobSeed(opts.BaseSeed, j.Name)}
 	var total time.Duration
@@ -121,15 +120,11 @@ func mergeShards(j Job, st *shardState, opts Options) Result {
 	}
 	res.Text, res.Data = out.Text, out.Data
 	res.Cached = st.hits == len(j.Shards)
-
-	stored := res
-	stored.Cached = false // replays set the flag; the stored form is canonical
-	opts.Cache.finish(seededKey(j.Key, opts.BaseSeed), stored)
 	return res
 }
 
-// runProtected calls a job, shard or merge function, converting a panic
-// to an error.
+// runProtected calls a shard or merge function, converting a panic to
+// an error.
 func runProtected(run func() (Output, error)) (out Output, err error) {
 	defer func() {
 		if p := recover(); p != nil {

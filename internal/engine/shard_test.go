@@ -48,7 +48,7 @@ func TestRegistryValidatesShardedJobs(t *testing.T) {
 		desc string
 		job  Job
 	}{
-		{"both Run and Shards", Job{Name: "x", Run: run, Shards: []Shard{{Name: "a", Run: run}}, Merge: merge}},
+		{"no shards", Job{Name: "x", Merge: merge}},
 		{"missing Merge", Job{Name: "x", Shards: []Shard{{Name: "a", Run: run}}}},
 		{"unnamed shard", Job{Name: "x", Shards: []Shard{{Run: run}}, Merge: merge}},
 		{"nil shard Run", Job{Name: "x", Shards: []Shard{{Name: "a"}}, Merge: merge}},
@@ -141,9 +141,9 @@ func TestShardErrorsAndPanicsFailTheJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(Job{Name: "sibling", Run: func(context.Context) (Output, error) {
+	if err := reg.Register(single(Job{Name: "sibling"}, func(context.Context) (Output, error) {
 		return Output{Text: "fine"}, nil
-	}}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := Run(reg, Options{Workers: 4})
@@ -190,11 +190,11 @@ func TestMergeErrorAndPanicAreCaptured(t *testing.T) {
 	}
 }
 
-// TestShardedJobCaching: second pass replays the whole job from the
-// merged cache entry without touching any shard.
+// TestShardedJobCaching: the second pass replays every shard from the
+// cache, computing none, and runs the merge again over the replays.
 func TestShardedJobCaching(t *testing.T) {
 	var mu sync.Mutex
-	runs := 0
+	runs, merges := 0, 0
 	build := func() *Registry {
 		reg := NewRegistry()
 		var shards []Shard
@@ -210,6 +210,7 @@ func TestShardedJobCaching(t *testing.T) {
 			})
 		}
 		if err := reg.Register(Job{Name: "grid", Key: "grid@hash", Shards: shards, Merge: func(outs []Output) (Output, error) {
+			merges++
 			return Output{Text: fmt.Sprintf("merged %d", len(outs))}, nil
 		}}); err != nil {
 			t.Fatal(err)
@@ -235,6 +236,12 @@ func TestShardedJobCaching(t *testing.T) {
 	}
 	if runs != 3 {
 		t.Fatalf("shards computed %d times, want 3 (second pass must replay)", runs)
+	}
+	if merges != 2 {
+		t.Fatalf("merge ran %d times, want once per pass", merges)
+	}
+	if cache.Len() != 3 {
+		t.Fatalf("cache holds %d entries, want one per shard", cache.Len())
 	}
 }
 

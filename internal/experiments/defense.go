@@ -61,7 +61,6 @@ func DefenseRowFor(p Preset, name string) (DefenseRow, error) {
 	return DefenseRow{
 		Defense: name, Flipped: flipped,
 		Mitigations: st.Mitigations, ExtraLatency: st.ExtraLatency,
-		Denied: st.Denials,
 	}, nil
 }
 
@@ -123,10 +122,7 @@ func runDefenseBaseline(name string, trh, activations int) (bool, defense.Stats,
 		return false, defense.Stats{}, err
 	}
 	for i := 0; i < activations; i++ {
-		dec := d.OnActivate(agg, false)
-		if !dec.Allow {
-			continue
-		}
+		d.OnActivate(agg)
 		if _, err := dev.Activate(agg); err != nil {
 			return false, defense.Stats{}, err
 		}

@@ -45,26 +45,25 @@ var jobTitles = map[string]string{
 // presetFree marks the experiments whose output ignores the preset
 // entirely (they take no scale knobs). Their cache keys omit the preset
 // hash, so a multi-preset run with a cache computes each of them once and
-// replays the result for the other presets — shard by shard for the grid
-// jobs.
+// replays it, shard by shard, for the other presets.
 var presetFree = map[string]bool{
 	"fig1b": true, "table1": true, "fig7a": true, "fig7b": true,
 }
 
 // RegisterJobs registers one engine job per experiment at preset p, named
-// "<preset>/<experiment>" (e.g. "small/fig8a"). The parameter-grid
-// experiments (mc, table1, fig7a, fig7b, defense, table2) register as
-// sharded jobs — per variation point, framework, curve, threshold,
-// mechanism or defended model — and the rest as monoliths. Cache keys
-// embed the preset hash (except for the preset-free experiments), so a
-// preset change invalidates prior results.
+// "<preset>/<experiment>" (e.g. "small/fig8a"). Every job is shards plus
+// a merge: the parameter-grid experiments (mc, table1, fig7a, fig7b,
+// defense, table2) shard per variation point, framework, curve,
+// threshold, mechanism or defended model, and the rest run as one shard
+// (monolith). Cache keys embed the preset hash (except for the
+// preset-free experiments), so a preset change invalidates prior results.
 //
-// The registration owns one victim memo, reached through every job's
-// context: each distinct victim is trained once, by the first job (or
-// shard) to ask for it, and every job gets its own copy of the trained
-// weights and builds its own DefendedSystem, so any subset may execute
-// concurrently. Each table2 shard carries its victim's dispatch cost, so
-// the widest trainings start first.
+// The registration owns one victim memo, reached through every shard's
+// context: each distinct victim is trained once, by the first shard to
+// ask for it, and every job gets its own copy of the trained weights and
+// builds its own DefendedSystem, so any subset may execute concurrently.
+// Each table2 shard carries its victim's dispatch cost, so the widest
+// trainings start first.
 func RegisterJobs(reg *engine.Registry, p Preset) error {
 	hash := p.Hash()
 	memo := newVictimMemo(p)
@@ -72,9 +71,6 @@ func RegisterJobs(reg *engine.Registry, p Preset) error {
 		j, err := jobSpec(exp, p)
 		if err != nil {
 			return err
-		}
-		if j.Run != nil {
-			j.Run = memo.attach(j.Run)
 		}
 		for i := range j.Shards {
 			j.Shards[i].Run = memo.attach(j.Shards[i].Run)
@@ -133,22 +129,26 @@ func SplitList(s string) []string {
 	return out
 }
 
-// monolith wraps one experiment function into a single-unit engine.Job.
-// The closures use the preset's own seeds; the context is forwarded so
-// the model-bearing experiments can poll cancellation, report training
-// progress and reach the victim memo.
+// monolith wraps one experiment function into a one-shard engine.Job
+// whose merge returns the shard's output. The closure uses the preset's
+// own seeds; the context is forwarded so the model-bearing experiments
+// can poll cancellation, report training progress and reach the victim
+// memo.
 func monolith[T any](run func(context.Context) (T, error), format func(T) string) engine.Job {
-	return engine.Job{Run: func(ctx context.Context) (engine.Output, error) {
-		v, err := run(ctx)
-		if err != nil {
-			return engine.Output{}, err
-		}
-		return engine.Output{Text: format(v), Data: v}, nil
-	}}
+	return engine.Job{
+		Shards: []engine.Shard{{Name: "whole", Run: func(ctx context.Context) (engine.Output, error) {
+			v, err := run(ctx)
+			if err != nil {
+				return engine.Output{}, err
+			}
+			return engine.Output{Text: format(v), Data: v}, nil
+		}}},
+		Merge: func(outs []engine.Output) (engine.Output, error) { return outs[0], nil },
+	}
 }
 
-// jobSpec builds the execution shape (monolithic Run or Shards+Merge) for
-// one experiment id; RegisterJobs stamps name, title and cache key.
+// jobSpec builds the shards and merge of one experiment id;
+// RegisterJobs stamps name, title and cache key.
 func jobSpec(exp string, p Preset) (engine.Job, error) {
 	switch exp {
 	case "fig1a":

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -318,7 +319,8 @@ func TestShardedGridsMatchSerialMonoliths(t *testing.T) {
 }
 
 // TestGridJobsAreSharded pins the grid structure: the sharded experiments
-// must expose one shard per curve / grid point / table row.
+// must expose one shard per curve / grid point / table row, and every
+// other experiment runs as exactly one shard.
 func TestGridJobsAreSharded(t *testing.T) {
 	reg := engine.NewRegistry()
 	if err := RegisterJobs(reg, Tiny()); err != nil {
@@ -337,8 +339,8 @@ func TestGridJobsAreSharded(t *testing.T) {
 			if len(j.Shards) != n {
 				t.Errorf("%s: %d shards, want %d", j.Name, len(j.Shards), n)
 			}
-		} else if len(j.Shards) != 0 {
-			t.Errorf("%s: unexpectedly sharded (%d shards)", j.Name, len(j.Shards))
+		} else if len(j.Shards) != 1 {
+			t.Errorf("%s: %d shards, want 1 (a monolith)", j.Name, len(j.Shards))
 		}
 	}
 }
@@ -395,12 +397,9 @@ func TestJobErrorSurfacesInReport(t *testing.T) {
 	if err := RegisterJobs(reg, Tiny()); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(engine.Job{
-		Name: "tiny/broken",
-		Run: func(context.Context) (engine.Output, error) {
-			return engine.Output{}, errTestBroken
-		},
-	}); err != nil {
+	broken := monolith(func(context.Context) (int, error) { return 0, errTestBroken }, strconv.Itoa)
+	broken.Name = "tiny/broken"
+	if err := reg.Register(broken); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := engine.Run(reg, engine.Options{Filter: []string{"tiny/table1", "tiny/broken"}})

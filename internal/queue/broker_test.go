@@ -161,11 +161,11 @@ func TestSingleJobLifecycle(t *testing.T) {
 func TestWeightedTenantFairness(t *testing.T) {
 	b := newBroker(t, Config{}, newClock())
 	for i := 0; i < 24; i++ {
-		submit(t, b, "bulk", 0, spec(fmt.Sprintf("bulk/job%d", i), api.MonolithShard))
+		submit(t, b, "bulk", 0, spec(fmt.Sprintf("bulk/job%d", i), 0))
 	}
 	for _, tenant := range []string{"bob", "alice"} {
 		for i := 0; i < 4; i++ {
-			submit(t, b, tenant, 0, spec(fmt.Sprintf("%s/job%d", tenant, i), api.MonolithShard))
+			submit(t, b, tenant, 0, spec(fmt.Sprintf("%s/job%d", tenant, i), 0))
 		}
 	}
 	w := hello(t, b, "w1")
@@ -190,9 +190,9 @@ func TestWeightedTenantFairness(t *testing.T) {
 // queue but must not let a high-priority tenant starve the others.
 func TestPriorityOrdersWithinTenantOnly(t *testing.T) {
 	b := newBroker(t, Config{}, newClock())
-	submit(t, b, "a", 0, spec("a/low", api.MonolithShard))
-	submit(t, b, "a", 5, spec("a/high", api.MonolithShard))
-	submit(t, b, "b", 0, spec("b/only", api.MonolithShard))
+	submit(t, b, "a", 0, spec("a/low", 0))
+	submit(t, b, "a", 5, spec("a/high", 0))
+	submit(t, b, "b", 0, spec("b/only", 0))
 	w := hello(t, b, "w1")
 
 	var order []string

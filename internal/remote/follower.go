@@ -16,11 +16,10 @@ import (
 // Follower drives a standby broker: it long-polls the primary's
 // /v2/replicate endpoint, replays each batch into the local broker via
 // ApplyReplicated, and promotes the broker to primary either on
-// operator request (Promote, wired to /v2/promote and SIGUSR1 by the
-// daemon) or after the primary has been silent longer than
-// TakeoverAfter. After promoting it tries to fence the ex-primary so a
-// zombie that comes back cannot accept mutations against a stale
-// epoch.
+// operator request (Promote, wired to /v2/promote by the daemon) or
+// after the primary has been silent longer than TakeoverAfter. After
+// promoting it tries to fence the ex-primary so a zombie that comes
+// back cannot accept mutations against a stale epoch.
 type Follower struct {
 	b         *queue.Broker
 	primary   string

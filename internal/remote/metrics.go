@@ -72,7 +72,7 @@ func writePrometheus(w io.Writer, m api.BrokerMetrics) {
 		g("dramlocker_broker_replication_last_contact_seconds", "Time since the last successful replication poll.", rm.LastContactAgeNS/1e9)
 	}
 	if pm := m.Plane; pm != nil {
-		c("dramlocker_plane_hits_total", "Result-plane GET hits (incl. conditional 304s).", pm.Hits)
+		c("dramlocker_plane_hits_total", "Result-plane GET hits.", pm.Hits)
 		c("dramlocker_plane_misses_total", "Result-plane GET misses.", pm.Misses)
 		c("dramlocker_plane_puts_total", "First-time result-plane stores.", pm.Puts)
 		c("dramlocker_plane_dup_puts_total", "Equivalent duplicate PUTs (original bytes kept).", pm.DupPuts)

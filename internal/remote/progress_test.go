@@ -59,21 +59,20 @@ func TestPullWorkerPiggybacksProgressOnRenew(t *testing.T) {
 	t.Cleanup(func() { once.Do(func() { close(release) }) })
 
 	reg := engine.NewRegistry()
-	err := reg.Register(engine.Job{Name: "slow", Key: "slow@hash",
-		Run: func(ctx context.Context) (engine.Output, error) {
-			if report := engine.ProgressFromContext(ctx); report != nil {
-				report("train", 4, 8)
-			}
-			<-release
-			return engine.Output{Text: "slow done"}, nil
-		}})
+	err := reg.Register(single(engine.Job{Name: "slow", Key: "slow@hash"}, func(ctx context.Context) (engine.Output, error) {
+		if report := engine.ProgressFromContext(ctx); report != nil {
+			report("train", 4, 8)
+		}
+		<-release
+		return engine.Output{Text: "slow done"}, nil
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Short TTL so the renew loop (TTL/3) fires quickly.
 	bs, ts := startBroker(t, queue.Config{LeaseTTL: 300 * time.Millisecond})
 	startPullWorker(t, ts.URL, reg, "pw", 1)
-	spec := api.TaskSpec{Proto: api.Version, Job: "slow", Shard: api.MonolithShard, Key: "slow@hash", Seed: 1}
+	spec := api.TaskSpec{Proto: api.Version, Job: "slow", Shard: 0, Key: "slow@hash", Seed: 1}
 	id := submitJob(t, bs.Broker(), spec)
 
 	deadline := time.Now().Add(10 * time.Second)

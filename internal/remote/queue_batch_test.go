@@ -84,7 +84,7 @@ func TestQueueFullReturnedAndRetried(t *testing.T) {
 	}
 	results := make(chan outcome, 2)
 	for _, job := range []string{"mono0", "mono1"} {
-		spec := api.TaskSpec{Proto: api.Version, Job: job, Shard: api.MonolithShard, Seed: 7, Key: job + "@hash"}
+		spec := api.TaskSpec{Proto: api.Version, Job: job, Shard: 0, Seed: 7, Key: job + "@hash"}
 		go func(spec api.TaskSpec) {
 			res, err := qe.Execute(context.Background(), spec)
 			results <- outcome{res, err}
@@ -107,7 +107,7 @@ func TestQueueFullReturnedAndRetried(t *testing.T) {
 	var rep api.SubmitBatchReply
 	err := PostJSON(context.Background(), http.DefaultClient, ts.URL+SubmitBatchPath,
 		api.JobSubmitBatch{Proto: api.Version, Jobs: []api.JobSubmit{{Proto: api.Version, Tasks: []api.TaskSpec{
-			{Proto: api.Version, Job: "mono2", Shard: api.MonolithShard, Seed: 7, Key: "mono2@hash"},
+			{Proto: api.Version, Job: "mono2", Shard: 0, Seed: 7, Key: "mono2@hash"},
 		}}}}, &rep)
 	if err != nil || len(rep.Jobs) != 1 {
 		t.Fatalf("direct submit on an empty bucket: %v, %d items, want one", err, len(rep.Jobs))
@@ -140,7 +140,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	_, ts := startBroker(t, queue.Config{})
 	startPullWorker(t, ts.URL, testRegistry(t), "pw", 2)
 	qe := dialQueue(t, ts.URL, QueueOptions{Tenant: "ci"})
-	spec := api.TaskSpec{Proto: api.Version, Job: "mono0", Shard: api.MonolithShard, Seed: 7, Key: "mono0@hash"}
+	spec := api.TaskSpec{Proto: api.Version, Job: "mono0", Shard: 0, Seed: 7, Key: "mono0@hash"}
 	if _, err := qe.Execute(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func TestDoneStatusWithoutResultIsAnError(t *testing.T) {
 	t.Cleanup(ts.Close)
 	qe := dialQueue(t, ts.URL, QueueOptions{BatchLinger: -1})
 
-	spec := api.TaskSpec{Proto: api.Version, Job: "mono0", Shard: api.MonolithShard, Seed: 7, Key: "mono0@hash"}
+	spec := api.TaskSpec{Proto: api.Version, Job: "mono0", Shard: 0, Seed: 7, Key: "mono0@hash"}
 	_, err := qe.Execute(context.Background(), spec)
 	if err == nil {
 		t.Fatal("a done status without its result must fail the task")
@@ -170,7 +170,7 @@ func TestQueueLeaseExpiryRecoversTask(t *testing.T) {
 
 	// Submit one task through the executor in the background; nothing can
 	// serve it yet.
-	spec := api.TaskSpec{Proto: api.Version, Job: "mono0", Shard: api.MonolithShard, Seed: 7, Key: "mono0@hash"}
+	spec := api.TaskSpec{Proto: api.Version, Job: "mono0", Shard: 0, Seed: 7, Key: "mono0@hash"}
 	type outcome struct {
 		res api.TaskResult
 		err error
@@ -218,7 +218,7 @@ func TestQueueHedgedDuplicateIsCacheHit(t *testing.T) {
 	reg := testRegistry(t)
 	qe := dialQueue(t, ts.URL, QueueOptions{})
 
-	spec := api.TaskSpec{Proto: api.Version, Job: "mono1", Shard: api.MonolithShard, Seed: 11, Key: "mono1@hash"}
+	spec := api.TaskSpec{Proto: api.Version, Job: "mono1", Shard: 0, Seed: 11, Key: "mono1@hash"}
 	resCh := make(chan api.TaskResult, 1)
 	go func() {
 		res, err := qe.Execute(context.Background(), spec)
@@ -331,7 +331,7 @@ func TestBrokerStatusAndDrain(t *testing.T) {
 	err := PostJSON(context.Background(), http.DefaultClient, ts.URL+SubmitBatchPath, api.JobSubmitBatch{
 		Proto: api.Version,
 		Jobs: []api.JobSubmit{{Proto: api.Version,
-			Tasks: []api.TaskSpec{{Proto: api.Version, Job: "mono0", Shard: api.MonolithShard}}}},
+			Tasks: []api.TaskSpec{{Proto: api.Version, Job: "mono0", Shard: 0}}}},
 	}, nil)
 	ae, ok := api.AsError(err)
 	if !ok || ae.Code != api.CodeDraining || !ae.Retryable {

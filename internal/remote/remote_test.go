@@ -19,6 +19,15 @@ import (
 // testRegistry builds name-dependent jobs — monoliths plus one sharded
 // grid — so report text fingerprints which closure each task ran and
 // which seed each result was stamped with.
+// single is the shape of a job that does not split: j with one shard,
+// named "only", running run, and a merge that returns that shard's
+// output.
+func single(j engine.Job, run func(context.Context) (engine.Output, error)) engine.Job {
+	j.Shards = []engine.Shard{{Name: "only", Run: run}}
+	j.Merge = func(outs []engine.Output) (engine.Output, error) { return outs[0], nil }
+	return j
+}
+
 func testRegistry(t *testing.T) *engine.Registry {
 	t.Helper()
 	reg := engine.NewRegistry()
@@ -29,13 +38,13 @@ func testRegistry(t *testing.T) *engine.Registry {
 	}
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("mono%d", i)
-		must(engine.Job{Name: name, Key: name + "@hash", Run: func(context.Context) (engine.Output, error) {
+		must(single(engine.Job{Name: name, Key: name + "@hash"}, func(context.Context) (engine.Output, error) {
 			rng := rand.New(rand.NewSource(int64(i)))
 			return engine.Output{
 				Text: fmt.Sprintf("%s -> %d", name, rng.Int63()),
 				Data: map[string]int{"i": i},
 			}, nil
-		}})
+		}))
 	}
 	var shards []engine.Shard
 	for i := 0; i < 6; i++ {
@@ -245,7 +254,7 @@ func TestDownWorkerReprobedAfterBackoff(t *testing.T) {
 			re.workers = []*worker{w}
 		}
 	}
-	spec := api.TaskSpec{Proto: api.Version, Job: "mono0", Shard: api.MonolithShard, Key: "mono0@hash"}
+	spec := api.TaskSpec{Proto: api.Version, Job: "mono0", Shard: 0, Key: "mono0@hash"}
 	for i := 0; i < downAfter; i++ {
 		if _, err := re.Execute(context.Background(), spec); err == nil {
 			t.Fatal("task succeeded on the failing worker")
@@ -332,9 +341,9 @@ func TestNoFallbackSurfacesFleetFailure(t *testing.T) {
 // with a local fallback the run still completes with correct results.
 func TestWorkerRefusesForeignCacheKey(t *testing.T) {
 	foreign := engine.NewRegistry()
-	if err := foreign.Register(engine.Job{Name: "mono0", Key: "mono0@OTHERHASH", Run: func(context.Context) (engine.Output, error) {
+	if err := foreign.Register(single(engine.Job{Name: "mono0", Key: "mono0@OTHERHASH"}, func(context.Context) (engine.Output, error) {
 		return engine.Output{Text: "poisoned"}, nil
-	}}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	ts := startWorker(t, foreign, "foreign", 2)
@@ -367,10 +376,10 @@ func TestPerWorkerInflightLimit(t *testing.T) {
 	const limit = 2
 	reg := engine.NewRegistry()
 	for i := 0; i < 8; i++ {
-		if err := reg.Register(engine.Job{Name: fmt.Sprintf("slow%d", i), Run: func(context.Context) (engine.Output, error) {
+		if err := reg.Register(single(engine.Job{Name: fmt.Sprintf("slow%d", i)}, func(context.Context) (engine.Output, error) {
 			time.Sleep(20 * time.Millisecond)
 			return engine.Output{Text: "ok"}, nil
-		}}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -440,10 +449,14 @@ func TestServerRejectsMalformedAndForeignSpecs(t *testing.T) {
 	if resp := post("{garbage"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed spec: %s", resp.Status)
 	}
-	if resp := post(`{"proto":"old","job":"mono0","shard":-1}`); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(`{"proto":"old","job":"mono0","shard":0}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("foreign proto: %s", resp.Status)
 	}
-	if resp := post(`{"proto":"` + api.Version + `","job":"nosuch","shard":-1}`); resp.StatusCode != http.StatusUnprocessableEntity {
+	// An older build's whole-job task (shard -1) is a bad request.
+	if resp := post(`{"proto":"` + api.Version + `","job":"mono0","shard":-1,"key":"mono0@hash"}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("shard -1: %s", resp.Status)
+	}
+	if resp := post(`{"proto":"` + api.Version + `","job":"nosuch","shard":0}`); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("unknown job: %s", resp.Status)
 	}
 }
@@ -454,14 +467,14 @@ func TestCancellationAbortsRemoteCalls(t *testing.T) {
 	reg := engine.NewRegistry()
 	release := make(chan struct{})
 	for i := 0; i < 3; i++ {
-		if err := reg.Register(engine.Job{Name: fmt.Sprintf("block%d", i), Run: func(jobCtx context.Context) (engine.Output, error) {
+		if err := reg.Register(single(engine.Job{Name: fmt.Sprintf("block%d", i)}, func(jobCtx context.Context) (engine.Output, error) {
 			select {
 			case <-release:
 			case <-jobCtx.Done():
 				return engine.Output{}, jobCtx.Err()
 			}
 			return engine.Output{Text: "done"}, nil
-		}}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}

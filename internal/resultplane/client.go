@@ -28,7 +28,7 @@ func WireKey(version, key string) string {
 const opTimeout = 10 * time.Second
 
 // Client talks to a result plane over HTTP. Claims run for the plane's
-// default TTL; every method degrades on transport failure (miss or
+// ClaimTTL; every method degrades on transport failure (miss or
 // no-op), never blocking a computation on plane health.
 type Client struct {
 	// Base is the plane address, e.g. "http://host:9321".
@@ -112,7 +112,7 @@ func (c *Client) WaitFetch(ctx context.Context, key string, wait time.Duration) 
 }
 
 // Put stores entry under its key. The body is json.Marshal(entry),
-// already the encoding the plane stores, so equal entries get equal ETags.
+// already the encoding the plane stores.
 func (c *Client) Put(ctx context.Context, e api.CacheEntry) error {
 	u := c.Base + PutPath + "?key=" + url.QueryEscape(WireKey(c.Version, e.Key))
 	ctx, cancel := context.WithTimeout(ctx, opTimeout)
@@ -139,15 +139,6 @@ type EngineCache struct {
 }
 
 var _ engine.RemoteCache = (*EngineCache)(nil)
-
-// Lookup fetches without claiming.
-func (ec *EngineCache) Lookup(ctx context.Context, key string) (engine.Result, bool) {
-	e, ok, err := ec.C.Fetch(ctx, key)
-	if err != nil || !ok {
-		return engine.Result{}, false
-	}
-	return engine.FromCachedResult(e.Result), true
-}
 
 // Acquire arbitrates fleet-wide single-flight for key. The loop is:
 // fetch (hit wins immediately) → claim → on Done re-fetch, on Granted
@@ -228,7 +219,7 @@ type StorePlane struct {
 
 // Lookup fetches key's persisted result straight from the store.
 func (sp *StorePlane) Lookup(ctx context.Context, key string) (api.CachedResult, bool) {
-	data, _, ok := sp.S.Get(WireKey(sp.Version, key))
+	data, ok := sp.S.Get(WireKey(sp.Version, key))
 	if !ok {
 		return api.CachedResult{}, false
 	}

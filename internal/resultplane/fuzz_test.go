@@ -45,11 +45,11 @@ func FuzzPlaneOpen(f *testing.F) {
 			t.Fatal(err)
 		}
 		var bytesStored int64
-		for key, e := range s.entries {
-			if key == "" || len(e.data) == 0 {
-				t.Fatalf("loaded entry %q with %d data bytes", key, len(e.data))
+		for key, data := range s.entries {
+			if key == "" || len(data) == 0 {
+				t.Fatalf("loaded entry %q with %d data bytes", key, len(data))
 			}
-			bytesStored += int64(len(e.data))
+			bytesStored += int64(len(data))
 		}
 		if m := s.Metrics(); m.Entries != int64(len(s.entries)) || m.BytesStored != bytesStored {
 			t.Fatalf("metrics say %d entries of %d bytes, loaded %d of %d",
@@ -66,9 +66,9 @@ func FuzzPlaneOpen(f *testing.F) {
 		if len(back.entries) != len(s.entries) {
 			t.Fatalf("store reopened with %d entries, had %d", len(back.entries), len(s.entries))
 		}
-		for key, e := range s.entries {
-			if got, ok := back.entries[key]; !ok || !bytes.Equal(got.data, e.data) {
-				t.Fatalf("entry %q: reopened %q (found %v), had %q", key, got.data, ok, e.data)
+		for key, data := range s.entries {
+			if got, ok := back.entries[key]; !ok || !bytes.Equal(got, data) {
+				t.Fatalf("entry %q: reopened %q (found %v), had %q", key, got, ok, data)
 			}
 		}
 	})

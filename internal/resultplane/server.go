@@ -4,7 +4,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/api"
@@ -18,7 +17,7 @@ import (
 // server.claim and their client.* mirrors) stay clean. Bodies are
 // bounded at remote.MaxBodyBytes, as on every daemon route.
 const (
-	GetPath   = "/v3/get"   // GET  ?key=K[&wait=seconds]; ETag / If-None-Match
+	GetPath   = "/v3/get"   // GET  ?key=K[&wait=seconds]
 	PutPath   = "/v3/put"   // POST ?key=K, body = api.CacheEntry JSON
 	ClaimPath = "/v3/claim" // POST api.ClaimRequest
 )
@@ -59,27 +58,21 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// handleGet answers a conditional, optionally long-polling fetch.
+// handleGet answers a fetch, optionally long-polling.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
 	if key == "" {
 		remote.WriteError(w, api.Errf(api.CodeBadRequest, "get needs a key"))
 		return
 	}
-	data, etag, ok := s.store.Get(key)
+	data, ok := s.store.Get(key)
 	if !ok {
 		if wait := parseWait(r.URL.Query().Get("wait")); wait > 0 {
-			data, etag, ok = s.store.Wait(r.Context(), key, wait)
+			data, ok = s.store.Wait(r.Context(), key, wait)
 		}
 	}
 	if !ok {
 		remote.WriteError(w, api.Errf(api.CodeNotFound, "no entry for key %q", key))
-		return
-	}
-	quoted := `"` + etag + `"`
-	w.Header().Set("ETag", quoted)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
-		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -102,20 +95,6 @@ func parseWait(s string) time.Duration {
 	return d
 }
 
-// etagMatch checks an If-None-Match header against the entry tag,
-// tolerating quoting, weak validators and comma-separated lists.
-func etagMatch(header, etag string) bool {
-	for _, part := range strings.Split(header, ",") {
-		t := strings.TrimSpace(part)
-		t = strings.TrimPrefix(t, "W/")
-		t = strings.Trim(t, `"`)
-		if t == etag || t == "*" {
-			return true
-		}
-	}
-	return false
-}
-
 // handlePut stores one entry. It reads the raw bytes rather than
 // decoding them into an api.CacheEntry; a body that is not JSON is a
 // bad request.
@@ -134,12 +113,12 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		remote.WriteError(w, api.Errf(api.CodeBadRequest, "put needs an entry"))
 		return
 	}
-	etag, conflict, err := s.store.Put(key, data)
+	conflict, err := s.store.Put(key, data)
 	if err != nil {
 		remote.WriteError(w, api.Errf(api.CodeBadRequest, "entry is not JSON: %v", err))
 		return
 	}
-	remote.Reply(w, api.PutReply{Proto: api.Version, ETag: etag, Conflict: conflict})
+	remote.Reply(w, api.PutReply{Proto: api.Version, Conflict: conflict})
 }
 
 // handleClaim arbitrates single-flight.
@@ -156,7 +135,7 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		remote.WriteError(w, api.Errf(api.CodeBadRequest, "claim needs a key"))
 		return
 	}
-	remote.Reply(w, s.store.Claim(req.Key, req.Owner, time.Duration(req.TTLNS)))
+	remote.Reply(w, s.store.Claim(req.Key, req.Owner))
 }
 
 // handleStatus answers the standard daemon introspection probe.

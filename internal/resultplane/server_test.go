@@ -26,8 +26,11 @@ func newTestPlane(t *testing.T) (*Store, *httptest.Server) {
 	return store, srv
 }
 
-func TestServerETagRoundTrip(t *testing.T) {
-	_, srv := newTestPlane(t)
+// TestServerPutGetRoundTrip: a PUT entry comes back from a plain GET
+// byte for byte, and the plane answers every GET in full: it sends no
+// ETag and ignores If-None-Match.
+func TestServerPutGetRoundTrip(t *testing.T) {
+	store, srv := newTestPlane(t)
 	c := NewClient(srv.URL, "v1")
 
 	cr := api.CachedResult{Name: "mc", Text: "table", Seed: 3, DurationNS: 5}
@@ -35,50 +38,32 @@ func TestServerETagRoundTrip(t *testing.T) {
 	if err := c.Put(context.Background(), entry); err != nil {
 		t.Fatal(err)
 	}
+	stored, ok := store.Get(WireKey("v1", "mc@abc"))
+	if !ok {
+		t.Fatal("put stored nothing")
+	}
 
-	// Plain GET: entry plus a quoted ETag header.
 	u := srv.URL + GetPath + "?key=" + WireKey("v1", "mc@abc")
-	resp, err := http.Get(u)
-	if err != nil {
-		t.Fatal(err)
+	for _, inm := range []string{"", `"deadbeef"`, "*"} {
+		req, _ := http.NewRequest(http.MethodGet, u, nil)
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := new(bytes.Buffer)
+		body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != "" || !bytes.Equal(body.Bytes(), stored) {
+			t.Fatalf("get (If-None-Match %q): status=%d etag=%q body=%q, want 200, no tag, %q",
+				inm, resp.StatusCode, resp.Header.Get("ETag"), body, stored)
+		}
 	}
-	etag := resp.Header.Get("ETag")
-	var got api.CacheEntry
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || etag == "" || !strings.HasPrefix(etag, `"`) {
-		t.Fatalf("get: status=%d etag=%q", resp.StatusCode, etag)
-	}
-	if got.Key != "mc@abc" || got.Result.Text != "table" {
-		t.Fatalf("got entry %+v", got)
-	}
-
-	// Conditional GET with the tag: 304, no body.
-	req, _ := http.NewRequest(http.MethodGet, u, nil)
-	req.Header.Set("If-None-Match", etag)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := new(bytes.Buffer)
-	body.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified || body.Len() != 0 {
-		t.Fatalf("conditional get: status=%d body=%q", resp.StatusCode, body)
-	}
-
-	// A stale tag re-downloads.
-	req, _ = http.NewRequest(http.MethodGet, u, nil)
-	req.Header.Set("If-None-Match", `"deadbeef"`)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stale conditional get: status=%d", resp.StatusCode)
+	got, ok, err := c.Fetch(context.Background(), "mc@abc")
+	if err != nil || !ok || got.Key != "mc@abc" || got.Result.Text != "table" {
+		t.Fatalf("fetch: %+v ok=%v err=%v", got, ok, err)
 	}
 }
 
@@ -118,7 +103,7 @@ func TestServerRefusesNonJSONPut(t *testing.T) {
 	if m := store.Metrics(); m != before {
 		t.Fatalf("non-JSON put changed the metrics: %+v, was %+v", m, before)
 	}
-	if _, _, ok := store.Get("k"); ok {
+	if _, ok := store.Get("k"); ok {
 		t.Fatal("non-JSON put stored an entry")
 	}
 }

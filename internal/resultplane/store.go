@@ -1,7 +1,7 @@
 // Package resultplane is the fleet-wide result plane: a content-
 // addressed HTTP object store speaking the engine's versioned
-// cache-entry format (api.CacheEntry), with ETag conditional GETs,
-// long-poll waits, and a claim protocol for cross-machine single-flight
+// cache-entry format (api.CacheEntry), with long-poll waits and a
+// claim protocol for cross-machine single-flight
 // — a 100-worker fleet computes each cache key exactly once.
 //
 // The plane is an optimisation, never a correctness dependency: every
@@ -13,7 +13,7 @@
 // hash, shard, code version and base seed are all folded in), so two
 // correct producers of one key must produce equivalent payloads. A
 // duplicate PUT with an equivalent payload keeps the original bytes
-// (ETags and replays stay byte-stable — first write wins); a PUT whose
+// (replays stay byte-stable — first write wins); a PUT whose
 // payload genuinely differs is an equivalence violation: the plane
 // counts it as a conflict and lets the last write win, so a fixed
 // producer can repair a poisoned key by re-putting.
@@ -28,8 +28,6 @@ package resultplane
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -47,21 +45,10 @@ import (
 // recompute); on reload later lines win.
 const planeFile = "plane.jsonl"
 
-// Claim TTL clamps: a claimant that asks for nothing gets DefaultClaimTTL,
-// and nobody may park a key longer than MaxClaimTTL — an abandoned claim
-// (crashed worker) must expire fast enough that waiters reclaim and
-// compute instead of stalling the fleet.
-const (
-	DefaultClaimTTL = 30 * time.Second
-	MinClaimTTL     = time.Second
-	MaxClaimTTL     = 2 * time.Minute
-)
-
-// entry is one stored object.
-type entry struct {
-	data []byte
-	etag string // hex sha256 of data
-}
+// ClaimTTL is how long a granted claim parks its key: an abandoned
+// claim (crashed worker) must expire fast enough that waiters reclaim
+// and compute instead of stalling the fleet.
+const ClaimTTL = 30 * time.Second
 
 // claim is one in-flight computation registration.
 type claim struct {
@@ -80,7 +67,7 @@ type planeLine struct {
 // append-only record file. All methods are safe for concurrent use.
 type Store struct {
 	mu      sync.Mutex
-	entries map[string]entry
+	entries map[string][]byte
 	claims  map[string]claim
 	// waiters holds one broadcast channel per key with parked long-poll
 	// GETs; Put closes it. Created lazily, recreated after each close.
@@ -97,7 +84,7 @@ type Store struct {
 // NewStore returns an empty, memory-only store.
 func NewStore() *Store {
 	return &Store{
-		entries: make(map[string]entry),
+		entries: make(map[string][]byte),
 		claims:  make(map[string]claim),
 		waiters: make(map[string]chan struct{}),
 		now:     time.Now,
@@ -140,17 +127,17 @@ func (s *Store) load(path string) {
 			return errUnusableLine
 		}
 		// Hold the data as Put encodes it (compact, HTML-escaped), so an
-		// entry keeps the bytes and ETag its PUT gave it.
+		// entry keeps the bytes its PUT gave it.
 		data, err := json.Marshal(pl.Data)
 		if err != nil {
 			return err
 		}
-		s.entries[pl.Key] = entry{data: data, etag: etagOf(data)}
+		s.entries[pl.Key] = data
 		return nil
 	})
 	s.m.Entries = int64(len(s.entries))
-	for _, e := range s.entries {
-		s.m.BytesStored += int64(len(e.data))
+	for _, data := range s.entries {
+		s.m.BytesStored += int64(len(data))
 	}
 }
 
@@ -169,37 +156,31 @@ func (s *Store) Close() error {
 	return s.log.Close()
 }
 
-// etagOf is the entry tag: hex sha256 of the stored bytes.
-func etagOf(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
-// Get returns key's entry bytes and ETag. A miss is counted.
-func (s *Store) Get(key string) ([]byte, string, bool) {
+// Get returns key's entry bytes. A miss is counted.
+func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[key]
+	data, ok := s.entries[key]
 	if !ok {
 		s.m.Misses++
-		return nil, "", false
+		return nil, false
 	}
 	s.m.Hits++
-	return e.data, e.etag, true
+	return data, true
 }
 
 // Wait long-polls for key: it returns immediately on a hit and
 // otherwise parks until a PUT lands, d elapses, or ctx cancels. A wake
 // by PUT counts as a WaitHit.
-func (s *Store) Wait(ctx context.Context, key string, d time.Duration) ([]byte, string, bool) {
+func (s *Store) Wait(ctx context.Context, key string, d time.Duration) ([]byte, bool) {
 	deadline := time.NewTimer(d)
 	defer deadline.Stop()
 	for {
 		s.mu.Lock()
-		if e, ok := s.entries[key]; ok {
+		if data, ok := s.entries[key]; ok {
 			s.m.Hits++
 			s.mu.Unlock()
-			return e.data, e.etag, true
+			return data, true
 		}
 		ch := s.waiters[key]
 		if ch == nil {
@@ -210,10 +191,10 @@ func (s *Store) Wait(ctx context.Context, key string, d time.Duration) ([]byte, 
 		select {
 		case <-ch:
 			s.mu.Lock()
-			if e, ok := s.entries[key]; ok {
+			if data, ok := s.entries[key]; ok {
 				s.m.WaitHits++
 				s.mu.Unlock()
-				return e.data, e.etag, true
+				return data, true
 			}
 			s.mu.Unlock()
 			// Spurious wake (no entry): loop and park again.
@@ -221,48 +202,47 @@ func (s *Store) Wait(ctx context.Context, key string, d time.Duration) ([]byte, 
 			s.mu.Lock()
 			s.m.Misses++
 			s.mu.Unlock()
-			return nil, "", false
+			return nil, false
 		case <-ctx.Done():
-			return nil, "", false
+			return nil, false
 		}
 	}
 }
 
 // Put stores data under key and releases the key's claim and waiters.
 // The store holds data as plane.jsonl persists it, compacted and
-// HTML-escaped by json.Marshal, so an entry has the same bytes and ETag
-// before and after a restart; data that is not JSON is refused and
-// nothing changes. An equivalent duplicate keeps the original bytes
-// (first write wins, so ETags stay stable); a differing payload is
-// counted as a conflict and overwrites (last write wins). The returned
-// ETag tags whatever the store now holds.
-func (s *Store) Put(key string, data []byte) (string, bool, error) {
+// HTML-escaped by json.Marshal, so an entry has the same bytes before
+// and after a restart; data that is not JSON is refused and nothing
+// changes. An equivalent duplicate keeps the original bytes (first
+// write wins, so replays stay byte-stable); a differing payload is
+// counted as a conflict and overwrites (last write wins), which Put
+// reports.
+func (s *Store) Put(key string, data []byte) (bool, error) {
 	data, err := json.Marshal(json.RawMessage(data))
 	if err != nil {
-		return "", false, err
+		return false, err
 	}
 	s.mu.Lock()
 	old, exists := s.entries[key]
 	conflict := false
 	switch {
-	case exists && (bytes.Equal(old.data, data) || samePayload(old.data, data)):
+	case exists && (bytes.Equal(old, data) || samePayload(old, data)):
 		// The same bytes, or an equivalent result from a different
 		// producer (durations and diagnostic names differ): keep the
 		// original bytes.
 		s.m.DupPuts++
 		s.releaseLocked(key)
 		s.mu.Unlock()
-		return old.etag, false, nil
+		return false, nil
 	case exists:
 		s.m.Conflicts++
-		s.m.BytesStored -= int64(len(old.data))
+		s.m.BytesStored -= int64(len(old))
 		conflict = true
 	default:
 		s.m.Puts++
 		s.m.Entries++
 	}
-	e := entry{data: data, etag: etagOf(data)}
-	s.entries[key] = e
+	s.entries[key] = data
 	s.m.BytesStored += int64(len(data))
 	s.releaseLocked(key)
 	s.mu.Unlock()
@@ -273,7 +253,7 @@ func (s *Store) Put(key string, data []byte) (string, bool, error) {
 			s.log.Append(rec)
 		}
 	}
-	return e.etag, conflict, nil
+	return conflict, nil
 }
 
 // releaseLocked drops key's claim and wakes its waiters (mu held).
@@ -298,20 +278,10 @@ func samePayload(a, b []byte) bool {
 
 // Claim resolves who computes key. Results win over claims: a stored
 // entry answers Done. Otherwise the first claimant (or any claimant
-// after the previous claim expired) is Granted for the clamped TTL;
-// everyone else is denied with the holder and the claim's remaining
-// lifetime as a retry hint. A denied claim is one deduplicated
-// computation.
-func (s *Store) Claim(key, owner string, ttl time.Duration) api.ClaimReply {
-	if ttl <= 0 {
-		ttl = DefaultClaimTTL
-	}
-	if ttl < MinClaimTTL {
-		ttl = MinClaimTTL
-	}
-	if ttl > MaxClaimTTL {
-		ttl = MaxClaimTTL
-	}
+// after the previous claim expired) is Granted for ClaimTTL; everyone
+// else is denied with the holder and the claim's remaining lifetime as
+// a retry hint. A denied claim is one deduplicated computation.
+func (s *Store) Claim(key, owner string) api.ClaimReply {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.entries[key]; ok {
@@ -326,9 +296,9 @@ func (s *Store) Claim(key, owner string, ttl time.Duration) api.ClaimReply {
 		}
 	}
 	// Unclaimed, expired, or the holder re-claiming (extends its TTL).
-	s.claims[key] = claim{owner: owner, expires: now.Add(ttl)}
+	s.claims[key] = claim{owner: owner, expires: now.Add(ClaimTTL)}
 	s.m.ClaimsGranted++
-	return api.ClaimReply{Proto: api.Version, Granted: true, TTLNS: ttl.Nanoseconds()}
+	return api.ClaimReply{Proto: api.Version, Granted: true, TTLNS: ClaimTTL.Nanoseconds()}
 }
 
 // Metrics snapshots the counters.

@@ -27,17 +27,17 @@ func entryBytes(t *testing.T, version, key, text string, dur int64) []byte {
 
 func TestStorePutGet(t *testing.T) {
 	s := NewStore()
-	if _, _, ok := s.Get("k"); ok {
+	if _, ok := s.Get("k"); ok {
 		t.Fatal("empty store must miss")
 	}
 	data := entryBytes(t, "v1", "k", "hello", 10)
-	etag, conflict, err := s.Put("k", data)
+	conflict, err := s.Put("k", data)
 	if err != nil || conflict {
 		t.Fatalf("first put: conflict=%v err=%v", conflict, err)
 	}
-	got, tag, ok := s.Get("k")
-	if !ok || string(got) != string(data) || tag != etag {
-		t.Fatalf("get after put: ok=%v tag=%q want %q", ok, tag, etag)
+	got, ok := s.Get("k")
+	if !ok || string(got) != string(data) {
+		t.Fatalf("get after put: ok=%v data=%q want %q", ok, got, data)
 	}
 	m := s.Metrics()
 	if m.Puts != 1 || m.Hits != 1 || m.Misses != 1 || m.Entries != 1 || m.BytesStored != int64(len(data)) {
@@ -48,28 +48,27 @@ func TestStorePutGet(t *testing.T) {
 func TestStoreDupAndConflictPuts(t *testing.T) {
 	s := NewStore()
 	data := entryBytes(t, "v1", "k", "hello", 10)
-	etag, _, _ := s.Put("k", data)
+	s.Put("k", data)
 
 	// Byte-identical duplicate: original kept.
-	if tag, conflict, _ := s.Put("k", data); conflict || tag != etag {
-		t.Fatalf("identical dup put: conflict=%v tag=%q want %q", conflict, tag, etag)
+	if conflict, _ := s.Put("k", data); conflict {
+		t.Fatal("identical dup put counted as a conflict")
 	}
 	// Equivalent payload from another producer (duration differs):
-	// first write wins so the ETag stays stable.
+	// first write wins so the stored bytes stay stable.
 	equiv := entryBytes(t, "v1", "k", "hello", 99)
-	if tag, conflict, _ := s.Put("k", equiv); conflict || tag != etag {
-		t.Fatalf("equivalent dup put: conflict=%v tag=%q want %q", conflict, tag, etag)
+	if conflict, _ := s.Put("k", equiv); conflict {
+		t.Fatal("equivalent dup put counted as a conflict")
 	}
-	if got, _, _ := s.Get("k"); string(got) != string(data) {
+	if got, _ := s.Get("k"); string(got) != string(data) {
 		t.Fatal("equivalent dup put must keep the original bytes")
 	}
 	// Genuinely differing payload: conflict counted, last write wins.
 	diff := entryBytes(t, "v1", "k", "DIFFERENT", 10)
-	tag, conflict, _ := s.Put("k", diff)
-	if !conflict || tag == etag {
-		t.Fatalf("differing put: conflict=%v tag=%q", conflict, tag)
+	if conflict, _ := s.Put("k", diff); !conflict {
+		t.Fatal("differing put not counted as a conflict")
 	}
-	if got, _, _ := s.Get("k"); string(got) != string(diff) {
+	if got, _ := s.Get("k"); string(got) != string(diff) {
 		t.Fatal("differing put must overwrite (last write wins)")
 	}
 	m := s.Metrics()
@@ -86,50 +85,37 @@ func TestStoreClaimArbitration(t *testing.T) {
 	now := time.Unix(1000, 0)
 	s.SetNow(func() time.Time { return now })
 
-	// First claimant wins.
-	rep := s.Claim("k", "alice", 10*time.Second)
-	if !rep.Granted || rep.Done {
+	// First claimant wins, for ClaimTTL.
+	rep := s.Claim("k", "alice")
+	if !rep.Granted || rep.Done || rep.TTLNS != ClaimTTL.Nanoseconds() {
 		t.Fatalf("first claim: %+v", rep)
 	}
 	// Second claimant is denied with the holder and a retry hint.
-	rep = s.Claim("k", "bob", 10*time.Second)
-	if rep.Granted || rep.Done || rep.Owner != "alice" || rep.RetryAfterNS != (10*time.Second).Nanoseconds() {
+	rep = s.Claim("k", "bob")
+	if rep.Granted || rep.Done || rep.Owner != "alice" || rep.RetryAfterNS != ClaimTTL.Nanoseconds() {
 		t.Fatalf("competing claim: %+v", rep)
 	}
 	// The holder re-claiming extends its TTL.
 	now = now.Add(5 * time.Second)
-	if rep = s.Claim("k", "alice", 10*time.Second); !rep.Granted {
+	if rep = s.Claim("k", "alice"); !rep.Granted {
 		t.Fatalf("holder re-claim: %+v", rep)
 	}
-	if rep = s.Claim("k", "bob", 10*time.Second); rep.Granted || rep.RetryAfterNS != (10*time.Second).Nanoseconds() {
+	if rep = s.Claim("k", "bob"); rep.Granted || rep.RetryAfterNS != ClaimTTL.Nanoseconds() {
 		t.Fatalf("claim after extension: %+v", rep)
 	}
 	// An expired claim (crashed holder) re-arbitrates.
-	now = now.Add(11 * time.Second)
-	if rep = s.Claim("k", "bob", 10*time.Second); !rep.Granted {
+	now = now.Add(ClaimTTL + time.Second)
+	if rep = s.Claim("k", "bob"); !rep.Granted {
 		t.Fatalf("claim after expiry: %+v", rep)
 	}
 	// A stored result beats every claim.
 	s.Put("k", entryBytes(t, "v1", "k", "done", 1))
-	if rep = s.Claim("k", "carol", 10*time.Second); !rep.Done || rep.Granted {
+	if rep = s.Claim("k", "carol"); !rep.Done || rep.Granted {
 		t.Fatalf("claim over stored entry: %+v", rep)
 	}
 	m := s.Metrics()
 	if m.ClaimsGranted != 3 || m.ClaimsDenied != 2 {
 		t.Fatalf("claim metrics off: %+v", m)
-	}
-}
-
-func TestStoreClaimTTLClamps(t *testing.T) {
-	s := NewStore()
-	if rep := s.Claim("a", "x", 0); time.Duration(rep.TTLNS) != DefaultClaimTTL {
-		t.Fatalf("zero ttl → %v, want default %v", time.Duration(rep.TTLNS), DefaultClaimTTL)
-	}
-	if rep := s.Claim("b", "x", time.Millisecond); time.Duration(rep.TTLNS) != MinClaimTTL {
-		t.Fatalf("tiny ttl → %v, want min %v", time.Duration(rep.TTLNS), MinClaimTTL)
-	}
-	if rep := s.Claim("c", "x", time.Hour); time.Duration(rep.TTLNS) != MaxClaimTTL {
-		t.Fatalf("huge ttl → %v, want max %v", time.Duration(rep.TTLNS), MaxClaimTTL)
 	}
 }
 
@@ -142,7 +128,7 @@ func TestStoreWaitWokenByPut(t *testing.T) {
 	}
 	ch := make(chan res, 1)
 	go func() {
-		d, _, ok := s.Wait(context.Background(), "k", 30*time.Second)
+		d, ok := s.Wait(context.Background(), "k", 30*time.Second)
 		ch <- res{d, ok}
 	}()
 	// Give the waiter a moment to park, then publish.
@@ -163,12 +149,12 @@ func TestStoreWaitWokenByPut(t *testing.T) {
 
 func TestStoreWaitTimeoutAndCancel(t *testing.T) {
 	s := NewStore()
-	if _, _, ok := s.Wait(context.Background(), "k", 10*time.Millisecond); ok {
+	if _, ok := s.Wait(context.Background(), "k", 10*time.Millisecond); ok {
 		t.Fatal("wait on an empty key must time out to a miss")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, ok := s.Wait(ctx, "k", time.Hour); ok {
+	if _, ok := s.Wait(ctx, "k", time.Hour); ok {
 		t.Fatal("cancelled wait must miss")
 	}
 }
@@ -187,9 +173,9 @@ func TestStorePersistenceReload(t *testing.T) {
 	a2 := entryBytes(t, "v1", "a", "alpha-2", 3)
 	s.Put("a", a2)
 	// A body not in json.Marshal's encoding: served before and after the
-	// restart with the same bytes and ETag.
+	// restart with the same bytes.
 	s.Put("c", []byte(`{ "spaced" : "<html>" }`))
-	c, cTag, _ := s.Get("c")
+	c, _ := s.Get("c")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -199,15 +185,15 @@ func TestStorePersistenceReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got, _, ok := s2.Get("a")
+	got, ok := s2.Get("a")
 	if !ok || string(got) != string(a2) {
 		t.Fatalf("reloaded a: ok=%v data=%q", ok, got)
 	}
-	if got, _, ok := s2.Get("b"); !ok || string(got) != string(b) {
+	if got, ok := s2.Get("b"); !ok || string(got) != string(b) {
 		t.Fatalf("reloaded b: ok=%v data=%q", ok, got)
 	}
-	if got, tag, ok := s2.Get("c"); !ok || string(got) != string(c) || tag != cTag {
-		t.Fatalf("reloaded c: ok=%v data=%q etag=%s, want %q etag=%s", ok, got, tag, c, cTag)
+	if got, ok := s2.Get("c"); !ok || string(got) != string(c) {
+		t.Fatalf("reloaded c: ok=%v data=%q, want %q", ok, got, c)
 	}
 	if m := s2.Metrics(); m.Entries != 3 {
 		t.Fatalf("reloaded entries %d, want 3", m.Entries)

@@ -2,6 +2,8 @@ package wal_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,7 +27,7 @@ import (
 // after a conflicting PUT, an eviction rewrite, later appends and a
 // torn tail). want.json is what that code reloaded from them; this
 // code must reload the same broker state, cache contents and plane
-// ETags, and fold the journal into a byte-identical snapshot.
+// entries, and fold the journal into a byte-identical snapshot.
 func TestParentStoresReload(t *testing.T) {
 	dir := t.TempDir()
 	for _, sub := range []string{"journal", "cache", "plane"} {
@@ -69,7 +71,8 @@ func copyDir(t *testing.T, src, dst string) {
 }
 
 // storeDump is what a reload of the store set yields: the broker's
-// state, the disk cache's contents and the plane's ETags.
+// state, the disk cache's contents and, per plane key, the hex SHA-256
+// of the entry bytes (which want.json recorded as the plane's ETag).
 type storeDump struct {
 	Jobs         map[string]string `json:"jobs"`
 	Stats        brokerCensus      `json:"stats"`
@@ -163,7 +166,10 @@ func dumpStores(dir string) (storeDump, error) {
 	d.CacheLen = c.Len()
 	ce := &engine.CachingExecutor{Exec: missExecutor{}, Cache: c}
 	for _, key := range keys {
-		spec := api.TaskSpec{Proto: api.Version, Job: "compat", Shard: api.MonolithShard, Key: key, CacheKey: key}
+		// Shard -1 is the index want.json's replies echo: the parent
+		// recorded them under its whole-job index. The caching executor
+		// answers a hit without resolving the shard.
+		spec := api.TaskSpec{Proto: api.Version, Job: "compat", Shard: -1, Key: key, CacheKey: key}
 		if tr, err := ce.Execute(context.Background(), spec); err != nil {
 			d.Cache[key] = "miss"
 		} else {
@@ -185,8 +191,9 @@ func dumpStores(dir string) (storeDump, error) {
 	}
 	d.PlaneEntries = s.Metrics().Entries
 	for _, key := range keys {
-		if _, etag, ok := s.Get(key); ok {
-			d.Plane[key] = etag
+		if data, ok := s.Get(key); ok {
+			sum := sha256.Sum256(data)
+			d.Plane[key] = hex.EncodeToString(sum[:])
 		} else {
 			d.Plane[key] = "miss"
 		}
